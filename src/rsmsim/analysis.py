@@ -3,16 +3,22 @@
 Spatial bit errors come from the Rice/Rayleigh envelope tails around
 the detection threshold (Marcum Q with a perfect threshold, non-central
 and doubly non-central t CDFs when the threshold is pilot-estimated).
-Modulation bit errors are assembled by enumerating every transmitted/
-detected spatial word pair, weighing each by its product-Bernoulli
-transition probability, and applying the Gray-coded constellation BEP
-at the combining SNR that pair produces. The overall average bit error
-probability is the rate-weighted mix of the two.
+Modulation bit errors are summed over the count classes of a
+transmitted/detected spatial word pair: a pair's product-Bernoulli
+transition probability and its combining SNR depend only on how many
+antennas agree and disagree, so one term per class (weighted by the
+number of pairs in it) replaces the 4^n pair enumeration with O(n^3)
+terms. The Gray-coded constellation BEP is applied at each class's
+combining SNR. The overall average bit error probability is the
+rate-weighted mix of the two.
 
 For non-constant-modulus constellations the energized-branch envelope
 depends on which symbol was sent, so the miss probability is averaged
 over the constellation's power levels; for PSK this collapses to the
 single-amplitude expression.
+
+Every function takes arrays over a link ensemble as well as scalars, so
+one SNR point of a whole ensemble costs one call per kernel.
 """
 
 from __future__ import annotations
@@ -31,86 +37,67 @@ from .specfun import (
 )
 
 __all__ = [
-    "TransitionCounts",
     "AbepBreakdown",
     "spatial_error_probs_perfect",
     "spatial_error_probs_estimated",
-    "transition_probability",
     "modulation_error_prob",
     "constellation_bep",
     "abep",
 ]
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
-    """Per-antenna agreement counts between a sent and a detected word.
-
-    ``b11`` counts antennas energized and flagged, ``b10`` energized but
-    missed, ``b01`` silent but flagged, ``b00`` silent and unflagged.
-    """
-
-    b11: int
-    b10: int
-    b01: int
-    b00: int
-
-    def __post_init__(self) -> None:
-        if min(self.b11, self.b10, self.b01, self.b00) < 0:
-            raise ValueError("transition counts must be nonnegative")
-
-    @property
-    def n_active(self) -> int:
-        return self.b11 + self.b10 + self.b01 + self.b00
-
-    @classmethod
-    def from_words(cls, sent: int, detected: int, n_active: int) -> "TransitionCounts":
-        """Counts for integer-encoded words (bit k = antenna k)."""
-        mask = (1 << n_active) - 1
-        sent &= mask
-        detected &= mask
-        b11 = bin(sent & detected).count("1")
-        b10 = bin(sent & ~detected & mask).count("1")
-        b01 = bin(~sent & detected & mask).count("1")
-        return cls(b11=b11, b10=b10, b01=b01, b00=n_active - b11 - b10 - b01)
+def _scalar_or_array(value) -> float | np.ndarray:
+    """A float for a 0-d result, otherwise the array itself."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
 class AbepBreakdown:
-    """Per-SNR error probabilities: spatial, modulation, and their mix."""
+    """Per-SNR error probabilities: spatial, modulation, and their mix.
 
-    p_es: float
-    p_em: float
-    abep: float
-    p1: float
-    p0: float
+    Fields are floats for one link and arrays over the links of an
+    ensemble; in an array, NaN marks a link left out (see :func:`abep`).
+    """
+
+    p_es: float | np.ndarray
+    p_em: float | np.ndarray
+    abep: float | np.ndarray
+    p1: float | np.ndarray
+    p0: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("p_es", "p_em", "abep", "p1", "p0"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value!r}")
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim:
+                value = value[~np.isnan(value)]
+            if not np.all((0.0 <= value) & (value <= 1.0)):
+                raise ValueError(f"{name} must be a probability, got {getattr(self, name)!r}")
 
 
 def spatial_error_probs_perfect(
-    gamma: float, alpha_p: float, sigma2: float
-) -> tuple[float, float]:
+    gamma: float | np.ndarray, alpha_p: float | np.ndarray, sigma2: float
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Miss and false-alarm probabilities with a known threshold.
 
     P1 is the Rice CDF of an energized branch (amplitude sqrt(alpha_p))
     at gamma; P0 is the Rayleigh tail of a silent branch above gamma.
+    ``gamma`` and ``alpha_p`` may be arrays: P1 broadcasts over both,
+    while P0 depends on ``gamma`` alone and keeps its shape, so a second
+    power axis on ``alpha_p`` does not repeat the false-alarm tail.
     """
-    if gamma < 0 or alpha_p < 0 or sigma2 <= 0:
+    gamma = np.asarray(gamma, dtype=float)
+    alpha_p = np.asarray(alpha_p, dtype=float)
+    if np.any(gamma < 0) or np.any(alpha_p < 0) or sigma2 <= 0:
         raise ValueError("gamma, alpha_p must be >= 0 and sigma2 > 0")
     sigma = math.sqrt(sigma2)
-    p1 = 1.0 - marcum_q1(math.sqrt(2.0 * alpha_p) / sigma, math.sqrt(2.0) * gamma / sigma)
-    p0 = math.exp(-gamma * gamma / sigma2)
-    return p1, p0
+    p1 = 1.0 - marcum_q1(np.sqrt(2.0 * alpha_p) / sigma, math.sqrt(2.0) * gamma / sigma)
+    p0 = np.exp(-gamma * gamma / sigma2)
+    return _scalar_or_array(p1), _scalar_or_array(p0)
 
 
 def spatial_error_probs_estimated(
-    stats: tuple[float, float], alpha_p: float, sigma2: float
-) -> tuple[float, float]:
+    stats: tuple, alpha_p: float | np.ndarray, sigma2: float
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Miss/false-alarm probabilities under a Gaussian threshold estimate.
 
     ``stats`` is the (mean, variance) of the estimated threshold. The
@@ -118,18 +105,19 @@ def spatial_error_probs_estimated(
     non-central t variate (2 degrees of freedom, numerator
     non-centrality mean/std, denominator non-centrality
     2*alpha_p/sigma2); against a Rayleigh envelope the denominator
-    non-centrality vanishes.
+    non-centrality vanishes. Array arguments broadcast as in
+    :func:`spatial_error_probs_perfect`: P0 takes the shape of ``stats``.
     """
-    mean, variance = stats
-    if variance <= 0:
+    mean, variance = (np.asarray(v, dtype=float) for v in stats)
+    if np.any(variance <= 0):
         raise ValueError("threshold estimate variance must be positive")
-    std = math.sqrt(variance)
+    std = np.sqrt(variance)
     delta = mean / std
     ratio = math.sqrt(sigma2) / std
-    lam = 2.0 * alpha_p / sigma2
+    lam = 2.0 * np.asarray(alpha_p, dtype=float) / sigma2
     p1 = 1.0 - doubly_noncentral_t_cdf(ratio, 2.0, delta, lam)
     p0 = noncentral_t_cdf(ratio, 2.0, delta)
-    return p1, p0
+    return _scalar_or_array(p1), _scalar_or_array(p0)
 
 
 def _power_levels(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -139,125 +127,123 @@ def _power_levels(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]
     return levels, counts / counts.sum()
 
 
-def _level_averaged_p1(
-    constellation: Constellation,
-    alpha_p: float,
-    sigma2: float,
-    gamma: float | None,
-    stats: tuple[float, float] | None,
-) -> float:
-    """Miss probability averaged over the constellation power levels.
+def _near_neighbours(constellation: Constellation) -> list[tuple[int, float]]:
+    """(Hamming distance, Euclidean distance) of every near-neighbour pair.
 
-    Exactly one of ``gamma`` (perfect threshold) or ``stats`` (estimated
-    threshold) must be given. Constant-modulus sets reduce to a single
-    evaluation at the nominal power.
+    The 4+12 APSK layout has a second distance shell under 4% beyond the
+    first, so the neighbourhood window is 1.10 * d_min.
     """
-    levels, weights = _power_levels(constellation)
-    p1 = 0.0
-    for level, weight in zip(levels, weights):
-        branch_power = alpha_p * float(level)
-        if gamma is not None:
-            p1_level, _ = spatial_error_probs_perfect(gamma, branch_power, sigma2)
-        else:
-            p1_level, _ = spatial_error_probs_estimated(stats, branch_power, sigma2)
-        p1 += float(weight) * p1_level
-    return p1
+    points = constellation.points
+    bits = constellation.label_bits
+    pairs = []
+    for i in range(constellation.order):
+        dists = np.abs(points - points[i])
+        dists[i] = np.inf
+        d_min = float(dists.min())
+        for j in np.flatnonzero(dists <= d_min * 1.10):
+            pairs.append((int(np.sum(bits[i] != bits[j])), float(dists[j])))
+    return pairs
 
 
-def transition_probability(counts: TransitionCounts, p1: float, p0: float) -> float:
-    """Probability of one detected word given the sent word.
-
-    Independent per-antenna decisions: misses with probability p1 on
-    energized branches, false alarms with probability p0 on silent ones.
-    """
-    return (
-        p1**counts.b10
-        * (1.0 - p1) ** counts.b11
-        * p0**counts.b01
-        * (1.0 - p0) ** counts.b00
-    )
-
-
-def constellation_bep(constellation: Constellation, snr: float) -> float:
+def constellation_bep(constellation: Constellation, snr: float | np.ndarray) -> float | np.ndarray:
     """Gray-coded approximate bit error probability at the given SNR.
 
     PSK and square QAM use the standard closed forms; 16-APSK uses a
     nearest-neighbour union bound over the 4+12 layout. These are
     approximations tied to Gray labeling, good to roughly 10% through
-    the waterfall region.
+    the waterfall region. ``snr`` may be an array of any shape.
     """
-    if snr < 0:
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr < 0):
         raise ValueError("snr must be nonnegative")
     m = constellation.order
     k = constellation.bits_per_symbol
     if constellation.kind == "psk":
         if m == 2:
-            return gaussian_q(math.sqrt(2.0 * snr))
-        return min(1.0, (2.0 / k) * gaussian_q(math.sqrt(2.0 * snr) * math.sin(math.pi / m)))
-    if constellation.kind == "qam":
-        return min(
-            1.0,
-            (4.0 / k) * (1.0 - 1.0 / math.sqrt(m)) * gaussian_q(math.sqrt(3.0 * snr / (m - 1))),
+            return gaussian_q(np.sqrt(2.0 * snr))
+        bep = np.minimum(
+            1.0, (2.0 / k) * gaussian_q(np.sqrt(2.0 * snr) * math.sin(math.pi / m))
         )
-    # Near-neighbour union bound, weighting each pair by its Hamming
-    # distance under the shipped labeling. The 4+12 layout has a second
-    # distance shell under 4% beyond the first, so the neighbourhood
-    # window is 1.10 * d_min; measured against Monte Carlo this keeps
-    # the bound within ~6% through the 10-18 dB waterfall.
-    points = constellation.points
-    bits = constellation.label_bits
-    total = 0.0
-    for i in range(m):
-        dists = np.abs(points - points[i])
-        dists[i] = np.inf
-        d_min = float(dists.min())
-        for j in np.flatnonzero(dists <= d_min * 1.10):
-            d_h = int(np.sum(bits[i] != bits[j]))
-            total += d_h * gaussian_q(float(dists[j]) * math.sqrt(snr / 2.0))
-    return min(1.0, total / (m * k))
+    elif constellation.kind == "qam":
+        bep = np.minimum(
+            1.0,
+            (4.0 / k) * (1.0 - 1.0 / math.sqrt(m)) * gaussian_q(np.sqrt(3.0 * snr / (m - 1))),
+        )
+    else:
+        # Near-neighbour union bound, weighting each pair by its Hamming
+        # distance under the shipped labeling; measured against Monte
+        # Carlo this keeps the bound within ~6% through the 10-18 dB
+        # waterfall.
+        total = 0.0
+        for d_h, dist in _near_neighbours(constellation):
+            total = total + d_h * gaussian_q(dist * np.sqrt(snr / 2.0))
+        bep = np.minimum(1.0, total / (m * k))
+    return _scalar_or_array(bep)
+
+
+def _count_classes(n_active: int) -> tuple[np.ndarray, ...]:
+    """Count classes (w, b11, b01) of sent/detected word pairs.
+
+    ``w`` is the weight of the sent word (1..n), ``b11`` how many of its
+    energized antennas are flagged and ``b01`` how many of its silent
+    ones are; the class holds C(n,w)*C(w,b11)*C(n-w,b01) word pairs.
+    """
+    rows = [
+        (w, b11, b01, math.comb(n_active, w) * math.comb(w, b11) * math.comb(n_active - w, b01))
+        for w in range(1, n_active + 1)
+        for b11 in range(w + 1)
+        for b01 in range(n_active - w + 1)
+    ]
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
 
 
 def modulation_error_prob(
     constellation: Constellation,
-    alpha_p: float,
+    alpha_p: float | np.ndarray,
     sigma2: float,
     n_active: int,
-    p1: float,
-    p0: float,
-) -> float:
+    p1: float | np.ndarray,
+    p0: float | np.ndarray,
+) -> float | np.ndarray:
     """Average modulation bit error probability over spatial transitions.
 
-    Enumerates every sent word (uniform over the 2^n_active - 1 legal
-    ones) against every detected word including all-zero. A pair with no
-    correctly flagged branch leaves the combiner with noise only, so its
-    conditional BEP is 1/2; otherwise the conditional BEP is evaluated
-    at the pair's combining SNR.
+    Sent words are uniform over the 2^n_active - 1 legal ones; detected
+    words range over all 2^n_active, including all-zero. Antennas are
+    energized and flagged (b11), energized but missed (b10), silent but
+    flagged (b01) or silent and unflagged (b00). A pair's probability
+    p1^b10 (1-p1)^b11 p0^b01 (1-p0)^b00 and its combining SNR
+    b11^2 / (b11 + b01) * alpha_p / sigma2 depend only on these counts,
+    so the sum runs over the count classes of :func:`_count_classes`.
+    A class with no correctly flagged branch leaves the combiner with
+    noise only, so its conditional BEP is 1/2.
+
+    ``alpha_p``, ``p1`` and ``p0`` may be arrays over links; they
+    broadcast together and one :func:`constellation_bep` call covers
+    every (link, class) pair.
     """
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p0 <= 1.0):
+    alpha_p, p1, p0 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float)[..., None] for v in (alpha_p, p1, p0))
+    )
+    if not (np.all((0.0 <= p1) & (p1 <= 1.0)) and np.all((0.0 <= p0) & (p0 <= 1.0))):
         raise ValueError("p1 and p0 must be probabilities")
-    n_words = 1 << n_active
-    prior = 1.0 / (n_words - 1)
-    snr_base = alpha_p / sigma2
-    total = 0.0
-    for sent in range(1, n_words):
-        for detected in range(n_words):
-            counts = TransitionCounts.from_words(sent, detected, n_active)
-            prob = transition_probability(counts, p1, p0)
-            if prob == 0.0:
-                continue
-            if counts.b11 == 0:
-                bep = 0.5
-            else:
-                snr_c = counts.b11**2 / (counts.b11 + counts.b01) * snr_base
-                bep = constellation_bep(constellation, snr_c)
-            total += bep * prob * prior
-    return total
+    w, b11, b01, multiplicity = _count_classes(n_active)
+    b10 = w - b11
+    b00 = n_active - w - b01
+    prob = p1**b10 * (1.0 - p1) ** b11 * p0**b01 * (1.0 - p0) ** b00
+    flagged = b11 > 0
+    bep = np.full(prob.shape, 0.5)
+    bep[..., flagged] = constellation_bep(
+        constellation,
+        b11[flagged] ** 2 / (b11[flagged] + b01[flagged]) * (alpha_p / sigma2),
+    )
+    total = (multiplicity * bep * prob).sum(axis=-1) / ((1 << n_active) - 1)
+    return _scalar_or_array(total)
 
 
 def abep(
     constellation: Constellation,
     n_active: int,
-    alpha: float,
+    alpha: float | np.ndarray,
     snr_db_grid,
     threshold_mode: str = "hsa",
     n_pilot_samples: int | None = None,
@@ -265,33 +251,61 @@ def abep(
 ) -> list[tuple[float, AbepBreakdown]]:
     """Average bit error probability across an SNR grid.
 
-    ``alpha`` is the zero-forcing power factor of the link under study;
-    each grid point has transmit power 10^(snr_db/10) * sigma2. With
-    ``n_pilot_samples`` set, the spatial probabilities model a threshold
-    estimated from that many pilot envelopes (high-SNR design);
-    otherwise the threshold of ``threshold_mode`` is assumed known.
-    """
-    from .training import threshold_estimate_stats  # local: avoid cycle at import
+    ``alpha`` is the zero-forcing power factor of the link under study,
+    or a 1-D array of them for a link ensemble; each grid point has
+    transmit power 10^(snr_db/10) * sigma2. With ``n_pilot_samples``
+    set, the spatial probabilities model a threshold estimated from that
+    many pilot envelopes (high-SNR design); otherwise the threshold of
+    ``threshold_mode`` is assumed known.
 
-    if alpha <= 0 or sigma2 <= 0:
+    For an array ``alpha`` every breakdown field is an array over the
+    links, and each tail kernel runs once per grid point for all of
+    them. A link whose threshold estimate has a singular Fisher matrix
+    is NaN in every field of that grid point; for a scalar ``alpha`` the
+    :class:`~rsmsim.training.SingularFisher` propagates instead.
+    """
+    from .training import SingularFisher, threshold_estimate_stats  # local: avoid cycle at import
+
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ValueError("alpha must be a scalar or a 1-D array")
+    if np.any(alphas <= 0) or sigma2 <= 0:
         raise ValueError("alpha and sigma2 must be positive")
+    links = np.atleast_1d(alphas)
     beta = constellation.beta
     k = constellation.bits_per_symbol
+    levels, weights = _power_levels(constellation)
     out: list[tuple[float, AbepBreakdown]] = []
     for snr_db in snr_db_grid:
-        alpha_p = alpha * sigma2 * 10.0 ** (float(snr_db) / 10.0)
+        alpha_p = links * sigma2 * 10.0 ** (float(snr_db) / 10.0)
+        # One column per constellation power level feeds the miss tail.
         if n_pilot_samples is None:
-            gamma = threshold(threshold_mode, alpha_p, sigma2, beta).gamma
-            p1 = _level_averaged_p1(constellation, alpha_p, sigma2, gamma, None)
-            _, p0 = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
+            kept = np.ones(links.size, dtype=bool)
+            gamma = [threshold(threshold_mode, a, sigma2, beta).gamma for a in alpha_p.tolist()]
+            p1_levels, p0 = spatial_error_probs_perfect(
+                np.array(gamma)[:, None], alpha_p[:, None] * levels, sigma2
+            )
         else:
-            stats = threshold_estimate_stats(beta * alpha_p, sigma2, n_pilot_samples)
-            p1 = _level_averaged_p1(constellation, alpha_p, sigma2, None, stats)
-            _, p0 = spatial_error_probs_estimated(stats, alpha_p, sigma2)
+            stats = np.full((links.size, 2), np.nan)
+            for i, a in enumerate(alpha_p.tolist()):
+                try:
+                    stats[i] = threshold_estimate_stats(beta * a, sigma2, n_pilot_samples)
+                except SingularFisher:
+                    if alphas.ndim == 0:
+                        raise
+            kept = ~np.isnan(stats[:, 1])
+            p1_levels, p0 = spatial_error_probs_estimated(
+                (stats[kept, :1], stats[kept, 1:]), alpha_p[kept, None] * levels, sigma2
+            )
+        # Level average, accumulated level by level as a scalar loop would.
+        p1 = sum(float(wt) * p1_levels[:, i] for i, wt in enumerate(weights))
+        p0 = p0[:, 0]
         p_es = 0.5 * (p1 + p0)
-        p_em = modulation_error_prob(constellation, alpha_p, sigma2, n_active, p1, p0)
+        p_em = modulation_error_prob(constellation, alpha_p[kept], sigma2, n_active, p1, p0)
         value = (n_active * p_es + k * p_em) / (n_active + k)
-        out.append(
-            (float(snr_db), AbepBreakdown(p_es=p_es, p_em=p_em, abep=value, p1=p1, p0=p0))
-        )
+        fields = np.full((5, links.size), np.nan)
+        fields[:, kept] = (p_es, p_em, value, p1, p0)
+        if alphas.ndim == 0:
+            fields = fields[:, 0].tolist()
+        out.append((float(snr_db), AbepBreakdown(*fields)))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .baseline import fd_ber, svd_link
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
 from .phy import Constellation, build_constellation, threshold
-from .training import DegenerateSample, PilotObservation, SingularFisher, estimate_amplitude
+from .training import DegenerateSample, PilotObservation, estimate_amplitude
 
 __all__ = [
     "PointAborted",
@@ -173,7 +173,6 @@ class _Link:
     alpha: float
     effective: np.ndarray  # H_a @ B, identity up to ZF numerics
     index: int
-    analytic: dict = field(default_factory=dict)
 
 
 def _build_links(config: RsmConfig) -> list[_Link]:
@@ -283,36 +282,25 @@ def _run_block(
 
 def _analytic_columns(
     config: RsmConfig, constellation: Constellation, links: list[_Link], snr_db: float
-) -> tuple[float, float]:
-    """Channel-averaged analytic ABEP, perfect and pilot-estimated."""
-    perfect_vals, estimated_vals = [], []
-    n_samples = config.n_pilots * config.n_active
-    for link in links:
-        key = snr_db
-        if key not in link.analytic:
-            (_, perfect), = analysis.abep(
-                constellation,
-                config.n_active,
-                link.alpha,
-                [snr_db],
-                threshold_mode=config.threshold_mode,
-            )
-            try:
-                (_, estimated), = analysis.abep(
-                    constellation,
-                    config.n_active,
-                    link.alpha,
-                    [snr_db],
-                    n_pilot_samples=n_samples,
-                )
-                est_val = estimated.abep
-            except SingularFisher:
-                est_val = math.nan
-            link.analytic[key] = (perfect.abep, est_val)
-        p, e = link.analytic[key]
-        perfect_vals.append(p)
-        estimated_vals.append(e)
-    return float(np.mean(perfect_vals)), float(np.nanmean(estimated_vals))
+) -> tuple[float, float, int]:
+    """Channel-averaged analytic ABEP, perfect and pilot-estimated.
+
+    The third value counts the links left out of the estimated average
+    because their threshold estimate has a singular Fisher matrix.
+    """
+    alphas = np.array([link.alpha for link in links])
+    ((_, perfect),) = analysis.abep(
+        constellation, config.n_active, alphas, [snr_db], threshold_mode=config.threshold_mode
+    )
+    ((_, estimated),) = analysis.abep(
+        constellation,
+        config.n_active,
+        alphas,
+        [snr_db],
+        n_pilot_samples=config.n_pilots * config.n_active,
+    )
+    excluded = int(np.isnan(estimated.abep).sum())
+    return float(np.mean(perfect.abep)), float(np.nanmean(estimated.abep)), excluded
 
 
 def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
@@ -325,10 +313,19 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     links = _build_links(config)
-    return [
-        (snr_db, *_analytic_columns(config, constellation, links, snr_db))
-        for snr_db in config.snr_grid_db
-    ]
+    rows = []
+    for snr_db in config.snr_grid_db:
+        perfect, estimated, excluded = _analytic_columns(config, constellation, links, snr_db)
+        rows.append((snr_db, perfect, estimated))
+        log.info(
+            "snr=%g dB analytic %.3e, estimated %.3e (%d of %d links excluded: singular Fisher)",
+            snr_db,
+            perfect,
+            estimated,
+            excluded,
+            len(links),
+        )
+    return rows
 
 
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
@@ -395,7 +392,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
             if bits
             else math.nan
         )
-        abep_perfect, abep_estimated = _analytic_columns(
+        abep_perfect, abep_estimated, excluded = _analytic_columns(
             config, constellation, links, snr_db
         )
         points.append(
@@ -411,12 +408,16 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
             )
         )
         log.info(
-            "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e)",
+            "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e, "
+            "estimated %.3e with %d of %d links excluded: singular Fisher)",
             snr_db,
             ber_total,
             points[-1].ber_spatial,
             points[-1].ber_modulation,
             abep_perfect,
+            abep_estimated,
+            excluded,
+            len(links),
         )
     return ErrorReport(points=tuple(points), seed=config.seed)
 

@@ -1,4 +1,4 @@
-"""Scalar special-function kernel shared by the analytical modules.
+"""Special-function kernel shared by the analytical modules.
 
 Everything in here is a pure function of its arguments: modified Bessel
 I0/I1 (linear and log domain), the first-order Marcum Q function, the
@@ -10,6 +10,11 @@ The doubly non-central t CDF is evaluated as a Poisson mixture of
 non-central t CDFs (the denominator's non-central chi-square expanded
 over central chi-squares), which reduces exactly to the singly
 non-central case when the denominator non-centrality vanishes.
+
+The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
+NumPy arrays, so a whole link ensemble costs one backend call instead of
+one per link; an array result holds, element for element, what a scalar
+call with that element returns.
 """
 
 from __future__ import annotations
@@ -97,36 +102,53 @@ def log_bessel_i0(x: float) -> float:
     return x + math.log(float(special.i0e(x)))
 
 
-def gaussian_q(x: float) -> float:
-    """Standard normal tail probability Q(x) = P(Z > x)."""
-    return 0.5 * float(special.erfc(x / math.sqrt(2.0)))
+def _broadcast(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Common shape of the arguments and their flat float64 broadcasts."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def marcum_q1(a: float, b: float) -> float:
+def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
+    """A float for scalar arguments, otherwise ``out`` in the broadcast shape."""
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def gaussian_q(x: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal tail probability Q(x) = P(Z > x), elementwise."""
+    q = 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return float(q) if q.ndim == 0 else q
+
+
+def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
     """First-order Marcum Q function Q1(a, b).
 
     Tail probability of a Rice envelope with unit per-component noise
     variance: Q1(a, b) = P(sqrt((a + Z1)^2 + Z2^2) > b). Evaluated
     through the non-central chi-square survival function with two
-    degrees of freedom and non-centrality a^2.
+    degrees of freedom and non-centrality a^2. Array arguments broadcast
+    and are evaluated in one backend call; scalars give a float.
     """
-    if not (a >= 0 and b >= 0) or math.isinf(a) or math.isinf(b):
+    shape, (a_, b_) = _broadcast(a, b)
+    if not (np.all(a_ >= 0) and np.all(b_ >= 0)) or np.isinf(a_).any() or np.isinf(b_).any():
         raise DomainError(f"marcum_q1 requires finite a, b >= 0, got {(a, b)!r}")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
+    q = np.ones(a_.shape)
+    zero_a = (a_ == 0.0) & (b_ != 0.0)
+    q[zero_a] = np.exp(-0.5 * b_[zero_a] * b_[zero_a])
     # For b well below a, 1 - Q1 <= 0.5*exp(-(a-b)^2/2) (standard Rice tail
     # bound), so the result rounds to 1.0 long before scipy's non-central
     # chi-square backend starts failing on extreme arguments.
-    if b < a and (a - b) ** 2 > 76.0:
-        return 1.0
-    q = float(stats.ncx2.sf(b * b, 2, a * a))
-    if math.isnan(q):
-        # ncx2.sf NaNs for subnormal arguments with large non-centrality;
-        # the CDF path is well behaved there.
-        q = 1.0 - float(stats.ncx2.cdf(b * b, 2, a * a))
-    return min(max(q, 0.0), 1.0)
+    far = (b_ < a_) & ((a_ - b_) ** 2 > 76.0)
+    rest = (b_ != 0.0) & (a_ != 0.0) & ~far
+    if rest.any():
+        a_r, b_r = a_[rest], b_[rest]
+        q_r = np.asarray(stats.ncx2.sf(b_r * b_r, 2, a_r * a_r), dtype=float)
+        bad = np.isnan(q_r)
+        if bad.any():
+            # ncx2.sf NaNs for subnormal arguments with large non-centrality;
+            # the CDF path is well behaved there.
+            q_r[bad] = 1.0 - stats.ncx2.cdf(b_r[bad] * b_r[bad], 2, a_r[bad] * a_r[bad])
+        q[rest] = q_r
+    return _shaped(np.clip(q, 0.0, 1.0), shape)
 
 
 def lambert_w_minus1(x: float, accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -181,25 +203,34 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
     )
 
 
-def noncentral_t_cdf(x: float, dof: float, delta: float) -> float:
+def noncentral_t_cdf(
+    x: float | np.ndarray, dof: float | np.ndarray, delta: float | np.ndarray
+) -> float | np.ndarray:
     """CDF of the non-central t distribution.
 
     Distribution of (Z + delta) / sqrt(V / dof) with Z standard normal
-    and V central chi-square with ``dof`` degrees of freedom.
+    and V central chi-square with ``dof`` degrees of freedom. Array
+    arguments broadcast and are evaluated in one backend call; scalars
+    give a float.
     """
-    if not dof > 0:
+    shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
+    if not np.all(dof_ > 0):
         raise DomainError(f"noncentral_t_cdf requires dof > 0, got {dof!r}")
-    if math.isnan(x):
+    if np.isnan(x_).any():
         raise DomainError("noncentral_t_cdf requires x to be a number")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    p = float(stats.nct.cdf(x, dof, delta))
-    if math.isnan(p):
-        p = _nct_cdf_normal_approx(np.array([x]), np.array([dof]), delta)[0]
-    return min(max(p, 0.0), 1.0)
+    p = (x_ > 0).astype(float)
+    finite = np.isfinite(x_)
+    if finite.any():
+        args, df, nc = x_[finite], dof_[finite], delta_[finite]
+        p_f = np.asarray(stats.nct.cdf(args, df, nc), dtype=float)
+        bad = np.isnan(p_f)
+        if bad.any():
+            p_f[bad] = _nct_cdf_normal_approx(args[bad], df[bad], nc[bad])
+        p[finite] = p_f
+    return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
-def _nct_cdf_normal_approx(x: np.ndarray, dof: np.ndarray, delta: float) -> np.ndarray:
+def _nct_cdf_normal_approx(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Large-dof normal approximation of the non-central t CDF.
 
     Used only where the exact backend fails (extreme dof or
@@ -211,28 +242,8 @@ def _nct_cdf_normal_approx(x: np.ndarray, dof: np.ndarray, delta: float) -> np.n
     return special.ndtr(z)
 
 
-def doubly_noncentral_t_cdf(x: float, dof: float, delta: float, lam: float) -> float:
-    """CDF of the doubly non-central t distribution.
-
-    Distribution of (Z + delta) / sqrt(W / dof) where W is non-central
-    chi-square with ``dof`` degrees of freedom and non-centrality
-    ``lam``. The non-central chi-square is expanded as a Poisson(lam/2)
-    mixture of central chi-squares with dof + 2j degrees of freedom, so
-    each mixture term is a rescaled non-central t CDF. Truncation keeps
-    all terms until the remaining Poisson mass is below 1e-14.
-    """
-    if not dof > 0:
-        raise DomainError(f"doubly_noncentral_t_cdf requires dof > 0, got {dof!r}")
-    if not lam >= 0:
-        raise DomainError(f"doubly_noncentral_t_cdf requires lam >= 0, got {lam!r}")
-    if math.isnan(x):
-        raise DomainError("doubly_noncentral_t_cdf requires x to be a number")
-    if lam == 0.0:
-        return noncentral_t_cdf(x, dof, delta)
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-
-    half = 0.5 * lam
+def _poisson_window(half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and renormalized weights of the Poisson(half) mixture window."""
     width = 10.0 * math.sqrt(half) + 12.0
     j_lo = max(0, int(half - width))
     j_hi = int(half + width)
@@ -244,14 +255,60 @@ def doubly_noncentral_t_cdf(x: float, dof: float, delta: float, lam: float) -> f
     log_w -= log_w.max()
     weights = np.exp(log_w)
     weights /= weights.sum()
-    df = dof + 2.0 * j
-    args = x * np.sqrt(df / dof)
-    terms = stats.nct.cdf(args, df, delta)
-    bad = np.isnan(terms)
-    if bad.any():
-        terms[bad] = _nct_cdf_normal_approx(args[bad], df[bad], delta)
-    p = float(np.dot(weights, terms))
-    return min(max(p, 0.0), 1.0)
+    return j, weights
+
+
+def doubly_noncentral_t_cdf(
+    x: float | np.ndarray,
+    dof: float | np.ndarray,
+    delta: float | np.ndarray,
+    lam: float | np.ndarray,
+) -> float | np.ndarray:
+    """CDF of the doubly non-central t distribution.
+
+    Distribution of (Z + delta) / sqrt(W / dof) where W is non-central
+    chi-square with ``dof`` degrees of freedom and non-centrality
+    ``lam``. The non-central chi-square is expanded as a Poisson(lam/2)
+    mixture of central chi-squares with dof + 2j degrees of freedom, so
+    each mixture term is a rescaled non-central t CDF. Truncation keeps
+    all terms until the remaining Poisson mass is below 1e-14.
+
+    Array arguments broadcast; the mixture terms of every element go
+    through one backend call, and each element is then reduced over its
+    own window exactly as a scalar call would. Scalars give a float.
+    """
+    shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
+    if not np.all(dof_ > 0):
+        raise DomainError(f"doubly_noncentral_t_cdf requires dof > 0, got {dof!r}")
+    if not np.all(lam_ >= 0):
+        raise DomainError(f"doubly_noncentral_t_cdf requires lam >= 0, got {lam!r}")
+    if np.isnan(x_).any():
+        raise DomainError("doubly_noncentral_t_cdf requires x to be a number")
+    p = (x_ > 0).astype(float)
+    central = lam_ == 0.0
+    if central.any():
+        p[central] = noncentral_t_cdf(x_[central], dof_[central], delta_[central])
+    mixed = np.flatnonzero(~central & np.isfinite(x_))
+    if mixed.size:
+        windows, args, dfs, deltas = [], [], [], []
+        for i in mixed:
+            j, weights = _poisson_window(0.5 * float(lam_[i]))
+            df = dof_[i] + 2.0 * j
+            windows.append(weights)
+            args.append(x_[i] * np.sqrt(df / dof_[i]))
+            dfs.append(df)
+            deltas.append(np.full(j.size, delta_[i]))
+        args, dfs, deltas = np.concatenate(args), np.concatenate(dfs), np.concatenate(deltas)
+        terms = np.asarray(stats.nct.cdf(args, dfs, deltas), dtype=float)
+        bad = np.isnan(terms)
+        if bad.any():
+            terms[bad] = _nct_cdf_normal_approx(args[bad], dfs[bad], deltas[bad])
+        start = 0
+        for i, weights in zip(mixed, windows):
+            stop = start + weights.size
+            p[i] = np.dot(weights, terms[start:stop])
+            start = stop
+    return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
 def rice_moments(nu: float, sigma2: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Tests for the closed-form error analysis."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,16 +10,91 @@ from hypothesis import strategies as st
 
 from rsmsim.analysis import (
     AbepBreakdown,
-    TransitionCounts,
     abep,
     constellation_bep,
     modulation_error_prob,
     spatial_error_probs_estimated,
     spatial_error_probs_perfect,
-    transition_probability,
 )
 from rsmsim.phy import build_constellation, threshold
-from rsmsim.training import threshold_estimate_stats
+from rsmsim.training import SingularFisher, threshold_estimate_stats
+
+CONSTELLATIONS = {
+    "psk": build_constellation("psk", 16),
+    "qam": build_constellation("qam", 16),
+    "apsk": build_constellation("apsk", 16, 2.0),
+}
+
+
+# Reference enumeration of every sent/detected spatial word pair, kept
+# as the oracle for the count-class sum in rsmsim.analysis.
+
+
+@dataclass(frozen=True)
+class TransitionCounts:
+    """Per-antenna agreement counts between a sent and a detected word.
+
+    ``b11`` counts antennas energized and flagged, ``b10`` energized but
+    missed, ``b01`` silent but flagged, ``b00`` silent and unflagged.
+    """
+
+    b11: int
+    b10: int
+    b01: int
+    b00: int
+
+    def __post_init__(self) -> None:
+        if min(self.b11, self.b10, self.b01, self.b00) < 0:
+            raise ValueError("transition counts must be nonnegative")
+
+    @property
+    def n_active(self) -> int:
+        return self.b11 + self.b10 + self.b01 + self.b00
+
+    @classmethod
+    def from_words(cls, sent: int, detected: int, n_active: int) -> "TransitionCounts":
+        """Counts for integer-encoded words (bit k = antenna k)."""
+        mask = (1 << n_active) - 1
+        sent &= mask
+        detected &= mask
+        b11 = bin(sent & detected).count("1")
+        b10 = bin(sent & ~detected & mask).count("1")
+        b01 = bin(~sent & detected & mask).count("1")
+        return cls(b11=b11, b10=b10, b01=b01, b00=n_active - b11 - b10 - b01)
+
+
+def transition_probability(counts: TransitionCounts, p1: float, p0: float) -> float:
+    """Probability of one detected word given the sent word."""
+    return (
+        p1**counts.b10
+        * (1.0 - p1) ** counts.b11
+        * p0**counts.b01
+        * (1.0 - p0) ** counts.b00
+    )
+
+
+def enumerated_modulation_error_prob(constellation, alpha_p, sigma2, n_active, p1, p0):
+    """Modulation BEP summed over all (2^n - 1) x 2^n word pairs."""
+    n_words = 1 << n_active
+    prior = 1.0 / (n_words - 1)
+    snr_base = alpha_p / sigma2
+    bep_at = {}  # constellation_bep is pure; look each combining SNR up once
+    total = 0.0
+    for sent in range(1, n_words):
+        for detected in range(n_words):
+            counts = TransitionCounts.from_words(sent, detected, n_active)
+            prob = transition_probability(counts, p1, p0)
+            if prob == 0.0:
+                continue
+            if counts.b11 == 0:
+                bep = 0.5
+            else:
+                snr_c = counts.b11**2 / (counts.b11 + counts.b01) * snr_base
+                if snr_c not in bep_at:
+                    bep_at[snr_c] = constellation_bep(constellation, snr_c)
+                bep = bep_at[snr_c]
+            total += bep * prob * prior
+    return total
 
 
 def mc_constellation_bep(constellation, snr, n, seed):
@@ -152,15 +228,39 @@ class TestTransitionProbability:
         # Detected words partition the outcome space for every sent word.
         for sent in range(1, 1 << n_active):
             total = sum(
-                transition_probability(
-                    TransitionCounts.from_words(sent, det, n_active), p1, p0
-                )
+                transition_probability(TransitionCounts.from_words(sent, det, n_active), p1, p0)
                 for det in range(1 << n_active)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestModulationErrorProb:
+    @given(
+        kind=st.sampled_from(sorted(CONSTELLATIONS)),
+        n_active=st.integers(min_value=1, max_value=6),
+        alpha_p=st.floats(min_value=0.01, max_value=50.0),
+        p1=st.floats(min_value=0.0, max_value=1.0),
+        p0=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_class_sum_matches_enumeration(self, kind, n_active, alpha_p, p1, p0):
+        c = CONSTELLATIONS[kind]
+        value = modulation_error_prob(c, alpha_p, 1.0, n_active, p1, p0)
+        expected = enumerated_modulation_error_prob(c, alpha_p, 1.0, n_active, p1, p0)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_twelve_antennas_closed_form(self):
+        # Without spatial errors only the sent word's weight w matters:
+        # C(12, w) of the 4095 legal words combine w branches coherently.
+        c = build_constellation("psk", 16)
+        n_active, alpha_p = 12, 0.8
+        value = modulation_error_prob(c, alpha_p, 1.0, n_active, 0.0, 0.0)
+        expected = sum(
+            math.comb(n_active, w) * constellation_bep(c, w * alpha_p)
+            for w in range(1, n_active + 1)
+        ) / (2**n_active - 1)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_perfect_detection_reduces_to_weight_average(self):
         c = build_constellation("psk", 16)
         n_active, alpha_p, sigma2 = 3, 25.0, 1.0
@@ -250,6 +350,75 @@ class TestConstellationBep:
         c = build_constellation("psk", 4)
         with pytest.raises(ValueError):
             constellation_bep(c, -1.0)
+
+
+class TestBatchedEnsemble:
+    """Array calls hold, element for element, what scalar calls return."""
+
+    ALPHAS = np.array([0.05, 0.3, 1.0, 2.5, 8.0, 40.0])
+
+    @pytest.mark.parametrize("kind", ["psk", "qam"])
+    @pytest.mark.parametrize("n_pilot_samples", [None, 4])
+    def test_abep_matches_per_link_calls(self, kind, n_pilot_samples):
+        c = CONSTELLATIONS[kind]
+        grid = [0.0, 6.0, 14.0]
+        batch = abep(c, 3, self.ALPHAS, grid, "exact", n_pilot_samples)
+        for i, alpha in enumerate(self.ALPHAS):
+            for snr, b in batch:
+                try:
+                    ((_, b_1),) = abep(c, 3, float(alpha), [snr], "exact", n_pilot_samples)
+                except SingularFisher:
+                    assert n_pilot_samples is not None and math.isnan(b.abep[i])
+                    continue
+                for name in ("p_es", "p_em", "abep", "p1", "p0"):
+                    assert np.array_equal(getattr(b, name)[i], getattr(b_1, name)), name
+
+    def test_singular_fisher_link_is_nan_in_batch(self):
+        # 0.2 received pilot power leaves the Fisher matrix singular.
+        c = CONSTELLATIONS["psk"]
+        with pytest.raises(SingularFisher):
+            abep(c, 4, 0.2, [0.0], n_pilot_samples=4)
+        ((_, b),) = abep(c, 4, np.array([0.2, 8.0]), [0.0], n_pilot_samples=4)
+        ((_, b_1),) = abep(c, 4, 8.0, [0.0], n_pilot_samples=4)
+        for name in ("p_es", "p_em", "abep", "p1", "p0"):
+            assert math.isnan(getattr(b, name)[0])
+            assert np.array_equal(getattr(b, name)[1], getattr(b_1, name))
+
+    def test_spatial_tails_match_per_link_calls(self):
+        # Links down the rows, constellation power levels across columns;
+        # the first link sits at the gamma = 0 and alpha_p = 0 branches.
+        gamma = np.array([0.0, 0.4, 1.1, 2.0, 3.5])[:, None]
+        branch = np.array([0.0, 0.2, 1.0, 4.0, 60.0])[:, None] * np.array([0.2, 1.0, 1.8])
+        variance = np.array([0.3, 0.1, 0.05, 0.02, 0.01])[:, None]
+        p1, p0 = spatial_error_probs_perfect(gamma, branch, 1.0)
+        q1, q0 = spatial_error_probs_estimated((gamma, variance), branch, 1.0)
+        assert p1.shape == q1.shape == branch.shape
+        assert p0.shape == q0.shape == gamma.shape
+        for i, j in np.ndindex(*branch.shape):
+            g, a = float(gamma[i, 0]), float(branch[i, j])
+            assert np.array_equal((p1[i, j], p0[i, 0]), spatial_error_probs_perfect(g, a, 1.0))
+            assert np.array_equal(
+                (q1[i, j], q0[i, 0]),
+                spatial_error_probs_estimated((g, float(variance[i, 0])), a, 1.0),
+            )
+
+    @pytest.mark.parametrize("kind", sorted(CONSTELLATIONS))
+    def test_constellation_bep_matches_per_point_calls(self, kind):
+        c = CONSTELLATIONS[kind]
+        snr = np.array([[0.0, 0.3, 2.0], [10.0, 40.0, 300.0]])
+        batch = constellation_bep(c, snr)
+        assert batch.shape == snr.shape
+        assert np.array_equal(batch, [[constellation_bep(c, float(v)) for v in row] for row in snr])
+        assert isinstance(constellation_bep(c, 2.0), float)
+
+    def test_modulation_error_prob_matches_per_link_calls(self):
+        c = CONSTELLATIONS["psk"]
+        alpha_p = np.array([0.1, 2.0, 30.0, 5.0])
+        p1 = np.array([0.0, 0.3, 1.0, 0.02])
+        p0 = np.array([0.5, 0.01, 0.0, 0.2])
+        batch = modulation_error_prob(c, alpha_p, 1.0, 5, p1, p0)
+        single = [modulation_error_prob(c, a, 1.0, 5, q1, q0) for a, q1, q0 in zip(alpha_p, p1, p0)]
+        assert np.array_equal(batch, single)
 
 
 class TestAbep:

@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo engine."""
 
+import dataclasses
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,51 @@ class TestAnalyticOnlyPath:
         elapsed = time.monotonic() - start
         assert len(rows) == 20
         assert elapsed < 5.0
+
+
+class TestAnalyticColumns:
+    def test_fig3_matches_benchmark_golden(self):
+        # The link ensemble does not depend on the grid, so three points of
+        # the fig3 preset reproduce the rows of the committed benchmark CSV.
+        from rsmsim.cli import load_config
+        from rsmsim.simulate import analytic_curves
+
+        root = Path(__file__).resolve().parent.parent
+        config = load_config(root / "presets" / "fig3.cfg")
+        assert config.seed == 1
+        config = dataclasses.replace(config, snr_grid_db=(0.0, 10.0, 20.0))
+        lines = (root / "bench" / "golden" / "fig3_ber.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        golden = {}
+        for line in lines[1:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            golden[row["snr_db"]] = (row["abep_analytic"], row["abep_estimated"])
+        for snr_db, perfect, estimated in analytic_curves(config):
+            assert perfect == pytest.approx(golden[snr_db][0], rel=1e-9, abs=0.0)
+            assert estimated == pytest.approx(golden[snr_db][1], rel=1e-9, abs=0.0)
+
+    def test_singular_fisher_links_are_counted_in_log(self, caplog):
+        from rsmsim.simulate import _build_links
+        from rsmsim.training import SingularFisher, threshold_estimate_stats
+
+        config = small_config(snr_grid_db=(-10.0, 10.0), trials_per_point=10)
+        expected = []
+        for snr_db in config.snr_grid_db:
+            singular = 0
+            for link in _build_links(config):
+                alpha_p = link.alpha * 10.0 ** (snr_db / 10.0)
+                try:
+                    threshold_estimate_stats(alpha_p, 1.0, config.n_pilots * config.n_active)
+                except SingularFisher:
+                    singular += 1
+            expected.append(singular)
+        assert 0 < expected[0] < 20 and expected[1] == 0
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            run(config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"]
+        assert len(lines) == 2
+        for line, singular in zip(lines, expected):
+            assert f"with {singular} of 20 links excluded: singular Fisher" in line
 
 
 class TestSelectionModes:

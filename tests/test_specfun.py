@@ -208,6 +208,53 @@ class TestDoublyNoncentralT:
             doubly_noncentral_t_cdf(1.0, 2, 1.0, -0.5)
 
 
+class TestArrayArguments:
+    """Array calls hold, element for element, what scalar calls return."""
+
+    def test_marcum_q1_branches(self):
+        # b == 0, a == 0, the far-tail cutoff, and the backend path.
+        a = np.array([2.0, 0.0, 0.0, 15.0, 1.5, 3.0, 30.0])
+        b = np.array([0.0, 0.0, 1.2, 4.0, 1.0, 3.5, 29.0])
+        batch = marcum_q1(a, b)
+        assert np.array_equal(batch, [marcum_q1(float(x), float(y)) for x, y in zip(a, b)])
+        assert batch[0] == batch[1] == batch[3] == 1.0
+        assert isinstance(marcum_q1(1.5, 1.0), float)
+
+    def test_marcum_q1_broadcasts(self):
+        a = np.array([0.0, 1.0, 4.0])[:, None]
+        b = np.array([0.5, 2.0])
+        assert marcum_q1(a, b).shape == (3, 2)
+        with pytest.raises(DomainError):
+            marcum_q1(a, -b)
+
+    def test_noncentral_t_cdf(self):
+        x = np.array([-math.inf, -2.0, 0.0, 1.5, 6.0, math.inf])
+        delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, 1.0])
+        batch = noncentral_t_cdf(x, 2.0, delta)
+        assert np.array_equal(
+            batch, [noncentral_t_cdf(float(u), 2.0, float(d)) for u, d in zip(x, delta)]
+        )
+        with pytest.raises(DomainError):
+            noncentral_t_cdf(np.array([1.0, math.nan]), 2.0, 0.0)
+
+    def test_doubly_noncentral_t_cdf(self):
+        # lam = 0 (single t), infinite x, and windows of different lengths.
+        x = np.array([0.5, 2.0, math.inf, -math.inf, 3.0, 1.2, 8.0])
+        delta = np.array([1.3, 1.3, 1.0, 1.0, 6.0, 0.0, 20.0])
+        lam = np.array([0.0, 1e-9, 3.0, 3.0, 40.0, 5.0, 900.0])
+        batch = doubly_noncentral_t_cdf(x, 2.0, delta, lam)
+        assert np.array_equal(
+            batch,
+            [
+                doubly_noncentral_t_cdf(float(u), 2.0, float(d), float(v))
+                for u, d, v in zip(x, delta, lam)
+            ],
+        )
+        assert isinstance(doubly_noncentral_t_cdf(1.0, 2.0, 1.0, 3.0), float)
+        with pytest.raises(DomainError):
+            doubly_noncentral_t_cdf(x, 2.0, delta, -lam)
+
+
 class TestRiceMoments:
     def test_rayleigh_mean(self):
         for sigma2 in (0.25, 1.0, 3.0):

@@ -337,13 +337,13 @@ def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
     rows = []
     for snr_db in config.snr_grid_db:
         power = 10.0 ** (snr_db / 10.0) * sigma2
-        values = []
+        mode_snrs = []
         for ch_idx in range(config.channels_per_point):
             rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
             h = draw_channel(config.channel, rng).matrix
             link = svd_link(h, power, config.n_modes)
-            mode_snr = float(link.received_power_per_mode[0] / sigma2)
-            values.append(analysis.constellation_bep(constellation, mode_snr))
+            mode_snrs.append(float(link.received_power_per_mode[0] / sigma2))
+        values = analysis.constellation_bep(constellation, np.array(mode_snrs))
         rows.append((snr_db, float(np.mean(values)), math.nan))
     return rows
 
@@ -461,11 +461,12 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     bits_per_point = config.trials_per_point * config.n_modes * k
     for snr_idx, snr_db in enumerate(config.snr_grid_db):
         errors = 0
-        analytic = []
+        mode_snrs = []
         for ch_idx in range(len(channels)):
             e, mode_snr = results[(snr_idx, ch_idx)]
             errors += e
-            analytic.append(analysis.constellation_bep(constellation, mode_snr))
+            mode_snrs.append(mode_snr)
+        analytic = analysis.constellation_bep(constellation, np.array(mode_snrs))
         bits = bits_per_point * len(channels)
         ber = errors / bits
         points.append(

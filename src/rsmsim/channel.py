@@ -5,7 +5,10 @@ rank-one outer products of uniform-linear-array responses, weighted by
 complex ray gains and a sectorized transmit antenna pattern. Cluster
 mean angles are uniform (over the transmit sector on the departure
 side, over the full circle on the omnidirectional receive side) and ray
-angles are Laplacian around their cluster mean.
+angles are Laplacian around their cluster mean. The array responses and
+pattern gains of all rays of a draw are built by one vectorized call
+each, with the same arithmetic as a per-ray evaluation, so a draw is
+bit-identical to building it ray by ray.
 
 The ray-gain variance is calibrated per parameter set so that the
 average squared Frobenius norm of the channel equals
@@ -97,18 +100,27 @@ class ChannelRealization:
             raise ValueError("ray_angles must be (n_paths, 2)")
 
 
-def array_response(n: int, angle_deg: float, spacing: float) -> np.ndarray:
-    """Normalized ULA response: element m is exp(j*2*pi*spacing*m*sin(angle))/sqrt(n)."""
+def array_response(n: int, angle_deg: float | np.ndarray, spacing: float) -> np.ndarray:
+    """Normalized ULA response: element m is exp(j*2*pi*spacing*m*sin(angle))/sqrt(n).
+
+    An array of angles gives one response per angle along a new last axis.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phase = 2.0 * math.pi * spacing * math.sin(math.radians(angle_deg))
-    return np.exp(1j * phase * np.arange(n)) / math.sqrt(n)
+    phase = 2.0 * math.pi * spacing * np.sin(np.radians(angle_deg))
+    return np.exp(1j * np.asarray(phase)[..., None] * np.arange(n)) / math.sqrt(n)
 
 
-def sector_gain(angle_deg: float, sector_center: float, sector_width: float) -> int:
-    """Unit gain inside the sector, zero outside, with 360-degree wraparound."""
-    offset = (angle_deg - sector_center + 180.0) % 360.0 - 180.0
-    return 1 if abs(offset) <= sector_width / 2.0 else 0
+def sector_gain(
+    angle_deg: float | np.ndarray, sector_center: float, sector_width: float
+) -> int | np.ndarray:
+    """Unit gain inside the sector, zero outside, with 360-degree wraparound.
+
+    An array of angles gives a boolean array, True where the gain is one.
+    """
+    offset = (np.asarray(angle_deg, dtype=float) - sector_center + 180.0) % 360.0 - 180.0
+    inside = np.abs(offset) <= sector_width / 2.0
+    return int(inside) if inside.ndim == 0 else inside
 
 
 def _draw_angles(
@@ -145,33 +157,22 @@ def in_sector_fraction(params: ChannelParams) -> float:
     half = params.sector_width_deg / 2.0
     scale = params.angular_spread_deg / math.sqrt(2.0)
     shape = (_CALIBRATION_DRAWS, params.n_clusters, params.n_rays)
-
-    def sector_mask(rays: np.ndarray) -> np.ndarray:
-        offset = (rays - params.sector_center_deg + 180.0) % 360.0 - 180.0
-        return np.abs(offset) <= half
-
+    center, width = params.sector_center_deg, params.sector_width_deg
     dep_means = rng.uniform(
         params.sector_center_deg - half, params.sector_center_deg + half, shape[:2]
     )
     dep_rays = dep_means[:, :, None] + rng.laplace(0.0, scale, shape)
-    mask = sector_mask(dep_rays)
+    mask = sector_gain(dep_rays, center, width)
     if not params.rx_omni:
         arr_means = rng.uniform(
             params.sector_center_deg - half, params.sector_center_deg + half, shape[:2]
         )
         arr_rays = arr_means[:, :, None] + rng.laplace(0.0, scale, shape)
-        mask &= sector_mask(arr_rays)
+        mask &= sector_gain(arr_rays, center, width)
     frac = float(mask.mean())
     if frac <= 0.0:
         raise ValueError("sector configuration leaves no rays with nonzero gain")
     return frac
-
-
-def _pattern_gain(params: ChannelParams, arrival_deg: float, departure_deg: float) -> int:
-    gain = sector_gain(departure_deg, params.sector_center_deg, params.sector_width_deg)
-    if not params.rx_omni:
-        gain *= sector_gain(arrival_deg, params.sector_center_deg, params.sector_width_deg)
-    return gain
 
 
 def draw_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:
@@ -182,12 +183,13 @@ def draw_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelReal
     gains = math.sqrt(gain_scale / 2.0) * (
         rng.standard_normal(params.n_paths) + 1j * rng.standard_normal(params.n_paths)
     )
-    pattern = np.array(
-        [_pattern_gain(params, float(arr), float(dep)) for arr, dep in rays], dtype=float
-    )
+    center, width = params.sector_center_deg, params.sector_width_deg
+    pattern = sector_gain(rays[:, 1], center, width).astype(float)
+    if not params.rx_omni:
+        pattern *= sector_gain(rays[:, 0], center, width)
     spacing = params.antenna_spacing_wavelengths
-    v_rx = np.stack([array_response(params.n_rx, float(a), spacing) for a in rays[:, 0]])
-    v_tx = np.stack([array_response(params.n_tx, float(a), spacing) for a in rays[:, 1]])
+    v_rx = array_response(params.n_rx, rays[:, 0], spacing)
+    v_tx = array_response(params.n_tx, rays[:, 1], spacing)
     scale = math.sqrt(params.n_tx * params.n_rx / params.n_paths)
     weights = scale * gains * pattern
     matrix = (v_rx.T * weights) @ v_tx.conj()

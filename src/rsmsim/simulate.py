@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .baseline import fd_ber, svd_link
+from .baseline import SvdLink, fd_ber, svd_link
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
-from .phy import Constellation, build_constellation, threshold
+from .phy import Constellation, build_constellation, nearest_point, threshold
 from .training import DegenerateSample, PilotObservation, estimate_amplitude
 
 __all__ = [
@@ -265,10 +265,7 @@ def _run_block(
 
     n_hat = s_hat.sum(axis=1)
     y_c = (y * s_hat).sum(axis=1)
-    dists = np.abs(
-        y_c[:, None] - math.sqrt(alpha_p) * n_hat[:, None] * constellation.points[None, :]
-    )
-    j_hat = np.argmin(dists, axis=1)
+    j_hat = nearest_point(y_c, math.sqrt(alpha_p) * n_hat, constellation)
     j_hat[n_hat == 0] = 0
     modulation_errors = int(
         np.bitwise_count(constellation.labels[js] ^ constellation.labels[j_hat]).sum()
@@ -328,22 +325,38 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
     return rows
 
 
+def _fd_links(config: FdConfig) -> list[SvdLink]:
+    """Draw the channel ensemble and factor each channel once.
+
+    The links carry a unit-power split; :meth:`SvdLink.at_power` redoes
+    it for each SNR point.
+    """
+    links = []
+    for ch_idx in range(config.channels_per_point):
+        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
+        h = draw_channel(config.channel, rng).matrix
+        links.append(svd_link(h, 1.0, config.n_modes))
+    return links
+
+
+def _fd_mode_snrs(links: list[SvdLink], power: float, sigma2: float) -> np.ndarray:
+    """Received SNR per mode of every link at one transmit power."""
+    return np.array(
+        [float(link.at_power(power).received_power_per_mode[0] / sigma2) for link in links]
+    )
+
+
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
     """Analytic rows for the fully digital baseline (estimated column NaN)."""
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
+    links = _fd_links(config)
     sigma2 = 1.0
     rows = []
     for snr_db in config.snr_grid_db:
         power = 10.0 ** (snr_db / 10.0) * sigma2
-        mode_snrs = []
-        for ch_idx in range(config.channels_per_point):
-            rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
-            h = draw_channel(config.channel, rng).matrix
-            link = svd_link(h, power, config.n_modes)
-            mode_snrs.append(float(link.received_power_per_mode[0] / sigma2))
-        values = analysis.constellation_bep(constellation, np.array(mode_snrs))
+        values = analysis.constellation_bep(constellation, _fd_mode_snrs(links, power, sigma2))
         rows.append((snr_db, float(np.mean(values)), math.nan))
     return rows
 
@@ -427,47 +440,37 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
-    channels = []
-    for ch_idx in range(config.channels_per_point):
-        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
-        channels.append(draw_channel(config.channel, rng).matrix)
+    links = _fd_links(config)
 
     sigma2 = 1.0
     k = constellation.bits_per_symbol
     n_snr = len(config.snr_grid_db)
-    blocks = [(s, c) for s in range(n_snr) for c in range(len(channels))]
+    powers = [10.0 ** (snr_db / 10.0) * sigma2 for snr_db in config.snr_grid_db]
+    blocks = [(s, c) for s in range(n_snr) for c in range(len(links))]
 
-    def work(block: tuple[int, int]) -> tuple[int, int, int, float]:
+    def work(block: tuple[int, int]) -> tuple[int, int, int]:
         snr_idx, ch_idx = block
-        power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
-        link = svd_link(channels[ch_idx], power, config.n_modes)
+        link = links[ch_idx].at_power(powers[snr_idx])
         rng = np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch_idx])
-        ber = fd_ber(link, constellation, sigma2, config.trials_per_point, rng)
-        errors = round(ber * config.trials_per_point * config.n_modes * k)
-        mode_snr = float(link.received_power_per_mode[0] / sigma2)
-        return snr_idx, ch_idx, errors, mode_snr
+        return snr_idx, ch_idx, fd_ber(link, constellation, sigma2, config.trials_per_point, rng)
 
-    results: dict[tuple[int, int], tuple[int, float]] = {}
+    results: dict[tuple[int, int], int] = {}
     if n_threads <= 1:
         for block in blocks:
-            snr_idx, ch_idx, errors, mode_snr = work(block)
-            results[(snr_idx, ch_idx)] = (errors, mode_snr)
+            snr_idx, ch_idx, errors = work(block)
+            results[(snr_idx, ch_idx)] = errors
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for snr_idx, ch_idx, errors, mode_snr in pool.map(work, blocks):
-                results[(snr_idx, ch_idx)] = (errors, mode_snr)
+            for snr_idx, ch_idx, errors in pool.map(work, blocks):
+                results[(snr_idx, ch_idx)] = errors
 
     points = []
     bits_per_point = config.trials_per_point * config.n_modes * k
     for snr_idx, snr_db in enumerate(config.snr_grid_db):
-        errors = 0
-        mode_snrs = []
-        for ch_idx in range(len(channels)):
-            e, mode_snr = results[(snr_idx, ch_idx)]
-            errors += e
-            mode_snrs.append(mode_snr)
-        analytic = analysis.constellation_bep(constellation, np.array(mode_snrs))
-        bits = bits_per_point * len(channels)
+        errors = sum(results[(snr_idx, ch_idx)] for ch_idx in range(len(links)))
+        mode_snrs = _fd_mode_snrs(links, powers[snr_idx], sigma2)
+        analytic = analysis.constellation_bep(constellation, mode_snrs)
+        bits = bits_per_point * len(links)
         ber = errors / bits
         points.append(
             SnrPoint(

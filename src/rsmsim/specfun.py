@@ -19,6 +19,7 @@ call with that element returns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,21 +226,96 @@ def noncentral_t_cdf(
         p_f = np.asarray(stats.nct.cdf(args, df, nc), dtype=float)
         bad = np.isnan(p_f)
         if bad.any():
-            p_f[bad] = _nct_cdf_normal_approx(args[bad], df[bad], nc[bad])
+            p_f[bad] = _nct_cdf_fallback(args[bad], df[bad], nc[bad])
         p[finite] = p_f
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
-def _nct_cdf_normal_approx(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Large-dof normal approximation of the non-central t CDF.
+def _nct_cdf_fallback(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Non-central t CDF where the exact backend fails (it returns NaN).
 
-    Used only where the exact backend fails (extreme dof or
-    non-centrality); its error there is far below the surrounding
-    cancellation floor.
+    Elements with x <= 0 are integrated by :func:`_nct_cdf_nonpositive`.
+    Elements with x > 0 take the large-dof normal approximation; the
+    backend fails there only at extreme dof or non-centrality, where the
+    approximation error is far below the surrounding cancellation floor.
     """
+    p = np.empty(x.shape)
+    low = x <= 0
+    if low.any():
+        p[low] = _nct_cdf_nonpositive(x[low], dof[low], delta[low])
+    x, dof, delta = x[~low], dof[~low], delta[~low]
     shrink = 1.0 - 3.0 / (4.0 * dof - 1.0)
     z = (x * shrink - delta) / np.sqrt(1.0 + x * x / (2.0 * (dof - 1.0)))
-    return special.ndtr(z)
+    p[~low] = special.ndtr(z)
+    return p
+
+
+#: the integration range ends where the integrand is exp(-_LOG_DROP) of its peak
+_LOG_DROP = 50.0
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """64-node rule for each side of the peak in :func:`_nct_cdf_nonpositive`.
+
+    Built on first use: its eigensolver call costs ~1 MB of resident
+    memory, which an import should not.
+    """
+    return np.polynomial.legendre.leggauss(64)
+
+
+def _nct_cdf_nonpositive(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Non-central t CDF for x <= 0 by quadrature, accurate in the far tail.
+
+    With R ~ chi(dof) and w = log R the CDF is the integral over w of
+    h(w) = Phi(x e^w / sqrt(dof) - delta) f_R(e^w) e^w. For x <= 0,
+    log h is concave (log Phi is concave and increasing, its argument
+    concave in w), so it has one peak, found by bisection on the slope,
+    and falls monotonically on either side. Each side is integrated up to
+    where h has dropped by exp(-_LOG_DROP), beyond which concavity bounds
+    the remaining mass, with a 64-node Gauss-Legendre rule in the log
+    domain, so results far below the double-precision epsilon (or an
+    underflow to 0) keep their relative accuracy.
+    """
+    # Column vectors, so the quadrature nodes run along the second axis.
+    x, dof, delta = x[:, None], dof[:, None], delta[:, None]
+    a = x / np.sqrt(dof)
+    log_norm = (0.5 * dof - 1.0) * math.log(2.0) + special.gammaln(0.5 * dof)
+
+    def log_h(w: np.ndarray) -> np.ndarray:
+        r = np.exp(w)
+        return special.log_ndtr(a * r - delta) + dof * w - 0.5 * r * r - log_norm
+
+    def slope(w: np.ndarray) -> np.ndarray:
+        r = np.exp(w)
+        z = a * r - delta
+        mills = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(z))
+        return a * r * mills + dof - r * r
+
+    # The slope is below dof - r^2 everywhere and near dof at the lower end.
+    lo = 0.5 * np.log(dof) - np.log1p(np.abs(a) * (np.abs(delta) + 1.0)) - 20.0
+    hi = 0.5 * np.log(dof) + 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        rising = slope(mid) > 0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    peak = 0.5 * (lo + hi)
+    top = log_h(peak)
+    nodes, weights = _gauss_legendre()
+    total = np.zeros(x.shape)
+    for side in (-1.0, 1.0):
+        far = peak + side
+        while (short := log_h(far) > top - _LOG_DROP).any():
+            far = np.where(short, peak + 2.0 * (far - peak), far)
+        near = peak
+        for _ in range(60):
+            mid = 0.5 * (near + far)
+            inside = log_h(mid) > top - _LOG_DROP
+            near, far = np.where(inside, mid, near), np.where(inside, far, mid)
+        half = 0.5 * (far - peak)
+        w = peak + half * (nodes + 1.0)
+        total += np.abs(half) * np.exp(log_h(w) - top) @ weights[:, None]
+    return (np.exp(top) * total).ravel()
 
 
 def _poisson_window(half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +378,7 @@ def doubly_noncentral_t_cdf(
         terms = np.asarray(stats.nct.cdf(args, dfs, deltas), dtype=float)
         bad = np.isnan(terms)
         if bad.any():
-            terms[bad] = _nct_cdf_normal_approx(args[bad], dfs[bad], deltas[bad])
+            terms[bad] = _nct_cdf_fallback(args[bad], dfs[bad], deltas[bad])
         start = 0
         for i, weights in zip(mixed, windows):
             stop = start + weights.size

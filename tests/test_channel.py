@@ -7,6 +7,7 @@ import pytest
 
 from rsmsim.channel import (
     ChannelParams,
+    _draw_angles,
     array_response,
     draw_channel,
     in_sector_fraction,
@@ -18,6 +19,39 @@ from rsmsim.channel import (
 DEFAULT = ChannelParams(n_tx=32, n_rx=8)
 
 
+def scalar_array_response(n, angle_deg, spacing):
+    phase = 2.0 * math.pi * spacing * math.sin(math.radians(angle_deg))
+    return np.exp(1j * phase * np.arange(n)) / math.sqrt(n)
+
+
+def scalar_sector_gain(angle_deg, center, width):
+    offset = (angle_deg - center + 180.0) % 360.0 - 180.0
+    return 1 if abs(offset) <= width / 2.0 else 0
+
+
+def per_ray_draw(params, rng):
+    """Reference generator: every response and pattern gain built ray by ray."""
+    _, rays = _draw_angles(params, rng)
+    gain_scale = params.gain_variance / in_sector_fraction(params)
+    gains = math.sqrt(gain_scale / 2.0) * (
+        rng.standard_normal(params.n_paths) + 1j * rng.standard_normal(params.n_paths)
+    )
+    center, width = params.sector_center_deg, params.sector_width_deg
+    pattern = []
+    for arr, dep in rays:
+        gain = scalar_sector_gain(float(dep), center, width)
+        if not params.rx_omni:
+            gain *= scalar_sector_gain(float(arr), center, width)
+        pattern.append(gain)
+    spacing = params.antenna_spacing_wavelengths
+    v_rx = np.stack([scalar_array_response(params.n_rx, float(a), spacing) for a in rays[:, 0]])
+    v_tx = np.stack([scalar_array_response(params.n_tx, float(a), spacing) for a in rays[:, 1]])
+    weights = math.sqrt(params.n_tx * params.n_rx / params.n_paths) * gains * np.array(
+        pattern, dtype=float
+    )
+    return (v_rx.T * weights) @ v_tx.conj()
+
+
 class TestArrayResponse:
     def test_broadside(self):
         np.testing.assert_allclose(array_response(4, 0.0, 0.5), np.full(4, 0.5))
@@ -25,6 +59,15 @@ class TestArrayResponse:
     def test_endfire_half_wavelength(self):
         v = array_response(2, 90.0, 0.5)
         np.testing.assert_allclose(v, np.array([1.0, -1.0]) / math.sqrt(2), atol=1e-12)
+
+    def test_array_of_angles_matches_scalar_calls(self):
+        angles = np.random.default_rng(0).uniform(-400.0, 400.0, (3, 50))
+        batch = array_response(6, angles, 0.7)
+        assert batch.shape == (3, 50, 6)
+        for index in np.ndindex(angles.shape):
+            assert np.array_equal(
+                batch[index], scalar_array_response(6, float(angles[index]), 0.7)
+            )
 
     def test_unit_norm_and_phase_progression(self):
         v = array_response(8, 17.0, 0.5)
@@ -50,8 +93,44 @@ class TestSectorGain:
     def test_membership(self, angle, center, width, expected):
         assert sector_gain(angle, center, width) == expected
 
+    def test_array_of_angles_matches_scalar_calls(self):
+        angles = np.concatenate(
+            [np.random.default_rng(1).uniform(-540.0, 540.0, 2000), [150.0, 190.0, -170.0]]
+        )
+        gains = sector_gain(angles, 170.0, 40.0)
+        assert gains.shape == angles.shape
+        expected = [scalar_sector_gain(float(a), 170.0, 40.0) for a in angles]
+        np.testing.assert_array_equal(gains, expected)
+        assert 0 < gains.sum() < angles.size
+
 
 class TestDrawChannel:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            DEFAULT,
+            ChannelParams(n_tx=16, n_rx=4, rx_omni=False, angular_spread_deg=20.0),
+            # The sector spans 150..190 degrees, across the +-180 wrap.
+            ChannelParams(
+                n_tx=16,
+                n_rx=4,
+                sector_center_deg=170.0,
+                sector_width_deg=40.0,
+                angular_spread_deg=10.0,
+                rx_omni=False,
+            ),
+            ChannelParams(
+                n_tx=8, n_rx=4, n_clusters=3, n_rays=1, antenna_spacing_wavelengths=0.7
+            ),
+        ],
+        ids=["default", "rx-sector", "wrapping-sector", "one-ray-spacing-0.7"],
+    )
+    def test_matches_per_ray_reference(self, params):
+        for i in range(40):
+            got = draw_channel(params, np.random.default_rng([5, i])).matrix
+            want = per_ray_draw(params, np.random.default_rng([5, i]))
+            assert np.array_equal(got, want), f"draw {i}"
+
     def test_single_ray_closed_form(self):
         # One cluster, one ray, zero spread: H is a scaled rank-one outer
         # product with squared Frobenius norm n_tx*n_rx*|g|^2/frac.

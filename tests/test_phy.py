@@ -18,6 +18,7 @@ from rsmsim.phy import (
     encode,
     exact_threshold_residual,
     joint_ml_detect,
+    nearest_point,
     receive_amplitudes,
     threshold,
     transmit,
@@ -306,6 +307,92 @@ class TestSpatialDetection:
                 np.testing.assert_array_equal(
                     detect_spatial(row, spec), joint_ml_detect(row, alpha_p, sigma2)
                 )
+
+
+def full_search(y, scale, c):
+    """Reference detector: argmin over every distance, first index on ties."""
+    y, scale = np.asarray(y, dtype=complex), np.asarray(scale, dtype=float)
+    return np.argmin(np.abs(y[..., None] - scale[..., None] * c.points), axis=-1)
+
+
+QAM_SCALES = (0.01, 0.37, 1.0, 13.0, 250.0)
+
+
+class TestNearestPoint:
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_qam_random_samples(self, order):
+        c = build_constellation("qam", order)
+        rng = np.random.default_rng(order)
+        edge = 1.3 * np.abs(c.points.real).max()
+        for scale in QAM_SCALES:
+            n = 20_000  # 1e5 samples per order over the five scales
+            y = scale * edge * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+            np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+            per_sample = scale * rng.uniform(0.5, 2.0, n)
+            np.testing.assert_array_equal(
+                nearest_point(y, per_sample, c), full_search(y, per_sample, c)
+            )
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_qam_boundary_and_far_samples(self, order):
+        c = build_constellation("qam", order)
+        rng = np.random.default_rng(100 + order)
+        levels = np.unique(c.points.real)
+        spacing = levels[1] - levels[0]
+        offsets = spacing * np.array([0.0, 1e-17, 1e-16, 1e-14, 1e-11, 1e-8, 1e-6, 1.5e-6])
+        offsets = np.concatenate([offsets, -offsets[1:]])
+        far = spacing * np.outer([1.0, -1.0], [3.0, 1e2, 1e3, 1e4, 1e8, 1e12]).ravel()
+        for scale in QAM_SCALES:
+            boundaries = scale * (levels[:-1] + levels[1:]) / 2.0
+            on_edge = (boundaries[:, None] + scale * offsets[None, :]).ravel()
+            outside = scale * np.concatenate([far, (levels[[0, -1]] + far[:, None]).ravel()])
+            coords = np.concatenate([on_edge, outside, scale * levels])
+            other = rng.choice(coords, coords.size)
+            y = np.concatenate(
+                [coords + 1j * other, other + 1j * coords, coords + 1j * coords[::-1]]
+            )
+            y = np.concatenate([y, [np.inf, -np.inf + 1j, 1j * np.nan]])
+            np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+
+    @pytest.mark.parametrize(
+        "kind,order,ring", [("psk", 8, None), ("psk", 16, None), ("apsk", 16, 2.6)]
+    )
+    def test_other_constellations_search_every_point(self, kind, order, ring):
+        c = build_constellation(kind, order, ring)
+        rng = np.random.default_rng(order)
+        y = 2.0 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
+        scale = rng.integers(0, 4, y.size) * 0.9
+        np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+        np.testing.assert_array_equal(nearest_point(y, 1.7, c), full_search(y, 1.7, c))
+
+    @pytest.mark.parametrize(
+        "kind,order,ring", [("qam", 16, None), ("psk", 16, None), ("apsk", 16, 2.6)]
+    )
+    def test_erasure_scale_zero_gives_symbol_zero(self, kind, order, ring):
+        # n_hat = 0 combines nothing: every reference collapses to the origin.
+        c = build_constellation(kind, order, ring)
+        y = np.array([0.0, 0.3 - 2.0j, -5.0 + 1.0j])
+        np.testing.assert_array_equal(nearest_point(y, 0.0, c), [0, 0, 0])
+        np.testing.assert_array_equal(full_search(y, 0.0, c), [0, 0, 0])
+
+    def test_broadcast_shapes(self):
+        c = build_constellation("qam", 16)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+        gains = np.array([0.4, 2.5])
+        got = nearest_point(y, gains, c)
+        assert got.shape == (50, 2)
+        np.testing.assert_array_equal(got, full_search(y, gains, c))
+        assert nearest_point(0.2 + 0.1j, 1.0, c).shape == ()
+        assert int(nearest_point(0.2 + 0.1j, 1.0, c)) == int(full_search(0.2 + 0.1j, 1.0, c))
+
+    def test_non_grid_qam_points_search_every_point(self):
+        # A "qam" set off the square layout must not be sliced.
+        base = build_constellation("qam", 16)
+        warped = base.points * np.exp(0.05j)
+        c = type(base)(kind="qam", order=16, points=warped, labels=base.labels)
+        y = 1.5 * (np.random.default_rng(4).standard_normal(5000) + 1j)
+        np.testing.assert_array_equal(nearest_point(y, 1.0, c), full_search(y, 1.0, c))
 
 
 class TestCombineAndDetect:

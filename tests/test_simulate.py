@@ -242,6 +242,27 @@ class TestFdBaseline:
             assert p.ber_modulation == p.ber_total
             assert math.isnan(p.abep_analytic_estimated)
 
+    def test_fd_benchmark_prefix_matches_golden(self):
+        # The channel ensemble and every block stream are keyed by index, so
+        # the first two grid points reproduce the committed benchmark rows.
+        from rsmsim.cli import _fmt, load_config
+
+        root = Path(__file__).resolve().parent.parent
+        config = load_config(root / "bench" / "configs" / "fd_baseline.cfg")
+        assert config.seed == 1
+        config = dataclasses.replace(config, snr_grid_db=(-8.0, -6.0))
+        lines = (root / "bench" / "golden" / "fd_baseline.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for point, line in zip(run_fd(config).points, lines[1:3]):
+            golden = dict(zip(header, line.split(",")))
+            assert float(golden["snr_db"]) == point.snr_db
+            assert _fmt(point.ber_total) == golden["ber_total"]
+            assert _fmt(point.ber_spatial) == golden["ber_spatial"]
+            assert _fmt(point.ber_modulation) == golden["ber_mod"]
+            assert point.abep_analytic == pytest.approx(
+                float(golden["abep_analytic"]), rel=1e-9, abs=0.0
+            )
+
     def test_matches_analytic_mode_bep(self):
         cfg = FdConfig(
             channel=PARAMS,

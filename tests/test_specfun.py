@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from rsmsim.specfun import (
     Accuracy,
     DomainError,
+    _nct_cdf_fallback,
     bessel_i0,
     bessel_i1,
     doubly_noncentral_t_cdf,
@@ -206,6 +207,64 @@ class TestDoublyNoncentralT:
     def test_rejects_negative_lambda(self):
         with pytest.raises(DomainError):
             doubly_noncentral_t_cdf(1.0, 2, 1.0, -0.5)
+
+
+def t_cdf_quad(x, dof, delta, lam=0.0):
+    """Quadrature oracle for P((Z + delta) / S <= x), S = sqrt(W / dof).
+
+    W is chi-square (non-central with ``lam`` when positive); the normal
+    CDF is integrated against the density of S, split around its mode.
+    """
+    law = stats.ncx2(dof, lam) if lam > 0 else stats.chi2(dof)
+
+    def integrand(s):
+        return special.ndtr(x * s - delta) * law.pdf(dof * s * s) * 2.0 * dof * s
+
+    spread = 1.0 / math.sqrt(2.0 * dof)
+    knots = sorted({max(1.0 - 6.0 * spread, 0.0), 1.0, 1.0 + 6.0 * spread} - {0.0})
+    edges = [0.0, *knots, 1.0 + 40.0 * spread + 10.0]
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
+class TestBackendFallback:
+    """The NaN fallback of the (doubly) non-central t CDF at x <= 0."""
+
+    @pytest.mark.parametrize(
+        "x,dof,delta,lam,expected",
+        [
+            (-5.0, 2.0, 7.82, 0.0, 3.19e-18),
+            (-1.0, 1.0, 41.0, 0.0, 0.0),
+            (-7.383, 2.0, 8.108, 0.00126, 1.33e-19),
+        ],
+        ids=["nct-far-tail", "nct-underflow", "dnct-far-tail"],
+    )
+    def test_backend_nan_cases_against_quadrature(self, x, dof, delta, lam, expected):
+        # scipy returns NaN for all three, so they go through the fallback.
+        assert math.isnan(stats.nct.cdf(x, dof, delta))
+        if lam:
+            got = doubly_noncentral_t_cdf(x, dof, delta, lam)
+        else:
+            got = noncentral_t_cdf(x, dof, delta)
+        assert got == pytest.approx(t_cdf_quad(x, dof, delta, lam), rel=1e-9, abs=0.0)
+        assert got == pytest.approx(expected, rel=0.01, abs=0.0)
+
+    @pytest.mark.parametrize("dof", [1.0, 2.0, 7.0, 50.0, 400.0])
+    @pytest.mark.parametrize("delta", [-2.0, 0.0, 2.0, 7.82])
+    def test_nonpositive_x_against_quadrature(self, dof, delta):
+        x = np.array([0.0, -0.1, -1.0, -5.0, -50.0])
+        got = _nct_cdf_fallback(x, np.full(x.size, dof), np.full(x.size, delta))
+        want = [t_cdf_quad(float(v), dof, delta) for v in x]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        assert got[0] == pytest.approx(special.ndtr(-delta), rel=1e-12)
+
+    def test_positive_x_keeps_normal_approximation(self):
+        x, dof, delta = np.array([0.5, 3.0]), np.array([4.0, 80.0]), np.array([1.0, 2.0])
+        shrink = 1.0 - 3.0 / (4.0 * dof - 1.0)
+        z = (x * shrink - delta) / np.sqrt(1.0 + x * x / (2.0 * (dof - 1.0)))
+        np.testing.assert_array_equal(_nct_cdf_fallback(x, dof, delta), special.ndtr(z))
 
 
 class TestArrayArguments:

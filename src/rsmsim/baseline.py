@@ -12,12 +12,11 @@ the power split for every SNR point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import Constellation, nearest_point
+from .phy import Constellation, add_complex_noise, nearest_point
 
 __all__ = ["RankDeficient", "SvdLink", "svd_link", "fd_ber"]
 
@@ -94,11 +93,7 @@ def fd_ber(
         raise ValueError("sigma2 must be positive and trials >= 1")
     gains = np.sqrt(link.received_power_per_mode)  # per-mode amplitude
     js = rng.integers(0, constellation.order, size=(trials, link.n_modes))
-    noise = math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((trials, link.n_modes))
-        + 1j * rng.standard_normal((trials, link.n_modes))
-    )
-    y = gains[None, :] * constellation.points[js] + noise
+    y = add_complex_noise(gains[None, :] * constellation.points[js], sigma2, rng)
     j_hat = nearest_point(y, gains, constellation)
     labels = constellation.labels
     return int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum())

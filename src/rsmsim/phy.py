@@ -5,7 +5,8 @@ modulation encoding of a data word, zero-forcing transmit-vector
 construction, per-antenna envelope measurement, the three amplitude
 threshold designs (exact, moderate-SNR, high-SNR), per-antenna and
 joint-ML spatial detection, batch minimum-distance symbol detection,
-and switch-and-combine modulation-symbol detection.
+switch-and-combine modulation-symbol detection, and the complex noise
+draw shared by every Monte Carlo path.
 
 Conventions: complex noise samples carry total variance sigma2 (half
 per real component); a spatial word is a 0/1 vector over the active
@@ -41,16 +42,21 @@ __all__ = [
     "joint_ml_detect",
     "nearest_point",
     "combine_and_detect_modulation",
+    "add_complex_noise",
 ]
 
 THRESHOLD_MODES = ("exact", "msa", "hsa")
 
 #: QAM samples closer than this to a decision boundary, in level spacings,
 #: or farther than ``_GRID_REACH`` spacings from the grid centre, or on a
-#: grid whose spacing is outside ``_UNIT_RANGE``, go to the full search
+#: grid whose spacing is outside ``_UNIT_RANGE``, go to the full search;
+#: so do PSK samples closer than this to a sector boundary, in sectors,
+#: with ``|y| / scale`` outside ``_PSK_RATIO`` or a scale outside
+#: ``_UNIT_RANGE``
 _BOUNDARY_MARGIN = 1e-6
 _GRID_REACH = 1e3
 _UNIT_RANGE = (1e-250, 1e250)
+_PSK_RATIO = (1e-5, 1e5)
 
 
 class UnsupportedOrder(ValueError):
@@ -85,6 +91,7 @@ class Constellation:
     ring_ratio: float | None = None
     _index_of_label: np.ndarray = field(init=False, repr=False, default=None)
     _qam_step: float | None = field(init=False, repr=False, compare=False, default=None)
+    _psk_layout: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
         mean_power = float(np.mean(np.abs(self.points) ** 2))
@@ -96,6 +103,11 @@ class Constellation:
         inverse[self.labels] = np.arange(self.order)
         object.__setattr__(self, "_index_of_label", inverse)
         object.__setattr__(self, "_qam_step", _square_grid_step(self.kind, self.points))
+        object.__setattr__(
+            self,
+            "_psk_layout",
+            self.kind == "psk" and np.array_equal(self.points, _psk_points(self.points.size)[0]),
+        )
 
     @property
     def bits_per_symbol(self) -> int:
@@ -370,6 +382,41 @@ def _nearest_by_search(y: np.ndarray, scale: np.ndarray, points: np.ndarray) -> 
     return np.argmin(np.abs(y[..., None] - scale[..., None] * points), axis=-1)
 
 
+def _slice_qam(
+    y: np.ndarray, scale: np.ndarray, step: float, side: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest level per axis, and where that decision is provably exact."""
+    unit = scale * step
+    with np.errstate(all="ignore"):
+        # (real, imag) in level spacings from the grid centre, then from level 0.
+        a = np.stack((y.real, y.imag), axis=-1) / unit[..., None]
+        t = a + 0.5 * (side - 1)
+        level = np.rint(np.fmin(np.fmax(t, 0.0), side - 1.0)).astype(np.int64)
+        exact = (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN) & (np.abs(a) <= _GRID_REACH)
+    low, high = _UNIT_RANGE
+    exact = exact[..., 0] & exact[..., 1] & (np.abs(unit) >= low) & (np.abs(unit) <= high)
+    return level[..., 0] * side + level[..., 1], exact
+
+
+def _slice_psk(y: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest sector by angle, and where that decision is provably exact."""
+    low, high = _UNIT_RANGE
+    ratio_low, ratio_high = _PSK_RATIO
+    with np.errstate(all="ignore"):
+        # Angle in sectors: point k sits at k, the boundaries at half-integers.
+        t = np.angle(y) * (order / (2.0 * math.pi))
+        ratio = np.abs(y) / scale
+        exact = (
+            (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN)
+            & (ratio >= ratio_low)
+            & (ratio <= ratio_high)
+            & (scale >= low)
+            & (scale <= high)
+        )
+        index = np.rint(t).astype(np.int64) % order
+    return np.broadcast_to(index, np.shape(exact)), exact
+
+
 def nearest_point(
     y: complex | np.ndarray, scale: float | np.ndarray, constellation: Constellation
 ) -> np.ndarray:
@@ -379,31 +426,44 @@ def nearest_point(
     their broadcast shape. Decisions equal
     ``argmin(abs(y[..., None] - scale[..., None] * points), axis=-1)``
     exactly, ties included (first index), which is how every other
-    constellation is detected. Square QAM slices each axis to its
-    nearest level instead. A sample at least ``_BOUNDARY_MARGIN``
-    spacings from every boundary and within ``_GRID_REACH`` spacings of
-    the grid centre has a squared-distance gap of at least 2e-6 squared
-    spacings to every other point, so a distance gap above 7e-10
-    spacings, while rounding moves each computed distance by under 1e-11
-    spacings; its sliced point is therefore the argmin. Every other
-    sample (zero scale included) goes to the full search.
+    constellation is detected. Square QAM and PSK are sliced instead,
+    and every sample whose sliced decision is not provably the argmin
+    (zero scale, inf and nan included) goes to the full search.
+
+    Square QAM slices each axis to its nearest level. A sample at least
+    ``_BOUNDARY_MARGIN`` spacings from every boundary and within
+    ``_GRID_REACH`` spacings of the grid centre has a squared-distance
+    gap of at least 2e-6 squared spacings to every other point, so a
+    distance gap above 7e-10 spacings, while rounding moves each
+    computed distance by under 1e-11 spacings; its sliced point is
+    therefore the argmin.
+
+    PSK takes point ``rint(angle(y) * order / 2pi) mod order``. With r =
+    ``|y|``, s = ``scale`` and the sample at least ``_BOUNDARY_MARGIN``
+    sectors from a sector boundary, every other point is at least
+    2pi/order - delta away in angle, where delta <= (1/2 - 1e-6) 2pi/order
+    is the angle to the sliced point, so its squared distance is larger
+    by 2rs(cos(delta) - cos(2pi/order - delta)) >= 4rs sin(pi/order)
+    sin(2e-6 pi/order). Dividing by the sum of the two distances, at most
+    2(r + s), and with ``r / s`` within ``_PSK_RATIO`` (so rs >= 9.9e-6
+    (r + s)^2) and order <= 64, the distance gap exceeds 9e-14 (r + s).
+    Rounding moves each computed distance by under 2e-15 (r + s): the
+    points lie within 7e-16 of exp(2pi i k/order), and the product,
+    difference and ``abs`` each add about one unit in the last place of
+    r + s. The computed angle is off by under 1e-14 sectors, far inside
+    the margin, and ``_UNIT_RANGE`` on the scale keeps every quantity a
+    normal float. The sliced point is therefore the argmin.
     """
     y = np.asarray(y, dtype=complex)
     scale = np.asarray(scale, dtype=float)
-    step = constellation._qam_step
-    if step is None:
+    if constellation._qam_step is not None:
+        index, exact = _slice_qam(y, scale, constellation._qam_step, math.isqrt(constellation.order))
+    elif constellation._psk_layout:
+        index, exact = _slice_psk(y, scale, constellation.order)
+    else:
         return _nearest_by_search(y, scale, constellation.points)
-    side = math.isqrt(constellation.order)
-    unit = scale * step
-    with np.errstate(all="ignore"):
-        # (real, imag) in level spacings from the grid centre, then from level 0.
-        a = np.stack((y.real, y.imag), axis=-1) / unit[..., None]
-        t = a + 0.5 * (side - 1)
-        level = np.rint(np.fmin(np.fmax(t, 0.0), side - 1.0)).astype(np.int64)
-        exact = (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN) & (np.abs(a) <= _GRID_REACH)
-    index = np.asarray(level[..., 0] * side + level[..., 1])
-    low, high = _UNIT_RANGE
-    search = ~(exact[..., 0] & exact[..., 1] & (np.abs(unit) >= low) & (np.abs(unit) <= high))
+    index = np.array(index)
+    search = ~exact
     if search.any():
         y, scale = np.broadcast_arrays(y, scale)
         index[search] = _nearest_by_search(y[search], scale[search], constellation.points)
@@ -434,3 +494,21 @@ def combine_and_detect_modulation(
     label = int(constellation.labels[index])
     bits = np.array([(label >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int64)
     return index, bits
+
+
+def add_complex_noise(
+    signal: np.ndarray, sigma2: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Add circular complex Gaussian noise of variance ``sigma2`` to ``signal``.
+
+    ``signal`` is a complex array, changed in place and returned. The
+    real parts of the noise come from one ``standard_normal`` draw of
+    ``(2, *signal.shape)`` ahead of the imaginary parts, which is the
+    stream order, and the values, of
+    ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))``.
+    """
+    noise = rng.standard_normal((2, *signal.shape))
+    noise *= math.sqrt(sigma2 / 2.0)
+    signal.real += noise[0]
+    signal.imag += noise[1]
+    return signal

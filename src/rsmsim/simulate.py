@@ -5,7 +5,10 @@ channel realizations is exercised with a block of data words per
 channel. Every random quantity is drawn from a stream keyed by
 (master seed, purpose tag, snr index, channel index), so results are
 bit-identical regardless of how blocks are scheduled across worker
-threads; error counts are integers and are reduced in index order.
+threads; error counts are integers and are reduced in index order. The
+analytic columns of each SNR point run as one more task on the same
+workers, and each run logs where its time went on the ``.timing``
+child logger.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -14,9 +17,13 @@ runs under the same seed) on common randomness.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import time
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +32,13 @@ from . import analysis
 from .baseline import SvdLink, fd_ber, svd_link
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
-from .phy import Constellation, build_constellation, nearest_point, threshold
+from .phy import (
+    Constellation,
+    add_complex_noise,
+    build_constellation,
+    nearest_point,
+    threshold,
+)
 from .training import DegenerateSample, PilotObservation, estimate_amplitude
 
 __all__ = [
@@ -39,6 +52,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+#: one line per run: thread count and where the time went
+timing_log = logging.getLogger(f"{__name__}.timing")
 
 SELECTION_MODES = ("exhaustive", "all_antennas")
 THRESHOLD_SOURCES = ("perfect", "estimated")
@@ -209,11 +224,8 @@ def _pilot_threshold(
     n_a = config.n_active
     x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
     clean = math.sqrt(alpha_p) * x_pilot * (link.effective @ np.ones(n_a))
-    noise = math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((config.n_pilots, n_a))
-        + 1j * rng.standard_normal((config.n_pilots, n_a))
-    )
-    amps = np.abs(clean[None, :] + noise).ravel()
+    y = add_complex_noise(np.tile(clean, (config.n_pilots, 1)), sigma2, rng)
+    amps = np.abs(y).ravel()
     obs = PilotObservation(amplitudes=amps, n_pilots=config.n_pilots, n_active=n_a)
     return 0.5 * estimate_amplitude(obs)
 
@@ -253,11 +265,9 @@ def _run_block(
     s_bits = ((sent[:, None] >> np.arange(n_a)) & 1).astype(float)
     js = rng.integers(0, constellation.order, size=trials)
     symbols = constellation.points[js]
-    clean = math.sqrt(alpha_p) * (s_bits * symbols[:, None]) @ link.effective.T
-    noise = math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((trials, n_a)) + 1j * rng.standard_normal((trials, n_a))
+    y = add_complex_noise(
+        math.sqrt(alpha_p) * (s_bits * symbols[:, None]) @ link.effective.T, sigma2, rng
     )
-    y = clean + noise
 
     s_hat = (np.abs(y) > gamma).astype(np.int64)
     detected = (s_hat << np.arange(n_a)).sum(axis=1)
@@ -346,6 +356,14 @@ def _fd_mode_snrs(links: list[SvdLink], power: float, sigma2: float) -> np.ndarr
     )
 
 
+def _fd_analytic(
+    constellation: Constellation, links: list[SvdLink], power: float, sigma2: float
+) -> float:
+    """Channel-averaged analytic BEP of the baseline at one transmit power."""
+    values = analysis.constellation_bep(constellation, _fd_mode_snrs(links, power, sigma2))
+    return float(np.mean(values))
+
+
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
     """Analytic rows for the fully digital baseline (estimated column NaN)."""
     constellation = build_constellation(
@@ -356,82 +374,146 @@ def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
     rows = []
     for snr_db in config.snr_grid_db:
         power = 10.0 ** (snr_db / 10.0) * sigma2
-        values = analysis.constellation_bep(constellation, _fd_mode_snrs(links, power, sigma2))
-        rows.append((snr_db, float(np.mean(values)), math.nan))
+        rows.append((snr_db, _fd_analytic(constellation, links, power, sigma2), math.nan))
     return rows
 
 
+def _timed(fn: Callable, *args) -> tuple[object, float]:
+    start = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - start
+
+
+@contextmanager
+def _sweep(
+    n_threads: int,
+    n_snr: int,
+    n_links: int,
+    block: Callable[[int, int], object],
+    analytic: Callable[[int], object],
+) -> Iterator[tuple[list[list[tuple[object, float]]], list[Callable[[], tuple]]]]:
+    """Run ``block(snr_idx, ch_idx)`` for every block and ``analytic(snr_idx)``
+    for every SNR point.
+
+    Yields every block's ``(result, seconds)``, collected in grid order
+    so that the first failing block raises at any thread count, and for
+    each point a call that returns its analytic ``(result, seconds)``;
+    the caller makes these calls in grid order after reducing each
+    point's blocks. With ``n_threads > 1`` all tasks go to one pool,
+    each point's analytic task ahead of its blocks, and tasks still
+    pending when the caller stops early are cancelled; otherwise the
+    blocks run in the calling thread before the yield and each analytic
+    task runs when its call is made.
+    """
+    if n_threads <= 1:
+        blocks = [[_timed(block, s, c) for c in range(n_links)] for s in range(n_snr)]
+        yield blocks, [functools.partial(_timed, analytic, s) for s in range(n_snr)]
+        return
+    pool = ThreadPoolExecutor(max_workers=n_threads)
+    try:
+        analytic_tasks, block_tasks = [], []
+        for snr_idx in range(n_snr):
+            analytic_tasks.append(pool.submit(_timed, analytic, snr_idx).result)
+            block_tasks.append(
+                [pool.submit(_timed, block, snr_idx, ch_idx) for ch_idx in range(n_links)]
+            )
+        yield [[task.result() for task in row] for row in block_tasks], analytic_tasks
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _log_timing(
+    name: str,
+    n_threads: int,
+    link_s: float,
+    sweep_s: float,
+    blocks: list[list[tuple[object, float]]],
+    analytic_s: float,
+) -> None:
+    timing_log.info(
+        "%s: %d thread(s); link build %.3f s, sweep %.3f s "
+        "(summed over tasks: blocks %.3f s, analytic columns %.3f s)",
+        name,
+        n_threads,
+        link_s,
+        sweep_s,
+        sum(seconds for row in blocks for _, seconds in row),
+        analytic_s,
+    )
+
+
 def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
-    """Execute the full RSM experiment described by ``config``."""
+    """Execute the full RSM experiment described by ``config``.
+
+    ``n_threads > 1`` runs the Monte Carlo blocks and the analytic
+    columns of every SNR point on one pool of that many threads.
+    """
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
+    start = time.perf_counter()
     links = _build_links(config)
-    n_snr = len(config.snr_grid_db)
-    blocks = [(s, c) for s in range(n_snr) for c in range(len(links))]
+    link_s = time.perf_counter() - start
 
-    def work(block: tuple[int, int]) -> tuple[int, int, _BlockCounts]:
-        snr_idx, ch_idx = block
-        return snr_idx, ch_idx, _run_block(config, constellation, links[ch_idx], snr_idx)
+    def block(snr_idx: int, ch_idx: int) -> _BlockCounts:
+        return _run_block(config, constellation, links[ch_idx], snr_idx)
 
-    results: dict[tuple[int, int], _BlockCounts] = {}
-    if n_threads <= 1:
-        for block in blocks:
-            snr_idx, ch_idx, counts = work(block)
-            results[(snr_idx, ch_idx)] = counts
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for snr_idx, ch_idx, counts in pool.map(work, blocks):
-                results[(snr_idx, ch_idx)] = counts
+    def analytic(snr_idx: int) -> tuple[float, float, int]:
+        return _analytic_columns(config, constellation, links, config.snr_grid_db[snr_idx])
 
     k = constellation.bits_per_symbol
     bits_per_word = config.n_active + k
     points = []
-    for snr_idx, snr_db in enumerate(config.snr_grid_db):
-        spatial = modulation = words = failed = 0
-        for ch_idx in range(len(links)):
-            counts = results[(snr_idx, ch_idx)]
-            spatial += counts.spatial_errors
-            modulation += counts.modulation_errors
-            words += counts.words
-            failed += counts.failed
-        total_words = words + failed
-        if failed > ERROR_BUDGET * total_words:
-            raise PointAborted(snr_db, failed / total_words)
-        bits = words * bits_per_word
-        ber_total = (spatial + modulation) / bits if bits else math.nan
-        ci = (
-            1.96 * math.sqrt(max(ber_total * (1.0 - ber_total), 0.0) / bits)
-            if bits
-            else math.nan
-        )
-        abep_perfect, abep_estimated, excluded = _analytic_columns(
-            config, constellation, links, snr_db
-        )
-        points.append(
-            SnrPoint(
-                snr_db=snr_db,
-                ber_total=ber_total,
-                ber_spatial=spatial / (words * config.n_active) if words else math.nan,
-                ber_modulation=modulation / (words * k) if words else math.nan,
-                abep_analytic=abep_perfect,
-                abep_analytic_estimated=abep_estimated,
-                ci_halfwidth_95=ci,
-                bits_counted=bits,
+    analytic_s = 0.0
+    with _sweep(n_threads, len(config.snr_grid_db), len(links), block, analytic) as (
+        blocks,
+        analytic_tasks,
+    ):
+        for snr_idx, snr_db in enumerate(config.snr_grid_db):
+            spatial = modulation = words = failed = 0
+            for counts, _ in blocks[snr_idx]:
+                spatial += counts.spatial_errors
+                modulation += counts.modulation_errors
+                words += counts.words
+                failed += counts.failed
+            total_words = words + failed
+            if failed > ERROR_BUDGET * total_words:
+                raise PointAborted(snr_db, failed / total_words)
+            bits = words * bits_per_word
+            ber_total = (spatial + modulation) / bits if bits else math.nan
+            ci = (
+                1.96 * math.sqrt(max(ber_total * (1.0 - ber_total), 0.0) / bits)
+                if bits
+                else math.nan
             )
-        )
-        log.info(
-            "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e, "
-            "estimated %.3e with %d of %d links excluded: singular Fisher)",
-            snr_db,
-            ber_total,
-            points[-1].ber_spatial,
-            points[-1].ber_modulation,
-            abep_perfect,
-            abep_estimated,
-            excluded,
-            len(links),
-        )
+            (abep_perfect, abep_estimated, excluded), seconds = analytic_tasks[snr_idx]()
+            analytic_s += seconds
+            points.append(
+                SnrPoint(
+                    snr_db=snr_db,
+                    ber_total=ber_total,
+                    ber_spatial=spatial / (words * config.n_active) if words else math.nan,
+                    ber_modulation=modulation / (words * k) if words else math.nan,
+                    abep_analytic=abep_perfect,
+                    abep_analytic_estimated=abep_estimated,
+                    ci_halfwidth_95=ci,
+                    bits_counted=bits,
+                )
+            )
+            log.info(
+                "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e, "
+                "estimated %.3e with %d of %d links excluded: singular Fisher)",
+                snr_db,
+                ber_total,
+                points[-1].ber_spatial,
+                points[-1].ber_modulation,
+                abep_perfect,
+                abep_estimated,
+                excluded,
+                len(links),
+            )
+    sweep_s = time.perf_counter() - start - link_s
+    _log_timing("run", n_threads, link_s, sweep_s, blocks, analytic_s)
     return ErrorReport(points=tuple(points), seed=config.seed)
 
 
@@ -440,48 +522,42 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
+    start = time.perf_counter()
     links = _fd_links(config)
+    link_s = time.perf_counter() - start
 
     sigma2 = 1.0
     k = constellation.bits_per_symbol
-    n_snr = len(config.snr_grid_db)
     powers = [10.0 ** (snr_db / 10.0) * sigma2 for snr_db in config.snr_grid_db]
-    blocks = [(s, c) for s in range(n_snr) for c in range(len(links))]
 
-    def work(block: tuple[int, int]) -> tuple[int, int, int]:
-        snr_idx, ch_idx = block
+    def block(snr_idx: int, ch_idx: int) -> int:
         link = links[ch_idx].at_power(powers[snr_idx])
         rng = np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch_idx])
-        return snr_idx, ch_idx, fd_ber(link, constellation, sigma2, config.trials_per_point, rng)
+        return fd_ber(link, constellation, sigma2, config.trials_per_point, rng)
 
-    results: dict[tuple[int, int], int] = {}
-    if n_threads <= 1:
-        for block in blocks:
-            snr_idx, ch_idx, errors = work(block)
-            results[(snr_idx, ch_idx)] = errors
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for snr_idx, ch_idx, errors in pool.map(work, blocks):
-                results[(snr_idx, ch_idx)] = errors
+    def analytic(snr_idx: int) -> float:
+        return _fd_analytic(constellation, links, powers[snr_idx], sigma2)
 
     points = []
-    bits_per_point = config.trials_per_point * config.n_modes * k
-    for snr_idx, snr_db in enumerate(config.snr_grid_db):
-        errors = sum(results[(snr_idx, ch_idx)] for ch_idx in range(len(links)))
-        mode_snrs = _fd_mode_snrs(links, powers[snr_idx], sigma2)
-        analytic = analysis.constellation_bep(constellation, mode_snrs)
-        bits = bits_per_point * len(links)
-        ber = errors / bits
-        points.append(
-            SnrPoint(
-                snr_db=snr_db,
-                ber_total=ber,
-                ber_spatial=0.0,
-                ber_modulation=ber,
-                abep_analytic=float(np.mean(analytic)),
-                abep_analytic_estimated=math.nan,
-                ci_halfwidth_95=1.96 * math.sqrt(max(ber * (1 - ber), 0.0) / bits),
-                bits_counted=bits,
+    analytic_s = 0.0
+    bits = config.trials_per_point * config.n_modes * k * len(links)
+    with _sweep(n_threads, len(powers), len(links), block, analytic) as (blocks, analytic_tasks):
+        for snr_idx, snr_db in enumerate(config.snr_grid_db):
+            ber = sum(errors for errors, _ in blocks[snr_idx]) / bits
+            abep, seconds = analytic_tasks[snr_idx]()
+            analytic_s += seconds
+            points.append(
+                SnrPoint(
+                    snr_db=snr_db,
+                    ber_total=ber,
+                    ber_spatial=0.0,
+                    ber_modulation=ber,
+                    abep_analytic=abep,
+                    abep_analytic_estimated=math.nan,
+                    ci_halfwidth_95=1.96 * math.sqrt(max(ber * (1 - ber), 0.0) / bits),
+                    bits_counted=bits,
+                )
             )
-        )
+    sweep_s = time.perf_counter() - start - link_s
+    _log_timing("run_fd", n_threads, link_s, sweep_s, blocks, analytic_s)
     return ErrorReport(points=tuple(points), seed=config.seed)

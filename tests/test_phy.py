@@ -10,6 +10,7 @@ from scipy import stats
 from rsmsim.mimo import zf_precoder
 from rsmsim.phy import (
     IllegalSpatialWord,
+    add_complex_noise,
     UnsupportedOrder,
     build_constellation,
     combine_and_detect_modulation,
@@ -316,6 +317,12 @@ def full_search(y, scale, c):
 
 
 QAM_SCALES = (0.01, 0.37, 1.0, 13.0, 250.0)
+PSK_ORDERS = [2, 4, 8, 16, 32, 64]
+
+
+def psk_at(order, sectors, radius):
+    """Samples at ``radius`` and angle ``sectors * 2 pi / order``."""
+    return radius * np.exp(1j * (2.0 * math.pi / order) * np.asarray(sectors))
 
 
 class TestNearestPoint:
@@ -358,6 +365,8 @@ class TestNearestPoint:
         "kind,order,ring", [("psk", 8, None), ("psk", 16, None), ("apsk", 16, 2.6)]
     )
     def test_other_constellations_search_every_point(self, kind, order, ring):
+        # APSK takes the full search; PSK goes through the sector slicer and
+        # its fallback, which must give the same decisions.
         c = build_constellation(kind, order, ring)
         rng = np.random.default_rng(order)
         y = 2.0 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
@@ -393,6 +402,113 @@ class TestNearestPoint:
         c = type(base)(kind="qam", order=16, points=warped, labels=base.labels)
         y = 1.5 * (np.random.default_rng(4).standard_normal(5000) + 1j)
         np.testing.assert_array_equal(nearest_point(y, 1.0, c), full_search(y, 1.0, c))
+
+    @pytest.mark.parametrize("order", PSK_ORDERS)
+    def test_psk_layout_is_sliced(self, order):
+        c = build_constellation("psk", order)
+        assert c._psk_layout and c._qam_step is None
+        rotated = type(c)(kind="psk", order=order, points=c.points * np.exp(0.01j), labels=c.labels)
+        assert not rotated._psk_layout
+        y = 1.5 * (np.random.default_rng(order).standard_normal(5000) + 0.5j)
+        np.testing.assert_array_equal(nearest_point(y, 1.0, rotated), full_search(y, 1.0, rotated))
+
+    @pytest.mark.parametrize("order", PSK_ORDERS)
+    def test_psk_random_samples(self, order):
+        c = build_constellation("psk", order)
+        rng = np.random.default_rng(200 + order)
+        for scale in QAM_SCALES:
+            n = 20_000  # 1e5 samples per order over the five scales
+            y = scale * 1.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+            per_sample = scale * rng.uniform(0.2, 4.0, n)
+            np.testing.assert_array_equal(
+                nearest_point(y, per_sample, c), full_search(y, per_sample, c)
+            )
+
+    @pytest.mark.parametrize("order", PSK_ORDERS)
+    def test_psk_sector_boundaries(self, order):
+        c = build_constellation("psk", order)
+        offsets = np.array([0.0, 1e-17, 1e-16, 1e-14, 1e-11, 1e-8, 1e-6, 1.5e-6])
+        offsets = np.concatenate([offsets, -offsets[1:]])
+        boundaries = np.arange(order) + 0.5
+        sectors = (boundaries[:, None] + offsets[None, :]).ravel()
+        # The +-pi wrap: half a turn from either side, and +-0.0 imaginary parts.
+        wrap = order / 2.0 + np.concatenate([offsets, [-0.5, 0.5, 1e-9, -1e-9]])
+        sectors = np.concatenate([sectors, wrap, -wrap])
+        for scale in QAM_SCALES:
+            for radius in (0.05, 1.0, 7.0):
+                y = psk_at(order, sectors, scale * radius)
+                y = np.concatenate([y, scale * radius * np.array([-1.0 + 0.0j, complex(-1.0, -0.0)])])
+                np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+
+    @pytest.mark.parametrize("order", PSK_ORDERS)
+    def test_psk_radius_limits_and_degenerate_inputs(self, order):
+        c = build_constellation("psk", order)
+        rng = np.random.default_rng(300 + order)
+        ratios = np.array(
+            [1e-20, 1e-16, 1e-12, 1e-8, 1e-5 * (1 - 1e-12), 1e-5, 1e-5 * (1 + 1e-12),
+             1e5 * (1 - 1e-12), 1e5, 1e5 * (1 + 1e-12), 1e8, 1e12, 1e16, 1e20]
+        )
+        for scale in QAM_SCALES:
+            sectors = rng.uniform(-order / 2.0, order / 2.0, (ratios.size, 400))
+            y = psk_at(order, sectors, scale * ratios[:, None]).ravel()
+            y = np.concatenate(
+                [y, [0.0, -0.0, complex(0.0, -0.0), np.inf, -np.inf, 1j * np.inf,
+                     np.nan, 1j * np.nan, complex(np.inf, np.nan), 1e-300, 1e300]]
+            )
+            np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+        y = 1.3 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+        odd_scales = rng.choice([0.0, -1.0, 1e-300, 1e-251, 1e251, 1e300, np.inf, np.nan, 2.0], y.size)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(
+                nearest_point(y, odd_scales, c), full_search(y, odd_scales, c)
+            )
+        np.testing.assert_array_equal(nearest_point(y, 0.0, c), np.zeros(y.size, dtype=int))
+        for tiny in (1e-300, 1e-310, 5e-322):  # subnormal scales and samples
+            np.testing.assert_array_equal(
+                nearest_point(tiny * y, tiny, c), full_search(tiny * y, tiny, c)
+            )
+
+    def test_psk_broadcast_shapes(self):
+        c = build_constellation("psk", 16)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        scales = np.array([0.4, 0.0, 2.5])
+        got = nearest_point(y, scales, c)
+        assert got.shape == (50, 3)
+        np.testing.assert_array_equal(got, full_search(y, scales, c))
+        column = nearest_point(y[:1, :1], scales, c)
+        assert column.shape == (1, 3)
+        np.testing.assert_array_equal(column, full_search(y[:1, :1], scales, c))
+        row = nearest_point(0.3 - 0.8j, scales[:, None] * np.ones(4), c)
+        assert row.shape == (3, 4)
+        np.testing.assert_array_equal(row, full_search(0.3 - 0.8j, scales[:, None] * np.ones(4), c))
+        assert nearest_point(0.2 + 0.1j, 1.0, c).shape == ()
+        assert int(nearest_point(0.2 + 0.1j, 1.0, c)) == int(full_search(0.2 + 0.1j, 1.0, c))
+
+
+class TestAddComplexNoise:
+    @pytest.mark.parametrize("shape", [(7, 3), (5,), (2, 4, 3), (0, 3)])
+    def test_matches_two_draw_form_and_rng_state(self, shape):
+        sigma2 = 0.37
+        clean = np.random.default_rng(1).standard_normal(shape) + 0.5j
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        got = add_complex_noise(clean.copy(), sigma2, ours)
+        noise = math.sqrt(sigma2 / 2.0) * (
+            theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape)
+        )
+        assert np.array_equal(got, clean + noise)
+        zero = add_complex_noise(np.zeros(shape, dtype=complex), sigma2, ours)
+        noise = math.sqrt(sigma2 / 2.0) * (
+            theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape)
+        )
+        assert np.array_equal(zero, noise)
+        assert np.array_equal(ours.standard_normal(3), theirs.standard_normal(3))
+
+    def test_adds_in_place(self):
+        signal = np.ones((4, 2), dtype=complex)
+        out = add_complex_noise(signal, 1.0, np.random.default_rng(0))
+        assert out is signal and not np.array_equal(signal, np.ones((4, 2)))
 
 
 class TestCombineAndDetect:

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestAnalyticOnlyPath:
         assert elapsed < 5.0
 
 
+def excluded_links(config):
+    """Links per SNR point whose pilot-threshold Fisher matrix is singular."""
+    from rsmsim.simulate import _build_links
+    from rsmsim.training import SingularFisher, threshold_estimate_stats
+
+    links = _build_links(config)
+    counts = []
+    for snr_db in config.snr_grid_db:
+        singular = 0
+        for link in links:
+            alpha_p = link.alpha * 10.0 ** (snr_db / 10.0)
+            try:
+                threshold_estimate_stats(alpha_p, 1.0, config.n_pilots * config.n_active)
+            except SingularFisher:
+                singular += 1
+        counts.append(singular)
+    return counts
+
+
 class TestAnalyticColumns:
     def test_fig3_matches_benchmark_golden(self):
         # The link ensemble does not depend on the grid, so three points of
@@ -166,20 +186,8 @@ class TestAnalyticColumns:
             assert estimated == pytest.approx(golden[snr_db][1], rel=1e-9, abs=0.0)
 
     def test_singular_fisher_links_are_counted_in_log(self, caplog):
-        from rsmsim.simulate import _build_links
-        from rsmsim.training import SingularFisher, threshold_estimate_stats
-
         config = small_config(snr_grid_db=(-10.0, 10.0), trials_per_point=10)
-        expected = []
-        for snr_db in config.snr_grid_db:
-            singular = 0
-            for link in _build_links(config):
-                alpha_p = link.alpha * 10.0 ** (snr_db / 10.0)
-                try:
-                    threshold_estimate_stats(alpha_p, 1.0, config.n_pilots * config.n_active)
-                except SingularFisher:
-                    singular += 1
-            expected.append(singular)
+        expected = excluded_links(config)
         assert 0 < expected[0] < 20 and expected[1] == 0
         with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
             run(config)
@@ -187,6 +195,89 @@ class TestAnalyticColumns:
         assert len(lines) == 2
         for line, singular in zip(lines, expected):
             assert f"with {singular} of 20 links excluded: singular Fisher" in line
+
+
+class TestThreadCountInvariance:
+    """Blocks and analytic columns share one pool; nothing may depend on it."""
+
+    THREADS = (1, 2, 3)
+
+    def test_reports_and_log_lines(self, caplog):
+        config = small_config(threshold_source="estimated", snr_grid_db=(-4.0, 4.0, 8.0))
+        expected = excluded_links(config)
+        assert expected[0] > 0
+        reports, logs = [], []
+        for n_threads in self.THREADS:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+                reports.append(run(config, n_threads=n_threads))
+            logs.append([r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"])
+        for point in reports[0].points:
+            # NaN would make the report comparison below fail for any thread count.
+            assert not any(math.isnan(v) for v in dataclasses.astuple(point))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+        assert [line.split(" dB")[0] for line in logs[0]] == ["snr=-4", "snr=4", "snr=8"]
+        for line, singular in zip(logs[0], expected):
+            assert f"with {singular} of 20 links excluded: singular Fisher" in line
+
+    def test_abort_at_the_same_point(self, caplog):
+        # 8 clusters instead of the benchmark's 16: at this seed a weak link
+        # degenerates its 4-pilot estimate at 10 dB, the third grid point.
+        from rsmsim.cli import load_config
+
+        root = Path(__file__).resolve().parent.parent
+        config = load_config(root / "bench" / "configs" / "mc_estimated.cfg")
+        config = dataclasses.replace(
+            config,
+            channel=dataclasses.replace(config.channel, n_clusters=8),
+            seed=29,
+            trials_per_point=100,
+        )
+        logs = []
+        for n_threads in self.THREADS:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+                with pytest.raises(PointAborted) as aborted:
+                    run(config, n_threads=n_threads)
+            assert aborted.value.snr_db == 10.0
+            logs.append([r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"])
+        assert [line.split(" dB")[0] for line in logs[0]] == ["snr=6", "snr=8"]
+        assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+TIMING_LINE = re.compile(
+    r"(run|run_fd): (\d+) thread\(s\); link build ([\d.]+) s, sweep ([\d.]+) s "
+    r"\(summed over tasks: blocks ([\d.]+) s, analytic columns ([\d.]+) s\)"
+)
+
+
+class TestTimingLog:
+    def timing_lines(self, caplog, fn, *args, **kwargs):
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            fn(*args, **kwargs)
+        return [r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate.timing"]
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_run_logs_one_line(self, caplog, n_threads):
+        lines = self.timing_lines(caplog, run, small_config(), n_threads=n_threads)
+        assert len(lines) == 1
+        match = TIMING_LINE.fullmatch(lines[0])
+        assert match and match[1] == "run" and int(match[2]) == n_threads
+        link_s, sweep_s, blocks_s, analytic_s = map(float, match.groups()[2:])
+        assert blocks_s > 0 and link_s >= 0 and analytic_s >= 0
+        if n_threads == 1:
+            # One thread runs every task inside the sweep.
+            assert sweep_s >= blocks_s + analytic_s - 0.002
+
+    def test_run_fd_logs_one_line(self, caplog):
+        config = FdConfig(
+            channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=50, channels_per_point=5
+        )
+        lines = self.timing_lines(caplog, run_fd, config)
+        assert len(lines) == 1
+        match = TIMING_LINE.fullmatch(lines[0])
+        assert match and match[1] == "run_fd" and match[2] == "1"
 
 
 class TestSelectionModes:

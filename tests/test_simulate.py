@@ -79,6 +79,34 @@ class TestErrorCounting:
         bers = [p.ber_total for p in report.points]
         assert all(a >= b for a, b in zip(bers, bers[1:]))
 
+    @pytest.mark.parametrize(
+        "config_path,golden_name,grid",
+        [
+            ("presets/fig3.cfg", "fig3_ber", (0.0, 2.0)),
+            ("bench/configs/mc_estimated.cfg", "mc_estimated", (6.0,)),
+        ],
+        ids=["fig3", "mc_estimated"],
+    )
+    def test_rsm_benchmark_prefix_matches_golden(self, config_path, golden_name, grid):
+        # Links and block streams are keyed by index, so a prefix of the
+        # grid reproduces the Monte Carlo columns of the committed rows.
+        from rsmsim.cli import _fmt, load_config
+
+        root = Path(__file__).resolve().parent.parent
+        config = load_config(root / config_path)
+        assert config.seed == 1
+        config = dataclasses.replace(config, snr_grid_db=grid)
+        lines = (root / "bench" / "golden" / f"{golden_name}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        points = run(config).points
+        assert len(points) == len(grid)
+        for point, line in zip(points, lines[1:]):
+            golden = dict(zip(header, line.split(",")))
+            assert float(golden["snr_db"]) == point.snr_db
+            assert _fmt(point.ber_total) == golden["ber_total"]
+            assert _fmt(point.ber_spatial) == golden["ber_spatial"]
+            assert _fmt(point.ber_modulation) == golden["ber_mod"]
+
 
 class TestAnalyticCrossOracle:
     def test_simulated_abep_matches_analysis_at_high_snr(self):

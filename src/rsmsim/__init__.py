@@ -29,12 +29,10 @@ from .phy import (
     UnsupportedOrder,
     build_constellation,
     combine_and_detect_modulation,
-    decode,
     detect_spatial,
-    encode,
     joint_ml_detect,
     nearest_point,
-    receive_amplitudes,
+    spatial_bits,
     threshold,
     transmit,
 )
@@ -52,10 +50,7 @@ from .training import (
     DegenerateSample,
     PilotObservation,
     SingularFisher,
-    ThresholdEstimate,
     estimate_amplitude,
-    estimate_noise,
-    estimate_threshold,
     threshold_estimate_stats,
 )
 
@@ -81,7 +76,6 @@ __all__ = [
     "SingularFisher",
     "SnrPoint",
     "SvdLink",
-    "ThresholdEstimate",
     "ThresholdSpec",
     "TooManySubsets",
     "UnsupportedOrder",
@@ -90,13 +84,9 @@ __all__ = [
     "build_constellation",
     "combine_and_detect_modulation",
     "constellation_bep",
-    "decode",
     "detect_spatial",
     "draw_channel",
-    "encode",
     "estimate_amplitude",
-    "estimate_noise",
-    "estimate_threshold",
     "fd_ber",
     "joint_ml_detect",
     "modulation_error_prob",
@@ -104,11 +94,11 @@ __all__ = [
     "power_fd",
     "power_proposed",
     "power_ratio",
-    "receive_amplitudes",
     "run",
     "run_fd",
     "sector_gain",
     "select_antennas",
+    "spatial_bits",
     "spatial_error_probs_estimated",
     "spatial_error_probs_perfect",
     "svd_link",

@@ -20,10 +20,8 @@ is cached.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +32,6 @@ __all__ = [
     "sector_gain",
     "in_sector_fraction",
     "draw_channel",
-    "save_realization",
-    "load_realization",
 ]
 
 # Entropy constant for the calibration pre-pass; independent of user seeds
@@ -201,30 +197,3 @@ def draw_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelReal
         gain_scale=gain_scale,
     )
 
-
-def save_realization(realization: ChannelRealization, path: str | Path) -> None:
-    """Dump a realization to JSON (complex arrays stored as re/im pairs)."""
-    payload = {
-        "matrix_re": realization.matrix.real.tolist(),
-        "matrix_im": realization.matrix.imag.tolist(),
-        "cluster_means": realization.cluster_means.tolist(),
-        "ray_angles": realization.ray_angles.tolist(),
-        "ray_gains_re": realization.ray_gains.real.tolist(),
-        "ray_gains_im": realization.ray_gains.imag.tolist(),
-        "gain_scale": realization.gain_scale,
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_realization(path: str | Path) -> ChannelRealization:
-    """Inverse of :func:`save_realization`."""
-    payload = json.loads(Path(path).read_text())
-    matrix = np.array(payload["matrix_re"]) + 1j * np.array(payload["matrix_im"])
-    gains = np.array(payload["ray_gains_re"]) + 1j * np.array(payload["ray_gains_im"])
-    return ChannelRealization(
-        matrix=matrix,
-        cluster_means=np.array(payload["cluster_means"]),
-        ray_angles=np.array(payload["ray_angles"]),
-        ray_gains=gains,
-        gain_scale=float(payload["gain_scale"]),
-    )

@@ -109,23 +109,16 @@ def select_antennas(
     h: np.ndarray,
     n_active: int,
     max_subsets: int = MAX_SUBSETS,
-    method: str = "exhaustive",
 ) -> AntennaSelection:
     """Pick the antenna subset maximizing the received power factor.
 
-    ``method="exhaustive"`` enumerates every subset (ties broken toward
-    the lexicographically smallest index tuple). ``method="greedy"``
-    drops one antenna at a time, keeping the drop that hurts alpha
-    least; it is a fast heuristic and carries no optimality guarantee.
+    Every subset is enumerated; ties break toward the lexicographically
+    smallest index tuple.
     """
     h = np.asarray(h)
     n_rx = h.shape[0]
     if n_active > n_rx:
         raise ValueError(f"n_active={n_active} exceeds n_rx={n_rx}")
-    if method == "greedy":
-        return _select_greedy(h, n_active)
-    if method != "exhaustive":
-        raise ValueError(f"unknown selection method {method!r}")
     n_subsets = math.comb(n_rx, n_active)
     if n_subsets > max_subsets:
         raise TooManySubsets(
@@ -147,17 +140,3 @@ def select_antennas(
         active_indices=indices, alpha=float(alphas[best]), h_active=h[list(indices)]
     )
 
-
-def _select_greedy(h: np.ndarray, n_active: int) -> AntennaSelection:
-    remaining = list(range(h.shape[0]))
-    while len(remaining) > n_active:
-        best_alpha, best_drop = -np.inf, None
-        for drop in remaining:
-            kept = [i for i in remaining if i != drop]
-            _, _, alpha = _gram_alpha(h[kept])
-            if alpha > best_alpha:
-                best_alpha, best_drop = alpha, drop
-        if best_drop is None or best_alpha == -np.inf:
-            raise SingularChannel("greedy selection found only singular subsets")
-        remaining.remove(best_drop)
-    return selection_for_indices(h, tuple(remaining))

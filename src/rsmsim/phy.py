@@ -1,15 +1,16 @@
 """RSM transceiver primitives.
 
-Covers constellation construction with Gray bit labeling, spatial/
-modulation encoding of a data word, zero-forcing transmit-vector
-construction, per-antenna envelope measurement, the three amplitude
-threshold designs (exact, moderate-SNR, high-SNR), per-antenna and
-joint-ML spatial detection, batch minimum-distance symbol detection,
-switch-and-combine modulation-symbol detection, and the complex noise
-draw shared by every Monte Carlo path.
+Covers constellation construction with Gray bit labeling, the three
+amplitude threshold designs (exact, moderate-SNR, high-SNR), and the
+transceiver chain in batch form: spatial words to bit matrices,
+transmit rows, per-antenna and joint-ML spatial detection,
+minimum-distance symbol detection, switch-and-combine modulation
+detection, and the complex noise draw shared by every Monte Carlo path.
+Every step of the chain takes (trials, n_active) arrays, one row per
+data word.
 
 Conventions: complex noise samples carry total variance sigma2 (half
-per real component); a spatial word is a 0/1 vector over the active
+per real component); a spatial word is a bool row over the active
 antennas, never all-zero on the transmit side; thresholds are designed
 for the minimum constellation symbol power ``beta * alpha_p``.
 """
@@ -20,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
-from .mimo import Precoder
 from .specfun import lambert_w_minus1_from_log, log_bessel_i0
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
     "ThresholdSpec",
     "THRESHOLD_MODES",
     "build_constellation",
-    "encode",
-    "decode",
+    "spatial_bits",
     "transmit",
-    "receive_amplitudes",
     "threshold",
     "detect_spatial",
     "joint_ml_detect",
@@ -89,7 +87,6 @@ class Constellation:
     points: np.ndarray
     labels: np.ndarray
     ring_ratio: float | None = None
-    _index_of_label: np.ndarray = field(init=False, repr=False, default=None)
     _qam_step: float | None = field(init=False, repr=False, compare=False, default=None)
     _psk_layout: bool = field(init=False, repr=False, compare=False, default=False)
 
@@ -99,9 +96,6 @@ class Constellation:
             raise ValueError(f"average symbol power must be 1, got {mean_power!r}")
         if sorted(self.labels.tolist()) != list(range(self.order)):
             raise ValueError("labels must be a bijection onto 0..order-1")
-        inverse = np.empty(self.order, dtype=np.int64)
-        inverse[self.labels] = np.arange(self.order)
-        object.__setattr__(self, "_index_of_label", inverse)
         object.__setattr__(self, "_qam_step", _square_grid_step(self.kind, self.points))
         object.__setattr__(
             self,
@@ -124,10 +118,6 @@ class Constellation:
         k = self.bits_per_symbol
         shifts = np.arange(k - 1, -1, -1)
         return (self.labels[:, None] >> shifts) & 1
-
-    def index_of_label(self, label: int) -> int:
-        """Point index carrying the given bit pattern."""
-        return int(self._index_of_label[label])
 
 
 def _square_grid_step(kind: str, points: np.ndarray) -> float | None:
@@ -221,51 +211,30 @@ def build_constellation(
     )
 
 
-def encode(bits: np.ndarray, constellation: Constellation) -> tuple[np.ndarray, int]:
-    """Split a data word into (spatial bits, symbol index).
+def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
+    """(trials, n_active) bool matrix of integer spatial words.
 
-    The leading bits select which active antennas are energized (the
-    all-zero pattern is rejected); the trailing ``bits_per_symbol`` bits
-    pick the modulation symbol through the constellation labeling.
+    Antenna k carries bit k of its word. Raises
+    :class:`IllegalSpatialWord` unless every word lies in [1, 2^n_active):
+    the all-zero word cannot be transmitted.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    k = constellation.bits_per_symbol
-    if bits.size <= k:
-        raise ValueError("data word too short for this constellation")
-    spatial = bits[: bits.size - k]
-    if not spatial.any():
-        raise IllegalSpatialWord("all-zero spatial word is not allowed")
-    label = 0
-    for b in bits[bits.size - k :]:
-        label = (label << 1) | int(b)
-    return spatial.copy(), constellation.index_of_label(label)
-
-
-def decode(
-    spatial: np.ndarray, symbol_index: int, constellation: Constellation
-) -> np.ndarray:
-    """Inverse of :func:`encode` for a detected (spatial, symbol) pair."""
-    k = constellation.bits_per_symbol
-    label = int(constellation.labels[symbol_index])
-    label_bits = [(label >> (k - 1 - i)) & 1 for i in range(k)]
-    return np.concatenate([np.asarray(spatial, dtype=np.int64), label_bits])
+    words = np.asarray(words)
+    if words.size and (words.min() < 1 or words.max() >> n_active):
+        raise IllegalSpatialWord(f"spatial words must lie in [1, {1 << n_active})")
+    return ((words[:, None] >> np.arange(n_active)) & 1).astype(bool)
 
 
 def transmit(
-    precoder: Precoder, spatial: np.ndarray, symbol: complex, power: float
+    matrix: np.ndarray, spatial: np.ndarray, symbols: np.ndarray, amplitude: float
 ) -> np.ndarray:
-    """Transmit vector sqrt(alpha * power) * B @ spatial * symbol."""
-    spatial = np.asarray(spatial, dtype=float)
-    if spatial.shape[0] != precoder.matrix_b.shape[1]:
-        raise ValueError("spatial word length must match precoder width")
-    if not spatial.any():
-        raise IllegalSpatialWord("all-zero spatial word is not allowed")
-    return math.sqrt(precoder.alpha * power) * (precoder.matrix_b @ (spatial * symbol))
+    """One row ``amplitude * matrix @ (spatial[t] * symbols[t])`` per word t.
 
-
-def receive_amplitudes(y_active: np.ndarray) -> np.ndarray:
-    """Envelope per active antenna (what the amplitude detectors output)."""
-    return np.abs(np.asarray(y_active))
+    ``spatial`` is (trials, n_active) and ``symbols`` (trials,). With the
+    ZF precoder ``B`` and ``amplitude = sqrt(alpha * P)`` the rows are
+    transmit vectors; with the effective channel ``H_a @ B`` they are the
+    noiseless received samples.
+    """
+    return amplitude * (spatial * symbols[:, None]) @ matrix.T
 
 
 @dataclass(frozen=True)
@@ -340,42 +309,36 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> Th
     return ThresholdSpec(mode=mode, gamma=gamma, alpha_p=alpha_p, sigma2=sigma2, beta=beta)
 
 
-def detect_spatial(amplitudes: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
-    """Per-antenna one-bit decision: 1 where the envelope exceeds gamma.
+def detect_spatial(envelopes: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-antenna one-bit decision: True where the envelope exceeds gamma.
 
-    The all-zero output is possible and handled by the combiner.
+    A row with no flag is possible and handled by the combiner.
     """
-    return (np.asarray(amplitudes) > spec.gamma).astype(np.int64)
+    return envelopes > gamma
 
 
-def joint_ml_detect(
-    amplitudes: np.ndarray, alpha_p: float, sigma2: float
-) -> np.ndarray:
+def _candidate_words(n_active: int) -> np.ndarray:
+    """(n_active, 2^n_active) 0/1 columns, fewer ones first, then by value."""
+    words = sorted(range(1 << n_active), key=lambda w: (w.bit_count(), w))
+    return ((np.array(words) >> np.arange(n_active)[:, None]) & 1).astype(float)
+
+
+def joint_ml_detect(envelopes: np.ndarray, alpha_p: float, sigma2: float) -> np.ndarray:
     """Exhaustive joint-ML spatial detection over all candidate words.
 
-    Scores every 0/1 word (including all-zero) under the product
-    Rice/Rayleigh likelihood of the envelopes; exponential in the number
-    of active antennas, so intended as a reference detector for small
-    arrays. Ties resolve toward the word with fewer ones, then
-    lexicographically.
+    Scores every 0/1 word (the all-zero one included) of each row of the
+    (trials, n_active) envelopes under the product Rice/Rayleigh
+    likelihood, as one product with the candidate matrix; exponential in
+    the number of active antennas, so intended as a reference detector
+    for small arrays. Ties resolve toward the word with fewer ones, then
+    toward the smaller word (antenna k at bit k).
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    n = amplitudes.size
+    u = 2.0 * envelopes * math.sqrt(alpha_p) / sigma2
     # Per-antenna log-likelihood gain of deciding "on" versus "off".
-    gain = np.array(
-        [
-            log_bessel_i0(2.0 * a * math.sqrt(alpha_p) / sigma2) - alpha_p / sigma2
-            for a in amplitudes
-        ]
-    )
-    candidates = sorted(range(1 << n), key=lambda w: (bin(w).count("1"), w))
-    best_word, best_score = 0, -math.inf
-    for word in candidates:
-        bits = [(word >> k) & 1 for k in range(n)]
-        score = float(np.dot(bits, gain))
-        if score > best_score:
-            best_word, best_score = word, score
-    return np.array([(best_word >> k) & 1 for k in range(n)], dtype=np.int64)
+    gain = u + np.log(special.i0e(u)) - alpha_p / sigma2
+    candidates = _candidate_words(envelopes.shape[1])
+    best = np.argmax(gain @ candidates, axis=1)
+    return candidates.T[best].astype(bool)
 
 
 def _nearest_by_search(y: np.ndarray, scale: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -471,29 +434,21 @@ def nearest_point(
 
 
 def combine_and_detect_modulation(
-    y_active: np.ndarray,
-    s_hat: np.ndarray,
-    alpha_p: float,
-    constellation: Constellation,
-) -> tuple[int, np.ndarray]:
-    """Combine the branches flagged active and detect the symbol.
+    y: np.ndarray, s_hat: np.ndarray, alpha_p: float, constellation: Constellation
+) -> np.ndarray:
+    """Combine the branches flagged active and detect the symbol, per row.
 
-    The receiver sums the flagged branch outputs and compares against
+    ``y`` and the bool flags ``s_hat`` are (trials, n_active). The
+    receiver sums the flagged branch outputs and compares against
     sqrt(alpha_p) times its own count of combined branches (it cannot
-    know how many were truly energized). An all-zero flag vector yields
-    the fixed erasure fallback, symbol index 0.
+    know how many were truly energized). A row with no flag yields the
+    fixed erasure fallback, symbol index 0. Returns the symbol indices;
+    ``constellation.label_bits`` maps them to bits.
     """
-    s_hat = np.asarray(s_hat)
-    n_combined = int(s_hat.sum())
-    if n_combined == 0:
-        index = 0
-    else:
-        y_c = complex(np.sum(np.asarray(y_active)[s_hat == 1]))
-        index = int(nearest_point(y_c, math.sqrt(alpha_p) * n_combined, constellation))
-    k = constellation.bits_per_symbol
-    label = int(constellation.labels[index])
-    bits = np.array([(label >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int64)
-    return index, bits
+    n_hat = s_hat.sum(axis=1)
+    j_hat = nearest_point((y * s_hat).sum(axis=1), math.sqrt(alpha_p) * n_hat, constellation)
+    j_hat[n_hat == 0] = 0
+    return j_hat
 
 
 def add_complex_noise(

@@ -36,8 +36,11 @@ from .phy import (
     Constellation,
     add_complex_noise,
     build_constellation,
-    nearest_point,
+    combine_and_detect_modulation,
+    detect_spatial,
+    spatial_bits,
     threshold,
+    transmit,
 )
 from .training import DegenerateSample, PilotObservation, estimate_amplitude
 
@@ -261,28 +264,16 @@ def _run_block(
 
     rng = np.random.default_rng([config.seed, _TAG_DATA, snr_idx, link.index])
     n_a = config.n_active
-    sent = rng.integers(1, 1 << n_a, size=trials)
-    s_bits = ((sent[:, None] >> np.arange(n_a)) & 1).astype(float)
+    sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
     js = rng.integers(0, constellation.order, size=trials)
-    symbols = constellation.points[js]
-    y = add_complex_noise(
-        math.sqrt(alpha_p) * (s_bits * symbols[:, None]) @ link.effective.T, sigma2, rng
-    )
-
-    s_hat = (np.abs(y) > gamma).astype(np.int64)
-    detected = (s_hat << np.arange(n_a)).sum(axis=1)
-    spatial_errors = int(np.bitwise_count(sent ^ detected).sum())
-
-    n_hat = s_hat.sum(axis=1)
-    y_c = (y * s_hat).sum(axis=1)
-    j_hat = nearest_point(y_c, math.sqrt(alpha_p) * n_hat, constellation)
-    j_hat[n_hat == 0] = 0
-    modulation_errors = int(
-        np.bitwise_count(constellation.labels[js] ^ constellation.labels[j_hat]).sum()
-    )
+    clean = transmit(link.effective, sent, constellation.points[js], math.sqrt(alpha_p))
+    y = add_complex_noise(clean, sigma2, rng)
+    s_hat = detect_spatial(np.abs(y), gamma)
+    j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
+    labels = constellation.labels
     return _BlockCounts(
-        spatial_errors=spatial_errors,
-        modulation_errors=modulation_errors,
+        spatial_errors=int(np.count_nonzero(sent != s_hat)),
+        modulation_errors=int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum()),
         words=trials,
     )
 

@@ -1,7 +1,7 @@
 """Special-function kernel shared by the analytical modules.
 
 Everything in here is a pure function of its arguments: modified Bessel
-I0/I1 (linear and log domain), the first-order Marcum Q function, the
+I0 (linear and log domain), the first-order Marcum Q function, the
 lower real branch of the Lambert W function, the Gaussian tail function,
 Rice envelope moments, and the CDFs of the non-central and doubly
 non-central t distributions.
@@ -21,17 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
     "DomainError",
     "bessel_i0",
-    "bessel_i1",
     "log_bessel_i0",
     "gaussian_q",
     "marcum_q1",
@@ -45,33 +41,13 @@ __all__ = [
 #: largest-magnitude negative argument of the Lambert W real branches, -1/e
 _BRANCH_POINT = -math.exp(-1.0)
 
+#: :func:`lambert_w_minus1` raises when |w e^w - x| exceeds the larger of these
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+
 
 class DomainError(ValueError):
     """Argument lies outside the mathematical domain of a kernel."""
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Absolute/relative tolerance pair for the iterative kernels.
-
-    At least one of the two tolerances must be strictly positive.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("at least one tolerance must be strictly positive")
-
-    def met(self, error: float, scale: float) -> bool:
-        """True if ``error`` is within tolerance for a quantity of size ``scale``."""
-        return abs(error) <= max(self.abs_tol, self.rel_tol * abs(scale))
-
-
-DEFAULT_ACCURACY = Accuracy()
 
 
 def bessel_i0(x: float) -> float:
@@ -85,15 +61,6 @@ def bessel_i0(x: float) -> float:
     if not (x >= 0) or math.isinf(x):
         raise DomainError(f"bessel_i0 requires finite x >= 0, got {x!r}")
     return float(special.i0e(x)) * math.exp(x) if x < 700 else math.exp(log_bessel_i0(x))
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order one."""
-    if not (x >= 0) or math.isinf(x):
-        raise DomainError(f"bessel_i1 requires finite x >= 0, got {x!r}")
-    return float(special.i1e(x)) * math.exp(x) if x < 700 else float(
-        special.i1e(x)
-    ) * math.exp(x - 700.0) * math.exp(700.0)
 
 
 def log_bessel_i0(x: float) -> float:
@@ -152,7 +119,7 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     return _shaped(np.clip(q, 0.0, 1.0), shape)
 
 
-def lambert_w_minus1(x: float, accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
+def lambert_w_minus1(x: float) -> float:
     """Lower real branch W_{-1}(x) of the Lambert W function.
 
     Solves w * exp(w) = x for the branch with w <= -1; defined for
@@ -172,7 +139,7 @@ def lambert_w_minus1(x: float, accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
         f = math.log(-w) + w - math.log(-x)
         w -= f / (1.0 + 1.0 / w)
     residual = w * math.exp(w) - x
-    if not accuracy.met(residual, x):
+    if not abs(residual) <= max(_ABS_TOL, _REL_TOL * abs(x)):
         raise ArithmeticError(
             f"lambert_w_minus1 failed to converge at x={x!r} (residual {residual:.3e})"
         )
@@ -185,7 +152,7 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
     Requires log_neg_x <= -1 (i.e. x in [-1/e, 0)). For representable
     arguments this defers to :func:`lambert_w_minus1`; deep in the tail
     it switches to the standard two-log asymptotic expansion, whose
-    truncation error is far below the default tolerances there.
+    truncation error is far below the residual tolerance there.
     """
     if not log_neg_x <= -1.0:
         raise DomainError(

@@ -1,5 +1,5 @@
-"""Downlink pilot phase: ML estimation of the received amplitude and
-noise level from envelope samples, and the resulting threshold estimate.
+"""Downlink pilot phase: ML estimation of the received amplitude from
+envelope samples, and the statistics of the resulting threshold estimate.
 
 During training every active antenna is energized, so each of the
 N = n_pilots * n_active envelope samples is Rice distributed around the
@@ -24,10 +24,7 @@ __all__ = [
     "DegenerateSample",
     "SingularFisher",
     "PilotObservation",
-    "ThresholdEstimate",
     "estimate_amplitude",
-    "estimate_noise",
-    "estimate_threshold",
     "fisher_information",
     "threshold_estimate_stats",
 ]
@@ -74,27 +71,6 @@ class PilotObservation:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
-    """Estimated detection threshold with its asymptotic statistics.
-
-    ``mean`` and ``variance`` are the plug-in Fisher predictions for the
-    threshold estimator evaluated at the estimated parameters.
-    """
-
-    gamma_hat: float
-    theta_hat: float
-    sigma2_hat: float
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not math.isclose(self.gamma_hat, 0.5 * self.theta_hat, rel_tol=1e-12):
-            raise ValueError("gamma_hat must be half of theta_hat")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-
-
 def estimate_amplitude(obs: PilotObservation) -> float:
     """Closed-form joint-ML estimate of the received pilot amplitude.
 
@@ -108,12 +84,6 @@ def estimate_amplitude(obs: PilotObservation) -> float:
     if radicand < 0.0:
         raise DegenerateSample(radicand)
     return (2.0 / 3.0) * mean + (1.0 / 3.0) * math.sqrt(radicand)
-
-
-def estimate_noise(obs: PilotObservation, theta_hat: float) -> float:
-    """ML noise-variance estimate (2/N) * sum (a - theta)^2."""
-    a = obs.amplitudes
-    return 2.0 * float(np.mean((a - theta_hat) ** 2))
 
 
 def fisher_information(theta: float, sigma2: float, n_samples: int) -> np.ndarray:
@@ -155,18 +125,3 @@ def threshold_estimate_stats(
     var_theta = info[1, 1] / det
     return 0.5 * theta, 0.25 * var_theta
 
-
-def estimate_threshold(obs: PilotObservation) -> ThresholdEstimate:
-    """Full pilot-phase output: threshold estimate plus plug-in statistics."""
-    theta_hat = estimate_amplitude(obs)
-    sigma2_hat = estimate_noise(obs, theta_hat)
-    mean, variance = threshold_estimate_stats(
-        theta_hat * theta_hat, sigma2_hat, obs.n_samples
-    )
-    return ThresholdEstimate(
-        gamma_hat=0.5 * theta_hat,
-        theta_hat=theta_hat,
-        sigma2_hat=sigma2_hat,
-        mean=mean,
-        variance=variance,
-    )

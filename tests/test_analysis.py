@@ -16,7 +16,12 @@ from rsmsim.analysis import (
     spatial_error_probs_estimated,
     spatial_error_probs_perfect,
 )
-from rsmsim.phy import build_constellation, threshold
+from rsmsim.phy import (
+    build_constellation,
+    combine_and_detect_modulation,
+    detect_spatial,
+    threshold,
+)
 from rsmsim.training import SingularFisher, threshold_estimate_stats
 
 CONSTELLATIONS = {
@@ -297,12 +302,8 @@ class TestModulationErrorProb:
             rng.standard_normal((n, n_active)) + 1j * rng.standard_normal((n, n_active))
         )
         y = math.sqrt(alpha_p) * s_bits * c.points[js][:, None] + noise
-        s_hat = (np.abs(y) > gamma).astype(int)
-        n_hat = s_hat.sum(axis=1)
-        y_c = (y * s_hat).sum(axis=1)
-        dists = np.abs(y_c[:, None] - math.sqrt(alpha_p) * n_hat[:, None] * c.points[None, :])
-        j_hat = np.argmin(dists, axis=1)
-        j_hat[n_hat == 0] = 0
+        s_hat = detect_spatial(np.abs(y), gamma)
+        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)
         mc = float(np.bitwise_count(c.labels[js] ^ c.labels[j_hat]).sum()) / (n * 4)
         band = 3 * math.sqrt(formula * (1 - formula) / (n * 4))
         assert abs(formula - mc) <= band

@@ -11,8 +11,6 @@ from rsmsim.channel import (
     array_response,
     draw_channel,
     in_sector_fraction,
-    load_realization,
-    save_realization,
     sector_gain,
 )
 
@@ -193,15 +191,6 @@ class TestDrawChannel:
     def test_calibration_fraction_sane(self):
         frac = in_sector_fraction(DEFAULT)
         assert 0.9 < frac <= 1.0  # 1-degree spread rarely leaves a 50-degree sector
-
-    def test_roundtrip_serialization(self, tmp_path):
-        real = draw_channel(DEFAULT, np.random.default_rng(1))
-        path = tmp_path / "chan.json"
-        save_realization(real, path)
-        back = load_realization(path)
-        np.testing.assert_allclose(back.matrix, real.matrix, atol=1e-15)
-        np.testing.assert_allclose(back.ray_gains, real.ray_gains, atol=1e-15)
-        assert back.gain_scale == pytest.approx(real.gain_scale)
 
 
 class TestChannelParamsValidation:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rsmsim.mimo import (
-    AntennaSelection,
     SingularChannel,
     TooManySubsets,
     select_antennas,
@@ -116,14 +115,6 @@ class TestSelectAntennas:
         # Two identical best singletons: index 0 must win.
         h = np.diag([2.0, 2.0, 1.0]).astype(complex)
         assert select_antennas(h, 1).active_indices == (0,)
-
-    def test_greedy_runs_and_returns_valid_subset(self):
-        h = random_channel(8, 16, seed=9)
-        sel = select_antennas(h, 4, method="greedy")
-        assert isinstance(sel, AntennaSelection)
-        assert len(sel.active_indices) == 4
-        exhaustive = select_antennas(h, 4)
-        assert sel.alpha <= exhaustive.alpha + 1e-12
 
     def test_selection_for_indices(self):
         h = random_channel(5, 10, seed=10)

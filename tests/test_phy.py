@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rsmsim.mimo import zf_precoder
+from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
     IllegalSpatialWord,
     add_complex_noise,
     UnsupportedOrder,
     build_constellation,
     combine_and_detect_modulation,
-    decode,
     detect_spatial,
-    encode,
     exact_threshold_residual,
     joint_ml_detect,
     nearest_point,
-    receive_amplitudes,
+    spatial_bits,
     threshold,
     transmit,
 )
+from rsmsim.specfun import log_bessel_i0
 
 
 def random_channel(n_rx, n_tx, seed):
@@ -41,8 +40,8 @@ class TestConstellations:
         c = build_constellation(kind, order, ring)
         assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert sorted(c.labels.tolist()) == list(range(order))
-        for label in range(order):
-            assert c.labels[c.index_of_label(label)] == label
+        weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+        np.testing.assert_array_equal(c.label_bits @ weights, c.labels)
 
     def test_psk_beta_is_one(self):
         c = build_constellation("psk", 16)
@@ -91,50 +90,54 @@ class TestConstellations:
 
 
 class TestEncodeDecode:
+    """Data words to spatial rows and symbols, and detected symbols to bits."""
+
     def test_direct_mapping(self):
+        # Spatial word 0b01 energizes antenna 0 only; label 0b11 reads MSB first.
         c = build_constellation("psk", 4)
-        spatial, j = encode(np.array([1, 0, 1, 1]), c)
-        np.testing.assert_array_equal(spatial, [1, 0])
-        assert c.labels[j] == 0b11
+        np.testing.assert_array_equal(spatial_bits(np.array([0b01]), 2), [[True, False]])
+        j = int(np.flatnonzero(c.labels == 0b11)[0])
+        np.testing.assert_array_equal(c.label_bits[j], [1, 1])
 
     def test_training_word_is_all_ones(self):
-        c = build_constellation("psk", 4)
-        spatial, _ = encode(np.array([1, 1, 1, 1, 0, 0]), c)
-        np.testing.assert_array_equal(spatial, [1, 1, 1, 1])
+        np.testing.assert_array_equal(spatial_bits(np.array([0b1111]), 4), np.ones((1, 4), bool))
 
     def test_all_zero_spatial_rejected(self):
-        c = build_constellation("psk", 4)
-        with pytest.raises(IllegalSpatialWord):
-            encode(np.array([0, 0, 0, 1, 1]), c)
+        for words in ([3, 0, 1], [4], [-1]):
+            with pytest.raises(IllegalSpatialWord):
+                spatial_bits(np.array(words), 2)
 
     def test_round_trip_exhaustive(self):
-        # Every legal word for 3 spatial bits + QPSK.
+        # Every legal word for 3 spatial bits + QPSK maps to a distinct
+        # 5-bit row, and together they are every row with a spatial bit set.
         c = build_constellation("psk", 4)
-        for word in itertools.product((0, 1), repeat=5):
-            bits = np.array(word)
-            if not bits[:3].any():
-                continue
-            spatial, j = encode(bits, c)
-            np.testing.assert_array_equal(decode(spatial, j, c), bits)
+        words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
+        spatial = spatial_bits(words, 3)
+        np.testing.assert_array_equal(spatial @ (1 << np.arange(3)), words)
+        rows = np.column_stack([spatial, c.label_bits[js]]).astype(int)
+        legal = [w for w in itertools.product((0, 1), repeat=5) if any(w[:3])]
+        assert sorted(map(tuple, rows.tolist())) == sorted(legal)
 
 
 class TestTransmit:
     def test_single_antenna_excitation(self):
         h = random_channel(3, 8, seed=0)
         pre = zf_precoder(h)
-        s = np.array([0, 1, 0])
         x = 0.6 - 0.8j
-        out = transmit(pre, s, x, power=4.0)
+        out = transmit(pre.matrix_b, np.array([[False, True, False]]), np.array([x]), 2.0 * math.sqrt(pre.alpha))
         expected = math.sqrt(pre.alpha * 4.0) * x * pre.matrix_b[:, 1]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected[None, :], atol=1e-12)
 
     def test_zero_forcing_identity_through_channel(self):
         h = random_channel(4, 16, seed=1)
         pre = zf_precoder(h)
-        s = np.array([1, 0, 1, 1])
-        x = complex(np.exp(1j * 0.3))
-        y = h @ transmit(pre, s, x, power=9.0)
-        np.testing.assert_allclose(y, math.sqrt(pre.alpha * 9.0) * s * x, atol=1e-8)
+        s = spatial_bits(np.arange(1, 16), 4)
+        x = np.exp(1j * np.linspace(0.3, 2.0, 15))
+        amplitude = math.sqrt(pre.alpha * 9.0)
+        y = transmit(pre.matrix_b, s, x, amplitude) @ h.T
+        np.testing.assert_allclose(y, amplitude * s * x[:, None], atol=1e-8)
+        # The effective channel H B gives the received rows in one step.
+        np.testing.assert_allclose(transmit(h @ pre.matrix_b, s, x, amplitude), y, atol=1e-12)
 
     def test_average_transmit_power(self):
         # E||x_tx||^2 over random words equals alpha*P*E||B s||^2*E|x|^2.
@@ -143,30 +146,21 @@ class TestTransmit:
         c = build_constellation("psk", 8)
         rng = np.random.default_rng(3)
         power = 2.0
-        total, expected = 0.0, 0.0
-        for _ in range(2000):
-            idx = rng.integers(1, 8)
-            s = np.array([(idx >> k) & 1 for k in range(3)])
-            x = c.points[rng.integers(0, 8)]
-            tx = transmit(pre, s, complex(x), power)
-            total += float(np.sum(np.abs(tx) ** 2))
-            expected += pre.alpha * power * float(
-                np.sum(np.abs(pre.matrix_b @ s) ** 2)
-            ) * abs(x) ** 2
-        assert total == pytest.approx(expected, rel=1e-9)
+        s = spatial_bits(rng.integers(1, 8, 2000), 3)
+        x = c.points[rng.integers(0, 8, 2000)]
+        tx = transmit(pre.matrix_b, s, x, math.sqrt(pre.alpha * power))
+        total = float(np.sum(np.abs(tx) ** 2))
+        per_word = np.sum(np.abs(s @ pre.matrix_b.T) ** 2, axis=1) * np.abs(x) ** 2
+        assert total == pytest.approx(pre.alpha * power * float(per_word.sum()), rel=1e-9)
 
     def test_rejects_all_zero(self):
-        h = random_channel(2, 8, seed=4)
-        pre = zf_precoder(h)
+        # The transmit side builds its spatial rows with spatial_bits, which
+        # refuses the all-zero word before any row reaches transmit.
         with pytest.raises(IllegalSpatialWord):
-            transmit(pre, np.array([0, 0]), 1.0 + 0j, power=1.0)
+            spatial_bits(np.zeros(5, dtype=np.int64), 2)
 
 
 class TestReceiveAmplitudes:
-    def test_trivial_values(self):
-        np.testing.assert_array_equal(receive_amplitudes(np.zeros(3)), np.zeros(3))
-        np.testing.assert_allclose(receive_amplitudes(np.array([3 + 4j])), [5.0])
-
     def test_rice_and_rayleigh_conformance(self):
         # Envelope of signal+noise (noise total variance sigma2) follows the
         # Rice law on energized branches and Rayleigh on silent ones.
@@ -174,12 +168,10 @@ class TestReceiveAmplitudes:
         alpha_p, sigma2 = 6.0, 1.3
         n = 10**6
         sig_c = math.sqrt(sigma2 / 2.0)
-        noise = sig_c * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        a_on = receive_amplitudes(math.sqrt(alpha_p) + noise)
+        a_on = np.abs(add_complex_noise(np.full(n, math.sqrt(alpha_p), complex), sigma2, rng))
         stat_on = stats.kstest(a_on, lambda x: stats.rice.cdf(x, b=math.sqrt(alpha_p) / sig_c, scale=sig_c))
         assert stat_on.pvalue > 1e-3
-        noise2 = sig_c * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        a_off = receive_amplitudes(noise2)
+        a_off = np.abs(add_complex_noise(np.zeros(n, complex), sigma2, rng))
         stat_off = stats.kstest(a_off, lambda x: stats.rayleigh.cdf(x, scale=sig_c))
         assert stat_off.pvalue > 1e-3
 
@@ -250,17 +242,42 @@ class TestThreshold:
             threshold("nope", alpha_p=1.0, sigma2=1.0)
 
 
+def joint_ml_oracle(envelopes, alpha_p, sigma2):
+    """Slow joint-ML reference for one row of envelopes.
+
+    Enumerates every 0/1 word in the documented tie order (fewer ones
+    first, then the smaller word with antenna k at bit k) and keeps the
+    first strictly better one. A word scores the Rice log-likelihood of
+    its energized antennas plus the Rayleigh log-likelihood of the rest;
+    the Rayleigh factor 2a/sigma2 exp(-a^2/sigma2) is common to both
+    laws and to every word, so each energized antenna adds
+    log I0(2 a sqrt(alpha_p) / sigma2) - alpha_p / sigma2.
+    """
+    n = len(envelopes)
+    gain = [
+        log_bessel_i0(2.0 * float(a) * math.sqrt(alpha_p) / sigma2) - alpha_p / sigma2
+        for a in envelopes
+    ]
+    words = sorted(itertools.product((0, 1), repeat=n), key=lambda w: (sum(w), w[::-1]))
+    best, best_score = None, -math.inf
+    for word in words:
+        score = sum(g for g, on in zip(gain, word) if on)
+        if score > best_score:
+            best, best_score = word, score
+    return np.array(best, dtype=bool)
+
+
 class TestSpatialDetection:
     def test_all_above_threshold(self):
         spec = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.full(4, 10.0), spec), np.ones(4, dtype=int)
+            detect_spatial(np.full((1, 4), 10.0), spec.gamma), np.ones((1, 4), bool)
         )
 
     def test_tie_resolves_to_zero(self):
         spec = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.array([spec.gamma]), spec), [0]
+            detect_spatial(np.array([[spec.gamma]]), spec.gamma), [[False]]
         )
 
     @pytest.mark.parametrize("mode", ["exact", "msa", "hsa"])
@@ -269,45 +286,64 @@ class TestSpatialDetection:
         # the threshold in every design at reasonable SNR.
         alpha_p, sigma2, beta = 40.0, 1.0, 0.2
         spec = threshold(mode, alpha_p, sigma2, beta)
-        amp = math.sqrt(beta * alpha_p)
-        s = np.array([1, 0, 1])
-        a = amp * s.astype(float)
-        np.testing.assert_array_equal(detect_spatial(a, spec), s)
+        s = spatial_bits(np.arange(1, 8), 3)
+        a = math.sqrt(beta * alpha_p) * s
+        np.testing.assert_array_equal(detect_spatial(a, spec.gamma), s)
 
     def test_joint_ml_worked_example(self):
         # One envelope below the exact threshold and one above decides [0, 1].
         alpha_p, sigma2 = 20.0, 1.0
         gamma = threshold("exact", alpha_p, sigma2).gamma
-        out = joint_ml_detect(np.array([0.9 * gamma, 1.1 * gamma]), alpha_p, sigma2)
-        np.testing.assert_array_equal(out, [0, 1])
+        out = joint_ml_detect(np.array([[0.9 * gamma, 1.1 * gamma]]), alpha_p, sigma2)
+        np.testing.assert_array_equal(out, [[False, True]])
 
     def test_joint_ml_can_output_all_zero(self):
         alpha_p, sigma2 = 20.0, 1.0
-        out = joint_ml_detect(np.array([0.01, 0.02]), alpha_p, sigma2)
-        np.testing.assert_array_equal(out, [0, 0])
+        out = joint_ml_detect(np.array([[0.01, 0.02]]), alpha_p, sigma2)
+        np.testing.assert_array_equal(out, [[False, False]])
 
     @pytest.mark.parametrize("n_active", [1, 2, 3, 4])
     def test_equivalence_with_per_antenna(self, n_active):
         # Joint-ML and threshold detection agree off the tie set.
         alpha_p, sigma2 = 12.0, 1.0
-        spec = threshold("exact", alpha_p, sigma2)
+        gamma = threshold("exact", alpha_p, sigma2).gamma
         rng = np.random.default_rng(10 + n_active)
-        for _ in range(10_000):
-            a = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), n_active)
-            np.testing.assert_array_equal(
-                detect_spatial(a, spec), joint_ml_detect(a, alpha_p, sigma2)
-            )
+        a = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), (10_000, n_active))
+        np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
 
     def test_equivalence_on_amplitude_grid(self):
         alpha_p, sigma2 = 10.0, 1.0
-        spec = threshold("exact", alpha_p, sigma2)
+        gamma = threshold("exact", alpha_p, sigma2).gamma
         grid = np.linspace(0.0, 2.0 * math.sqrt(alpha_p), 200)
-        for a1 in grid:
-            amps = np.column_stack([np.full_like(grid, a1), grid])
-            for row in amps[:: 40]:
-                np.testing.assert_array_equal(
-                    detect_spatial(row, spec), joint_ml_detect(row, alpha_p, sigma2)
-                )
+        a = np.stack(np.meshgrid(grid, grid[::40], indexing="ij"), axis=-1).reshape(-1, 2)
+        np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
+
+    @pytest.mark.parametrize("n_active", [1, 2, 3, 4])
+    def test_joint_ml_matches_enumeration_oracle(self, n_active):
+        rng = np.random.default_rng(40 + n_active)
+        for alpha_p, sigma2 in ((12.0, 1.0), (0.7, 2.5), (300.0, 0.8)):
+            a = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), (300, n_active))
+            expected = np.array([joint_ml_oracle(row, alpha_p, sigma2) for row in a])
+            np.testing.assert_array_equal(joint_ml_detect(a, alpha_p, sigma2), expected)
+
+    @pytest.mark.parametrize("n_active", [1, 2, 3, 4])
+    def test_joint_ml_tie_order_on_exact_ties(self, n_active):
+        # At the exact threshold the on/off log-likelihoods are equal to the
+        # last bit, so every such antenna is a tie that resolves to "off";
+        # with alpha_p = 0 the two laws coincide and every word ties.
+        alpha_p, sigma2 = 12.0, 1.0
+        gamma = threshold("exact", alpha_p, sigma2).gamma
+        assert log_bessel_i0(2.0 * gamma * math.sqrt(alpha_p) / sigma2) == alpha_p / sigma2
+        levels = (0.5 * gamma, gamma, 1.5 * gamma)
+        a = np.array(list(itertools.product(levels, repeat=n_active)))
+        expected = np.array([joint_ml_oracle(row, alpha_p, sigma2) for row in a])
+        np.testing.assert_array_equal(expected, a > gamma)
+        np.testing.assert_array_equal(joint_ml_detect(a, alpha_p, sigma2), expected)
+        flat = np.zeros_like(a, dtype=bool)
+        np.testing.assert_array_equal(
+            np.array([joint_ml_oracle(row, 0.0, sigma2) for row in a]), flat
+        )
+        np.testing.assert_array_equal(joint_ml_detect(a, 0.0, sigma2), flat)
 
 
 def full_search(y, scale, c):
@@ -515,21 +551,21 @@ class TestCombineAndDetect:
     def test_noiseless_combining(self):
         c = build_constellation("psk", 16)
         alpha_p = 5.0
-        s = np.array([1, 1, 0, 1])
+        s = np.array([[True, True, False, True]])
         j_true = 11
-        y = math.sqrt(alpha_p) * c.points[j_true] * s.astype(complex)
-        j_hat, bits = combine_and_detect_modulation(y, s, alpha_p, c)
-        assert j_hat == j_true
+        y = math.sqrt(alpha_p) * c.points[j_true] * s
+        j_hat = combine_and_detect_modulation(y, s, alpha_p, c)
+        np.testing.assert_array_equal(j_hat, [j_true])
         label = int(c.labels[j_true])
-        np.testing.assert_array_equal(bits, [(label >> (3 - i)) & 1 for i in range(4)])
+        np.testing.assert_array_equal(c.label_bits[j_hat[0]], [(label >> (3 - i)) & 1 for i in range(4)])
 
     def test_all_zero_flags_fall_back_to_symbol_zero(self):
         c = build_constellation("psk", 16)
-        j_hat, bits = combine_and_detect_modulation(
-            np.array([1.0 + 0j]), np.array([0]), 5.0, c
+        j_hat = combine_and_detect_modulation(
+            np.array([[1.0 + 0j, 0.3j], [2.0, -1.0]]), np.array([[False, False], [True, False]]), 5.0, c
         )
-        assert j_hat == 0
-        assert bits.shape == (4,)
+        assert j_hat[0] == 0 and j_hat[1] == 0
+        assert c.label_bits[j_hat].shape == (2, 4)
 
     def test_combining_snr_matches_bpsk_closed_form(self):
         # With perfect flags on w branches the detector sees SNR w*alpha_p/
@@ -538,17 +574,14 @@ class TestCombineAndDetect:
         c = build_constellation("psk", 2)
         alpha_p, sigma2, w = 1.2, 1.0, 3
         n_trials = 200_000
-        s = np.ones(w, dtype=int)
-        errors = 0
         sig_c = math.sqrt(sigma2 / 2)
         js = rng.integers(0, 2, n_trials)
         noise = sig_c * (
             rng.standard_normal((n_trials, w)) + 1j * rng.standard_normal((n_trials, w))
         )
         y = math.sqrt(alpha_p) * c.points[js][:, None] + noise
-        for t in range(n_trials):
-            j_hat, _ = combine_and_detect_modulation(y[t], s, alpha_p, c)
-            errors += j_hat != js[t]
+        s = np.ones((n_trials, w), dtype=bool)
+        errors = int(np.count_nonzero(combine_and_detect_modulation(y, s, alpha_p, c) != js))
         snr_c = w * alpha_p / sigma2
         p_expected = 0.5 * math.erfc(math.sqrt(snr_c))
         se = math.sqrt(p_expected * (1 - p_expected) / n_trials)
@@ -557,23 +590,19 @@ class TestCombineAndDetect:
 
 class TestNoiselessEndToEnd:
     def test_identity_on_legal_words(self):
+        # Every legal word for 3 spatial bits + QPSK, in one batch.
         h = random_channel(6, 24, seed=12)
-        from rsmsim.mimo import select_antennas
-
         sel = select_antennas(h, 3)
         pre = zf_precoder(sel.h_active)
         c = build_constellation("qam", 4)
         power = 10.0
-        spec = threshold("exact", pre.alpha * power, 1.0, c.beta)
-        for word in itertools.product((0, 1), repeat=5):
-            bits = np.array(word)
-            if not bits[:3].any():
-                continue
-            spatial, j = encode(bits, c)
-            y = sel.h_active @ transmit(pre, spatial, complex(c.points[j]), power)
-            a = receive_amplitudes(y)
-            s_hat = detect_spatial(a, spec)
-            np.testing.assert_array_equal(s_hat, spatial)
-            j_hat, _ = combine_and_detect_modulation(y, s_hat, pre.alpha * power, c)
-            assert j_hat == j
-            np.testing.assert_array_equal(decode(s_hat, j_hat, c), bits)
+        alpha_p = pre.alpha * power
+        spec = threshold("exact", alpha_p, 1.0, c.beta)
+        words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
+        spatial = spatial_bits(words, 3)
+        y = transmit(pre.matrix_b, spatial, c.points[js], math.sqrt(alpha_p)) @ sel.h_active.T
+        s_hat = detect_spatial(np.abs(y), spec.gamma)
+        np.testing.assert_array_equal(s_hat, spatial)
+        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)
+        np.testing.assert_array_equal(j_hat, js)
+        np.testing.assert_array_equal(c.label_bits[j_hat], c.label_bits[js])

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from rsmsim.specfun import (
-    Accuracy,
     DomainError,
     _nct_cdf_fallback,
     bessel_i0,
-    bessel_i1,
     doubly_noncentral_t_cdf,
     gaussian_q,
     lambert_w_minus1,
@@ -31,7 +29,6 @@ from rsmsim.specfun import (
 
 # Quadrature oracle (1/pi) * int_0^pi exp(x cos t) dt
 I0_ORACLE = {0.5: 1.0634833707413234, 2.0: 2.2795853023360673, 10.0: 2815.7166284662544}
-I1_ORACLE = {0.7: 0.3718796777770086, 2.0: 1.590636854637329}
 
 # Adaptive quadrature of the Rice density tail (unit per-component variance)
 MARCUM_ORACLE = {
@@ -95,10 +92,6 @@ class TestBesselI0:
         with pytest.raises(DomainError):
             bessel_i0(-1.0)
 
-    @pytest.mark.parametrize("x,expected", sorted(I1_ORACLE.items()))
-    def test_i1_against_quadrature(self, x, expected):
-        assert bessel_i1(x) == pytest.approx(expected, rel=1e-10)
-
 
 class TestMarcumQ1:
     def test_rayleigh_degenerate(self):
@@ -144,12 +137,11 @@ class TestLambertWMinus1:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
-        acc = Accuracy()
         xs = rng.uniform(-math.exp(-1.0) + 1e-12, -1e-12, size=1000)
         for x in xs:
             w = lambert_w_minus1(float(x))
             assert w <= -1.0 + 1e-12
-            assert acc.met(w * math.exp(w) - x, x)
+            assert abs(w * math.exp(w) - x) <= max(1e-10, 1e-8 * abs(x))
 
 
 class TestNoncentralT:
@@ -360,11 +352,3 @@ class TestGaussianQ:
         assert gaussian_q(0.0) == pytest.approx(0.5, abs=1e-15)
         assert gaussian_q(1.0) == pytest.approx(0.15865525393145707, rel=1e-12)
         assert gaussian_q(-1.0) + gaussian_q(1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-class TestAccuracy:
-    def test_requires_positive_tolerance(self):
-        with pytest.raises(ValueError):
-            Accuracy(abs_tol=0.0, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            Accuracy(abs_tol=-1.0)

@@ -219,7 +219,7 @@ def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
     the all-zero word cannot be transmitted.
     """
     words = np.asarray(words)
-    if words.size and (words.min() < 1 or words.max() >> n_active):
+    if words.min() < 1 or words.max() >> n_active:
         raise IllegalSpatialWord(f"spatial words must lie in [1, {1 << n_active})")
     return ((words[:, None] >> np.arange(n_active)) & 1).astype(bool)
 
@@ -317,12 +317,6 @@ def detect_spatial(envelopes: np.ndarray, gamma: float) -> np.ndarray:
     return envelopes > gamma
 
 
-def _candidate_words(n_active: int) -> np.ndarray:
-    """(n_active, 2^n_active) 0/1 columns, fewer ones first, then by value."""
-    words = sorted(range(1 << n_active), key=lambda w: (w.bit_count(), w))
-    return ((np.array(words) >> np.arange(n_active)[:, None]) & 1).astype(float)
-
-
 def joint_ml_detect(envelopes: np.ndarray, alpha_p: float, sigma2: float) -> np.ndarray:
     """Exhaustive joint-ML spatial detection over all candidate words.
 
@@ -336,7 +330,10 @@ def joint_ml_detect(envelopes: np.ndarray, alpha_p: float, sigma2: float) -> np.
     u = 2.0 * envelopes * math.sqrt(alpha_p) / sigma2
     # Per-antenna log-likelihood gain of deciding "on" versus "off".
     gain = u + np.log(special.i0e(u)) - alpha_p / sigma2
-    candidates = _candidate_words(envelopes.shape[1])
+    n = envelopes.shape[1]
+    # One column per word in tie order; argmax keeps the first best column.
+    words = sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
+    candidates = ((np.array(words) >> np.arange(n)[:, None]) & 1).astype(float)
     best = np.argmax(gain @ candidates, axis=1)
     return candidates.T[best].astype(bool)
 

@@ -124,7 +124,8 @@ class TestTransmit:
         h = random_channel(3, 8, seed=0)
         pre = zf_precoder(h)
         x = 0.6 - 0.8j
-        out = transmit(pre.matrix_b, np.array([[False, True, False]]), np.array([x]), 2.0 * math.sqrt(pre.alpha))
+        s = np.array([[False, True, False]])
+        out = transmit(pre.matrix_b, s, np.array([x]), math.sqrt(pre.alpha * 4.0))
         expected = math.sqrt(pre.alpha * 4.0) * x * pre.matrix_b[:, 1]
         np.testing.assert_allclose(out, expected[None, :], atol=1e-12)
 
@@ -557,13 +558,14 @@ class TestCombineAndDetect:
         j_hat = combine_and_detect_modulation(y, s, alpha_p, c)
         np.testing.assert_array_equal(j_hat, [j_true])
         label = int(c.labels[j_true])
-        np.testing.assert_array_equal(c.label_bits[j_hat[0]], [(label >> (3 - i)) & 1 for i in range(4)])
+        bits = [(label >> (3 - i)) & 1 for i in range(4)]
+        np.testing.assert_array_equal(c.label_bits[j_hat[0]], bits)
 
     def test_all_zero_flags_fall_back_to_symbol_zero(self):
         c = build_constellation("psk", 16)
-        j_hat = combine_and_detect_modulation(
-            np.array([[1.0 + 0j, 0.3j], [2.0, -1.0]]), np.array([[False, False], [True, False]]), 5.0, c
-        )
+        y = np.array([[1.0 + 0j, 0.3j], [2.0, -1.0]])
+        flags = np.array([[False, False], [True, False]])
+        j_hat = combine_and_detect_modulation(y, flags, 5.0, c)
         assert j_hat[0] == 0 and j_hat[1] == 0
         assert c.label_bits[j_hat].shape == (2, 4)
 

@@ -2,9 +2,10 @@
 
 Experiments are described by flat ``key = value`` config files (see the
 README for the key reference). Every result file gets a JSON manifest
-sidecar recording the config snapshot, tool version, timestamp, and
-seed. CSV output is locale-independent and byte-stable for a given
-seed, whatever the worker count.
+sidecar recording the config snapshot, tool version, numpy and scipy
+versions, timestamp, and seed, plus the thread count for ``ber``. CSV
+output is locale-independent and byte-stable for a given seed, whatever
+the worker count.
 
 Exit codes: 0 success (possibly with warnings), 2 configuration error
 naming the offending key, 3 runtime simulation failure.
@@ -21,6 +22,9 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .channel import ChannelParams
@@ -190,6 +194,7 @@ def _write_manifest(out_path: Path, config, extra: dict) -> None:
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": config.seed,
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "config": snapshot,
         **extra,
     }
@@ -221,7 +226,9 @@ def cmd_ber(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest(out, config, {"output": str(out), "command": "ber"})
+    _write_manifest(
+        out, config, {"output": str(out), "command": "ber", "threads": args.threads}
+    )
     return 0
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .specfun import lambert_w_minus1_from_log, log_bessel_i0
 
@@ -66,7 +66,7 @@ class IllegalSpatialWord(ValueError):
 
 
 class NoRoot(ArithmeticError):
-    """Exact-threshold root bracketing failed (SNR too low to matter)."""
+    """Exact-threshold root finding failed to bracket or to converge."""
 
 
 def _gray(n: int) -> int:
@@ -254,6 +254,61 @@ class ThresholdSpec:
             raise ValueError("gamma must be positive")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method, step for step as scipy's C brentq.
+
+    Same iteration, tolerance ``(xtol + rtol*|x|)/2`` and iteration cap as
+    scipy's ``optimize.brentq``, so the root is the same to the last bit.
+    Raises ValueError on a NaN function value or an unbracketed root and
+    NoRoot when ``maxiter`` iterations do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; C's division by zero gives inf or NaN
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                if denom != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    raise NoRoot(f"brentq did not converge in {maxiter} iterations, last x={xcur!r}")
+
+
 def exact_threshold_residual(gamma: float, min_power: float, sigma2: float) -> float:
     """Likelihood-ratio residual exp(-p/s2) * I0(2*gamma*sqrt(p)/s2) - 1.
 
@@ -298,9 +353,7 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> Th
             hi *= 2.0
         else:
             raise NoRoot(f"could not bracket the exact threshold at rho={rho:.3e}")
-        u = optimize.brentq(
-            lambda v: log_bessel_i0(v) - rho, 0.0, hi, xtol=1e-14, rtol=1e-15
-        )
+        u = _brentq(lambda v: log_bessel_i0(v) - rho, 0.0, hi, xtol=1e-14, rtol=1e-15)
         gamma = u * sigma2 / (2.0 * root_amp)
         if gamma <= 0.0:
             raise NoRoot(f"exact threshold degenerated to zero at rho={rho:.3e}")

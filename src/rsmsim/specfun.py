@@ -23,7 +23,8 @@ import functools
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special import _ufuncs
 
 __all__ = [
     "DomainError",
@@ -109,14 +110,36 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     rest = (b_ != 0.0) & (a_ != 0.0) & ~far
     if rest.any():
         a_r, b_r = a_[rest], b_[rest]
-        q_r = np.asarray(stats.ncx2.sf(b_r * b_r, 2, a_r * a_r), dtype=float)
+        x_r, nc_r = b_r * b_r, a_r * a_r
+        q_r = _ncx2_tail(x_r, nc_r, survival=True)
         bad = np.isnan(q_r)
         if bad.any():
-            # ncx2.sf NaNs for subnormal arguments with large non-centrality;
-            # the CDF path is well behaved there.
-            q_r[bad] = 1.0 - stats.ncx2.cdf(b_r[bad] * b_r[bad], 2, a_r[bad] * a_r[bad])
+            # The survival backend NaNs for subnormal arguments with large
+            # non-centrality; the CDF path is well behaved there.
+            q_r[bad] = 1.0 - _ncx2_tail(x_r[bad], nc_r[bad], survival=False)
         q[rest] = q_r
     return _shaped(np.clip(q, 0.0, 1.0), shape)
+
+
+def _ncx2_tail(x: np.ndarray, nc: np.ndarray, survival: bool) -> np.ndarray:
+    """Non-central chi-square survival function or CDF, two degrees of freedom.
+
+    Calls the ufuncs behind scipy's ``ncx2.sf`` / ``ncx2.cdf`` with the
+    edge handling those wrappers add: the exact tail values at x <= 0 and
+    x = inf, and the central chi-square tail where the non-centrality is
+    0 (the bare survival ufunc returns -0.0 at x = 0 and NaN at x = inf).
+    """
+    out = np.where(x <= 0.0, float(survival), float(not survival))
+    inside = (x > 0.0) & (x < np.inf)
+    mixed, central = inside & (nc != 0.0), inside & (nc == 0.0)
+    with np.errstate(over="ignore"):
+        if survival:
+            out[mixed] = _ufuncs._ncx2_sf(x[mixed], 2.0, nc[mixed])
+            out[central] = special.chdtrc(2.0, x[central])
+        else:
+            out[mixed] = special.chndtr(x[mixed], 2.0, nc[mixed])
+            out[central] = special.chdtr(2.0, x[central])
+    return out
 
 
 def lambert_w_minus1(x: float) -> float:
@@ -189,22 +212,35 @@ def noncentral_t_cdf(
     p = (x_ > 0).astype(float)
     finite = np.isfinite(x_)
     if finite.any():
-        args, df, nc = x_[finite], dof_[finite], delta_[finite]
-        p_f = np.asarray(stats.nct.cdf(args, df, nc), dtype=float)
-        bad = np.isnan(p_f)
-        if bad.any():
-            p_f[bad] = _nct_cdf_fallback(args[bad], df[bad], nc[bad])
-        p[finite] = p_f
+        p[finite] = _nct_cdf_finite(x_[finite], dof_[finite], delta_[finite])
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
+def _nct_cdf_finite(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Non-central t CDF at finite x, unclipped.
+
+    Elements with x > 0 go to the exact backend (the ufunc behind
+    scipy's ``nct.cdf``); those with x <= 0, whose backend result has
+    only an absolute accuracy of ~1e-16, and those where the backend
+    returns NaN go to :func:`_nct_cdf_fallback`.
+    """
+    p = np.full(x.shape, np.nan)
+    positive = x > 0
+    p[positive] = special.nctdtr(dof[positive], delta[positive], x[positive])
+    bad = np.isnan(p)
+    if bad.any():
+        p[bad] = _nct_cdf_fallback(x[bad], dof[bad], delta[bad])
+    return p
+
+
 def _nct_cdf_fallback(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Non-central t CDF where the exact backend fails (it returns NaN).
+    """Non-central t CDF where the exact backend is not used or fails.
 
     Elements with x <= 0 are integrated by :func:`_nct_cdf_nonpositive`.
-    Elements with x > 0 take the large-dof normal approximation; the
-    backend fails there only at extreme dof or non-centrality, where the
-    approximation error is far below the surrounding cancellation floor.
+    Elements with x > 0 (where the backend returned NaN) take the
+    large-dof normal approximation; the backend fails there only at
+    extreme dof or non-centrality, where the approximation error is far
+    below the surrounding cancellation floor.
     """
     p = np.empty(x.shape)
     low = x <= 0
@@ -281,7 +317,8 @@ def _nct_cdf_nonpositive(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> n
             near, far = np.where(inside, mid, near), np.where(inside, far, mid)
         half = 0.5 * (far - peak)
         w = peak + half * (nodes + 1.0)
-        total += np.abs(half) * np.exp(log_h(w) - top) @ weights[:, None]
+        # A row sum, not a matrix product, so a row does not depend on the batch.
+        total += np.abs(half) * (np.exp(log_h(w) - top) * weights).sum(axis=1, keepdims=True)
     return (np.exp(top) * total).ravel()
 
 
@@ -342,10 +379,7 @@ def doubly_noncentral_t_cdf(
             dfs.append(df)
             deltas.append(np.full(j.size, delta_[i]))
         args, dfs, deltas = np.concatenate(args), np.concatenate(dfs), np.concatenate(deltas)
-        terms = np.asarray(stats.nct.cdf(args, dfs, deltas), dtype=float)
-        bad = np.isnan(terms)
-        if bad.any():
-            terms[bad] = _nct_cdf_fallback(args[bad], dfs[bad], deltas[bad])
+        terms = _nct_cdf_finite(args, dfs, deltas)
         start = 0
         for i, weights in zip(mixed, windows):
             stop = start + weights.size

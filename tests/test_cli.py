@@ -1,10 +1,16 @@
 """Tests for the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+import rsmsim
 from rsmsim.cli import ConfigError, main, parse_config_text
 from rsmsim.simulate import FdConfig, RsmConfig
 
@@ -98,6 +104,8 @@ class TestCmdBer:
         assert manifest["seed"] == 5
         assert manifest["config"]["n_active"] == 2
         assert manifest["output"] == str(out)
+        assert manifest["threads"] == 1
+        assert manifest["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -140,6 +148,9 @@ class TestCmdAbep:
             assert abep_row[0] == ber_row[0]
             assert abep_row[1] == ber_row[4]
             assert abep_row[2] == ber_row[5]
+        manifest = json.loads((tmp_path / "abep.csv.manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert "threads" not in manifest
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -206,3 +217,41 @@ class TestPresets:
         path = Path(__file__).resolve().parents[1] / "presets" / name
         config = parse_config_text(path.read_text())
         assert config.channel.n_tx == 32
+
+
+# Runs in a fresh interpreter: imports the package, then every CLI command,
+# and prints the scipy submodules that got loaded.
+_FOOTPRINT_SCRIPT = """
+import sys
+import rsmsim
+from rsmsim import cli
+
+root = sys.argv[1]
+for name in ("exact_perfect", "hsa_estimated", "fd"):
+    assert cli.main(["ber", "--config", f"{root}/{name}.cfg", "--out", f"{root}/{name}.csv"]) == 0
+assert cli.main(["abep", "--config", f"{root}/hsa_estimated.cfg", "--out", f"{root}/abep.csv"]) == 0
+assert cli.main(["threshold", "--alpha-p", "10"]) == 0
+assert cli.main(["power", "--n-rx", "4,8", "--p-ref", "1", "--out", f"{root}/power.csv"]) == 0
+print("loaded:", *sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize"))))
+"""
+
+
+class TestImportFootprint:
+    def test_cli_never_loads_scipy_stats_or_optimize(self, tmp_path):
+        # Both cost ~0.7 s of start-up and are not needed: specfun calls
+        # the scipy.special ufuncs and phy carries its own Brent solver.
+        (tmp_path / "exact_perfect.cfg").write_text(
+            SMALL_CONFIG.replace("threshold_mode = hsa", "threshold_mode = exact")
+        )
+        (tmp_path / "hsa_estimated.cfg").write_text(
+            SMALL_CONFIG.replace("threshold_source = perfect", "threshold_source = estimated")
+            .replace("snr_db = 4,8", "snr_db = 10,14\nn_pilots = 4")
+        )
+        (tmp_path / "fd.cfg").write_text(SMALL_FD_CONFIG)
+        env = dict(os.environ, PYTHONPATH=str(Path(rsmsim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded:"

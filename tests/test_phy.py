@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
     IllegalSpatialWord,
+    NoRoot,
+    _brentq,
     add_complex_noise,
     UnsupportedOrder,
     build_constellation,
@@ -241,6 +243,64 @@ class TestThreshold:
             threshold("hsa", alpha_p=1.0, sigma2=1.0, beta=0.0)
         with pytest.raises(ValueError):
             threshold("nope", alpha_p=1.0, sigma2=1.0)
+
+
+def brentq_or_error(solver, f, lo, hi, xtol, rtol, maxiter=100):
+    try:
+        return solver(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except (RuntimeError, NoRoot):  # scipy's and the port's non-convergence
+        return "no convergence"
+
+
+class TestBrentPort:
+    """phy's Brent solver repeats scipy.optimize.brentq bit for bit."""
+
+    def test_exact_threshold_matches_scipy_brentq(self):
+        for rho in np.logspace(-6.0, 5.0, 20001).tolist():
+            hi = max(2.0 * rho + 2.0, 2.0)
+            while log_bessel_i0(hi) < rho:
+                hi *= 2.0
+            u = optimize.brentq(lambda v: log_bessel_i0(v) - rho, 0.0, hi, xtol=1e-14, rtol=1e-15)
+            # alpha_p = rho and sigma2 = 1: gamma = u / (2 sqrt(rho)).
+            assert threshold("exact", rho, 1.0).gamma == u / (2.0 * math.sqrt(rho))
+
+    def test_general_functions_and_non_convergence(self):
+        # Roots of multiplicity 3 and 5 converge slowly enough that some
+        # tolerances run out of iterations; both solvers must then fail on
+        # the same inputs. The numpy-scalar values exercise the float casts.
+        rng = np.random.default_rng(3)
+        outcomes = []
+        for _ in range(300):
+            c, power = rng.uniform(-5.0, 5.0), rng.choice([1, 3, 5])
+
+            def f(x):
+                return (x - c) ** power
+
+            for xtol, rtol in ((1e-14, 1e-15), (1e-3, 1e-10), (2e-12, 8.9e-16)):
+                want = brentq_or_error(optimize.brentq, f, -10.0, 10.0, xtol, rtol)
+                assert brentq_or_error(_brentq, f, -10.0, 10.0, xtol, rtol) == want
+                outcomes.append(want == "no convergence")
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_iteration_cap(self):
+        # Both solvers give up after the same number of iterations. Near-triple
+        # roots: the smaller eps, the more iterations they take.
+        outcomes = []
+        for c, eps in itertools.product((-2.3, 0.4, 1.7), np.logspace(0.0, -12.0, 13).tolist()):
+            def f(x):
+                return (x - c) ** 3 + eps * (x - c)
+
+            for maxiter in (1, 20, 40, 45, 50, 55, 60, 80):
+                want = brentq_or_error(optimize.brentq, f, -10.0, 10.0, 1e-14, 1e-15, maxiter)
+                assert brentq_or_error(_brentq, f, -10.0, 10.0, 1e-14, 1e-15, maxiter) == want
+                outcomes.append(want == "no convergence")
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_raises_on_nan_and_unbracketed_root(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-14, 1e-15)
+        with pytest.raises(ValueError, match="signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
 
 
 def joint_ml_oracle(envelopes, alpha_p, sigma2):

@@ -16,7 +16,9 @@ from scipy import integrate, special, stats
 
 from rsmsim.specfun import (
     DomainError,
+    _ncx2_tail,
     _nct_cdf_fallback,
+    _poisson_window,
     bessel_i0,
     doubly_noncentral_t_cdf,
     gaussian_q,
@@ -252,6 +254,22 @@ class TestBackendFallback:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         assert got[0] == pytest.approx(special.ndtr(-delta), rel=1e-12)
 
+    @pytest.mark.parametrize("x,dof,delta", [(-3.0, 4.0, 6.0), (-3.0, 10.0, 6.0), (-2.0, 7.0, 8.0)])
+    def test_far_tail_uses_quadrature(self, x, dof, delta):
+        # scipy's nct.cdf is finite here but only accurate to ~1e-16
+        # absolute (2.9611e-13 against 2.9596e-13 at the first point).
+        assert not math.isnan(stats.nct.cdf(x, dof, delta))
+        want = t_cdf_quad(x, dof, delta)
+        assert noncentral_t_cdf(x, dof, delta) == pytest.approx(want, rel=1e-9, abs=0.0)
+        got = doubly_noncentral_t_cdf(x, dof, delta, 2.0)
+        assert got == pytest.approx(t_cdf_quad(x, dof, delta, 2.0), rel=1e-9, abs=0.0)
+
+    def test_every_nonpositive_x_takes_the_quadrature(self):
+        x, dof, delta = np.array([0.0, -0.0, -1e-300, -3.0]), np.full(4, 4.0), np.full(4, 6.0)
+        want = _nct_cdf_fallback(x, dof, delta)
+        assert np.array_equal(noncentral_t_cdf(x, dof, delta), want)
+        assert np.array_equal(doubly_noncentral_t_cdf(x, dof, delta, 0.0), want)
+
     def test_positive_x_keeps_normal_approximation(self):
         x, dof, delta = np.array([0.5, 3.0]), np.array([4.0, 80.0]), np.array([1.0, 2.0])
         shrink = 1.0 - 3.0 / (4.0 * dof - 1.0)
@@ -352,3 +370,105 @@ class TestGaussianQ:
         assert gaussian_q(0.0) == pytest.approx(0.5, abs=1e-15)
         assert gaussian_q(1.0) == pytest.approx(0.15865525393145707, rel=1e-12)
         assert gaussian_q(-1.0) + gaussian_q(1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def marcum_q1_stats(a, b):
+    """marcum_q1 through scipy.stats.ncx2, as computed before the ufunc calls."""
+    a_, b_ = (v.ravel() for v in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
+    q = np.ones(a_.shape)
+    zero_a = (a_ == 0.0) & (b_ != 0.0)
+    q[zero_a] = np.exp(-0.5 * b_[zero_a] * b_[zero_a])
+    with np.errstate(over="ignore"):
+        far = (b_ < a_) & ((a_ - b_) ** 2 > 76.0)
+    rest = (b_ != 0.0) & (a_ != 0.0) & ~far
+    a_r, b_r = a_[rest], b_[rest]
+    q_r = np.asarray(stats.ncx2.sf(b_r * b_r, 2, a_r * a_r), dtype=float)
+    bad = np.isnan(q_r)
+    q_r[bad] = 1.0 - stats.ncx2.cdf(b_r[bad] * b_r[bad], 2, a_r[bad] * a_r[bad])
+    q[rest] = q_r
+    return np.clip(q, 0.0, 1.0)
+
+
+def nct_terms_stats(x, dof, delta):
+    """Unclipped nct CDF at x > 0 through scipy.stats.nct, NaNs to the fallback."""
+    p = np.asarray(stats.nct.cdf(x, dof, delta), dtype=float)
+    bad = np.isnan(p)
+    p[bad] = _nct_cdf_fallback(x[bad], dof[bad], delta[bad])
+    return p
+
+
+def dnct_cdf_stats(x, dof, delta, lam):
+    """doubly_noncentral_t_cdf at x > 0, lam > 0, one window at a time."""
+    p = []
+    for x_i, dof_i, delta_i, lam_i in zip(x, dof, delta, lam):
+        j, weights = _poisson_window(0.5 * lam_i)
+        df = dof_i + 2.0 * j
+        terms = nct_terms_stats(x_i * np.sqrt(df / dof_i), df, np.full(j.size, delta_i))
+        p.append(np.dot(weights, terms))
+    return np.clip(p, 0.0, 1.0)
+
+
+def log_uniform(rng, lo, hi, n):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+
+class TestScipyStatsParity:
+    """The scipy.special calls give, bit for bit, what scipy.stats gave.
+
+    The kernels call the ufuncs behind ``stats.ncx2`` and ``stats.nct``
+    plus the edge handling of those wrappers; these references are the
+    earlier ``scipy.stats`` code, kept here only as an oracle.
+    """
+
+    # (x, dof, delta) where scipy's nct CDF returns NaN at x > 0
+    NCT_NAN = [(0.0905924467944308, 0.26413949567557043, 37.366824186048035),
+               (943.8271126928222, 0.11070807487815387, -43.658109528273705),
+               (47.04540446930666, 32.37238555883154, -44.163732812689055)]
+
+    def test_marcum_q1_random_grid(self):
+        rng = np.random.default_rng(11)
+        a, b = log_uniform(rng, 1e-3, 30.0, 3000), log_uniform(rng, 1e-3, 60.0, 3000)
+        assert np.array_equal(marcum_q1(a, b), marcum_q1_stats(a, b))
+
+    def test_marcum_q1_underflow_and_overflow(self):
+        # b^2 underflows to 0, a^2 underflows to 0, b^2 (and a^2) overflow.
+        a = np.array([0.5, 3.0, 1e-170, 1e-170, 1e-300, 1.0, 1e5, 1e160, 1.0, 1e-170])
+        b = np.array([1e-170, 1e-170, 0.5, 2.0, 1.85e-305, 1e160, 1e160, 2e160, 1.85e-305, 1e-170])
+        with np.errstate(over="ignore"):
+            got = marcum_q1(a, b)
+            assert np.array_equal(got, marcum_q1_stats(a, b))
+        assert got[0] == got[1] == got[4] == got[8] == 1.0
+        assert got[5] == got[6] == got[7] == 0.0
+
+    def test_ncx2_tails_against_wrappers(self):
+        # Both tails, including the CDF that marcum_q1 falls back to, at
+        # x = 0, x = inf, nc = 0, subnormal x and a random grid.
+        rng = np.random.default_rng(12)
+        x = [0.0, np.inf, 3.0, 5e-324, 1e-310, 2.0], log_uniform(rng, 1e-4, 1e4, 500)
+        nc = [4.0, 4.0, 0.0, 50.0, 0.0, 1e-320], log_uniform(rng, 1e-4, 1e3, 500)
+        x, nc = np.concatenate(x), np.concatenate(nc)
+        assert np.array_equal(_ncx2_tail(x, nc, survival=True), stats.ncx2.sf(x, 2, nc))
+        assert np.array_equal(_ncx2_tail(x, nc, survival=False), stats.ncx2.cdf(x, 2, nc))
+
+    def test_noncentral_t_cdf_positive_x(self):
+        rng = np.random.default_rng(13)
+        n = 4000
+        x = np.concatenate([log_uniform(rng, 1e-3, 1e3, n), [v[0] for v in self.NCT_NAN]])
+        dof = np.concatenate([log_uniform(rng, 0.1, 1e4, n), [v[1] for v in self.NCT_NAN]])
+        delta = np.concatenate([rng.uniform(-50.0, 60.0, n), [v[2] for v in self.NCT_NAN]])
+        assert np.isnan(stats.nct.cdf(x, dof, delta)).sum() >= len(self.NCT_NAN)
+        with np.errstate(invalid="ignore"):
+            want = np.clip(nct_terms_stats(x, dof, delta), 0.0, 1.0)
+        # The normal approximation is NaN at some dof < 1, before as now.
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(noncentral_t_cdf(x, dof, delta), want, equal_nan=True)
+
+    def test_doubly_noncentral_t_cdf_positive_x(self):
+        rng = np.random.default_rng(14)
+        n = 80
+        x = np.concatenate([log_uniform(rng, 1e-2, 1e2, n), [self.NCT_NAN[0][0]]])
+        dof = np.concatenate([log_uniform(rng, 1.0, 64.0, n), [self.NCT_NAN[0][1]]])
+        delta = np.concatenate([rng.uniform(-5.0, 30.0, n), [self.NCT_NAN[0][2]]])
+        lam = np.concatenate([log_uniform(rng, 1e-6, 100.0, n), [1e-3]])
+        got = doubly_noncentral_t_cdf(x, dof, delta, lam)
+        assert np.array_equal(got, dnct_cdf_stats(x, dof, delta, lam))

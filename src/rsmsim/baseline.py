@@ -6,19 +6,21 @@ inversely proportional to the squared singular values, so every
 activated mode sees the same received SNR. Detection happens in the
 mode domain, which is statistically identical to applying the unitary
 decoder to the antenna-domain signal, so a link keeps only its singular
-values: a channel is factored once and :meth:`SvdLink.at_power` redoes
-the power split for every SNR point.
+values: a channel is factored once and :func:`received_power` redoes the
+power split of a whole ensemble for every SNR point. :func:`fd_ber`
+simulates a batch of links in one pass, each link on its own stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .phy import Constellation, add_complex_noise, nearest_point
 
-__all__ = ["RankDeficient", "SvdLink", "svd_link", "fd_ber"]
+__all__ = ["RankDeficient", "SvdLink", "svd_link", "received_power", "fd_ber"]
 
 #: singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-10
@@ -29,10 +31,11 @@ class RankDeficient(ArithmeticError):
 
 
 def _equal_snr_split(mode_gains: np.ndarray, power: float) -> np.ndarray:
+    """Transmit power per mode, one split per row of ``(..., n_modes)`` gains."""
     if power <= 0:
         raise ValueError("power must be positive")
     inv_sq = 1.0 / mode_gains**2
-    return power * inv_sq / inv_sq.sum()
+    return power * inv_sq / inv_sq.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,6 @@ class SvdLink:
     def received_power_per_mode(self) -> np.ndarray:
         return self.power_per_mode * self.mode_gains**2
 
-    def at_power(self, power: float) -> SvdLink:
-        """The same channel with ``power`` split over its modes."""
-        return SvdLink(
-            s=self.s,
-            n_modes=self.n_modes,
-            power_per_mode=_equal_snr_split(self.mode_gains, power),
-        )
-
 
 def svd_link(h: np.ndarray, power: float, n_modes: int) -> SvdLink:
     """Split ``power`` over the top ``n_modes`` modes at equal received SNR."""
@@ -75,25 +70,44 @@ def svd_link(h: np.ndarray, power: float, n_modes: int) -> SvdLink:
     return SvdLink(s=s, n_modes=n_modes, power_per_mode=_equal_snr_split(s[:n_modes], power))
 
 
+def received_power(mode_gains: np.ndarray, power: float) -> np.ndarray:
+    """Received power per mode of ``(n_links, n_modes)`` gains at ``power``.
+
+    Row ``i`` equals ``svd_link(h_i, power, n_modes).received_power_per_mode``
+    bit for bit, where ``mode_gains[i]`` are the top singular values of h_i.
+    """
+    return _equal_snr_split(mode_gains, power) * mode_gains**2
+
+
 def fd_ber(
-    link: SvdLink,
+    received: np.ndarray,
     constellation: Constellation,
     sigma2: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> int:
-    """Monte Carlo bit errors of the baseline, all modes combined.
+    words: int,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Monte Carlo bit errors of the baseline for a batch of links.
 
-    Each trial sends one symbol per active mode; minimum-distance
+    ``received`` is the ``(n_links, n_modes)`` received power per mode
+    and ``words`` the data words of the whole batch, ``words // n_links``
+    per link. Each word sends one symbol per active mode; minimum-distance
     detection runs per mode at that mode's (equalized) received SNR.
-    Returns the error count over ``trials * n_modes * bits_per_symbol``
-    bits.
+    Link ``i`` draws its symbols and then its noise from ``rngs[i]``, so
+    its count does not depend on the rest of the batch. Returns the
+    ``(n_links,)`` error counts, each over ``words // n_links * n_modes *
+    bits_per_symbol`` bits.
     """
-    if sigma2 <= 0 or trials < 1:
-        raise ValueError("sigma2 must be positive and trials >= 1")
-    gains = np.sqrt(link.received_power_per_mode)  # per-mode amplitude
-    js = rng.integers(0, constellation.order, size=(trials, link.n_modes))
-    y = add_complex_noise(gains[None, :] * constellation.points[js], sigma2, rng)
+    n_links, n_modes = received.shape
+    if sigma2 <= 0 or n_links < 1 or words < n_links or words % n_links:
+        raise ValueError("sigma2 must be positive and words a positive multiple of the links")
+    if len(rngs) != n_links:
+        raise ValueError("fd_ber needs one generator per link")
+    trials = words // n_links
+    js = np.empty((n_links, trials, n_modes), dtype=np.int64)
+    for row, rng in zip(js, rngs):
+        row[...] = rng.integers(0, constellation.order, size=(trials, n_modes))
+    gains = np.sqrt(received)[:, None, :]  # per-mode amplitude
+    y = add_complex_noise(gains * constellation.points[js], sigma2, rngs)
     j_hat = nearest_point(y, gains, constellation)
-    labels = constellation.labels
-    return int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum())
+    labels = constellation.labels.astype(np.uint8)  # orders up to 64
+    return np.bitwise_count(labels[js] ^ labels[j_hat]).sum(axis=(1, 2), dtype=np.int64)

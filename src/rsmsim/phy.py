@@ -18,6 +18,7 @@ for the minimum constellation symbol power ``beta * alpha_p``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +46,11 @@ __all__ = [
 
 THRESHOLD_MODES = ("exact", "msa", "hsa")
 
-#: QAM samples closer than this to a decision boundary, in level spacings,
-#: or farther than ``_GRID_REACH`` spacings from the grid centre, or on a
-#: grid whose spacing is outside ``_UNIT_RANGE``, go to the full search;
-#: so do PSK samples closer than this to a sector boundary, in sectors,
-#: with ``|y| / scale`` outside ``_PSK_RATIO`` or a scale outside
-#: ``_UNIT_RANGE``
+#: Samples at a scale whose magnitude is outside ``_UNIT_RANGE`` go to the
+#: full search; so do QAM samples closer than this to a decision boundary,
+#: in level spacings, or farther than ``_GRID_REACH`` spacings from the
+#: grid centre, and PSK samples closer than this to a sector boundary, in
+#: sectors, or with ``|y| / scale`` outside ``_PSK_RATIO``
 _BOUNDARY_MARGIN = 1e-6
 _GRID_REACH = 1e3
 _UNIT_RANGE = (1e-250, 1e250)
@@ -398,22 +398,33 @@ def _nearest_by_search(y: np.ndarray, scale: np.ndarray, points: np.ndarray) -> 
 def _slice_qam(
     y: np.ndarray, scale: np.ndarray, step: float, side: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest level per axis, and where that decision is provably exact."""
-    unit = scale * step
+    """Nearest level per axis, and where that decision is provably exact.
+
+    Works on the interleaved (real, imag) float view of ``y``, scaled to
+    ``t`` level spacings from level 0; the level is ``rint(t)`` clipped to
+    the grid. A sample is flagged exact when both its coordinates lie at
+    least ``_BOUNDARY_MARGIN`` spacings from a decision boundary
+    (``|t - rint(t)| <= 1/2 - _BOUNDARY_MARGIN``) and within
+    ``_GRID_REACH`` spacings of the grid centre; its sliced point is then
+    the exact argmin (see :func:`nearest_point`). Every other sample, nan
+    and inf included, is flagged for the full search.
+    """
     with np.errstate(all="ignore"):
-        # (real, imag) in level spacings from the grid centre, then from level 0.
-        a = np.stack((y.real, y.imag), axis=-1) / unit[..., None]
-        t = a + 0.5 * (side - 1)
-        level = np.rint(np.fmin(np.fmax(t, 0.0), side - 1.0)).astype(np.int64)
-        exact = (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN) & (np.abs(a) <= _GRID_REACH)
-    low, high = _UNIT_RANGE
-    exact = exact[..., 0] & exact[..., 1] & (np.abs(unit) >= low) & (np.abs(unit) <= high)
-    return level[..., 0] * side + level[..., 1], exact
+        # Level spacings from the grid centre, then (in place) from level 0.
+        t = y[..., None].view(np.float64) / (scale * step)[..., None]
+        exact = np.abs(t) <= _GRID_REACH
+        t += 0.5 * (side - 1)
+        level = np.rint(t)
+        np.subtract(t, level, out=t)
+        exact &= np.abs(t, out=t) <= 0.5 - _BOUNDARY_MARGIN
+        np.fmax(level, 0.0, out=level)
+        np.fmin(level, side - 1.0, out=level)
+    index = (level[..., 0] * side + level[..., 1]).astype(np.int64)
+    return index, exact[..., 0] & exact[..., 1]
 
 
 def _slice_psk(y: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest sector by angle, and where that decision is provably exact."""
-    low, high = _UNIT_RANGE
     ratio_low, ratio_high = _PSK_RATIO
     with np.errstate(all="ignore"):
         # Angle in sectors: point k sits at k, the boundaries at half-integers.
@@ -423,8 +434,6 @@ def _slice_psk(y: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray
             (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN)
             & (ratio >= ratio_low)
             & (ratio <= ratio_high)
-            & (scale >= low)
-            & (scale <= high)
         )
         index = np.rint(t).astype(np.int64) % order
     return np.broadcast_to(index, np.shape(exact)), exact
@@ -441,7 +450,10 @@ def nearest_point(
     exactly, ties included (first index), which is how every other
     constellation is detected. Square QAM and PSK are sliced instead,
     and every sample whose sliced decision is not provably the argmin
-    (zero scale, inf and nan included) goes to the full search.
+    (inf and nan included) goes to the full search. So does every sample
+    whose ``|scale|`` is outside ``_UNIT_RANGE`` (zero included): the
+    slicers see a nan scale there, which fails each of their checks, and
+    inside the range every quantity below is a normal float.
 
     Square QAM slices each axis to its nearest level. A sample at least
     ``_BOUNDARY_MARGIN`` spacings from every boundary and within
@@ -449,7 +461,8 @@ def nearest_point(
     gap of at least 2e-6 squared spacings to every other point, so a
     distance gap above 7e-10 spacings, while rounding moves each
     computed distance by under 1e-11 spacings; its sliced point is
-    therefore the argmin.
+    therefore the argmin. The level spacing is at least 0.3 (64-QAM)
+    and at most 1.5 (4-QAM) times the scale.
 
     PSK takes point ``rint(angle(y) * order / 2pi) mod order``. With r =
     ``|y|``, s = ``scale`` and the sample at least ``_BOUNDARY_MARGIN``
@@ -464,17 +477,20 @@ def nearest_point(
     points lie within 7e-16 of exp(2pi i k/order), and the product,
     difference and ``abs`` each add about one unit in the last place of
     r + s. The computed angle is off by under 1e-14 sectors, far inside
-    the margin, and ``_UNIT_RANGE`` on the scale keeps every quantity a
-    normal float. The sliced point is therefore the argmin.
+    the margin; a negative scale fails the ratio check. The sliced point
+    is therefore the argmin.
     """
     y = np.asarray(y, dtype=complex)
     scale = np.asarray(scale, dtype=float)
-    if constellation._qam_step is not None:
-        index, exact = _slice_qam(y, scale, constellation._qam_step, math.isqrt(constellation.order))
-    elif constellation._psk_layout:
-        index, exact = _slice_psk(y, scale, constellation.order)
-    else:
+    if constellation._qam_step is None and not constellation._psk_layout:
         return _nearest_by_search(y, scale, constellation.points)
+    low, high = _UNIT_RANGE
+    sliced_scale = np.where((np.abs(scale) >= low) & (np.abs(scale) <= high), scale, np.nan)
+    if constellation._qam_step is not None:
+        step, side = constellation._qam_step, math.isqrt(constellation.order)
+        index, exact = _slice_qam(y, sliced_scale, step, side)
+    else:
+        index, exact = _slice_psk(y, sliced_scale, constellation.order)
     index = np.array(index)
     search = ~exact
     if search.any():
@@ -502,17 +518,30 @@ def combine_and_detect_modulation(
 
 
 def add_complex_noise(
-    signal: np.ndarray, sigma2: float, rng: np.random.Generator
+    signal: np.ndarray,
+    sigma2: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Add circular complex Gaussian noise of variance ``sigma2`` to ``signal``.
 
-    ``signal`` is a complex array, changed in place and returned. The
-    real parts of the noise come from one ``standard_normal`` draw of
-    ``(2, *signal.shape)`` ahead of the imaginary parts, which is the
-    stream order, and the values, of
+    ``signal`` is a complex array, changed in place and returned. With
+    one generator, the real parts of the noise come from one
+    ``standard_normal`` draw of ``(2, *signal.shape)`` ahead of the
+    imaginary parts, which is the stream order, and the values, of
     ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))``.
+    With a sequence of generators, one per leading row of ``signal``, row
+    ``i`` gets exactly the noise that ``rng[i]`` alone would add to it;
+    every row fills its part of one buffer, which is scaled and added once.
     """
-    noise = rng.standard_normal((2, *signal.shape))
+    if isinstance(rng, np.random.Generator):
+        noise = rng.standard_normal((2, *signal.shape))
+    else:
+        if len(rng) != len(signal):
+            raise ValueError("add_complex_noise needs one generator per leading row")
+        rows = np.empty((len(signal), 2, *signal.shape[1:]))
+        for row, gen in zip(rows, rng):
+            gen.standard_normal(out=row)
+        noise = rows.swapaxes(0, 1)
     noise *= math.sqrt(sigma2 / 2.0)
     signal.real += noise[0]
     signal.imag += noise[1]

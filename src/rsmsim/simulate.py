@@ -6,9 +6,11 @@ channel. Every random quantity is drawn from a stream keyed by
 (master seed, purpose tag, snr index, channel index), so results are
 bit-identical regardless of how blocks are scheduled across worker
 threads; error counts are integers and are reduced in index order. The
-analytic columns of each SNR point run as one more task on the same
-workers, and each run logs where its time went on the ``.timing``
-child logger.
+fully digital baseline runs its channels in batches, one task per batch,
+with every channel still on its own stream. The analytic columns of each
+SNR point run as one more task on the same workers. Each run logs one
+line per SNR point, in grid order, and where its time went on the
+``.timing`` child logger.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .baseline import SvdLink, fd_ber, svd_link
+from .baseline import fd_ber, received_power, svd_link
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
 from .phy import (
@@ -69,6 +71,10 @@ _TAG_FD = 4
 
 #: abort an SNR point when more than this fraction of its trials error out
 ERROR_BUDGET = 0.01
+
+#: symbols (words x modes) per fully digital Monte Carlo task: each task
+#: takes as many whole channels as fit, and at least one
+_FD_BATCH_SYMBOLS = 1 << 16
 
 
 class PointAborted(RuntimeError):
@@ -326,33 +332,30 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _fd_links(config: FdConfig) -> list[SvdLink]:
+def _fd_mode_gains(config: FdConfig) -> np.ndarray:
     """Draw the channel ensemble and factor each channel once.
 
-    The links carry a unit-power split; :meth:`SvdLink.at_power` redoes
-    it for each SNR point.
+    Returns the ``(n_links, n_modes)`` top singular values;
+    :func:`received_power` splits each SNR point's power over them.
     """
-    links = []
+    gains = []
     for ch_idx in range(config.channels_per_point):
         rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
         h = draw_channel(config.channel, rng).matrix
-        links.append(svd_link(h, 1.0, config.n_modes))
-    return links
+        gains.append(svd_link(h, 1.0, config.n_modes).mode_gains)
+    return np.array(gains)
 
 
-def _fd_mode_snrs(links: list[SvdLink], power: float, sigma2: float) -> np.ndarray:
-    """Received SNR per mode of every link at one transmit power."""
-    return np.array(
-        [float(link.at_power(power).received_power_per_mode[0] / sigma2) for link in links]
-    )
+def _fd_analytic(constellation: Constellation, received: np.ndarray, sigma2: float) -> float:
+    """Channel-averaged analytic BEP of the baseline from the ``(n_links,
+    n_modes)`` received power of one SNR point; every mode of a link sees
+    the SNR of its mode 0."""
+    return float(np.mean(analysis.constellation_bep(constellation, received[:, 0] / sigma2)))
 
 
-def _fd_analytic(
-    constellation: Constellation, links: list[SvdLink], power: float, sigma2: float
-) -> float:
-    """Channel-averaged analytic BEP of the baseline at one transmit power."""
-    values = analysis.constellation_bep(constellation, _fd_mode_snrs(links, power, sigma2))
-    return float(np.mean(values))
+def _fd_batch_links(config: FdConfig) -> int:
+    """Channels per fully digital Monte Carlo task."""
+    return max(1, _FD_BATCH_SYMBOLS // (config.trials_per_point * config.n_modes))
 
 
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
@@ -360,12 +363,12 @@ def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
-    links = _fd_links(config)
+    gains = _fd_mode_gains(config)
     sigma2 = 1.0
     rows = []
     for snr_db in config.snr_grid_db:
-        power = 10.0 ** (snr_db / 10.0) * sigma2
-        rows.append((snr_db, _fd_analytic(constellation, links, power, sigma2), math.nan))
+        received = received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2)
+        rows.append((snr_db, _fd_analytic(constellation, received, sigma2), math.nan))
     return rows
 
 
@@ -379,47 +382,51 @@ def _timed(fn: Callable, *args) -> tuple[object, float]:
 def _sweep(
     n_threads: int,
     n_snr: int,
-    n_links: int,
+    n_blocks: int,
     block: Callable[[int, int], object],
     analytic: Callable[[int], object],
-) -> Iterator[tuple[list[list[tuple[object, float]]], list[Callable[[], tuple]]]]:
-    """Run ``block(snr_idx, ch_idx)`` for every block and ``analytic(snr_idx)``
-    for every SNR point.
+) -> Iterator[tuple[list[Callable[[], list]], list[Callable[[], tuple]]]]:
+    """Run ``block(snr_idx, block_idx)`` for every block and
+    ``analytic(snr_idx)`` for every SNR point.
 
-    Yields every block's ``(result, seconds)``, collected in grid order
-    so that the first failing block raises at any thread count, and for
-    each point a call that returns its analytic ``(result, seconds)``;
-    the caller makes these calls in grid order after reducing each
-    point's blocks. With ``n_threads > 1`` all tasks go to one pool,
-    each point's analytic task ahead of its blocks, and tasks still
-    pending when the caller stops early are cancelled; otherwise the
-    blocks run in the calling thread before the yield and each analytic
-    task runs when its call is made.
+    Yields two lists with one call per SNR point: the first returns the
+    point's block ``(result, seconds)`` pairs in block order, the second
+    its analytic ``(result, seconds)``. The caller makes these calls in
+    grid order, each point's blocks before its analytic call, so the
+    first failure in grid order raises at any thread count. With
+    ``n_threads > 1`` all tasks go to one pool, each point's analytic
+    task ahead of its blocks, and tasks still pending when the caller
+    stops early are cancelled; otherwise each call runs its tasks in the
+    calling thread when it is made.
     """
     if n_threads <= 1:
-        blocks = [[_timed(block, s, c) for c in range(n_links)] for s in range(n_snr)]
-        yield blocks, [functools.partial(_timed, analytic, s) for s in range(n_snr)]
+
+        def row(snr_idx: int) -> list[tuple[object, float]]:
+            return [_timed(block, snr_idx, b) for b in range(n_blocks)]
+
+        yield (
+            [functools.partial(row, s) for s in range(n_snr)],
+            [functools.partial(_timed, analytic, s) for s in range(n_snr)],
+        )
         return
     pool = ThreadPoolExecutor(max_workers=n_threads)
     try:
-        analytic_tasks, block_tasks = [], []
+        analytic_tasks, block_rows = [], []
         for snr_idx in range(n_snr):
             analytic_tasks.append(pool.submit(_timed, analytic, snr_idx).result)
-            block_tasks.append(
-                [pool.submit(_timed, block, snr_idx, ch_idx) for ch_idx in range(n_links)]
-            )
-        yield [[task.result() for task in row] for row in block_tasks], analytic_tasks
+            futures = [pool.submit(_timed, block, snr_idx, b) for b in range(n_blocks)]
+            block_rows.append(functools.partial(_results, futures))
+        yield block_rows, analytic_tasks
     finally:
         pool.shutdown(cancel_futures=True)
 
 
+def _results(futures: list) -> list:
+    return [future.result() for future in futures]
+
+
 def _log_timing(
-    name: str,
-    n_threads: int,
-    link_s: float,
-    sweep_s: float,
-    blocks: list[list[tuple[object, float]]],
-    analytic_s: float,
+    name: str, n_threads: int, link_s: float, sweep_s: float, blocks_s: float, analytic_s: float
 ) -> None:
     timing_log.info(
         "%s: %d thread(s); link build %.3f s, sweep %.3f s "
@@ -428,7 +435,7 @@ def _log_timing(
         n_threads,
         link_s,
         sweep_s,
-        sum(seconds for row in blocks for _, seconds in row),
+        blocks_s,
         analytic_s,
     )
 
@@ -455,14 +462,15 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     k = constellation.bits_per_symbol
     bits_per_word = config.n_active + k
     points = []
-    analytic_s = 0.0
+    blocks_s = analytic_s = 0.0
     with _sweep(n_threads, len(config.snr_grid_db), len(links), block, analytic) as (
-        blocks,
+        block_rows,
         analytic_tasks,
     ):
         for snr_idx, snr_db in enumerate(config.snr_grid_db):
             spatial = modulation = words = failed = 0
-            for counts, _ in blocks[snr_idx]:
+            for counts, seconds in block_rows[snr_idx]():
+                blocks_s += seconds
                 spatial += counts.spatial_errors
                 modulation += counts.modulation_errors
                 words += counts.words
@@ -504,37 +512,59 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
                 len(links),
             )
     sweep_s = time.perf_counter() - start - link_s
-    _log_timing("run", n_threads, link_s, sweep_s, blocks, analytic_s)
+    _log_timing("run", n_threads, link_s, sweep_s, blocks_s, analytic_s)
     return ErrorReport(points=tuple(points), seed=config.seed)
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
-    """Execute the fully digital SVD baseline experiment."""
+    """Execute the fully digital SVD baseline experiment.
+
+    Each Monte Carlo task runs :func:`fd_ber` on one batch of channels;
+    channel ``ch`` at SNR index ``s`` draws from its own
+    ``(seed, _TAG_FD, s, ch)`` stream whatever the batching.
+    """
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     start = time.perf_counter()
-    links = _fd_links(config)
+    gains = _fd_mode_gains(config)
     link_s = time.perf_counter() - start
 
     sigma2 = 1.0
     k = constellation.bits_per_symbol
-    powers = [10.0 ** (snr_db / 10.0) * sigma2 for snr_db in config.snr_grid_db]
+    trials = config.trials_per_point
+    received = [
+        received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2) for snr_db in config.snr_grid_db
+    ]
+    n_links = len(gains)
+    per_batch = _fd_batch_links(config)
 
-    def block(snr_idx: int, ch_idx: int) -> int:
-        link = links[ch_idx].at_power(powers[snr_idx])
-        rng = np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch_idx])
-        return fd_ber(link, constellation, sigma2, config.trials_per_point, rng)
+    def block(snr_idx: int, batch_idx: int) -> np.ndarray:
+        first = batch_idx * per_batch
+        last = min(first + per_batch, n_links)
+        rngs = [
+            np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch]) for ch in range(first, last)
+        ]
+        batch = received[snr_idx][first:last]
+        return fd_ber(batch, constellation, sigma2, (last - first) * trials, rngs)
 
     def analytic(snr_idx: int) -> float:
-        return _fd_analytic(constellation, links, powers[snr_idx], sigma2)
+        return _fd_analytic(constellation, received[snr_idx], sigma2)
 
     points = []
-    analytic_s = 0.0
-    bits = config.trials_per_point * config.n_modes * k * len(links)
-    with _sweep(n_threads, len(powers), len(links), block, analytic) as (blocks, analytic_tasks):
+    blocks_s = analytic_s = 0.0
+    bits = trials * config.n_modes * k * n_links
+    n_batches = -(-n_links // per_batch)
+    with _sweep(n_threads, len(received), n_batches, block, analytic) as (
+        block_rows,
+        analytic_tasks,
+    ):
         for snr_idx, snr_db in enumerate(config.snr_grid_db):
-            ber = sum(errors for errors, _ in blocks[snr_idx]) / bits
+            errors = 0
+            for counts, seconds in block_rows[snr_idx]():
+                errors += int(counts.sum())
+                blocks_s += seconds
+            ber = errors / bits
             abep, seconds = analytic_tasks[snr_idx]()
             analytic_s += seconds
             points.append(
@@ -549,6 +579,13 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
                     bits_counted=bits,
                 )
             )
+            log.info(
+                "snr=%g dB ber=%.3e (analytic %.3e), %.3f s elapsed",
+                snr_db,
+                ber,
+                abep,
+                time.perf_counter() - start,
+            )
     sweep_s = time.perf_counter() - start - link_s
-    _log_timing("run_fd", n_threads, link_s, sweep_s, blocks, analytic_s)
+    _log_timing("run_fd", n_threads, link_s, sweep_s, blocks_s, analytic_s)
     return ErrorReport(points=tuple(points), seed=config.seed)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rsmsim.baseline import RankDeficient, fd_ber, svd_link
-from rsmsim.phy import build_constellation
+from rsmsim.baseline import RankDeficient, fd_ber, received_power, svd_link
+from rsmsim.phy import add_complex_noise, build_constellation
+from rsmsim.simulate import _FD_BATCH_SYMBOLS
 from rsmsim.specfun import gaussian_q
 
 
@@ -41,18 +42,16 @@ class TestSvdLink:
             received = link.received_power_per_mode
             assert float(received.max() - received.min()) < 1e-8
 
-    def test_at_power_matches_a_fresh_split(self):
-        h = random_channel(8, 32, seed=9)
-        unit = svd_link(h, power=1.0, n_modes=3)
-        for power in (0.01, 1.0, 6.3):
-            fresh = svd_link(h, power=power, n_modes=3)
-            moved = unit.at_power(power)
-            np.testing.assert_array_equal(moved.power_per_mode, fresh.power_per_mode)
-            np.testing.assert_array_equal(
-                moved.received_power_per_mode, fresh.received_power_per_mode
-            )
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 8])
+    def test_received_power_matches_a_fresh_split(self, n_modes):
+        # The per-SNR array of a whole ensemble, row for row, to the last bit.
+        hs = [random_channel(8, 32, seed=9 + i) for i in range(5)]
+        gains = np.array([svd_link(h, power=1.0, n_modes=n_modes).mode_gains for h in hs])
+        for power in (0.01, 1.0, 6.3, 10**1.6):
+            fresh = [svd_link(h, power=power, n_modes=n_modes).received_power_per_mode for h in hs]
+            assert np.array_equal(received_power(gains, power), np.array(fresh))
         with pytest.raises(ValueError):
-            unit.at_power(0.0)
+            received_power(gains, 0.0)
 
     def test_rank_deficient_raises(self):
         h = np.outer(np.ones(4), np.ones(6)).astype(complex)  # rank one
@@ -60,12 +59,19 @@ class TestSvdLink:
             svd_link(h, power=1.0, n_modes=2)
 
 
+def one_link(link, constellation, sigma2, trials, rng):
+    """Error count of a single link through the batch simulator."""
+    counts = fd_ber(link.received_power_per_mode[None], constellation, sigma2, trials, [rng])
+    assert counts.shape == (1,)
+    return int(counts[0])
+
+
 class TestFdBer:
     def test_noiseless_is_error_free(self):
         h = random_channel(4, 8, seed=2)
         link = svd_link(h, power=4.0, n_modes=2)
         c = build_constellation("qam", 16)
-        errors = fd_ber(link, c, sigma2=1e-12, trials=2000, rng=np.random.default_rng(3))
+        errors = one_link(link, c, sigma2=1e-12, trials=2000, rng=np.random.default_rng(3))
         assert errors == 0
 
     def test_single_mode_bpsk_matches_q_function(self):
@@ -74,7 +80,7 @@ class TestFdBer:
         link = svd_link(h, power=power, n_modes=1)
         c = build_constellation("psk", 2)
         trials = 400_000
-        ber = fd_ber(link, c, sigma2, trials, np.random.default_rng(4)) / trials
+        ber = one_link(link, c, sigma2, trials, np.random.default_rng(4)) / trials
         snr = power * 1.5**2 / sigma2
         expected = gaussian_q(math.sqrt(2 * snr))
         band = 3 * math.sqrt(expected * (1 - expected) / trials)
@@ -86,7 +92,7 @@ class TestFdBer:
         link = svd_link(h, power=power, n_modes=2)
         c = build_constellation("qam", 16)
         trials = 400_000
-        ber = fd_ber(link, c, sigma2, trials, np.random.default_rng(6)) / (trials * 2 * 4)
+        ber = one_link(link, c, sigma2, trials, np.random.default_rng(6)) / (trials * 2 * 4)
         snr = float(link.received_power_per_mode[0]) / sigma2
         expected = (4 / 4) * (1 - 1 / 4) * gaussian_q(math.sqrt(3 * snr / 15))
         band = 3 * math.sqrt(expected * (1 - expected) / (trials * 2 * 4))
@@ -97,7 +103,65 @@ class TestFdBer:
         h = random_channel(4, 8, seed=7)
         link = svd_link(h, power=4.0, n_modes=2)
         c = build_constellation("qam", 16)
-        a = fd_ber(link, c, 1.0, 10_000, np.random.default_rng(8))
-        b = fd_ber(link, c, 1.0, 10_000, np.random.default_rng(8))
-        assert isinstance(a, int)
+        a = one_link(link, c, 1.0, 10_000, np.random.default_rng(8))
+        b = one_link(link, c, 1.0, 10_000, np.random.default_rng(8))
         assert a == b
+
+    def test_rejects_uneven_words_and_missing_streams(self):
+        c = build_constellation("qam", 16)
+        received = np.ones((3, 2))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        for words in (0, 2, 10):
+            with pytest.raises(ValueError):
+                fd_ber(received, c, 1.0, words, rngs)
+        with pytest.raises(ValueError):
+            fd_ber(received, c, 1.0, 9, rngs[:2])
+        with pytest.raises(ValueError):
+            fd_ber(received, c, 0.0, 9, rngs)
+
+
+def fd_ber_oracle(received, constellation, sigma2, trials, rng):
+    """One link at a time, in the stream order of the batch simulator:
+    symbols, then the real and the imaginary noise; full-search detection."""
+    gains = np.sqrt(received)
+    js = rng.integers(0, constellation.order, size=(trials, received.size))
+    y = add_complex_noise(gains[None, :] * constellation.points[js], sigma2, rng)
+    j_hat = np.argmin(np.abs(y[..., None] - gains[:, None] * constellation.points), axis=-1)
+    labels = constellation.labels
+    return int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum())
+
+
+TRIALS, N_MODES = 1000, 2
+#: channels in one fully digital Monte Carlo task at TRIALS x N_MODES
+BATCH = _FD_BATCH_SYMBOLS // (TRIALS * N_MODES)
+
+
+class TestFdBerBatch:
+    @pytest.mark.parametrize(
+        "kind,order,ring",
+        [("qam", 4, None), ("qam", 16, None), ("qam", 64, None),
+         ("psk", 8, None), ("psk", 16, None), ("apsk", 16, 2.6)],
+    )
+    @pytest.mark.parametrize("n_links", [1, 2, BATCH + 1])
+    @pytest.mark.parametrize("sigma2", [1e-20, 0.3, 1e8])
+    def test_matches_the_per_link_oracle(self, kind, order, ring, n_links, sigma2):
+        c = build_constellation(kind, order, ring)
+        setup = np.random.default_rng([order, n_links])
+        gains = np.sort(setup.uniform(0.2, 3.0, (n_links, N_MODES)), axis=1)[:, ::-1]
+        received = received_power(gains, float(setup.uniform(1.0, 30.0)))
+        seeds = setup.integers(0, 2**32, n_links)
+        counts = fd_ber(
+            received, c, sigma2, n_links * TRIALS, [np.random.default_rng(s) for s in seeds]
+        )
+        expected = [
+            fd_ber_oracle(received[i], c, sigma2, TRIALS, np.random.default_rng(s))
+            for i, s in enumerate(seeds)
+        ]
+        assert counts.shape == (n_links,)
+        assert np.array_equal(counts, expected)
+        if sigma2 == 1e-20:
+            assert not counts.any()
+        if sigma2 == 1e8:
+            # Pure noise: about half of every link's bits are wrong.
+            bits = TRIALS * N_MODES * c.bits_per_symbol
+            assert np.all(np.abs(counts / bits - 0.5) < 0.05)

@@ -584,6 +584,22 @@ class TestNearestPoint:
         assert int(nearest_point(0.2 + 0.1j, 1.0, c)) == int(full_search(0.2 + 0.1j, 1.0, c))
 
 
+class TestQamScaleRange:
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_extreme_and_degenerate_scales(self, order):
+        # Outside the unit range the slicer must hand every sample to the
+        # full search, whose rounding there is not the exact geometry.
+        c = build_constellation("qam", order)
+        rng = np.random.default_rng(400 + order)
+        unit = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        for scale in (1e-300, 1e-310, 5e-322, 1e-250, 1e250, 1e300, -0.7, -1e-310):
+            y = abs(scale) * 1.3 * unit
+            np.testing.assert_array_equal(nearest_point(y, scale, c), full_search(y, scale, c))
+        odd = rng.choice([0.0, -1.0, 1e-320, 1e-251, 1e251, 1e305, np.inf, np.nan, 2.0], unit.size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(nearest_point(unit, odd, c), full_search(unit, odd, c))
+
+
 class TestAddComplexNoise:
     @pytest.mark.parametrize("shape", [(7, 3), (5,), (2, 4, 3), (0, 3)])
     def test_matches_two_draw_form_and_rng_state(self, shape):
@@ -606,6 +622,22 @@ class TestAddComplexNoise:
         signal = np.ones((4, 2), dtype=complex)
         out = add_complex_noise(signal, 1.0, np.random.default_rng(0))
         assert out is signal and not np.array_equal(signal, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 7, 2), (4,), (1, 5), (0, 3)])
+    def test_one_generator_per_row_matches_each_row_alone(self, shape):
+        sigma2 = 0.37
+        clean = np.random.default_rng(2).standard_normal(shape) + 0.5j
+        ours = [np.random.default_rng([9, i]) for i in range(shape[0])]
+        theirs = [np.random.default_rng([9, i]) for i in range(shape[0])]
+        got = add_complex_noise(clean.copy(), sigma2, ours)
+        expected = [
+            add_complex_noise(np.array(row), sigma2, rng) for row, rng in zip(clean, theirs)
+        ]
+        assert np.array_equal(got, np.array(expected).reshape(shape))
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+        with pytest.raises(ValueError):
+            add_complex_noise(clean.copy(), sigma2, ours + [np.random.default_rng(0)])
 
 
 class TestCombineAndDetect:

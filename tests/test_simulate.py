@@ -308,6 +308,59 @@ class TestTimingLog:
         assert match and match[1] == "run_fd" and match[2] == "1"
 
 
+FD_POINT_LINE = re.compile(r"snr=(\S+) dB ber=(\S+) \(analytic (\S+)\), ([\d.]+) s elapsed")
+
+
+class TestFdProgressLog:
+    CONFIG = FdConfig(
+        channel=PARAMS, snr_grid_db=(-4.0, 0.0, 4.0), trials_per_point=1000, channels_per_point=40
+    )
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_line_per_point_in_grid_order(self, caplog, n_threads):
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            report = run_fd(self.CONFIG, n_threads=n_threads)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"]
+        matches = [FD_POINT_LINE.fullmatch(line) for line in lines]
+        assert all(matches) and len(matches) == len(report.points)
+        elapsed = []
+        for match, point in zip(matches, report.points):
+            assert float(match[1]) == point.snr_db
+            assert match[2] == f"{point.ber_total:.3e}"
+            assert match[3] == f"{point.abep_analytic:.3e}"
+            elapsed.append(float(match[4]))
+        assert elapsed == sorted(elapsed)
+
+    def test_each_line_follows_its_own_blocks(self, caplog, monkeypatch):
+        # One thread: a point is logged as soon as its blocks are done,
+        # before any block of the next point runs.
+        import rsmsim.simulate as simulate
+
+        events = []
+        real_fd_ber = simulate.fd_ber
+
+        def counting_fd_ber(*args):
+            events.append("block")
+            return real_fd_ber(*args)
+
+        monkeypatch.setattr(simulate, "fd_ber", counting_fd_ber)
+
+        class Recorder(logging.Handler):
+            def emit(self, record):
+                if record.name == "rsmsim.simulate":
+                    events.append("line")
+
+        handler = Recorder()
+        logging.getLogger("rsmsim.simulate").addHandler(handler)
+        try:
+            with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+                run_fd(self.CONFIG)
+        finally:
+            logging.getLogger("rsmsim.simulate").removeHandler(handler)
+        per_point = -(-40 // simulate._fd_batch_links(self.CONFIG))
+        assert events == (["block"] * per_point + ["line"]) * 3
+
+
 class TestSelectionModes:
     def test_exhaustive_beats_fixed_subset(self):
         grid = (6.0, 10.0, 14.0)
@@ -360,6 +413,21 @@ class TestFdBaseline:
             assert p.ber_spatial == 0.0
             assert p.ber_modulation == p.ber_total
             assert math.isnan(p.abep_analytic_estimated)
+
+    def test_thread_count_with_a_short_last_batch(self):
+        from rsmsim.simulate import _fd_batch_links
+
+        cfg = FdConfig(
+            channel=PARAMS,
+            snr_grid_db=(-2.0, 2.0),
+            trials_per_point=1000,
+            channels_per_point=40,
+            seed=11,
+        )
+        per_batch = _fd_batch_links(cfg)
+        assert 1 < per_batch < 40 and 40 % per_batch
+        reports = [run_fd(cfg, n_threads=n) for n in (1, 2, 3)]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_fd_benchmark_prefix_matches_golden(self):
         # The channel ensemble and every block stream are keyed by index, so

@@ -501,7 +501,8 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
             )
             log.info(
                 "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e, "
-                "estimated %.3e with %d of %d links excluded: singular Fisher)",
+                "estimated %.3e with %d of %d links excluded: singular Fisher), "
+                "%.3f s elapsed",
                 snr_db,
                 ber_total,
                 points[-1].ber_spatial,
@@ -510,6 +511,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
                 abep_estimated,
                 excluded,
                 len(links),
+                time.perf_counter() - start,
             )
     sweep_s = time.perf_counter() - start - link_s
     _log_timing("run", n_threads, link_s, sweep_s, blocks_s, analytic_s)

@@ -15,6 +15,28 @@ The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
 NumPy arrays, so a whole link ensemble costs one backend call instead of
 one per link; an array result holds, element for element, what a scalar
 call with that element returns.
+
+Saturated non-central t terms. With T = (Z + delta) / sqrt(V / dof),
+V central chi-square, and x > 0, the CDF is exactly 1.0 in double
+precision whenever the upper tail P(T > x) is below 2^-55, under half
+the 2^-53 spacing of the doubles just below 1. :func:`_nct_saturated`
+proves that bound from either of two sufficient conditions, each giving
+Q(z0) + 2^-56 < 2^-55 with z0 = :data:`_Z0` = 8.5 (Q(8.5) = 9.5e-18 is
+below 2^-56 = 1.4e-17):
+
+- delta < -z0. T > x > 0 needs Z + delta > 0, so P(T > x) <= Q(-delta).
+- c = (delta + z0) / x in (0, 1) and dof/2 (1 - c^2 + 2 ln c) below
+  :data:`_LOG_TAIL_SHARE` = ln 2^-56. T > x needs either V / dof < c^2
+  or Z > c x - delta = z0, so P(T > x) <= Q(z0) + P(V < c^2 dof); the
+  chi-square Chernoff bound puts the second term below
+  exp(dof/2 (1 - c^2 + 2 ln c)).
+
+Rounding in the computed c and exponent shifts the effective z0 and
+the exponent by a few ulp, far inside the factor-of-two margin between
+2^-55 and the 2^-54 that correct rounding needs. Such terms are
+answered without calling the backend, which returns 1.0, 1 minus a few
+ulp, or NaN there; its NaN calls are the slowest of the doubly
+non-central t windows.
 """
 
 from __future__ import annotations
@@ -216,17 +238,44 @@ def noncentral_t_cdf(
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
+#: z0 of the saturation screen: Q(8.5) = 9.5e-18 < 2^-56 (module docstring)
+_Z0 = 8.5
+
+#: ln 2^-56, the Chernoff share of the screen's 2^-55 tail bound
+_LOG_TAIL_SHARE = -56.0 * math.log(2.0)
+
+
+def _nct_saturated(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Where x > 0 and P(T > x) < 2^-55 provably, so the CDF rounds to 1.0.
+
+    Either condition of the module docstring is enough: delta < -z0, or
+    c = (delta + z0) / x in (0, 1) with a chi-square Chernoff exponent
+    dof/2 (1 - c^2 + 2 ln c) below ln 2^-56.
+    """
+    positive = x > 0
+    c = np.divide(delta + _Z0, x, out=np.zeros(x.shape), where=positive)
+    inside = (c > 0.0) & (c < 1.0)
+    c_in = c[inside]
+    exponent = 0.5 * dof[inside] * (1.0 - c_in * c_in + 2.0 * np.log(c_in))
+    chernoff = np.zeros(x.shape, dtype=bool)
+    chernoff[inside] = exponent < _LOG_TAIL_SHARE
+    return positive & ((delta < -_Z0) | chernoff)
+
+
 def _nct_cdf_finite(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Non-central t CDF at finite x, unclipped.
 
-    Elements with x > 0 go to the exact backend (the ufunc behind
-    scipy's ``nct.cdf``); those with x <= 0, whose backend result has
-    only an absolute accuracy of ~1e-16, and those where the backend
-    returns NaN go to :func:`_nct_cdf_fallback`.
+    Elements with x > 0 whose CDF :func:`_nct_saturated` proves to round
+    to 1 are exactly 1.0. The other elements with x > 0 go to the exact
+    backend (the ufunc behind scipy's ``nct.cdf``); those with x <= 0,
+    whose backend result has only an absolute accuracy of ~1e-16, and
+    those where the backend returns NaN go to :func:`_nct_cdf_fallback`.
     """
     p = np.full(x.shape, np.nan)
-    positive = x > 0
-    p[positive] = special.nctdtr(dof[positive], delta[positive], x[positive])
+    saturated = _nct_saturated(x, dof, delta)
+    p[saturated] = 1.0
+    rest = (x > 0) & ~saturated
+    p[rest] = special.nctdtr(dof[rest], delta[rest], x[rest])
     bad = np.isnan(p)
     if bad.any():
         p[bad] = _nct_cdf_fallback(x[bad], dof[bad], delta[bad])
@@ -238,9 +287,13 @@ def _nct_cdf_fallback(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.n
 
     Elements with x <= 0 are integrated by :func:`_nct_cdf_nonpositive`.
     Elements with x > 0 (where the backend returned NaN) take the
-    large-dof normal approximation; the backend fails there only at
-    extreme dof or non-centrality, where the approximation error is far
-    below the surrounding cancellation floor.
+    large-dof normal approximation, whose accuracy is not established.
+    The saturation screen answers, before the backend is called, the
+    points where it was known to be wrong (0.834 at x = 42.18,
+    dof = 1.31, delta = -39.8, where the CDF rounds to 1). Of the 4,003
+    points of the scipy parity grid, 14 still reach it: 12 with
+    delta > 36, where it returns values below 1e-200, and 2 with
+    dof < 1, where it returns NaN.
     """
     p = np.empty(x.shape)
     low = x <= 0

@@ -225,6 +225,11 @@ class TestAnalyticColumns:
             assert f"with {singular} of 20 links excluded: singular Fisher" in line
 
 
+def without_elapsed(lines):
+    """Per-SNR log lines without their wall-clock suffix, which no run repeats."""
+    return [re.sub(r", [\d.]+ s elapsed$", "", line) for line in lines]
+
+
 class TestThreadCountInvariance:
     """Blocks and analytic columns share one pool; nothing may depend on it."""
 
@@ -244,6 +249,7 @@ class TestThreadCountInvariance:
             # NaN would make the report comparison below fail for any thread count.
             assert not any(math.isnan(v) for v in dataclasses.astuple(point))
         assert reports[1] == reports[0] and reports[2] == reports[0]
+        logs = [without_elapsed(lines) for lines in logs]
         assert logs[1] == logs[0] and logs[2] == logs[0]
         assert [line.split(" dB")[0] for line in logs[0]] == ["snr=-4", "snr=4", "snr=8"]
         for line, singular in zip(logs[0], expected):
@@ -270,6 +276,7 @@ class TestThreadCountInvariance:
                     run(config, n_threads=n_threads)
             assert aborted.value.snr_db == 10.0
             logs.append([r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"])
+        logs = [without_elapsed(lines) for lines in logs]
         assert [line.split(" dB")[0] for line in logs[0]] == ["snr=6", "snr=8"]
         assert logs[1] == logs[0] and logs[2] == logs[0]
 
@@ -359,6 +366,34 @@ class TestFdProgressLog:
             logging.getLogger("rsmsim.simulate").removeHandler(handler)
         per_point = -(-40 // simulate._fd_batch_links(self.CONFIG))
         assert events == (["block"] * per_point + ["line"]) * 3
+
+
+RSM_POINT_LINE = re.compile(
+    r"snr=(\S+) dB ber=(\S+) \(spatial (\S+), modulation (\S+), analytic (\S+), "
+    r"estimated (\S+) with (\d+) of (\d+) links excluded: singular Fisher\), ([\d.]+) s elapsed"
+)
+
+
+class TestRsmProgressLog:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_line_per_point_with_elapsed_seconds(self, caplog, n_threads):
+        config = small_config(snr_grid_db=(-4.0, 4.0, 8.0))
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            report = run(config, n_threads=n_threads)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"]
+        matches = [RSM_POINT_LINE.fullmatch(line) for line in lines]
+        assert all(matches) and len(matches) == len(report.points)
+        elapsed = []
+        for match, point in zip(matches, report.points):
+            assert float(match[1]) == point.snr_db
+            assert match[2] == f"{point.ber_total:.3e}"
+            assert match[3] == f"{point.ber_spatial:.3e}"
+            assert match[4] == f"{point.ber_modulation:.3e}"
+            assert match[5] == f"{point.abep_analytic:.3e}"
+            assert match[6] == f"{point.abep_analytic_estimated:.3e}"
+            assert match[8] == "20"
+            elapsed.append(float(match[9]))
+        assert elapsed == sorted(elapsed) and elapsed[0] > 0
 
 
 class TestSelectionModes:

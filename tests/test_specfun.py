@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from rsmsim import specfun
 from rsmsim.specfun import (
     DomainError,
     _ncx2_tail,
     _nct_cdf_fallback,
+    _nct_cdf_finite,
+    _nct_saturated,
     _poisson_window,
     bessel_i0,
     doubly_noncentral_t_cdf,
@@ -277,6 +280,135 @@ class TestBackendFallback:
         np.testing.assert_array_equal(_nct_cdf_fallback(x, dof, delta), special.ndtr(z))
 
 
+def nct_tail_mp(x, dof, delta):
+    """mpmath oracle for the upper tail P(T > x), T = (Z + delta) / S, S = sqrt(V / dof).
+
+    Integrates h(w) = f_S(e^w) e^w Q(x e^w - delta) over w = log S.
+    For x > 0, log h is concave, so a float scan locates its one peak and
+    the range within exp(-120) of it; the quadrature is split at the peak
+    and at evenly spaced breakpoints on either side, which a single naive
+    ``mp.quad`` over the whole line does not resolve.
+    """
+    import mpmath as mp
+
+    def log_h(w):
+        r = np.exp(w)
+        return (
+            math.log(2.0 * dof)
+            + 2.0 * w
+            + (0.5 * dof - 1.0) * (math.log(dof) + 2.0 * w)
+            - 0.5 * dof * r * r
+            - 0.5 * dof * math.log(2.0)
+            - special.gammaln(0.5 * dof)
+            + special.log_ndtr(delta - x * r)
+        )
+
+    w = np.linspace(-400.0, 10.0, 82001)
+    scan = log_h(w)
+    peak = w[np.argmax(scan)]
+    inside = w[scan > scan.max() - 120.0]
+    assert w[0] < inside[0] and inside[-1] < w[-1]
+    knots = sorted({*np.linspace(inside[0], peak, 6), *np.linspace(peak, inside[-1], 6)})
+    with mp.workdps(20):
+        half = mp.mpf(dof) / 2
+
+        def h(w):
+            v = dof * mp.exp(2 * w)
+            density = 2 * v * v ** (half - 1) * mp.exp(-v / 2) / (2**half * mp.gamma(half))
+            return density * mp.erfc((x * mp.exp(w) - delta) / mp.sqrt(2)) / 2
+
+        return mp.quad(h, [mp.mpf(k) for k in knots])
+
+
+class TestSaturationScreen:
+    """x > 0 terms whose upper tail is provably below 2^-55 are exactly 1.0."""
+
+    # ln 2^-56 and z0 = 8.5, written out so the test does not follow the module.
+    LOG_SHARE = -56.0 * math.log(2.0)
+
+    def test_fig3_window_terms_equal_backend(self, monkeypatch):
+        # Every term abep evaluates on a fig3-geometry ensemble at 16-20 dB.
+        import dataclasses
+        from pathlib import Path
+
+        from rsmsim.cli import load_config
+        from rsmsim.simulate import analytic_curves
+
+        config = load_config(Path(__file__).resolve().parent.parent / "presets" / "fig3.cfg")
+        config = dataclasses.replace(config, snr_grid_db=(16.0, 18.0, 20.0), channels_per_point=20)
+        calls = []
+
+        def recording(x, dof, delta):
+            calls.append((x, dof, delta))
+            return _nct_cdf_finite(x, dof, delta)
+
+        monkeypatch.setattr(specfun, "_nct_cdf_finite", recording)
+        analytic_curves(config)
+        x, dof, delta = (np.concatenate(v) for v in zip(*calls))
+        assert x.size > 10_000 and np.all(x > 0)
+        assert np.array_equal(_nct_cdf_finite(x, dof, delta), nct_terms_stats(x, dof, delta))
+        assert np.count_nonzero(_nct_saturated(x, dof, delta)) > x.size / 2
+
+    @pytest.mark.parametrize(
+        "x,dof,delta",
+        [
+            (2.0, 1e4, -6.5),  # c = 1
+            (1.0, 20.0, -5.5),  # c = 3: the Chernoff exponent alone would pass
+            (10.0, 2.0, -8.4),  # delta just above -z0; exponent -8.2
+            (4.0, 122.007063, -6.5),  # c = 0.5, exponent just above ln 2^-56
+        ],
+        ids=["c-one", "c-above-one", "delta-8.4", "chernoff-limit"],
+    )
+    def test_no_answer_just_outside(self, x, dof, delta):
+        c = (delta + 8.5) / x
+        if 0.0 < c < 1.0:
+            assert 0.5 * dof * (1.0 - c * c + 2.0 * math.log(c)) > self.LOG_SHARE
+        x, dof, delta = np.array([x]), np.array([dof]), np.array([delta])
+        assert not _nct_saturated(x, dof, delta)[0]
+        assert np.array_equal(_nct_cdf_finite(x, dof, delta), nct_terms_stats(x, dof, delta))
+
+    @pytest.mark.parametrize(
+        "x,dof,delta",
+        [(10.0, 2.0, -8.6), (4.0, 122.00731, -6.5)],
+        ids=["delta-8.6", "chernoff-limit"],
+    )
+    def test_answers_just_inside(self, x, dof, delta):
+        assert _nct_saturated(np.array([x]), np.array([dof]), np.array([delta]))[0]
+        assert noncentral_t_cdf(x, dof, delta) == 1.0
+
+    @pytest.mark.parametrize(
+        "x,dof,delta",
+        [
+            # scipy gave 1 minus 1 or 2 ulp
+            (6.183499007717468, 27.898677007831886, -7.746702113536621),
+            (4.514151083141653, 2578.9879686625322, -5.003756844836396),
+            (5.457169250071077, 2589.0156553683423, -4.510653337633414),
+            (7.0269059384270625, 113.03027807658692, -8.122335453668718),
+            # scipy gave NaN and the normal approximation fell short of 1
+            (42.18460385870764, 1.3092409910301284, -39.806488121858195),
+            (17.115117572966515, 1.6932016272177042, -12.288705242295443),
+            (110.36118955495444, 2.2110739697419457, -36.84073060975646),
+            (91.14531301314528, 1.9426631834380539, -47.85787229987901),
+            (25.21509440467257, 2.6480748777780523, -18.5493866762637),
+            (23.51258568951363, 4.416422445960106, -13.319535713625626),
+        ],
+    )
+    def test_answered_tails_below_half_ulp(self, x, dof, delta):
+        # Points of the scipy parity grid where the screen changed the result.
+        args = np.array([x]), np.array([dof]), np.array([delta])
+        assert _nct_saturated(*args)[0]
+        assert nct_terms_stats(*args)[0] < 1.0
+        assert noncentral_t_cdf(x, dof, delta) == 1.0
+        assert nct_tail_mp(x, dof, delta) < 2.0**-55
+
+    @pytest.mark.parametrize(
+        "x,dof,delta", [(2.0, 5.0, 0.5), (6.0, 2.0, 1.0), (1.5, 0.5, 2.0), (20.0, 2.0, 3.0)]
+    )
+    def test_mpmath_oracle_against_backend(self, x, dof, delta):
+        want = 1.0 - special.nctdtr(dof, delta, x)
+        assert float(nct_tail_mp(x, dof, delta)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 class TestArrayArguments:
     """Array calls hold, element for element, what scalar calls return."""
 
@@ -459,9 +591,15 @@ class TestScipyStatsParity:
         assert np.isnan(stats.nct.cdf(x, dof, delta)).sum() >= len(self.NCT_NAN)
         with np.errstate(invalid="ignore"):
             want = np.clip(nct_terms_stats(x, dof, delta), 0.0, 1.0)
+            got = noncentral_t_cdf(x, dof, delta)
+        # Where the saturation screen answers, the CDF is exactly 1; there
+        # scipy gave 1.0, 1 minus a few ulp, or NaN (then the fallback, as
+        # low as 0.834). TestSaturationScreen checks those tails by mpmath.
+        screened = _nct_saturated(x, dof, delta)
+        assert np.all(got[screened] == 1.0)
+        assert np.count_nonzero(want[screened] != 1.0) == 87
         # The normal approximation is NaN at some dof < 1, before as now.
-        with np.errstate(invalid="ignore"):
-            assert np.array_equal(noncentral_t_cdf(x, dof, delta), want, equal_nan=True)
+        assert np.array_equal(got[~screened], want[~screened], equal_nan=True)
 
     def test_doubly_noncentral_t_cdf_positive_x(self):
         rng = np.random.default_rng(14)

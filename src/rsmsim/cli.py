@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -179,12 +179,7 @@ def load_config(path: str | Path) -> RsmConfig | FdConfig:
 
 
 def _with_seed(config: RsmConfig | FdConfig, seed: int | None):
-    if seed is None:
-        return config
-    fields = asdict(config)
-    fields["channel"] = config.channel
-    fields["seed"] = seed
-    return type(config)(**fields)
+    return config if seed is None else replace(config, seed=seed)
 
 
 def _write_manifest(out_path: Path, config, extra: dict) -> None:
@@ -204,6 +199,8 @@ def _write_manifest(out_path: Path, config, extra: dict) -> None:
 
 
 def cmd_ber(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = _with_seed(load_config(args.config), args.seed)
     if isinstance(config, RsmConfig):
         report = run(config, n_threads=args.threads)
@@ -251,21 +248,16 @@ def cmd_power(args: argparse.Namespace) -> int:
     from .power import PowerConfig, power_fd, power_proposed, power_ratio
 
     try:
-        n_rx_list = [int(v) for v in args.n_rx.split(",") if v.strip()]
-        if not n_rx_list:
+        configs = [PowerConfig(args.p_ref, int(v)) for v in args.n_rx.split(",") if v.strip()]
+        if not configs:
             raise ValueError("empty list")
-        if args.p_ref <= 0:
-            raise ValueError("p_ref must be positive")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     lines = ["n_rx,p_proposed_mw,p_fd_mw,ratio"]
-    for n_rx in n_rx_list:
-        cfg = PowerConfig(p_ref=args.p_ref, n_rx=n_rx)
+    for cfg in configs:
         exact, _ = power_ratio(cfg)
-        lines.append(
-            f"{n_rx},{power_proposed(cfg):g},{power_fd(cfg):g},{exact:.4f}"
-        )
+        lines.append(f"{cfg.n_rx},{power_proposed(cfg):g},{power_fd(cfg):g},{exact:.4f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -275,8 +267,8 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    if args.alpha_p <= 0 or args.sigma2 <= 0 or not 0 < args.beta <= 1:
-        print("error: alpha_p, sigma2 must be > 0 and beta in (0, 1]", file=sys.stderr)
+    if not (0 < args.alpha_p < math.inf and 0 < args.sigma2 < math.inf and 0 < args.beta <= 1):
+        print("error: alpha_p, sigma2 must be finite and > 0, beta in (0, 1]", file=sys.stderr)
         return EXIT_CONFIG
     min_power = args.beta * args.alpha_p
     print("mode,gamma,residual")

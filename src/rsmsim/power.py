@@ -11,6 +11,7 @@ whole chain per antenna for both directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,34 +40,25 @@ class PowerConfig:
 
     p_ref: float
     n_rx: int
-    n_rf_proposed: int = 1
-    n_rf_fd: int | None = None
 
     def __post_init__(self) -> None:
-        if self.p_ref <= 0:
-            raise ValueError("p_ref must be positive")
-        if self.n_rx < 1 or self.n_rf_proposed < 1:
-            raise ValueError("antenna and RF chain counts must be >= 1")
-        if self.n_rf_fd is not None and self.n_rf_fd < 1:
-            raise ValueError("n_rf_fd must be >= 1 when given")
-
-    @property
-    def rf_chains_fd(self) -> int:
-        return self.n_rx if self.n_rf_fd is None else self.n_rf_fd
+        if not 0 < self.p_ref < math.inf:
+            raise ValueError("p_ref must be positive and finite")
+        if self.n_rx < 1:
+            raise ValueError("n_rx must be >= 1")
 
 
 def power_proposed(cfg: PowerConfig) -> float:
     """Uplink+downlink consumption of the envelope-detection receiver (mW)."""
     per_antenna = 2.0 * LNA + PHASE_SHIFTER + SWITCH
-    shared = 2.0 * (RF_CHAIN + ADC) + cfg.n_rf_proposed * 1.0
+    shared = 2.0 * (RF_CHAIN + ADC) + 1.0  # baseband for its one RF chain
     return cfg.p_ref * (cfg.n_rx * per_antenna + shared)
 
 
 def power_fd(cfg: PowerConfig) -> float:
     """Uplink+downlink consumption of the fully digital receiver (mW)."""
-    return cfg.p_ref * (
-        2.0 * cfg.n_rx * (LNA + RF_CHAIN + ADC) + cfg.rf_chains_fd * 1.0
-    )
+    # baseband for one RF chain per antenna
+    return cfg.p_ref * (2.0 * cfg.n_rx * (LNA + RF_CHAIN + ADC) + cfg.n_rx * 1.0)
 
 
 def ratio_approximation(n_rx: int) -> float:

@@ -25,7 +25,6 @@ import math
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,7 +303,9 @@ def _analytic_columns(
         n_pilot_samples=config.n_pilots * config.n_active,
     )
     excluded = int(np.isnan(estimated.abep).sum())
-    return float(np.mean(perfect.abep)), float(np.nanmean(estimated.abep)), excluded
+    # With every link excluded the average is NaN; nanmean would also warn.
+    mean = float(np.nanmean(estimated.abep)) if excluded < len(links) else math.nan
+    return float(np.mean(perfect.abep)), mean, excluded
 
 
 def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
@@ -378,56 +379,82 @@ def _timed(fn: Callable, *args) -> tuple[object, float]:
     return value, time.perf_counter() - start
 
 
-@contextmanager
 def _sweep(
     n_threads: int,
     n_snr: int,
     n_blocks: int,
     block: Callable[[int, int], object],
     analytic: Callable[[int], object],
-) -> Iterator[tuple[list[Callable[[], list]], list[Callable[[], tuple]]]]:
+) -> Iterator[tuple[list[tuple[object, float]], tuple[object, float]]]:
     """Run ``block(snr_idx, block_idx)`` for every block and
     ``analytic(snr_idx)`` for every SNR point.
 
-    Yields two lists with one call per SNR point: the first returns the
-    point's block ``(result, seconds)`` pairs in block order, the second
-    its analytic ``(result, seconds)``. The caller makes these calls in
-    grid order, each point's blocks before its analytic call, so the
+    Yields, for each SNR point in grid order, its block ``(result,
+    seconds)`` pairs in block order and its analytic ``(result,
+    seconds)``; blocks are collected before the analytic result, so the
     first failure in grid order raises at any thread count. With
-    ``n_threads > 1`` all tasks go to one pool, each point's analytic
-    task ahead of its blocks, and tasks still pending when the caller
-    stops early are cancelled; otherwise each call runs its tasks in the
-    calling thread when it is made.
+    ``n_threads > 1`` every task goes to one pool up front, each point's
+    analytic task ahead of its blocks, and tasks still pending when the
+    caller stops early are cancelled; otherwise each task runs in the
+    calling thread when its result is collected.
     """
-    if n_threads <= 1:
+    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
 
-        def row(snr_idx: int) -> list[tuple[object, float]]:
-            return [_timed(block, snr_idx, b) for b in range(n_blocks)]
+    def task(fn: Callable, *args) -> Callable[[], tuple[object, float]]:
+        if pool is None:
+            return functools.partial(_timed, fn, *args)
+        return pool.submit(_timed, fn, *args).result
 
-        yield (
-            [functools.partial(row, s) for s in range(n_snr)],
-            [functools.partial(_timed, analytic, s) for s in range(n_snr)],
-        )
-        return
-    pool = ThreadPoolExecutor(max_workers=n_threads)
     try:
-        analytic_tasks, block_rows = [], []
-        for snr_idx in range(n_snr):
-            analytic_tasks.append(pool.submit(_timed, analytic, snr_idx).result)
-            futures = [pool.submit(_timed, block, snr_idx, b) for b in range(n_blocks)]
-            block_rows.append(functools.partial(_results, futures))
-        yield block_rows, analytic_tasks
+        rows = [
+            (task(analytic, s), [task(block, s, b) for b in range(n_blocks)])
+            for s in range(n_snr)
+        ]
+        for analytic_result, block_results in rows:
+            yield [result() for result in block_results], analytic_result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
-def _results(futures: list) -> list:
-    return [future.result() for future in futures]
+def _ci95(ber: float, bits: int) -> float:
+    """Wald 95% half-width of a BER measured over ``bits`` bits."""
+    return 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits) if bits else math.nan
 
 
-def _log_timing(
-    name: str, n_threads: int, link_s: float, sweep_s: float, blocks_s: float, analytic_s: float
-) -> None:
+def _sweep_and_reduce(
+    name: str,
+    config: RsmConfig | FdConfig,
+    n_threads: int,
+    start: float,
+    n_blocks: int,
+    block: Callable[[int, int], object],
+    analytic: Callable[[int], object],
+    point: Callable[[float, list, object], tuple[SnrPoint, str]],
+) -> ErrorReport:
+    """Sweep the SNR grid on :func:`_sweep` and reduce it point by point.
+
+    ``point(snr_db, block results, analytic result)`` returns the
+    point's :class:`SnrPoint` and its log message, which is logged with
+    the seconds elapsed since ``start``; the time from ``start`` to this
+    call counts as the link build on the ``.timing`` line.
+    """
+    link_s = time.perf_counter() - start
+    grid = config.snr_grid_db
+    points = []
+    blocks_s = analytic_s = 0.0
+    sweep = _sweep(n_threads, len(grid), n_blocks, block, analytic)
+    try:
+        for snr_db, (blocks, (result, seconds)) in zip(grid, sweep):
+            blocks_s += sum(block_s for _, block_s in blocks)
+            analytic_s += seconds
+            snr_point, message = point(snr_db, [counts for counts, _ in blocks], result)
+            points.append(snr_point)
+            log.info("%s, %.3f s elapsed", message, time.perf_counter() - start)
+    finally:
+        # Cancel pending tasks now rather than when a raised error is freed.
+        sweep.close()
+    sweep_s = time.perf_counter() - start - link_s
     timing_log.info(
         "%s: %d thread(s); link build %.3f s, sweep %.3f s "
         "(summed over tasks: blocks %.3f s, analytic columns %.3f s)",
@@ -438,6 +465,7 @@ def _log_timing(
         blocks_s,
         analytic_s,
     )
+    return ErrorReport(points=tuple(points), seed=config.seed)
 
 
 def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
@@ -451,7 +479,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     )
     start = time.perf_counter()
     links = _build_links(config)
-    link_s = time.perf_counter() - start
+    k = constellation.bits_per_symbol
 
     def block(snr_idx: int, ch_idx: int) -> _BlockCounts:
         return _run_block(config, constellation, links[ch_idx], snr_idx)
@@ -459,63 +487,41 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     def analytic(snr_idx: int) -> tuple[float, float, int]:
         return _analytic_columns(config, constellation, links, config.snr_grid_db[snr_idx])
 
-    k = constellation.bits_per_symbol
-    bits_per_word = config.n_active + k
-    points = []
-    blocks_s = analytic_s = 0.0
-    with _sweep(n_threads, len(config.snr_grid_db), len(links), block, analytic) as (
-        block_rows,
-        analytic_tasks,
-    ):
-        for snr_idx, snr_db in enumerate(config.snr_grid_db):
-            spatial = modulation = words = failed = 0
-            for counts, seconds in block_rows[snr_idx]():
-                blocks_s += seconds
-                spatial += counts.spatial_errors
-                modulation += counts.modulation_errors
-                words += counts.words
-                failed += counts.failed
-            total_words = words + failed
-            if failed > ERROR_BUDGET * total_words:
-                raise PointAborted(snr_db, failed / total_words)
-            bits = words * bits_per_word
-            ber_total = (spatial + modulation) / bits if bits else math.nan
-            ci = (
-                1.96 * math.sqrt(max(ber_total * (1.0 - ber_total), 0.0) / bits)
-                if bits
-                else math.nan
-            )
-            (abep_perfect, abep_estimated, excluded), seconds = analytic_tasks[snr_idx]()
-            analytic_s += seconds
-            points.append(
-                SnrPoint(
-                    snr_db=snr_db,
-                    ber_total=ber_total,
-                    ber_spatial=spatial / (words * config.n_active) if words else math.nan,
-                    ber_modulation=modulation / (words * k) if words else math.nan,
-                    abep_analytic=abep_perfect,
-                    abep_analytic_estimated=abep_estimated,
-                    ci_halfwidth_95=ci,
-                    bits_counted=bits,
-                )
-            )
-            log.info(
-                "snr=%g dB ber=%.3e (spatial %.3e, modulation %.3e, analytic %.3e, "
-                "estimated %.3e with %d of %d links excluded: singular Fisher), "
-                "%.3f s elapsed",
-                snr_db,
-                ber_total,
-                points[-1].ber_spatial,
-                points[-1].ber_modulation,
-                abep_perfect,
-                abep_estimated,
-                excluded,
-                len(links),
-                time.perf_counter() - start,
-            )
-    sweep_s = time.perf_counter() - start - link_s
-    _log_timing("run", n_threads, link_s, sweep_s, blocks_s, analytic_s)
-    return ErrorReport(points=tuple(points), seed=config.seed)
+    def point(
+        snr_db: float, blocks: list[_BlockCounts], columns: tuple[float, float, int]
+    ) -> tuple[SnrPoint, str]:
+        spatial = sum(c.spatial_errors for c in blocks)
+        modulation = sum(c.modulation_errors for c in blocks)
+        words = sum(c.words for c in blocks)
+        failed = sum(c.failed for c in blocks)
+        if failed > ERROR_BUDGET * (words + failed):
+            raise PointAborted(snr_db, failed / (words + failed))
+        bits = words * (config.n_active + k)
+        ber_total = (spatial + modulation) / bits if bits else math.nan
+        ber_spatial = spatial / (words * config.n_active) if words else math.nan
+        ber_modulation = modulation / (words * k) if words else math.nan
+        abep_perfect, abep_estimated, excluded = columns
+        message = (
+            f"snr={snr_db:g} dB ber={ber_total:.3e} (spatial {ber_spatial:.3e}, "
+            f"modulation {ber_modulation:.3e}, analytic {abep_perfect:.3e}, "
+            f"estimated {abep_estimated:.3e} with {excluded} of {len(links)} links "
+            "excluded: singular Fisher)"
+        )
+        return (
+            SnrPoint(
+                snr_db=snr_db,
+                ber_total=ber_total,
+                ber_spatial=ber_spatial,
+                ber_modulation=ber_modulation,
+                abep_analytic=abep_perfect,
+                abep_analytic_estimated=abep_estimated,
+                ci_halfwidth_95=_ci95(ber_total, bits),
+                bits_counted=bits,
+            ),
+            message,
+        )
+
+    return _sweep_and_reduce("run", config, n_threads, start, len(links), block, analytic, point)
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
@@ -530,16 +536,15 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     )
     start = time.perf_counter()
     gains = _fd_mode_gains(config)
-    link_s = time.perf_counter() - start
 
     sigma2 = 1.0
-    k = constellation.bits_per_symbol
     trials = config.trials_per_point
     received = [
         received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2) for snr_db in config.snr_grid_db
     ]
     n_links = len(gains)
     per_batch = _fd_batch_links(config)
+    bits = trials * config.n_modes * constellation.bits_per_symbol * n_links
 
     def block(snr_idx: int, batch_idx: int) -> np.ndarray:
         first = batch_idx * per_batch
@@ -553,41 +558,21 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx], sigma2)
 
-    points = []
-    blocks_s = analytic_s = 0.0
-    bits = trials * config.n_modes * k * n_links
+    def point(snr_db: float, blocks: list[np.ndarray], abep: float) -> tuple[SnrPoint, str]:
+        ber = sum(int(counts.sum()) for counts in blocks) / bits
+        return (
+            SnrPoint(
+                snr_db=snr_db,
+                ber_total=ber,
+                ber_spatial=0.0,
+                ber_modulation=ber,
+                abep_analytic=abep,
+                abep_analytic_estimated=math.nan,
+                ci_halfwidth_95=_ci95(ber, bits),
+                bits_counted=bits,
+            ),
+            f"snr={snr_db:g} dB ber={ber:.3e} (analytic {abep:.3e})",
+        )
+
     n_batches = -(-n_links // per_batch)
-    with _sweep(n_threads, len(received), n_batches, block, analytic) as (
-        block_rows,
-        analytic_tasks,
-    ):
-        for snr_idx, snr_db in enumerate(config.snr_grid_db):
-            errors = 0
-            for counts, seconds in block_rows[snr_idx]():
-                errors += int(counts.sum())
-                blocks_s += seconds
-            ber = errors / bits
-            abep, seconds = analytic_tasks[snr_idx]()
-            analytic_s += seconds
-            points.append(
-                SnrPoint(
-                    snr_db=snr_db,
-                    ber_total=ber,
-                    ber_spatial=0.0,
-                    ber_modulation=ber,
-                    abep_analytic=abep,
-                    abep_analytic_estimated=math.nan,
-                    ci_halfwidth_95=1.96 * math.sqrt(max(ber * (1 - ber), 0.0) / bits),
-                    bits_counted=bits,
-                )
-            )
-            log.info(
-                "snr=%g dB ber=%.3e (analytic %.3e), %.3f s elapsed",
-                snr_db,
-                ber,
-                abep,
-                time.perf_counter() - start,
-            )
-    sweep_s = time.perf_counter() - start - link_s
-    _log_timing("run_fd", n_threads, link_s, sweep_s, blocks_s, analytic_s)
-    return ErrorReport(points=tuple(points), seed=config.seed)
+    return _sweep_and_reduce("run_fd", config, n_threads, start, n_batches, block, analytic, point)

@@ -102,7 +102,7 @@ def run_hsa16():
 
 class TestCriterion1PowerModel:
     def test_criterion_1(self):
-        cfg = PowerConfig(p_ref=20.0, n_rx=16, n_rf_proposed=1)
+        cfg = PowerConfig(p_ref=20.0, n_rx=16)
         proposed = power_proposed(cfg)
         fully_digital = power_fd(cfg)
         exact_match = proposed == 1700.0 and fully_digital == 8640.0

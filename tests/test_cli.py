@@ -115,6 +115,13 @@ class TestCmdBer:
         assert code == 2
         assert "n_active" in capsys.readouterr().err
 
+    def test_zero_threads_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        code = main(["ber", "--config", str(config_file), "--out", str(out), "--threads", "0"])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes(self, config_file, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["ber", "--config", str(config_file), "--out", str(out1), "--threads", "1"]) == 0
@@ -174,8 +181,14 @@ class TestCmdPower:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] > 3.75 / 27.0 - 1e-4
 
-    def test_invalid_p_ref_exits_2(self):
-        assert main(["power", "--n-rx", "16", "--p-ref", "0"]) == 2
+    @pytest.mark.parametrize(
+        "n_rx, p_ref",
+        [("16", "0"), ("0", "1"), ("4", "inf"), ("4", "nan")],
+        ids=["p-ref-zero", "n-rx-zero", "p-ref-inf", "p-ref-nan"],
+    )
+    def test_invalid_p_ref_exits_2(self, n_rx, p_ref, capsys):
+        assert main(["power", "--n-rx", n_rx, "--p-ref", p_ref]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCmdThreshold:
@@ -195,8 +208,18 @@ class TestCmdThreshold:
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) >= 2
 
-    def test_bad_beta_exits_2(self):
-        assert main(["threshold", "--alpha-p", "1", "--beta", "2"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha-p", "1", "--beta", "2"],
+            ["--alpha-p", "1e400"],
+            ["--alpha-p", "10", "--sigma2", "nan"],
+        ],
+        ids=["beta-2", "alpha-p-overflow", "sigma2-nan"],
+    )
+    def test_bad_beta_exits_2(self, argv, capsys):
+        assert main(["threshold", *argv]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestPresets:

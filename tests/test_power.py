@@ -82,5 +82,3 @@ class TestValidation:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             PowerConfig(p_ref=1.0, n_rx=0)
-        with pytest.raises(ValueError):
-            PowerConfig(p_ref=1.0, n_rx=4, n_rf_fd=0)

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,73 @@ class TestRsmProgressLog:
             assert match[8] == "20"
             elapsed.append(float(match[9]))
         assert elapsed == sorted(elapsed) and elapsed[0] > 0
+
+
+class TestSweepContract:
+    """The span tracer of the benchmark follows only the calling thread, so
+    at one thread every task must run there, in grid order."""
+
+    def test_one_thread_runs_every_task_in_the_caller(self, monkeypatch):
+        import rsmsim.simulate as simulate
+
+        threads = []
+
+        def recording(fn):
+            def wrapper(*args):
+                threads.append(threading.get_ident())
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_run_block", "_analytic_columns", "fd_ber", "_fd_analytic"):
+            monkeypatch.setattr(simulate, name, recording(getattr(simulate, name)))
+        run(small_config())
+        fd_config = FdConfig(
+            channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=50, channels_per_point=5
+        )
+        run_fd(fd_config)
+        # 2 points x (20 blocks + 1 analytic), then 2 points x (1 batch + 1 analytic)
+        assert len(threads) == 46
+        assert set(threads) == {threading.get_ident()}
+
+    def abort_config(self):
+        return small_config(
+            threshold_source="estimated",
+            snr_grid_db=(-20.0, 10.0, 14.0),
+            trials_per_point=50,
+            channels_per_point=10,
+        )
+
+    def recorded_blocks(self, monkeypatch):
+        import rsmsim.simulate as simulate
+
+        snr_indices = []
+        real = simulate._run_block
+
+        def recording(config, constellation, link, snr_idx):
+            snr_indices.append(snr_idx)
+            return real(config, constellation, link, snr_idx)
+
+        monkeypatch.setattr(simulate, "_run_block", recording)
+        return snr_indices
+
+    def test_no_later_block_runs_after_an_abort(self, monkeypatch):
+        snr_indices = self.recorded_blocks(monkeypatch)
+        with pytest.raises(PointAborted) as aborted:
+            run(self.abort_config())
+        assert aborted.value.snr_db == -20.0
+        assert snr_indices == [0] * 10
+
+    def test_pool_stops_when_a_point_aborts(self, monkeypatch):
+        snr_indices = self.recorded_blocks(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(PointAborted) as aborted:
+            run(self.abort_config(), n_threads=2)
+        # The pool is shut down before the error leaves run, even while the
+        # error (and so the frame that raised it) is still held here.
+        assert aborted.value.snr_db == -20.0
+        assert threading.active_count() == before
+        assert snr_indices.count(0) == 10
 
 
 class TestSelectionModes:

@@ -240,6 +240,45 @@ def modulation_error_prob(
     return _scalar_or_array(total)
 
 
+def _point_fields(
+    constellation: Constellation,
+    n_active: int,
+    alpha_p: np.ndarray,
+    sigma2: float,
+    gamma: np.ndarray | None = None,
+    stats: np.ndarray | None = None,
+) -> np.ndarray:
+    """(p_es, p_em, abep, p1, p0) of one SNR point, one column per link.
+
+    ``alpha_p`` holds each link's power factor at the point. Give either
+    the designed thresholds ``gamma`` of a known threshold, or the
+    ``(n_links, 2)`` (mean, variance) ``stats`` of a pilot-estimated one;
+    a link whose stats are NaN is NaN in every field.
+    """
+    levels, weights = _power_levels(constellation)
+    # One column per constellation power level feeds the miss tail.
+    if stats is None:
+        kept = np.ones(alpha_p.size, dtype=bool)
+        p1_levels, p0 = spatial_error_probs_perfect(
+            gamma[:, None], alpha_p[:, None] * levels, sigma2
+        )
+    else:
+        kept = ~np.isnan(stats[:, 1])
+        p1_levels, p0 = spatial_error_probs_estimated(
+            (stats[kept, :1], stats[kept, 1:]), alpha_p[kept, None] * levels, sigma2
+        )
+    # Level average, accumulated level by level as a scalar loop would.
+    p1 = sum(float(wt) * p1_levels[:, i] for i, wt in enumerate(weights))
+    p0 = p0[:, 0]
+    p_es = 0.5 * (p1 + p0)
+    p_em = modulation_error_prob(constellation, alpha_p[kept], sigma2, n_active, p1, p0)
+    k = constellation.bits_per_symbol
+    value = (n_active * p_es + k * p_em) / (n_active + k)
+    fields = np.full((5, alpha_p.size), np.nan)
+    fields[:, kept] = (p_es, p_em, value, p1, p0)
+    return fields
+
+
 def abep(
     constellation: Constellation,
     n_active: int,
@@ -273,18 +312,12 @@ def abep(
         raise ValueError("alpha and sigma2 must be positive")
     links = np.atleast_1d(alphas)
     beta = constellation.beta
-    k = constellation.bits_per_symbol
-    levels, weights = _power_levels(constellation)
     out: list[tuple[float, AbepBreakdown]] = []
     for snr_db in snr_db_grid:
         alpha_p = links * sigma2 * 10.0 ** (float(snr_db) / 10.0)
-        # One column per constellation power level feeds the miss tail.
         if n_pilot_samples is None:
-            kept = np.ones(links.size, dtype=bool)
             gamma = [threshold(threshold_mode, a, sigma2, beta).gamma for a in alpha_p.tolist()]
-            p1_levels, p0 = spatial_error_probs_perfect(
-                np.array(gamma)[:, None], alpha_p[:, None] * levels, sigma2
-            )
+            fields = _point_fields(constellation, n_active, alpha_p, sigma2, gamma=np.array(gamma))
         else:
             stats = np.full((links.size, 2), np.nan)
             for i, a in enumerate(alpha_p.tolist()):
@@ -293,18 +326,7 @@ def abep(
                 except SingularFisher:
                     if alphas.ndim == 0:
                         raise
-            kept = ~np.isnan(stats[:, 1])
-            p1_levels, p0 = spatial_error_probs_estimated(
-                (stats[kept, :1], stats[kept, 1:]), alpha_p[kept, None] * levels, sigma2
-            )
-        # Level average, accumulated level by level as a scalar loop would.
-        p1 = sum(float(wt) * p1_levels[:, i] for i, wt in enumerate(weights))
-        p0 = p0[:, 0]
-        p_es = 0.5 * (p1 + p0)
-        p_em = modulation_error_prob(constellation, alpha_p[kept], sigma2, n_active, p1, p0)
-        value = (n_active * p_es + k * p_em) / (n_active + k)
-        fields = np.full((5, links.size), np.nan)
-        fields[:, kept] = (p_es, p_em, value, p1, p0)
+            fields = _point_fields(constellation, n_active, alpha_p, sigma2, stats=stats)
         if alphas.ndim == 0:
             fields = fields[:, 0].tolist()
         out.append((float(snr_db), AbepBreakdown(*fields)))

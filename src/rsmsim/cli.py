@@ -8,7 +8,8 @@ output is locale-independent and byte-stable for a given seed, whatever
 the worker count.
 
 Exit codes: 0 success (possibly with warnings), 2 configuration error
-naming the offending key, 3 runtime simulation failure.
+naming the offending key, or a threshold design asked for outside the
+domain ``phy.check_design_domain`` accepts, 3 runtime simulation failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ import scipy
 from . import __version__
 from .channel import ChannelParams
 from .mimo import SingularChannel, TooManySubsets
-from .phy import NoRoot, exact_threshold_residual, threshold
+from .phy import (
+    NoRoot,
+    OutsideDesignDomain,
+    check_design_domain,
+    exact_threshold_residual,
+    threshold,
+)
 from .simulate import (
     FdConfig,
     PointAborted,
@@ -267,9 +274,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    if not (0 < args.alpha_p < math.inf and 0 < args.sigma2 < math.inf and 0 < args.beta <= 1):
-        print("error: alpha_p, sigma2 must be finite and > 0, beta in (0, 1]", file=sys.stderr)
-        return EXIT_CONFIG
+    check_design_domain(args.alpha_p, args.sigma2, args.beta)
     min_power = args.beta * args.alpha_p
     print("mode,gamma,residual")
     for mode in ("exact", "msa", "hsa"):
@@ -329,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutsideDesignDomain as err:
+        print(f"error: threshold design: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (PointAborted, SingularChannel, TooManySubsets, ArithmeticError) as err:
         print(f"simulation failed: {err}", file=sys.stderr)

@@ -7,7 +7,10 @@ transmit rows, per-antenna and joint-ML spatial detection,
 minimum-distance symbol detection, switch-and-combine modulation
 detection, and the complex noise draw shared by every Monte Carlo path.
 Every step of the chain takes (trials, n_active) arrays, one row per
-data word.
+data word. ``spatial_bits``, ``transmit``, ``detect_spatial`` and
+``combine_and_detect_modulation`` also take a leading link axis,
+(links, trials, n_active), with the per-link inputs (channel matrix,
+amplitude, threshold, alpha_p) given one per link.
 
 Conventions: complex noise samples carry total variance sigma2 (half
 per real component); a spatial word is a bool row over the active
@@ -30,9 +33,13 @@ __all__ = [
     "UnsupportedOrder",
     "IllegalSpatialWord",
     "NoRoot",
+    "OutsideDesignDomain",
     "Constellation",
     "ThresholdSpec",
     "THRESHOLD_MODES",
+    "DESIGN_RHO_RANGE",
+    "DESIGN_SCALE_RANGE",
+    "check_design_domain",
     "build_constellation",
     "spatial_bits",
     "transmit",
@@ -45,6 +52,12 @@ __all__ = [
 ]
 
 THRESHOLD_MODES = ("exact", "msa", "hsa")
+
+#: Design SNRs rho = beta * alpha_p / sigma2 that :func:`threshold`
+#: supports, -60 to +100 dB, and the range that sigma2 and the minimum
+#: symbol power beta * alpha_p must each lie in (see :func:`check_design_domain`)
+DESIGN_RHO_RANGE = (1e-6, 1e10)
+DESIGN_SCALE_RANGE = (1e-300, 1e300)
 
 #: Samples at a scale whose magnitude is outside ``_UNIT_RANGE`` go to the
 #: full search; so do QAM samples closer than this to a decision boundary,
@@ -67,6 +80,10 @@ class IllegalSpatialWord(ValueError):
 
 class NoRoot(ArithmeticError):
     """Exact-threshold root finding failed to bracket or to converge."""
+
+
+class OutsideDesignDomain(ValueError):
+    """Threshold design inputs outside the domain :func:`threshold` supports."""
 
 
 def _gray(n: int) -> int:
@@ -212,7 +229,7 @@ def build_constellation(
 
 
 def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
-    """(trials, n_active) bool matrix of integer spatial words.
+    """(..., n_active) bool array of integer spatial words, one row per word.
 
     Antenna k carries bit k of its word. Raises
     :class:`IllegalSpatialWord` unless every word lies in [1, 2^n_active):
@@ -221,20 +238,33 @@ def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
     words = np.asarray(words)
     if words.min() < 1 or words.max() >> n_active:
         raise IllegalSpatialWord(f"spatial words must lie in [1, {1 << n_active})")
-    return ((words[:, None] >> np.arange(n_active)) & 1).astype(bool)
+    return ((words[..., None] >> np.arange(n_active)) & 1).astype(bool)
+
+
+def _per_link(value: float | np.ndarray, trailing: int) -> np.ndarray:
+    """A scalar as is, or one value per link shaped to broadcast along the
+    leading link axis of arrays with ``trailing`` more axes."""
+    value = np.asarray(value, dtype=float)
+    return value.reshape(value.shape + (1,) * trailing) if value.ndim else value
 
 
 def transmit(
-    matrix: np.ndarray, spatial: np.ndarray, symbols: np.ndarray, amplitude: float
+    matrix: np.ndarray,
+    spatial: np.ndarray,
+    symbols: np.ndarray,
+    amplitude: float | np.ndarray,
 ) -> np.ndarray:
     """One row ``amplitude * matrix @ (spatial[t] * symbols[t])`` per word t.
 
     ``spatial`` is (trials, n_active) and ``symbols`` (trials,). With the
     ZF precoder ``B`` and ``amplitude = sqrt(alpha * P)`` the rows are
     transmit vectors; with the effective channel ``H_a @ B`` they are the
-    noiseless received samples.
+    noiseless received samples. For a batch of links every argument has a
+    leading link axis: ``matrix`` is (links, n, n_active) and
+    ``amplitude`` (links,).
     """
-    return amplitude * (spatial * symbols[:, None]) @ matrix.T
+    weighted = _per_link(amplitude, 2) * (spatial * symbols[..., None])
+    return weighted @ np.swapaxes(matrix, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -319,6 +349,47 @@ def exact_threshold_residual(gamma: float, min_power: float, sigma2: float) -> f
     ) - 1.0
 
 
+def check_design_domain(alpha_p: float, sigma2: float, beta: float = 1.0) -> None:
+    """Raise :class:`OutsideDesignDomain` unless :func:`threshold` supports
+    these inputs.
+
+    ``alpha_p`` and ``sigma2`` must be finite and positive, ``beta`` in
+    (0, 1], ``sigma2`` and ``beta * alpha_p`` in ``DESIGN_SCALE_RANGE``
+    (so that no product or quotient of the designs leaves the normal
+    float range) and the design SNR rho = beta * alpha_p / sigma2 in
+    ``DESIGN_RHO_RANGE``. Below that range the exact design loses
+    relative accuracy: log I0(u) ~ u^2/4 is computed as a logarithm near
+    1, with a relative error of about 1e-16 / rho, and the root tolerance
+    of 1e-14 is absolute while the root is u ~ 2 sqrt(rho). At 1e-6 the
+    designed gamma is still good to about 1e-10; at 1e-300 the root
+    search stopped at u ~ 1e-14 and gamma came out near 1e137 instead of
+    sqrt(sigma2). Above the range the exact residual, evaluated from
+    gamma as exp(log I0(u) - rho) - 1, carries a rounding error of about
+    rho * 1e-16 in its exponent (1e-6 at 1e10), and from about 1e18 it
+    overflows.
+    """
+    if not (0.0 < alpha_p < math.inf and 0.0 < sigma2 < math.inf):
+        raise OutsideDesignDomain(
+            f"alpha_p and sigma2 must be finite and > 0, got {alpha_p!r} and {sigma2!r}"
+        )
+    if not 0.0 < beta <= 1.0:
+        raise OutsideDesignDomain(f"beta must lie in (0, 1], got {beta!r}")
+    min_power = beta * alpha_p
+    low, high = DESIGN_SCALE_RANGE
+    if not (low <= min_power <= high and low <= sigma2 <= high):
+        raise OutsideDesignDomain(
+            f"beta * alpha_p = {min_power:.3e} and sigma2 = {sigma2:.3e} must lie "
+            f"in [{low:g}, {high:g}]"
+        )
+    rho = min_power / sigma2
+    low, high = DESIGN_RHO_RANGE
+    if not low <= rho <= high:
+        raise OutsideDesignDomain(
+            f"design SNR beta * alpha_p / sigma2 = {rho:.3e} is outside the "
+            f"supported range [{low:g}, {high:g}]"
+        )
+
+
 def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> ThresholdSpec:
     """Design the envelope detection threshold.
 
@@ -326,12 +397,11 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> Th
     ``beta * alpha_p`` for the average received power. ``exact`` root
     finds the per-antenna ML boundary, ``msa`` uses the closed Lambert-W
     form from the large-argument Bessel approximation, and ``hsa`` is
-    the high-SNR limit, half the minimum received amplitude.
+    the high-SNR limit, half the minimum received amplitude. Raises
+    :class:`OutsideDesignDomain` outside the domain of
+    :func:`check_design_domain`.
     """
-    if alpha_p <= 0 or sigma2 <= 0:
-        raise ValueError("alpha_p and sigma2 must be positive")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
+    check_design_domain(alpha_p, sigma2, beta)
     mode = mode.lower()
     min_power = beta * alpha_p
     root_amp = math.sqrt(min_power)
@@ -362,12 +432,14 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> Th
     return ThresholdSpec(mode=mode, gamma=gamma, alpha_p=alpha_p, sigma2=sigma2, beta=beta)
 
 
-def detect_spatial(envelopes: np.ndarray, gamma: float) -> np.ndarray:
+def detect_spatial(envelopes: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     """Per-antenna one-bit decision: True where the envelope exceeds gamma.
 
-    A row with no flag is possible and handled by the combiner.
+    A row with no flag is possible and handled by the combiner. For
+    (links, trials, n_active) envelopes ``gamma`` may hold one threshold
+    per link.
     """
-    return envelopes > gamma
+    return envelopes > _per_link(gamma, 2)
 
 
 def joint_ml_detect(envelopes: np.ndarray, alpha_p: float, sigma2: float) -> np.ndarray:
@@ -500,19 +572,24 @@ def nearest_point(
 
 
 def combine_and_detect_modulation(
-    y: np.ndarray, s_hat: np.ndarray, alpha_p: float, constellation: Constellation
+    y: np.ndarray,
+    s_hat: np.ndarray,
+    alpha_p: float | np.ndarray,
+    constellation: Constellation,
 ) -> np.ndarray:
     """Combine the branches flagged active and detect the symbol, per row.
 
-    ``y`` and the bool flags ``s_hat`` are (trials, n_active). The
+    ``y`` and the bool flags ``s_hat`` are (trials, n_active), or
+    (links, trials, n_active) with ``alpha_p`` one per link. The
     receiver sums the flagged branch outputs and compares against
     sqrt(alpha_p) times its own count of combined branches (it cannot
     know how many were truly energized). A row with no flag yields the
     fixed erasure fallback, symbol index 0. Returns the symbol indices;
     ``constellation.label_bits`` maps them to bits.
     """
-    n_hat = s_hat.sum(axis=1)
-    j_hat = nearest_point((y * s_hat).sum(axis=1), math.sqrt(alpha_p) * n_hat, constellation)
+    n_hat = s_hat.sum(axis=-1)
+    scale = np.sqrt(_per_link(alpha_p, 1)) * n_hat
+    j_hat = nearest_point((y * s_hat).sum(axis=-1), scale, constellation)
     j_hat[n_hat == 0] = 0
     return j_hat
 

@@ -4,17 +4,21 @@ One run sweeps an SNR grid; at each grid point a fixed ensemble of
 channel realizations is exercised with a block of data words per
 channel. Every random quantity is drawn from a stream keyed by
 (master seed, purpose tag, snr index, channel index), so results are
-bit-identical regardless of how blocks are scheduled across worker
-threads; error counts are integers and are reduced in index order. The
-fully digital baseline runs its channels in batches, one task per batch,
-with every channel still on its own stream. The analytic columns of each
-SNR point run as one more task on the same workers. Each run logs one
-line per SNR point, in grid order, and where its time went on the
-``.timing`` child logger.
+bit-identical regardless of how channels are batched and scheduled
+across worker threads; error counts are integers and are reduced in
+index order. Both systems run their channels in batches, one Monte
+Carlo task per (SNR point, batch of whole channels) of about 64k
+symbols, with every channel still on its own stream. The analytic
+columns of each SNR point run as one more task on the same workers.
+Each run logs one line per SNR point, in grid order, and where its time
+went on the ``.timing`` child logger.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
-runs under the same seed) on common randomness.
+runs under the same seed) on common randomness. The RSM ensemble build
+also designs the detection threshold of every (SNR point, channel)
+once; the design feeds both the Monte Carlo blocks and the perfect
+analytic column.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ _TAG_FD = 4
 #: abort an SNR point when more than this fraction of its trials error out
 ERROR_BUDGET = 0.01
 
-#: symbols (words x modes) per fully digital Monte Carlo task: each task
+#: symbols (words x symbols per word) per Monte Carlo task: each task
 #: takes as many whole channels as fit, and at least one
-_FD_BATCH_SYMBOLS = 1 << 16
+_BATCH_SYMBOLS = 1 << 16
 
 
 class PointAborted(RuntimeError):
@@ -189,17 +193,29 @@ def interpolate_snr_at(snr_db: np.ndarray, ber: np.ndarray, target: float) -> fl
     return math.nan
 
 
-@dataclass
-class _Link:
-    """Per-channel state reused across SNR points."""
-
-    alpha: float
-    effective: np.ndarray  # H_a @ B, identity up to ZF numerics
-    index: int
+def _batch_links(words: int, symbols_per_word: int) -> int:
+    """Channels per Monte Carlo task for ``words`` words per channel."""
+    return max(1, _BATCH_SYMBOLS // (words * symbols_per_word))
 
 
-def _build_links(config: RsmConfig) -> list[_Link]:
-    links = []
+@dataclass(frozen=True)
+class _Ensemble:
+    """Per-channel state of an RSM run, shared by every SNR point.
+
+    Channel ``ch`` is entry ``ch`` of ``alpha`` and ``effective`` and
+    column ``ch`` of the ``(n_snr, n_links)`` arrays.
+    """
+
+    alpha: np.ndarray  # ZF power factor
+    effective: np.ndarray  # (n_links, n_active, n_active) H_a @ B, identity up to ZF numerics
+    alpha_p: np.ndarray  # alpha times the transmit power of each SNR point
+    gamma: np.ndarray  # the ``threshold_mode`` design at each alpha_p
+
+
+def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
+    """Draw the channel ensemble, precode each channel, and design the
+    ``threshold_mode`` threshold of every (SNR point, channel) once."""
+    alphas, effective = [], []
     for ch_idx in range(config.channels_per_point):
         rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
         h = draw_channel(config.channel, rng).matrix
@@ -208,16 +224,23 @@ def _build_links(config: RsmConfig) -> list[_Link]:
         else:
             sel = selection_for_indices(h, tuple(range(config.n_active)))
         pre = zf_precoder(sel.h_active)
-        links.append(
-            _Link(alpha=pre.alpha, effective=sel.h_active @ pre.matrix_b, index=ch_idx)
-        )
-    return links
+        alphas.append(pre.alpha)
+        effective.append(sel.h_active @ pre.matrix_b)
+    alpha = np.array(alphas)
+    sigma2 = 1.0
+    alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * sigma2) for snr in config.snr_grid_db])
+    mode, beta = config.threshold_mode, constellation.beta
+    gamma = np.array(
+        [[threshold(mode, a, sigma2, beta).gamma for a in row] for row in alpha_p.tolist()]
+    )
+    return _Ensemble(alpha=alpha, effective=np.array(effective), alpha_p=alpha_p, gamma=gamma)
 
 
 def _pilot_threshold(
     config: RsmConfig,
-    link: _Link,
     constellation: Constellation,
+    effective: np.ndarray,
+    ch_idx: int,
     alpha_p: float,
     sigma2: float,
     snr_idx: int,
@@ -228,83 +251,129 @@ def _pilot_threshold(
     constellation point, so the estimated threshold matches the
     beta-scaled data threshold design.
     """
-    rng = np.random.default_rng([config.seed, _TAG_PILOT, snr_idx, link.index])
+    rng = np.random.default_rng([config.seed, _TAG_PILOT, snr_idx, ch_idx])
     n_a = config.n_active
     x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
-    clean = math.sqrt(alpha_p) * x_pilot * (link.effective @ np.ones(n_a))
+    clean = math.sqrt(alpha_p) * x_pilot * (effective @ np.ones(n_a))
     y = add_complex_noise(np.tile(clean, (config.n_pilots, 1)), sigma2, rng)
     amps = np.abs(y).ravel()
     obs = PilotObservation(amplitudes=amps, n_pilots=config.n_pilots, n_active=n_a)
     return 0.5 * estimate_amplitude(obs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BlockCounts:
-    spatial_errors: int = 0
-    modulation_errors: int = 0
-    words: int = 0
-    failed: int = 0
+    """Counts of one Monte Carlo task, one entry per channel of its batch.
+
+    ``failed`` counts the words of a channel left unsimulated because its
+    pilot estimate degenerated; ``words`` is the batch total simulated.
+    """
+
+    spatial_errors: np.ndarray
+    modulation_errors: np.ndarray
+    failed: np.ndarray
+    words: int
 
 
 def _run_block(
     config: RsmConfig,
     constellation: Constellation,
-    link: _Link,
+    ensemble: _Ensemble,
     snr_idx: int,
+    links: range,
 ) -> _BlockCounts:
-    """Simulate one (SNR point, channel) block of data words."""
-    sigma2 = 1.0
-    power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
-    alpha_p = link.alpha * power
-    trials = config.trials_per_point
-    if config.threshold_source == "perfect":
-        gamma = threshold(
-            config.threshold_mode, alpha_p, sigma2, constellation.beta
-        ).gamma
-    else:
-        try:
-            gamma = _pilot_threshold(config, link, constellation, alpha_p, sigma2, snr_idx)
-        except DegenerateSample:
-            return _BlockCounts(failed=trials)
+    """Simulate one (SNR point, batch of channels) block of data words.
 
-    rng = np.random.default_rng([config.seed, _TAG_DATA, snr_idx, link.index])
-    n_a = config.n_active
-    sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
-    js = rng.integers(0, constellation.order, size=trials)
-    clean = transmit(link.effective, sent, constellation.points[js], math.sqrt(alpha_p))
-    y = add_complex_noise(clean, sigma2, rng)
-    s_hat = detect_spatial(np.abs(y), gamma)
-    j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
-    labels = constellation.labels
+    Channel ``ch`` draws its words and noise from its own
+    ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
+    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
+    """
+    sigma2 = 1.0
+    trials = config.trials_per_point
+    batch = slice(links.start, links.stop)
+    alpha_p = ensemble.alpha_p[snr_idx, batch]
+    failed = np.zeros(len(links), dtype=bool)
+    if config.threshold_source == "perfect":
+        gamma = ensemble.gamma[snr_idx, batch]
+    else:
+        gamma = np.zeros(len(links))
+        for i, ch in enumerate(links):
+            try:
+                gamma[i] = _pilot_threshold(
+                    config,
+                    constellation,
+                    ensemble.effective[ch],
+                    ch,
+                    float(alpha_p[i]),
+                    sigma2,
+                    snr_idx,
+                )
+            except DegenerateSample:
+                failed[i] = True
+    kept = ~failed
+    spatial = np.zeros(len(links), dtype=np.int64)
+    modulation = np.zeros(len(links), dtype=np.int64)
+    if kept.any():
+        rngs = [
+            np.random.default_rng([config.seed, _TAG_DATA, snr_idx, ch])
+            for ch, ok in zip(links, kept)
+            if ok
+        ]
+        n_a, order = config.n_active, constellation.order
+        # Each stream draws its spatial words, then its symbols, then its noise.
+        draws = [
+            (rng.integers(1, 1 << n_a, size=trials), rng.integers(0, order, size=trials))
+            for rng in rngs
+        ]
+        sent = spatial_bits(np.array([words for words, _ in draws]), n_a)
+        js = np.array([symbols for _, symbols in draws])
+        alpha_p = alpha_p[kept]
+        clean = transmit(
+            ensemble.effective[batch][kept], sent, constellation.points[js], np.sqrt(alpha_p)
+        )
+        y = add_complex_noise(clean, sigma2, rngs)
+        s_hat = detect_spatial(np.abs(y), gamma[kept])
+        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
+        labels = constellation.labels
+        spatial[kept] = np.count_nonzero(sent != s_hat, axis=(1, 2))
+        modulation[kept] = np.bitwise_count(labels[js] ^ labels[j_hat]).sum(axis=1)
     return _BlockCounts(
-        spatial_errors=int(np.count_nonzero(sent != s_hat)),
-        modulation_errors=int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum()),
-        words=trials,
+        spatial_errors=spatial,
+        modulation_errors=modulation,
+        failed=np.where(failed, trials, 0),
+        words=trials * int(kept.sum()),
     )
 
 
 def _analytic_columns(
-    config: RsmConfig, constellation: Constellation, links: list[_Link], snr_db: float
+    config: RsmConfig, constellation: Constellation, ensemble: _Ensemble, snr_idx: int
 ) -> tuple[float, float, int]:
     """Channel-averaged analytic ABEP, perfect and pilot-estimated.
 
+    The perfect column takes the designed thresholds of the ensemble.
     The third value counts the links left out of the estimated average
     because their threshold estimate has a singular Fisher matrix.
     """
-    alphas = np.array([link.alpha for link in links])
-    ((_, perfect),) = analysis.abep(
-        constellation, config.n_active, alphas, [snr_db], threshold_mode=config.threshold_mode
+    perfect = analysis.AbepBreakdown(
+        *analysis._point_fields(
+            constellation,
+            config.n_active,
+            ensemble.alpha_p[snr_idx],
+            1.0,
+            gamma=ensemble.gamma[snr_idx],
+        )
     )
     ((_, estimated),) = analysis.abep(
         constellation,
         config.n_active,
-        alphas,
-        [snr_db],
+        ensemble.alpha,
+        [config.snr_grid_db[snr_idx]],
         n_pilot_samples=config.n_pilots * config.n_active,
     )
+    n_links = len(ensemble.alpha)
     excluded = int(np.isnan(estimated.abep).sum())
     # With every link excluded the average is NaN; nanmean would also warn.
-    mean = float(np.nanmean(estimated.abep)) if excluded < len(links) else math.nan
+    mean = float(np.nanmean(estimated.abep)) if excluded < n_links else math.nan
     return float(np.mean(perfect.abep)), mean, excluded
 
 
@@ -317,10 +386,10 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
-    links = _build_links(config)
+    ensemble = _build_ensemble(config, constellation)
     rows = []
-    for snr_db in config.snr_grid_db:
-        perfect, estimated, excluded = _analytic_columns(config, constellation, links, snr_db)
+    for snr_idx, snr_db in enumerate(config.snr_grid_db):
+        perfect, estimated, excluded = _analytic_columns(config, constellation, ensemble, snr_idx)
         rows.append((snr_db, perfect, estimated))
         log.info(
             "snr=%g dB analytic %.3e, estimated %.3e (%d of %d links excluded: singular Fisher)",
@@ -328,7 +397,7 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
             perfect,
             estimated,
             excluded,
-            len(links),
+            len(ensemble.alpha),
         )
     return rows
 
@@ -352,11 +421,6 @@ def _fd_analytic(constellation: Constellation, received: np.ndarray, sigma2: flo
     n_modes)`` received power of one SNR point; every mode of a link sees
     the SNR of its mode 0."""
     return float(np.mean(analysis.constellation_bep(constellation, received[:, 0] / sigma2)))
-
-
-def _fd_batch_links(config: FdConfig) -> int:
-    """Channels per fully digital Monte Carlo task."""
-    return max(1, _FD_BATCH_SYMBOLS // (config.trials_per_point * config.n_modes))
 
 
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
@@ -472,28 +536,35 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     """Execute the full RSM experiment described by ``config``.
 
     ``n_threads > 1`` runs the Monte Carlo blocks and the analytic
-    columns of every SNR point on one pool of that many threads.
+    columns of every SNR point on one pool of that many threads. Each
+    Monte Carlo task runs :func:`_run_block` on one batch of channels;
+    channel ``ch`` at SNR index ``s`` draws from its own
+    ``(seed, tag, s, ch)`` streams whatever the batching.
     """
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     start = time.perf_counter()
-    links = _build_links(config)
+    ensemble = _build_ensemble(config, constellation)
+    n_links = len(ensemble.alpha)
+    per_batch = _batch_links(config.trials_per_point, config.n_active)
     k = constellation.bits_per_symbol
 
-    def block(snr_idx: int, ch_idx: int) -> _BlockCounts:
-        return _run_block(config, constellation, links[ch_idx], snr_idx)
+    def block(snr_idx: int, batch_idx: int) -> _BlockCounts:
+        first = batch_idx * per_batch
+        links = range(first, min(first + per_batch, n_links))
+        return _run_block(config, constellation, ensemble, snr_idx, links)
 
     def analytic(snr_idx: int) -> tuple[float, float, int]:
-        return _analytic_columns(config, constellation, links, config.snr_grid_db[snr_idx])
+        return _analytic_columns(config, constellation, ensemble, snr_idx)
 
     def point(
         snr_db: float, blocks: list[_BlockCounts], columns: tuple[float, float, int]
     ) -> tuple[SnrPoint, str]:
-        spatial = sum(c.spatial_errors for c in blocks)
-        modulation = sum(c.modulation_errors for c in blocks)
+        spatial = sum(int(c.spatial_errors.sum()) for c in blocks)
+        modulation = sum(int(c.modulation_errors.sum()) for c in blocks)
         words = sum(c.words for c in blocks)
-        failed = sum(c.failed for c in blocks)
+        failed = sum(int(c.failed.sum()) for c in blocks)
         if failed > ERROR_BUDGET * (words + failed):
             raise PointAborted(snr_db, failed / (words + failed))
         bits = words * (config.n_active + k)
@@ -504,7 +575,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
         message = (
             f"snr={snr_db:g} dB ber={ber_total:.3e} (spatial {ber_spatial:.3e}, "
             f"modulation {ber_modulation:.3e}, analytic {abep_perfect:.3e}, "
-            f"estimated {abep_estimated:.3e} with {excluded} of {len(links)} links "
+            f"estimated {abep_estimated:.3e} with {excluded} of {n_links} links "
             "excluded: singular Fisher)"
         )
         return (
@@ -521,7 +592,8 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
             message,
         )
 
-    return _sweep_and_reduce("run", config, n_threads, start, len(links), block, analytic, point)
+    n_batches = -(-n_links // per_batch)
+    return _sweep_and_reduce("run", config, n_threads, start, n_batches, block, analytic, point)
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
@@ -543,7 +615,7 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
         received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2) for snr_db in config.snr_grid_db
     ]
     n_links = len(gains)
-    per_batch = _fd_batch_links(config)
+    per_batch = _batch_links(trials, config.n_modes)
     bits = trials * config.n_modes * constellation.bits_per_symbol * n_links
 
     def block(snr_idx: int, batch_idx: int) -> np.ndarray:

@@ -110,7 +110,13 @@ def mc_constellation_bep(constellation, snr, n, seed):
     y = constellation.points[js] + sig * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     )
-    j_hat = np.argmin(np.abs(y[:, None] - constellation.points[None, :]), axis=1)
+    # Decide in chunks: one n x order distance matrix at n = 10^7 is 2.6 GB.
+    j_hat = np.concatenate(
+        [
+            np.argmin(np.abs(chunk[:, None] - constellation.points[None, :]), axis=1)
+            for chunk in np.array_split(y, -(-n // 2**18))
+        ]
+    )
     xor = constellation.labels[js] ^ constellation.labels[j_hat]
     return float(np.bitwise_count(xor).sum()) / (n * k)
 

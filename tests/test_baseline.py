@@ -7,7 +7,7 @@ import pytest
 
 from rsmsim.baseline import RankDeficient, fd_ber, received_power, svd_link
 from rsmsim.phy import add_complex_noise, build_constellation
-from rsmsim.simulate import _FD_BATCH_SYMBOLS
+from rsmsim.simulate import _batch_links
 from rsmsim.specfun import gaussian_q
 
 
@@ -133,7 +133,7 @@ def fd_ber_oracle(received, constellation, sigma2, trials, rng):
 
 TRIALS, N_MODES = 1000, 2
 #: channels in one fully digital Monte Carlo task at TRIALS x N_MODES
-BATCH = _FD_BATCH_SYMBOLS // (TRIALS * N_MODES)
+BATCH = _batch_links(TRIALS, N_MODES)
 
 
 class TestFdBerBatch:

@@ -122,6 +122,15 @@ class TestCmdBer:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_outside_design_domain_exits_2(self, tmp_path, capsys):
+        # At -100 dB every link's design SNR is below the 1e-6 floor.
+        path = tmp_path / "low.cfg"
+        path.write_text(SMALL_CONFIG.replace("snr_db = 4,8", "snr_db = -100,8"))
+        out = tmp_path / "result.csv"
+        assert main(["ber", "--config", str(path), "--out", str(out)]) == 2
+        assert "outside the supported range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes(self, config_file, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["ber", "--config", str(config_file), "--out", str(out1), "--threads", "1"]) == 0
@@ -220,6 +229,23 @@ class TestCmdThreshold:
     def test_bad_beta_exits_2(self, argv, capsys):
         assert main(["threshold", *argv]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha-p", "1e300", "--sigma2", "1e-300"],
+            ["--alpha-p", "1e300"],
+            ["--alpha-p", "1e-300"],
+        ],
+        ids=["rho-overflows", "rho-1e300", "rho-1e-300"],
+    )
+    def test_outside_design_domain_exits_2(self, argv, capsys):
+        # These once ended in a traceback, in an errno 34 failure, and in
+        # an exact gamma of 2.2e137 against an HSA gamma of 5e-151.
+        assert main(["threshold", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the supported range" in captured.err
 
 
 class TestPresets:

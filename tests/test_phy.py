@@ -9,8 +9,12 @@ from scipy import optimize, stats
 
 from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
+    DESIGN_RHO_RANGE,
+    DESIGN_SCALE_RANGE,
+    THRESHOLD_MODES,
     IllegalSpatialWord,
     NoRoot,
+    OutsideDesignDomain,
     _brentq,
     add_complex_noise,
     UnsupportedOrder,
@@ -243,6 +247,48 @@ class TestThreshold:
             threshold("hsa", alpha_p=1.0, sigma2=1.0, beta=0.0)
         with pytest.raises(ValueError):
             threshold("nope", alpha_p=1.0, sigma2=1.0)
+
+
+class TestDesignDomain:
+    """The designs hold on DESIGN_RHO_RANGE x DESIGN_SCALE_RANGE and refuse
+    every input outside it."""
+
+    @pytest.mark.parametrize(
+        "alpha_p,sigma2",
+        [(1e300, 1e-300), (1e300, 1.0), (1e-300, 1.0), (1e-7, 1.0), (1e11, 1.0)],
+    )
+    def test_outside_is_refused(self, alpha_p, sigma2):
+        for mode in THRESHOLD_MODES:
+            with pytest.raises(OutsideDesignDomain):
+                threshold(mode, alpha_p, sigma2)
+
+    @pytest.mark.parametrize(
+        "alpha_p,sigma2,beta",
+        [(1e-301, 1e-302, 1.0), (2e-300, 1e-301, 0.2), (1e302, 1e301, 1.0), (math.nan, 1.0, 1.0)],
+    )
+    def test_scales_outside_are_refused(self, alpha_p, sigma2, beta):
+        # rho = 10 in each finite case: only the scale is out of range.
+        with pytest.raises(OutsideDesignDomain):
+            threshold("hsa", alpha_p, sigma2, beta)
+
+    def test_corners_scale_with_sigma(self):
+        # gamma(rho * sigma2, sigma2) = sqrt(sigma2) * gamma(rho, 1) at every
+        # corner of the domain, and the exact residual stays small there.
+        scale_low, scale_high = DESIGN_SCALE_RANGE
+        for rho in (*DESIGN_RHO_RANGE, 1.0):
+            for sigma2 in (scale_low / min(rho, 1.0), 1.0, scale_high / max(rho, 1.0)):
+                min_power = rho * sigma2
+                for mode in THRESHOLD_MODES:
+                    gamma = threshold(mode, min_power, sigma2).gamma
+                    unit = threshold(mode, rho, 1.0).gamma
+                    assert gamma == pytest.approx(math.sqrt(sigma2) * unit, rel=1e-9)
+                gamma = threshold("exact", min_power, sigma2).gamma
+                assert abs(exact_threshold_residual(gamma, min_power, sigma2)) < 1e-5
+
+    def test_exact_accuracy_at_the_low_end(self):
+        # log I0(u) = u^2/4 - u^4/64 + ..., so gamma = 1 + rho/8 + O(rho^2).
+        rho = DESIGN_RHO_RANGE[0]
+        assert threshold("exact", rho, 1.0).gamma == pytest.approx(1.0 + rho / 8.0, rel=1e-9)
 
 
 def brentq_or_error(solver, f, lo, hi, xtol, rtol, maxiter=100):

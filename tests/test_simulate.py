@@ -11,6 +11,15 @@ import numpy as np
 import pytest
 
 from rsmsim.channel import ChannelParams
+from rsmsim.phy import (
+    add_complex_noise,
+    build_constellation,
+    combine_and_detect_modulation,
+    detect_spatial,
+    spatial_bits,
+    threshold,
+    transmit,
+)
 from rsmsim.simulate import (
     ErrorReport,
     FdConfig,
@@ -174,17 +183,23 @@ class TestAnalyticOnlyPath:
         assert elapsed < 5.0
 
 
+def build_constellation_of(config):
+    return build_constellation(
+        config.constellation_kind, config.constellation_order, config.ring_ratio
+    )
+
+
 def excluded_links(config):
     """Links per SNR point whose pilot-threshold Fisher matrix is singular."""
-    from rsmsim.simulate import _build_links
+    from rsmsim.simulate import _build_ensemble
     from rsmsim.training import SingularFisher, threshold_estimate_stats
 
-    links = _build_links(config)
+    ensemble = _build_ensemble(config, build_constellation_of(config))
     counts = []
     for snr_db in config.snr_grid_db:
         singular = 0
-        for link in links:
-            alpha_p = link.alpha * 10.0 ** (snr_db / 10.0)
+        for alpha in ensemble.alpha.tolist():
+            alpha_p = alpha * 10.0 ** (snr_db / 10.0)
             try:
                 threshold_estimate_stats(alpha_p, 1.0, config.n_pilots * config.n_active)
             except SingularFisher:
@@ -256,6 +271,20 @@ class TestThreadCountInvariance:
         for line, singular in zip(logs[0], expected):
             assert f"with {singular} of 20 links excluded: singular Fisher" in line
 
+    def test_batches_of_several_channels_with_a_short_last_batch(self):
+        from rsmsim.simulate import _batch_links
+
+        config = small_config(
+            threshold_mode="exact",
+            snr_grid_db=(2.0, 8.0),
+            trials_per_point=2000,
+            channels_per_point=20,
+        )
+        per_batch = _batch_links(config.trials_per_point, config.n_active)
+        assert 1 < per_batch < 20 and 20 % per_batch
+        reports = [run(config, n_threads=n) for n in self.THREADS]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_abort_at_the_same_point(self, caplog):
         # 8 clusters instead of the benchmark's 16: at this seed a weak link
         # degenerates its 4-pilot estimate at 10 dB, the third grid point.
@@ -280,6 +309,108 @@ class TestThreadCountInvariance:
         logs = [without_elapsed(lines) for lines in logs]
         assert [line.split(" dB")[0] for line in logs[0]] == ["snr=6", "snr=8"]
         assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+def reference_block(config, constellation, ensemble, snr_idx, ch):
+    """(spatial errors, modulation errors, failed words) of one channel.
+
+    The per-channel block that the batched ``_run_block`` replaced, kept
+    as its oracle: it designs its own threshold and runs the
+    (trials, n_active) form of the phy chain on one channel's streams.
+    """
+    from rsmsim import simulate
+    from rsmsim.training import DegenerateSample
+
+    sigma2 = 1.0
+    power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
+    alpha_p = float(ensemble.alpha[ch]) * power
+    trials = config.trials_per_point
+    if config.threshold_source == "perfect":
+        gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta).gamma
+    else:
+        try:
+            gamma = simulate._pilot_threshold(
+                config, constellation, ensemble.effective[ch], ch, alpha_p, sigma2, snr_idx
+            )
+        except DegenerateSample:
+            return 0, 0, trials
+    rng = np.random.default_rng([config.seed, simulate._TAG_DATA, snr_idx, ch])
+    n_a = config.n_active
+    sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
+    js = rng.integers(0, constellation.order, size=trials)
+    clean = transmit(ensemble.effective[ch], sent, constellation.points[js], math.sqrt(alpha_p))
+    y = add_complex_noise(clean, sigma2, rng)
+    s_hat = detect_spatial(np.abs(y), gamma)
+    j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
+    labels = constellation.labels
+    return (
+        int(np.count_nonzero(sent != s_hat)),
+        int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum()),
+        0,
+    )
+
+
+def batched_counts(config):
+    """Per-channel (spatial, modulation, failed) rows of every batch, per SNR point."""
+    from rsmsim import simulate
+
+    constellation = build_constellation_of(config)
+    ensemble = simulate._build_ensemble(config, constellation)
+    n_links = config.channels_per_point
+    per_batch = simulate._batch_links(config.trials_per_point, config.n_active)
+    points = []
+    for snr_idx in range(len(config.snr_grid_db)):
+        rows, words = [], 0
+        for first in range(0, n_links, per_batch):
+            links = range(first, min(first + per_batch, n_links))
+            counts = simulate._run_block(config, constellation, ensemble, snr_idx, links)
+            rows += zip(
+                counts.spatial_errors.tolist(),
+                counts.modulation_errors.tolist(),
+                counts.failed.tolist(),
+            )
+            words += counts.words
+        points.append((rows, words))
+    return constellation, ensemble, per_batch, points
+
+
+class TestBatchedBlock:
+    """A batch of channels counts, channel for channel, what the per-channel
+    block counted."""
+
+    # 2000 words x 4 antennas: 8 channels per batch, the last batch of 20 short.
+    SIZES = dict(trials_per_point=2000, channels_per_point=20)
+
+    @pytest.mark.parametrize("mode", ["exact", "hsa"])
+    def test_perfect_threshold_matches_per_channel_oracle(self, mode):
+        config = small_config(threshold_mode=mode, snr_grid_db=(4.0, 10.0), **self.SIZES)
+        constellation, ensemble, per_batch, points = batched_counts(config)
+        assert 1 < per_batch < 20 and 20 % per_batch
+        for snr_idx, (rows, words) in enumerate(points):
+            expected = [
+                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+            ]
+            assert rows == expected
+            assert words == 20 * 2000
+        assert any(spatial for spatial, _, _ in points[0][0])
+
+    def test_degenerate_pilot_fails_only_its_channel(self):
+        # At -6 dB only channel 5's one-pilot estimate degenerates; it sits
+        # inside the first batch (channels 0-7).
+        config = small_config(threshold_source="estimated", snr_grid_db=(-6.0, 6.0), **self.SIZES)
+        constellation, ensemble, per_batch, points = batched_counts(config)
+        assert per_batch == 8
+        for snr_idx, (rows, words) in enumerate(points):
+            expected = [
+                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+            ]
+            assert rows == expected
+            failed = [ch for ch, (_, _, lost) in enumerate(rows) if lost]
+            assert failed == ([5] if snr_idx == 0 else [])
+            assert words == (20 - len(failed)) * 2000
+        assert points[0][0][5] == (0, 0, 2000)
+        # Its neighbours in the batch still ran and made errors.
+        assert all(spatial for spatial, _, _ in points[0][0][:5] + points[0][0][6:8])
 
 
 TIMING_LINE = re.compile(
@@ -365,7 +496,7 @@ class TestFdProgressLog:
                 run_fd(self.CONFIG)
         finally:
             logging.getLogger("rsmsim.simulate").removeHandler(handler)
-        per_point = -(-40 // simulate._fd_batch_links(self.CONFIG))
+        per_point = -(-40 // simulate._batch_links(1000, self.CONFIG.n_modes))
         assert events == (["block"] * per_point + ["line"]) * 3
 
 
@@ -420,8 +551,8 @@ class TestSweepContract:
             channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=50, channels_per_point=5
         )
         run_fd(fd_config)
-        # 2 points x (20 blocks + 1 analytic), then 2 points x (1 batch + 1 analytic)
-        assert len(threads) == 46
+        # 2 points x (1 batch of 20 links + 1 analytic), twice
+        assert len(threads) == 8
         assert set(threads) == {threading.get_ident()}
 
     def abort_config(self):
@@ -438,9 +569,9 @@ class TestSweepContract:
         snr_indices = []
         real = simulate._run_block
 
-        def recording(config, constellation, link, snr_idx):
-            snr_indices.append(snr_idx)
-            return real(config, constellation, link, snr_idx)
+        def recording(config, constellation, ensemble, snr_idx, links):
+            snr_indices.extend([snr_idx] * len(links))
+            return real(config, constellation, ensemble, snr_idx, links)
 
         monkeypatch.setattr(simulate, "_run_block", recording)
         return snr_indices
@@ -462,6 +593,26 @@ class TestSweepContract:
         assert aborted.value.snr_db == -20.0
         assert threading.active_count() == before
         assert snr_indices.count(0) == 10
+
+
+class TestThresholdDesign:
+    def test_each_threshold_is_designed_once(self, monkeypatch):
+        # The Monte Carlo blocks and the perfect analytic column share one
+        # design per (channel, SNR point).
+        from rsmsim import analysis, simulate
+
+        calls = []
+        for module in (simulate, analysis):
+            real = module.threshold
+
+            def counting(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "threshold", counting)
+        config = small_config(threshold_mode="exact", snr_grid_db=(4.0, 8.0, 12.0))
+        run(config, n_threads=2)
+        assert len(calls) == 3 * 20
 
 
 class TestSelectionModes:
@@ -518,7 +669,7 @@ class TestFdBaseline:
             assert math.isnan(p.abep_analytic_estimated)
 
     def test_thread_count_with_a_short_last_batch(self):
-        from rsmsim.simulate import _fd_batch_links
+        from rsmsim.simulate import _batch_links
 
         cfg = FdConfig(
             channel=PARAMS,
@@ -527,7 +678,7 @@ class TestFdBaseline:
             channels_per_point=40,
             seed=11,
         )
-        per_batch = _fd_batch_links(cfg)
+        per_batch = _batch_links(cfg.trials_per_point, cfg.n_modes)
         assert 1 < per_batch < 40 and 40 % per_batch
         reports = [run_fd(cfg, n_threads=n) for n in (1, 2, 3)]
         assert reports[1] == reports[0] and reports[2] == reports[0]

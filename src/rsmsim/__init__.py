@@ -25,7 +25,6 @@ from .phy import (
     Constellation,
     IllegalSpatialWord,
     NoRoot,
-    ThresholdSpec,
     UnsupportedOrder,
     build_constellation,
     combine_and_detect_modulation,
@@ -76,7 +75,6 @@ __all__ = [
     "SingularFisher",
     "SnrPoint",
     "SvdLink",
-    "ThresholdSpec",
     "TooManySubsets",
     "UnsupportedOrder",
     "abep",

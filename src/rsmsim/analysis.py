@@ -105,8 +105,9 @@ def spatial_error_probs_estimated(
     non-central t variate (2 degrees of freedom, numerator
     non-centrality mean/std, denominator non-centrality
     2*alpha_p/sigma2); against a Rayleigh envelope the denominator
-    non-centrality vanishes. Array arguments broadcast as in
-    :func:`spatial_error_probs_perfect`: P0 takes the shape of ``stats``.
+    non-centrality vanishes. ``alpha_p`` must be positive. Array
+    arguments broadcast as in :func:`spatial_error_probs_perfect`: P0
+    takes the shape of ``stats``.
     """
     mean, variance = (np.asarray(v, dtype=float) for v in stats)
     if np.any(variance <= 0):
@@ -316,7 +317,7 @@ def abep(
     for snr_db in snr_db_grid:
         alpha_p = links * sigma2 * 10.0 ** (float(snr_db) / 10.0)
         if n_pilot_samples is None:
-            gamma = [threshold(threshold_mode, a, sigma2, beta).gamma for a in alpha_p.tolist()]
+            gamma = [threshold(threshold_mode, a, sigma2, beta) for a in alpha_p.tolist()]
             fields = _point_fields(constellation, n_active, alpha_p, sigma2, gamma=np.array(gamma))
         else:
             stats = np.full((links.size, 2), np.nan)

@@ -279,7 +279,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     print("mode,gamma,residual")
     for mode in ("exact", "msa", "hsa"):
         try:
-            gamma = threshold(mode, args.alpha_p, args.sigma2, args.beta).gamma
+            gamma = threshold(mode, args.alpha_p, args.sigma2, args.beta)
         except (NoRoot, DomainError) as err:
             print(f"{mode},unavailable,-  # warning: {err}")
             continue

@@ -28,7 +28,7 @@ __all__ = [
 #: reciprocal-condition floor below which the active channel is treated as singular
 RCOND_MIN = 1e-12
 
-#: default cap on the number of enumerated subsets
+#: cap on the number of subsets :func:`select_antennas` enumerates
 MAX_SUBSETS = 10**6
 
 
@@ -105,24 +105,21 @@ def selection_for_indices(h: np.ndarray, indices: tuple[int, ...]) -> AntennaSel
     return AntennaSelection(active_indices=indices, alpha=alpha, h_active=h_active)
 
 
-def select_antennas(
-    h: np.ndarray,
-    n_active: int,
-    max_subsets: int = MAX_SUBSETS,
-) -> AntennaSelection:
+def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
     """Pick the antenna subset maximizing the received power factor.
 
     Every subset is enumerated; ties break toward the lexicographically
-    smallest index tuple.
+    smallest index tuple. Raises :class:`TooManySubsets` beyond
+    :data:`MAX_SUBSETS` subsets.
     """
     h = np.asarray(h)
     n_rx = h.shape[0]
     if n_active > n_rx:
         raise ValueError(f"n_active={n_active} exceeds n_rx={n_rx}")
     n_subsets = math.comb(n_rx, n_active)
-    if n_subsets > max_subsets:
+    if n_subsets > MAX_SUBSETS:
         raise TooManySubsets(
-            f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {max_subsets}"
+            f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
         )
     combos = np.array(list(itertools.combinations(range(n_rx), n_active)))
     rows = h[combos]  # (n_subsets, n_active, n_tx)

@@ -35,7 +35,6 @@ __all__ = [
     "NoRoot",
     "OutsideDesignDomain",
     "Constellation",
-    "ThresholdSpec",
     "THRESHOLD_MODES",
     "DESIGN_RHO_RANGE",
     "DESIGN_SCALE_RANGE",
@@ -267,23 +266,6 @@ def transmit(
     return weighted @ np.swapaxes(matrix, -1, -2)
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Detection threshold plus the design inputs that produced it."""
-
-    mode: str
-    gamma: float
-    alpha_p: float
-    sigma2: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.mode not in THRESHOLD_MODES:
-            raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """Root of f in [xa, xb] by Brent's method, step for step as scipy's C brentq.
 
@@ -390,8 +372,8 @@ def check_design_domain(alpha_p: float, sigma2: float, beta: float = 1.0) -> Non
         )
 
 
-def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> ThresholdSpec:
-    """Design the envelope detection threshold.
+def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> float:
+    """Design the envelope detection threshold gamma.
 
     All three designs substitute the minimum constellation symbol power
     ``beta * alpha_p`` for the average received power. ``exact`` root
@@ -429,7 +411,7 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> Th
             raise NoRoot(f"exact threshold degenerated to zero at rho={rho:.3e}")
     else:
         raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
-    return ThresholdSpec(mode=mode, gamma=gamma, alpha_p=alpha_p, sigma2=sigma2, beta=beta)
+    return gamma
 
 
 def detect_spatial(envelopes: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:

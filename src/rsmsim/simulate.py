@@ -231,7 +231,7 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * sigma2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
     gamma = np.array(
-        [[threshold(mode, a, sigma2, beta).gamma for a in row] for row in alpha_p.tolist()]
+        [[threshold(mode, a, sigma2, beta) for a in row] for row in alpha_p.tolist()]
     )
     return _Ensemble(alpha=alpha, effective=np.array(effective), alpha_p=alpha_p, gamma=gamma)
 

@@ -6,10 +6,15 @@ lower real branch of the Lambert W function, the Gaussian tail function,
 Rice envelope moments, and the CDFs of the non-central and doubly
 non-central t distributions.
 
-The doubly non-central t CDF is evaluated as a Poisson mixture of
-non-central t CDFs (the denominator's non-central chi-square expanded
-over central chi-squares), which reduces exactly to the singly
-non-central case when the denominator non-centrality vanishes.
+The (doubly) non-central t CDFs are defined here for finite x > 0,
+dof > 0 and, for the doubly non-central one, lam > 0: the domain of the
+estimated-threshold analysis, which evaluates them at x = sqrt(sigma2) /
+std with lam = 2 alpha_p / sigma2. Other arguments raise
+:class:`DomainError`. The doubly non-central t CDF is evaluated as a
+Poisson mixture of non-central t CDFs (the denominator's non-central
+chi-square expanded over central chi-squares). Where the backend ufunc
+returns NaN, the kernels raise ArithmeticError rather than substitute
+an approximation; so does :func:`marcum_q1`.
 
 The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
 NumPy arrays, so a whole link ensemble costs one backend call instead of
@@ -41,7 +46,6 @@ non-central t windows.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -132,35 +136,34 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     rest = (b_ != 0.0) & (a_ != 0.0) & ~far
     if rest.any():
         a_r, b_r = a_[rest], b_[rest]
-        x_r, nc_r = b_r * b_r, a_r * a_r
-        q_r = _ncx2_tail(x_r, nc_r, survival=True)
-        bad = np.isnan(q_r)
-        if bad.any():
-            # The survival backend NaNs for subnormal arguments with large
-            # non-centrality; the CDF path is well behaved there.
-            q_r[bad] = 1.0 - _ncx2_tail(x_r[bad], nc_r[bad], survival=False)
-        q[rest] = q_r
+        q[rest] = _ncx2_tail(b_r * b_r, a_r * a_r)
     return _shaped(np.clip(q, 0.0, 1.0), shape)
 
 
-def _ncx2_tail(x: np.ndarray, nc: np.ndarray, survival: bool) -> np.ndarray:
-    """Non-central chi-square survival function or CDF, two degrees of freedom.
+def _ncx2_tail(x: np.ndarray, nc: np.ndarray) -> np.ndarray:
+    """Non-central chi-square survival function, two degrees of freedom.
 
-    Calls the ufuncs behind scipy's ``ncx2.sf`` / ``ncx2.cdf`` with the
-    edge handling those wrappers add: the exact tail values at x <= 0 and
-    x = inf, and the central chi-square tail where the non-centrality is
-    0 (the bare survival ufunc returns -0.0 at x = 0 and NaN at x = inf).
+    Calls the ufunc behind scipy's ``ncx2.sf`` with the edge handling
+    that wrapper adds: the exact tail values at x <= 0 and x = inf, and
+    the central chi-square tail where the non-centrality is 0 (the bare
+    ufunc returns -0.0 at x = 0 and NaN at x = inf). Raises
+    ArithmeticError where the ufunc returns NaN.
     """
-    out = np.where(x <= 0.0, float(survival), float(not survival))
+    out = np.where(x <= 0.0, 1.0, 0.0)
     inside = (x > 0.0) & (x < np.inf)
     mixed, central = inside & (nc != 0.0), inside & (nc == 0.0)
     with np.errstate(over="ignore"):
-        if survival:
-            out[mixed] = _ufuncs._ncx2_sf(x[mixed], 2.0, nc[mixed])
-            out[central] = special.chdtrc(2.0, x[central])
-        else:
-            out[mixed] = special.chndtr(x[mixed], 2.0, nc[mixed])
-            out[central] = special.chdtr(2.0, x[central])
+        out[mixed] = _ufuncs._ncx2_sf(x[mixed], 2.0, nc[mixed])
+        out[central] = special.chdtrc(2.0, x[central])
+    return _no_nan(out, "ncx2 survival", x=x, nc=nc)
+
+
+def _no_nan(out: np.ndarray, backend: str, **args: np.ndarray) -> np.ndarray:
+    """``out`` itself, or ArithmeticError naming the first NaN's arguments."""
+    bad = np.flatnonzero(np.isnan(out))
+    if bad.size:
+        at = ", ".join(f"{name}={float(v[bad[0]])!r}" for name, v in args.items())
+        raise ArithmeticError(f"{backend} backend returned NaN at {at}")
     return out
 
 
@@ -216,10 +219,18 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
     )
 
 
+def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray) -> None:
+    """DomainError unless every x is finite and positive and every dof positive."""
+    if not np.all((x > 0) & (x < np.inf)):
+        raise DomainError(f"{name} requires finite x > 0")
+    if not np.all(dof > 0):
+        raise DomainError(f"{name} requires dof > 0")
+
+
 def noncentral_t_cdf(
     x: float | np.ndarray, dof: float | np.ndarray, delta: float | np.ndarray
 ) -> float | np.ndarray:
-    """CDF of the non-central t distribution.
+    """CDF of the non-central t distribution at finite x > 0.
 
     Distribution of (Z + delta) / sqrt(V / dof) with Z standard normal
     and V central chi-square with ``dof`` degrees of freedom. Array
@@ -227,15 +238,8 @@ def noncentral_t_cdf(
     give a float.
     """
     shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
-    if not np.all(dof_ > 0):
-        raise DomainError(f"noncentral_t_cdf requires dof > 0, got {dof!r}")
-    if np.isnan(x_).any():
-        raise DomainError("noncentral_t_cdf requires x to be a number")
-    p = (x_ > 0).astype(float)
-    finite = np.isfinite(x_)
-    if finite.any():
-        p[finite] = _nct_cdf_finite(x_[finite], dof_[finite], delta_[finite])
-    return _shaped(np.clip(p, 0.0, 1.0), shape)
+    _check_t_args("noncentral_t_cdf", x_, dof_)
+    return _shaped(np.clip(_nct_cdf(x_, dof_, delta_), 0.0, 1.0), shape)
 
 
 #: z0 of the saturation screen: Q(8.5) = 9.5e-18 < 2^-56 (module docstring)
@@ -262,117 +266,17 @@ def _nct_saturated(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndar
     return positive & ((delta < -_Z0) | chernoff)
 
 
-def _nct_cdf_finite(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Non-central t CDF at finite x, unclipped.
+def _nct_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Non-central t CDF at x > 0, unclipped.
 
-    Elements with x > 0 whose CDF :func:`_nct_saturated` proves to round
-    to 1 are exactly 1.0. The other elements with x > 0 go to the exact
-    backend (the ufunc behind scipy's ``nct.cdf``); those with x <= 0,
-    whose backend result has only an absolute accuracy of ~1e-16, and
-    those where the backend returns NaN go to :func:`_nct_cdf_fallback`.
+    Elements whose CDF :func:`_nct_saturated` proves to round to 1 are
+    exactly 1.0; the others go to the exact backend (the ufunc behind
+    scipy's ``nct.cdf``). Raises ArithmeticError where it returns NaN.
     """
-    p = np.full(x.shape, np.nan)
-    saturated = _nct_saturated(x, dof, delta)
-    p[saturated] = 1.0
-    rest = (x > 0) & ~saturated
+    p = np.ones(x.shape)
+    rest = ~_nct_saturated(x, dof, delta)
     p[rest] = special.nctdtr(dof[rest], delta[rest], x[rest])
-    bad = np.isnan(p)
-    if bad.any():
-        p[bad] = _nct_cdf_fallback(x[bad], dof[bad], delta[bad])
-    return p
-
-
-def _nct_cdf_fallback(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Non-central t CDF where the exact backend is not used or fails.
-
-    Elements with x <= 0 are integrated by :func:`_nct_cdf_nonpositive`.
-    Elements with x > 0 (where the backend returned NaN) take the
-    large-dof normal approximation, whose accuracy is not established.
-    The saturation screen answers, before the backend is called, the
-    points where it was known to be wrong (0.834 at x = 42.18,
-    dof = 1.31, delta = -39.8, where the CDF rounds to 1). Of the 4,003
-    points of the scipy parity grid, 14 still reach it: 12 with
-    delta > 36, where it returns values below 1e-200, and 2 with
-    dof < 1, where it returns NaN.
-    """
-    p = np.empty(x.shape)
-    low = x <= 0
-    if low.any():
-        p[low] = _nct_cdf_nonpositive(x[low], dof[low], delta[low])
-    x, dof, delta = x[~low], dof[~low], delta[~low]
-    shrink = 1.0 - 3.0 / (4.0 * dof - 1.0)
-    z = (x * shrink - delta) / np.sqrt(1.0 + x * x / (2.0 * (dof - 1.0)))
-    p[~low] = special.ndtr(z)
-    return p
-
-
-#: the integration range ends where the integrand is exp(-_LOG_DROP) of its peak
-_LOG_DROP = 50.0
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """64-node rule for each side of the peak in :func:`_nct_cdf_nonpositive`.
-
-    Built on first use: its eigensolver call costs ~1 MB of resident
-    memory, which an import should not.
-    """
-    return np.polynomial.legendre.leggauss(64)
-
-
-def _nct_cdf_nonpositive(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Non-central t CDF for x <= 0 by quadrature, accurate in the far tail.
-
-    With R ~ chi(dof) and w = log R the CDF is the integral over w of
-    h(w) = Phi(x e^w / sqrt(dof) - delta) f_R(e^w) e^w. For x <= 0,
-    log h is concave (log Phi is concave and increasing, its argument
-    concave in w), so it has one peak, found by bisection on the slope,
-    and falls monotonically on either side. Each side is integrated up to
-    where h has dropped by exp(-_LOG_DROP), beyond which concavity bounds
-    the remaining mass, with a 64-node Gauss-Legendre rule in the log
-    domain, so results far below the double-precision epsilon (or an
-    underflow to 0) keep their relative accuracy.
-    """
-    # Column vectors, so the quadrature nodes run along the second axis.
-    x, dof, delta = x[:, None], dof[:, None], delta[:, None]
-    a = x / np.sqrt(dof)
-    log_norm = (0.5 * dof - 1.0) * math.log(2.0) + special.gammaln(0.5 * dof)
-
-    def log_h(w: np.ndarray) -> np.ndarray:
-        r = np.exp(w)
-        return special.log_ndtr(a * r - delta) + dof * w - 0.5 * r * r - log_norm
-
-    def slope(w: np.ndarray) -> np.ndarray:
-        r = np.exp(w)
-        z = a * r - delta
-        mills = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(z))
-        return a * r * mills + dof - r * r
-
-    # The slope is below dof - r^2 everywhere and near dof at the lower end.
-    lo = 0.5 * np.log(dof) - np.log1p(np.abs(a) * (np.abs(delta) + 1.0)) - 20.0
-    hi = 0.5 * np.log(dof) + 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        rising = slope(mid) > 0
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-    peak = 0.5 * (lo + hi)
-    top = log_h(peak)
-    nodes, weights = _gauss_legendre()
-    total = np.zeros(x.shape)
-    for side in (-1.0, 1.0):
-        far = peak + side
-        while (short := log_h(far) > top - _LOG_DROP).any():
-            far = np.where(short, peak + 2.0 * (far - peak), far)
-        near = peak
-        for _ in range(60):
-            mid = 0.5 * (near + far)
-            inside = log_h(mid) > top - _LOG_DROP
-            near, far = np.where(inside, mid, near), np.where(inside, far, mid)
-        half = 0.5 * (far - peak)
-        w = peak + half * (nodes + 1.0)
-        # A row sum, not a matrix product, so a row does not depend on the batch.
-        total += np.abs(half) * (np.exp(log_h(w) - top) * weights).sum(axis=1, keepdims=True)
-    return (np.exp(top) * total).ravel()
+    return _no_nan(p, "non-central t", x=x, dof=dof, delta=delta)
 
 
 def _poisson_window(half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +301,7 @@ def doubly_noncentral_t_cdf(
     delta: float | np.ndarray,
     lam: float | np.ndarray,
 ) -> float | np.ndarray:
-    """CDF of the doubly non-central t distribution.
+    """CDF of the doubly non-central t distribution at finite x > 0, lam > 0.
 
     Distribution of (Z + delta) / sqrt(W / dof) where W is non-central
     chi-square with ``dof`` degrees of freedom and non-centrality
@@ -411,33 +315,16 @@ def doubly_noncentral_t_cdf(
     own window exactly as a scalar call would. Scalars give a float.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
-    if not np.all(dof_ > 0):
-        raise DomainError(f"doubly_noncentral_t_cdf requires dof > 0, got {dof!r}")
-    if not np.all(lam_ >= 0):
-        raise DomainError(f"doubly_noncentral_t_cdf requires lam >= 0, got {lam!r}")
-    if np.isnan(x_).any():
-        raise DomainError("doubly_noncentral_t_cdf requires x to be a number")
-    p = (x_ > 0).astype(float)
-    central = lam_ == 0.0
-    if central.any():
-        p[central] = noncentral_t_cdf(x_[central], dof_[central], delta_[central])
-    mixed = np.flatnonzero(~central & np.isfinite(x_))
-    if mixed.size:
-        windows, args, dfs, deltas = [], [], [], []
-        for i in mixed:
-            j, weights = _poisson_window(0.5 * float(lam_[i]))
-            df = dof_[i] + 2.0 * j
-            windows.append(weights)
-            args.append(x_[i] * np.sqrt(df / dof_[i]))
-            dfs.append(df)
-            deltas.append(np.full(j.size, delta_[i]))
-        args, dfs, deltas = np.concatenate(args), np.concatenate(dfs), np.concatenate(deltas)
-        terms = _nct_cdf_finite(args, dfs, deltas)
-        start = 0
-        for i, weights in zip(mixed, windows):
-            stop = start + weights.size
-            p[i] = np.dot(weights, terms[start:stop])
-            start = stop
+    _check_t_args("doubly_noncentral_t_cdf", x_, dof_)
+    if not np.all((lam_ > 0) & (lam_ < np.inf)):
+        raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
+    windows = [_poisson_window(0.5 * float(v)) for v in lam_]
+    sizes = [j.size for j, _ in windows]
+    dof_r = np.repeat(dof_, sizes)
+    df = dof_r + 2.0 * np.concatenate([np.empty(0), *(j for j, _ in windows)])
+    terms = _nct_cdf(np.repeat(x_, sizes) * np.sqrt(df / dof_r), df, np.repeat(delta_, sizes))
+    split = np.split(terms, np.cumsum(sizes[:-1]).astype(int))
+    p = np.array([np.dot(weights, t) for (_, weights), t in zip(windows, split)])
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 

@@ -128,9 +128,9 @@ class TestCriterion2ThresholdAsymptotics:
         to_exact, to_hsa, exact_within = [], [], []
         for db in self.DB_GRID:
             min_power = 10.0 ** (db / 10.0)
-            hsa = threshold("hsa", min_power, 1.0).gamma
-            msa = threshold("msa", min_power, 1.0).gamma
-            exact = threshold("exact", min_power, 1.0).gamma
+            hsa = threshold("hsa", min_power, 1.0)
+            msa = threshold("msa", min_power, 1.0)
+            exact = threshold("exact", min_power, 1.0)
             to_exact.append(abs(msa - exact) / exact)
             to_hsa.append(abs(msa - hsa) / hsa)
             exact_within.append(abs(exact - hsa) / hsa <= 0.05)
@@ -152,7 +152,7 @@ class TestCriterion2ThresholdAsymptotics:
         worst = 0.0
         for db in self.DB_GRID:
             min_power = 10.0 ** (db / 10.0)
-            gamma = threshold("exact", min_power, 1.0).gamma
+            gamma = threshold("exact", min_power, 1.0)
             worst = max(worst, abs(exact_threshold_residual(gamma, min_power, 1.0)))
         _report("2b", worst <= 1e-10, f"max exact-threshold residual = {worst:.2e}")
 
@@ -161,12 +161,12 @@ class TestCriterion3DetectorEquivalence:
     def test_criterion_3(self):
         rng = np.random.default_rng(SEED)
         alpha_p, sigma2 = 12.0, 1.0
-        spec = threshold("exact", alpha_p, sigma2)
+        gamma = threshold("exact", alpha_p, sigma2)
         disagreements = 0
         trials = 100_000
         for n_active in (1, 2, 3, 4):
             amps = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), size=(trials, n_active))
-            per_antenna = detect_spatial(amps, spec.gamma)
+            per_antenna = detect_spatial(amps, gamma)
             joint = joint_ml_detect(amps, alpha_p, sigma2)
             disagreements += int(np.any(per_antenna != joint, axis=1).sum())
         _report(
@@ -190,7 +190,7 @@ class TestCriterion4SpatialErrorVsMonteCarlo:
         failures = []
         for snr_db in (6.0, 10.0, 14.0):
             alpha_p = alpha * 10.0 ** (snr_db / 10.0)
-            gamma = threshold("hsa", alpha_p, sigma2).gamma
+            gamma = threshold("hsa", alpha_p, sigma2)
             p1, p0 = analysis.spatial_error_probs_perfect(gamma, alpha_p, sigma2)
             nu = math.sqrt(alpha_p)
             sig_c = math.sqrt(sigma2 / 2.0)

@@ -151,14 +151,14 @@ class TestSpatialProbsPerfect:
     def test_hsa_false_alarm_closed_form(self):
         # With gamma = sqrt(alpha_p)/2 the Rayleigh tail is exp(-alpha_p/4).
         alpha_p = 100.0
-        gamma = threshold("hsa", alpha_p, 1.0).gamma
+        gamma = threshold("hsa", alpha_p, 1.0)
         _, p0 = spatial_error_probs_perfect(gamma, alpha_p, 1.0)
         assert p0 == pytest.approx(math.exp(-alpha_p / 4.0), rel=1e-12)
 
     def test_against_envelope_monte_carlo(self):
         rng = np.random.default_rng(17)
         alpha_p, sigma2 = 12.0, 1.0
-        gamma = threshold("hsa", alpha_p, sigma2).gamma
+        gamma = threshold("hsa", alpha_p, sigma2)
         p1, p0 = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
         n = 10**6
         sig_c = math.sqrt(sigma2 / 2)
@@ -186,16 +186,41 @@ class TestSpatialProbsEstimated:
         assert prev_gap < 1e-8
 
     def test_zero_power_collapses_to_single_t(self):
-        # alpha_p = 0 removes the denominator non-centrality, so the miss
-        # probability equals the complementary non-central t CDF.
-        from rsmsim.specfun import noncentral_t_cdf
+        # As alpha_p -> 0+ the denominator non-centrality vanishes, so the
+        # miss probability tends to the complementary non-central t CDF;
+        # alpha_p = 0 itself is outside the kernel's domain (lam > 0).
+        from rsmsim.specfun import DomainError, noncentral_t_cdf
 
         stats = (1.4, 0.09)
-        p1, p0 = spatial_error_probs_estimated(stats, 0.0, 1.0)
+        p1, p0 = spatial_error_probs_estimated(stats, 1e-15, 1.0)
         ratio = 1.0 / math.sqrt(0.09)
         delta = 1.4 / math.sqrt(0.09)
         assert p1 == pytest.approx(1.0 - noncentral_t_cdf(ratio, 2.0, delta), abs=1e-12)
         assert p0 == pytest.approx(noncentral_t_cdf(ratio, 2.0, delta), abs=1e-12)
+        with pytest.raises(DomainError):
+            spatial_error_probs_estimated(stats, 0.0, 1.0)
+
+    def test_operating_range_stays_in_kernel_domain(self):
+        # -20...60 dB, power factors 0.05-2 and 1-256 pilot samples: no
+        # kernel raises and every tail is a probability. Links with a
+        # singular Fisher matrix are left out, as abep does.
+        alpha_p = np.outer(10 ** (np.arange(-20.0, 61.0, 5.0) / 10), [0.05, 0.3, 2.0]).ravel()
+        for n_samples in (1, 4, 16, 64, 256):
+            kept, stats = [], []
+            for a in alpha_p:
+                try:
+                    stats.append(threshold_estimate_stats(a, 1.0, n_samples))
+                except SingularFisher:
+                    continue
+                kept.append(a)
+            assert len(kept) > alpha_p.size / 2
+            mean, variance = np.array(stats).T
+            for p in spatial_error_probs_estimated((mean, variance), np.array(kept), 1.0):
+                assert np.all((0.0 <= p) & (p <= 1.0))
+        for mode in ("exact", "msa", "hsa"):
+            gamma = np.array([threshold(mode, a, 1.0) for a in alpha_p])
+            for p in spatial_error_probs_perfect(gamma, alpha_p, 1.0):
+                assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_against_pilot_pipeline_monte_carlo(self):
         # End-to-end oracle: estimate the threshold from one pilot block,
@@ -285,7 +310,7 @@ class TestModulationErrorProb:
     def test_single_antenna_two_term_form(self):
         c = build_constellation("psk", 8)
         alpha_p, sigma2 = 16.0, 1.0
-        gamma = threshold("hsa", alpha_p, sigma2).gamma
+        gamma = threshold("hsa", alpha_p, sigma2)
         p1, p0 = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
         value = modulation_error_prob(c, alpha_p, sigma2, 1, p1, p0)
         expected = (1 - p1) * constellation_bep(c, alpha_p / sigma2) + p1 * 0.5
@@ -296,7 +321,7 @@ class TestModulationErrorProb:
         c = build_constellation("psk", 16)
         n_active, sigma2 = 2, 1.0
         alpha_p = 10 ** (15 / 10)
-        gamma = threshold("hsa", alpha_p, sigma2, c.beta).gamma
+        gamma = threshold("hsa", alpha_p, sigma2, c.beta)
         p1, p0 = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
         formula = modulation_error_prob(c, alpha_p, sigma2, n_active, p1, p0)
         rng = np.random.default_rng(5)
@@ -393,12 +418,15 @@ class TestBatchedEnsemble:
 
     def test_spatial_tails_match_per_link_calls(self):
         # Links down the rows, constellation power levels across columns;
-        # the first link sits at the gamma = 0 and alpha_p = 0 branches.
+        # the first link sits at the gamma = 0 and alpha_p = 0 branches of
+        # the perfect tails. The estimated tails need alpha_p > 0, so their
+        # first link keeps only gamma = 0 (a zero-mean estimate).
         gamma = np.array([0.0, 0.4, 1.1, 2.0, 3.5])[:, None]
         branch = np.array([0.0, 0.2, 1.0, 4.0, 60.0])[:, None] * np.array([0.2, 1.0, 1.8])
         variance = np.array([0.3, 0.1, 0.05, 0.02, 0.01])[:, None]
+        powered = np.where(branch > 0.0, branch, 0.5)
         p1, p0 = spatial_error_probs_perfect(gamma, branch, 1.0)
-        q1, q0 = spatial_error_probs_estimated((gamma, variance), branch, 1.0)
+        q1, q0 = spatial_error_probs_estimated((gamma, variance), powered, 1.0)
         assert p1.shape == q1.shape == branch.shape
         assert p0.shape == q0.shape == gamma.shape
         for i, j in np.ndindex(*branch.shape):
@@ -406,7 +434,7 @@ class TestBatchedEnsemble:
             assert np.array_equal((p1[i, j], p0[i, 0]), spatial_error_probs_perfect(g, a, 1.0))
             assert np.array_equal(
                 (q1[i, j], q0[i, 0]),
-                spatial_error_probs_estimated((g, float(variance[i, 0])), a, 1.0),
+                spatial_error_probs_estimated((g, float(variance[i, 0])), float(powered[i, j]), 1.0),
             )
 
     @pytest.mark.parametrize("kind", sorted(CONSTELLATIONS))
@@ -459,7 +487,7 @@ class TestAbep:
         # expression because three power levels feed the energized branch.
         c = build_constellation("qam", 16)
         alpha_p, sigma2 = 10 ** (12 / 10), 1.0
-        gamma = threshold("hsa", alpha_p, sigma2, c.beta).gamma
+        gamma = threshold("hsa", alpha_p, sigma2, c.beta)
         (_, b), = abep(c, 2, 1.0, [12.0], "hsa")
         single, _ = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
         assert b.p1 != pytest.approx(single, rel=1e-6)

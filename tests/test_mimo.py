@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rsmsim import mimo
 from rsmsim.mimo import (
     SingularChannel,
     TooManySubsets,
@@ -101,10 +102,12 @@ class TestSelectAntennas:
         assert sel2.active_indices == sel1.active_indices
         assert sel2.alpha == pytest.approx(9.0 * sel1.alpha, rel=1e-10)
 
-    def test_subset_cap(self):
-        h = random_channel(30, 40, seed=8)
+    def test_subset_cap(self, monkeypatch):
+        # C(14, 7) = 3432 subsets: under the default cap, over a cap of 1000.
+        h = random_channel(14, 20, seed=8)
+        monkeypatch.setattr(mimo, "MAX_SUBSETS", 1000)
         with pytest.raises(TooManySubsets):
-            select_antennas(h, 15, max_subsets=1000)
+            select_antennas(h, 7)
 
     def test_all_singular_raises(self):
         h = np.ones((4, 6), dtype=complex)

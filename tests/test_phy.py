@@ -185,37 +185,37 @@ class TestReceiveAmplitudes:
 
 class TestThreshold:
     def test_hsa_closed_form(self):
-        spec = threshold("hsa", alpha_p=4.0, sigma2=1.0, beta=1.0)
-        assert spec.gamma == pytest.approx(1.0, abs=1e-15)
-        spec = threshold("hsa", alpha_p=4.0, sigma2=1.0, beta=0.25)
-        assert spec.gamma == pytest.approx(0.5, abs=1e-15)
+        gamma = threshold("hsa", alpha_p=4.0, sigma2=1.0, beta=1.0)
+        assert gamma == pytest.approx(1.0, abs=1e-15)
+        gamma = threshold("hsa", alpha_p=4.0, sigma2=1.0, beta=0.25)
+        assert gamma == pytest.approx(0.5, abs=1e-15)
 
     def test_msa_tracks_hsa_at_high_snr(self):
         # The relative gap decays like log(snr)/snr: 3.3% at 20 dB,
         # 0.45% at 30 dB (computed from the closed forms themselves).
         for db, bound in ((20.0, 0.033), (25.0, 0.0125), (30.0, 0.0045)):
             pm = 10 ** (db / 10)
-            hsa = threshold("hsa", pm, 1.0).gamma
-            msa = threshold("msa", pm, 1.0).gamma
+            hsa = threshold("hsa", pm, 1.0)
+            msa = threshold("msa", pm, 1.0)
             assert abs(msa - hsa) / hsa < bound
 
     def test_exact_satisfies_likelihood_equation(self):
         for db in (10.0, 15.0, 20.0, 30.0):
             pm = 10 ** (db / 10)
-            spec = threshold("exact", pm, 1.0)
-            assert abs(exact_threshold_residual(spec.gamma, pm, 1.0)) < 1e-10
+            gamma = threshold("exact", pm, 1.0)
+            assert abs(exact_threshold_residual(gamma, pm, 1.0)) < 1e-10
 
     def test_exact_close_to_msa(self):
         pm = 100.0
-        exact = threshold("exact", pm, 1.0).gamma
-        msa = threshold("msa", pm, 1.0).gamma
+        exact = threshold("exact", pm, 1.0)
+        msa = threshold("msa", pm, 1.0)
         assert abs(exact - msa) / msa < 0.05
 
     def test_beta_rescales_all_modes(self):
         # Designing for beta*alpha_p must equal designing for that power.
         for mode in ("exact", "msa", "hsa"):
-            direct = threshold(mode, alpha_p=20.0, sigma2=1.0, beta=0.2).gamma
-            scaled = threshold(mode, alpha_p=4.0, sigma2=1.0, beta=1.0).gamma
+            direct = threshold(mode, alpha_p=20.0, sigma2=1.0, beta=0.2)
+            scaled = threshold(mode, alpha_p=4.0, sigma2=1.0, beta=1.0)
             assert direct == pytest.approx(scaled, rel=1e-12)
 
     def test_ordering_sanity_at_high_snr(self):
@@ -225,7 +225,7 @@ class TestThreshold:
         gammas = {m: [] for m in ("exact", "msa", "hsa")}
         for db in np.arange(14.5, 31.0, 1.0):
             pm = 10 ** (db / 10)
-            vals = {m: threshold(m, pm, 1.0).gamma for m in gammas}
+            vals = {m: threshold(m, pm, 1.0) for m in gammas}
             for m, v in vals.items():
                 gammas[m].append(v)
             pairs = list(itertools.combinations(vals.values(), 2))
@@ -235,10 +235,10 @@ class TestThreshold:
             assert all(x < y for x, y in zip(series, series[1:]))
 
     def test_high_snr_does_not_underflow(self):
-        spec = threshold("msa", alpha_p=10**4.0, sigma2=1.0)
-        assert math.isfinite(spec.gamma) and spec.gamma > 0
-        spec = threshold("exact", alpha_p=10**4.0, sigma2=1.0)
-        assert math.isfinite(spec.gamma) and spec.gamma > 0
+        gamma = threshold("msa", alpha_p=10**4.0, sigma2=1.0)
+        assert math.isfinite(gamma) and gamma > 0
+        gamma = threshold("exact", alpha_p=10**4.0, sigma2=1.0)
+        assert math.isfinite(gamma) and gamma > 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -272,23 +272,24 @@ class TestDesignDomain:
             threshold("hsa", alpha_p, sigma2, beta)
 
     def test_corners_scale_with_sigma(self):
-        # gamma(rho * sigma2, sigma2) = sqrt(sigma2) * gamma(rho, 1) at every
-        # corner of the domain, and the exact residual stays small there.
+        # gamma(rho * sigma2, sigma2) = sqrt(sigma2) * gamma(rho, 1) > 0 at
+        # every corner of the domain, and the exact residual stays small there.
         scale_low, scale_high = DESIGN_SCALE_RANGE
         for rho in (*DESIGN_RHO_RANGE, 1.0):
             for sigma2 in (scale_low / min(rho, 1.0), 1.0, scale_high / max(rho, 1.0)):
                 min_power = rho * sigma2
                 for mode in THRESHOLD_MODES:
-                    gamma = threshold(mode, min_power, sigma2).gamma
-                    unit = threshold(mode, rho, 1.0).gamma
+                    gamma = threshold(mode, min_power, sigma2)
+                    unit = threshold(mode, rho, 1.0)
+                    assert gamma > 0.0
                     assert gamma == pytest.approx(math.sqrt(sigma2) * unit, rel=1e-9)
-                gamma = threshold("exact", min_power, sigma2).gamma
+                gamma = threshold("exact", min_power, sigma2)
                 assert abs(exact_threshold_residual(gamma, min_power, sigma2)) < 1e-5
 
     def test_exact_accuracy_at_the_low_end(self):
         # log I0(u) = u^2/4 - u^4/64 + ..., so gamma = 1 + rho/8 + O(rho^2).
         rho = DESIGN_RHO_RANGE[0]
-        assert threshold("exact", rho, 1.0).gamma == pytest.approx(1.0 + rho / 8.0, rel=1e-9)
+        assert threshold("exact", rho, 1.0) == pytest.approx(1.0 + rho / 8.0, rel=1e-9)
 
 
 def brentq_or_error(solver, f, lo, hi, xtol, rtol, maxiter=100):
@@ -308,7 +309,7 @@ class TestBrentPort:
                 hi *= 2.0
             u = optimize.brentq(lambda v: log_bessel_i0(v) - rho, 0.0, hi, xtol=1e-14, rtol=1e-15)
             # alpha_p = rho and sigma2 = 1: gamma = u / (2 sqrt(rho)).
-            assert threshold("exact", rho, 1.0).gamma == u / (2.0 * math.sqrt(rho))
+            assert threshold("exact", rho, 1.0) == u / (2.0 * math.sqrt(rho))
 
     def test_general_functions_and_non_convergence(self):
         # Roots of multiplicity 3 and 5 converge slowly enough that some
@@ -376,15 +377,15 @@ def joint_ml_oracle(envelopes, alpha_p, sigma2):
 
 class TestSpatialDetection:
     def test_all_above_threshold(self):
-        spec = threshold("hsa", 4.0, 1.0)
+        gamma = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.full((1, 4), 10.0), spec.gamma), np.ones((1, 4), bool)
+            detect_spatial(np.full((1, 4), 10.0), gamma), np.ones((1, 4), bool)
         )
 
     def test_tie_resolves_to_zero(self):
-        spec = threshold("hsa", 4.0, 1.0)
+        gamma = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.array([[spec.gamma]]), spec.gamma), [[False]]
+            detect_spatial(np.array([[gamma]]), gamma), [[False]]
         )
 
     @pytest.mark.parametrize("mode", ["exact", "msa", "hsa"])
@@ -392,15 +393,15 @@ class TestSpatialDetection:
         # With zero noise the energized amplitude sqrt(beta*alpha_p) clears
         # the threshold in every design at reasonable SNR.
         alpha_p, sigma2, beta = 40.0, 1.0, 0.2
-        spec = threshold(mode, alpha_p, sigma2, beta)
+        gamma = threshold(mode, alpha_p, sigma2, beta)
         s = spatial_bits(np.arange(1, 8), 3)
         a = math.sqrt(beta * alpha_p) * s
-        np.testing.assert_array_equal(detect_spatial(a, spec.gamma), s)
+        np.testing.assert_array_equal(detect_spatial(a, gamma), s)
 
     def test_joint_ml_worked_example(self):
         # One envelope below the exact threshold and one above decides [0, 1].
         alpha_p, sigma2 = 20.0, 1.0
-        gamma = threshold("exact", alpha_p, sigma2).gamma
+        gamma = threshold("exact", alpha_p, sigma2)
         out = joint_ml_detect(np.array([[0.9 * gamma, 1.1 * gamma]]), alpha_p, sigma2)
         np.testing.assert_array_equal(out, [[False, True]])
 
@@ -413,14 +414,14 @@ class TestSpatialDetection:
     def test_equivalence_with_per_antenna(self, n_active):
         # Joint-ML and threshold detection agree off the tie set.
         alpha_p, sigma2 = 12.0, 1.0
-        gamma = threshold("exact", alpha_p, sigma2).gamma
+        gamma = threshold("exact", alpha_p, sigma2)
         rng = np.random.default_rng(10 + n_active)
         a = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), (10_000, n_active))
         np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
 
     def test_equivalence_on_amplitude_grid(self):
         alpha_p, sigma2 = 10.0, 1.0
-        gamma = threshold("exact", alpha_p, sigma2).gamma
+        gamma = threshold("exact", alpha_p, sigma2)
         grid = np.linspace(0.0, 2.0 * math.sqrt(alpha_p), 200)
         a = np.stack(np.meshgrid(grid, grid[::40], indexing="ij"), axis=-1).reshape(-1, 2)
         np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
@@ -439,7 +440,7 @@ class TestSpatialDetection:
         # last bit, so every such antenna is a tie that resolves to "off";
         # with alpha_p = 0 the two laws coincide and every word ties.
         alpha_p, sigma2 = 12.0, 1.0
-        gamma = threshold("exact", alpha_p, sigma2).gamma
+        gamma = threshold("exact", alpha_p, sigma2)
         assert log_bessel_i0(2.0 * gamma * math.sqrt(alpha_p) / sigma2) == alpha_p / sigma2
         levels = (0.5 * gamma, gamma, 1.5 * gamma)
         a = np.array(list(itertools.product(levels, repeat=n_active)))
@@ -737,11 +738,11 @@ class TestNoiselessEndToEnd:
         c = build_constellation("qam", 4)
         power = 10.0
         alpha_p = pre.alpha * power
-        spec = threshold("exact", alpha_p, 1.0, c.beta)
+        gamma = threshold("exact", alpha_p, 1.0, c.beta)
         words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
         spatial = spatial_bits(words, 3)
         y = transmit(pre.matrix_b, spatial, c.points[js], math.sqrt(alpha_p)) @ sel.h_active.T
-        s_hat = detect_spatial(np.abs(y), spec.gamma)
+        s_hat = detect_spatial(np.abs(y), gamma)
         np.testing.assert_array_equal(s_hat, spatial)
         j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)
         np.testing.assert_array_equal(j_hat, js)

@@ -208,27 +208,37 @@ def excluded_links(config):
     return counts
 
 
+def assert_analytic_columns_match(config_path, golden_name, snr_grid_db):
+    """analytic_curves at seed 1 against ``bench/golden/<golden_name>``, rtol 1e-9."""
+    from rsmsim.cli import load_config
+    from rsmsim.simulate import analytic_curves
+
+    root = Path(__file__).resolve().parent.parent
+    config = load_config(root / config_path)
+    assert config.seed == 1
+    config = dataclasses.replace(config, snr_grid_db=snr_grid_db)
+    lines = (root / "bench" / "golden" / golden_name).read_text().splitlines()
+    header = lines[0].split(",")
+    golden = {}
+    for line in lines[1:]:
+        row = dict(zip(header, map(float, line.split(","))))
+        golden[row["snr_db"]] = (row["abep_analytic"], row["abep_estimated"])
+    for snr_db, perfect, estimated in analytic_curves(config):
+        assert perfect == pytest.approx(golden[snr_db][0], rel=1e-9, abs=0.0)
+        assert estimated == pytest.approx(golden[snr_db][1], rel=1e-9, abs=0.0)
+
+
 class TestAnalyticColumns:
+    # The link ensemble does not depend on the grid, so a few points of a
+    # config reproduce the analytic columns of its committed benchmark CSV.
+
     def test_fig3_matches_benchmark_golden(self):
-        # The link ensemble does not depend on the grid, so three points of
-        # the fig3 preset reproduce the rows of the committed benchmark CSV.
-        from rsmsim.cli import load_config
-        from rsmsim.simulate import analytic_curves
+        assert_analytic_columns_match("presets/fig3.cfg", "fig3_ber.csv", (0.0, 10.0, 20.0))
 
-        root = Path(__file__).resolve().parent.parent
-        config = load_config(root / "presets" / "fig3.cfg")
-        assert config.seed == 1
-        config = dataclasses.replace(config, snr_grid_db=(0.0, 10.0, 20.0))
-        lines = (root / "bench" / "golden" / "fig3_ber.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        golden = {}
-        for line in lines[1:]:
-            row = dict(zip(header, map(float, line.split(","))))
-            golden[row["snr_db"]] = (row["abep_analytic"], row["abep_estimated"])
-        for snr_db, perfect, estimated in analytic_curves(config):
-            assert perfect == pytest.approx(golden[snr_db][0], rel=1e-9, abs=0.0)
-            assert estimated == pytest.approx(golden[snr_db][1], rel=1e-9, abs=0.0)
-
+    def test_mc_estimated_matches_benchmark_golden(self):
+        assert_analytic_columns_match(
+            "bench/configs/mc_estimated.cfg", "mc_estimated.csv", (6.0, 12.0, 20.0)
+        )
     def test_singular_fisher_links_are_counted_in_log(self, caplog):
         config = small_config(snr_grid_db=(-10.0, 10.0), trials_per_point=10)
         expected = excluded_links(config)
@@ -326,7 +336,7 @@ def reference_block(config, constellation, ensemble, snr_idx, ch):
     alpha_p = float(ensemble.alpha[ch]) * power
     trials = config.trials_per_point
     if config.threshold_source == "perfect":
-        gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta).gamma
+        gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta)
     else:
         try:
             gamma = simulate._pilot_threshold(

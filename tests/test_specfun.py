@@ -18,8 +18,7 @@ from rsmsim import specfun
 from rsmsim.specfun import (
     DomainError,
     _ncx2_tail,
-    _nct_cdf_fallback,
-    _nct_cdf_finite,
+    _nct_cdf,
     _nct_saturated,
     _poisson_window,
     bessel_i0,
@@ -49,10 +48,12 @@ LAMBERT_ORACLE = {
     -0.05: -4.499755288523488,
 }
 
-# 1e7-draw Monte Carlo samplers, seed 20260808: (value, 3-sigma half width)
+# 1e7-draw Monte Carlo samplers, seed 20260808: (value, 3-sigma half width).
+# The second point was drawn at (-0.5, 3, 0.7) as 0.1272713 and is stated
+# through the reflection F(x; dof, delta) = 1 - F(-x; dof, -delta).
 NCT_MC = {
     (1.0, 2, 1.5): (0.2869139, 4.3e-4),
-    (-0.5, 3, 0.7): (0.1272713, 3.2e-4),
+    (0.5, 3, -0.7): (0.8727287, 3.2e-4),
 }
 DNCT_MC = {
     (1.2, 2, 2.0, 3.0): (0.4147017, 4.7e-4),
@@ -151,17 +152,16 @@ class TestLambertWMinus1:
 
 class TestNoncentralT:
     def test_zero_noncentrality_is_central_t(self):
-        from scipy import stats
-
-        for x in (-2.0, -0.3, 0.0, 0.7, 2.5):
+        for x in (1e-3, 0.3, 0.7, 2.5):
             for n in (1, 2, 5):
                 assert noncentral_t_cdf(x, n, 0.0) == pytest.approx(
                     float(stats.t.cdf(x, n)), abs=1e-12
                 )
 
     def test_limits(self):
-        assert noncentral_t_cdf(math.inf, 3, 1.0) == 1.0
-        assert noncentral_t_cdf(-math.inf, 3, 1.0) == 0.0
+        # Phi(-delta) as x -> 0+ and 1 as x grows, at both ends of x > 0.
+        assert noncentral_t_cdf(1e-300, 3, 1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-12)
+        assert noncentral_t_cdf(1e300, 3, 1.0) == 1.0
 
     @pytest.mark.parametrize("args,mc", sorted(NCT_MC.items()))
     def test_against_monte_carlo(self, args, mc):
@@ -169,32 +169,35 @@ class TestNoncentralT:
         assert abs(noncentral_t_cdf(*args) - value) <= band
 
     def test_monotone_in_x(self):
-        xs = np.linspace(-4, 6, 60)
+        xs = np.linspace(0.1, 10, 60)
         vals = [noncentral_t_cdf(float(x), 2, 1.5) for x in xs]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestDoublyNoncentralT:
     def test_lambda_zero_reduces_to_noncentral(self):
-        xs = np.linspace(-5, 8, 100)
-        for x in xs:
-            a = doubly_noncentral_t_cdf(float(x), 2, 1.3, 0.0)
-            b = noncentral_t_cdf(float(x), 2, 1.3)
-            assert a == pytest.approx(b, abs=1e-6)
+        # lam = 0 is outside the domain; at lam = 1e-300 the leading window
+        # weight is exactly 1, so the mixture is the single t bit for bit.
+        xs = np.linspace(0.05, 8, 100)
+        near = doubly_noncentral_t_cdf(xs, 2, 1.3, 1e-300)
+        assert np.array_equal(near, noncentral_t_cdf(xs, 2, 1.3))
 
     def test_small_lambda_is_continuous(self):
-        # The mixture path (lam > 0) must agree with the exact lam = 0 limit.
-        for x in (-1.0, 0.5, 2.0):
-            near = doubly_noncentral_t_cdf(x, 2, 1.3, 1e-9)
-            exact = doubly_noncentral_t_cdf(x, 2, 1.3, 0.0)
-            assert near == pytest.approx(exact, abs=1e-7)
+        # As lam -> 0+ the mixture tends to the singly non-central t CDF.
+        xs = np.linspace(0.05, 8, 100)
+        near = doubly_noncentral_t_cdf(xs, 2, 1.3, 1e-9)
+        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 2, 1.3), rtol=0.0, atol=1e-7)
 
     def test_symmetric_numerator_at_origin(self):
-        assert doubly_noncentral_t_cdf(0.0, 2, 0.0, 5.0) == pytest.approx(0.5, abs=1e-9)
+        # P(Z <= x S) tends to 1/2 as x -> 0+ when delta = 0.
+        assert doubly_noncentral_t_cdf(1e-12, 2, 0.0, 5.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_limits(self):
-        assert doubly_noncentral_t_cdf(math.inf, 2, 1.0, 3.0) == 1.0
-        assert doubly_noncentral_t_cdf(-math.inf, 2, 1.0, 3.0) == 0.0
+        # Phi(-delta) as x -> 0+ and 1 as x grows, at both ends of x > 0.
+        assert doubly_noncentral_t_cdf(1e-300, 2, 1.0, 3.0) == pytest.approx(
+            special.ndtr(-1.0), rel=1e-12
+        )
+        assert doubly_noncentral_t_cdf(1e300, 2, 1.0, 3.0) == 1.0
 
     @pytest.mark.parametrize("args,mc", sorted(DNCT_MC.items()))
     def test_against_monte_carlo(self, args, mc):
@@ -206,78 +209,28 @@ class TestDoublyNoncentralT:
             doubly_noncentral_t_cdf(1.0, 2, 1.0, -0.5)
 
 
-def t_cdf_quad(x, dof, delta, lam=0.0):
-    """Quadrature oracle for P((Z + delta) / S <= x), S = sqrt(W / dof).
+class TestDomain:
+    """The t kernels take finite x > 0, dof > 0 and (doubly) lam > 0 only."""
 
-    W is chi-square (non-central with ``lam`` when positive); the normal
-    CDF is integrated against the density of S, split around its mode.
-    """
-    law = stats.ncx2(dof, lam) if lam > 0 else stats.chi2(dof)
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -2.0, math.inf, -math.inf, math.nan])
+    def test_rejects_x(self, x):
+        for args in ((x,), (np.array([1.0, x]),)):
+            with pytest.raises(DomainError):
+                noncentral_t_cdf(*args, 2.0, 1.0)
+            with pytest.raises(DomainError):
+                doubly_noncentral_t_cdf(*args, 2.0, 1.0, 3.0)
 
-    def integrand(s):
-        return special.ndtr(x * s - delta) * law.pdf(dof * s * s) * 2.0 * dof * s
+    @pytest.mark.parametrize("dof", [0.0, -1.0, math.nan])
+    def test_rejects_dof(self, dof):
+        with pytest.raises(DomainError):
+            noncentral_t_cdf(1.0, dof, 1.0)
+        with pytest.raises(DomainError):
+            doubly_noncentral_t_cdf(1.0, dof, 1.0, 3.0)
 
-    spread = 1.0 / math.sqrt(2.0 * dof)
-    knots = sorted({max(1.0 - 6.0 * spread, 0.0), 1.0, 1.0 + 6.0 * spread} - {0.0})
-    edges = [0.0, *knots, 1.0 + 40.0 * spread + 10.0]
-    return sum(
-        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-        for lo, hi in zip(edges, edges[1:])
-    )
-
-
-class TestBackendFallback:
-    """The NaN fallback of the (doubly) non-central t CDF at x <= 0."""
-
-    @pytest.mark.parametrize(
-        "x,dof,delta,lam,expected",
-        [
-            (-5.0, 2.0, 7.82, 0.0, 3.19e-18),
-            (-1.0, 1.0, 41.0, 0.0, 0.0),
-            (-7.383, 2.0, 8.108, 0.00126, 1.33e-19),
-        ],
-        ids=["nct-far-tail", "nct-underflow", "dnct-far-tail"],
-    )
-    def test_backend_nan_cases_against_quadrature(self, x, dof, delta, lam, expected):
-        # scipy returns NaN for all three, so they go through the fallback.
-        assert math.isnan(stats.nct.cdf(x, dof, delta))
-        if lam:
-            got = doubly_noncentral_t_cdf(x, dof, delta, lam)
-        else:
-            got = noncentral_t_cdf(x, dof, delta)
-        assert got == pytest.approx(t_cdf_quad(x, dof, delta, lam), rel=1e-9, abs=0.0)
-        assert got == pytest.approx(expected, rel=0.01, abs=0.0)
-
-    @pytest.mark.parametrize("dof", [1.0, 2.0, 7.0, 50.0, 400.0])
-    @pytest.mark.parametrize("delta", [-2.0, 0.0, 2.0, 7.82])
-    def test_nonpositive_x_against_quadrature(self, dof, delta):
-        x = np.array([0.0, -0.1, -1.0, -5.0, -50.0])
-        got = _nct_cdf_fallback(x, np.full(x.size, dof), np.full(x.size, delta))
-        want = [t_cdf_quad(float(v), dof, delta) for v in x]
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-        assert got[0] == pytest.approx(special.ndtr(-delta), rel=1e-12)
-
-    @pytest.mark.parametrize("x,dof,delta", [(-3.0, 4.0, 6.0), (-3.0, 10.0, 6.0), (-2.0, 7.0, 8.0)])
-    def test_far_tail_uses_quadrature(self, x, dof, delta):
-        # scipy's nct.cdf is finite here but only accurate to ~1e-16
-        # absolute (2.9611e-13 against 2.9596e-13 at the first point).
-        assert not math.isnan(stats.nct.cdf(x, dof, delta))
-        want = t_cdf_quad(x, dof, delta)
-        assert noncentral_t_cdf(x, dof, delta) == pytest.approx(want, rel=1e-9, abs=0.0)
-        got = doubly_noncentral_t_cdf(x, dof, delta, 2.0)
-        assert got == pytest.approx(t_cdf_quad(x, dof, delta, 2.0), rel=1e-9, abs=0.0)
-
-    def test_every_nonpositive_x_takes_the_quadrature(self):
-        x, dof, delta = np.array([0.0, -0.0, -1e-300, -3.0]), np.full(4, 4.0), np.full(4, 6.0)
-        want = _nct_cdf_fallback(x, dof, delta)
-        assert np.array_equal(noncentral_t_cdf(x, dof, delta), want)
-        assert np.array_equal(doubly_noncentral_t_cdf(x, dof, delta, 0.0), want)
-
-    def test_positive_x_keeps_normal_approximation(self):
-        x, dof, delta = np.array([0.5, 3.0]), np.array([4.0, 80.0]), np.array([1.0, 2.0])
-        shrink = 1.0 - 3.0 / (4.0 * dof - 1.0)
-        z = (x * shrink - delta) / np.sqrt(1.0 + x * x / (2.0 * (dof - 1.0)))
-        np.testing.assert_array_equal(_nct_cdf_fallback(x, dof, delta), special.ndtr(z))
+    @pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, math.nan])
+    def test_rejects_lam(self, lam):
+        with pytest.raises(DomainError):
+            doubly_noncentral_t_cdf(1.0, 2.0, 1.0, lam)
 
 
 def nct_tail_mp(x, dof, delta):
@@ -340,14 +293,18 @@ class TestSaturationScreen:
 
         def recording(x, dof, delta):
             calls.append((x, dof, delta))
-            return _nct_cdf_finite(x, dof, delta)
+            return _nct_cdf(x, dof, delta)
 
-        monkeypatch.setattr(specfun, "_nct_cdf_finite", recording)
+        monkeypatch.setattr(specfun, "_nct_cdf", recording)
         analytic_curves(config)
         x, dof, delta = (np.concatenate(v) for v in zip(*calls))
         assert x.size > 10_000 and np.all(x > 0)
-        assert np.array_equal(_nct_cdf_finite(x, dof, delta), nct_terms_stats(x, dof, delta))
-        assert np.count_nonzero(_nct_saturated(x, dof, delta)) > x.size / 2
+        want, saturated = nct_terms_stats(x, dof, delta), _nct_saturated(x, dof, delta)
+        # scipy returns NaN on a few terms, all of them saturated.
+        backend_nan = np.isnan(want)
+        assert np.all(saturated[backend_nan])
+        assert np.array_equal(_nct_cdf(x, dof, delta)[~backend_nan], want[~backend_nan])
+        assert np.count_nonzero(saturated) > x.size / 2
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -365,7 +322,7 @@ class TestSaturationScreen:
             assert 0.5 * dof * (1.0 - c * c + 2.0 * math.log(c)) > self.LOG_SHARE
         x, dof, delta = np.array([x]), np.array([dof]), np.array([delta])
         assert not _nct_saturated(x, dof, delta)[0]
-        assert np.array_equal(_nct_cdf_finite(x, dof, delta), nct_terms_stats(x, dof, delta))
+        assert np.array_equal(_nct_cdf(x, dof, delta), nct_terms_stats(x, dof, delta))
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -384,7 +341,7 @@ class TestSaturationScreen:
             (4.514151083141653, 2578.9879686625322, -5.003756844836396),
             (5.457169250071077, 2589.0156553683423, -4.510653337633414),
             (7.0269059384270625, 113.03027807658692, -8.122335453668718),
-            # scipy gave NaN and the normal approximation fell short of 1
+            # scipy gave NaN
             (42.18460385870764, 1.3092409910301284, -39.806488121858195),
             (17.115117572966515, 1.6932016272177042, -12.288705242295443),
             (110.36118955495444, 2.2110739697419457, -36.84073060975646),
@@ -397,7 +354,7 @@ class TestSaturationScreen:
         # Points of the scipy parity grid where the screen changed the result.
         args = np.array([x]), np.array([dof]), np.array([delta])
         assert _nct_saturated(*args)[0]
-        assert nct_terms_stats(*args)[0] < 1.0
+        assert not nct_terms_stats(*args)[0] >= 1.0  # below 1, or NaN
         assert noncentral_t_cdf(x, dof, delta) == 1.0
         assert nct_tail_mp(x, dof, delta) < 2.0**-55
 
@@ -429,8 +386,9 @@ class TestArrayArguments:
             marcum_q1(a, -b)
 
     def test_noncentral_t_cdf(self):
-        x = np.array([-math.inf, -2.0, 0.0, 1.5, 6.0, math.inf])
-        delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, 1.0])
+        # The last element is saturated.
+        x = np.array([1e-3, 0.3, 2.0, 1.5, 6.0, 40.0])
+        delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, -9.0])
         batch = noncentral_t_cdf(x, 2.0, delta)
         assert np.array_equal(
             batch, [noncentral_t_cdf(float(u), 2.0, float(d)) for u, d in zip(x, delta)]
@@ -439,10 +397,10 @@ class TestArrayArguments:
             noncentral_t_cdf(np.array([1.0, math.nan]), 2.0, 0.0)
 
     def test_doubly_noncentral_t_cdf(self):
-        # lam = 0 (single t), infinite x, and windows of different lengths.
-        x = np.array([0.5, 2.0, math.inf, -math.inf, 3.0, 1.2, 8.0])
-        delta = np.array([1.3, 1.3, 1.0, 1.0, 6.0, 0.0, 20.0])
-        lam = np.array([0.0, 1e-9, 3.0, 3.0, 40.0, 5.0, 900.0])
+        # Windows of different lengths, from one term at lam = 1e-9 up.
+        x = np.array([0.5, 2.0, 3.0, 1.2, 8.0])
+        delta = np.array([1.3, 1.3, 6.0, 0.0, 20.0])
+        lam = np.array([1e-9, 3.0, 40.0, 5.0, 900.0])
         batch = doubly_noncentral_t_cdf(x, 2.0, delta, lam)
         assert np.array_equal(
             batch,
@@ -452,6 +410,7 @@ class TestArrayArguments:
             ],
         )
         assert isinstance(doubly_noncentral_t_cdf(1.0, 2.0, 1.0, 3.0), float)
+        assert doubly_noncentral_t_cdf(np.empty((0, 2)), 2.0, 1.0, 3.0).shape == (0, 2)
         with pytest.raises(DomainError):
             doubly_noncentral_t_cdf(x, 2.0, delta, -lam)
 
@@ -514,19 +473,13 @@ def marcum_q1_stats(a, b):
         far = (b_ < a_) & ((a_ - b_) ** 2 > 76.0)
     rest = (b_ != 0.0) & (a_ != 0.0) & ~far
     a_r, b_r = a_[rest], b_[rest]
-    q_r = np.asarray(stats.ncx2.sf(b_r * b_r, 2, a_r * a_r), dtype=float)
-    bad = np.isnan(q_r)
-    q_r[bad] = 1.0 - stats.ncx2.cdf(b_r[bad] * b_r[bad], 2, a_r[bad] * a_r[bad])
-    q[rest] = q_r
+    q[rest] = stats.ncx2.sf(b_r * b_r, 2, a_r * a_r)
     return np.clip(q, 0.0, 1.0)
 
 
 def nct_terms_stats(x, dof, delta):
-    """Unclipped nct CDF at x > 0 through scipy.stats.nct, NaNs to the fallback."""
-    p = np.asarray(stats.nct.cdf(x, dof, delta), dtype=float)
-    bad = np.isnan(p)
-    p[bad] = _nct_cdf_fallback(x[bad], dof[bad], delta[bad])
-    return p
+    """Unclipped nct CDF through scipy.stats.nct, NaN where it fails."""
+    return np.asarray(stats.nct.cdf(x, dof, delta), dtype=float)
 
 
 def dnct_cdf_stats(x, dof, delta, lam):
@@ -552,7 +505,8 @@ class TestScipyStatsParity:
     earlier ``scipy.stats`` code, kept here only as an oracle.
     """
 
-    # (x, dof, delta) where scipy's nct CDF returns NaN at x > 0
+    # (x, dof, delta) where scipy's nct CDF returns NaN at x > 0; the
+    # saturation screen answers the last two.
     NCT_NAN = [(0.0905924467944308, 0.26413949567557043, 37.366824186048035),
                (943.8271126928222, 0.11070807487815387, -43.658109528273705),
                (47.04540446930666, 32.37238555883154, -44.163732812689055)]
@@ -573,14 +527,21 @@ class TestScipyStatsParity:
         assert got[5] == got[6] == got[7] == 0.0
 
     def test_ncx2_tails_against_wrappers(self):
-        # Both tails, including the CDF that marcum_q1 falls back to, at
-        # x = 0, x = inf, nc = 0, subnormal x and a random grid.
+        # The survival function at x = 0, x = inf, nc = 0, subnormal x and
+        # a random grid.
         rng = np.random.default_rng(12)
         x = [0.0, np.inf, 3.0, 5e-324, 1e-310, 2.0], log_uniform(rng, 1e-4, 1e4, 500)
         nc = [4.0, 4.0, 0.0, 50.0, 0.0, 1e-320], log_uniform(rng, 1e-4, 1e3, 500)
         x, nc = np.concatenate(x), np.concatenate(nc)
-        assert np.array_equal(_ncx2_tail(x, nc, survival=True), stats.ncx2.sf(x, 2, nc))
-        assert np.array_equal(_ncx2_tail(x, nc, survival=False), stats.ncx2.cdf(x, 2, nc))
+        assert np.array_equal(_ncx2_tail(x, nc), stats.ncx2.sf(x, 2, nc))
+
+    def test_ncx2_backend_nan_raises(self, monkeypatch):
+        def failing(x, dof, nc):
+            return np.full(np.shape(x), np.nan)
+
+        monkeypatch.setattr(specfun._ufuncs, "_ncx2_sf", failing)
+        with pytest.raises(ArithmeticError):
+            marcum_q1(np.array([1.5, 3.0]), 2.0)
 
     def test_noncentral_t_cdf_positive_x(self):
         rng = np.random.default_rng(13)
@@ -588,18 +549,28 @@ class TestScipyStatsParity:
         x = np.concatenate([log_uniform(rng, 1e-3, 1e3, n), [v[0] for v in self.NCT_NAN]])
         dof = np.concatenate([log_uniform(rng, 0.1, 1e4, n), [v[1] for v in self.NCT_NAN]])
         delta = np.concatenate([rng.uniform(-50.0, 60.0, n), [v[2] for v in self.NCT_NAN]])
-        assert np.isnan(stats.nct.cdf(x, dof, delta)).sum() >= len(self.NCT_NAN)
         with np.errstate(invalid="ignore"):
             want = np.clip(nct_terms_stats(x, dof, delta), 0.0, 1.0)
-            got = noncentral_t_cdf(x, dof, delta)
         # Where the saturation screen answers, the CDF is exactly 1; there
-        # scipy gave 1.0, 1 minus a few ulp, or NaN (then the fallback, as
-        # low as 0.834). TestSaturationScreen checks those tails by mpmath.
+        # scipy gave 1.0, 1 minus a few ulp, or NaN. TestSaturationScreen
+        # checks those tails by mpmath.
         screened = _nct_saturated(x, dof, delta)
-        assert np.all(got[screened] == 1.0)
-        assert np.count_nonzero(want[screened] != 1.0) == 87
-        # The normal approximation is NaN at some dof < 1, before as now.
-        assert np.array_equal(got[~screened], want[~screened], equal_nan=True)
+        assert np.count_nonzero(np.isnan(want[screened])) == 52
+        assert np.count_nonzero(want[screened] < 1.0) == 40
+        # Elsewhere scipy's NaN is an ArithmeticError: at 13 points with
+        # delta > 36 and at 4 with dof < 1 (3 of them both).
+        failing = np.isnan(want) & ~screened
+        assert np.count_nonzero(failing & (delta > 36)) == 13
+        assert np.count_nonzero(failing & (dof < 1)) == 4
+        assert np.count_nonzero(failing) == 14 and failing[n]
+        for i in np.flatnonzero(failing):
+            with pytest.raises(ArithmeticError):
+                noncentral_t_cdf(x[i], dof[i], delta[i])
+        with pytest.raises(ArithmeticError):
+            noncentral_t_cdf(x, dof, delta)
+        got = noncentral_t_cdf(x[~failing], dof[~failing], delta[~failing])
+        assert np.all(got[screened[~failing]] == 1.0)
+        assert np.array_equal(got[~screened[~failing]], want[~screened & ~failing])
 
     def test_doubly_noncentral_t_cdf_positive_x(self):
         rng = np.random.default_rng(14)
@@ -608,5 +579,8 @@ class TestScipyStatsParity:
         dof = np.concatenate([log_uniform(rng, 1.0, 64.0, n), [self.NCT_NAN[0][1]]])
         delta = np.concatenate([rng.uniform(-5.0, 30.0, n), [self.NCT_NAN[0][2]]])
         lam = np.concatenate([log_uniform(rng, 1e-6, 100.0, n), [1e-3]])
-        got = doubly_noncentral_t_cdf(x, dof, delta, lam)
-        assert np.array_equal(got, dnct_cdf_stats(x, dof, delta, lam))
+        got = doubly_noncentral_t_cdf(x[:n], dof[:n], delta[:n], lam[:n])
+        assert np.array_equal(got, dnct_cdf_stats(x[:n], dof[:n], delta[:n], lam[:n]))
+        # The last point's leading window term is a backend NaN.
+        with pytest.raises(ArithmeticError):
+            doubly_noncentral_t_cdf(x, dof, delta, lam)

@@ -11,7 +11,7 @@ from .analysis import (
     spatial_error_probs_estimated,
     spatial_error_probs_perfect,
 )
-from .baseline import RankDeficient, SvdLink, fd_ber, received_power, svd_link
+from .baseline import RankDeficient, fd_ber, received_power, svd_link
 from .channel import ChannelParams, ChannelRealization, array_response, draw_channel, sector_gain
 from .mimo import (
     AntennaSelection,
@@ -74,7 +74,6 @@ __all__ = [
     "SingularChannel",
     "SingularFisher",
     "SnrPoint",
-    "SvdLink",
     "TooManySubsets",
     "UnsupportedOrder",
     "abep",

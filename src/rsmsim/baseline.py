@@ -6,21 +6,21 @@ inversely proportional to the squared singular values, so every
 activated mode sees the same received SNR. Detection happens in the
 mode domain, which is statistically identical to applying the unitary
 decoder to the antenna-domain signal, so a link keeps only its singular
-values: a channel is factored once and :func:`received_power` redoes the
-power split of a whole ensemble for every SNR point. :func:`fd_ber`
+values: :func:`svd_link` factors a channel once, and
+:func:`received_power` splits each SNR point's power over the modes of a
+whole ensemble. :func:`fd_ber`
 simulates a batch of links in one pass, each link on its own stream.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .phy import Constellation, add_complex_noise, nearest_point
 
-__all__ = ["RankDeficient", "SvdLink", "svd_link", "received_power", "fd_ber"]
+__all__ = ["RankDeficient", "svd_link", "received_power", "fd_ber"]
 
 #: singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-10
@@ -30,35 +30,14 @@ class RankDeficient(ArithmeticError):
     """Channel does not support the requested number of modes."""
 
 
-def _equal_snr_split(mode_gains: np.ndarray, power: float) -> np.ndarray:
-    """Transmit power per mode, one split per row of ``(..., n_modes)`` gains."""
-    if power <= 0:
-        raise ValueError("power must be positive")
-    inv_sq = 1.0 / mode_gains**2
-    return power * inv_sq / inv_sq.sum(axis=-1, keepdims=True)
+def svd_link(h: np.ndarray, n_modes: int) -> np.ndarray:
+    """The top ``n_modes`` singular values of ``h``, its mode gains.
 
-
-@dataclass(frozen=True)
-class SvdLink:
-    """Singular values plus the equal-SNR power split over the active modes."""
-
-    s: np.ndarray
-    n_modes: int
-    power_per_mode: np.ndarray
-
-    @property
-    def mode_gains(self) -> np.ndarray:
-        return self.s[: self.n_modes]
-
-    @property
-    def received_power_per_mode(self) -> np.ndarray:
-        return self.power_per_mode * self.mode_gains**2
-
-
-def svd_link(h: np.ndarray, power: float, n_modes: int) -> SvdLink:
-    """Split ``power`` over the top ``n_modes`` modes at equal received SNR."""
-    if power <= 0 or n_modes < 1:
-        raise ValueError("power must be positive and n_modes >= 1")
+    Raises :class:`RankDeficient` when fewer than ``n_modes`` singular
+    values exceed ``RANK_TOL`` times the largest.
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     # The full factorization, although only the singular values are kept:
     # LAPACK's values-only path rounds them differently.
     s = np.linalg.svd(np.asarray(h))[1]
@@ -67,16 +46,19 @@ def svd_link(h: np.ndarray, power: float, n_modes: int) -> SvdLink:
         raise RankDeficient(
             f"channel supports {usable} modes, {n_modes} requested"
         )
-    return SvdLink(s=s, n_modes=n_modes, power_per_mode=_equal_snr_split(s[:n_modes], power))
+    return s[:n_modes]
 
 
 def received_power(mode_gains: np.ndarray, power: float) -> np.ndarray:
-    """Received power per mode of ``(n_links, n_modes)`` gains at ``power``.
+    """Received power per mode of ``(..., n_modes)`` gains at total ``power``.
 
-    Row ``i`` equals ``svd_link(h_i, power, n_modes).received_power_per_mode``
-    bit for bit, where ``mode_gains[i]`` are the top singular values of h_i.
+    The equal-SNR split: mode ``k`` transmits ``power * g_k^-2 /
+    sum(g^-2)``, so every mode of a link receives the same power.
     """
-    return _equal_snr_split(mode_gains, power) * mode_gains**2
+    if power <= 0:
+        raise ValueError("power must be positive")
+    inv_sq = 1.0 / mode_gains**2
+    return power * inv_sq / inv_sq.sum(axis=-1, keepdims=True) * mode_gains**2
 
 
 def fd_ber(

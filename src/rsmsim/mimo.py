@@ -57,31 +57,37 @@ class AntennaSelection:
     h_active: np.ndarray
 
 
-def _gram_alpha(h_active: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Gram matrix of the rows, its reciprocal condition, and alpha."""
-    gram = h_active @ h_active.conj().T
+def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZF power factor of one row set ``(n_active, n_tx)`` or of a stack
+    ``(n_sets, n_active, n_tx)`` of them.
+
+    Returns the row Gram matrices, their reciprocal conditions (0 where
+    the Gram matrix has no positive eigenvalue) and ``alpha = 1 /
+    sum(1 / eig)``; alpha is 0 wherever the smallest eigenvalue is not
+    positive or the reciprocal condition is below ``RCOND_MIN``.
+    """
+    gram = rows @ np.swapaxes(rows.conj(), -1, -2)
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[-1] <= 0.0:
-        return gram, 0.0, 0.0
-    rcond = float(eigs[0] / eigs[-1])
-    if eigs[0] <= 0.0 or rcond < RCOND_MIN:
-        return gram, max(rcond, 0.0), 0.0
-    alpha = 1.0 / float(np.sum(1.0 / eigs))
-    return gram, rcond, alpha
+    low, high = eigs[..., 0], eigs[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = np.where(high > 0.0, np.maximum(low / high, 0.0), 0.0)
+        alpha = 1.0 / np.sum(1.0 / eigs, axis=-1)
+    return gram, rcond, np.where((low > 0.0) & (rcond >= RCOND_MIN), alpha, 0.0)
 
 
 def zf_precoder(h_active: np.ndarray) -> Precoder:
     """Build the zero-forcing precoder B = H_a^H (H_a H_a^H)^-1.
 
-    Raises :class:`SingularChannel` when the row Gram matrix has
-    reciprocal condition below ``RCOND_MIN``.
+    Raises :class:`SingularChannel` where :func:`_power_factor` gives
+    alpha 0.
     """
     h_active = np.asarray(h_active)
-    gram, rcond, alpha = _gram_alpha(h_active)
+    gram, rcond, alpha = _power_factor(h_active)
     if alpha == 0.0:
         raise SingularChannel(
             f"active channel is numerically singular (rcond={rcond:.3e})"
         )
+    alpha = float(alpha)
     b = h_active.conj().T @ np.linalg.inv(gram)
     # Both alpha expressions coincide for a zero-forcing precoder; a large
     # gap flags numerical trouble upstream of the rcond guard.
@@ -97,19 +103,20 @@ def selection_for_indices(h: np.ndarray, indices: tuple[int, ...]) -> AntennaSel
     """Selection record for a caller-chosen antenna subset (no search)."""
     indices = tuple(sorted(int(i) for i in indices))
     h_active = np.asarray(h)[list(indices), :]
-    _, rcond, alpha = _gram_alpha(h_active)
+    _, rcond, alpha = _power_factor(h_active)
     if alpha == 0.0:
         raise SingularChannel(
             f"subset {indices} is numerically singular (rcond={rcond:.3e})"
         )
-    return AntennaSelection(active_indices=indices, alpha=alpha, h_active=h_active)
+    return AntennaSelection(active_indices=indices, alpha=float(alpha), h_active=h_active)
 
 
 def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
     """Pick the antenna subset maximizing the received power factor.
 
-    Every subset is enumerated; ties break toward the lexicographically
-    smallest index tuple. Raises :class:`TooManySubsets` beyond
+    Every subset is enumerated; subsets that :func:`_power_factor` rejects
+    are skipped, and ties break toward the lexicographically smallest
+    index tuple. Raises :class:`TooManySubsets` beyond
     :data:`MAX_SUBSETS` subsets.
     """
     h = np.asarray(h)
@@ -122,18 +129,11 @@ def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
             f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
         )
     combos = np.array(list(itertools.combinations(range(n_rx), n_active)))
-    rows = h[combos]  # (n_subsets, n_active, n_tx)
-    grams = rows @ rows.conj().transpose(0, 2, 1)
-    eigs = np.linalg.eigvalsh(grams)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = 1.0 / np.sum(1.0 / eigs, axis=1)
-    valid = (eigs[:, 0] > 0) & (eigs[:, 0] / eigs[:, -1] >= RCOND_MIN)
-    alphas = np.where(valid, alphas, -np.inf)
+    _, _, alphas = _power_factor(h[combos])  # rows (n_subsets, n_active, n_tx)
     best = int(np.argmax(alphas))  # first hit wins: lexicographic tie-break
-    if not np.isfinite(alphas[best]):
+    if alphas[best] == 0.0:
         raise SingularChannel("every candidate subset is numerically singular")
     indices = tuple(int(i) for i in combos[best])
     return AntennaSelection(
         active_indices=indices, alpha=float(alphas[best]), h_active=h[list(indices)]
     )
-

@@ -75,6 +75,10 @@ _TAG_FD = 4
 #: abort an SNR point when more than this fraction of its trials error out
 ERROR_BUDGET = 0.01
 
+#: noise variance per receive antenna (per mode for the baseline); an SNR
+#: point of ``snr_db`` sets the transmit power to ``10^(snr_db/10) * SIGMA2``
+SIGMA2 = 1.0
+
 #: symbols (words x symbols per word) per Monte Carlo task: each task
 #: takes as many whole channels as fit, and at least one
 _BATCH_SYMBOLS = 1 << 16
@@ -212,13 +216,20 @@ class _Ensemble:
     gamma: np.ndarray  # the ``threshold_mode`` design at each alpha_p
 
 
+def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
+    """The channel matrix of every link in index order, link ``ch`` drawn
+    from its own ``(seed, _TAG_CHANNEL, ch)`` stream, so :func:`run` and
+    :func:`run_fd` under one seed see the same channels."""
+    for ch_idx in range(config.channels_per_point):
+        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
+        yield draw_channel(config.channel, rng).matrix
+
+
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
     """Draw the channel ensemble, precode each channel, and design the
     ``threshold_mode`` threshold of every (SNR point, channel) once."""
     alphas, effective = [], []
-    for ch_idx in range(config.channels_per_point):
-        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
-        h = draw_channel(config.channel, rng).matrix
+    for h in _draw_channels(config):
         if config.selection == "exhaustive":
             sel = select_antennas(h, config.n_active)
         else:
@@ -227,38 +238,12 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
         alphas.append(pre.alpha)
         effective.append(sel.h_active @ pre.matrix_b)
     alpha = np.array(alphas)
-    sigma2 = 1.0
-    alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * sigma2) for snr in config.snr_grid_db])
+    alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
     gamma = np.array(
-        [[threshold(mode, a, sigma2, beta) for a in row] for row in alpha_p.tolist()]
+        [[threshold(mode, a, SIGMA2, beta) for a in row] for row in alpha_p.tolist()]
     )
     return _Ensemble(alpha=alpha, effective=np.array(effective), alpha_p=alpha_p, gamma=gamma)
-
-
-def _pilot_threshold(
-    config: RsmConfig,
-    constellation: Constellation,
-    effective: np.ndarray,
-    ch_idx: int,
-    alpha_p: float,
-    sigma2: float,
-    snr_idx: int,
-) -> float:
-    """Estimate the detection threshold from a simulated pilot phase.
-
-    Pilots energize every active antenna and carry the minimum-amplitude
-    constellation point, so the estimated threshold matches the
-    beta-scaled data threshold design.
-    """
-    rng = np.random.default_rng([config.seed, _TAG_PILOT, snr_idx, ch_idx])
-    n_a = config.n_active
-    x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
-    clean = math.sqrt(alpha_p) * x_pilot * (effective @ np.ones(n_a))
-    y = add_complex_noise(np.tile(clean, (config.n_pilots, 1)), sigma2, rng)
-    amps = np.abs(y).ravel()
-    obs = PilotObservation(amplitudes=amps, n_pilots=config.n_pilots, n_active=n_a)
-    return 0.5 * estimate_amplitude(obs)
 
 
 @dataclass(frozen=True)
@@ -288,38 +273,43 @@ def _run_block(
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
     threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
     """
-    sigma2 = 1.0
     trials = config.trials_per_point
+    n_a, n_links = config.n_active, len(links)
     batch = slice(links.start, links.stop)
     alpha_p = ensemble.alpha_p[snr_idx, batch]
-    failed = np.zeros(len(links), dtype=bool)
+    failed = np.zeros(n_links, dtype=bool)
     if config.threshold_source == "perfect":
         gamma = ensemble.gamma[snr_idx, batch]
     else:
-        gamma = np.zeros(len(links))
-        for i, ch in enumerate(links):
+        # Pilots energize every active antenna and carry the minimum-amplitude
+        # point, so the estimated threshold matches the beta-scaled design.
+        n_p = config.n_pilots
+        x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
+        pilots = transmit(
+            ensemble.effective[batch],
+            np.ones((n_links, n_p, n_a), dtype=bool),
+            np.full((n_links, n_p), x_pilot),
+            np.sqrt(alpha_p),
+        )
+        pilot_rngs = [np.random.default_rng([config.seed, _TAG_PILOT, snr_idx, ch]) for ch in links]
+        amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
+        gamma = np.zeros(n_links)
+        for i, amps in enumerate(amplitudes):
+            obs = PilotObservation(amplitudes=amps.ravel(), n_pilots=n_p, n_active=n_a)
             try:
-                gamma[i] = _pilot_threshold(
-                    config,
-                    constellation,
-                    ensemble.effective[ch],
-                    ch,
-                    float(alpha_p[i]),
-                    sigma2,
-                    snr_idx,
-                )
+                gamma[i] = 0.5 * estimate_amplitude(obs)
             except DegenerateSample:
                 failed[i] = True
     kept = ~failed
-    spatial = np.zeros(len(links), dtype=np.int64)
-    modulation = np.zeros(len(links), dtype=np.int64)
+    spatial = np.zeros(n_links, dtype=np.int64)
+    modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
         rngs = [
             np.random.default_rng([config.seed, _TAG_DATA, snr_idx, ch])
             for ch, ok in zip(links, kept)
             if ok
         ]
-        n_a, order = config.n_active, constellation.order
+        order = constellation.order
         # Each stream draws its spatial words, then its symbols, then its noise.
         draws = [
             (rng.integers(1, 1 << n_a, size=trials), rng.integers(0, order, size=trials))
@@ -331,7 +321,7 @@ def _run_block(
         clean = transmit(
             ensemble.effective[batch][kept], sent, constellation.points[js], np.sqrt(alpha_p)
         )
-        y = add_complex_noise(clean, sigma2, rngs)
+        y = add_complex_noise(clean, SIGMA2, rngs)
         s_hat = detect_spatial(np.abs(y), gamma[kept])
         j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
         labels = constellation.labels
@@ -359,7 +349,7 @@ def _analytic_columns(
             constellation,
             config.n_active,
             ensemble.alpha_p[snr_idx],
-            1.0,
+            SIGMA2,
             gamma=ensemble.gamma[snr_idx],
         )
     )
@@ -369,6 +359,7 @@ def _analytic_columns(
         ensemble.alpha,
         [config.snr_grid_db[snr_idx]],
         n_pilot_samples=config.n_pilots * config.n_active,
+        sigma2=SIGMA2,
     )
     n_links = len(ensemble.alpha)
     excluded = int(np.isnan(estimated.abep).sum())
@@ -408,19 +399,14 @@ def _fd_mode_gains(config: FdConfig) -> np.ndarray:
     Returns the ``(n_links, n_modes)`` top singular values;
     :func:`received_power` splits each SNR point's power over them.
     """
-    gains = []
-    for ch_idx in range(config.channels_per_point):
-        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
-        h = draw_channel(config.channel, rng).matrix
-        gains.append(svd_link(h, 1.0, config.n_modes).mode_gains)
-    return np.array(gains)
+    return np.array([svd_link(h, config.n_modes) for h in _draw_channels(config)])
 
 
-def _fd_analytic(constellation: Constellation, received: np.ndarray, sigma2: float) -> float:
+def _fd_analytic(constellation: Constellation, received: np.ndarray) -> float:
     """Channel-averaged analytic BEP of the baseline from the ``(n_links,
     n_modes)`` received power of one SNR point; every mode of a link sees
     the SNR of its mode 0."""
-    return float(np.mean(analysis.constellation_bep(constellation, received[:, 0] / sigma2)))
+    return float(np.mean(analysis.constellation_bep(constellation, received[:, 0] / SIGMA2)))
 
 
 def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
@@ -429,11 +415,10 @@ def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     gains = _fd_mode_gains(config)
-    sigma2 = 1.0
     rows = []
     for snr_db in config.snr_grid_db:
-        received = received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2)
-        rows.append((snr_db, _fd_analytic(constellation, received, sigma2), math.nan))
+        received = received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2)
+        rows.append((snr_db, _fd_analytic(constellation, received), math.nan))
     return rows
 
 
@@ -608,11 +593,9 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     )
     start = time.perf_counter()
     gains = _fd_mode_gains(config)
-
-    sigma2 = 1.0
     trials = config.trials_per_point
     received = [
-        received_power(gains, 10.0 ** (snr_db / 10.0) * sigma2) for snr_db in config.snr_grid_db
+        received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2) for snr_db in config.snr_grid_db
     ]
     n_links = len(gains)
     per_batch = _batch_links(trials, config.n_modes)
@@ -625,10 +608,10 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
             np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch]) for ch in range(first, last)
         ]
         batch = received[snr_idx][first:last]
-        return fd_ber(batch, constellation, sigma2, (last - first) * trials, rngs)
+        return fd_ber(batch, constellation, SIGMA2, (last - first) * trials, rngs)
 
     def analytic(snr_idx: int) -> float:
-        return _fd_analytic(constellation, received[snr_idx], sigma2)
+        return _fd_analytic(constellation, received[snr_idx])
 
     def point(snr_db: float, blocks: list[np.ndarray], abep: float) -> tuple[SnrPoint, str]:
         ber = sum(int(counts.sum()) for counts in blocks) / bits

@@ -219,12 +219,15 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
     )
 
 
-def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray) -> None:
-    """DomainError unless every x is finite and positive and every dof positive."""
+def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> None:
+    """DomainError unless every x is finite and positive, every dof
+    positive and every delta finite."""
     if not np.all((x > 0) & (x < np.inf)):
         raise DomainError(f"{name} requires finite x > 0")
     if not np.all(dof > 0):
         raise DomainError(f"{name} requires dof > 0")
+    if not np.all(np.isfinite(delta)):
+        raise DomainError(f"{name} requires finite delta")
 
 
 def noncentral_t_cdf(
@@ -238,7 +241,7 @@ def noncentral_t_cdf(
     give a float.
     """
     shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
-    _check_t_args("noncentral_t_cdf", x_, dof_)
+    _check_t_args("noncentral_t_cdf", x_, dof_, delta_)
     return _shaped(np.clip(_nct_cdf(x_, dof_, delta_), 0.0, 1.0), shape)
 
 
@@ -315,7 +318,7 @@ def doubly_noncentral_t_cdf(
     own window exactly as a scalar call would. Scalars give a float.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
-    _check_t_args("doubly_noncentral_t_cdf", x_, dof_)
+    _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
     if not np.all((lam_ > 0) & (lam_ < np.inf)):
         raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
     windows = [_poisson_window(0.5 * float(v)) for v in lam_]

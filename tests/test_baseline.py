@@ -17,51 +17,58 @@ def random_channel(n_rx, n_tx, seed):
 
 
 class TestSvdLink:
+    """``svd_link`` gives a channel's mode gains; ``received_power`` splits
+    the power over them for equal received SNR, and the transmit power of
+    mode k is its received power over g_k^2."""
+
+    def test_mode_gains_are_the_top_singular_values(self):
+        h = random_channel(6, 12, seed=0)
+        assert np.array_equal(svd_link(h, n_modes=4), np.linalg.svd(h)[1][:4])
+
     def test_identity_channel_splits_evenly(self):
-        link = svd_link(np.eye(4), power=6.0, n_modes=2)
-        np.testing.assert_allclose(link.power_per_mode, [3.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(link.received_power_per_mode, [3.0, 3.0], atol=1e-12)
+        gains = svd_link(np.eye(4), n_modes=2)
+        received = received_power(gains, 6.0)
+        np.testing.assert_allclose(received / gains**2, [3.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(received, [3.0, 3.0], atol=1e-12)
 
     def test_inverse_square_weighting(self):
-        h = np.diag([2.0, 1.0]).astype(complex)
-        link = svd_link(h, power=5.0, n_modes=2)
-        np.testing.assert_allclose(link.power_per_mode, [1.0, 4.0], atol=1e-12)
-        np.testing.assert_allclose(link.received_power_per_mode, [4.0, 4.0], atol=1e-12)
+        gains = svd_link(np.diag([2.0, 1.0]).astype(complex), n_modes=2)
+        received = received_power(gains, 5.0)
+        np.testing.assert_allclose(received / gains**2, [1.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(received, [4.0, 4.0], atol=1e-12)
 
     def test_equal_snr_on_random_channel(self):
-        h = random_channel(6, 12, seed=0)
-        link = svd_link(h, power=3.0, n_modes=4)
-        received = link.received_power_per_mode
+        gains = svd_link(random_channel(6, 12, seed=0), n_modes=4)
+        received = received_power(gains, 3.0)
         assert float(received.max() - received.min()) < 1e-8
-        assert float(link.power_per_mode.sum()) == pytest.approx(3.0, rel=1e-12)
+        assert float((received / gains**2).sum()) == pytest.approx(3.0, rel=1e-12)
 
     def test_scaling_channel_keeps_profile_flat(self):
         h = random_channel(4, 8, seed=1)
         for c in (0.5, 3.0):
-            link = svd_link(c * h, power=2.0, n_modes=3)
-            received = link.received_power_per_mode
+            received = received_power(svd_link(c * h, n_modes=3), 2.0)
             assert float(received.max() - received.min()) < 1e-8
 
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 8])
-    def test_received_power_matches_a_fresh_split(self, n_modes):
-        # The per-SNR array of a whole ensemble, row for row, to the last bit.
-        hs = [random_channel(8, 32, seed=9 + i) for i in range(5)]
-        gains = np.array([svd_link(h, power=1.0, n_modes=n_modes).mode_gains for h in hs])
-        for power in (0.01, 1.0, 6.3, 10**1.6):
-            fresh = [svd_link(h, power=power, n_modes=n_modes).received_power_per_mode for h in hs]
-            assert np.array_equal(received_power(gains, power), np.array(fresh))
-        with pytest.raises(ValueError):
-            received_power(gains, 0.0)
+    def test_rejects_nonpositive_power(self):
+        gains = svd_link(random_channel(4, 8, seed=2), n_modes=2)
+        for power in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                received_power(gains, power)
 
     def test_rank_deficient_raises(self):
         h = np.outer(np.ones(4), np.ones(6)).astype(complex)  # rank one
         with pytest.raises(RankDeficient):
-            svd_link(h, power=1.0, n_modes=2)
+            svd_link(h, n_modes=2)
 
 
-def one_link(link, constellation, sigma2, trials, rng):
+def link_power(h, power, n_modes):
+    """Received power per mode of one channel at total transmit ``power``."""
+    return received_power(svd_link(h, n_modes), power)
+
+
+def one_link(received, constellation, sigma2, trials, rng):
     """Error count of a single link through the batch simulator."""
-    counts = fd_ber(link.received_power_per_mode[None], constellation, sigma2, trials, [rng])
+    counts = fd_ber(received[None], constellation, sigma2, trials, [rng])
     assert counts.shape == (1,)
     return int(counts[0])
 
@@ -69,18 +76,18 @@ def one_link(link, constellation, sigma2, trials, rng):
 class TestFdBer:
     def test_noiseless_is_error_free(self):
         h = random_channel(4, 8, seed=2)
-        link = svd_link(h, power=4.0, n_modes=2)
+        received = link_power(h, 4.0, n_modes=2)
         c = build_constellation("qam", 16)
-        errors = one_link(link, c, sigma2=1e-12, trials=2000, rng=np.random.default_rng(3))
+        errors = one_link(received, c, sigma2=1e-12, trials=2000, rng=np.random.default_rng(3))
         assert errors == 0
 
     def test_single_mode_bpsk_matches_q_function(self):
         h = np.array([[1.5 + 0j]])
         power, sigma2 = 2.0, 1.0
-        link = svd_link(h, power=power, n_modes=1)
+        received = link_power(h, power, n_modes=1)
         c = build_constellation("psk", 2)
         trials = 400_000
-        ber = one_link(link, c, sigma2, trials, np.random.default_rng(4)) / trials
+        ber = one_link(received, c, sigma2, trials, np.random.default_rng(4)) / trials
         snr = power * 1.5**2 / sigma2
         expected = gaussian_q(math.sqrt(2 * snr))
         band = 3 * math.sqrt(expected * (1 - expected) / trials)
@@ -89,11 +96,11 @@ class TestFdBer:
     def test_two_mode_qam_matches_analytic_average(self):
         h = random_channel(4, 8, seed=5)
         power, sigma2 = 10 ** (12 / 10) * 2, 1.0
-        link = svd_link(h, power=power, n_modes=2)
+        received = link_power(h, power, n_modes=2)
         c = build_constellation("qam", 16)
         trials = 400_000
-        ber = one_link(link, c, sigma2, trials, np.random.default_rng(6)) / (trials * 2 * 4)
-        snr = float(link.received_power_per_mode[0]) / sigma2
+        ber = one_link(received, c, sigma2, trials, np.random.default_rng(6)) / (trials * 2 * 4)
+        snr = float(received[0]) / sigma2
         expected = (4 / 4) * (1 - 1 / 4) * gaussian_q(math.sqrt(3 * snr / 15))
         band = 3 * math.sqrt(expected * (1 - expected) / (trials * 2 * 4))
         # Closed form is a Gray approximation: allow it on top of noise.
@@ -101,10 +108,10 @@ class TestFdBer:
 
     def test_reproducible_for_same_stream(self):
         h = random_channel(4, 8, seed=7)
-        link = svd_link(h, power=4.0, n_modes=2)
+        received = link_power(h, 4.0, n_modes=2)
         c = build_constellation("qam", 16)
-        a = one_link(link, c, 1.0, 10_000, np.random.default_rng(8))
-        b = one_link(link, c, 1.0, 10_000, np.random.default_rng(8))
+        a = one_link(received, c, 1.0, 10_000, np.random.default_rng(8))
+        b = one_link(received, c, 1.0, 10_000, np.random.default_rng(8))
         assert a == b
 
     def test_rejects_uneven_words_and_missing_streams(self):

@@ -128,3 +128,35 @@ class TestSelectAntennas:
     def test_n_active_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
             select_antennas(random_channel(2, 4, seed=11), 3)
+
+
+class TestRcondRule:
+    """One reciprocal-condition rule decides for every entry point."""
+
+    def channel(self, rcond):
+        # Orthogonal rows, so the Gram matrix of rows (0, 1) is diag(1, rcond)
+        # up to rounding; row 2 is weaker, so (0, 1) is the best pair while it
+        # counts as regular, (0, 2) never does and (1, 2) always does.
+        h = np.zeros((3, 4), dtype=complex)
+        h[0, 0], h[1, 1], h[2, 2] = 1.0, np.sqrt(rcond), np.sqrt(rcond / 2)
+        return h
+
+    def test_just_below_the_floor_is_singular_everywhere(self):
+        rcond = 0.999 * mimo.RCOND_MIN
+        h = self.channel(rcond)
+        with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
+            zf_precoder(h[:2])
+        with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
+            selection_for_indices(h, (0, 1))
+        # Skipped although its power factor beats the pair it settles on.
+        assert select_antennas(h, 2).active_indices == (1, 2)
+
+    def test_just_above_the_floor_is_regular_everywhere(self):
+        rcond = 1.001 * mimo.RCOND_MIN
+        h = self.channel(rcond)
+        alpha = 1.0 / (1.0 + 1.0 / rcond)
+        assert zf_precoder(h[:2]).alpha == pytest.approx(alpha, rel=1e-9)
+        assert selection_for_indices(h, (0, 1)).alpha == pytest.approx(alpha, rel=1e-9)
+        sel = select_antennas(h, 2)
+        assert sel.active_indices == (0, 1)
+        assert sel.alpha == pytest.approx(alpha, rel=1e-9)

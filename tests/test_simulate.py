@@ -325,27 +325,36 @@ def reference_block(config, constellation, ensemble, snr_idx, ch):
     """(spatial errors, modulation errors, failed words) of one channel.
 
     The per-channel block that the batched ``_run_block`` replaced, kept
-    as its oracle: it designs its own threshold and runs the
-    (trials, n_active) form of the phy chain on one channel's streams.
+    as its oracle: it designs or estimates its own threshold and runs the
+    (trials, n_active) form of the phy chain on one channel's streams,
+    with one generator per stream.
     """
     from rsmsim import simulate
-    from rsmsim.training import DegenerateSample
+    from rsmsim.training import DegenerateSample, PilotObservation, estimate_amplitude
 
-    sigma2 = 1.0
+    sigma2 = simulate.SIGMA2
     power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
     alpha_p = float(ensemble.alpha[ch]) * power
-    trials = config.trials_per_point
+    trials, n_a = config.trials_per_point, config.n_active
     if config.threshold_source == "perfect":
         gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta)
     else:
+        # n_pilots rows with every active antenna on the minimum-amplitude point
+        rng = np.random.default_rng([config.seed, simulate._TAG_PILOT, snr_idx, ch])
+        n_p = config.n_pilots
+        x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
+        pilots = transmit(
+            ensemble.effective[ch],
+            np.ones((n_p, n_a), dtype=bool),
+            np.full(n_p, x_pilot),
+            math.sqrt(alpha_p),
+        )
+        amps = np.abs(add_complex_noise(pilots, sigma2, rng)).ravel()
         try:
-            gamma = simulate._pilot_threshold(
-                config, constellation, ensemble.effective[ch], ch, alpha_p, sigma2, snr_idx
-            )
+            gamma = 0.5 * estimate_amplitude(PilotObservation(amps, n_p, n_a))
         except DegenerateSample:
             return 0, 0, trials
     rng = np.random.default_rng([config.seed, simulate._TAG_DATA, snr_idx, ch])
-    n_a = config.n_active
     sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
     js = rng.integers(0, constellation.order, size=trials)
     clean = transmit(ensemble.effective[ch], sent, constellation.points[js], math.sqrt(alpha_p))
@@ -382,6 +391,39 @@ def batched_counts(config):
             words += counts.words
         points.append((rows, words))
     return constellation, ensemble, per_batch, points
+
+
+class TestChannelEnsemble:
+    def test_run_and_run_fd_draw_the_same_channels(self, monkeypatch):
+        # The RSM-to-baseline comparison pairs the two systems on one ensemble.
+        import rsmsim.simulate as simulate
+
+        drawn = []
+        real = simulate.draw_channel
+
+        def recording(*args, **kwargs):
+            realization = real(*args, **kwargs)
+            drawn.append(realization.matrix.copy())
+            return realization
+
+        monkeypatch.setattr(simulate, "draw_channel", recording)
+        config = small_config(snr_grid_db=(6.0,), trials_per_point=10, channels_per_point=6)
+        run(config)
+        rsm = list(drawn)
+        drawn.clear()
+        run_fd(
+            FdConfig(
+                channel=config.channel,
+                snr_grid_db=config.snr_grid_db,
+                trials_per_point=10,
+                channels_per_point=6,
+                seed=config.seed,
+            )
+        )
+        assert len(rsm) == len(drawn) == 6
+        for h_rsm, h_fd in zip(rsm, drawn):
+            assert np.array_equal(h_rsm, h_fd)
+        assert not np.array_equal(rsm[0], rsm[1])
 
 
 class TestBatchedBlock:

@@ -210,7 +210,8 @@ class TestDoublyNoncentralT:
 
 
 class TestDomain:
-    """The t kernels take finite x > 0, dof > 0 and (doubly) lam > 0 only."""
+    """The t kernels take finite x > 0, dof > 0, finite delta and (doubly)
+    lam > 0 only."""
 
     @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -2.0, math.inf, -math.inf, math.nan])
     def test_rejects_x(self, x):
@@ -226,6 +227,14 @@ class TestDomain:
             noncentral_t_cdf(1.0, dof, 1.0)
         with pytest.raises(DomainError):
             doubly_noncentral_t_cdf(1.0, dof, 1.0, 3.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_delta(self, delta):
+        for args in ((delta,), (np.array([1.0, delta]),)):
+            with pytest.raises(DomainError):
+                noncentral_t_cdf(1.0, 2.0, *args)
+            with pytest.raises(DomainError):
+                doubly_noncentral_t_cdf(1.0, 2.0, *args, 3.0)
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, math.nan])
     def test_rejects_lam(self, lam):

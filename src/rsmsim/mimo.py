@@ -50,11 +50,13 @@ class Precoder:
 
 @dataclass(frozen=True)
 class AntennaSelection:
-    """Chosen active-antenna subset, its power factor, and its channel rows."""
+    """Chosen active-antenna subset, its power factor, its channel rows and
+    their Gram matrix ``h_active @ h_active^H``."""
 
     active_indices: tuple[int, ...]
     alpha: float
     h_active: np.ndarray
+    gram: np.ndarray
 
 
 def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,19 +77,24 @@ def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return gram, rcond, np.where((low > 0.0) & (rcond >= RCOND_MIN), alpha, 0.0)
 
 
-def zf_precoder(h_active: np.ndarray) -> Precoder:
+def zf_precoder(channel: np.ndarray | AntennaSelection) -> Precoder:
     """Build the zero-forcing precoder B = H_a^H (H_a H_a^H)^-1.
 
-    Raises :class:`SingularChannel` where :func:`_power_factor` gives
-    alpha 0.
+    ``channel`` is the active-antenna channel H_a, or an
+    :class:`AntennaSelection`, whose Gram matrix and alpha are reused
+    rather than computed again. Raises :class:`SingularChannel` where
+    :func:`_power_factor` gives alpha 0.
     """
-    h_active = np.asarray(h_active)
-    gram, rcond, alpha = _power_factor(h_active)
-    if alpha == 0.0:
-        raise SingularChannel(
-            f"active channel is numerically singular (rcond={rcond:.3e})"
-        )
-    alpha = float(alpha)
+    if isinstance(channel, AntennaSelection):
+        h_active, gram, alpha = channel.h_active, channel.gram, channel.alpha
+    else:
+        h_active = np.asarray(channel)
+        gram, rcond, alpha = _power_factor(h_active)
+        if alpha == 0.0:
+            raise SingularChannel(
+                f"active channel is numerically singular (rcond={rcond:.3e})"
+            )
+        alpha = float(alpha)
     b = h_active.conj().T @ np.linalg.inv(gram)
     # Both alpha expressions coincide for a zero-forcing precoder; a large
     # gap flags numerical trouble upstream of the rcond guard.
@@ -103,12 +110,14 @@ def selection_for_indices(h: np.ndarray, indices: tuple[int, ...]) -> AntennaSel
     """Selection record for a caller-chosen antenna subset (no search)."""
     indices = tuple(sorted(int(i) for i in indices))
     h_active = np.asarray(h)[list(indices), :]
-    _, rcond, alpha = _power_factor(h_active)
+    gram, rcond, alpha = _power_factor(h_active)
     if alpha == 0.0:
         raise SingularChannel(
             f"subset {indices} is numerically singular (rcond={rcond:.3e})"
         )
-    return AntennaSelection(active_indices=indices, alpha=float(alpha), h_active=h_active)
+    return AntennaSelection(
+        active_indices=indices, alpha=float(alpha), h_active=h_active, gram=gram
+    )
 
 
 def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
@@ -129,11 +138,14 @@ def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
             f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
         )
     combos = np.array(list(itertools.combinations(range(n_rx), n_active)))
-    _, _, alphas = _power_factor(h[combos])  # rows (n_subsets, n_active, n_tx)
+    grams, _, alphas = _power_factor(h[combos])  # rows (n_subsets, n_active, n_tx)
     best = int(np.argmax(alphas))  # first hit wins: lexicographic tie-break
     if alphas[best] == 0.0:
         raise SingularChannel("every candidate subset is numerically singular")
     indices = tuple(int(i) for i in combos[best])
     return AntennaSelection(
-        active_indices=indices, alpha=float(alphas[best]), h_active=h[list(indices)]
+        active_indices=indices,
+        alpha=float(alphas[best]),
+        h_active=h[list(indices)],
+        gram=grams[best].copy(),
     )

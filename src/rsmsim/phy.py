@@ -20,6 +20,7 @@ for the minimum constellation symbol power ``beta * alpha_p``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -116,7 +117,9 @@ class Constellation:
         object.__setattr__(
             self,
             "_psk_layout",
-            self.kind == "psk" and np.array_equal(self.points, _psk_points(self.points.size)[0]),
+            self.kind == "psk"
+            and self.order & (self.order - 1) == 0
+            and np.array_equal(self.points, _psk_points(self.points.size)[0]),
         )
 
     @property
@@ -230,14 +233,23 @@ def build_constellation(
 def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
     """(..., n_active) bool array of integer spatial words, one row per word.
 
-    Antenna k carries bit k of its word. Raises
-    :class:`IllegalSpatialWord` unless every word lies in [1, 2^n_active):
-    the all-zero word cannot be transmitted.
+    Antenna k carries bit k of its word; each row is read from a cached
+    table of all 2^n_active words. Raises :class:`IllegalSpatialWord`
+    unless every word lies in [1, 2^n_active): the all-zero word cannot
+    be transmitted.
     """
     words = np.asarray(words)
     if words.min() < 1 or words.max() >> n_active:
         raise IllegalSpatialWord(f"spatial words must lie in [1, {1 << n_active})")
-    return ((words[..., None] >> np.arange(n_active)) & 1).astype(bool)
+    return np.take(_word_table(n_active), words, axis=0)
+
+
+@functools.cache
+def _word_table(n_active: int) -> np.ndarray:
+    """Read-only (2^n_active, n_active) bool table: row w is word w's bits."""
+    table = ((np.arange(1 << n_active)[:, None] >> np.arange(n_active)) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
 
 
 def _per_link(value: float | np.ndarray, trailing: int) -> np.ndarray:
@@ -262,7 +274,7 @@ def transmit(
     leading link axis: ``matrix`` is (links, n, n_active) and
     ``amplitude`` (links,).
     """
-    weighted = _per_link(amplitude, 2) * (spatial * symbols[..., None])
+    weighted = (_per_link(amplitude, 1) * symbols)[..., None] * spatial
     return weighted @ np.swapaxes(matrix, -1, -2)
 
 
@@ -478,18 +490,26 @@ def _slice_qam(
 
 
 def _slice_psk(y: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest sector by angle, and where that decision is provably exact."""
+    """Nearest sector by angle, and where that decision is provably exact.
+
+    ``order`` is a power of two, so masking the low bits of the nearest
+    sector reduces it mod ``order``.
+    """
     ratio_low, ratio_high = _PSK_RATIO
     with np.errstate(all="ignore"):
         # Angle in sectors: point k sits at k, the boundaries at half-integers.
         t = np.angle(y) * (order / (2.0 * math.pi))
+        level = np.rint(t)
         ratio = np.abs(y) / scale
+        # Sectors from the nearest point: at most 1/2 - margin is at least
+        # the margin from a boundary.
+        t -= level
         exact = (
-            (np.abs(t - np.floor(t) - 0.5) >= _BOUNDARY_MARGIN)
+            (np.abs(t) <= 0.5 - _BOUNDARY_MARGIN)
             & (ratio >= ratio_low)
             & (ratio <= ratio_high)
         )
-        index = np.rint(t).astype(np.int64) % order
+        index = level.astype(np.int64) & (order - 1)
     return np.broadcast_to(index, np.shape(exact)), exact
 
 
@@ -569,11 +589,38 @@ def combine_and_detect_modulation(
     fixed erasure fallback, symbol index 0. Returns the symbol indices;
     ``constellation.label_bits`` maps them to bits.
     """
-    n_hat = s_hat.sum(axis=-1)
+    flags = np.asarray(s_hat, dtype=bool).view(np.uint8)
+    n_hat = sum(flags[..., k] for k in range(flags.shape[-1]))
     scale = np.sqrt(_per_link(alpha_p, 1)) * n_hat
-    j_hat = nearest_point((y * s_hat).sum(axis=-1), scale, constellation)
+    j_hat = nearest_point(_antenna_sum(y * s_hat), scale, constellation)
     j_hat[n_hat == 0] = 0
     return j_hat
+
+
+def _antenna_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=-1)`` of a complex array, bit for bit, one column at a time.
+
+    numpy reduces a contiguous complex last axis of n < 4 entries left to
+    right; from n = 4 up to its pairwise block of 64 entries it keeps four running sums ``c_k + c_{k+4} +
+    ...`` over the first ``n - n % 4`` columns, combines them as ``(a0 +
+    a1) + (a2 + a3)`` and adds the leftover columns in order. The
+    reduction starts from the identity +0, so a zero sum is +0, never -0;
+    starting the first running sum as ``c_0 + 0.0`` gives the same.
+    Adding whole columns avoids numpy's per-row loop over a narrow axis.
+    """
+    n = z.shape[-1]
+    lanes = 4 if n >= 4 else 1
+    paired = n - n % lanes
+    running = [z[..., 0] + 0.0] + [z[..., k] for k in range(1, lanes)]
+    for k in range(lanes, paired):
+        running[k % lanes] = running[k % lanes] + z[..., k]
+    total = running[0]
+    if lanes == 4:
+        total += running[1]
+        total += running[2] + running[3]
+    for k in range(paired, n):
+        total += z[..., k]
+    return total
 
 
 def add_complex_noise(

@@ -11,7 +11,8 @@ Carlo task per (SNR point, batch of whole channels) of about 64k
 symbols, with every channel still on its own stream. The analytic
 columns of each SNR point run as one more task on the same workers.
 Each run logs one line per SNR point, in grid order, and where its time
-went on the ``.timing`` child logger.
+went on the ``.timing`` child logger; at DEBUG it also logs the seconds
+of every Monte Carlo task.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -234,7 +235,7 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
             sel = select_antennas(h, config.n_active)
         else:
             sel = selection_for_indices(h, tuple(range(config.n_active)))
-        pre = zf_precoder(sel.h_active)
+        pre = zf_precoder(sel)
         alphas.append(pre.alpha)
         effective.append(sel.h_active @ pre.matrix_b)
     alpha = np.array(alphas)
@@ -485,8 +486,9 @@ def _sweep_and_reduce(
 
     ``point(snr_db, block results, analytic result)`` returns the
     point's :class:`SnrPoint` and its log message, which is logged with
-    the seconds elapsed since ``start``; the time from ``start`` to this
-    call counts as the link build on the ``.timing`` line.
+    the seconds elapsed since ``start``, after one DEBUG line per block
+    with its seconds; the time from ``start`` to this call counts as the
+    link build on the ``.timing`` line.
     """
     link_s = time.perf_counter() - start
     grid = config.snr_grid_db
@@ -495,6 +497,8 @@ def _sweep_and_reduce(
     sweep = _sweep(n_threads, len(grid), n_blocks, block, analytic)
     try:
         for snr_db, (blocks, (result, seconds)) in zip(grid, sweep):
+            for block_idx, (_, block_s) in enumerate(blocks):
+                log.debug("snr=%g dB block %d: %.3f s", snr_db, block_idx, block_s)
             blocks_s += sum(block_s for _, block_s in blocks)
             analytic_s += seconds
             snr_point, message = point(snr_db, [counts for counts, _ in blocks], result)

@@ -125,6 +125,19 @@ class TestSelectAntennas:
         assert sel.active_indices == (0, 1, 2)
         assert sel.alpha == pytest.approx(alpha_by_explicit_inverse(h[:3]), rel=1e-10)
 
+    @pytest.mark.parametrize("n_active", [1, 3, 4])
+    def test_precoder_from_selection_reuses_its_gram_matrix(self, n_active, monkeypatch):
+        # The selection's Gram matrix and alpha give the same bits as
+        # factoring its rows again, without another eigendecomposition.
+        h = random_channel(8, 32, seed=20 + n_active)
+        for sel in (select_antennas(h, n_active), selection_for_indices(h, range(n_active))):
+            again = zf_precoder(sel.h_active)
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            reused = zf_precoder(sel)
+            monkeypatch.undo()
+            assert reused.alpha == again.alpha == sel.alpha
+            assert reused.matrix_b.tobytes() == again.matrix_b.tobytes()
+
     def test_n_active_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
             select_antennas(random_channel(2, 4, seed=11), 3)

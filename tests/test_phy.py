@@ -15,6 +15,7 @@ from rsmsim.phy import (
     IllegalSpatialWord,
     NoRoot,
     OutsideDesignDomain,
+    _antenna_sum,
     _brentq,
     add_complex_noise,
     UnsupportedOrder,
@@ -727,6 +728,72 @@ class TestCombineAndDetect:
         p_expected = 0.5 * math.erfc(math.sqrt(snr_c))
         se = math.sqrt(p_expected * (1 - p_expected) / n_trials)
         assert abs(errors / n_trials - p_expected) < 3 * se
+
+
+def assert_same_bits(actual, expected):
+    """Same shape, dtype and bytes: signed zeros count as different."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    if actual.dtype.kind == "c":
+        actual, expected = (np.ascontiguousarray(a).view(np.float64) for a in (actual, expected))
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def random_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestExactRewrites:
+    """The transceiver steps give, bit for bit, what the plain numpy
+    expressions they replace give."""
+
+    @pytest.mark.parametrize("n_active", range(1, 9))
+    def test_spatial_bits_match_shift_form(self, n_active):
+        words = np.arange(1, 1 << n_active)
+        shifted = ((words[..., None] >> np.arange(n_active)) & 1).astype(bool)
+        assert_same_bits(spatial_bits(words, n_active), shifted)
+        # With a leading link axis.
+        links = np.stack([words, words[::-1]])
+        assert_same_bits(spatial_bits(links, n_active), np.stack([shifted, shifted[::-1]]))
+
+    def test_transmit_matches_spatial_first_product(self):
+        rng = np.random.default_rng(21)
+        c = build_constellation("qam", 16)
+        n_links, trials, n_active = 3, 500, 4
+        matrix = random_rows(rng, (n_links, n_active, n_active))
+        spatial = spatial_bits(rng.integers(1, 1 << n_active, (n_links, trials)), n_active)
+        symbols = c.points[rng.integers(0, 16, (n_links, trials))]
+        amplitude = rng.uniform(0.5, 3.0, n_links)
+        old = amplitude[:, None, None] * (spatial * symbols[..., None]) @ np.swapaxes(matrix, 1, 2)
+        assert_same_bits(transmit(matrix, spatial, symbols, amplitude), old)
+        old = 1.7 * (spatial[0] * symbols[0][:, None]) @ matrix[0].T
+        assert_same_bits(transmit(matrix[0], spatial[0], symbols[0], 1.7), old)
+
+    @pytest.mark.parametrize("n_active", range(1, 9))
+    @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])
+    def test_combiner_matches_summed_form(self, n_active, kind, order, ring):
+        rng = np.random.default_rng(n_active)
+        c = build_constellation(kind, order, ring)
+        n_links, trials = 2, 400
+        alpha_p = rng.uniform(0.5, 4.0, n_links)
+        y = math.sqrt(2.0) * random_rows(rng, (n_links, trials, n_active))
+        s_hat = rng.random((n_links, trials, n_active)) < 0.6
+        s_hat[:, :5] = False  # erased rows
+        expected = nearest_point(
+            (y * s_hat).sum(axis=-1), np.sqrt(alpha_p)[:, None] * s_hat.sum(axis=-1), c
+        )
+        expected[s_hat.sum(axis=-1) == 0] = 0
+        assert_same_bits(combine_and_detect_modulation(y, s_hat, alpha_p, c), expected)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_antenna_sum_matches_numpy_reduction(self, n):
+        # Fails if numpy changes the order in which it reduces a short
+        # contiguous complex axis.
+        rng = np.random.default_rng(100 + n)
+        z = random_rows(rng, (2, 300, n)) * (rng.random((2, 300, n)) < 0.7)
+        z[:, :3] = complex(-0.0, -0.0)  # numpy's sum of these rows is +0
+        assert_same_bits(_antenna_sum(z), z.sum(axis=-1))
 
 
 class TestNoiselessEndToEnd:

@@ -446,6 +446,32 @@ class TestBatchedBlock:
             assert words == 20 * 2000
         assert any(spatial for spatial, _, _ in points[0][0])
 
+    @pytest.mark.parametrize(
+        "n_active,kind", [(1, "psk"), (2, "psk"), (3, "psk"), (5, "psk"), (8, "psk"), (4, "qam")]
+    )
+    def test_other_antenna_counts_match_per_channel_oracle(self, n_active, kind):
+        # Every preset has 4 active antennas; these reach the other branches
+        # of the column-wise combiner. Six channels per batch, the last short;
+        # 16 clusters keep all 8 antennas of a channel well conditioned.
+        from rsmsim.simulate import _BATCH_SYMBOLS
+
+        config = small_config(
+            channel=dataclasses.replace(PARAMS, n_clusters=16),
+            n_active=n_active,
+            constellation_kind=kind,
+            snr_grid_db=(4.0, 10.0),
+            trials_per_point=_BATCH_SYMBOLS // (6 * n_active),
+            channels_per_point=20,
+        )
+        constellation, ensemble, per_batch, points = batched_counts(config)
+        assert per_batch == 6
+        for snr_idx, (rows, _) in enumerate(points):
+            expected = [
+                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+            ]
+            assert rows == expected
+        assert any(modulation for _, modulation, _ in points[0][0])
+
     def test_degenerate_pilot_fails_only_its_channel(self):
         # At -6 dB only channel 5's one-pilot estimate degenerates; it sits
         # inside the first batch (channels 0-7).
@@ -497,6 +523,42 @@ class TestTimingLog:
         assert len(lines) == 1
         match = TIMING_LINE.fullmatch(lines[0])
         assert match and match[1] == "run_fd" and match[2] == "1"
+
+
+BLOCK_LINE = re.compile(r"snr=(\S+) dB block (\d+): ([\d.]+) s")
+
+
+class TestBlockDebugLog:
+    """At DEBUG every Monte Carlo task logs its SNR point, block index and seconds."""
+
+    @pytest.mark.parametrize("system", ["run", "run_fd"])
+    def test_one_line_per_task_in_grid_order(self, caplog, system):
+        from rsmsim.simulate import _batch_links
+
+        if system == "run":
+            # 2000 words x 4 antennas: 8 channels per batch, 3 batches of 20.
+            config = small_config(trials_per_point=2000, channels_per_point=20)
+            fn, width = run, config.n_active
+        else:
+            config = FdConfig(
+                channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=1000, channels_per_point=40
+            )
+            fn, width = run_fd, config.n_modes
+        n_blocks = -(-config.channels_per_point // _batch_links(config.trials_per_point, width))
+        assert n_blocks > 1
+        with caplog.at_level(logging.DEBUG, logger="rsmsim.simulate"):
+            fn(config)
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "rsmsim.simulate" and r.levelno == logging.DEBUG
+        ]
+        assert len(lines) == len(config.snr_grid_db) * n_blocks
+        matches = [BLOCK_LINE.fullmatch(line) for line in lines]
+        assert all(matches)
+        assert [(float(m[1]), int(m[2])) for m in matches] == [
+            (snr, b) for snr in config.snr_grid_db for b in range(n_blocks)
+        ]
 
 
 FD_POINT_LINE = re.compile(r"snr=(\S+) dB ber=(\S+) \(analytic (\S+)\), ([\d.]+) s elapsed")

@@ -8,7 +8,9 @@ side, over the full circle on the omnidirectional receive side) and ray
 angles are Laplacian around their cluster mean. The array responses and
 pattern gains of all rays of a draw are built by one vectorized call
 each, with the same arithmetic as a per-ray evaluation, so a draw is
-bit-identical to building it ray by ray.
+bit-identical to building it ray by ray. A batch of draws, one random
+stream per link, is built the same way along a leading link axis, and
+each link is bit-identical to drawing it alone.
 
 The ray-gain variance is calibrated per parameter set so that the
 average squared Frobenius norm of the channel equals
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +83,8 @@ class ChannelRealization:
     ``cluster_means`` holds (arrival, departure) mean azimuths per
     cluster in degrees; ``ray_angles`` holds the per-ray (arrival,
     departure) azimuths, cluster-major; ``ray_gains`` the complex gains
-    actually used (calibrated variance ``gain_scale``).
+    actually used (calibrated variance ``gain_scale``). A batch of draws
+    carries a leading link axis on every array field.
     """
 
     matrix: np.ndarray
@@ -90,10 +94,10 @@ class ChannelRealization:
     gain_scale: float
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
-            raise ValueError("matrix must be two dimensional")
-        if self.ray_angles.shape != (self.ray_gains.size, 2):
-            raise ValueError("ray_angles must be (n_paths, 2)")
+        if self.matrix.ndim not in (2, 3):
+            raise ValueError("matrix must be (n_rx, n_tx) or (links, n_rx, n_tx)")
+        if self.ray_angles.shape != (*self.ray_gains.shape, 2):
+            raise ValueError("ray_angles must be (n_paths, 2) per link")
 
 
 def array_response(n: int, angle_deg: float | np.ndarray, spacing: float) -> np.ndarray:
@@ -171,24 +175,41 @@ def in_sector_fraction(params: ChannelParams) -> float:
     return frac
 
 
-def draw_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization from an explicit random stream."""
-    means, rays = _draw_angles(params, rng)
+def draw_channel(
+    params: ChannelParams, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> ChannelRealization:
+    """Draw channel realizations from explicit random streams.
+
+    One generator gives one realization. A sequence of generators gives
+    one realization per generator, stacked along a leading link axis of
+    every array field; link ``i`` is exactly what ``rng[i]`` alone draws,
+    because one generator is drawn as a batch of one. Each stream draws
+    its angles, then the real and then the imaginary parts of its ray
+    gains.
+    """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    n_links, n_paths = len(rngs), params.n_paths
+    means = np.empty((n_links, params.n_clusters, 2))
+    rays = np.empty((n_links, n_paths, 2))
+    normals = np.empty((n_links, 2, n_paths))
+    for i, gen in enumerate(rngs):
+        means[i], rays[i] = _draw_angles(params, gen)
+        gen.standard_normal(out=normals[i])
     frac = in_sector_fraction(params)
     gain_scale = params.gain_variance / frac
-    gains = math.sqrt(gain_scale / 2.0) * (
-        rng.standard_normal(params.n_paths) + 1j * rng.standard_normal(params.n_paths)
-    )
+    gains = math.sqrt(gain_scale / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
     center, width = params.sector_center_deg, params.sector_width_deg
-    pattern = sector_gain(rays[:, 1], center, width).astype(float)
+    pattern = sector_gain(rays[..., 1], center, width).astype(float)
     if not params.rx_omni:
-        pattern *= sector_gain(rays[:, 0], center, width)
+        pattern *= sector_gain(rays[..., 0], center, width)
     spacing = params.antenna_spacing_wavelengths
-    v_rx = array_response(params.n_rx, rays[:, 0], spacing)
-    v_tx = array_response(params.n_tx, rays[:, 1], spacing)
+    v_rx = array_response(params.n_rx, rays[..., 0], spacing)
+    v_tx = array_response(params.n_tx, rays[..., 1], spacing)
     scale = math.sqrt(params.n_tx * params.n_rx / params.n_paths)
     weights = scale * gains * pattern
-    matrix = (v_rx.T * weights) @ v_tx.conj()
+    matrix = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ v_tx.conj()
+    if isinstance(rng, np.random.Generator):
+        matrix, means, rays, gains = matrix[0], means[0], rays[0], gains[0]
     return ChannelRealization(
         matrix=matrix,
         cluster_means=means,
@@ -196,4 +217,3 @@ def draw_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelReal
         ray_gains=gains,
         gain_scale=gain_scale,
     )
-

@@ -3,13 +3,16 @@
 One run sweeps an SNR grid; at each grid point a fixed ensemble of
 channel realizations is exercised with a block of data words per
 channel. Every random quantity is drawn from a stream keyed by
-(master seed, purpose tag, snr index, channel index), so results are
+(master seed, purpose tag, snr index, channel index), the generator
+``np.random.default_rng([seed, tag, snr, channel])``, so results are
 bit-identical regardless of how channels are batched and scheduled
 across worker threads; error counts are integers and are reduced in
-index order. Both systems run their channels in batches, one Monte
-Carlo task per (SNR point, batch of whole channels) of about 64k
-symbols, with every channel still on its own stream. The analytic
-columns of each SNR point run as one more task on the same workers.
+index order. The seeds of those streams are hashed up front, for all
+channels of a key at once (:func:`_stream_seeds`). Both systems run
+their channels in batches, one Monte Carlo task per (SNR point, batch
+of whole channels) of about 64k symbols, with every channel still on
+its own stream. The analytic columns of each SNR point run as one more
+task on the same workers.
 Each run logs one line per SNR point, in grid order, and where its time
 went on the ``.timing`` child logger; at DEBUG it also logs the seconds
 of every Monte Carlo task.
@@ -25,10 +28,11 @@ analytic column.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -83,6 +87,10 @@ SIGMA2 = 1.0
 #: symbols (words x symbols per word) per Monte Carlo task: each task
 #: takes as many whole channels as fit, and at least one
 _BATCH_SYMBOLS = 1 << 16
+
+#: channels per ``draw_channel`` call of the ensemble draw (and per
+#: stacked ``svd_link`` call of the baseline); bounds their working memory
+_DRAW_CHUNK = 64
 
 
 class PointAborted(RuntimeError):
@@ -215,22 +223,129 @@ class _Ensemble:
     effective: np.ndarray  # (n_links, n_active, n_active) H_a @ B, identity up to ZF numerics
     alpha_p: np.ndarray  # alpha times the transmit power of each SNR point
     gamma: np.ndarray  # the ``threshold_mode`` design at each alpha_p
+    data_seeds: np.ndarray  # (n_snr, n_links, 4) seeds of the (seed, _TAG_DATA, snr, ch) streams
+    pilot_seeds: np.ndarray  # the same for the (seed, _TAG_PILOT, snr, ch) streams
+
+
+# SeedSequence's hash (numpy.random.bit_generator): a pool of four 32-bit
+# words, mixed and then expanded with these constants. numpy keeps it fixed,
+# since every seeded stream depends on it.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFF_FFFF
+
+
+def _key_words(value: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` makes of a non-negative int, least
+    significant first (one word for zero)."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _stream_seeds(key: tuple[int, ...], links: Iterable[int]) -> np.ndarray:
+    """The PCG64 seed of the stream ``np.random.default_rng([*key, ch])`` of
+    every link ``ch`` of ``links``, one ``(4,) uint64`` row each.
+
+    Row ``i`` is ``SeedSequence([*key, links[i]]).generate_state(4,
+    np.uint64)``: the words SeedSequence makes of that list form one
+    ``uint32`` key row per link, and its hash runs on all rows at once.
+    A negative value, or a link index of 2^32 or more, goes through
+    SeedSequence itself.
+    """
+    links = np.asarray(links, dtype=np.int64)
+    in_words = not links.size or 0 <= links.min() <= links.max() <= _WORD
+    if any(value < 0 for value in key) or not in_words:
+        rows = [
+            np.random.SeedSequence([*key, int(ch)]).generate_state(4, np.uint64) for ch in links
+        ]
+        return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+    prefix = [word for value in key for word in _key_words(value)]
+    entropy = [np.full(links.size, word, dtype=np.uint32) for word in prefix]
+    entropy.append(links.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _WORD
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L - y * _MIX_R
+        result ^= result >> 16
+        return result
+
+    zero = np.zeros(links.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((links.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _WORD
+        value *= hash_const
+        value ^= value >> 16
+        state[:, i] = value
+    # Word pairs, low word first, read as 64-bit words on any byte order.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_type() -> type:
+    """The stand-in for ``SeedSequence`` that hands PCG64 one precomputed
+    :func:`_stream_seeds` row. Defined on first use, so that importing the
+    package does not import ``numpy.random`` (about 20 ms), which only the
+    sampling paths need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a stream seed holds the four 64-bit words of a PCG64 state")
+            return self.state
+
+    return Seed
+
+
+def _streams(seeds: np.ndarray) -> list[np.random.Generator]:
+    """The generators of :func:`_stream_seeds` rows; every random stream of
+    a run is built here."""
+    seed = _seed_type()
+    return [np.random.Generator(np.random.PCG64(seed(row))) for row in seeds]
 
 
 def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
-    """The channel matrix of every link in index order, link ``ch`` drawn
-    from its own ``(seed, _TAG_CHANNEL, ch)`` stream, so :func:`run` and
-    :func:`run_fd` under one seed see the same channels."""
-    for ch_idx in range(config.channels_per_point):
-        rng = np.random.default_rng([config.seed, _TAG_CHANNEL, ch_idx])
-        yield draw_channel(config.channel, rng).matrix
+    """The channel matrices of every link in index order, as
+    ``(links, n_rx, n_tx)`` stacks of up to ``_DRAW_CHUNK`` links. Link
+    ``ch`` is drawn from its own ``(seed, _TAG_CHANNEL, ch)`` stream, so
+    :func:`run` and :func:`run_fd` under one seed see the same channels."""
+    n_links = config.channels_per_point
+    seeds = _stream_seeds((config.seed, _TAG_CHANNEL), range(n_links))
+    for first in range(0, n_links, _DRAW_CHUNK):
+        yield draw_channel(config.channel, _streams(seeds[first : first + _DRAW_CHUNK])).matrix
 
 
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
     """Draw the channel ensemble, precode each channel, and design the
     ``threshold_mode`` threshold of every (SNR point, channel) once."""
     alphas, effective = [], []
-    for h in _draw_channels(config):
+    for h in itertools.chain.from_iterable(_draw_channels(config)):
         if config.selection == "exhaustive":
             sel = select_antennas(h, config.n_active)
         else:
@@ -244,7 +359,19 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
     gamma = np.array(
         [[threshold(mode, a, SIGMA2, beta) for a in row] for row in alpha_p.tolist()]
     )
-    return _Ensemble(alpha=alpha, effective=np.array(effective), alpha_p=alpha_p, gamma=gamma)
+    links = range(len(alpha))
+    return _Ensemble(
+        alpha=alpha,
+        effective=np.array(effective),
+        alpha_p=alpha_p,
+        gamma=gamma,
+        data_seeds=np.array(
+            [_stream_seeds((config.seed, _TAG_DATA, s), links) for s in range(len(alpha_p))]
+        ),
+        pilot_seeds=np.array(
+            [_stream_seeds((config.seed, _TAG_PILOT, s), links) for s in range(len(alpha_p))]
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -292,7 +419,7 @@ def _run_block(
             np.full((n_links, n_p), x_pilot),
             np.sqrt(alpha_p),
         )
-        pilot_rngs = [np.random.default_rng([config.seed, _TAG_PILOT, snr_idx, ch]) for ch in links]
+        pilot_rngs = _streams(ensemble.pilot_seeds[snr_idx, batch])
         amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
         gamma = np.zeros(n_links)
         for i, amps in enumerate(amplitudes):
@@ -305,11 +432,7 @@ def _run_block(
     spatial = np.zeros(n_links, dtype=np.int64)
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
-        rngs = [
-            np.random.default_rng([config.seed, _TAG_DATA, snr_idx, ch])
-            for ch, ok in zip(links, kept)
-            if ok
-        ]
+        rngs = _streams(ensemble.data_seeds[snr_idx, batch][kept])
         order = constellation.order
         # Each stream draws its spatial words, then its symbols, then its noise.
         draws = [
@@ -395,12 +518,13 @@ def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
 
 
 def _fd_mode_gains(config: FdConfig) -> np.ndarray:
-    """Draw the channel ensemble and factor each channel once.
+    """Draw the channel ensemble and factor each channel once, one stacked
+    ``svd_link`` call per drawn chunk.
 
     Returns the ``(n_links, n_modes)`` top singular values;
     :func:`received_power` splits each SNR point's power over them.
     """
-    return np.array([svd_link(h, config.n_modes) for h in _draw_channels(config)])
+    return np.concatenate([svd_link(h, config.n_modes) for h in _draw_channels(config)])
 
 
 def _fd_analytic(constellation: Constellation, received: np.ndarray) -> float:
@@ -602,15 +726,16 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
         received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2) for snr_db in config.snr_grid_db
     ]
     n_links = len(gains)
+    fd_seeds = [
+        _stream_seeds((config.seed, _TAG_FD, s), range(n_links)) for s in range(len(received))
+    ]
     per_batch = _batch_links(trials, config.n_modes)
     bits = trials * config.n_modes * constellation.bits_per_symbol * n_links
 
     def block(snr_idx: int, batch_idx: int) -> np.ndarray:
         first = batch_idx * per_batch
         last = min(first + per_batch, n_links)
-        rngs = [
-            np.random.default_rng([config.seed, _TAG_FD, snr_idx, ch]) for ch in range(first, last)
-        ]
+        rngs = _streams(fd_seeds[snr_idx][first:last])
         batch = received[snr_idx][first:last]
         return fd_ber(batch, constellation, SIGMA2, (last - first) * trials, rngs)
 

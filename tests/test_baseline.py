@@ -60,6 +60,21 @@ class TestSvdLink:
         with pytest.raises(RankDeficient):
             svd_link(h, n_modes=2)
 
+    def test_stack_matches_per_channel_calls(self):
+        stack = np.stack([random_channel(6, 12, seed=s) for s in range(5)])
+        gains = svd_link(stack, n_modes=3)
+        assert gains.shape == (5, 3)
+        for h, row in zip(stack, gains):
+            assert svd_link(h, n_modes=3).tobytes() == row.tobytes()
+
+    def test_rank_deficient_stack_names_the_first_short_channel(self):
+        stack = np.stack([random_channel(4, 6, seed=s) for s in range(5)])
+        stack[2] = np.outer(np.ones(4), np.ones(6))  # rank one
+        stack[4] = 0.0
+        with pytest.raises(RankDeficient, match="channel 2 supports 1 modes, 2 requested"):
+            svd_link(stack, n_modes=2)
+        assert svd_link(stack[:2], n_modes=2).shape == (2, 2)
+
 
 def link_power(h, power, n_modes):
     """Received power per mode of one channel at total transmit ``power``."""
@@ -172,3 +187,30 @@ class TestFdBerBatch:
             # Pure noise: about half of every link's bits are wrong.
             bits = TRIALS * N_MODES * c.bits_per_symbol
             assert np.all(np.abs(counts / bits - 0.5) < 0.05)
+
+
+class TestFdBerModeCounts:
+    """The modes-major batch at other mode counts; 7 and 17 links run as
+    several pieces with a short last one."""
+
+    @pytest.mark.parametrize(
+        "kind,order,ring", [("qam", 16, None), ("psk", 8, None), ("apsk", 16, 2.6)]
+    )
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    @pytest.mark.parametrize("n_links", [1, 7, 17])
+    def test_matches_the_per_link_oracle(self, kind, order, ring, n_modes, n_links):
+        c = build_constellation(kind, order, ring)
+        setup = np.random.default_rng([n_modes, n_links])
+        gains = np.sort(setup.uniform(0.2, 3.0, (n_links, n_modes)), axis=1)[:, ::-1]
+        received = received_power(gains, float(setup.uniform(1.0, 30.0)))
+        seeds = setup.integers(0, 2**32, n_links)
+        sigma2 = float(received.max())  # at most 0 dB per mode: every link errs
+        counts = fd_ber(
+            received, c, sigma2, n_links * TRIALS, [np.random.default_rng(s) for s in seeds]
+        )
+        expected = [
+            fd_ber_oracle(received[i], c, sigma2, TRIALS, np.random.default_rng(s))
+            for i, s in enumerate(seeds)
+        ]
+        assert np.array_equal(counts, expected)
+        assert counts.all()

@@ -102,32 +102,47 @@ class TestSectorGain:
         assert 0 < gains.sum() < angles.size
 
 
+GEOMETRIES = pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT,
+        ChannelParams(n_tx=16, n_rx=4, rx_omni=False, angular_spread_deg=20.0),
+        # The sector spans 150..190 degrees, across the +-180 wrap.
+        ChannelParams(
+            n_tx=16,
+            n_rx=4,
+            sector_center_deg=170.0,
+            sector_width_deg=40.0,
+            angular_spread_deg=10.0,
+            rx_omni=False,
+        ),
+        ChannelParams(n_tx=8, n_rx=4, n_clusters=3, n_rays=1, antenna_spacing_wavelengths=0.7),
+    ],
+    ids=["default", "rx-sector", "wrapping-sector", "one-ray-spacing-0.7"],
+)
+
+
 class TestDrawChannel:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            DEFAULT,
-            ChannelParams(n_tx=16, n_rx=4, rx_omni=False, angular_spread_deg=20.0),
-            # The sector spans 150..190 degrees, across the +-180 wrap.
-            ChannelParams(
-                n_tx=16,
-                n_rx=4,
-                sector_center_deg=170.0,
-                sector_width_deg=40.0,
-                angular_spread_deg=10.0,
-                rx_omni=False,
-            ),
-            ChannelParams(
-                n_tx=8, n_rx=4, n_clusters=3, n_rays=1, antenna_spacing_wavelengths=0.7
-            ),
-        ],
-        ids=["default", "rx-sector", "wrapping-sector", "one-ray-spacing-0.7"],
-    )
+    @GEOMETRIES
     def test_matches_per_ray_reference(self, params):
         for i in range(40):
             got = draw_channel(params, np.random.default_rng([5, i])).matrix
             want = per_ray_draw(params, np.random.default_rng([5, i]))
             assert np.array_equal(got, want), f"draw {i}"
+
+    @GEOMETRIES
+    def test_batch_matches_one_draw_per_link(self, params):
+        n_links = 40
+        batch = draw_channel(params, [np.random.default_rng([6, i]) for i in range(n_links)])
+        assert batch.matrix.shape == (n_links, params.n_rx, params.n_tx)
+        assert batch.ray_angles.shape == (n_links, params.n_paths, 2)
+        for i in range(n_links):
+            alone = draw_channel(params, np.random.default_rng([6, i]))
+            assert batch.matrix[i].tobytes() == alone.matrix.tobytes(), f"link {i}"
+            assert batch.ray_angles[i].tobytes() == alone.ray_angles.tobytes()
+            assert batch.ray_gains[i].tobytes() == alone.ray_gains.tobytes()
+            assert batch.cluster_means[i].tobytes() == alone.cluster_means.tobytes()
+            assert batch.gain_scale == alone.gain_scale
 
     def test_single_ray_closed_form(self):
         # One cluster, one ray, zero spread: H is a scaled rank-one outer

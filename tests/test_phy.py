@@ -15,8 +15,10 @@ from rsmsim.phy import (
     IllegalSpatialWord,
     NoRoot,
     OutsideDesignDomain,
+    _GRID_REACH,
     _antenna_sum,
     _brentq,
+    _nearest_by_search,
     add_complex_noise,
     UnsupportedOrder,
     build_constellation,
@@ -648,6 +650,48 @@ class TestQamScaleRange:
             np.testing.assert_array_equal(nearest_point(unit, odd, c), full_search(unit, odd, c))
 
 
+class TestQamSlicerModesMajor:
+    """The baseline's layout: ``(links, modes, trials)`` samples, one scale
+    per (link, mode) as a ``(links, modes, 1)`` array."""
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_matches_the_full_search(self, order):
+        c = build_constellation("qam", order)
+        side = math.isqrt(order)
+        centre = 0.5 * (side - 1)
+        # Coordinates in level spacings from the grid centre: every decision
+        # boundary and its near neighbours, the levels, and both ends of the
+        # slicer's reach (``_GRID_REACH`` beyond the outer edge) and of
+        # ``_GRID_REACH`` from the centre, each approached from both sides.
+        boundaries = np.arange(side - 1) + 0.5 - centre
+        near = np.array([0.0, 1e-15, 1e-9, 1e-6, 1.01e-6, 1e-3])
+        reach = np.array([_GRID_REACH, _GRID_REACH + centre + 0.5])
+        coords = np.concatenate(
+            [
+                (boundaries[:, None] + np.concatenate([near, -near])).ravel(),
+                np.arange(side) - centre,
+                (reach[:, None] * np.array([1.0, 1 - 1e-15, 1 + 1e-15])).ravel(),
+                (reach[:, None] + np.array([-0.25, 0.25, -1e-9, 1e-9])).ravel(),
+            ]
+        )
+        coords = np.concatenate([coords, -coords])
+        rng = np.random.default_rng(order)
+        other = rng.choice(coords, coords.size)
+        samples = np.concatenate([coords + 1j * other, other + 1j * coords])
+        specials = np.array([np.inf, -np.inf + 1j, 1j * np.nan, complex(np.nan, np.inf), 0.0])
+        scale = np.array([[0.37], [1.0], [13.0], [0.0]]).reshape(2, 2, 1)
+        step = float(np.diff(np.unique(c.points.real))[0])
+        y = np.concatenate(
+            [scale * step * samples, np.broadcast_to(specials, (2, 2, specials.size))], axis=-1
+        )
+        got = nearest_point(y, scale, c)
+        assert got.shape == y.shape
+        yb, sb = np.broadcast_arrays(y, scale)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(got, _nearest_by_search(yb, sb, c.points))
+        assert not got[1, 1].any()  # the zero scale collapses every point to the origin
+
+
 class TestAddComplexNoise:
     @pytest.mark.parametrize("shape", [(7, 3), (5,), (2, 4, 3), (0, 3)])
     def test_matches_two_draw_form_and_rng_state(self, shape):
@@ -670,6 +714,18 @@ class TestAddComplexNoise:
         signal = np.ones((4, 2), dtype=complex)
         out = add_complex_noise(signal, 1.0, np.random.default_rng(0))
         assert out is signal and not np.array_equal(signal, np.ones((4, 2)))
+
+    def test_transposed_view_gets_the_noise_of_its_own_axes(self):
+        # The baseline passes the trial-major view of a modes-major batch.
+        sigma2 = 0.37
+        batch = np.random.default_rng(3).standard_normal((3, 2, 40)) + 0.5j
+        view = batch.swapaxes(1, 2)
+        expected = add_complex_noise(
+            view.copy(), sigma2, [np.random.default_rng([4, i]) for i in range(3)]
+        )
+        out = add_complex_noise(view, sigma2, [np.random.default_rng([4, i]) for i in range(3)])
+        assert out is view
+        assert np.array_equal(batch.swapaxes(1, 2), expected)
 
     @pytest.mark.parametrize("shape", [(3, 7, 2), (4,), (1, 5), (0, 3)])
     def test_one_generator_per_row_matches_each_row_alone(self, shape):

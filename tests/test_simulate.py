@@ -403,7 +403,7 @@ class TestChannelEnsemble:
 
         def recording(*args, **kwargs):
             realization = real(*args, **kwargs)
-            drawn.append(realization.matrix.copy())
+            drawn.extend(np.array(realization.matrix, ndmin=3))  # one entry per link
             return realization
 
         monkeypatch.setattr(simulate, "draw_channel", recording)
@@ -424,6 +424,52 @@ class TestChannelEnsemble:
         for h_rsm, h_fd in zip(rsm, drawn):
             assert np.array_equal(h_rsm, h_fd)
         assert not np.array_equal(rsm[0], rsm[1])
+
+
+class TestStreamKeys:
+    """Every (seed, tag, ...) stream is ``default_rng([seed, tag, ..., ch])``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("index", [(), (0,), (7,), (2**32 - 1,), (2**40 + 7, 3)])
+    def test_same_streams_as_the_list_form(self, seed, index):
+        from rsmsim.simulate import _stream_seeds, _streams
+
+        links = [0, 1, 5, 2**31 + 9, 2**32 - 1]
+        seeds = _stream_seeds((seed, 3, *index), links)
+        assert seeds.shape == (len(links), 4) and seeds.dtype == np.uint64
+        for row, ch in zip(seeds, links):
+            want = np.random.SeedSequence([seed, 3, *index, ch]).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+        for rng, ch in zip(_streams(seeds), links):
+            want = np.random.default_rng([seed, 3, *index, ch])
+            assert np.array_equal(rng.integers(0, 2**63, 4), want.integers(0, 2**63, 4))
+            assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+
+    @pytest.mark.parametrize("n_words", range(1, 10))
+    def test_hash_matches_seed_sequence_for_any_key_length(self, n_words):
+        # Keys shorter than, equal to and longer than the four-word pool.
+        from rsmsim.simulate import _stream_seeds
+
+        setup = np.random.default_rng(n_words)
+        for _ in range(20):
+            key = tuple(int(w) for w in setup.integers(0, 2**32, n_words - 1))
+            links = setup.integers(0, 2**32, 3)
+            for row, ch in zip(_stream_seeds(key, links), links):
+                want = np.random.SeedSequence([*key, int(ch)]).generate_state(4, np.uint64)
+                assert np.array_equal(row, want)
+
+    def test_seed_sequence_itself_outside_the_uint32_keys(self):
+        from rsmsim.simulate import _seed_type, _stream_seeds, _streams
+
+        links = [2**32, 2**45 + 1]
+        for ch, rng in zip(links, _streams(_stream_seeds((1, 4, 2), links))):
+            want = np.random.default_rng([1, 4, 2, ch])
+            assert np.array_equal(rng.integers(0, 2**63, 4), want.integers(0, 2**63, 4))
+        assert _stream_seeds((1, 4), range(0)).shape == (0, 4)
+        with pytest.raises(ValueError):  # as default_rng([-1, 4, ch]) raises
+            _stream_seeds((-1, 4), range(2))
+        with pytest.raises(ValueError):
+            _seed_type()(_stream_seeds((1, 4), [0])[0]).generate_state(8, np.uint32)
 
 
 class TestBatchedBlock:
@@ -831,6 +877,29 @@ class TestFdBaseline:
         band = 3.0 / 1.96 * point.ci_halfwidth_95
         # Gray-approximation slack on top of the sampling band.
         assert abs(point.ber_total - point.abep_analytic) <= band + 0.05 * point.abep_analytic
+
+
+class TestEnsembleMemory:
+    def test_fd_mode_gains_draws_in_chunks(self):
+        # The stacked draw and SVD of the benchmark's 1500 channels in one
+        # piece peak near 160 MB; in chunks they stay a few MB.
+        import tracemalloc
+
+        from rsmsim.channel import in_sector_fraction
+        from rsmsim.cli import load_config
+        from rsmsim.simulate import _fd_mode_gains
+
+        root = Path(__file__).resolve().parent.parent
+        config = load_config(root / "bench" / "configs" / "fd_baseline.cfg")
+        in_sector_fraction(config.channel)  # cached calibration, not part of the draw
+        tracemalloc.start()
+        try:
+            gains = _fd_mode_gains(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gains.shape == (config.channels_per_point, config.n_modes)
+        assert peak < 16 * 2**20
 
 
 class TestInterpolation:

@@ -29,7 +29,6 @@ from .phy import (
     build_constellation,
     combine_and_detect_modulation,
     detect_spatial,
-    joint_ml_detect,
     nearest_point,
     spatial_bits,
     threshold,
@@ -85,7 +84,6 @@ __all__ = [
     "draw_channel",
     "estimate_amplitude",
     "fd_ber",
-    "joint_ml_detect",
     "modulation_error_prob",
     "nearest_point",
     "power_fd",

@@ -118,8 +118,14 @@ def sector_gain(
 
     An array of angles gives a boolean array, True where the gain is one.
     """
-    offset = (np.asarray(angle_deg, dtype=float) - sector_center + 180.0) % 360.0 - 180.0
-    inside = np.abs(offset) <= sector_width / 2.0
+    angle = np.asarray(angle_deg, dtype=float)
+    offset = np.subtract(angle, sector_center, out=np.empty(angle.shape))
+    offset += 180.0
+    # The remainder of a value already in [0, 360) is that value exactly,
+    # so only the others (nan and inf included) take the costly remainder.
+    np.remainder(offset, 360.0, out=offset, where=~((offset >= 0.0) & (offset < 360.0)))
+    offset -= 180.0
+    inside = np.abs(offset, out=offset) <= sector_width / 2.0
     return int(inside) if inside.ndim == 0 else inside
 
 

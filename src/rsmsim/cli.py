@@ -186,7 +186,12 @@ def load_config(path: str | Path) -> RsmConfig | FdConfig:
 
 
 def _with_seed(config: RsmConfig | FdConfig, seed: int | None):
-    return config if seed is None else replace(config, seed=seed)
+    if seed is None:
+        return config
+    try:
+        return replace(config, seed=seed)
+    except ValueError as err:
+        raise ConfigError(f"--seed: {err}") from err
 
 
 def _write_manifest(out_path: Path, config, extra: dict) -> None:

@@ -3,7 +3,7 @@
 Covers constellation construction with Gray bit labeling, the three
 amplitude threshold designs (exact, moderate-SNR, high-SNR), and the
 transceiver chain in batch form: spatial words to bit matrices,
-transmit rows, per-antenna and joint-ML spatial detection,
+transmit rows, per-antenna spatial detection,
 minimum-distance symbol detection, switch-and-combine modulation
 detection, and the complex noise draw shared by every Monte Carlo path.
 Every step of the chain takes (trials, n_active) arrays, one row per
@@ -26,7 +26,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .specfun import lambert_w_minus1_from_log, log_bessel_i0
 
@@ -45,7 +44,6 @@ __all__ = [
     "transmit",
     "threshold",
     "detect_spatial",
-    "joint_ml_detect",
     "nearest_point",
     "combine_and_detect_modulation",
     "add_complex_noise",
@@ -434,27 +432,6 @@ def detect_spatial(envelopes: np.ndarray, gamma: float | np.ndarray) -> np.ndarr
     per link.
     """
     return envelopes > _per_link(gamma, 2)
-
-
-def joint_ml_detect(envelopes: np.ndarray, alpha_p: float, sigma2: float) -> np.ndarray:
-    """Exhaustive joint-ML spatial detection over all candidate words.
-
-    Scores every 0/1 word (the all-zero one included) of each row of the
-    (trials, n_active) envelopes under the product Rice/Rayleigh
-    likelihood, as one product with the candidate matrix; exponential in
-    the number of active antennas, so intended as a reference detector
-    for small arrays. Ties resolve toward the word with fewer ones, then
-    toward the smaller word (antenna k at bit k).
-    """
-    u = 2.0 * envelopes * math.sqrt(alpha_p) / sigma2
-    # Per-antenna log-likelihood gain of deciding "on" versus "off".
-    gain = u + np.log(special.i0e(u)) - alpha_p / sigma2
-    n = envelopes.shape[1]
-    # One column per word in tie order; argmax keeps the first best column.
-    words = sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
-    candidates = ((np.array(words) >> np.arange(n)[:, None]) & 1).astype(float)
-    best = np.argmax(gain @ candidates, axis=1)
-    return candidates.T[best].astype(bool)
 
 
 def _nearest_by_search(y: np.ndarray, scale: np.ndarray, points: np.ndarray) -> np.ndarray:

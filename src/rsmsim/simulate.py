@@ -136,6 +136,7 @@ class RsmConfig:
             raise ValueError(f"selection must be one of {SELECTION_MODES}")
         if self.n_pilots < 1:
             raise ValueError("n_pilots must be >= 1")
+        _check_seed(self.seed)
 
     @property
     def bits_per_word(self) -> int:
@@ -165,6 +166,13 @@ class FdConfig:
             raise ValueError("n_modes must be >= 1")
         if self.trials_per_point < 1 or self.channels_per_point < 1:
             raise ValueError("trials_per_point and channels_per_point must be >= 1")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    # Every stream is keyed by the seed, and numpy takes non-negative keys only.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,14 @@ non-central t windows.
 
 from __future__ import annotations
 
+import _imp
 import math
+import os
+import sys
+import types
 
 import numpy as np
-from scipy import special
-from scipy.special import _ufuncs
+import scipy
 
 __all__ = [
     "DomainError",
@@ -73,6 +76,54 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 
 
+def _load_ufuncs() -> types.ModuleType:
+    """scipy's compiled ``scipy.special._ufuncs``, without the package.
+
+    Every kernel here calls these ufuncs, the very objects the public
+    ``scipy.special`` names are. The package ``__init__`` also loads
+    scipy's array-API layer (``_support_alternative_backends``, which
+    pulls in ``numpy.f2py`` and ``numpy.testing``), about 0.25 s of
+    start-up that nothing here uses. So, under the global import lock, a
+    bare ``scipy.special`` stub whose ``__path__`` is scipy's ``special``
+    directory stands in for the package while the extension loads, and
+    is removed again; the extension modules stay in ``sys.modules``, so a
+    later ``import scipy.special`` builds the real package around the
+    same objects (those ``_ufuncs`` imports itself, such as ``_gufuncs``,
+    are then importable by name but not attributes of the package). An
+    already imported package is used as it is, and if
+    the stub import fails (a different scipy layout) the plain import
+    gives the same objects, only slower.
+    """
+    if "scipy.special" not in sys.modules:
+        _imp.acquire_lock()
+        try:
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+            stub.__package__ = "scipy.special"
+            sys.modules["scipy.special"] = stub
+            try:
+                from scipy.special import _ufuncs
+
+                return _ufuncs
+            except (ImportError, AttributeError):
+                pass
+            finally:
+                if sys.modules.get("scipy.special") is stub:
+                    del sys.modules["scipy.special"]
+                # Read the instance dict: scipy's lazy module __getattr__
+                # would import the real package.
+                if vars(scipy).get("special") is stub:
+                    del vars(scipy)["special"]
+        finally:
+            _imp.release_lock()
+    from scipy.special import _ufuncs
+
+    return _ufuncs
+
+
+_ufuncs = _load_ufuncs()
+
+
 class DomainError(ValueError):
     """Argument lies outside the mathematical domain of a kernel."""
 
@@ -87,14 +138,14 @@ def bessel_i0(x: float) -> float:
     """
     if not (x >= 0) or math.isinf(x):
         raise DomainError(f"bessel_i0 requires finite x >= 0, got {x!r}")
-    return float(special.i0e(x)) * math.exp(x) if x < 700 else math.exp(log_bessel_i0(x))
+    return float(_ufuncs.i0e(x)) * math.exp(x) if x < 700 else math.exp(log_bessel_i0(x))
 
 
 def log_bessel_i0(x: float) -> float:
     """Natural log of I0(x), stable for arbitrarily large x."""
     if not (x >= 0) or math.isinf(x):
         raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
-    return x + math.log(float(special.i0e(x)))
+    return x + math.log(float(_ufuncs.i0e(x)))
 
 
 def _broadcast(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -110,7 +161,7 @@ def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
 
 def gaussian_q(x: float | np.ndarray) -> float | np.ndarray:
     """Standard normal tail probability Q(x) = P(Z > x), elementwise."""
-    q = 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    q = 0.5 * _ufuncs.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(q) if q.ndim == 0 else q
 
 
@@ -154,7 +205,7 @@ def _ncx2_tail(x: np.ndarray, nc: np.ndarray) -> np.ndarray:
     mixed, central = inside & (nc != 0.0), inside & (nc == 0.0)
     with np.errstate(over="ignore"):
         out[mixed] = _ufuncs._ncx2_sf(x[mixed], 2.0, nc[mixed])
-        out[central] = special.chdtrc(2.0, x[central])
+        out[central] = _ufuncs.chdtrc(2.0, x[central])
     return _no_nan(out, "ncx2 survival", x=x, nc=nc)
 
 
@@ -175,7 +226,7 @@ def lambert_w_minus1(x: float) -> float:
     """
     if not (_BRANCH_POINT <= x < 0.0):
         raise DomainError(f"lambert_w_minus1 requires x in [-1/e, 0), got {x!r}")
-    w = float(special.lambertw(x, k=-1).real)
+    w = float(_ufuncs._lambertw(x, -1, 1e-8).real)
     if math.isnan(w):
         # lambertw can fail within a few ulp of the branch point; the
         # expansion in p = -sqrt(2(1 + e*x)) is accurate there.
@@ -278,7 +329,7 @@ def _nct_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """
     p = np.ones(x.shape)
     rest = ~_nct_saturated(x, dof, delta)
-    p[rest] = special.nctdtr(dof[rest], delta[rest], x[rest])
+    p[rest] = _ufuncs.nctdtr(dof[rest], delta[rest], x[rest])
     return _no_nan(p, "non-central t", x=x, dof=dof, delta=delta)
 
 
@@ -291,7 +342,7 @@ def _poisson_window(half: float) -> tuple[np.ndarray, np.ndarray]:
     # Window mass outside +-10 sigma is below 1e-20, so renormalizing the
     # enclosed weights both absorbs the truncation and cancels the common
     # floating-point drift of the log-pmf at very large means.
-    log_w = -half + j * math.log(half) - special.gammaln(j + 1.0)
+    log_w = -half + j * math.log(half) - _ufuncs.gammaln(j + 1.0)
     log_w -= log_w.max()
     weights = np.exp(log_w)
     weights /= weights.sum()
@@ -346,7 +397,7 @@ def rice_moments(nu: float, sigma2: float) -> tuple[float, float]:
         raise DomainError(f"rice_moments requires finite sigma2 > 0, got {sigma2!r}")
     z = nu * nu / (2.0 * sigma2)
     mu1 = 0.5 * math.sqrt(math.pi * sigma2) * (
-        (1.0 + 2.0 * z) * float(special.i0e(z)) + 2.0 * z * float(special.i1e(z))
+        (1.0 + 2.0 * z) * float(_ufuncs.i0e(z)) + 2.0 * z * float(_ufuncs.i1e(z))
     )
     mu2 = nu * nu + sigma2
     return mu1, mu2

@@ -36,7 +36,6 @@ from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
     detect_spatial,
     exact_threshold_residual,
-    joint_ml_detect,
     threshold,
 )
 from rsmsim.power import PowerConfig, power_fd, power_proposed, power_ratio
@@ -50,6 +49,7 @@ from rsmsim.specfun import (
     rice_moments,
 )
 from rsmsim.training import threshold_estimate_stats
+from test_phy import joint_ml_detect
 
 SEED = 20260808
 GRID = (8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0)

@@ -101,6 +101,35 @@ class TestSectorGain:
         np.testing.assert_array_equal(gains, expected)
         assert 0 < gains.sum() < angles.size
 
+    @pytest.mark.parametrize(
+        "center,width", [(0.0, 50.0), (170.0, 40.0), (-90.0, 359.0), (1e-9, 360.0), (33.3, 0.0)]
+    )
+    def test_matches_remainder_form(self, center, width):
+        # The mask once took the remainder of every angle; the remainder is
+        # now skipped where the shifted angle already lies in [0, 360).
+        def remainder_form(angles):
+            offset = (np.asarray(angles, dtype=float) - center + 180.0) % 360.0 - 180.0
+            return np.abs(offset) <= width / 2.0
+
+        edges = np.array([center - 180.0, center + 180.0, center, center + 360.0, center - 360.0])
+        angles = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, np.inf),
+                np.nextafter(edges, -np.inf),
+                center + np.array([-540.0, -360.0, 360.0, 540.0, 720.0, -720.0]),
+                [1e17, -1e17, 1e300, -1e300, 3.6e5 + 0.5, -3.6e5 - 0.5, 5e-324, -0.0, 0.0],
+                [np.inf, -np.inf, np.nan],
+                np.random.default_rng(7).uniform(-1e4, 1e4, 5000),
+            ]
+        )
+        with np.errstate(invalid="ignore"):  # the remainder of +-inf is nan
+            np.testing.assert_array_equal(
+                sector_gain(angles, center, width), remainder_form(angles)
+            )
+            for angle in angles[:40]:
+                assert sector_gain(float(angle), center, width) == int(remainder_form(angle))
+
 
 GEOMETRIES = pytest.mark.parametrize(
     "params",

@@ -174,6 +174,29 @@ class TestCmdAbep:
         assert main(["abep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+class TestNegativeSeed:
+    # Every stream is keyed by the seed, and numpy rejects negative keys
+    # only at the first draw; the CLI rejects them up front instead.
+    @pytest.mark.parametrize("command", ["ber", "abep"])
+    @pytest.mark.parametrize("text", [SMALL_CONFIG, SMALL_FD_CONFIG], ids=["rsm", "fd_svd"])
+    def test_seed_flag_exits_2(self, command, text, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber", "abep"])
+    @pytest.mark.parametrize("text", [SMALL_CONFIG, SMALL_FD_CONFIG], ids=["rsm", "fd_svd"])
+    def test_seed_key_exits_2(self, command, text, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(text.replace("seed = 5", "seed = -1"))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdPower:
     def test_published_row(self, tmp_path, capsys):
         code = main(["power", "--n-rx", "16", "--p-ref", "20"])
@@ -269,7 +292,8 @@ class TestPresets:
 
 
 # Runs in a fresh interpreter: imports the package, then every CLI command,
-# and prints the scipy submodules that got loaded.
+# and prints the modules of each unwanted group that got loaded, and
+# whether a scipy.special package is left in sys.modules or on scipy.
 _FOOTPRINT_SCRIPT = """
 import sys
 import rsmsim
@@ -281,26 +305,113 @@ for name in ("exact_perfect", "hsa_estimated", "fd"):
 assert cli.main(["abep", "--config", f"{root}/hsa_estimated.cfg", "--out", f"{root}/abep.csv"]) == 0
 assert cli.main(["threshold", "--alpha-p", "10"]) == 0
 assert cli.main(["power", "--n-rx", "4,8", "--p-ref", "1", "--out", f"{root}/power.csv"]) == 0
+import scipy
+print("package:", "scipy.special" in sys.modules, "special" in vars(scipy))
+array_api = ("scipy.special._support_alternative_backends", "numpy.f2py", "numpy.testing")
+print("array-api:", *sorted(m for m in sys.modules if m.startswith(array_api)))
 print("loaded:", *sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize"))))
 """
 
+# The scipy.special ufuncs rsmsim calls.
+_UFUNCS = ("i0e", "i1e", "erfc", "chdtrc", "nctdtr", "gammaln", "_ncx2_sf", "_lambertw")
+
+
+def run_python(script: str, *args: str) -> list[str]:
+    """stdout lines of ``script`` run in a fresh interpreter that imports
+    this rsmsim; fails the test unless it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rsmsim.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.fixture(scope="class")
+def footprint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("footprint")
+    (root / "exact_perfect.cfg").write_text(
+        SMALL_CONFIG.replace("threshold_mode = hsa", "threshold_mode = exact")
+    )
+    (root / "hsa_estimated.cfg").write_text(
+        SMALL_CONFIG.replace("threshold_source = perfect", "threshold_source = estimated")
+        .replace("snr_db = 4,8", "snr_db = 10,14\nn_pilots = 4")
+    )
+    (root / "fd.cfg").write_text(SMALL_FD_CONFIG)
+    return run_python(_FOOTPRINT_SCRIPT, str(root))
+
 
 class TestImportFootprint:
-    def test_cli_never_loads_scipy_stats_or_optimize(self, tmp_path):
+    def test_cli_never_loads_scipy_stats_or_optimize(self, footprint):
         # Both cost ~0.7 s of start-up and are not needed: specfun calls
         # the scipy.special ufuncs and phy carries its own Brent solver.
-        (tmp_path / "exact_perfect.cfg").write_text(
-            SMALL_CONFIG.replace("threshold_mode = hsa", "threshold_mode = exact")
-        )
-        (tmp_path / "hsa_estimated.cfg").write_text(
-            SMALL_CONFIG.replace("threshold_source = perfect", "threshold_source = estimated")
-            .replace("snr_db = 4,8", "snr_db = 10,14\nn_pilots = 4")
-        )
-        (tmp_path / "fd.cfg").write_text(SMALL_FD_CONFIG)
-        env = dict(os.environ, PYTHONPATH=str(Path(rsmsim.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "loaded:"
+        assert footprint[-1] == "loaded:"
+
+    def test_cli_loads_only_the_compiled_ufuncs(self, footprint):
+        # The scipy.special package __init__ loads scipy's array-API layer
+        # (about 0.25 s); specfun loads the compiled ufuncs without it, and
+        # the stand-in package it imports them through is gone afterwards.
+        assert footprint[-2] == "array-api:"
+        assert footprint[-3] == "package: False False"
+
+    def test_later_scipy_special_import_shares_the_ufuncs(self):
+        lines = run_python(f"""
+import sys
+import rsmsim.cli
+from rsmsim import specfun
+import scipy.special as sp
+import scipy.special._ufuncs
+from scipy.special import _gufuncs, _special_ufuncs, _ufuncs_cxx
+from scipy import stats
+assert sp._ufuncs is specfun._ufuncs is sys.modules["scipy.special._ufuncs"]
+for name in {_UFUNCS!r}:
+    assert getattr(sp._ufuncs, name) is getattr(specfun._ufuncs, name), name
+    if not name.startswith("_"):
+        assert getattr(sp, name) is getattr(specfun._ufuncs, name), name
+assert stats.ncx2.sf(4.0, 2, 1.0) == specfun.marcum_q1(1.0, 2.0)
+assert 0.0 < stats.norm.cdf(1.5) < 1.0
+print("ok")
+""")
+        assert lines == ["ok"]
+
+    def test_earlier_scipy_special_import_is_used_as_it_is(self):
+        lines = run_python(f"""
+import sys
+import scipy.special as sp
+from rsmsim import specfun
+import rsmsim.cli
+assert sys.modules["scipy.special"] is sp
+assert specfun._ufuncs is sp._ufuncs
+for name in {_UFUNCS!r}:
+    assert getattr(specfun._ufuncs, name) is getattr(sp._ufuncs, name), name
+print("ok")
+""")
+        assert lines == ["ok"]
+
+    def test_failed_stub_import_falls_back_to_the_package(self):
+        # A finder that fails the first import of the ufuncs, as a scipy
+        # with another layout would: specfun then imports the package.
+        lines = run_python("""
+import importlib.abc
+import sys
+
+class FailOnce(importlib.abc.MetaPathFinder):
+    hits = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not self.hits:
+            self.hits += 1
+            raise ImportError("no ufuncs here")
+        return None
+
+finder = FailOnce()
+sys.meta_path.insert(0, finder)
+from rsmsim import specfun
+assert finder.hits == 1
+sp = sys.modules["scipy.special"]
+assert "scipy.special._support_alternative_backends" in sys.modules
+assert specfun._ufuncs is sp._ufuncs and sp.i0e is specfun._ufuncs.i0e
+assert specfun.marcum_q1(1.0, 2.0) == sp._ufuncs._ncx2_sf(4.0, 2.0, 1.0)
+print("ok")
+""")
+        assert lines == ["ok"]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
@@ -25,7 +25,6 @@ from rsmsim.phy import (
     combine_and_detect_modulation,
     detect_spatial,
     exact_threshold_residual,
-    joint_ml_detect,
     nearest_point,
     spatial_bits,
     threshold,
@@ -351,6 +350,27 @@ class TestBrentPort:
             _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-14, 1e-15)
         with pytest.raises(ValueError, match="signs"):
             _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
+
+
+def joint_ml_detect(envelopes, alpha_p, sigma2):
+    """Exhaustive joint-ML spatial detection over all candidate words.
+
+    Scores every 0/1 word (the all-zero one included) of each row of the
+    (trials, n_active) envelopes under the product Rice/Rayleigh
+    likelihood, as one product with the candidate matrix; exponential in
+    the number of active antennas, so a reference detector for small
+    arrays. Ties resolve toward the word with fewer ones, then toward the
+    smaller word (antenna k at bit k), as in :func:`joint_ml_oracle`.
+    """
+    u = 2.0 * envelopes * math.sqrt(alpha_p) / sigma2
+    # Per-antenna log-likelihood gain of deciding "on" versus "off".
+    gain = u + np.log(special.i0e(u)) - alpha_p / sigma2
+    n = envelopes.shape[1]
+    # One column per word in tie order; argmax keeps the first best column.
+    words = sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
+    candidates = ((np.array(words) >> np.arange(n)[:, None]) & 1).astype(float)
+    best = np.argmax(gain @ candidates, axis=1)
+    return candidates.T[best].astype(bool)
 
 
 def joint_ml_oracle(envelopes, alpha_p, sigma2):

@@ -149,6 +149,25 @@ class TestLambertWMinus1:
             assert w <= -1.0 + 1e-12
             assert abs(w * math.exp(w) - x) <= max(1e-10, 1e-8 * abs(x))
 
+    def test_ufunc_matches_public_wrapper_bits(self):
+        # specfun calls the ufunc behind special.lambertw with the wrapper's
+        # default tolerance, on the whole domain lambert_w_minus1 accepts.
+        branch = -math.exp(-1.0)
+        z = np.concatenate(
+            [
+                np.nextafter(branch, 0.0) + np.arange(8) * 1e-17,
+                [branch, -1e-300, -5e-324, np.nextafter(0.0, -1.0)],
+                np.linspace(branch, -1e-6, 2000),
+                -np.geomspace(1e-300, 0.3, 2000),
+                np.random.default_rng(11).uniform(branch, 0.0, 2000),
+            ]
+        )
+        z = z[(z >= branch) & (z < 0.0)]
+        got = specfun._ufuncs._lambertw(z, -1, 1e-8)
+        assert got.tobytes() == special.lambertw(z, k=-1).tobytes()
+        for x in z[::50]:
+            assert specfun._ufuncs._lambertw(float(x), -1, 1e-8) == special.lambertw(x, k=-1)
+
 
 class TestNoncentralT:
     def test_zero_noncentrality_is_central_t(self):

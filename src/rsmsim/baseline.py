@@ -46,9 +46,10 @@ def svd_link(h: np.ndarray, n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    # The full factorization, although only the singular values are kept:
-    # LAPACK's values-only path rounds them differently.
-    s = np.linalg.svd(np.asarray(h))[1]
+    # The thin factorization, although only the singular values are kept:
+    # its values are bit-identical to the full one's, while LAPACK's
+    # values-only path rounds them differently.
+    s = np.linalg.svd(np.asarray(h), full_matrices=False)[1]
     usable = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     short = np.flatnonzero(usable < n_modes)
     if short.size:

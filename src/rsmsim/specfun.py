@@ -42,11 +42,47 @@ the exponent by a few ulp, far inside the factor-of-two margin between
 answered without calling the backend, which returns 1.0, 1 minus a few
 ulp, or NaN there; its NaN calls are the slowest of the doubly
 non-central t windows.
+
+Saturated window suffixes. Term j of a doubly non-central t window is a
+non-central t CDF with df = dof + 2j at x sqrt(df / dof), that is
+P(Z + delta <= x sqrt(V_j / dof)) with V_j central chi-square with df
+degrees of freedom. V_j increases stochastically with j, so for x > 0 no
+term has a larger upper tail than the one before it: once one term's
+tail is below 2^-55, every later term of its window is exactly 1.0 too.
+:func:`_saturated_suffix` bisects each window for such a term, one
+:func:`_chord_tail_bound` per window and round, and only the terms ahead
+of it go on to the per-term screen and the backend. The bound, for one
+term with u = V / df and c = (delta + z0) / x, z0 = :data:`_Z0_CHORD` = 9:
+
+- T > x means Z + delta > x sqrt(u). Where sqrt(u) >= c that needs
+  Z > z0, probability Q(9) = 1.1e-19. Where c <= 0 (delta <= -z0) that
+  is every u, and Q(z0) is the whole bound.
+- Otherwise split [0, c^2] at sqrt(u) = 0.7 c (:data:`_CHORD_KNOTS`). On
+  each piece the concave sqrt(u) lies above its chord a_i u + b_i, so
+  P(T > x, u in piece i) <= P(Z - k_i u > m_i) with k_i = x a_i and
+  m_i = x b_i - delta. As E exp(-t V) = (1 + 2t)^(-df/2), the
+  Chernoff bound exp(s^2/2 - s m_i - df/2 ln(1 + 2 s k_i / df)) holds for
+  every s > 0; :func:`_chernoff_log_tail` takes its minimizer, the
+  positive root of a quadratic.
+- So P(T > x) <= Q(z0) + the two Chernoff bounds, and a term counts as
+  proved where that sum is below :data:`_CHORD_TAIL` = 2^-56.
+
+The computed Chernoff exponents carry a slack above their own rounding
+error, and rounding in c, in the chords and in the term's computed x
+moves the bound by a few ulp, far inside the factor of two between 2^-56
+and 2^-55; a bound that overflows is NaN, which proves nothing. On every
+preset this bound proves every term the per-term screen does, so the
+suffixes only add terms to those answered without the backend. The
+per-term screen stays in front of the backend for P0 and for terms a
+bisection leaves ahead of a suffix: it costs about an eighth of this
+bound per term, and it keeps the backend's NaN away from callers of
+:func:`noncentral_t_cdf`.
 """
 
 from __future__ import annotations
 
 import _imp
+import importlib.machinery
 import math
 import os
 import sys
@@ -76,6 +112,41 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 
 
+class _BindSubmodules:
+    """Meta path finder for the real ``scipy.special`` package.
+
+    The extension modules that ``scipy.special._ufuncs`` imports while the
+    stand-in package of :func:`_load_ufuncs` is in place are bound as
+    attributes of the stand-in, not of the package built later, and are
+    not loaded again (``_ufuncs_cxx`` is imported by ``_ufuncs`` alone,
+    so dropping them from ``sys.modules`` would not bind it either). This
+    finder hands the package's own spec to the import system and, once
+    the package has executed, binds those modules on it, as a plain
+    import of the package would have; it leaves ``sys.meta_path`` when
+    the package executes, not when a spec is only looked up.
+    """
+
+    def __init__(self, submodules: dict[str, types.ModuleType]):
+        self.submodules = submodules
+
+    def find_spec(self, name, path=None, target=None):
+        if name != "scipy.special":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is not None and spec.loader is not None:
+            exec_module = spec.loader.exec_module
+
+            def exec_and_bind(module: types.ModuleType) -> None:
+                # A new list: an import iterating the old one is undisturbed.
+                sys.meta_path = [f for f in sys.meta_path if f is not self]
+                exec_module(module)
+                for attr, submodule in self.submodules.items():
+                    vars(module).setdefault(attr, submodule)
+
+            spec.loader.exec_module = exec_and_bind
+        return spec
+
+
 def _load_ufuncs() -> types.ModuleType:
     """scipy's compiled ``scipy.special._ufuncs``, without the package.
 
@@ -88,11 +159,11 @@ def _load_ufuncs() -> types.ModuleType:
     directory stands in for the package while the extension loads, and
     is removed again; the extension modules stay in ``sys.modules``, so a
     later ``import scipy.special`` builds the real package around the
-    same objects (those ``_ufuncs`` imports itself, such as ``_gufuncs``,
-    are then importable by name but not attributes of the package). An
-    already imported package is used as it is, and if
-    the stub import fails (a different scipy layout) the plain import
-    gives the same objects, only slower.
+    same objects, and :class:`_BindSubmodules` binds on it the ones
+    ``_ufuncs`` imported itself (such as ``_gufuncs``). An already
+    imported package is used as it is, and if the stub import fails (a
+    different scipy layout) the plain import gives the same objects,
+    only slower.
     """
     if "scipy.special" not in sys.modules:
         _imp.acquire_lock()
@@ -104,6 +175,13 @@ def _load_ufuncs() -> types.ModuleType:
             try:
                 from scipy.special import _ufuncs
 
+                submodules = {
+                    attr: value
+                    for attr, value in vars(stub).items()
+                    if isinstance(value, types.ModuleType)
+                    and sys.modules.get(f"scipy.special.{attr}") is value
+                }
+                sys.meta_path = [_BindSubmodules(submodules), *sys.meta_path]
                 return _ufuncs
             except (ImportError, AttributeError):
                 pass
@@ -333,20 +411,114 @@ def _nct_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return _no_nan(p, "non-central t", x=x, dof=dof, delta=delta)
 
 
-def _poisson_window(half: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and renormalized weights of the Poisson(half) mixture window."""
-    width = 10.0 * math.sqrt(half) + 12.0
-    j_lo = max(0, int(half - width))
-    j_hi = int(half + width)
-    j = np.arange(j_lo, j_hi + 1)
-    # Window mass outside +-10 sigma is below 1e-20, so renormalizing the
-    # enclosed weights both absorbs the truncation and cancels the common
-    # floating-point drift of the log-pmf at very large means.
-    log_w = -half + j * math.log(half) - _ufuncs.gammaln(j + 1.0)
-    log_w -= log_w.max()
+#: z0 of the window-suffix bound: Q(9) = 1.1e-19 (module docstring)
+_Z0_CHORD = 9.0
+
+#: upper tail below which the window-suffix bound answers 1.0, 2^-56
+_CHORD_TAIL = 2.0**-56
+
+#: the chords of sqrt(u) run between sqrt(u) = f c for consecutive f here
+_CHORD_KNOTS = (0.0, 0.7, 1.0)
+
+#: Q(z0) of the window-suffix bound
+_Q_Z0_CHORD = 0.5 * float(_ufuncs.erfc(_Z0_CHORD / math.sqrt(2.0)))
+
+
+def _chernoff_log_tail(k: np.ndarray, m: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """ln of the Chernoff bound on P(Z - k V / df > m), 0 where it is vacuous.
+
+    Z standard normal, V central chi-square with ``df`` degrees of
+    freedom, k > 0. With E exp(-t V) = (1 + 2t)^(-df/2) the bound is
+    exp(s^2/2 - s m - df/2 ln(1 + 2 s k / df)) for every s > 0; its
+    minimizer is the positive root of (2k/df) s^2 + (1 - 2mk/df) s - (m + k).
+    The exponent is raised by 2^-44 times the sum of its terms' magnitudes,
+    more than the rounding error of its computed value; arguments that
+    overflow give NaN, never a bound below 1.
+    """
+    a = 2.0 * k / df
+    b = 1.0 - m * a
+    excess = m + k
+    root = np.sqrt(b * b + 4.0 * a * np.maximum(excess, 0.0))
+    # The cancellation-free form of the positive root for either sign of b.
+    s = np.where(b >= 0.0, 2.0 * excess / (b + root), (root - b) / (2.0 * a))
+    square, linear, mgf = 0.5 * s * s, s * m, 0.5 * df * np.log1p(a * s)
+    log_tail = square - linear - mgf + 2.0**-44 * (square + np.abs(linear) + mgf)
+    return np.where(excess > 0.0, np.minimum(log_tail, 0.0), 0.0)
+
+
+def _chord_tail_bound(x: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Upper bound on the non-central t upper tail P(T > x), x > 0.
+
+    Q(z0) plus one Chernoff bound per chord of sqrt(u) on [0, c^2], with
+    c = (delta + z0) / x (module docstring); Q(z0) alone where c <= 0.
+    NaN where the arguments are too extreme for the bound to be formed,
+    so a comparison with it is false.
+    """
+    c = (delta + _Z0_CHORD) / x
+    bound = np.full(x.shape, _Q_Z0_CHORD)
+    inside = c > 0.0
+    x_in, df_in, delta_in, c_in = x[inside], df[inside], delta[inside], c[inside]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo, hi in zip(_CHORD_KNOTS, _CHORD_KNOTS[1:]):
+            # The chord of sqrt(u) through sqrt(u) = lo c and hi c: slope
+            # 1 / ((lo + hi) c), intercept lo hi c / (lo + hi).
+            k = x_in / ((lo + hi) * c_in)
+            m = x_in * (lo * hi / (lo + hi) * c_in) - delta_in
+            bound[inside] += np.exp(_chernoff_log_tail(k, m, df_in))
+    return bound
+
+
+def _saturated_suffix(
+    x: np.ndarray, df: np.ndarray, delta: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Per window, the index of a term whose CDF and later ones round to 1.0.
+
+    The window of element i holds the terms ``starts[i]`` to
+    ``starts[i] + sizes[i] - 1`` of ``x``, ``df`` and ``delta``. A
+    bisection, one vectorised round over every window at a time, keeps
+    ``hi`` at a term that :func:`_chord_tail_bound` proves saturated (or
+    one past the window) and ``lo`` below it; every later term of the
+    window is saturated too (module docstring). ``sizes[i]`` where no
+    term is proved.
+    """
+    lo = np.full(sizes.shape, -1)
+    hi = sizes.copy()
+    while True:
+        active = np.flatnonzero(hi - lo > 1)
+        if not active.size:
+            return hi
+        mid = (lo[active] + hi[active]) // 2
+        at = starts[active] + mid
+        proved = _chord_tail_bound(x[at], df[at], delta[at]) < _CHORD_TAIL
+        hi[active[proved]] = mid[proved]
+        lo[active[~proved]] = mid[~proved]
+
+
+def _poisson_windows(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices and renormalized weights of the Poisson(half) mixture windows.
+
+    Returns the concatenated indices ``j`` and weights of every window
+    and the window sizes. Each window spans half +- (10 sqrt(half) + 12);
+    its mass outside is below 1e-20, so renormalizing the enclosed
+    weights both absorbs the truncation and cancels the common
+    floating-point drift of the log-pmf at very large means. Every
+    operation is elementwise or per window, so a window holds what it
+    would if it were built alone: the logs go through ``math.log``,
+    which ``np.log`` does not match everywhere, and each window is summed
+    on its own, in numpy's pairwise order.
+    """
+    width = 10.0 * np.sqrt(half) + 12.0
+    j_lo = np.maximum(half - width, 0.0).astype(np.int64)
+    sizes = (half + width).astype(np.int64) - j_lo + 1
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(sizes.sum()) - np.repeat(starts - j_lo, sizes)
+    log_half = np.array([math.log(h) for h in half.tolist()])
+    log_w = -np.repeat(half, sizes) + j * np.repeat(log_half, sizes) - _ufuncs.gammaln(j + 1.0)
+    log_w -= np.repeat(np.maximum.reduceat(log_w, starts), sizes)
     weights = np.exp(log_w)
-    weights /= weights.sum()
-    return j, weights
+    sums = [weights[a : a + n].sum() for a, n in zip(starts.tolist(), sizes.tolist())]
+    weights /= np.repeat(sums, sizes)
+    return j, weights, sizes
 
 
 def doubly_noncentral_t_cdf(
@@ -366,19 +538,27 @@ def doubly_noncentral_t_cdf(
 
     Array arguments broadcast; the mixture terms of every element go
     through one backend call, and each element is then reduced over its
-    own window exactly as a scalar call would. Scalars give a float.
+    own window exactly as a scalar call would. Each window's saturated
+    suffix (module docstring) is 1.0 without a backend call; its other
+    terms go through the per-term screen. Scalars give a float.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
     _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
     if not np.all((lam_ > 0) & (lam_ < np.inf)):
         raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
-    windows = [_poisson_window(0.5 * float(v)) for v in lam_]
-    sizes = [j.size for j, _ in windows]
+    j, weights, sizes = _poisson_windows(0.5 * lam_)
+    starts = np.cumsum(sizes) - sizes
     dof_r = np.repeat(dof_, sizes)
-    df = dof_r + 2.0 * np.concatenate([np.empty(0), *(j for j, _ in windows)])
-    terms = _nct_cdf(np.repeat(x_, sizes) * np.sqrt(df / dof_r), df, np.repeat(delta_, sizes))
-    split = np.split(terms, np.cumsum(sizes[:-1]).astype(int))
-    p = np.array([np.dot(weights, t) for (_, weights), t in zip(windows, split)])
+    df = dof_r + 2.0 * j
+    x_r = np.repeat(x_, sizes) * np.sqrt(df / dof_r)
+    delta_r = np.repeat(delta_, sizes)
+    suffix = _saturated_suffix(x_r, df, delta_r, starts, sizes)
+    # Terms ahead of their window's saturated suffix.
+    open_ = np.arange(j.size) < np.repeat(starts + suffix, sizes)
+    terms = np.ones(j.size)
+    terms[open_] = _nct_cdf(x_r[open_], df[open_], delta_r[open_])
+    windows = zip(starts.tolist(), sizes.tolist())
+    p = np.array([np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows])
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 

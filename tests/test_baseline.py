@@ -76,6 +76,39 @@ class TestSvdLink:
         assert svd_link(stack[:2], n_modes=2).shape == (2, 2)
 
 
+class TestThinFactorization:
+    """The thin SVD ``svd_link`` runs gives the full factorization's bits."""
+
+    @staticmethod
+    def assert_full_bits(stack, n_modes):
+        assert svd_link(stack, n_modes).tobytes() == np.linalg.svd(stack)[1][..., :n_modes].tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 8, 32), (40, 32, 8), (40, 8, 8), (40, 3, 5)])
+    def test_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self.assert_full_bits(stack, min(shape[1:]))
+
+    def test_near_rank_deficient_stack(self):
+        # Rank two plus a perturbation at 1e-9, 1e-12 and 1e-15 relative.
+        rng = np.random.default_rng(3)
+        low = np.stack([random_channel(8, 2, s) @ random_channel(2, 32, s + 50) for s in range(30)])
+        noise = rng.standard_normal(low.shape) + 1j * rng.standard_normal(low.shape)
+        for scale in (1e-9, 1e-12, 1e-15):
+            self.assert_full_bits(low + scale * noise, 2)
+
+    @pytest.mark.parametrize("path", ["presets/fig2_fd_svd.cfg", "bench/configs/fd_baseline.cfg"])
+    def test_config_ensembles(self, path):
+        from pathlib import Path
+
+        from rsmsim.cli import load_config
+        from rsmsim.simulate import _draw_channels
+
+        config = load_config(Path(__file__).resolve().parents[1] / path)
+        for stack in _draw_channels(config):
+            self.assert_full_bits(stack, config.n_modes)
+
+
 def link_power(h, power, n_modes):
     """Received power per mode of one channel at total transmit ``power``."""
     return received_power(svd_link(h, n_modes), power)

@@ -374,6 +374,30 @@ print("ok")
 """)
         assert lines == ["ok"]
 
+    def test_later_scipy_special_import_has_every_name(self):
+        # The extension modules _ufuncs imports under the stand-in package
+        # are bound on the real one, as a plain import binds them, also
+        # after a bare spec lookup of the package; the hook that binds
+        # them is gone once the package has executed.
+        script = """
+import importlib.util
+import sys
+if sys.argv[1] != "plain":
+    import rsmsim.cli
+if sys.argv[1] == "find_spec":
+    assert importlib.util.find_spec("scipy.special").name == "scipy.special"
+    assert "scipy.special" not in sys.modules
+import scipy.special as sp
+for name in ("_gufuncs", "_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2", "_ufuncs"):
+    assert getattr(sp, name) is sys.modules["scipy.special." + name], name
+assert not any(type(f).__module__ == "rsmsim.specfun" for f in sys.meta_path)
+print(*sorted(vars(sp)))
+"""
+        plain = run_python(script, "plain")
+        assert len(plain) == 1 and len(plain[0].split()) > 300
+        assert run_python(script, "rsmsim") == plain
+        assert run_python(script, "find_spec") == plain
+
     def test_earlier_scipy_special_import_is_used_as_it_is(self):
         lines = run_python(f"""
 import sys

@@ -7,6 +7,7 @@ the t-distribution CDFs (frozen together with their 3-sigma bands).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from scipy import integrate, special, stats
 from rsmsim import specfun
 from rsmsim.specfun import (
     DomainError,
+    _chord_tail_bound,
     _ncx2_tail,
     _nct_cdf,
     _nct_saturated,
-    _poisson_window,
+    _poisson_windows,
+    _saturated_suffix,
     bessel_i0,
     doubly_noncentral_t_cdf,
     gaussian_q,
@@ -301,6 +304,70 @@ def nct_tail_mp(x, dof, delta):
         return mp.quad(h, [mp.mpf(k) for k in knots])
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every config whose analytic columns evaluate the doubly non-central t;
+# the fully digital ones (presets/fig2_fd_svd.cfg, bench/configs/
+# fd_baseline.cfg) evaluate no t CDF.
+WINDOW_CONFIGS = [
+    "presets/fig3.cfg",
+    "presets/fig3_hsa.cfg",
+    "presets/fig3_hsa_estimated.cfg",
+    "presets/fig3_nr16.cfg",
+    "presets/fig2_psk.cfg",
+    "presets/fig2_qam.cfg",
+    "presets/fig2_noselection.cfg",
+    "bench/configs/mc_estimated.cfg",
+]
+
+
+def fig3_excerpt():
+    """fig3's geometry with 20 channels at 16-20 dB."""
+    import dataclasses
+
+    from rsmsim.cli import load_config
+
+    config = load_config(ROOT / "presets" / "fig3.cfg")
+    return dataclasses.replace(config, snr_grid_db=(16.0, 18.0, 20.0), channels_per_point=20)
+
+
+def window_terms(monkeypatch, config):
+    """Every Poisson-window term that ``analytic_curves(config)`` evaluates.
+
+    Returns the terms' (x, dof, delta), whether each lies in its window's
+    saturated suffix, and whether it is the suffix's first term.
+    """
+    from rsmsim.simulate import analytic_curves
+
+    calls = []
+
+    def recording(x, dof, delta, starts, sizes):
+        hi = _saturated_suffix(x, dof, delta, starts, sizes)
+        index = np.arange(x.size)
+        first = np.repeat(starts + hi, sizes)
+        calls.append((x, dof, delta, index >= first, index == first))
+        return hi
+
+    monkeypatch.setattr(specfun, "_saturated_suffix", recording)
+    analytic_curves(config)
+    return tuple(np.concatenate(v) for v in zip(*calls))
+
+
+def record_p0_terms(monkeypatch):
+    """A list that fills with the (x, dof, delta) of every P0 term, one
+    entry per ``noncentral_t_cdf`` call the analysis makes."""
+    from rsmsim import analysis
+
+    calls, p0_cdf = [], analysis.noncentral_t_cdf
+
+    def recording(x, dof, delta):
+        calls.append([a.ravel() for a in np.broadcast_arrays(x, dof, delta)])
+        return p0_cdf(x, dof, delta)
+
+    monkeypatch.setattr(analysis, "noncentral_t_cdf", recording)
+    return calls
+
+
 class TestSaturationScreen:
     """x > 0 terms whose upper tail is provably below 2^-55 are exactly 1.0."""
 
@@ -308,31 +375,28 @@ class TestSaturationScreen:
     LOG_SHARE = -56.0 * math.log(2.0)
 
     def test_fig3_window_terms_equal_backend(self, monkeypatch):
-        # Every term abep evaluates on a fig3-geometry ensemble at 16-20 dB.
-        import dataclasses
-        from pathlib import Path
-
-        from rsmsim.cli import load_config
-        from rsmsim.simulate import analytic_curves
-
-        config = load_config(Path(__file__).resolve().parent.parent / "presets" / "fig3.cfg")
-        config = dataclasses.replace(config, snr_grid_db=(16.0, 18.0, 20.0), channels_per_point=20)
-        calls = []
-
-        def recording(x, dof, delta):
-            calls.append((x, dof, delta))
-            return _nct_cdf(x, dof, delta)
-
-        monkeypatch.setattr(specfun, "_nct_cdf", recording)
-        analytic_curves(config)
-        x, dof, delta = (np.concatenate(v) for v in zip(*calls))
-        assert x.size > 10_000 and np.all(x > 0)
+        # Every t CDF term abep evaluates on a fig3-geometry ensemble at
+        # 16-20 dB: P0's terms, then the window terms, saturated suffixes
+        # included.
+        p0_calls = record_p0_terms(monkeypatch)
+        *window, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
+        p0 = [np.concatenate(v) for v in zip(*p0_calls)]
+        x, dof, delta = (np.concatenate(v) for v in zip(p0, window))
+        # P0 is one term per link and SNR, a window one per Poisson term.
+        assert p0[0].size == 3 * 20 and x.size > 10_000 and np.all(x > 0)
         want, saturated = nct_terms_stats(x, dof, delta), _nct_saturated(x, dof, delta)
         # scipy returns NaN on a few terms, all of them saturated.
         backend_nan = np.isnan(want)
         assert np.all(saturated[backend_nan])
         assert np.array_equal(_nct_cdf(x, dof, delta)[~backend_nan], want[~backend_nan])
         assert np.count_nonzero(saturated) > x.size / 2
+        # The suffixes hold every screened window term and more, all 1.0
+        # in scipy.
+        in_window = np.arange(x.size) >= p0[0].size
+        suffix = np.concatenate([np.zeros(p0[0].size, bool), suffix])
+        assert np.all(suffix[saturated & in_window])
+        assert np.all(want[suffix & ~saturated] == 1.0)
+        assert np.count_nonzero(suffix) > 1.1 * np.count_nonzero(saturated & in_window)
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -392,6 +456,115 @@ class TestSaturationScreen:
     def test_mpmath_oracle_against_backend(self, x, dof, delta):
         want = 1.0 - special.nctdtr(dof, delta, x)
         assert float(nct_tail_mp(x, dof, delta)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+class TestWindowSuffix:
+    """From the first term of a Poisson window that the two-chord bound
+    proves saturated on, every term is 1.0 without a backend call."""
+
+    @pytest.mark.parametrize("path", WINDOW_CONFIGS)
+    def test_config_suffix_terms_are_backend_ones(self, path, monkeypatch):
+        # Windows and suffixes come from the real kernel; only the backend
+        # evaluation of the terms ahead of the suffixes is left out.
+        from rsmsim.cli import load_config
+
+        monkeypatch.setattr(specfun, "_nct_cdf", lambda x, dof, delta: np.ones(x.shape))
+        x, dof, delta, suffix, _ = window_terms(monkeypatch, load_config(ROOT / path))
+        screened = _nct_saturated(x, dof, delta)
+        # The suffixes hold every term the per-term screen answers; the
+        # other suffix terms are exactly 1.0 in the backend too.
+        assert np.all(suffix[screened])
+        added = suffix & ~screened
+        assert added.any()
+        assert np.all(special.nctdtr(dof[added], delta[added], x[added]) == 1.0)
+
+    def test_backend_sees_only_open_terms(self, monkeypatch):
+        # No screened term and no suffix term reaches the backend: of the
+        # windows it sees the unscreened terms ahead of the suffixes, and
+        # the rest of its terms are P0's.
+        backend, nctdtr = [], specfun._ufuncs.nctdtr
+
+        def recording_backend(dof, delta, x):
+            backend.append((x, dof, delta))
+            return nctdtr(dof, delta, x)
+
+        monkeypatch.setattr(specfun._ufuncs, "nctdtr", recording_backend)
+        p0_terms = record_p0_terms(monkeypatch)
+        x, dof, delta, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
+        seen = [np.concatenate(v) for v in zip(*backend)]
+        assert not np.any(_nct_saturated(*seen))
+        p0_open = np.count_nonzero(~_nct_saturated(*(np.concatenate(v) for v in zip(*p0_terms))))
+        window_open = np.count_nonzero(~suffix & ~_nct_saturated(x, dof, delta))
+        assert seen[0].size == window_open + p0_open
+        assert window_open < 0.5 * x.size
+
+    def test_first_suffix_tails_below_half_ulp(self, monkeypatch):
+        # First suffix terms of a fig3 excerpt that the per-term screen
+        # leaves open: the three with the largest bound and three more.
+        x, dof, delta, _, first = window_terms(monkeypatch, fig3_excerpt())
+        first &= ~_nct_saturated(x, dof, delta)
+        at = np.flatnonzero(first)
+        bound = _chord_tail_bound(x[at], dof[at], delta[at])
+        assert at.size > 20 and np.all(bound < 2.0**-56)
+        rng = np.random.default_rng(15)
+        picked = np.concatenate([at[np.argsort(bound)[-3:]], rng.choice(at, 3, replace=False)])
+        for i in picked:
+            assert nct_tail_mp(x[i], dof[i], delta[i]) < 2.0**-55
+
+    @pytest.mark.parametrize(
+        "x,dof,delta",
+        [
+            (1.0, 2.0, -6.0),
+            (4.0, 2.0, -6.0),
+            (15.0, 2.0, 0.0),
+            (30.0, 8.0, 5.0),
+            (4.0, 60.0, -6.0),
+            (4.0, 60.0, 0.0),
+            (15.0, 60.0, 0.0),
+            (8.0, 200.0, -1.0),
+            (2.0, 1000.0, -2.0),
+            (6.0, 1000.0, 0.0),
+        ],
+    )
+    def test_bound_above_mpmath_tail(self, x, dof, delta):
+        bound = _chord_tail_bound(np.array([x]), np.array([dof]), np.array([delta]))[0]
+        assert bound >= nct_tail_mp(x, dof, delta)
+
+    def test_bound_below_z0(self):
+        # delta <= -9: T > x > 0 needs Z > 9, so the bound is Q(9) alone.
+        bound = _chord_tail_bound(np.array([1.0, 50.0]), np.full(2, 2.0), np.array([-9.0, -30.0]))
+        assert np.array_equal(bound, np.full(2, 0.5 * special.erfc(9.0 / math.sqrt(2.0))))
+
+    def test_bisection_stops_after_an_unproved_term(self):
+        # The returned term is proved (or one past the window) and the
+        # term before it is not, on arbitrary, non-monotone windows.
+        rng = np.random.default_rng(16)
+        sizes = rng.integers(1, 90, 400)
+        n = int(sizes.sum())
+        x, dof = log_uniform(rng, 0.5, 200.0, n), log_uniform(rng, 1.0, 4000.0, n)
+        delta = rng.uniform(-12.0, 8.0, n)
+        starts = np.cumsum(sizes) - sizes
+        hi = _saturated_suffix(x, dof, delta, starts, sizes)
+        proved = _chord_tail_bound(x, dof, delta) < 2.0**-56
+        for start, size, k in zip(starts, sizes, hi):
+            assert 0 <= k <= size
+            assert k == size or proved[start + k]
+            assert k == 0 or not proved[start + k - 1]
+        assert 0 < np.count_nonzero(hi < sizes) < sizes.size
+
+    def test_one_pass_build_matches_windows_built_alone(self):
+        # np.log misses math.log on a few in 10^4 arguments; 20,000 means
+        # catch a window build that takes it.
+        rng = np.random.default_rng(17)
+        edges = [1e-3, 0.5, 1.0, 12.0, 143.5, 144.0, 1e4 + 0.5, 1e6]
+        half = np.concatenate(
+            [log_uniform(rng, 1e-3, 1e3, 20_000), log_uniform(rng, 1e3, 1e6, 40), edges]
+        )
+        j, weights, sizes = _poisson_windows(half)
+        alone = [poisson_window(h) for h in half.tolist()]
+        assert np.array_equal(sizes, [w.size for _, w in alone])
+        assert np.array_equal(j, np.concatenate([i for i, _ in alone]))
+        assert np.array_equal(weights, np.concatenate([w for _, w in alone]))
 
 
 class TestArrayArguments:
@@ -510,11 +683,22 @@ def nct_terms_stats(x, dof, delta):
     return np.asarray(stats.nct.cdf(x, dof, delta), dtype=float)
 
 
+def poisson_window(half):
+    """Indices and renormalized weights of one Poisson(half) window, built alone."""
+    width = 10.0 * math.sqrt(half) + 12.0
+    j = np.arange(max(0, int(half - width)), int(half + width) + 1)
+    log_w = -half + j * math.log(half) - special.gammaln(j + 1.0)
+    log_w -= log_w.max()
+    weights = np.exp(log_w)
+    weights /= weights.sum()
+    return j, weights
+
+
 def dnct_cdf_stats(x, dof, delta, lam):
     """doubly_noncentral_t_cdf at x > 0, lam > 0, one window at a time."""
     p = []
     for x_i, dof_i, delta_i, lam_i in zip(x, dof, delta, lam):
-        j, weights = _poisson_window(0.5 * lam_i)
+        j, weights = poisson_window(0.5 * lam_i)
         df = dof_i + 2.0 * j
         terms = nct_terms_stats(x_i * np.sqrt(df / dof_i), df, np.full(j.size, delta_i))
         p.append(np.dot(weights, terms))

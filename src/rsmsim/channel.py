@@ -16,14 +16,16 @@ The ray-gain variance is calibrated per parameter set so that the
 average squared Frobenius norm of the channel equals
 ``n_tx * n_rx * gain_variance``; the calibration estimates the expected
 in-sector ray fraction from a deterministic 1e4-draw angle pre-pass and
-is cached.
+is cached. The pre-pass draws its ray offsets and counts their in-sector
+rays a few hundred draws at a time, so its working memory stays under a
+few MB whatever the cluster count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,8 @@ __all__ = [
 # so identical params always calibrate identically.
 _CALIBRATION_SEED = 0x5EC7_04CA
 _CALIBRATION_DRAWS = 10_000
+#: draws per chunk of the calibration pre-pass
+_CALIBRATION_CHUNK = 250
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,10 @@ def array_response(n: int, angle_deg: float | np.ndarray, spacing: float) -> np.
     if n < 1:
         raise ValueError("n must be >= 1")
     phase = 2.0 * math.pi * spacing * np.sin(np.radians(angle_deg))
-    return np.exp(1j * np.asarray(phase)[..., None] * np.arange(n)) / math.sqrt(n)
+    response = 1j * np.asarray(phase)[..., None] * np.arange(n)
+    np.exp(response, out=response)
+    response /= math.sqrt(n)
+    return response
 
 
 def sector_gain(
@@ -158,24 +165,44 @@ def in_sector_fraction(params: ChannelParams) -> float:
     Estimated once per parameter set from a fixed-seed angle-only
     pre-pass; used to calibrate the ray-gain variance so the channel
     keeps its nominal average energy despite sector clipping.
+
+    The pre-pass draws all departure cluster means, then the departure
+    ray offsets, then (with a sectorized receiver) the same for the
+    arrival side. The offsets are drawn ``_CALIBRATION_CHUNK`` draws at a
+    time in stream order, and the in-sector rays are counted per chunk;
+    with a sectorized receiver the departure mask is kept, one bool per
+    ray, until the arrival side has been drawn. The count divided by the
+    number of rays is the mean of the whole mask, exactly.
     """
     rng = np.random.default_rng([_CALIBRATION_SEED, params.n_clusters, params.n_rays])
     half = params.sector_width_deg / 2.0
     scale = params.angular_spread_deg / math.sqrt(2.0)
     shape = (_CALIBRATION_DRAWS, params.n_clusters, params.n_rays)
     center, width = params.sector_center_deg, params.sector_width_deg
-    dep_means = rng.uniform(
-        params.sector_center_deg - half, params.sector_center_deg + half, shape[:2]
-    )
-    dep_rays = dep_means[:, :, None] + rng.laplace(0.0, scale, shape)
-    mask = sector_gain(dep_rays, center, width)
-    if not params.rx_omni:
-        arr_means = rng.uniform(
-            params.sector_center_deg - half, params.sector_center_deg + half, shape[:2]
+    chunks = [
+        slice(first, first + _CALIBRATION_CHUNK)
+        for first in range(0, _CALIBRATION_DRAWS, _CALIBRATION_CHUNK)
+    ]
+
+    def side() -> Iterator[tuple[slice, np.ndarray]]:
+        """One side's chunks and their in-sector masks, in stream order."""
+        means = rng.uniform(center - half, center + half, shape[:2])
+        for chunk in chunks:
+            rays = rng.laplace(0.0, scale, means[chunk].shape + shape[2:])
+            rays += means[chunk, :, None]
+            yield chunk, sector_gain(rays, center, width)
+
+    if params.rx_omni:
+        count = sum(int(np.count_nonzero(inside)) for _, inside in side())
+    else:
+        departure = np.empty(shape, dtype=bool)
+        for chunk, inside in side():
+            departure[chunk] = inside
+        count = sum(
+            int(np.count_nonzero(np.logical_and(inside, departure[chunk], out=inside)))
+            for chunk, inside in side()
         )
-        arr_rays = arr_means[:, :, None] + rng.laplace(0.0, scale, shape)
-        mask &= sector_gain(arr_rays, center, width)
-    frac = float(mask.mean())
+    frac = count / math.prod(shape)
     if frac <= 0.0:
         raise ValueError("sector configuration leaves no rays with nonzero gain")
     return frac
@@ -213,7 +240,7 @@ def draw_channel(
     v_tx = array_response(params.n_tx, rays[..., 1], spacing)
     scale = math.sqrt(params.n_tx * params.n_rx / params.n_paths)
     weights = scale * gains * pattern
-    matrix = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ v_tx.conj()
+    matrix = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ np.conjugate(v_tx, out=v_tx)
     if isinstance(rng, np.random.Generator):
         matrix, means, rays, gains = matrix[0], means[0], rays[0], gains[0]
     return ChannelRealization(

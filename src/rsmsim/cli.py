@@ -194,6 +194,15 @@ def _with_seed(config: RsmConfig | FdConfig, seed: int | None):
         raise ConfigError(f"--seed: {err}") from err
 
 
+def _check_out(out: str) -> Path:
+    """The ``--out`` path, once its directory is known to exist, so that a
+    run never ends, after all its work, unable to write its result."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out: directory {str(path.parent)!r} does not exist")
+    return path
+
+
 def _write_manifest(out_path: Path, config, extra: dict) -> None:
     snapshot = asdict(config)
     manifest = {
@@ -213,6 +222,7 @@ def _write_manifest(out_path: Path, config, extra: dict) -> None:
 def cmd_ber(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    out = _check_out(args.out)
     config = _with_seed(load_config(args.config), args.seed)
     if isinstance(config, RsmConfig):
         report = run(config, n_threads=args.threads)
@@ -233,7 +243,6 @@ def cmd_ber(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")
     _write_manifest(
         out, config, {"output": str(out), "command": "ber", "threads": args.threads}
@@ -242,6 +251,7 @@ def cmd_ber(args: argparse.Namespace) -> int:
 
 
 def cmd_abep(args: argparse.Namespace) -> int:
+    out = _check_out(args.out)
     config = _with_seed(load_config(args.config), args.seed)
     if isinstance(config, RsmConfig):
         rows = analytic_curves(config)
@@ -250,7 +260,6 @@ def cmd_abep(args: argparse.Namespace) -> int:
     lines = ["snr_db,abep_analytic,abep_estimated"]
     for snr_db, perfect, estimated in rows:
         lines.append(f"{snr_db:g},{_fmt(perfect)},{_fmt(estimated)}")
-    out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")
     _write_manifest(out, config, {"output": str(out), "command": "abep"})
     return 0
@@ -259,6 +268,7 @@ def cmd_abep(args: argparse.Namespace) -> int:
 def cmd_power(args: argparse.Namespace) -> int:
     from .power import PowerConfig, power_fd, power_proposed, power_ratio
 
+    out = _check_out(args.out) if args.out else None
     try:
         configs = [PowerConfig(args.p_ref, int(v)) for v in args.n_rx.split(",") if v.strip()]
         if not configs:
@@ -271,8 +281,8 @@ def cmd_power(args: argparse.Namespace) -> int:
         exact, _ = power_ratio(cfg)
         lines.append(f"{cfg.n_rx},{power_proposed(cfg):g},{power_fd(cfg):g},{exact:.4f}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out is not None:
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0

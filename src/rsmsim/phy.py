@@ -228,18 +228,22 @@ def build_constellation(
     )
 
 
-def spatial_bits(words: np.ndarray, n_active: int) -> np.ndarray:
+def spatial_bits(
+    words: np.ndarray, n_active: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """(..., n_active) bool array of integer spatial words, one row per word.
 
     Antenna k carries bit k of its word; each row is read from a cached
-    table of all 2^n_active words. Raises :class:`IllegalSpatialWord`
-    unless every word lies in [1, 2^n_active): the all-zero word cannot
-    be transmitted.
+    table of all 2^n_active words, into ``out`` when given. Raises
+    :class:`IllegalSpatialWord` unless every word lies in [1,
+    2^n_active): the all-zero word cannot be transmitted.
     """
     words = np.asarray(words)
     if words.min() < 1 or words.max() >> n_active:
         raise IllegalSpatialWord(f"spatial words must lie in [1, {1 << n_active})")
-    return np.take(_word_table(n_active), words, axis=0)
+    # Every index is in range, so clipping changes none; unlike the default
+    # mode it writes into ``out`` directly instead of through a buffer.
+    return np.take(_word_table(n_active), words, axis=0, out=out, mode="clip")
 
 
 @functools.cache
@@ -262,6 +266,8 @@ def transmit(
     spatial: np.ndarray,
     symbols: np.ndarray,
     amplitude: float | np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One row ``amplitude * matrix @ (spatial[t] * symbols[t])`` per word t.
 
@@ -271,9 +277,19 @@ def transmit(
     noiseless received samples. For a batch of links every argument has a
     leading link axis: ``matrix`` is (links, n, n_active) and
     ``amplitude`` (links,).
+
+    The rows are written into ``out`` when given. With ``work``, a complex
+    array of ``spatial``'s shape that receives the weighted rows,
+    ``symbols`` must be a complex array of its own: it is scaled in place.
+    The rows are the same either way.
     """
-    weighted = (_per_link(amplitude, 1) * symbols)[..., None] * spatial
-    return weighted @ np.swapaxes(matrix, -1, -2)
+    amplitude = _per_link(amplitude, 1)
+    if work is None:
+        weighted = (amplitude * symbols)[..., None] * spatial
+    else:
+        np.multiply(amplitude, symbols, out=symbols)
+        weighted = np.multiply(symbols[..., None], spatial, out=work)
+    return np.matmul(weighted, np.swapaxes(matrix, -1, -2), out=out)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -568,6 +584,7 @@ def combine_and_detect_modulation(
     s_hat: np.ndarray,
     alpha_p: float | np.ndarray,
     constellation: Constellation,
+    overwrite_y: bool = False,
 ) -> np.ndarray:
     """Combine the branches flagged active and detect the symbol, per row.
 
@@ -577,12 +594,15 @@ def combine_and_detect_modulation(
     sqrt(alpha_p) times its own count of combined branches (it cannot
     know how many were truly energized). A row with no flag yields the
     fixed erasure fallback, symbol index 0. Returns the symbol indices;
-    ``constellation.label_bits`` maps them to bits.
+    ``constellation.label_bits`` maps them to bits. With ``overwrite_y``
+    the flagged branch outputs are formed in ``y`` itself, a complex
+    array, which is left holding them.
     """
     flags = np.asarray(s_hat, dtype=bool).view(np.uint8)
     n_hat = sum(flags[..., k] for k in range(flags.shape[-1]))
     scale = np.sqrt(_per_link(alpha_p, 1)) * n_hat
-    j_hat = nearest_point(_antenna_sum(y * s_hat), scale, constellation)
+    flagged = np.multiply(y, s_hat, out=y if overwrite_y else None)
+    j_hat = nearest_point(_antenna_sum(flagged), scale, constellation)
     j_hat[n_hat == 0] = 0
     return j_hat
 
@@ -617,6 +637,7 @@ def add_complex_noise(
     signal: np.ndarray,
     sigma2: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add circular complex Gaussian noise of variance ``sigma2`` to ``signal``.
 
@@ -627,7 +648,9 @@ def add_complex_noise(
     ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))``.
     With a sequence of generators, one per leading row of ``signal``, row
     ``i`` gets exactly the noise that ``rng[i]`` alone would add to it;
-    every row fills its part of one buffer, which is scaled and added once.
+    every row fills its part of one buffer, which is scaled and added once;
+    ``rows``, a float array of shape ``(len(signal), 2, *signal.shape[1:])``,
+    is that buffer when given.
     ``signal`` may be a view of another memory layout, such as the
     transpose of a modes-major batch: the noise keeps the stream order of
     ``signal``'s own axes and is added along its memory order.
@@ -637,7 +660,8 @@ def add_complex_noise(
     else:
         if len(rng) != len(signal):
             raise ValueError("add_complex_noise needs one generator per leading row")
-        rows = np.empty((len(signal), 2, *signal.shape[1:]))
+        if rows is None:
+            rows = np.empty((len(signal), 2, *signal.shape[1:]))
         for row, gen in zip(rows, rng):
             gen.standard_normal(out=row)
         noise = rows.swapaxes(0, 1)

@@ -14,8 +14,9 @@ of whole channels) of about 64k symbols, with every channel still on
 its own stream. The analytic columns of each SNR point run as one more
 task on the same workers.
 Each run logs one line per SNR point, in grid order, and where its time
-went on the ``.timing`` child logger; at DEBUG it also logs the seconds
-of every Monte Carlo task.
+went, its peak RSS and its minor page faults on the ``.timing`` child
+logger; at DEBUG it also logs the seconds of every Monte Carlo task.
+Each worker thread of a run reuses one set of full-size block arrays.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -31,6 +32,8 @@ import functools
 import itertools
 import logging
 import math
+import resource
+import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -396,18 +399,44 @@ class _BlockCounts:
     words: int
 
 
+class _BlockBuffers(threading.local):
+    """The full-size arrays of the Monte Carlo blocks, one set per thread.
+
+    :func:`run` makes one for its call, and each worker thread reuses its
+    own arrays on every block, so that a block allocates only its smaller
+    temporaries.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        """The thread's ``name`` array as ``shape``: the leading rows of the
+        array it holds when that has as many rows or more and the same
+        trailing shape and dtype, else a new one that replaces it."""
+        array = self.arrays.get(name)
+        fits = array is not None and array.dtype == dtype and array.shape[1:] == shape[1:]
+        if not (fits and len(array) >= shape[0]):
+            array = self.arrays[name] = np.empty(shape, dtype)
+        return array[: shape[0]]
+
+
 def _run_block(
     config: RsmConfig,
     constellation: Constellation,
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
+    buffers: _BlockBuffers | None = None,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
     Channel ``ch`` draws its words and noise from its own
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
-    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
+    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``. The
+    block's full-size arrays come from ``buffers`` (a new set when None);
+    one complex array holds the weighted rows, then the noise rows, then
+    the envelopes, and the received rows are combined in place.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -441,23 +470,35 @@ def _run_block(
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
         rngs = _streams(ensemble.data_seeds[snr_idx, batch][kept])
-        order = constellation.order
+        buffers = _BlockBuffers() if buffers is None else buffers
+        rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
+        words = buffers.get("words", rows, np.int64)
+        js = buffers.get("symbols", rows, np.int64)
         # Each stream draws its spatial words, then its symbols, then its noise.
-        draws = [
-            (rng.integers(1, 1 << n_a, size=trials), rng.integers(0, order, size=trials))
-            for rng in rngs
-        ]
-        sent = spatial_bits(np.array([words for words, _ in draws]), n_a)
-        js = np.array([symbols for _, symbols in draws])
+        order = constellation.order
+        for i, rng in enumerate(rngs):
+            words[i] = rng.integers(1, 1 << n_a, size=trials)
+            js[i] = rng.integers(0, order, size=trials)
+        sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
-        clean = transmit(
-            ensemble.effective[batch][kept], sent, constellation.points[js], np.sqrt(alpha_p)
+        work = buffers.get("work", cells, complex)
+        y = transmit(
+            ensemble.effective[batch][kept],
+            sent,
+            np.take(constellation.points, js, out=buffers.get("scaled", rows, complex)),
+            np.sqrt(alpha_p),
+            out=buffers.get("y", cells, complex),
+            work=work,
         )
-        y = add_complex_noise(clean, SIGMA2, rngs)
-        s_hat = detect_spatial(np.abs(y), gamma[kept])
-        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
+        # The weighted rows are spent: the same memory takes the float
+        # noise rows, then the first half of it the envelopes.
+        floats = work.view(np.float64)
+        add_complex_noise(y, SIGMA2, rngs, rows=floats.reshape(len(rngs), 2, trials, n_a))
+        s_hat = detect_spatial(np.abs(y, out=floats.reshape(2, *cells)[0]), gamma[kept])
+        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation, overwrite_y=True)
         labels = constellation.labels
-        spatial[kept] = np.count_nonzero(sent != s_hat, axis=(1, 2))
+        mismatch = np.not_equal(sent, s_hat, out=buffers.get("mismatch", cells, bool))
+        spatial[kept] = np.count_nonzero(mismatch, axis=(1, 2))
         modulation[kept] = np.bitwise_count(labels[js] ^ labels[j_hat]).sum(axis=1)
     return _BlockCounts(
         spatial_errors=spatial,
@@ -604,11 +645,17 @@ def _ci95(ber: float, bits: int) -> float:
     return 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits) if bits else math.nan
 
 
+def _start() -> tuple[float, int]:
+    """The ``time.perf_counter`` reading and the process's minor page
+    faults so far, which a run's ``.timing`` line counts from."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _sweep_and_reduce(
     name: str,
     config: RsmConfig | FdConfig,
     n_threads: int,
-    start: float,
+    started: tuple[float, int],
     n_blocks: int,
     block: Callable[[int, int], object],
     analytic: Callable[[int], object],
@@ -618,10 +665,13 @@ def _sweep_and_reduce(
 
     ``point(snr_db, block results, analytic result)`` returns the
     point's :class:`SnrPoint` and its log message, which is logged with
-    the seconds elapsed since ``start``, after one DEBUG line per block
-    with its seconds; the time from ``start`` to this call counts as the
-    link build on the ``.timing`` line.
+    the seconds elapsed since ``started`` (a :func:`_start` reading),
+    after one DEBUG line per block with its seconds; the time from then
+    to this call counts as the link build on the ``.timing`` line. That
+    line also gives the process's peak RSS and the minor page faults
+    since ``started``.
     """
+    start, start_faults = started
     link_s = time.perf_counter() - start
     grid = config.snr_grid_db
     points = []
@@ -640,15 +690,19 @@ def _sweep_and_reduce(
         # Cancel pending tasks now rather than when a raised error is freed.
         sweep.close()
     sweep_s = time.perf_counter() - start - link_s
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     timing_log.info(
         "%s: %d thread(s); link build %.3f s, sweep %.3f s "
-        "(summed over tasks: blocks %.3f s, analytic columns %.3f s)",
+        "(summed over tasks: blocks %.3f s, analytic columns %.3f s); "
+        "peak RSS %.1f MB, %d minor page faults",
         name,
         n_threads,
         link_s,
         sweep_s,
         blocks_s,
         analytic_s,
+        usage.ru_maxrss / 1024.0,  # kilobytes on Linux
+        usage.ru_minflt - start_faults,
     )
     return ErrorReport(points=tuple(points), seed=config.seed)
 
@@ -665,16 +719,17 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
-    start = time.perf_counter()
+    started = _start()
     ensemble = _build_ensemble(config, constellation)
     n_links = len(ensemble.alpha)
     per_batch = _batch_links(config.trials_per_point, config.n_active)
     k = constellation.bits_per_symbol
+    buffers = _BlockBuffers()
 
     def block(snr_idx: int, batch_idx: int) -> _BlockCounts:
         first = batch_idx * per_batch
         links = range(first, min(first + per_batch, n_links))
-        return _run_block(config, constellation, ensemble, snr_idx, links)
+        return _run_block(config, constellation, ensemble, snr_idx, links, buffers)
 
     def analytic(snr_idx: int) -> tuple[float, float, int]:
         return _analytic_columns(config, constellation, ensemble, snr_idx)
@@ -714,7 +769,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
         )
 
     n_batches = -(-n_links // per_batch)
-    return _sweep_and_reduce("run", config, n_threads, start, n_batches, block, analytic, point)
+    return _sweep_and_reduce("run", config, n_threads, started, n_batches, block, analytic, point)
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
@@ -727,7 +782,7 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
-    start = time.perf_counter()
+    started = _start()
     gains = _fd_mode_gains(config)
     trials = config.trials_per_point
     received = [
@@ -767,4 +822,6 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
         )
 
     n_batches = -(-n_links // per_batch)
-    return _sweep_and_reduce("run_fd", config, n_threads, start, n_batches, block, analytic, point)
+    return _sweep_and_reduce(
+        "run_fd", config, n_threads, started, n_batches, block, analytic, point
+    )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rsmsim import channel
 from rsmsim.channel import (
     ChannelParams,
     _draw_angles,
@@ -66,6 +67,14 @@ class TestArrayResponse:
             assert np.array_equal(
                 batch[index], scalar_array_response(6, float(angles[index]), 0.7)
             )
+
+    def test_matches_the_allocating_expression(self):
+        # The response takes its exp and its division in place.
+        angles = np.random.default_rng(1).uniform(-180.0, 180.0, (4, 80))
+        for n, spacing in [(1, 0.5), (8, 0.5), (32, 0.7)]:
+            phase = 2.0 * math.pi * spacing * np.sin(np.radians(angles))
+            old = np.exp(1j * phase[..., None] * np.arange(n)) / math.sqrt(n)
+            assert array_response(n, angles, spacing).tobytes() == old.tobytes()
 
     def test_unit_norm_and_phase_progression(self):
         v = array_response(8, 17.0, 0.5)
@@ -151,7 +160,71 @@ GEOMETRIES = pytest.mark.parametrize(
 )
 
 
+def one_shot_fraction(params):
+    """The calibration as one pre-pass over all draws at once, which the
+    chunked pre-pass of ``in_sector_fraction`` replaced, kept as its oracle."""
+    rng = np.random.default_rng([channel._CALIBRATION_SEED, params.n_clusters, params.n_rays])
+    half = params.sector_width_deg / 2.0
+    scale = params.angular_spread_deg / math.sqrt(2.0)
+    shape = (channel._CALIBRATION_DRAWS, params.n_clusters, params.n_rays)
+    center, width = params.sector_center_deg, params.sector_width_deg
+    dep_means = rng.uniform(center - half, center + half, shape[:2])
+    mask = sector_gain(dep_means[:, :, None] + rng.laplace(0.0, scale, shape), center, width)
+    if not params.rx_omni:
+        arr_means = rng.uniform(center - half, center + half, shape[:2])
+        mask &= sector_gain(arr_means[:, :, None] + rng.laplace(0.0, scale, shape), center, width)
+    return float(mask.mean())
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("rx_omni", [True, False])
+    @pytest.mark.parametrize("n_clusters", [1, 8, 16])
+    def test_chunked_prepass_matches_one_shot(self, rx_omni, n_clusters):
+        # The 10-degree sector with a 30-degree spread clips most rays.
+        grid = [(50.0, 1.0, 0.0), (360.0, 20.0, 0.0), (30.0, 0.0, 170.0), (10.0, 30.0, 0.0)]
+        for width, spread, center in grid:
+            params = ChannelParams(
+                n_tx=4,
+                n_rx=2,
+                n_clusters=n_clusters,
+                angular_spread_deg=spread,
+                sector_center_deg=center,
+                sector_width_deg=width,
+                rx_omni=rx_omni,
+            )
+            frac = in_sector_fraction.__wrapped__(params)
+            assert frac.hex() == one_shot_fraction(params).hex(), params
+
+    @pytest.mark.parametrize("rx_omni", [True, False])
+    def test_prepass_memory_is_bounded(self, rx_omni):
+        # The one-shot pre-pass peaked at 29.4 MB at 16 clusters (43.6 MB
+        # with a sectorized receiver).
+        import tracemalloc
+
+        params = ChannelParams(n_tx=32, n_rx=8, n_clusters=16, rx_omni=rx_omni)
+        tracemalloc.start()
+        try:
+            in_sector_fraction.__wrapped__(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestDrawChannel:
+    def test_matches_the_allocating_expressions(self):
+        # The draw conjugates the departure responses in place.
+        params = ChannelParams(n_tx=16, n_rx=4, rx_omni=False, angular_spread_deg=20.0)
+        real = draw_channel(params, [np.random.default_rng([7, i]) for i in range(5)])
+        rays = real.ray_angles
+        pattern = sector_gain(rays[..., 1], 0.0, 50.0).astype(float)
+        pattern *= sector_gain(rays[..., 0], 0.0, 50.0)
+        weights = math.sqrt(16 * 4 / params.n_paths) * real.ray_gains * pattern
+        v_rx = array_response(4, rays[..., 0], 0.5)
+        v_tx = array_response(16, rays[..., 1], 0.5)
+        old = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ v_tx.conj()
+        assert real.matrix.tobytes() == old.tobytes()
+
     @GEOMETRIES
     def test_matches_per_ray_reference(self, params):
         for i in range(40):

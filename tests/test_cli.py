@@ -197,6 +197,45 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestMissingOutDirectory:
+    """An ``--out`` in a directory that does not exist is refused with exit
+    2 before any work, instead of a traceback after the whole run."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        import rsmsim.cli as cli
+        import rsmsim.power as power
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("run", "run_fd", "analytic_curves", "analytic_curves_fd", "load_config"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(power, "power_ratio", unreachable)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ber", "--config", "exp.cfg", "--threads", "2"],
+            ["abep", "--config", "exp.cfg"],
+            ["power", "--n-rx", "16", "--p-ref", "20"],
+        ],
+        ids=["ber", "abep", "power"],
+    )
+    def test_exits_2_naming_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out.parent) in err
+        assert not out.parent.exists()
+
+    def test_a_file_is_not_a_directory(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "result.csv"
+        assert main(["abep", "--config", "exp.cfg", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+
+
 class TestCmdPower:
     def test_published_row(self, tmp_path, capsys):
         code = main(["power", "--n-rx", "16", "--p-ref", "20"])

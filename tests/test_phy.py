@@ -846,6 +846,41 @@ class TestExactRewrites:
         old = 1.7 * (spatial[0] * symbols[0][:, None]) @ matrix[0].T
         assert_same_bits(transmit(matrix[0], spatial[0], symbols[0], 1.7), old)
 
+    def test_buffer_forms_give_the_same_bytes(self):
+        # The Monte Carlo block writes each full-size step into arrays it
+        # reuses; every step must give what its allocating form gives.
+        rng = np.random.default_rng(22)
+        c = build_constellation("psk", 16)
+        n_links, trials, n_active = 3, 400, 4
+        words = rng.integers(1, 1 << n_active, (n_links, trials))
+        sent = np.ones((n_links, trials, n_active), dtype=bool)
+        assert spatial_bits(words, n_active, out=sent) is sent
+        assert_same_bits(sent, spatial_bits(words, n_active))
+
+        matrix = random_rows(rng, (n_links, n_active, n_active))
+        js = rng.integers(0, 16, (n_links, trials))
+        amplitude = rng.uniform(0.5, 3.0, n_links)
+        expected = transmit(matrix, sent, c.points[js], amplitude)
+        out = np.empty_like(expected)
+        work = np.empty((n_links, trials, n_active), dtype=complex)
+        symbols = c.points[js]
+        assert transmit(matrix, sent, symbols, amplitude, out=out, work=work) is out
+        assert_same_bits(out, expected)
+        assert_same_bits(symbols, amplitude[:, None] * c.points[js])  # scaled in place
+
+        seeds = [[23, i] for i in range(n_links)]
+        expected = add_complex_noise(out.copy(), 0.7, [np.random.default_rng(k) for k in seeds])
+        rows = np.empty((n_links, 2, trials, n_active))
+        add_complex_noise(out, 0.7, [np.random.default_rng(k) for k in seeds], rows=rows)
+        assert_same_bits(out, expected)
+
+        s_hat = detect_spatial(np.abs(out), rng.uniform(0.5, 2.0, n_links))
+        expected = combine_and_detect_modulation(out, s_hat, amplitude**2, c)
+        flagged = out * s_hat
+        got = combine_and_detect_modulation(out, s_hat, amplitude**2, c, overwrite_y=True)
+        assert_same_bits(got, expected)
+        assert_same_bits(out, flagged)
+
     @pytest.mark.parametrize("n_active", range(1, 9))
     @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])
     def test_combiner_matches_summed_form(self, n_active, kind, order, ring):

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import resource
 import threading
 from pathlib import Path
 
@@ -537,9 +538,111 @@ class TestBatchedBlock:
         assert all(spatial for spatial, _, _ in points[0][0][:5] + points[0][0][6:8])
 
 
+class TestBlockBuffers:
+    """Blocks that reuse one set of worker arrays count, channel for
+    channel, what the per-channel oracle counts."""
+
+    def oracle_rows(self, config, constellation, ensemble, snr_idx, links):
+        return [
+            reference_block(config, constellation, ensemble, snr_idx, ch) for ch in links
+        ]
+
+    def block_rows(self, config, constellation, ensemble, snr_idx, links, buffers):
+        from rsmsim.simulate import _run_block
+
+        counts = _run_block(config, constellation, ensemble, snr_idx, links, buffers)
+        return list(
+            zip(
+                counts.spatial_errors.tolist(),
+                counts.modulation_errors.tolist(),
+                counts.failed.tolist(),
+            )
+        )
+
+    def test_shapes_alternating_on_one_thread(self):
+        # Batches of 8, 3, 5 and 8 links take turns on one set of arrays; at
+        # -6 dB channel 5's one-pilot estimate fails, so the 5-link batch
+        # simulates 4 links.
+        from rsmsim.simulate import _BlockBuffers, _build_ensemble
+
+        config = small_config(
+            threshold_source="estimated", snr_grid_db=(-6.0, 6.0), trials_per_point=300
+        )
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        buffers = _BlockBuffers()
+        batches = [(1, range(0, 8)), (0, range(8, 11)), (0, range(3, 8)), (1, range(12, 20))]
+        for snr_idx, links in batches * 2:
+            got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
+            assert got == self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+        failed = self.block_rows(config, constellation, ensemble, 0, range(3, 8), buffers)
+        assert [lost for _, _, lost in failed] == [0, 0, 300, 0, 0]
+        assert len(buffers.arrays["y"]) == 8  # the 8-link batch's arrays, reused
+
+    def test_threads_at_once(self):
+        # Four threads, more than the cores, switching often: each must
+        # count on arrays of its own.
+        import sys
+
+        from rsmsim.simulate import _BlockBuffers, _build_ensemble
+
+        config = small_config(snr_grid_db=(4.0, 10.0), trials_per_point=500)
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        buffers = _BlockBuffers()
+        jobs = [(s, range(first, first + 5)) for s in (0, 1) for first in (0, 5, 10, 15)]
+        results = {}
+        start = threading.Barrier(4, timeout=60)
+
+        def worker(mine):
+            start.wait()
+            for _ in range(3):
+                for snr_idx, links in mine:
+                    rows = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
+                    results.setdefault((snr_idx, links.start), []).append(rows)
+
+        threads = [threading.Thread(target=worker, args=(jobs[k::4],)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(jobs)
+        for snr_idx, links in jobs:
+            expected = self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+            assert results[snr_idx, links.start] == [expected] * 3
+
+    def test_second_block_allocates_little(self):
+        # A 50,000-trial link, as in the mc_estimated benchmark: the first
+        # block allocates the worker's arrays (about 8 MB), a second one
+        # only its temporaries. Allocating every array afresh took 9.6 MB.
+        import tracemalloc
+
+        from rsmsim.simulate import _BlockBuffers, _build_ensemble, _run_block
+
+        config = small_config(trials_per_point=50_000, channels_per_point=2, snr_grid_db=(8.0,))
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        buffers = _BlockBuffers()
+        _run_block(config, constellation, ensemble, 0, range(0, 1), buffers)
+        tracemalloc.start()
+        try:
+            _run_block(config, constellation, ensemble, 0, range(1, 2), buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 TIMING_LINE = re.compile(
     r"(run|run_fd): (\d+) thread\(s\); link build ([\d.]+) s, sweep ([\d.]+) s "
-    r"\(summed over tasks: blocks ([\d.]+) s, analytic columns ([\d.]+) s\)"
+    r"\(summed over tasks: blocks ([\d.]+) s, analytic columns ([\d.]+) s\); "
+    r"peak RSS ([\d.]+) MB, (\d+) minor page faults"
 )
 
 
@@ -555,8 +658,11 @@ class TestTimingLog:
         assert len(lines) == 1
         match = TIMING_LINE.fullmatch(lines[0])
         assert match and match[1] == "run" and int(match[2]) == n_threads
-        link_s, sweep_s, blocks_s, analytic_s = map(float, match.groups()[2:])
+        link_s, sweep_s, blocks_s, analytic_s, peak_mb = map(float, match.groups()[2:7])
         assert blocks_s > 0 and link_s >= 0 and analytic_s >= 0
+        # The peak so far of this process, which has imported numpy.
+        assert 10 < peak_mb <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05
+        assert int(match[8]) >= 0
         if n_threads == 1:
             # One thread runs every task inside the sweep.
             assert sweep_s >= blocks_s + analytic_s - 0.002
@@ -729,9 +835,9 @@ class TestSweepContract:
         snr_indices = []
         real = simulate._run_block
 
-        def recording(config, constellation, ensemble, snr_idx, links):
+        def recording(config, constellation, ensemble, snr_idx, links, *buffers):
             snr_indices.extend([snr_idx] * len(links))
-            return real(config, constellation, ensemble, snr_idx, links)
+            return real(config, constellation, ensemble, snr_idx, links, *buffers)
 
         monkeypatch.setattr(simulate, "_run_block", recording)
         return snr_indices

@@ -91,9 +91,13 @@ SIGMA2 = 1.0
 #: takes as many whole channels as fit, and at least one
 _BATCH_SYMBOLS = 1 << 16
 
-#: channels per ``draw_channel`` call of the ensemble draw (and per
-#: stacked ``svd_link`` call of the baseline); bounds their working memory
-_DRAW_CHUNK = 64
+#: bytes of ray responses per ``draw_channel`` call of the ensemble draw
+#: (and so per stacked ``svd_link`` call of the baseline): each call takes
+#: as many links as fit, and at least one. This bounds their working
+#: memory, and with it the heap that the draws of later stacks leave
+#: resident once the first stack's freed arrays have raised glibc's mmap
+#: threshold, which grows with the stack
+_DRAW_BYTES = 1 << 19
 
 
 class PointAborted(RuntimeError):
@@ -343,13 +347,18 @@ def _streams(seeds: np.ndarray) -> list[np.random.Generator]:
 
 def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
     """The channel matrices of every link in index order, as
-    ``(links, n_rx, n_tx)`` stacks of up to ``_DRAW_CHUNK`` links. Link
-    ``ch`` is drawn from its own ``(seed, _TAG_CHANNEL, ch)`` stream, so
-    :func:`run` and :func:`run_fd` under one seed see the same channels."""
+    ``(links, n_rx, n_tx)`` stacks of as many links as keep their ray
+    responses, ``(n_rx + n_tx) n_paths`` complex values per link, within
+    ``_DRAW_BYTES``, and at least one. Link ``ch`` is drawn from its own
+    ``(seed, _TAG_CHANNEL, ch)`` stream, so :func:`run` and :func:`run_fd`
+    under one seed see the same channels, whatever the stack sizes."""
+    params = config.channel
     n_links = config.channels_per_point
+    per_link = np.dtype(complex).itemsize * (params.n_rx + params.n_tx) * params.n_paths
+    chunk = max(1, _DRAW_BYTES // per_link)
     seeds = _stream_seeds((config.seed, _TAG_CHANNEL), range(n_links))
-    for first in range(0, n_links, _DRAW_CHUNK):
-        yield draw_channel(config.channel, _streams(seeds[first : first + _DRAW_CHUNK])).matrix
+    for first in range(0, n_links, chunk):
+        yield draw_channel(params, _streams(seeds[first : first + chunk])).matrix
 
 
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
@@ -665,11 +674,14 @@ def _sweep_and_reduce(
 
     ``point(snr_db, block results, analytic result)`` returns the
     point's :class:`SnrPoint` and its log message, which is logged with
-    the seconds elapsed since ``started`` (a :func:`_start` reading),
-    after one DEBUG line per block with its seconds; the time from then
-    to this call counts as the link build on the ``.timing`` line. That
-    line also gives the process's peak RSS and the minor page faults
-    since ``started``.
+    the seconds elapsed since ``started`` (a :func:`_start` reading) and
+    an estimate of the seconds left, after one DEBUG line per block with
+    its seconds; the time from then to this call counts as the link build
+    on the ``.timing`` line. That line also gives the process's peak RSS
+    and the minor page faults since ``started``. Every point has the same
+    number of blocks, so the share of the sweep's blocks that has
+    finished is taken as the share of points reduced, and the estimate
+    is the sweep's seconds so far scaled by the share still to come.
     """
     start, start_faults = started
     link_s = time.perf_counter() - start
@@ -678,14 +690,16 @@ def _sweep_and_reduce(
     blocks_s = analytic_s = 0.0
     sweep = _sweep(n_threads, len(grid), n_blocks, block, analytic)
     try:
-        for snr_db, (blocks, (result, seconds)) in zip(grid, sweep):
+        for done, (snr_db, (blocks, (result, seconds))) in enumerate(zip(grid, sweep), 1):
             for block_idx, (_, block_s) in enumerate(blocks):
                 log.debug("snr=%g dB block %d: %.3f s", snr_db, block_idx, block_s)
             blocks_s += sum(block_s for _, block_s in blocks)
             analytic_s += seconds
             snr_point, message = point(snr_db, [counts for counts, _ in blocks], result)
             points.append(snr_point)
-            log.info("%s, %.3f s elapsed", message, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            left = (elapsed - link_s) * (len(grid) - done) / done
+            log.info("%s, %.3f s elapsed, about %.3f s left", message, elapsed, left)
     finally:
         # Cancel pending tasks now rather than when a raised error is freed.
         sweep.close()

@@ -18,8 +18,10 @@ an approximation; so does :func:`marcum_q1`.
 
 The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
 NumPy arrays, so a whole link ensemble costs one backend call instead of
-one per link; an array result holds, element for element, what a scalar
-call with that element returns.
+one per link (the doubly non-central t one call per group of windows of
+at most :data:`_TERM_BUDGET` terms, which bounds its memory whatever the
+ensemble size and lam); an array result holds, element for element,
+what a scalar call with that element returns.
 
 Saturated non-central t terms. With T = (Z + delta) / sqrt(V / dof),
 V central chi-square, and x > 0, the CDF is exactly 1.0 in double
@@ -87,6 +89,7 @@ import math
 import os
 import sys
 import types
+from collections.abc import Iterator
 
 import numpy as np
 import scipy
@@ -468,18 +471,31 @@ def _chord_tail_bound(x: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.nd
     return bound
 
 
-def _saturated_suffix(
-    x: np.ndarray, df: np.ndarray, delta: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Per window, the index of a term whose CDF and later ones round to 1.0.
+def _term_args(
+    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-central t arguments ``(x sqrt(df / dof), df, delta)``,
+    df = dof + 2j, of the mixture term ``j`` of each element's window.
 
-    The window of element i holds the terms ``starts[i]`` to
-    ``starts[i] + sizes[i] - 1`` of ``x``, ``df`` and ``delta``. A
+    The one place these are formed, so a bisection probe and a term of a
+    group hold the same bits.
+    """
+    df = dof + 2.0 * j
+    return x * np.sqrt(df / dof), df, delta
+
+
+def _saturated_suffix(
+    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, j_lo: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Per window, the offset of a term whose CDF and later ones round to 1.0.
+
+    The window of element i holds the terms ``j_lo[i]`` to ``j_lo[i] +
+    sizes[i] - 1`` of its ``(x, dof, delta)`` (:func:`_term_args`). A
     bisection, one vectorised round over every window at a time, keeps
     ``hi`` at a term that :func:`_chord_tail_bound` proves saturated (or
     one past the window) and ``lo`` below it; every later term of the
     window is saturated too (module docstring). ``sizes[i]`` where no
-    term is proved.
+    term is proved. Only the probed terms are formed.
     """
     lo = np.full(sizes.shape, -1)
     hi = sizes.copy()
@@ -488,10 +504,18 @@ def _saturated_suffix(
         if not active.size:
             return hi
         mid = (lo[active] + hi[active]) // 2
-        at = starts[active] + mid
-        proved = _chord_tail_bound(x[at], df[at], delta[at]) < _CHORD_TAIL
+        probe = _term_args(x[active], dof[active], delta[active], j_lo[active] + mid)
+        proved = _chord_tail_bound(*probe) < _CHORD_TAIL
         hi[active[proved]] = mid[proved]
         lo[active[~proved]] = mid[~proved]
+
+
+def _window_bounds(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and size of each Poisson(half) mixture window, which
+    spans half +- (10 sqrt(half) + 12) (:func:`_poisson_windows`)."""
+    width = 10.0 * np.sqrt(half) + 12.0
+    j_lo = np.maximum(half - width, 0.0).astype(np.int64)
+    return j_lo, (half + width).astype(np.int64) - j_lo + 1
 
 
 def _poisson_windows(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -507,9 +531,7 @@ def _poisson_windows(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     which ``np.log`` does not match everywhere, and each window is summed
     on its own, in numpy's pairwise order.
     """
-    width = 10.0 * np.sqrt(half) + 12.0
-    j_lo = np.maximum(half - width, 0.0).astype(np.int64)
-    sizes = (half + width).astype(np.int64) - j_lo + 1
+    j_lo, sizes = _window_bounds(half)
     starts = np.cumsum(sizes) - sizes
     j = np.arange(sizes.sum()) - np.repeat(starts - j_lo, sizes)
     log_half = np.array([math.log(h) for h in half.tolist()])
@@ -519,6 +541,24 @@ def _poisson_windows(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     sums = [weights[a : a + n].sum() for a, n in zip(starts.tolist(), sizes.tolist())]
     weights /= np.repeat(sums, sizes)
     return j, weights, sizes
+
+
+#: mixture terms built at once by :func:`doubly_noncentral_t_cdf`: it
+#: builds consecutive windows in groups of at most this many terms (a
+#: larger window alone), which bounds its working memory
+_TERM_BUDGET = 1 << 14
+
+
+def _window_groups(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(first, end)`` of consecutive windows, each group as many as fit
+    in :data:`_TERM_BUDGET` terms and at least one."""
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < sizes.size:
+        budget = ends[first] - sizes[first] + _TERM_BUDGET
+        end = max(int(np.searchsorted(ends, budget, side="right")), first + 1)
+        yield first, end
+        first = end
 
 
 def doubly_noncentral_t_cdf(
@@ -536,29 +576,35 @@ def doubly_noncentral_t_cdf(
     each mixture term is a rescaled non-central t CDF. Truncation keeps
     all terms until the remaining Poisson mass is below 1e-14.
 
-    Array arguments broadcast; the mixture terms of every element go
-    through one backend call, and each element is then reduced over its
-    own window exactly as a scalar call would. Each window's saturated
-    suffix (module docstring) is 1.0 without a backend call; its other
-    terms go through the per-term screen. Scalars give a float.
+    Array arguments broadcast. Each window's saturated suffix (module
+    docstring) is found for every element at once and is 1.0 without a
+    backend call. The windows are then built in consecutive groups of at
+    most :data:`_TERM_BUDGET` terms: the open terms of a group go through
+    the per-term screen and one backend call, and each element is reduced
+    over its own window exactly as a scalar call would, so the working
+    memory is bounded whatever the number of elements and the size of
+    lam. Scalars give a float.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
     _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
     if not np.all((lam_ > 0) & (lam_ < np.inf)):
         raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
-    j, weights, sizes = _poisson_windows(0.5 * lam_)
-    starts = np.cumsum(sizes) - sizes
-    dof_r = np.repeat(dof_, sizes)
-    df = dof_r + 2.0 * j
-    x_r = np.repeat(x_, sizes) * np.sqrt(df / dof_r)
-    delta_r = np.repeat(delta_, sizes)
-    suffix = _saturated_suffix(x_r, df, delta_r, starts, sizes)
-    # Terms ahead of their window's saturated suffix.
-    open_ = np.arange(j.size) < np.repeat(starts + suffix, sizes)
-    terms = np.ones(j.size)
-    terms[open_] = _nct_cdf(x_r[open_], df[open_], delta_r[open_])
-    windows = zip(starts.tolist(), sizes.tolist())
-    p = np.array([np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows])
+    half = 0.5 * lam_
+    j_lo, sizes = _window_bounds(half)
+    suffix = _saturated_suffix(x_, dof_, delta_, j_lo, sizes)
+    p = np.empty(half.shape)
+    for first, end in _window_groups(sizes):
+        group = slice(first, end)
+        j, weights, group_sizes = _poisson_windows(half[group])
+        starts = np.cumsum(group_sizes) - group_sizes
+        # Terms ahead of their window's saturated suffix.
+        n_open = suffix[group]
+        open_ = np.arange(j.size) < np.repeat(starts + n_open, group_sizes)
+        x_o, dof_o, delta_o = (np.repeat(a[group], n_open) for a in (x_, dof_, delta_))
+        terms = np.ones(j.size)
+        terms[open_] = _nct_cdf(*_term_args(x_o, dof_o, delta_o, j[open_]))
+        windows = zip(starts.tolist(), group_sizes.tolist())
+        p[group] = [np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows]
     return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 

@@ -253,8 +253,9 @@ class TestAnalyticColumns:
 
 
 def without_elapsed(lines):
-    """Per-SNR log lines without their wall-clock suffix, which no run repeats."""
-    return [re.sub(r", [\d.]+ s elapsed$", "", line) for line in lines]
+    """Per-SNR log lines without their wall-clock suffix (the seconds
+    elapsed and the estimate of those left), which no run repeats."""
+    return [re.sub(r", [\d.]+ s elapsed, about [\d.]+ s left$", "", line) for line in lines]
 
 
 class TestThreadCountInvariance:
@@ -713,7 +714,9 @@ class TestBlockDebugLog:
         ]
 
 
-FD_POINT_LINE = re.compile(r"snr=(\S+) dB ber=(\S+) \(analytic (\S+)\), ([\d.]+) s elapsed")
+FD_POINT_LINE = re.compile(
+    r"snr=(\S+) dB ber=(\S+) \(analytic (\S+)\), ([\d.]+) s elapsed, about ([\d.]+) s left"
+)
 
 
 class TestFdProgressLog:
@@ -735,6 +738,7 @@ class TestFdProgressLog:
             assert match[3] == f"{point.abep_analytic:.3e}"
             elapsed.append(float(match[4]))
         assert elapsed == sorted(elapsed)
+        assert float(matches[-1][5]) == 0.0
 
     def test_each_line_follows_its_own_blocks(self, caplog, monkeypatch):
         # One thread: a point is logged as soon as its blocks are done,
@@ -768,7 +772,8 @@ class TestFdProgressLog:
 
 RSM_POINT_LINE = re.compile(
     r"snr=(\S+) dB ber=(\S+) \(spatial (\S+), modulation (\S+), analytic (\S+), "
-    r"estimated (\S+) with (\d+) of (\d+) links excluded: singular Fisher\), ([\d.]+) s elapsed"
+    r"estimated (\S+) with (\d+) of (\d+) links excluded: singular Fisher\), ([\d.]+) s elapsed, "
+    r"about ([\d.]+) s left"
 )
 
 
@@ -792,6 +797,8 @@ class TestRsmProgressLog:
             assert match[8] == "20"
             elapsed.append(float(match[9]))
         assert elapsed == sorted(elapsed) and elapsed[0] > 0
+        # The estimate of the seconds left reaches 0 at the last point.
+        assert float(matches[0][10]) > 0.0 and float(matches[-1][10]) == 0.0
 
 
 class TestSweepContract:
@@ -1006,6 +1013,26 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert gains.shape == (config.channels_per_point, config.n_modes)
         assert peak < 16 * 2**20
+
+    def test_draw_stacks_are_sized_in_bytes(self, monkeypatch):
+        # 64 + 8 antennas and 80 paths: 92,160 bytes of ray responses per
+        # link, so five links per 512 KB stack, and every link is what it
+        # is when drawn alone.
+        import rsmsim.simulate as simulate
+
+        config = FdConfig(
+            channel=ChannelParams(n_tx=64, n_rx=8),
+            snr_grid_db=(0.0,),
+            trials_per_point=10,
+            channels_per_point=7,
+            seed=3,
+        )
+        stacks = list(simulate._draw_channels(config))
+        assert [len(h) for h in stacks] == [5, 2]
+        monkeypatch.setattr(simulate, "_DRAW_BYTES", 1)
+        alone = list(simulate._draw_channels(config))
+        assert [len(h) for h in alone] == [1] * 7
+        assert np.array_equal(np.concatenate(stacks), np.concatenate(alone))
 
 
 class TestInterpolation:

@@ -24,6 +24,7 @@ from rsmsim.specfun import (
     _nct_saturated,
     _poisson_windows,
     _saturated_suffix,
+    _window_groups,
     bessel_i0,
     doubly_noncentral_t_cdf,
     gaussian_q,
@@ -331,6 +332,20 @@ def fig3_excerpt():
     return dataclasses.replace(config, snr_grid_db=(16.0, 18.0, 20.0), channels_per_point=20)
 
 
+def full_terms(x, dof, delta, j, sizes):
+    """Every window term's ``(x sqrt(df / dof), df, delta)``, df = dof + 2j,
+    built at full length as the one-pass kernel built them."""
+    dof_r = np.repeat(dof, sizes)
+    df = dof_r + 2.0 * j
+    return np.repeat(x, sizes) * np.sqrt(df / dof_r), df, np.repeat(delta, sizes)
+
+
+def window_indices(j_lo, sizes):
+    """The concatenated term indices j of windows starting at ``j_lo``."""
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) - np.repeat(starts - j_lo, sizes)
+
+
 def window_terms(monkeypatch, config):
     """Every Poisson-window term that ``analytic_curves(config)`` evaluates.
 
@@ -341,11 +356,13 @@ def window_terms(monkeypatch, config):
 
     calls = []
 
-    def recording(x, dof, delta, starts, sizes):
-        hi = _saturated_suffix(x, dof, delta, starts, sizes)
-        index = np.arange(x.size)
+    def recording(x, dof, delta, j_lo, sizes):
+        hi = _saturated_suffix(x, dof, delta, j_lo, sizes)
+        starts = np.cumsum(sizes) - sizes
+        index = np.arange(sizes.sum())
         first = np.repeat(starts + hi, sizes)
-        calls.append((x, dof, delta, index >= first, index == first))
+        terms = full_terms(x, dof, delta, window_indices(j_lo, sizes), sizes)
+        calls.append((*terms, index >= first, index == first))
         return hi
 
     monkeypatch.setattr(specfun, "_saturated_suffix", recording)
@@ -537,15 +554,18 @@ class TestWindowSuffix:
 
     def test_bisection_stops_after_an_unproved_term(self):
         # The returned term is proved (or one past the window) and the
-        # term before it is not, on arbitrary, non-monotone windows.
+        # term before it is not, on windows of arbitrary first index and
+        # size.
         rng = np.random.default_rng(16)
         sizes = rng.integers(1, 90, 400)
-        n = int(sizes.sum())
+        n = sizes.size
         x, dof = log_uniform(rng, 0.5, 200.0, n), log_uniform(rng, 1.0, 4000.0, n)
         delta = rng.uniform(-12.0, 8.0, n)
+        j_lo = rng.integers(0, 2000, n)
         starts = np.cumsum(sizes) - sizes
-        hi = _saturated_suffix(x, dof, delta, starts, sizes)
-        proved = _chord_tail_bound(x, dof, delta) < 2.0**-56
+        hi = _saturated_suffix(x, dof, delta, j_lo, sizes)
+        terms = full_terms(x, dof, delta, window_indices(j_lo, sizes), sizes)
+        proved = _chord_tail_bound(*terms) < 2.0**-56
         for start, size, k in zip(starts, sizes, hi):
             assert 0 <= k <= size
             assert k == size or proved[start + k]
@@ -565,6 +585,91 @@ class TestWindowSuffix:
         assert np.array_equal(sizes, [w.size for _, w in alone])
         assert np.array_equal(j, np.concatenate([i for i, _ in alone]))
         assert np.array_equal(weights, np.concatenate([w for _, w in alone]))
+
+
+@pytest.fixture(scope="module")
+def ensemble_calls():
+    """The (x, dof, delta, lam) of every doubly_noncentral_t_cdf call that
+    the analytic columns of fig3 and of the mc_estimated workload make."""
+    from rsmsim import analysis
+    from rsmsim.cli import load_config
+    from rsmsim.simulate import analytic_curves
+
+    calls, real = {}, analysis.doubly_noncentral_t_cdf
+    for path in ("presets/fig3.cfg", "bench/configs/mc_estimated.cfg"):
+
+        def recording(x, dof, delta, lam, recorded=calls.setdefault(path, [])):
+            recorded.append(tuple(np.broadcast_arrays(x, dof, delta, lam)))
+            return real(x, dof, delta, lam)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "doubly_noncentral_t_cdf", recording)
+            analytic_curves(load_config(ROOT / path))
+    return calls
+
+
+class TestWindowGroups:
+    """Windows built in groups of at most _TERM_BUDGET terms give, bit for
+    bit, what building every term of every window at once gave."""
+
+    def test_groups_fill_the_budget_in_order(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_TERM_BUDGET", 10)
+        sizes = np.array([3, 4, 3, 1, 12, 2, 10, 9, 1, 5])
+        groups = list(_window_groups(sizes))
+        # The window of 12 terms is a group of its own.
+        assert groups == [(0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 9), (9, 10)]
+        assert list(_window_groups(sizes[:0])) == []
+
+    @pytest.mark.parametrize("budget", [1, 1000, None], ids=["one-window", "split", "default"])
+    @pytest.mark.parametrize("path", ["presets/fig3.cfg", "bench/configs/mc_estimated.cfg"])
+    def test_config_ensembles(self, path, budget, ensemble_calls, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
+        for x, dof, delta, lam in ensemble_calls[path]:
+            want = single_pass_dnct(x, dof, delta, lam)
+            assert np.array_equal(doubly_noncentral_t_cdf(x, dof, delta, lam), want)
+            if budget == 1000:
+                # Several groups, each of several windows.
+                sizes = specfun._window_bounds(0.5 * lam.ravel())[1]
+                assert 1 < len(list(_window_groups(sizes))) < lam.size
+
+    @pytest.mark.parametrize("budget", [1, 1000, None], ids=["one-window", "split", "default"])
+    def test_random_grid(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
+        rng = np.random.default_rng(18)
+        n = 400
+        x, delta = log_uniform(rng, 1e-2, 1e2, n), rng.uniform(-5.0, 25.0, n)
+        lam = log_uniform(rng, 1e-6, 3e3, n)
+        # Where a term ahead of a suffix is a backend NaN, both builds raise.
+        failing = []
+        for i in range(n):
+            try:
+                single_pass_dnct(x[i], 2.0, delta[i], lam[i])
+            except ArithmeticError:
+                failing.append(i)
+                with pytest.raises(ArithmeticError):
+                    doubly_noncentral_t_cdf(x[i], 2.0, delta[i], lam[i])
+        assert len(failing) < 5
+        ok = np.setdiff1d(np.arange(n), failing)
+        got = doubly_noncentral_t_cdf(x[ok], 2.0, delta[ok], lam[ok])
+        assert np.array_equal(got, single_pass_dnct(x[ok], 2.0, delta[ok], lam[ok]))
+
+    def test_working_memory_is_bounded(self):
+        # 300 windows of about 1,000 terms, most of them open: the one-pass
+        # build held every term at once and peaked at 35 MB.
+        import tracemalloc
+
+        half = np.linspace(2300.0, 2500.0, 300)
+        x, delta = np.full(half.size, 0.1), np.linspace(0.0, 4.0, half.size)
+        tracemalloc.start()
+        try:
+            p = doubly_noncentral_t_cdf(x, 2.0, delta, 2.0 * half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((p > 0.0) & (p < 1.0))
+        assert peak < 4 * 2**20
 
 
 class TestArrayArguments:
@@ -597,19 +702,22 @@ class TestArrayArguments:
         with pytest.raises(DomainError):
             noncentral_t_cdf(np.array([1.0, math.nan]), 2.0, 0.0)
 
-    def test_doubly_noncentral_t_cdf(self):
-        # Windows of different lengths, from one term at lam = 1e-9 up.
+    def test_doubly_noncentral_t_cdf(self, monkeypatch):
+        # Windows of different lengths, from one term at lam = 1e-9 up, all
+        # in one group and then one group per window.
         x = np.array([0.5, 2.0, 3.0, 1.2, 8.0])
         delta = np.array([1.3, 1.3, 6.0, 0.0, 20.0])
         lam = np.array([1e-9, 3.0, 40.0, 5.0, 900.0])
-        batch = doubly_noncentral_t_cdf(x, 2.0, delta, lam)
-        assert np.array_equal(
-            batch,
-            [
-                doubly_noncentral_t_cdf(float(u), 2.0, float(d), float(v))
-                for u, d, v in zip(x, delta, lam)
-            ],
-        )
+        for budget in (specfun._TERM_BUDGET, 1):
+            monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
+            batch = doubly_noncentral_t_cdf(x, 2.0, delta, lam)
+            assert np.array_equal(
+                batch,
+                [
+                    doubly_noncentral_t_cdf(float(u), 2.0, float(d), float(v))
+                    for u, d, v in zip(x, delta, lam)
+                ],
+            )
         assert isinstance(doubly_noncentral_t_cdf(1.0, 2.0, 1.0, 3.0), float)
         assert doubly_noncentral_t_cdf(np.empty((0, 2)), 2.0, 1.0, 3.0).shape == (0, 2)
         with pytest.raises(DomainError):
@@ -703,6 +811,39 @@ def dnct_cdf_stats(x, dof, delta, lam):
         terms = nct_terms_stats(x_i * np.sqrt(df / dof_i), df, np.full(j.size, delta_i))
         p.append(np.dot(weights, terms))
     return np.clip(p, 0.0, 1.0)
+
+
+def full_length_suffix(x, dof, delta, starts, sizes):
+    """Per window of the full-length term arrays, the offset of its first
+    term proved saturated: the bisection of the one-pass build."""
+    lo = np.full(sizes.shape, -1)
+    hi = sizes.copy()
+    while True:
+        active = np.flatnonzero(hi - lo > 1)
+        if not active.size:
+            return hi
+        mid = (lo[active] + hi[active]) // 2
+        at = starts[active] + mid
+        proved = _chord_tail_bound(x[at], dof[at], delta[at]) < 2.0**-56
+        hi[active[proved]] = mid[proved]
+        lo[active[~proved]] = mid[~proved]
+
+
+def single_pass_dnct(x, dof, delta, lam):
+    """doubly_noncentral_t_cdf as one pass over every term of every window
+    at once, the build that the grouped one replaced; kept as its oracle."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (x, dof, delta, lam)))
+    x, dof, delta, lam = (np.ravel(a) for a in np.broadcast_arrays(x, dof, delta, lam))
+    j, weights, sizes = _poisson_windows(0.5 * lam)
+    starts = np.cumsum(sizes) - sizes
+    x_r, df, delta_r = full_terms(x, dof, delta, j, sizes)
+    suffix = full_length_suffix(x_r, df, delta_r, starts, sizes)
+    open_ = np.arange(j.size) < np.repeat(starts + suffix, sizes)
+    terms = np.ones(j.size)
+    terms[open_] = _nct_cdf(x_r[open_], df[open_], delta_r[open_])
+    windows = zip(starts.tolist(), sizes.tolist())
+    p = np.array([np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows])
+    return np.clip(p, 0.0, 1.0).reshape(shape)
 
 
 def log_uniform(rng, lo, hi, n):

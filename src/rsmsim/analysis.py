@@ -304,7 +304,9 @@ def abep(
     is NaN in every field of that grid point; for a scalar ``alpha`` the
     :class:`~rsmsim.training.SingularFisher` propagates instead.
     """
-    from .training import SingularFisher, threshold_estimate_stats  # local: avoid cycle at import
+    # Looked up on the module at each call, so that a wrapper installed on
+    # rsmsim.training (as bench/spans.py installs one) sees every call.
+    from .training import SingularFisher, threshold_estimate_stats
 
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim > 1:

@@ -145,11 +145,6 @@ class RsmConfig:
             raise ValueError("n_pilots must be >= 1")
         _check_seed(self.seed)
 
-    @property
-    def bits_per_word(self) -> int:
-        order_bits = self.constellation_order.bit_length() - 1
-        return self.n_active + order_bits
-
 
 @dataclass(frozen=True)
 class FdConfig:

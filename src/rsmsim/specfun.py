@@ -1,7 +1,7 @@
 """Special-function kernel shared by the analytical modules.
 
-Everything in here is a pure function of its arguments: modified Bessel
-I0 (linear and log domain), the first-order Marcum Q function, the
+Everything in here is a pure function of its arguments: the log of the
+modified Bessel function I0, the first-order Marcum Q function, the
 lower real branch of the Lambert W function, the Gaussian tail function,
 Rice envelope moments, and the CDFs of the non-central and doubly
 non-central t distributions.
@@ -23,38 +23,12 @@ at most :data:`_TERM_BUDGET` terms, which bounds its memory whatever the
 ensemble size and lam); an array result holds, element for element,
 what a scalar call with that element returns.
 
-Saturated non-central t terms. With T = (Z + delta) / sqrt(V / dof),
-V central chi-square, and x > 0, the CDF is exactly 1.0 in double
-precision whenever the upper tail P(T > x) is below 2^-55, under half
-the 2^-53 spacing of the doubles just below 1. :func:`_nct_saturated`
-proves that bound from either of two sufficient conditions, each giving
-Q(z0) + 2^-56 < 2^-55 with z0 = :data:`_Z0` = 8.5 (Q(8.5) = 9.5e-18 is
-below 2^-56 = 1.4e-17):
-
-- delta < -z0. T > x > 0 needs Z + delta > 0, so P(T > x) <= Q(-delta).
-- c = (delta + z0) / x in (0, 1) and dof/2 (1 - c^2 + 2 ln c) below
-  :data:`_LOG_TAIL_SHARE` = ln 2^-56. T > x needs either V / dof < c^2
-  or Z > c x - delta = z0, so P(T > x) <= Q(z0) + P(V < c^2 dof); the
-  chi-square Chernoff bound puts the second term below
-  exp(dof/2 (1 - c^2 + 2 ln c)).
-
-Rounding in the computed c and exponent shifts the effective z0 and
-the exponent by a few ulp, far inside the factor-of-two margin between
-2^-55 and the 2^-54 that correct rounding needs. Such terms are
-answered without calling the backend, which returns 1.0, 1 minus a few
-ulp, or NaN there; its NaN calls are the slowest of the doubly
-non-central t windows.
-
-Saturated window suffixes. Term j of a doubly non-central t window is a
-non-central t CDF with df = dof + 2j at x sqrt(df / dof), that is
-P(Z + delta <= x sqrt(V_j / dof)) with V_j central chi-square with df
-degrees of freedom. V_j increases stochastically with j, so for x > 0 no
-term has a larger upper tail than the one before it: once one term's
-tail is below 2^-55, every later term of its window is exactly 1.0 too.
-:func:`_saturated_suffix` bisects each window for such a term, one
-:func:`_chord_tail_bound` per window and round, and only the terms ahead
-of it go on to the per-term screen and the backend. The bound, for one
-term with u = V / df and c = (delta + z0) / x, z0 = :data:`_Z0_CHORD` = 9:
+Saturated non-central t terms. With T = (Z + delta) / sqrt(V / df), V
+central chi-square with df degrees of freedom, and x > 0, the CDF is
+exactly 1.0 in double precision whenever the upper tail P(T > x) is
+below 2^-55, under half the 2^-53 spacing of the doubles just below 1.
+:func:`_chord_tail_bound` bounds that tail, with u = V / df and
+c = (delta + z0) / x, z0 = :data:`_Z0_CHORD` = 9:
 
 - T > x means Z + delta > x sqrt(u). Where sqrt(u) >= c that needs
   Z > z0, probability Q(9) = 1.1e-19. Where c <= 0 (delta <= -z0) that
@@ -72,13 +46,19 @@ term with u = V / df and c = (delta + z0) / x, z0 = :data:`_Z0_CHORD` = 9:
 The computed Chernoff exponents carry a slack above their own rounding
 error, and rounding in c, in the chords and in the term's computed x
 moves the bound by a few ulp, far inside the factor of two between 2^-56
-and 2^-55; a bound that overflows is NaN, which proves nothing. On every
-preset this bound proves every term the per-term screen does, so the
-suffixes only add terms to those answered without the backend. The
-per-term screen stays in front of the backend for P0 and for terms a
-bisection leaves ahead of a suffix: it costs about an eighth of this
-bound per term, and it keeps the backend's NaN away from callers of
-:func:`noncentral_t_cdf`.
+and 2^-55; a bound that overflows is NaN, which proves nothing. A proved
+term is 1.0 without a backend call, which returns 1.0, 1 minus a few ulp
+or NaN there. :func:`noncentral_t_cdf` applies the bound to each element.
+
+Saturated window suffixes. Term j of a doubly non-central t window is a
+non-central t CDF with df = dof + 2j at x sqrt(df / dof), that is
+P(Z + delta <= x sqrt(V_j / dof)) with V_j central chi-square with df
+degrees of freedom. V_j increases stochastically with j, so for x > 0 no
+term has a larger upper tail than the one before it: once one term's
+tail is below 2^-55, every later term of its window is exactly 1.0 too.
+:func:`_saturated_suffix` bisects each window for a term that the bound
+proves, one :func:`_chord_tail_bound` per window and round, and only the
+terms ahead of it go to the backend.
 """
 
 from __future__ import annotations
@@ -96,7 +76,6 @@ import scipy
 
 __all__ = [
     "DomainError",
-    "bessel_i0",
     "log_bessel_i0",
     "gaussian_q",
     "marcum_q1",
@@ -207,19 +186,6 @@ _ufuncs = _load_ufuncs()
 
 class DomainError(ValueError):
     """Argument lies outside the mathematical domain of a kernel."""
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Computed from the exponentially scaled form so the result stays
-    accurate for large arguments; overflows to ``inf`` only past the
-    double-precision range (x > ~709), where :func:`log_bessel_i0`
-    should be used instead.
-    """
-    if not (x >= 0) or math.isinf(x):
-        raise DomainError(f"bessel_i0 requires finite x >= 0, got {x!r}")
-    return float(_ufuncs.i0e(x)) * math.exp(x) if x < 700 else math.exp(log_bessel_i0(x))
 
 
 def log_bessel_i0(x: float) -> float:
@@ -368,62 +334,32 @@ def noncentral_t_cdf(
     """CDF of the non-central t distribution at finite x > 0.
 
     Distribution of (Z + delta) / sqrt(V / dof) with Z standard normal
-    and V central chi-square with ``dof`` degrees of freedom. Array
-    arguments broadcast and are evaluated in one backend call; scalars
-    give a float.
+    and V central chi-square with ``dof`` degrees of freedom. Elements
+    whose CDF :func:`_chord_tail_bound` proves to round to 1 are exactly
+    1.0 (module docstring); the others go to the exact backend (the ufunc
+    behind scipy's ``nct.cdf``), and ArithmeticError is raised where it
+    returns NaN. Array arguments broadcast and are evaluated in one
+    backend call; scalars give a float.
     """
     shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
     _check_t_args("noncentral_t_cdf", x_, dof_, delta_)
-    return _shaped(np.clip(_nct_cdf(x_, dof_, delta_), 0.0, 1.0), shape)
+    p = np.ones(x_.shape)
+    rest = ~(_chord_tail_bound(x_, dof_, delta_) < _CHORD_TAIL)
+    p[rest] = _ufuncs.nctdtr(dof_[rest], delta_[rest], x_[rest])
+    _no_nan(p, "non-central t", x=x_, dof=dof_, delta=delta_)
+    return _shaped(np.clip(p, 0.0, 1.0), shape)
 
 
-#: z0 of the saturation screen: Q(8.5) = 9.5e-18 < 2^-56 (module docstring)
-_Z0 = 8.5
-
-#: ln 2^-56, the Chernoff share of the screen's 2^-55 tail bound
-_LOG_TAIL_SHARE = -56.0 * math.log(2.0)
-
-
-def _nct_saturated(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Where x > 0 and P(T > x) < 2^-55 provably, so the CDF rounds to 1.0.
-
-    Either condition of the module docstring is enough: delta < -z0, or
-    c = (delta + z0) / x in (0, 1) with a chi-square Chernoff exponent
-    dof/2 (1 - c^2 + 2 ln c) below ln 2^-56.
-    """
-    positive = x > 0
-    c = np.divide(delta + _Z0, x, out=np.zeros(x.shape), where=positive)
-    inside = (c > 0.0) & (c < 1.0)
-    c_in = c[inside]
-    exponent = 0.5 * dof[inside] * (1.0 - c_in * c_in + 2.0 * np.log(c_in))
-    chernoff = np.zeros(x.shape, dtype=bool)
-    chernoff[inside] = exponent < _LOG_TAIL_SHARE
-    return positive & ((delta < -_Z0) | chernoff)
-
-
-def _nct_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Non-central t CDF at x > 0, unclipped.
-
-    Elements whose CDF :func:`_nct_saturated` proves to round to 1 are
-    exactly 1.0; the others go to the exact backend (the ufunc behind
-    scipy's ``nct.cdf``). Raises ArithmeticError where it returns NaN.
-    """
-    p = np.ones(x.shape)
-    rest = ~_nct_saturated(x, dof, delta)
-    p[rest] = _ufuncs.nctdtr(dof[rest], delta[rest], x[rest])
-    return _no_nan(p, "non-central t", x=x, dof=dof, delta=delta)
-
-
-#: z0 of the window-suffix bound: Q(9) = 1.1e-19 (module docstring)
+#: z0 of the saturation bound: Q(9) = 1.1e-19 (module docstring)
 _Z0_CHORD = 9.0
 
-#: upper tail below which the window-suffix bound answers 1.0, 2^-56
+#: upper tail below which the saturation bound answers 1.0, 2^-56
 _CHORD_TAIL = 2.0**-56
 
 #: the chords of sqrt(u) run between sqrt(u) = f c for consecutive f here
 _CHORD_KNOTS = (0.0, 0.7, 1.0)
 
-#: Q(z0) of the window-suffix bound
+#: Q(z0) of the saturation bound
 _Q_Z0_CHORD = 0.5 * float(_ufuncs.erfc(_Z0_CHORD / math.sqrt(2.0)))
 
 
@@ -579,11 +515,10 @@ def doubly_noncentral_t_cdf(
     Array arguments broadcast. Each window's saturated suffix (module
     docstring) is found for every element at once and is 1.0 without a
     backend call. The windows are then built in consecutive groups of at
-    most :data:`_TERM_BUDGET` terms: the open terms of a group go through
-    the per-term screen and one backend call, and each element is reduced
-    over its own window exactly as a scalar call would, so the working
-    memory is bounded whatever the number of elements and the size of
-    lam. Scalars give a float.
+    most :data:`_TERM_BUDGET` terms: the open terms of a group go to one
+    backend call, and each element is reduced over its own window exactly
+    as a scalar call would, so the working memory is bounded whatever the
+    number of elements and the size of lam. Scalars give a float.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
     _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
@@ -600,9 +535,12 @@ def doubly_noncentral_t_cdf(
         # Terms ahead of their window's saturated suffix.
         n_open = suffix[group]
         open_ = np.arange(j.size) < np.repeat(starts + n_open, group_sizes)
-        x_o, dof_o, delta_o = (np.repeat(a[group], n_open) for a in (x_, dof_, delta_))
+        repeated = (np.repeat(a[group], n_open) for a in (x_, dof_, delta_))
+        x_o, df_o, delta_o = _term_args(*repeated, j[open_])
         terms = np.ones(j.size)
-        terms[open_] = _nct_cdf(*_term_args(x_o, dof_o, delta_o, j[open_]))
+        terms[open_] = _no_nan(
+            _ufuncs.nctdtr(df_o, delta_o, x_o), "non-central t", x=x_o, dof=df_o, delta=delta_o
+        )
         windows = zip(starts.tolist(), group_sizes.tolist())
         p[group] = [np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows]
     return _shaped(np.clip(p, 0.0, 1.0), shape)

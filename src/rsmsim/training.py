@@ -66,10 +66,6 @@ class PilotObservation:
         if np.any(amps < 0):
             raise ValueError("amplitudes must be nonnegative")
 
-    @property
-    def n_samples(self) -> int:
-        return self.amplitudes.size
-
 
 def estimate_amplitude(obs: PilotObservation) -> float:
     """Closed-form joint-ML estimate of the received pilot amplitude.

@@ -1069,6 +1069,3 @@ class TestConfigValidation:
             small_config(threshold_source="psychic")
         with pytest.raises(ValueError):
             small_config(selection="random")
-
-    def test_bits_per_word(self):
-        assert small_config().bits_per_word == 8

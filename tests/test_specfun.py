@@ -20,12 +20,9 @@ from rsmsim.specfun import (
     DomainError,
     _chord_tail_bound,
     _ncx2_tail,
-    _nct_cdf,
-    _nct_saturated,
     _poisson_windows,
     _saturated_suffix,
     _window_groups,
-    bessel_i0,
     doubly_noncentral_t_cdf,
     gaussian_q,
     lambert_w_minus1,
@@ -72,35 +69,38 @@ RICE_ORACLE = {
 
 
 class TestBesselI0:
+    """log I0(x), the one Bessel kernel, against oracles of I0 itself."""
+
     def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
+        assert log_bessel_i0(0.0) == 0.0
 
     @pytest.mark.parametrize("x,expected", sorted(I0_ORACLE.items()))
     def test_against_quadrature(self, x, expected):
-        assert bessel_i0(x) == pytest.approx(expected, rel=1e-10)
+        assert log_bessel_i0(x) == pytest.approx(math.log(expected), rel=0.0, abs=1e-10)
 
     def test_large_argument_stays_finite_in_log_domain(self):
         val = log_bessel_i0(700.0)
         assert math.isfinite(val)
         # Leading asymptotic term: x - 0.5*log(2*pi*x)
         assert val == pytest.approx(700.0 - 0.5 * math.log(2 * math.pi * 700.0), rel=1e-5)
-        assert math.isfinite(bessel_i0(700.0))
+        assert math.isfinite(log_bessel_i0(1e300))
 
     def test_log_consistent_with_linear(self):
+        # scipy's linear-domain I0, where it does not overflow.
         for x in (0.5, 3.0, 25.0, 300.0):
-            assert log_bessel_i0(x) == pytest.approx(math.log(bessel_i0(x)), abs=1e-12)
+            assert log_bessel_i0(x) == pytest.approx(math.log(special.i0(x)), abs=1e-12)
 
     def test_monotone_and_asymptotic_floor(self):
         xs = np.linspace(0.0, 60.0, 121)
-        vals = np.array([bessel_i0(float(x)) for x in xs])
+        vals = np.array([log_bessel_i0(float(x)) for x in xs])
         assert np.all(np.diff(vals) > 0)
         for x in (11.0, 20.0, 50.0, 200.0):
-            floor = math.exp(x) / math.sqrt(2 * math.pi * x) * (1 - 1e-2)
-            assert bessel_i0(x) >= max(1.0, floor)
+            floor = x - 0.5 * math.log(2 * math.pi * x) + math.log1p(-1e-2)
+            assert log_bessel_i0(x) >= max(0.0, floor)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            bessel_i0(-1.0)
+            log_bessel_i0(-1.0)
 
 
 class TestMarcumQ1:
@@ -346,6 +346,28 @@ def window_indices(j_lo, sizes):
     return np.arange(sizes.sum()) - np.repeat(starts - j_lo, sizes)
 
 
+def chord_proved(x, dof, delta):
+    """Where the two-chord bound proves the upper tail below 2^-56."""
+    return _chord_tail_bound(x, dof, delta) < 2.0**-56
+
+
+def chernoff_screen(x, dof, delta):
+    """Where x > 0 and a one-bound per-term screen proves P(T > x) < 2^-55.
+
+    The screen the kernel ran ahead of the backend before the two-chord
+    bound became its only proof: delta < -8.5, or c = (delta + 8.5) / x in
+    (0, 1) with the chi-square Chernoff exponent dof/2 (1 - c^2 + 2 ln c)
+    below ln 2^-56. Its terms are where scipy may give 1 minus a few ulp or
+    NaN; the chord bound must still answer them.
+    """
+    c = np.divide(delta + 8.5, x, out=np.zeros(x.shape), where=x > 0)
+    inside = (c > 0.0) & (c < 1.0)
+    c_in = c[inside]
+    exponent = np.zeros(x.shape)
+    exponent[inside] = 0.5 * dof[inside] * (1.0 - c_in * c_in + 2.0 * np.log(c_in))
+    return (x > 0) & ((delta < -8.5) | (exponent < -56.0 * math.log(2.0)))
+
+
 def window_terms(monkeypatch, config):
     """Every Poisson-window term that ``analytic_curves(config)`` evaluates.
 
@@ -388,9 +410,6 @@ def record_p0_terms(monkeypatch):
 class TestSaturationScreen:
     """x > 0 terms whose upper tail is provably below 2^-55 are exactly 1.0."""
 
-    # ln 2^-56 and z0 = 8.5, written out so the test does not follow the module.
-    LOG_SHARE = -56.0 * math.log(2.0)
-
     def test_fig3_window_terms_equal_backend(self, monkeypatch):
         # Every t CDF term abep evaluates on a fig3-geometry ensemble at
         # 16-20 dB: P0's terms, then the window terms, saturated suffixes
@@ -401,37 +420,16 @@ class TestSaturationScreen:
         x, dof, delta = (np.concatenate(v) for v in zip(p0, window))
         # P0 is one term per link and SNR, a window one per Poisson term.
         assert p0[0].size == 3 * 20 and x.size > 10_000 and np.all(x > 0)
-        want, saturated = nct_terms_stats(x, dof, delta), _nct_saturated(x, dof, delta)
-        # scipy returns NaN on a few terms, all of them saturated.
+        want, proved = nct_terms_stats(x, dof, delta), chord_proved(x, dof, delta)
+        # scipy returns NaN on a few terms, all of them proved.
         backend_nan = np.isnan(want)
-        assert np.all(saturated[backend_nan])
-        assert np.array_equal(_nct_cdf(x, dof, delta)[~backend_nan], want[~backend_nan])
-        assert np.count_nonzero(saturated) > x.size / 2
-        # The suffixes hold every screened window term and more, all 1.0
-        # in scipy.
-        in_window = np.arange(x.size) >= p0[0].size
-        suffix = np.concatenate([np.zeros(p0[0].size, bool), suffix])
-        assert np.all(suffix[saturated & in_window])
-        assert np.all(want[suffix & ~saturated] == 1.0)
-        assert np.count_nonzero(suffix) > 1.1 * np.count_nonzero(saturated & in_window)
-
-    @pytest.mark.parametrize(
-        "x,dof,delta",
-        [
-            (2.0, 1e4, -6.5),  # c = 1
-            (1.0, 20.0, -5.5),  # c = 3: the Chernoff exponent alone would pass
-            (10.0, 2.0, -8.4),  # delta just above -z0; exponent -8.2
-            (4.0, 122.007063, -6.5),  # c = 0.5, exponent just above ln 2^-56
-        ],
-        ids=["c-one", "c-above-one", "delta-8.4", "chernoff-limit"],
-    )
-    def test_no_answer_just_outside(self, x, dof, delta):
-        c = (delta + 8.5) / x
-        if 0.0 < c < 1.0:
-            assert 0.5 * dof * (1.0 - c * c + 2.0 * math.log(c)) > self.LOG_SHARE
-        x, dof, delta = np.array([x]), np.array([dof]), np.array([delta])
-        assert not _nct_saturated(x, dof, delta)[0]
-        assert np.array_equal(_nct_cdf(x, dof, delta), nct_terms_stats(x, dof, delta))
+        assert np.all(proved[backend_nan])
+        got = noncentral_t_cdf(x, dof, delta)
+        assert np.array_equal(got[~backend_nan], want[~backend_nan])
+        assert np.count_nonzero(proved) > x.size / 2
+        # The suffixes are exactly the proved window terms: the bound
+        # proves no term ahead of its window's suffix.
+        assert np.array_equal(suffix, proved[p0[0].size :])
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -439,8 +437,13 @@ class TestSaturationScreen:
         ids=["delta-8.6", "chernoff-limit"],
     )
     def test_answers_just_inside(self, x, dof, delta):
-        assert _nct_saturated(np.array([x]), np.array([dof]), np.array([delta]))[0]
+        # Just inside the Chernoff screen's edges (delta below -8.5, and
+        # the exponent just below ln 2^-56): the chord bound proves them
+        # too, so they stay exactly 1.0 without a backend call.
+        args = np.array([x]), np.array([dof]), np.array([delta])
+        assert chernoff_screen(*args)[0] and chord_proved(*args)[0]
         assert noncentral_t_cdf(x, dof, delta) == 1.0
+        assert nct_tail_mp(x, dof, delta) < 2.0**-55
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -460,9 +463,10 @@ class TestSaturationScreen:
         ],
     )
     def test_answered_tails_below_half_ulp(self, x, dof, delta):
-        # Points of the scipy parity grid where the screen changed the result.
+        # Points of the scipy parity grid where scipy gives less than 1.0
+        # or NaN and the bound answers 1.0.
         args = np.array([x]), np.array([dof]), np.array([delta])
-        assert _nct_saturated(*args)[0]
+        assert chord_proved(*args)[0]
         assert not nct_terms_stats(*args)[0] >= 1.0  # below 1, or NaN
         assert noncentral_t_cdf(x, dof, delta) == 1.0
         assert nct_tail_mp(x, dof, delta) < 2.0**-55
@@ -485,20 +489,24 @@ class TestWindowSuffix:
         # evaluation of the terms ahead of the suffixes is left out.
         from rsmsim.cli import load_config
 
-        monkeypatch.setattr(specfun, "_nct_cdf", lambda x, dof, delta: np.ones(x.shape))
+        nctdtr = special.nctdtr
+        ones = lambda dof, delta, x: np.ones(np.shape(x))  # noqa: E731
+        monkeypatch.setattr(specfun._ufuncs, "nctdtr", ones)
         x, dof, delta, suffix, _ = window_terms(monkeypatch, load_config(ROOT / path))
-        screened = _nct_saturated(x, dof, delta)
-        # The suffixes hold every term the per-term screen answers; the
-        # other suffix terms are exactly 1.0 in the backend too.
+        # The suffixes hold exactly the terms the bound proves, among them
+        # every term the Chernoff screen answers; the other suffix terms
+        # are exactly 1.0 in scipy too.
+        assert np.array_equal(suffix, chord_proved(x, dof, delta))
+        screened = chernoff_screen(x, dof, delta)
         assert np.all(suffix[screened])
         added = suffix & ~screened
         assert added.any()
-        assert np.all(special.nctdtr(dof[added], delta[added], x[added]) == 1.0)
+        assert np.all(nctdtr(dof[added], delta[added], x[added]) == 1.0)
 
     def test_backend_sees_only_open_terms(self, monkeypatch):
-        # No screened term and no suffix term reaches the backend: of the
-        # windows it sees the unscreened terms ahead of the suffixes, and
-        # the rest of its terms are P0's.
+        # No proved term reaches the backend: of the windows it sees the
+        # terms ahead of the suffixes, and the rest of its terms are P0's
+        # unproved ones.
         backend, nctdtr = [], specfun._ufuncs.nctdtr
 
         def recording_backend(dof, delta, x):
@@ -509,17 +517,16 @@ class TestWindowSuffix:
         p0_terms = record_p0_terms(monkeypatch)
         x, dof, delta, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
         seen = [np.concatenate(v) for v in zip(*backend)]
-        assert not np.any(_nct_saturated(*seen))
-        p0_open = np.count_nonzero(~_nct_saturated(*(np.concatenate(v) for v in zip(*p0_terms))))
-        window_open = np.count_nonzero(~suffix & ~_nct_saturated(x, dof, delta))
+        assert not np.any(chord_proved(*seen))
+        p0_open = np.count_nonzero(~chord_proved(*(np.concatenate(v) for v in zip(*p0_terms))))
+        window_open = np.count_nonzero(~suffix)
         assert seen[0].size == window_open + p0_open
         assert window_open < 0.5 * x.size
 
     def test_first_suffix_tails_below_half_ulp(self, monkeypatch):
-        # First suffix terms of a fig3 excerpt that the per-term screen
-        # leaves open: the three with the largest bound and three more.
+        # First suffix terms of a fig3 excerpt: the three with the largest
+        # bound and three more.
         x, dof, delta, _, first = window_terms(monkeypatch, fig3_excerpt())
-        first &= ~_nct_saturated(x, dof, delta)
         at = np.flatnonzero(first)
         bound = _chord_tail_bound(x[at], dof[at], delta[at])
         assert at.size > 20 and np.all(bound < 2.0**-56)
@@ -565,7 +572,7 @@ class TestWindowSuffix:
         starts = np.cumsum(sizes) - sizes
         hi = _saturated_suffix(x, dof, delta, j_lo, sizes)
         terms = full_terms(x, dof, delta, window_indices(j_lo, sizes), sizes)
-        proved = _chord_tail_bound(*terms) < 2.0**-56
+        proved = chord_proved(*terms)
         for start, size, k in zip(starts, sizes, hi):
             assert 0 <= k <= size
             assert k == size or proved[start + k]
@@ -824,7 +831,7 @@ def full_length_suffix(x, dof, delta, starts, sizes):
             return hi
         mid = (lo[active] + hi[active]) // 2
         at = starts[active] + mid
-        proved = _chord_tail_bound(x[at], dof[at], delta[at]) < 2.0**-56
+        proved = chord_proved(x[at], dof[at], delta[at])
         hi[active[proved]] = mid[proved]
         lo[active[~proved]] = mid[~proved]
 
@@ -840,7 +847,9 @@ def single_pass_dnct(x, dof, delta, lam):
     suffix = full_length_suffix(x_r, df, delta_r, starts, sizes)
     open_ = np.arange(j.size) < np.repeat(starts + suffix, sizes)
     terms = np.ones(j.size)
-    terms[open_] = _nct_cdf(x_r[open_], df[open_], delta_r[open_])
+    terms[open_] = special.nctdtr(df[open_], delta_r[open_], x_r[open_])
+    if np.isnan(terms).any():
+        raise ArithmeticError("non-central t backend returned NaN")
     windows = zip(starts.tolist(), sizes.tolist())
     p = np.array([np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows])
     return np.clip(p, 0.0, 1.0).reshape(shape)
@@ -859,7 +868,7 @@ class TestScipyStatsParity:
     """
 
     # (x, dof, delta) where scipy's nct CDF returns NaN at x > 0; the
-    # saturation screen answers the last two.
+    # saturation bound answers the last two.
     NCT_NAN = [(0.0905924467944308, 0.26413949567557043, 37.366824186048035),
                (943.8271126928222, 0.11070807487815387, -43.658109528273705),
                (47.04540446930666, 32.37238555883154, -44.163732812689055)]
@@ -904,15 +913,15 @@ class TestScipyStatsParity:
         delta = np.concatenate([rng.uniform(-50.0, 60.0, n), [v[2] for v in self.NCT_NAN]])
         with np.errstate(invalid="ignore"):
             want = np.clip(nct_terms_stats(x, dof, delta), 0.0, 1.0)
-        # Where the saturation screen answers, the CDF is exactly 1; there
-        # scipy gave 1.0, 1 minus a few ulp, or NaN. TestSaturationScreen
-        # checks those tails by mpmath.
-        screened = _nct_saturated(x, dof, delta)
-        assert np.count_nonzero(np.isnan(want[screened])) == 52
-        assert np.count_nonzero(want[screened] < 1.0) == 40
+        # Where the saturation bound proves the tail, the CDF is exactly 1;
+        # there scipy gave 1.0, 1 minus a few ulp, or NaN.
+        # TestSaturationScreen checks those tails by mpmath.
+        proved = chord_proved(x, dof, delta)
+        assert np.count_nonzero(np.isnan(want[proved])) == 52
+        assert np.count_nonzero(want[proved] < 1.0) == 40
         # Elsewhere scipy's NaN is an ArithmeticError: at 13 points with
         # delta > 36 and at 4 with dof < 1 (3 of them both).
-        failing = np.isnan(want) & ~screened
+        failing = np.isnan(want) & ~proved
         assert np.count_nonzero(failing & (delta > 36)) == 13
         assert np.count_nonzero(failing & (dof < 1)) == 4
         assert np.count_nonzero(failing) == 14 and failing[n]
@@ -922,8 +931,8 @@ class TestScipyStatsParity:
         with pytest.raises(ArithmeticError):
             noncentral_t_cdf(x, dof, delta)
         got = noncentral_t_cdf(x[~failing], dof[~failing], delta[~failing])
-        assert np.all(got[screened[~failing]] == 1.0)
-        assert np.array_equal(got[~screened[~failing]], want[~screened & ~failing])
+        assert np.all(got[proved[~failing]] == 1.0)
+        assert np.array_equal(got[~proved[~failing]], want[~proved & ~failing])
 
     def test_doubly_noncentral_t_cdf_positive_x(self):
         rng = np.random.default_rng(14)

@@ -18,15 +18,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .phy import Constellation, add_complex_noise, nearest_point
+from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
+from .phy import Constellation, _nearest_work_bytes, add_complex_noise, nearest_point
 
 __all__ = ["RankDeficient", "svd_link", "received_power", "fd_ber"]
 
 #: singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-10
 
-#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays, about
-#: 80 bytes per symbol, then stay within a core's cache
+#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays, 66
+#: bytes per symbol for square QAM (the sent index, the received sample
+#: and the scratch of :func:`_piece_errors`), then stay within a core's cache
 _PIECE_SYMBOLS = 1 << 14
 
 
@@ -80,6 +82,7 @@ def fd_ber(
     sigma2: float,
     words: int,
     rngs: Sequence[np.random.Generator],
+    buffers: BlockBuffers | None = None,
 ) -> np.ndarray:
     """Monte Carlo bit errors of the baseline for a batch of links.
 
@@ -97,7 +100,13 @@ def fd_ber(
     is held modes-major, ``(links, n_modes, trials)``: the amplitude and
     the slicer's scale of each (link, mode) broadcast along a contiguous
     trial axis, and only the symbol copy and the noise add follow the
-    streams' trial-major order.
+    streams' trial-major order. Every piece works in the same arrays from
+    ``buffers`` (a new set when None): the sent symbols, the received
+    samples and one flat scratch array, which holds the noise rows, then
+    the detected symbols and the slicer's arrays, then each symbol's bit
+    errors. On a set that an earlier batch of the thread's already sized,
+    a batch allocates no array of its pieces' size; only the full search
+    of a constellation that is not sliced allocates its own.
     """
     n_links, n_modes = received.shape
     if sigma2 <= 0 or n_links < 1 or words < n_links or words % n_links:
@@ -105,36 +114,52 @@ def fd_ber(
     if len(rngs) != n_links:
         raise ValueError("fd_ber needs one generator per link")
     trials = words // n_links
-    labels = constellation.labels
-    # Bit errors of every (sent, detected) pair, at sent * order + detected.
-    errors = np.bitwise_count(labels[:, None] ^ labels).astype(np.uint8).ravel()
     step = max(1, _PIECE_SYMBOLS // (trials * n_modes))
-    pieces = [slice(first, first + step) for first in range(0, n_links, step)]
-    return np.concatenate(
-        [
-            _piece_errors(received[piece], constellation, sigma2, trials, rngs[piece], errors)
-            for piece in pieces
-        ]
-    )
+    buffers = BlockBuffers() if buffers is None else buffers
+    cells = (min(step, n_links), n_modes, trials)
+    sent = buffers.get("sent", cells, np.int64)
+    y = buffers.get("y", cells, complex)
+    # Bytes per symbol: the noise rows, or the detected symbols and the
+    # slicer's arrays.
+    per_symbol = max(16, 8 + _nearest_work_bytes(constellation))
+    work = buffers.get("work", (sent.size * per_symbol + SCRATCH_SLACK,), np.uint8)
+    counts = np.empty(n_links, dtype=np.int64)
+    for first in range(0, n_links, step):
+        piece, links = slice(first, first + step), min(step, n_links - first)
+        counts[piece] = _piece_errors(
+            received[piece], constellation, sigma2, rngs[piece], sent[:links], y[:links], work
+        )
+    return counts
 
 
 def _piece_errors(
     received: np.ndarray,
     constellation: Constellation,
     sigma2: float,
-    trials: int,
     rngs: Sequence[np.random.Generator],
-    errors: np.ndarray,
+    sent: np.ndarray,
+    y: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """The error counts of one piece of an :func:`fd_ber` batch."""
-    (n_links, n_modes), order = received.shape, constellation.order
-    sent = np.empty((n_links, n_modes, trials), dtype=np.int64)
+    """The error counts of one piece of an :func:`fd_ber` batch, in the
+    ``(links, n_modes, trials)`` arrays ``sent`` (int64) and ``y``
+    (complex) and the flat scratch ``work``."""
+    n_links, n_modes, trials = sent.shape
+    order = constellation.order
     for row, rng in zip(sent, rngs):
         row.T[...] = rng.integers(0, order, size=(trials, n_modes))
     amplitude = np.sqrt(received)[..., None]
-    y = constellation.points.take(sent)
+    # Every index is in range, so clipping changes none; unlike the default
+    # mode it writes into ``out`` directly.
+    constellation.points.take(sent, out=y, mode="clip")
     y *= amplitude
-    add_complex_noise(y.swapaxes(1, 2), sigma2, rngs)
+    noise = Scratch(work).take((n_links, 2, trials, n_modes), np.float64)
+    add_complex_noise(y.swapaxes(1, 2), sigma2, rngs, rows=noise)
+    tail = Scratch(work)
+    j_hat = tail.take(sent.shape, np.int64)
     sent *= order
-    sent += nearest_point(y, amplitude, constellation)
-    return errors.take(sent).sum(axis=(1, 2), dtype=np.int64)
+    sent += nearest_point(y, amplitude, constellation, out=j_hat, work=tail.rest())
+    errors = Scratch(work).take(sent.shape, np.uint8)
+    return constellation.pair_errors.take(sent, out=errors, mode="clip").sum(
+        axis=(1, 2), dtype=np.int64
+    )

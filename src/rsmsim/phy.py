@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .buffers import Scratch
 from .specfun import lambert_w_minus1_from_log, log_bessel_i0
 
 __all__ = [
@@ -95,6 +96,9 @@ class Constellation:
     ``labels[k]`` is the bit pattern carried by ``points[k]``; ``beta``
     is the minimum-to-average symbol power ratio that rescales the
     spatial detection threshold for non-constant-modulus sets.
+    ``pair_errors[k * order + j]`` is the number of bits in error when
+    ``points[k]`` is sent and ``points[j]`` detected, a read-only uint8
+    table that both Monte Carlo systems count their symbol errors with.
     """
 
     kind: str
@@ -104,6 +108,7 @@ class Constellation:
     ring_ratio: float | None = None
     _qam_step: float | None = field(init=False, repr=False, compare=False, default=None)
     _psk_layout: bool = field(init=False, repr=False, compare=False, default=False)
+    pair_errors: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         mean_power = float(np.mean(np.abs(self.points) ** 2))
@@ -119,6 +124,10 @@ class Constellation:
             and self.order & (self.order - 1) == 0
             and np.array_equal(self.points, _psk_points(self.points.size)[0]),
         )
+        pair_errors = np.bitwise_count(self.labels[:, None] ^ self.labels).astype(np.uint8)
+        pair_errors = pair_errors.ravel()
+        pair_errors.flags.writeable = False
+        object.__setattr__(self, "pair_errors", pair_errors)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -440,24 +449,53 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> fl
     return gamma
 
 
-def detect_spatial(envelopes: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+def detect_spatial(
+    envelopes: np.ndarray, gamma: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-antenna one-bit decision: True where the envelope exceeds gamma.
 
     A row with no flag is possible and handled by the combiner. For
     (links, trials, n_active) envelopes ``gamma`` may hold one threshold
-    per link.
+    per link. The flags are written into ``out`` when given.
     """
-    return envelopes > _per_link(gamma, 2)
+    return np.greater(envelopes, _per_link(gamma, 2), out=out)
 
 
-def _nearest_by_search(y: np.ndarray, scale: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.argmin(np.abs(y[..., None] - scale[..., None] * points), axis=-1)
+def _nearest_by_search(
+    y: np.ndarray, scale: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    return np.argmin(np.abs(y[..., None] - scale[..., None] * points), axis=-1, out=out)
+
+
+def _nearest_work_bytes(constellation: Constellation) -> int:
+    """Bytes per sample that :func:`nearest_point` carves from its ``work``:
+    the QAM slicer's ``level``, ``t`` and margin flags, two of each per
+    sample, and its exact flag, or the PSK slicer's ``t``, ``level``,
+    exact flag and bool scratch; the full search takes none."""
+    if constellation._qam_step is not None:
+        return 2 * (8 + 8 + 1) + 1
+    return 8 + 8 + 1 + 1 if constellation._psk_layout else 0
+
+
+def _front(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of the C-contiguous ``array`` as ``shape``."""
+    return array.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _within(
+    values: np.ndarray, low: float, high: float, exact: np.ndarray, flag: np.ndarray
+) -> None:
+    """``exact &= (values >= low) & (values <= high)``, with the bool array
+    ``flag`` of ``values``' shape as scratch; nan is never within."""
+    exact &= np.greater_equal(values, low, out=flag)
+    exact &= np.less_equal(values, high, out=flag)
 
 
 def _slice_qam(
-    y: np.ndarray, scale: np.ndarray, step: float, side: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest level per axis, and where that decision is provably exact.
+    y: np.ndarray, scale: np.ndarray, step: float, side: int, index: np.ndarray, scratch: Scratch
+) -> np.ndarray:
+    """Nearest level per axis into ``index``, and where that decision is
+    provably exact.
 
     Works on the interleaved (real, imag) float view of ``y``, scaled by
     the reciprocal of one level spacing to ``t`` spacings from level 0;
@@ -470,50 +508,73 @@ def _slice_qam(
     levels: ``t`` is first clipped onto ``[-1/2 - _GRID_REACH, side - 1/2
     + _GRID_REACH]``, whose ends are half-integers and so fail the margin
     check. Its sliced point is then the exact argmin (see
-    :func:`nearest_point`). Every other sample, nan and inf included, is
-    flagged for the full search; its index is left undefined.
+    :func:`nearest_point`). Every other sample, nan and inf included, and
+    every sample whose ``|scale|`` is outside ``_UNIT_RANGE``, is flagged
+    for the full search; its index is left undefined. The arrays come
+    from ``scratch``, and each one of ``scale``'s shape takes the front of
+    one whose values are spent.
     """
     edge = _GRID_REACH + 0.5
+    level = scratch.take((*index.shape, 2), np.float64)
+    t = scratch.take((*index.shape, 2), np.float64)
+    inside = scratch.take((*index.shape, 2), bool)
+    exact = scratch.take(index.shape, bool)
     with np.errstate(all="ignore"):
-        t = y[..., None].view(np.float64) * (1.0 / (scale * step))[..., None]
+        recip = _front(level, scale.shape)
+        np.divide(1.0, np.multiply(scale, step, out=recip), out=recip)
+        np.multiply(y[..., None].view(np.float64), recip[..., None], out=t)
         t += 0.5 * (side - 1)
         np.clip(t, -edge, side - 1.0 + edge, out=t)
-        level = np.rint(t)
+        np.rint(t, out=level)
         t -= level
-        exact = np.abs(t, out=t) <= 0.5 - _BOUNDARY_MARGIN
+        np.less_equal(np.abs(t, out=t), 0.5 - _BOUNDARY_MARGIN, out=inside)
+        np.logical_and(inside[..., 0], inside[..., 1], out=exact)
         np.clip(level, 0.0, side - 1.0, out=level)
-        index = (level[..., 0] * side + level[..., 1]).astype(np.int64)
-    return index, exact[..., 0] & exact[..., 1]
+        flat = np.multiply(level[..., 0], side, out=_front(t, index.shape))
+        flat += level[..., 1]
+        np.copyto(index, flat, casting="unsafe")
+        magnitude = np.abs(scale, out=_front(t, scale.shape))
+        _within(magnitude, *_UNIT_RANGE, exact, _front(inside, scale.shape))
+    return exact
 
 
-def _slice_psk(y: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest sector by angle, and where that decision is provably exact.
+def _slice_psk(
+    y: np.ndarray, scale: np.ndarray, order: int, index: np.ndarray, scratch: Scratch
+) -> np.ndarray:
+    """Nearest sector by angle into ``index``, and where that decision is
+    provably exact.
 
     ``order`` is a power of two, so masking the low bits of the nearest
-    sector reduces it mod ``order``.
+    sector reduces it mod ``order``. A sample whose ``|scale|`` is outside
+    ``_UNIT_RANGE`` is never exact. The arrays come from ``scratch``.
     """
-    ratio_low, ratio_high = _PSK_RATIO
+    t = scratch.take(index.shape, np.float64)
+    level = scratch.take(index.shape, np.float64)
+    exact = scratch.take(index.shape, bool)
+    flag = scratch.take(index.shape, bool)
     with np.errstate(all="ignore"):
         # Angle in sectors: point k sits at k, the boundaries at half-integers.
-        t = np.angle(y) * (order / (2.0 * math.pi))
-        level = np.rint(t)
-        ratio = np.abs(y) / scale
+        np.arctan2(y.imag, y.real, out=t)
+        t *= order / (2.0 * math.pi)
+        np.rint(t, out=level)
         # Sectors from the nearest point: at most 1/2 - margin is at least
         # the margin from a boundary.
         t -= level
-        exact = (
-            (np.abs(t) <= 0.5 - _BOUNDARY_MARGIN)
-            & (ratio >= ratio_low)
-            & (ratio <= ratio_high)
-        )
-        index = level.astype(np.int64) & (order - 1)
-    if index.shape != exact.shape:
-        index = np.array(np.broadcast_to(index, exact.shape))
-    return index, exact
+        np.less_equal(np.abs(t, out=t), 0.5 - _BOUNDARY_MARGIN, out=exact)
+        _within(np.divide(np.abs(y, out=t), scale, out=t), *_PSK_RATIO, exact, flag)
+        magnitude = np.abs(scale, out=_front(t, scale.shape))
+        _within(magnitude, *_UNIT_RANGE, exact, _front(flag, scale.shape))
+        np.copyto(index, level, casting="unsafe")
+        index &= order - 1
+    return exact
 
 
 def nearest_point(
-    y: complex | np.ndarray, scale: float | np.ndarray, constellation: Constellation
+    y: complex | np.ndarray,
+    scale: float | np.ndarray,
+    constellation: Constellation,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Index of the point of ``scale * constellation.points`` nearest each sample.
 
@@ -525,8 +586,14 @@ def nearest_point(
     and every sample whose sliced decision is not provably the argmin
     (inf and nan included) goes to the full search. So does every sample
     whose ``|scale|`` is outside ``_UNIT_RANGE`` (zero included): the
-    slicers see a nan scale there, which fails each of their checks, and
-    inside the range every quantity below is a normal float.
+    slicers flag it for the search, and inside the range every quantity
+    below is a normal float.
+
+    The indices are written into ``out`` when given, an int64 array of
+    the broadcast shape. The slicers' arrays are carved from ``work``
+    when given (see :class:`~rsmsim.buffers.Scratch`), which then needs
+    ``_nearest_work_bytes`` bytes per sample and ``SCRATCH_SLACK`` more;
+    the full search allocates its own.
 
     Square QAM slices each axis to its nearest level, at ``t = y * (1 /
     (scale * step))`` level spacings; the level spacing ``scale * step``
@@ -562,21 +629,28 @@ def nearest_point(
     y = np.asarray(y, dtype=complex)
     scale = np.asarray(scale, dtype=float)
     if constellation._qam_step is None and not constellation._psk_layout:
-        return _nearest_by_search(y, scale, constellation.points)
-    low, high = _UNIT_RANGE
-    sliced_scale = np.where((np.abs(scale) >= low) & (np.abs(scale) <= high), scale, np.nan)
+        return _nearest_by_search(y, scale, constellation.points, out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(y.shape, scale.shape), dtype=np.int64)
+    scratch = Scratch(work)
     if constellation._qam_step is not None:
         step, side = constellation._qam_step, math.isqrt(constellation.order)
-        index, exact = _slice_qam(y, sliced_scale, step, side)
+        exact = _slice_qam(y, scale, step, side, out, scratch)
     else:
-        index, exact = _slice_psk(y, sliced_scale, constellation.order)
-    # A 0-d input slices to a scalar; every array result is a fresh one.
-    index = np.asarray(index)
-    search = ~exact
+        exact = _slice_psk(y, scale, constellation.order, out, scratch)
+    search = np.logical_not(exact, out=exact)
     if search.any():
         y, scale = np.broadcast_arrays(y, scale)
-        index[search] = _nearest_by_search(y[search], scale[search], constellation.points)
-    return index
+        out[search] = _nearest_by_search(y[search], scale[search], constellation.points)
+    return out
+
+
+def _combine_work_bytes(n_active: int, constellation: Constellation) -> int:
+    """Bytes per row that :func:`combine_and_detect_modulation` carves from
+    its ``work``: the flag count, the scale and the sum, then the larger of
+    :func:`_antenna_sum`'s running sums and :func:`nearest_point`'s arrays."""
+    sums = 0 if n_active < 4 else 1 if n_active < 8 else 4
+    return 1 + 8 + 16 + max(16 * sums, _nearest_work_bytes(constellation))
 
 
 def combine_and_detect_modulation(
@@ -585,6 +659,8 @@ def combine_and_detect_modulation(
     alpha_p: float | np.ndarray,
     constellation: Constellation,
     overwrite_y: bool = False,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine the branches flagged active and detect the symbol, per row.
 
@@ -596,18 +672,31 @@ def combine_and_detect_modulation(
     fixed erasure fallback, symbol index 0. Returns the symbol indices;
     ``constellation.label_bits`` maps them to bits. With ``overwrite_y``
     the flagged branch outputs are formed in ``y`` itself, a complex
-    array, which is left holding them.
+    array, which is left holding them. The indices are written into
+    ``out`` when given, an int64 array of the rows' shape; every other
+    array of the rows' shape is carved from ``work`` when given (see
+    :class:`~rsmsim.buffers.Scratch`), which then needs
+    ``_combine_work_bytes`` bytes per row and ``SCRATCH_SLACK`` more.
     """
     flags = np.asarray(s_hat, dtype=bool).view(np.uint8)
-    n_hat = sum(flags[..., k] for k in range(flags.shape[-1]))
-    scale = np.sqrt(_per_link(alpha_p, 1)) * n_hat
+    rows = flags.shape[:-1]
+    scratch = Scratch(work)
+    n_hat = scratch.take(rows, np.uint8)
+    np.copyto(n_hat, flags[..., 0])
+    for k in range(1, flags.shape[-1]):
+        n_hat += flags[..., k]
+    scale = np.multiply(np.sqrt(_per_link(alpha_p, 1)), n_hat, out=scratch.take(rows, np.float64))
     flagged = np.multiply(y, s_hat, out=y if overwrite_y else None)
-    j_hat = nearest_point(_antenna_sum(flagged), scale, constellation)
-    j_hat[n_hat == 0] = 0
+    total = _antenna_sum(flagged, out=scratch.take(rows, np.complex128), work=scratch.rest())
+    j_hat = nearest_point(total, scale, constellation, out=out, work=scratch.rest())
+    # Symbol 0 where nothing was combined: the count becomes a 0/1 factor.
+    j_hat *= np.minimum(n_hat, 1, out=n_hat)
     return j_hat
 
 
-def _antenna_sum(z: np.ndarray) -> np.ndarray:
+def _antenna_sum(
+    z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """``z.sum(axis=-1)`` of a complex array, bit for bit, one column at a time.
 
     numpy reduces a contiguous complex last axis of n < 4 entries left to
@@ -617,17 +706,26 @@ def _antenna_sum(z: np.ndarray) -> np.ndarray:
     reduction starts from the identity +0, so a zero sum is +0, never -0;
     starting the first running sum as ``c_0 + 0.0`` gives the same.
     Adding whole columns avoids numpy's per-row loop over a narrow axis.
+    The sum is formed in ``out`` when given; the other running sums and
+    ``a2 + a3`` are carved from ``work`` (see
+    :class:`~rsmsim.buffers.Scratch`), one array of ``out``'s shape each.
     """
-    n = z.shape[-1]
+    n, rows = z.shape[-1], z.shape[:-1]
     lanes = 4 if n >= 4 else 1
     paired = n - n % lanes
-    running = [z[..., 0] + 0.0] + [z[..., k] for k in range(1, lanes)]
+    scratch = Scratch(work)
+    running = [np.add(z[..., 0], 0.0, out=out)] + [z[..., k] for k in range(1, lanes)]
     for k in range(lanes, paired):
-        running[k % lanes] = running[k % lanes] + z[..., k]
+        lane = k % lanes
+        if lane and k < 2 * lanes:
+            # A lane's first addition gives it an array of its own.
+            running[lane] = np.add(running[lane], z[..., k], out=scratch.take(rows, z.dtype))
+        else:
+            running[lane] += z[..., k]
     total = running[0]
     if lanes == 4:
         total += running[1]
-        total += running[2] + running[3]
+        total += np.add(running[2], running[3], out=scratch.take(rows, z.dtype))
     for k in range(paired, n):
         total += z[..., k]
     return total

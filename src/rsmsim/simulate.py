@@ -16,7 +16,9 @@ task on the same workers.
 Each run logs one line per SNR point, in grid order, and where its time
 went, its peak RSS and its minor page faults on the ``.timing`` child
 logger; at DEBUG it also logs the seconds of every Monte Carlo task.
-Each worker thread of a run reuses one set of full-size block arrays.
+Each worker thread of a run reuses one set of block arrays
+(:class:`~rsmsim.buffers.BlockBuffers`), so that past its first block a
+thread allocates no array of a block's size.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -33,7 +35,6 @@ import itertools
 import logging
 import math
 import resource
-import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -43,10 +44,12 @@ import numpy as np
 
 from . import analysis
 from .baseline import fd_ber, received_power, svd_link
+from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
 from .phy import (
     Constellation,
+    _combine_work_bytes,
     add_complex_noise,
     build_constellation,
     combine_and_detect_modulation,
@@ -403,44 +406,30 @@ class _BlockCounts:
     words: int
 
 
-class _BlockBuffers(threading.local):
-    """The full-size arrays of the Monte Carlo blocks, one set per thread.
-
-    :func:`run` makes one for its call, and each worker thread reuses its
-    own arrays on every block, so that a block allocates only its smaller
-    temporaries.
-    """
-
-    def __init__(self) -> None:
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-        """The thread's ``name`` array as ``shape``: the leading rows of the
-        array it holds when that has as many rows or more and the same
-        trailing shape and dtype, else a new one that replaces it."""
-        array = self.arrays.get(name)
-        fits = array is not None and array.dtype == dtype and array.shape[1:] == shape[1:]
-        if not (fits and len(array) >= shape[0]):
-            array = self.arrays[name] = np.empty(shape, dtype)
-        return array[: shape[0]]
-
-
 def _run_block(
     config: RsmConfig,
     constellation: Constellation,
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
-    buffers: _BlockBuffers | None = None,
+    buffers: BlockBuffers | None = None,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
     Channel ``ch`` draws its words and noise from its own
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
-    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``. The
-    block's full-size arrays come from ``buffers`` (a new set when None);
-    one complex array holds the weighted rows, then the noise rows, then
-    the envelopes, and the received rows are combined in place.
+    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
+
+    Every array of the block's size comes from ``buffers`` (a new set
+    when None), so a block on a thread's reused set allocates none: the
+    words, the symbols, the spatial bits, the received rows and one flat
+    scratch array. The symbols' scaled points sit in the received rows
+    until the product overwrites them. The scratch holds the weighted
+    rows, then the noise rows, then the detected flags beside the
+    envelopes, then the combiner's and the slicer's arrays, and last the
+    bit errors of each word's symbol pair; it is sized for the larger of
+    the noise rows and that tail. The spatial mismatches overwrite the
+    sent bits, and the detected symbols the words.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -474,7 +463,7 @@ def _run_block(
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
         rngs = _streams(ensemble.data_seeds[snr_idx, batch][kept])
-        buffers = _BlockBuffers() if buffers is None else buffers
+        buffers = BlockBuffers() if buffers is None else buffers
         rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
         words = buffers.get("words", rows, np.int64)
         js = buffers.get("symbols", rows, np.int64)
@@ -485,25 +474,39 @@ def _run_block(
             js[i] = rng.integers(0, order, size=trials)
         sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
-        work = buffers.get("work", cells, complex)
-        y = transmit(
+        # Bytes per word: the weighted or the noise rows, or the flags and
+        # the combiner's arrays.
+        per_row = max(16 * n_a, n_a + _combine_work_bytes(n_a, constellation))
+        work = buffers.get("work", (len(rngs) * trials * per_row + SCRATCH_SLACK,), np.uint8)
+        y = buffers.get("y", cells, complex)
+        # Every index is in range, so clipping changes none; unlike the
+        # default mode it writes into ``out`` directly.
+        scaled = np.take(constellation.points, js, out=Scratch(y).take(rows, complex), mode="clip")
+        transmit(
             ensemble.effective[batch][kept],
             sent,
-            np.take(constellation.points, js, out=buffers.get("scaled", rows, complex)),
+            scaled,
             np.sqrt(alpha_p),
-            out=buffers.get("y", cells, complex),
-            work=work,
+            out=y,
+            work=Scratch(work).take(cells, complex),
         )
-        # The weighted rows are spent: the same memory takes the float
-        # noise rows, then the first half of it the envelopes.
-        floats = work.view(np.float64)
-        add_complex_noise(y, SIGMA2, rngs, rows=floats.reshape(len(rngs), 2, trials, n_a))
-        s_hat = detect_spatial(np.abs(y, out=floats.reshape(2, *cells)[0]), gamma[kept])
-        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation, overwrite_y=True)
-        labels = constellation.labels
-        mismatch = np.not_equal(sent, s_hat, out=buffers.get("mismatch", cells, bool))
+        noise = Scratch(work).take((len(rngs), 2, trials, n_a), np.float64)
+        add_complex_noise(y, SIGMA2, rngs, rows=noise)
+        tail = Scratch(work)
+        s_hat = tail.take(cells, bool)
+        after_flags = tail.rest()
+        envelopes = tail.take(cells, np.float64)
+        detect_spatial(np.abs(y, out=envelopes), gamma[kept], out=s_hat)
+        mismatch = np.not_equal(sent, s_hat, out=sent)
         spatial[kept] = np.count_nonzero(mismatch, axis=(1, 2))
-        modulation[kept] = np.bitwise_count(labels[js] ^ labels[j_hat]).sum(axis=1)
+        j_hat = combine_and_detect_modulation(
+            y, s_hat, alpha_p, constellation, overwrite_y=True, out=words, work=after_flags
+        )
+        js *= order
+        js += j_hat
+        pairs = Scratch(work).take(rows, np.uint8)
+        errors = constellation.pair_errors.take(js, out=pairs, mode="clip")
+        modulation[kept] = errors.sum(axis=1, dtype=np.int64)
     return _BlockCounts(
         spatial_errors=spatial,
         modulation_errors=modulation,
@@ -733,7 +736,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     n_links = len(ensemble.alpha)
     per_batch = _batch_links(config.trials_per_point, config.n_active)
     k = constellation.bits_per_symbol
-    buffers = _BlockBuffers()
+    buffers = BlockBuffers()
 
     def block(snr_idx: int, batch_idx: int) -> _BlockCounts:
         first = batch_idx * per_batch
@@ -803,13 +806,14 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     ]
     per_batch = _batch_links(trials, config.n_modes)
     bits = trials * config.n_modes * constellation.bits_per_symbol * n_links
+    buffers = BlockBuffers()
 
     def block(snr_idx: int, batch_idx: int) -> np.ndarray:
         first = batch_idx * per_batch
         last = min(first + per_batch, n_links)
         rngs = _streams(fd_seeds[snr_idx][first:last])
         batch = received[snr_idx][first:last]
-        return fd_ber(batch, constellation, SIGMA2, (last - first) * trials, rngs)
+        return fd_ber(batch, constellation, SIGMA2, (last - first) * trials, rngs, buffers)
 
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx])

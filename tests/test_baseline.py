@@ -247,3 +247,92 @@ class TestFdBerModeCounts:
         ]
         assert np.array_equal(counts, expected)
         assert counts.all()
+
+
+def oracle_counts(received, constellation, sigma2, trials, seeds):
+    return [
+        fd_ber_oracle(received[i], constellation, sigma2, trials, np.random.default_rng(s))
+        for i, s in enumerate(seeds)
+    ]
+
+
+def batch_setup(n_links, n_modes, key):
+    """Received powers of ``n_links`` links and one stream seed per link."""
+    setup = np.random.default_rng(key)
+    gains = np.sort(setup.uniform(0.2, 3.0, (n_links, n_modes)), axis=1)[:, ::-1]
+    received = received_power(gains, float(setup.uniform(1.0, 30.0)))
+    return received, setup.integers(0, 2**32, n_links)
+
+
+class TestFdBerBuffers:
+    """Batches that reuse one buffer set count, link for link, what the
+    per-link oracle counts."""
+
+    def run_batch(self, received, constellation, sigma2, seeds, buffers):
+        rngs = [np.random.default_rng(s) for s in seeds]
+        return fd_ber(received, constellation, sigma2, len(seeds) * TRIALS, rngs, buffers).tolist()
+
+    def test_short_last_piece(self):
+        # 19 links of 1000 x 2 symbols: pieces of 8, 8 and 3 links.
+        from rsmsim.baseline import _PIECE_SYMBOLS
+        from rsmsim.buffers import BlockBuffers
+
+        assert _PIECE_SYMBOLS // (TRIALS * N_MODES) == 8
+        c = build_constellation("qam", 16)
+        buffers = BlockBuffers()
+        for key in range(2):
+            received, seeds = batch_setup(19, N_MODES, [19, key])
+            got = self.run_batch(received, c, 1.0, seeds, buffers)
+            assert got == oracle_counts(received, c, 1.0, TRIALS, seeds)
+        assert len(buffers.arrays["y"]) == 8  # one full piece's arrays, reused
+
+    def test_shapes_alternating_on_one_thread(self):
+        # 16-QAM on 2 modes and 64-QAM on 3 modes take turns on one set:
+        # each grows, or takes the leading part of, what the other left.
+        from rsmsim.buffers import BlockBuffers
+
+        cases = [
+            (build_constellation("qam", 16), *batch_setup(11, 2, [16, 2])),
+            (build_constellation("qam", 64), *batch_setup(9, 3, [64, 3])),
+        ]
+        buffers = BlockBuffers()
+        for c, received, seeds in cases * 2:
+            sigma2 = float(received.max())  # at most 0 dB per mode: every link errs
+            got = self.run_batch(received, c, sigma2, seeds, buffers)
+            assert got == oracle_counts(received, c, sigma2, TRIALS, seeds)
+            assert all(got)
+
+    def test_threads_at_once(self):
+        # Two threads share one set, switching often: each must count on
+        # arrays of its own.
+        import sys
+        import threading
+
+        from rsmsim.buffers import BlockBuffers
+
+        c = build_constellation("qam", 16)
+        jobs = [batch_setup(10, N_MODES, [2, k]) for k in range(4)]
+        expected = [oracle_counts(received, c, 0.5, TRIALS, seeds) for received, seeds in jobs]
+        buffers = BlockBuffers()
+        results = [[] for _ in jobs]
+        start = threading.Barrier(2, timeout=60)
+
+        def worker(mine):
+            start.wait()
+            for _ in range(3):
+                for k in mine:
+                    received, seeds = jobs[k]
+                    results[k].append(self.run_batch(received, c, 0.5, seeds, buffers))
+
+        threads = [threading.Thread(target=worker, args=(range(k, 4, 2),)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[counts] * 3 for counts in expected]

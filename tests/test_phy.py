@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
+from rsmsim.buffers import SCRATCH_SLACK
 from rsmsim.mimo import select_antennas, zf_precoder
 from rsmsim.phy import (
     DESIGN_RHO_RANGE,
@@ -18,7 +19,9 @@ from rsmsim.phy import (
     _GRID_REACH,
     _antenna_sum,
     _brentq,
+    _combine_work_bytes,
     _nearest_by_search,
+    _nearest_work_bytes,
     add_complex_noise,
     UnsupportedOrder,
     build_constellation,
@@ -874,10 +877,22 @@ class TestExactRewrites:
         add_complex_noise(out, 0.7, [np.random.default_rng(k) for k in seeds], rows=rows)
         assert_same_bits(out, expected)
 
-        s_hat = detect_spatial(np.abs(out), rng.uniform(0.5, 2.0, n_links))
+        gamma = rng.uniform(0.5, 2.0, n_links)
+        s_hat = detect_spatial(np.abs(out), gamma)
+        flags = rng.random(s_hat.shape) < 0.5
+        assert detect_spatial(np.abs(out), gamma, out=flags) is flags
+        assert_same_bits(flags, s_hat)
+
         expected = combine_and_detect_modulation(out, s_hat, amplitude**2, c)
         flagged = out * s_hat
-        got = combine_and_detect_modulation(out, s_hat, amplitude**2, c, overwrite_y=True)
+        # The indices and the scratch start as garbage.
+        j_hat = rng.integers(-(2**62), 2**62, expected.shape)
+        size = expected.size * _combine_work_bytes(n_active, c) + SCRATCH_SLACK
+        work = rng.integers(0, 256, size).astype(np.uint8)
+        got = combine_and_detect_modulation(
+            out, s_hat, amplitude**2, c, overwrite_y=True, out=j_hat, work=work
+        )
+        assert got is j_hat
         assert_same_bits(got, expected)
         assert_same_bits(out, flagged)
 
@@ -905,6 +920,54 @@ class TestExactRewrites:
         z = random_rows(rng, (2, 300, n)) * (rng.random((2, 300, n)) < 0.7)
         z[:, :3] = complex(-0.0, -0.0)  # numpy's sum of these rows is +0
         assert_same_bits(_antenna_sum(z), z.sum(axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_antenna_sum_into_out_matches_numpy_reduction(self, n):
+        # ``out`` and the running sums carved from ``work`` start as
+        # garbage, signed zeros and nan among it; ``z`` is left as it was.
+        rng = np.random.default_rng(200 + n)
+        z = random_rows(rng, (2, 300, n)) * (rng.random((2, 300, n)) < 0.7)
+        z[:, :3] = complex(-0.0, -0.0)
+        z[:, 3:6, : n // 2] = complex(0.0, -0.0)
+        before = z.copy()
+        out = random_rows(rng, (2, 300))
+        out[0, :5] = complex(-0.0, np.nan)
+        work = random_rows(rng, (4, 2, 300))  # room for four more sums
+        work[:, 1, :5] = complex(np.nan, -0.0)
+        assert _antenna_sum(z, out=out, work=work) is out
+        assert_same_bits(out, z.sum(axis=-1))
+        assert_same_bits(z, before)
+
+    @pytest.mark.parametrize(
+        "kind,order,ring",
+        [("psk", 4, None), ("psk", 16, None), ("psk", 64, None), ("qam", 4, None),
+         ("qam", 16, None), ("qam", 64, None), ("apsk", 16, 2.6)],
+    )
+    def test_nearest_point_into_out_matches_fresh_arrays(self, kind, order, ring):
+        # ``out`` and the slicer arrays carved from ``work`` start as
+        # garbage; so every index and every array must be written before
+        # it is read, on the sliced samples and on those that take the full
+        # search: nan, inf, a zero scale and points on a decision boundary.
+        c = build_constellation(kind, order, ring)
+        rng = np.random.default_rng(order)
+        y = 2.0 * random_rows(rng, (3, 400))
+        scale = rng.uniform(0.3, 3.0, (3, 400))
+        y[0, :5] = [np.nan, np.inf, complex(-np.inf, 1.0), 1j * np.nan, complex(np.nan, np.inf)]
+        scale[1, :40] = 0.0
+        pairs = rng.integers(0, order, (2, 100))
+        y[2, :100] = scale[2, :100] * 0.5 * (c.points[pairs[0]] + c.points[pairs[1]])
+        with np.errstate(invalid="ignore"):
+            expected = nearest_point(y, scale, c)
+            np.testing.assert_array_equal(expected, full_search(y, scale, c))
+            # One scale per row, broadcast along it, as the baseline slices.
+            per_row = nearest_point(y, scale[:, :1], c)
+            np.testing.assert_array_equal(per_row, full_search(y, scale[:, :1], c))
+            for wanted, scales in ((expected, scale), (per_row, scale[:, :1])):
+                out = rng.integers(-(2**62), 2**62, y.shape)
+                work = rng.integers(0, 256, y.size * _nearest_work_bytes(c) + SCRATCH_SLACK)
+                got = nearest_point(y, scales, c, out=out, work=work.astype(np.uint8))
+                assert got is out
+                assert_same_bits(got, wanted)
 
 
 class TestNoiselessEndToEnd:

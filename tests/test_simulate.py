@@ -564,14 +564,15 @@ class TestBlockBuffers:
         # Batches of 8, 3, 5 and 8 links take turns on one set of arrays; at
         # -6 dB channel 5's one-pilot estimate fails, so the 5-link batch
         # simulates 4 links.
-        from rsmsim.simulate import _BlockBuffers, _build_ensemble
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _build_ensemble
 
         config = small_config(
             threshold_source="estimated", snr_grid_db=(-6.0, 6.0), trials_per_point=300
         )
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
-        buffers = _BlockBuffers()
+        buffers = BlockBuffers()
         batches = [(1, range(0, 8)), (0, range(8, 11)), (0, range(3, 8)), (1, range(12, 20))]
         for snr_idx, links in batches * 2:
             got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
@@ -585,12 +586,13 @@ class TestBlockBuffers:
         # count on arrays of its own.
         import sys
 
-        from rsmsim.simulate import _BlockBuffers, _build_ensemble
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _build_ensemble
 
         config = small_config(snr_grid_db=(4.0, 10.0), trials_per_point=500)
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
-        buffers = _BlockBuffers()
+        buffers = BlockBuffers()
         jobs = [(s, range(first, first + 5)) for s in (0, 1) for first in (0, 5, 10, 15)]
         results = {}
         start = threading.Barrier(4, timeout=60)
@@ -618,18 +620,45 @@ class TestBlockBuffers:
             expected = self.oracle_rows(config, constellation, ensemble, snr_idx, links)
             assert results[snr_idx, links.start] == [expected] * 3
 
+    @pytest.mark.parametrize("n_active,kind", [(1, "psk"), (8, "psk"), (1, "qam")])
+    def test_other_antenna_counts_on_reused_arrays(self, n_active, kind):
+        # The block's scratch is sized for the larger of the noise rows (16
+        # bytes per antenna) and the combiner's tail: with one antenna the
+        # tail is the larger, with eight the noise rows. Each shape runs
+        # twice on one set, the second time on arrays the first left.
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _build_ensemble
+
+        config = small_config(
+            channel=dataclasses.replace(PARAMS, n_clusters=16),
+            n_active=n_active,
+            constellation_kind=kind,
+            snr_grid_db=(4.0, 10.0),
+            trials_per_point=400,
+        )
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        buffers = BlockBuffers()
+        for snr_idx, links in [(0, range(0, 6)), (1, range(6, 12)), (1, range(12, 15))]:
+            got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
+            assert got == self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+        assert len(buffers.arrays["y"]) == 6
+
     def test_second_block_allocates_little(self):
         # A 50,000-trial link, as in the mc_estimated benchmark: the first
-        # block allocates the worker's arrays (about 8 MB), a second one
-        # only its temporaries. Allocating every array afresh took 9.6 MB.
+        # block allocates the worker's arrays (about 7.4 MB), a second one
+        # only its two integer draws (0.4 MB) and arrays of its link count.
+        # Allocating every array afresh took 9.6 MB; reusing only the
+        # block's named arrays left 3.3 MB of temporaries.
         import tracemalloc
 
-        from rsmsim.simulate import _BlockBuffers, _build_ensemble, _run_block
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _build_ensemble, _run_block
 
         config = small_config(trials_per_point=50_000, channels_per_point=2, snr_grid_db=(8.0,))
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
-        buffers = _BlockBuffers()
+        buffers = BlockBuffers()
         _run_block(config, constellation, ensemble, 0, range(0, 1), buffers)
         tracemalloc.start()
         try:
@@ -637,7 +666,38 @@ class TestBlockBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20
+
+    def test_second_fd_batch_allocates_little(self):
+        # A batch of the fd_baseline benchmark, 32 links of 1000 words on 2
+        # modes of 16-QAM in pieces of 8 links: past the first batch, a
+        # batch allocates no array of a piece's size. Allocating them per
+        # piece took about 1 MB.
+        import tracemalloc
+
+        from rsmsim.baseline import fd_ber
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _batch_links
+
+        n_links, trials = _batch_links(1000, 2), 1000
+        assert n_links == 32
+        constellation = build_constellation("qam", 16)
+        received = np.random.default_rng(5).uniform(0.5, 8.0, (n_links, 2))
+        buffers = BlockBuffers()
+
+        def batch(key):
+            rngs = [np.random.default_rng([key, ch]) for ch in range(n_links)]
+            return lambda: fd_ber(received, constellation, 1.0, n_links * trials, rngs, buffers)
+
+        batch(0)()
+        second = batch(1)
+        tracemalloc.start()
+        try:
+            second()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
 
 TIMING_LINE = re.compile(

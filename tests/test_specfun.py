@@ -431,15 +431,10 @@ class TestSaturationScreen:
         # proves no term ahead of its window's suffix.
         assert np.array_equal(suffix, proved[p0[0].size :])
 
-    @pytest.mark.parametrize(
-        "x,dof,delta",
-        [(10.0, 2.0, -8.6), (4.0, 122.00731, -6.5)],
-        ids=["delta-8.6", "chernoff-limit"],
-    )
-    def test_answers_just_inside(self, x, dof, delta):
-        # Just inside the Chernoff screen's edges (delta below -8.5, and
-        # the exponent just below ln 2^-56): the chord bound proves them
-        # too, so they stay exactly 1.0 without a backend call.
+    @pytest.mark.parametrize("x,dof,delta", [(10.0, 2.0, -8.6), (4.0, 122.00731, -6.5)])
+    def test_proved_tails_are_one(self, x, dof, delta):
+        # Terms that ``chernoff_screen`` also answers: the chord bound
+        # proves them, so they are exactly 1.0 without a backend call.
         args = np.array([x]), np.array([dof]), np.array([delta])
         assert chernoff_screen(*args)[0] and chord_proved(*args)[0]
         assert noncentral_t_cdf(x, dof, delta) == 1.0

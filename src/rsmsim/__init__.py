@@ -15,7 +15,6 @@ from .baseline import RankDeficient, fd_ber, received_power, svd_link
 from .channel import ChannelParams, ChannelRealization, array_response, draw_channel, sector_gain
 from .mimo import (
     AntennaSelection,
-    Precoder,
     SingularChannel,
     TooManySubsets,
     select_antennas,
@@ -46,7 +45,6 @@ from .simulate import (
 )
 from .training import (
     DegenerateSample,
-    PilotObservation,
     SingularFisher,
     estimate_amplitude,
     threshold_estimate_stats,
@@ -64,10 +62,8 @@ __all__ = [
     "FdConfig",
     "IllegalSpatialWord",
     "NoRoot",
-    "PilotObservation",
     "PointAborted",
     "PowerConfig",
-    "Precoder",
     "RankDeficient",
     "RsmConfig",
     "SingularChannel",

@@ -4,13 +4,16 @@ The precoder is the right pseudoinverse of the active-antenna channel,
 so every active antenna receives its own stream without interference.
 The per-link power normalization factor ``alpha`` equals
 1 / trace((H_a H_a^H)^-1); antenna selection maximizes it over all
-subsets of the requested size.
+subsets of the requested size, and a caller-chosen subset is scored as
+a search over that one subset. The precoder is built from a selection
+and reuses its Gram matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,6 @@ __all__ = [
     "SingularChannel",
     "TooManySubsets",
     "AntennaSelection",
-    "Precoder",
     "zf_precoder",
     "select_antennas",
     "selection_for_indices",
@@ -38,14 +40,6 @@ class SingularChannel(ArithmeticError):
 
 class TooManySubsets(ValueError):
     """Exhaustive enumeration would exceed the configured subset cap."""
-
-
-@dataclass(frozen=True)
-class Precoder:
-    """Zero-forcing precoding matrix (n_tx, n_active) and its power factor."""
-
-    matrix_b: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -77,47 +71,48 @@ def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return gram, rcond, np.where((low > 0.0) & (rcond >= RCOND_MIN), alpha, 0.0)
 
 
-def zf_precoder(channel: np.ndarray | AntennaSelection) -> Precoder:
-    """Build the zero-forcing precoder B = H_a^H (H_a H_a^H)^-1.
+def zf_precoder(selection: AntennaSelection) -> np.ndarray:
+    """The zero-forcing precoder B = H_a^H (H_a H_a^H)^-1 of a selection,
+    from its Gram matrix; its power factor is ``selection.alpha``.
 
-    ``channel`` is the active-antenna channel H_a, or an
-    :class:`AntennaSelection`, whose Gram matrix and alpha are reused
-    rather than computed again. Raises :class:`SingularChannel` where
-    :func:`_power_factor` gives alpha 0.
+    Raises :class:`SingularChannel` where the selection's alpha and
+    ``1 / tr(B^H B)`` disagree.
     """
-    if isinstance(channel, AntennaSelection):
-        h_active, gram, alpha = channel.h_active, channel.gram, channel.alpha
-    else:
-        h_active = np.asarray(channel)
-        gram, rcond, alpha = _power_factor(h_active)
-        if alpha == 0.0:
-            raise SingularChannel(
-                f"active channel is numerically singular (rcond={rcond:.3e})"
-            )
-        alpha = float(alpha)
-    b = h_active.conj().T @ np.linalg.inv(gram)
+    b = selection.h_active.conj().T @ np.linalg.inv(selection.gram)
     # Both alpha expressions coincide for a zero-forcing precoder; a large
     # gap flags numerical trouble upstream of the rcond guard.
     alpha_from_b = 1.0 / float(np.real(np.trace(b.conj().T @ b)))
-    if not math.isclose(alpha, alpha_from_b, rel_tol=1e-6):
+    if not math.isclose(selection.alpha, alpha_from_b, rel_tol=1e-6):
         raise SingularChannel(
-            f"inconsistent power factor: {alpha:.6e} vs {alpha_from_b:.6e}"
+            f"inconsistent power factor: {selection.alpha:.6e} vs {alpha_from_b:.6e}"
         )
-    return Precoder(matrix_b=b, alpha=alpha)
+    return b
 
 
-def selection_for_indices(h: np.ndarray, indices: tuple[int, ...]) -> AntennaSelection:
-    """Selection record for a caller-chosen antenna subset (no search)."""
-    indices = tuple(sorted(int(i) for i in indices))
-    h_active = np.asarray(h)[list(indices), :]
-    gram, rcond, alpha = _power_factor(h_active)
-    if alpha == 0.0:
+def _best_subset(h: np.ndarray, subsets: np.ndarray) -> AntennaSelection:
+    """The first of the index rows ``subsets`` ``(n_sets, n_active)`` of
+    ``h`` with the largest power factor; rows that :func:`_power_factor`
+    rejects are skipped, and :class:`SingularChannel` is raised when it
+    rejects them all."""
+    grams, rcond, alphas = _power_factor(h[subsets])  # (n_sets, n_active, n_tx) rows
+    best = int(np.argmax(alphas))  # first hit wins: lexicographic tie-break
+    if alphas[best] == 0.0:
         raise SingularChannel(
-            f"subset {indices} is numerically singular (rcond={rcond:.3e})"
+            f"every candidate subset is numerically singular (largest rcond={rcond.max():.3e})"
         )
+    indices = tuple(int(i) for i in subsets[best])
     return AntennaSelection(
-        active_indices=indices, alpha=float(alpha), h_active=h_active, gram=gram
+        active_indices=indices,
+        alpha=float(alphas[best]),
+        h_active=h[list(indices)],
+        gram=grams[best].copy(),
     )
+
+
+def selection_for_indices(h: np.ndarray, indices: Iterable[int]) -> AntennaSelection:
+    """Selection record for a caller-chosen antenna subset, scored as a
+    search over that one subset."""
+    return _best_subset(np.asarray(h), np.array([sorted(int(i) for i in indices)]))
 
 
 def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
@@ -137,15 +132,4 @@ def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
         raise TooManySubsets(
             f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
         )
-    combos = np.array(list(itertools.combinations(range(n_rx), n_active)))
-    grams, _, alphas = _power_factor(h[combos])  # rows (n_subsets, n_active, n_tx)
-    best = int(np.argmax(alphas))  # first hit wins: lexicographic tie-break
-    if alphas[best] == 0.0:
-        raise SingularChannel("every candidate subset is numerically singular")
-    indices = tuple(int(i) for i in combos[best])
-    return AntennaSelection(
-        active_indices=indices,
-        alpha=float(alphas[best]),
-        h_active=h[list(indices)],
-        gram=grams[best].copy(),
-    )
+    return _best_subset(h, np.array(list(itertools.combinations(range(n_rx), n_active))))

@@ -58,7 +58,7 @@ from .phy import (
     threshold,
     transmit,
 )
-from .training import DegenerateSample, PilotObservation, estimate_amplitude
+from .training import DegenerateSample, estimate_amplitude
 
 __all__ = [
     "PointAborted",
@@ -267,16 +267,13 @@ def _stream_seeds(key: tuple[int, ...], links: Iterable[int]) -> np.ndarray:
     Row ``i`` is ``SeedSequence([*key, links[i]]).generate_state(4,
     np.uint64)``: the words SeedSequence makes of that list form one
     ``uint32`` key row per link, and its hash runs on all rows at once.
-    A negative value, or a link index of 2^32 or more, goes through
-    SeedSequence itself.
+    Raises ValueError for a negative key value, as SeedSequence does, and
+    for a link index of 2^32 or more, which no run draws.
     """
     links = np.asarray(links, dtype=np.int64)
     in_words = not links.size or 0 <= links.min() <= links.max() <= _WORD
     if any(value < 0 for value in key) or not in_words:
-        rows = [
-            np.random.SeedSequence([*key, int(ch)]).generate_state(4, np.uint64) for ch in links
-        ]
-        return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+        raise ValueError("stream keys must be non-negative and link indices below 2^32")
     prefix = [word for value in key for word in _key_words(value)]
     entropy = [np.full(links.size, word, dtype=np.uint32) for word in prefix]
     entropy.append(links.astype(np.uint32))
@@ -367,10 +364,9 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
         if config.selection == "exhaustive":
             sel = select_antennas(h, config.n_active)
         else:
-            sel = selection_for_indices(h, tuple(range(config.n_active)))
-        pre = zf_precoder(sel)
-        alphas.append(pre.alpha)
-        effective.append(sel.h_active @ pre.matrix_b)
+            sel = selection_for_indices(h, range(config.n_active))
+        alphas.append(sel.alpha)
+        effective.append(sel.h_active @ zf_precoder(sel))
     alpha = np.array(alphas)
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
@@ -453,9 +449,8 @@ def _run_block(
         amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
         gamma = np.zeros(n_links)
         for i, amps in enumerate(amplitudes):
-            obs = PilotObservation(amplitudes=amps.ravel(), n_pilots=n_p, n_active=n_a)
             try:
-                gamma[i] = 0.5 * estimate_amplitude(obs)
+                gamma[i] = 0.5 * estimate_amplitude(amps.ravel())
             except DegenerateSample:
                 failed[i] = True
     kept = ~failed

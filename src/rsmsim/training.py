@@ -14,7 +14,6 @@ of the (amplitude, noise variance) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .specfun import rice_moments
 __all__ = [
     "DegenerateSample",
     "SingularFisher",
-    "PilotObservation",
     "estimate_amplitude",
     "fisher_information",
     "threshold_estimate_stats",
@@ -48,32 +46,17 @@ class SingularFisher(ArithmeticError):
     """Fisher information matrix is not positive definite at this point."""
 
 
-@dataclass(frozen=True)
-class PilotObservation:
-    """Envelope samples collected while all active antennas are energized."""
-
-    amplitudes: np.ndarray
-    n_pilots: int
-    n_active: int
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.size != self.n_pilots * self.n_active:
-            raise ValueError(
-                f"expected {self.n_pilots * self.n_active} amplitudes, got {amps.size}"
-            )
-        if np.any(amps < 0):
-            raise ValueError("amplitudes must be nonnegative")
-
-
-def estimate_amplitude(obs: PilotObservation) -> float:
-    """Closed-form joint-ML estimate of the received pilot amplitude.
+def estimate_amplitude(amplitudes: np.ndarray) -> float:
+    """Closed-form joint-ML estimate of the received pilot amplitude from
+    the envelope samples ``a`` of every pilot and active antenna.
 
     theta_hat = (2/3) * mean(a) + (1/3) * sqrt(4*mean(a)^2 - 3*mean(a^2));
-    raises :class:`DegenerateSample` when the radicand is negative.
+    raises ValueError on a negative sample and :class:`DegenerateSample`
+    when the radicand is negative.
     """
-    a = obs.amplitudes
+    a = np.asarray(amplitudes, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("amplitudes must be nonnegative")
     mean = float(a.mean())
     mean_sq = float(np.mean(a * a))
     radicand = 4.0 * mean * mean - 3.0 * mean_sq

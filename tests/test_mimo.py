@@ -25,42 +25,46 @@ def alpha_by_explicit_inverse(h_active):
     return 1.0 / float(np.real(np.trace(np.linalg.inv(gram))))
 
 
+def full_selection(h):
+    """The selection of every row of ``h``."""
+    return selection_for_indices(h, range(len(h)))
+
+
 class TestZfPrecoder:
     def test_orthonormal_rows(self):
         h = np.hstack([np.eye(3), np.zeros((3, 5))])
-        pre = zf_precoder(h)
-        np.testing.assert_allclose(pre.matrix_b, h.conj().T, atol=1e-12)
-        assert pre.alpha == pytest.approx(1.0 / 3.0, rel=1e-12)
+        sel = full_selection(h)
+        np.testing.assert_allclose(zf_precoder(sel), h.conj().T, atol=1e-12)
+        assert sel.alpha == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_scaling_law(self):
         c = 2.5
         h = c * np.hstack([np.eye(3), np.zeros((3, 5))])
-        assert zf_precoder(h).alpha == pytest.approx(c * c / 3.0, rel=1e-12)
+        assert full_selection(h).alpha == pytest.approx(c * c / 3.0, rel=1e-12)
 
     def test_random_channel_inverts_and_normalizes(self):
         h = random_channel(2, 8, seed=0)
-        pre = zf_precoder(h)
-        np.testing.assert_allclose(h @ pre.matrix_b, np.eye(2), atol=1e-8)
-        assert pre.alpha == pytest.approx(alpha_by_explicit_inverse(h), rel=1e-10)
-        assert pre.alpha * np.real(np.trace(pre.matrix_b.conj().T @ pre.matrix_b)) == pytest.approx(
-            1.0, abs=1e-8
-        )
+        sel = full_selection(h)
+        b = zf_precoder(sel)
+        np.testing.assert_allclose(h @ b, np.eye(2), atol=1e-8)
+        assert sel.alpha == pytest.approx(alpha_by_explicit_inverse(h), rel=1e-10)
+        assert sel.alpha * np.real(np.trace(b.conj().T @ b)) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_interference_per_stream(self):
         # H_a B maps any spatial/modulation excitation straight through.
         h = random_channel(4, 16, seed=1)
-        pre = zf_precoder(h)
+        b = zf_precoder(full_selection(h))
         rng = np.random.default_rng(2)
         for _ in range(20):
             s = rng.integers(0, 2, size=4)
             x = rng.standard_normal() + 1j * rng.standard_normal()
-            out = h @ (pre.matrix_b @ (s * x))
+            out = h @ (b @ (s * x))
             np.testing.assert_allclose(out, s * x, atol=1e-8)
 
     def test_singular_raises(self):
         h = np.ones((2, 4), dtype=complex)  # duplicated rows
         with pytest.raises(SingularChannel):
-            zf_precoder(h)
+            full_selection(h)
 
 
 class TestSelectAntennas:
@@ -127,16 +131,29 @@ class TestSelectAntennas:
 
     @pytest.mark.parametrize("n_active", [1, 3, 4])
     def test_precoder_from_selection_reuses_its_gram_matrix(self, n_active, monkeypatch):
-        # The selection's Gram matrix and alpha give the same bits as
-        # factoring its rows again, without another eigendecomposition.
+        # The selection's Gram matrix gives the bits of H_a^H inv(H_a H_a^H)
+        # without another eigendecomposition.
         h = random_channel(8, 32, seed=20 + n_active)
         for sel in (select_antennas(h, n_active), selection_for_indices(h, range(n_active))):
-            again = zf_precoder(sel.h_active)
+            h_active = sel.h_active
+            want = h_active.conj().T @ np.linalg.inv(h_active @ h_active.conj().T)
             monkeypatch.setattr(np.linalg, "eigvalsh", None)
-            reused = zf_precoder(sel)
+            b = zf_precoder(sel)
             monkeypatch.undo()
-            assert reused.alpha == again.alpha == sel.alpha
-            assert reused.matrix_b.tobytes() == again.matrix_b.tobytes()
+            assert b.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_active", [1, 2, 4, 8])
+    def test_stacked_scores_match_the_unstacked_rows(self, n_active):
+        # Both searches score a stack of subsets; a subset alone gives the
+        # same bits.
+        for seed in range(20):
+            h = random_channel(8, 32, seed=300 + seed)
+            for sel in (select_antennas(h, n_active), selection_for_indices(h, range(n_active))):
+                gram, rcond, alpha = mimo._power_factor(h[list(sel.active_indices)])
+                assert sel.gram.tobytes() == gram.tobytes()
+                assert sel.alpha == float(alpha)
+                (stacked_rcond,) = mimo._power_factor(sel.h_active[None])[1]
+                assert stacked_rcond.tobytes() == rcond.tobytes()
 
     def test_n_active_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +175,7 @@ class TestRcondRule:
         rcond = 0.999 * mimo.RCOND_MIN
         h = self.channel(rcond)
         with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
-            zf_precoder(h[:2])
+            full_selection(h[:2])
         with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
             selection_for_indices(h, (0, 1))
         # Skipped although its power factor beats the pair it settles on.
@@ -168,7 +185,7 @@ class TestRcondRule:
         rcond = 1.001 * mimo.RCOND_MIN
         h = self.channel(rcond)
         alpha = 1.0 / (1.0 + 1.0 / rcond)
-        assert zf_precoder(h[:2]).alpha == pytest.approx(alpha, rel=1e-9)
+        assert full_selection(h[:2]).alpha == pytest.approx(alpha, rel=1e-9)
         assert selection_for_indices(h, (0, 1)).alpha == pytest.approx(alpha, rel=1e-9)
         sel = select_antennas(h, 2)
         assert sel.active_indices == (0, 1)

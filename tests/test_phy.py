@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize, special, stats
 
 from rsmsim.buffers import SCRATCH_SLACK
-from rsmsim.mimo import select_antennas, zf_precoder
+from rsmsim.mimo import select_antennas, selection_for_indices, zf_precoder
 from rsmsim.phy import (
     DESIGN_RHO_RANGE,
     DESIGN_SCALE_RANGE,
@@ -133,37 +133,40 @@ class TestEncodeDecode:
 class TestTransmit:
     def test_single_antenna_excitation(self):
         h = random_channel(3, 8, seed=0)
-        pre = zf_precoder(h)
+        sel = selection_for_indices(h, range(len(h)))
+        b = zf_precoder(sel)
         x = 0.6 - 0.8j
         s = np.array([[False, True, False]])
-        out = transmit(pre.matrix_b, s, np.array([x]), math.sqrt(pre.alpha * 4.0))
-        expected = math.sqrt(pre.alpha * 4.0) * x * pre.matrix_b[:, 1]
+        out = transmit(b, s, np.array([x]), math.sqrt(sel.alpha * 4.0))
+        expected = math.sqrt(sel.alpha * 4.0) * x * b[:, 1]
         np.testing.assert_allclose(out, expected[None, :], atol=1e-12)
 
     def test_zero_forcing_identity_through_channel(self):
         h = random_channel(4, 16, seed=1)
-        pre = zf_precoder(h)
+        sel = selection_for_indices(h, range(len(h)))
+        b = zf_precoder(sel)
         s = spatial_bits(np.arange(1, 16), 4)
         x = np.exp(1j * np.linspace(0.3, 2.0, 15))
-        amplitude = math.sqrt(pre.alpha * 9.0)
-        y = transmit(pre.matrix_b, s, x, amplitude) @ h.T
+        amplitude = math.sqrt(sel.alpha * 9.0)
+        y = transmit(b, s, x, amplitude) @ h.T
         np.testing.assert_allclose(y, amplitude * s * x[:, None], atol=1e-8)
         # The effective channel H B gives the received rows in one step.
-        np.testing.assert_allclose(transmit(h @ pre.matrix_b, s, x, amplitude), y, atol=1e-12)
+        np.testing.assert_allclose(transmit(h @ b, s, x, amplitude), y, atol=1e-12)
 
     def test_average_transmit_power(self):
         # E||x_tx||^2 over random words equals alpha*P*E||B s||^2*E|x|^2.
         h = random_channel(3, 12, seed=2)
-        pre = zf_precoder(h)
+        sel = selection_for_indices(h, range(len(h)))
+        b = zf_precoder(sel)
         c = build_constellation("psk", 8)
         rng = np.random.default_rng(3)
         power = 2.0
         s = spatial_bits(rng.integers(1, 8, 2000), 3)
         x = c.points[rng.integers(0, 8, 2000)]
-        tx = transmit(pre.matrix_b, s, x, math.sqrt(pre.alpha * power))
+        tx = transmit(b, s, x, math.sqrt(sel.alpha * power))
         total = float(np.sum(np.abs(tx) ** 2))
-        per_word = np.sum(np.abs(s @ pre.matrix_b.T) ** 2, axis=1) * np.abs(x) ** 2
-        assert total == pytest.approx(pre.alpha * power * float(per_word.sum()), rel=1e-9)
+        per_word = np.sum(np.abs(s @ b.T) ** 2, axis=1) * np.abs(x) ** 2
+        assert total == pytest.approx(sel.alpha * power * float(per_word.sum()), rel=1e-9)
 
     def test_rejects_all_zero(self):
         # The transmit side builds its spatial rows with spatial_bits, which
@@ -975,14 +978,14 @@ class TestNoiselessEndToEnd:
         # Every legal word for 3 spatial bits + QPSK, in one batch.
         h = random_channel(6, 24, seed=12)
         sel = select_antennas(h, 3)
-        pre = zf_precoder(sel.h_active)
+        b = zf_precoder(sel)
         c = build_constellation("qam", 4)
         power = 10.0
-        alpha_p = pre.alpha * power
+        alpha_p = sel.alpha * power
         gamma = threshold("exact", alpha_p, 1.0, c.beta)
         words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
         spatial = spatial_bits(words, 3)
-        y = transmit(pre.matrix_b, spatial, c.points[js], math.sqrt(alpha_p)) @ sel.h_active.T
+        y = transmit(b, spatial, c.points[js], math.sqrt(alpha_p)) @ sel.h_active.T
         s_hat = detect_spatial(np.abs(y), gamma)
         np.testing.assert_array_equal(s_hat, spatial)
         j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)

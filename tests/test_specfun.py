@@ -610,6 +610,33 @@ def ensemble_calls():
     return calls
 
 
+@pytest.fixture(scope="module")
+def ensemble_references(ensemble_calls):
+    """single_pass_dnct of every recorded call, per config."""
+    return {
+        path: [single_pass_dnct(*args) for args in recorded]
+        for path, recorded in ensemble_calls.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def random_grid():
+    """A random 2-dof grid, the elements where single_pass_dnct raises, and
+    its result on the others."""
+    rng = np.random.default_rng(18)
+    n = 400
+    x, delta = log_uniform(rng, 1e-2, 1e2, n), rng.uniform(-5.0, 25.0, n)
+    lam = log_uniform(rng, 1e-6, 3e3, n)
+    failing = []
+    for i in range(n):
+        try:
+            single_pass_dnct(x[i], 2.0, delta[i], lam[i])
+        except ArithmeticError:
+            failing.append(i)
+    ok = np.setdiff1d(np.arange(n), failing)
+    return x, delta, lam, failing, ok, single_pass_dnct(x[ok], 2.0, delta[ok], lam[ok])
+
+
 class TestWindowGroups:
     """Windows built in groups of at most _TERM_BUDGET terms give, bit for
     bit, what building every term of every window at once gave."""
@@ -624,11 +651,12 @@ class TestWindowGroups:
 
     @pytest.mark.parametrize("budget", [1, 1000, None], ids=["one-window", "split", "default"])
     @pytest.mark.parametrize("path", ["presets/fig3.cfg", "bench/configs/mc_estimated.cfg"])
-    def test_config_ensembles(self, path, budget, ensemble_calls, monkeypatch):
+    def test_config_ensembles(
+        self, path, budget, ensemble_calls, ensemble_references, monkeypatch
+    ):
         if budget is not None:
             monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
-        for x, dof, delta, lam in ensemble_calls[path]:
-            want = single_pass_dnct(x, dof, delta, lam)
+        for (x, dof, delta, lam), want in zip(ensemble_calls[path], ensemble_references[path]):
             assert np.array_equal(doubly_noncentral_t_cdf(x, dof, delta, lam), want)
             if budget == 1000:
                 # Several groups, each of several windows.
@@ -636,26 +664,17 @@ class TestWindowGroups:
                 assert 1 < len(list(_window_groups(sizes))) < lam.size
 
     @pytest.mark.parametrize("budget", [1, 1000, None], ids=["one-window", "split", "default"])
-    def test_random_grid(self, budget, monkeypatch):
+    def test_random_grid(self, budget, random_grid, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
-        rng = np.random.default_rng(18)
-        n = 400
-        x, delta = log_uniform(rng, 1e-2, 1e2, n), rng.uniform(-5.0, 25.0, n)
-        lam = log_uniform(rng, 1e-6, 3e3, n)
+        x, delta, lam, failing, ok, want = random_grid
         # Where a term ahead of a suffix is a backend NaN, both builds raise.
-        failing = []
-        for i in range(n):
-            try:
-                single_pass_dnct(x[i], 2.0, delta[i], lam[i])
-            except ArithmeticError:
-                failing.append(i)
-                with pytest.raises(ArithmeticError):
-                    doubly_noncentral_t_cdf(x[i], 2.0, delta[i], lam[i])
+        for i in failing:
+            with pytest.raises(ArithmeticError):
+                doubly_noncentral_t_cdf(x[i], 2.0, delta[i], lam[i])
         assert len(failing) < 5
-        ok = np.setdiff1d(np.arange(n), failing)
         got = doubly_noncentral_t_cdf(x[ok], 2.0, delta[ok], lam[ok])
-        assert np.array_equal(got, single_pass_dnct(x[ok], 2.0, delta[ok], lam[ok]))
+        assert np.array_equal(got, want)
 
     def test_working_memory_is_bounded(self):
         # 300 windows of about 1,000 terms, most of them open: the one-pass

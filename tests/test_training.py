@@ -7,17 +7,11 @@ import pytest
 
 from rsmsim.training import (
     DegenerateSample,
-    PilotObservation,
     SingularFisher,
     estimate_amplitude,
     fisher_information,
     threshold_estimate_stats,
 )
-
-
-def obs_from(amplitudes):
-    a = np.asarray(amplitudes, dtype=float)
-    return PilotObservation(amplitudes=a, n_pilots=a.size, n_active=1)
 
 
 def rice_samples(theta, sigma2, shape, rng):
@@ -29,15 +23,19 @@ def rice_samples(theta, sigma2, shape, rng):
 class TestAmplitudeEstimator:
     def test_exact_on_constant_samples(self):
         for c in (0.5, 2.0, 7.3):
-            assert estimate_amplitude(obs_from([c] * 12)) == pytest.approx(c, abs=1e-12)
+            assert estimate_amplitude([c] * 12) == pytest.approx(c, abs=1e-12)
 
     def test_single_sample(self):
-        assert estimate_amplitude(obs_from([1.7])) == pytest.approx(1.7, abs=1e-12)
+        assert estimate_amplitude([1.7]) == pytest.approx(1.7, abs=1e-12)
+
+    def test_negative_amplitudes(self):
+        with pytest.raises(ValueError):
+            estimate_amplitude(np.array([-1.0, 1.0]))
 
     def test_degenerate_sample_surfaces_radicand(self):
         # Widely spread values make 4*mean^2 < 3*mean-square.
         with pytest.raises(DegenerateSample) as err:
-            estimate_amplitude(obs_from([0.0, 10.0]))
+            estimate_amplitude([0.0, 10.0])
         assert err.value.radicand < 0
 
     def test_consistency_against_rice_generator(self):
@@ -48,7 +46,7 @@ class TestAmplitudeEstimator:
             batches = rice_samples(theta, sigma2, (2000, n), rng)
             ests = []
             for row in batches:
-                ests.append(estimate_amplitude(obs_from(row)))
+                ests.append(estimate_amplitude(row))
             assert np.mean(ests) == pytest.approx(theta, rel=0.01)
 
     def test_simultaneous_equation_identity(self):
@@ -58,9 +56,8 @@ class TestAmplitudeEstimator:
         for _ in range(1000):
             n = int(rng.integers(2, 40))
             a = rice_samples(3.0, 0.4, n, rng)
-            obs = obs_from(a)
             try:
-                theta = estimate_amplitude(obs)
+                theta = estimate_amplitude(a)
             except DegenerateSample:
                 continue
             sigma2_hat = 2.0 * float(np.mean((a - theta) ** 2))  # ML noise estimate
@@ -132,12 +129,3 @@ class TestEstimateThreshold:
         assert abs(skew) < 0.25
         assert abs(excess_kurtosis) < 0.5
 
-
-class TestPilotObservationValidation:
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            PilotObservation(amplitudes=np.ones(5), n_pilots=2, n_active=4)
-
-    def test_negative_amplitudes(self):
-        with pytest.raises(ValueError):
-            PilotObservation(amplitudes=np.array([-1.0, 1.0]), n_pilots=1, n_active=2)

@@ -17,8 +17,9 @@ depends on which symbol was sent, so the miss probability is averaged
 over the constellation's power levels; for PSK this collapses to the
 single-amplitude expression.
 
-Every function takes arrays over a link ensemble as well as scalars, so
-one SNR point of a whole ensemble costs one call per kernel.
+Every kernel takes arrays over a link ensemble as well as scalars, and
+:func:`abep` evaluates one SNR point of a whole ensemble with one call
+per kernel, for a known or a pilot-estimated threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import Constellation, threshold
+# ``threshold`` is unused here: bench/spans.py wraps rsmsim.analysis.threshold.
+from .phy import Constellation, threshold  # noqa: F401
 from .specfun import (
     doubly_noncentral_t_cdf,
     gaussian_q,
@@ -53,10 +55,12 @@ def _scalar_or_array(value) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class AbepBreakdown:
-    """Per-SNR error probabilities: spatial, modulation, and their mix.
+    """One SNR point's error probabilities: spatial, modulation, and
+    their mix.
 
-    Fields are floats for one link and arrays over the links of an
-    ensemble; in an array, NaN marks a link left out (see :func:`abep`).
+    :func:`abep` fills each field with an array over the links of an
+    ensemble, where NaN marks a link left out; float fields are checked
+    the same way.
     """
 
     p_es: float | np.ndarray
@@ -241,29 +245,49 @@ def modulation_error_prob(
     return _scalar_or_array(total)
 
 
-def _point_fields(
+def abep(
     constellation: Constellation,
     n_active: int,
     alpha_p: np.ndarray,
     sigma2: float,
     gamma: np.ndarray | None = None,
-    stats: np.ndarray | None = None,
-) -> np.ndarray:
-    """(p_es, p_em, abep, p1, p0) of one SNR point, one column per link.
+    n_pilot_samples: int | None = None,
+) -> AbepBreakdown:
+    """Average bit error probability of one SNR point, one entry per link.
 
-    ``alpha_p`` holds each link's power factor at the point. Give either
-    the designed thresholds ``gamma`` of a known threshold, or the
-    ``(n_links, 2)`` (mean, variance) ``stats`` of a pilot-estimated one;
-    a link whose stats are NaN is NaN in every field.
+    ``alpha_p`` is the 1-D array of each link's ZF power factor times the
+    transmit power of the point. Give exactly one of ``gamma``, the
+    designed thresholds of a known threshold, or ``n_pilot_samples``: the
+    threshold is then estimated from that many pilot envelopes (high-SNR
+    design), and a link whose estimate has a singular Fisher matrix is NaN
+    in every field. Each tail kernel runs once for all the links.
     """
+    # Looked up on the module at each call, so that a wrapper installed on
+    # rsmsim.training (as bench/spans.py installs one) sees every call.
+    from .training import SingularFisher, threshold_estimate_stats
+
+    alpha_p = np.asarray(alpha_p, dtype=float)
+    if alpha_p.ndim != 1:
+        raise ValueError("alpha_p must be a 1-D array over links")
+    if np.any(alpha_p <= 0) or sigma2 <= 0:
+        raise ValueError("alpha_p and sigma2 must be positive")
+    if (gamma is None) == (n_pilot_samples is None):
+        raise ValueError("give exactly one of gamma and n_pilot_samples")
     levels, weights = _power_levels(constellation)
     # One column per constellation power level feeds the miss tail.
-    if stats is None:
+    if n_pilot_samples is None:
+        gamma = np.asarray(gamma, dtype=float)
         kept = np.ones(alpha_p.size, dtype=bool)
         p1_levels, p0 = spatial_error_probs_perfect(
             gamma[:, None], alpha_p[:, None] * levels, sigma2
         )
     else:
+        stats = np.full((alpha_p.size, 2), np.nan)
+        for i, a in enumerate(alpha_p.tolist()):
+            try:
+                stats[i] = threshold_estimate_stats(constellation.beta * a, sigma2, n_pilot_samples)
+            except SingularFisher:
+                pass
         kept = ~np.isnan(stats[:, 1])
         p1_levels, p0 = spatial_error_probs_estimated(
             (stats[kept, :1], stats[kept, 1:]), alpha_p[kept, None] * levels, sigma2
@@ -277,60 +301,4 @@ def _point_fields(
     value = (n_active * p_es + k * p_em) / (n_active + k)
     fields = np.full((5, alpha_p.size), np.nan)
     fields[:, kept] = (p_es, p_em, value, p1, p0)
-    return fields
-
-
-def abep(
-    constellation: Constellation,
-    n_active: int,
-    alpha: float | np.ndarray,
-    snr_db_grid,
-    threshold_mode: str = "hsa",
-    n_pilot_samples: int | None = None,
-    sigma2: float = 1.0,
-) -> list[tuple[float, AbepBreakdown]]:
-    """Average bit error probability across an SNR grid.
-
-    ``alpha`` is the zero-forcing power factor of the link under study,
-    or a 1-D array of them for a link ensemble; each grid point has
-    transmit power 10^(snr_db/10) * sigma2. With ``n_pilot_samples``
-    set, the spatial probabilities model a threshold estimated from that
-    many pilot envelopes (high-SNR design); otherwise the threshold of
-    ``threshold_mode`` is assumed known.
-
-    For an array ``alpha`` every breakdown field is an array over the
-    links, and each tail kernel runs once per grid point for all of
-    them. A link whose threshold estimate has a singular Fisher matrix
-    is NaN in every field of that grid point; for a scalar ``alpha`` the
-    :class:`~rsmsim.training.SingularFisher` propagates instead.
-    """
-    # Looked up on the module at each call, so that a wrapper installed on
-    # rsmsim.training (as bench/spans.py installs one) sees every call.
-    from .training import SingularFisher, threshold_estimate_stats
-
-    alphas = np.asarray(alpha, dtype=float)
-    if alphas.ndim > 1:
-        raise ValueError("alpha must be a scalar or a 1-D array")
-    if np.any(alphas <= 0) or sigma2 <= 0:
-        raise ValueError("alpha and sigma2 must be positive")
-    links = np.atleast_1d(alphas)
-    beta = constellation.beta
-    out: list[tuple[float, AbepBreakdown]] = []
-    for snr_db in snr_db_grid:
-        alpha_p = links * sigma2 * 10.0 ** (float(snr_db) / 10.0)
-        if n_pilot_samples is None:
-            gamma = [threshold(threshold_mode, a, sigma2, beta) for a in alpha_p.tolist()]
-            fields = _point_fields(constellation, n_active, alpha_p, sigma2, gamma=np.array(gamma))
-        else:
-            stats = np.full((links.size, 2), np.nan)
-            for i, a in enumerate(alpha_p.tolist()):
-                try:
-                    stats[i] = threshold_estimate_stats(beta * a, sigma2, n_pilot_samples)
-                except SingularFisher:
-                    if alphas.ndim == 0:
-                        raise
-            fields = _point_fields(constellation, n_active, alpha_p, sigma2, stats=stats)
-        if alphas.ndim == 0:
-            fields = fields[:, 0].tolist()
-        out.append((float(snr_db), AbepBreakdown(*fields)))
-    return out
+    return AbepBreakdown(*fields)

@@ -48,6 +48,7 @@ from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .channel import ChannelParams, draw_channel
 from .mimo import select_antennas, selection_for_indices, zf_precoder
 from .phy import (
+    THRESHOLD_MODES,
     Constellation,
     _combine_work_bytes,
     add_complex_noise,
@@ -146,6 +147,9 @@ class RsmConfig:
             raise ValueError(f"selection must be one of {SELECTION_MODES}")
         if self.n_pilots < 1:
             raise ValueError("n_pilots must be >= 1")
+        if self.threshold_mode.lower() not in THRESHOLD_MODES:
+            raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
+        build_constellation(self.constellation_kind, self.constellation_order, self.ring_ratio)
         _check_seed(self.seed)
 
 
@@ -171,6 +175,7 @@ class FdConfig:
             raise ValueError("n_modes must be >= 1")
         if self.trials_per_point < 1 or self.channels_per_point < 1:
             raise ValueError("trials_per_point and channels_per_point must be >= 1")
+        build_constellation(self.constellation_kind, self.constellation_order, self.ring_ratio)
         _check_seed(self.seed)
 
 
@@ -515,26 +520,22 @@ def _analytic_columns(
 ) -> tuple[float, float, int]:
     """Channel-averaged analytic ABEP, perfect and pilot-estimated.
 
-    The perfect column takes the designed thresholds of the ensemble.
-    The third value counts the links left out of the estimated average
-    because their threshold estimate has a singular Fisher matrix.
+    Each column is one :func:`analysis.abep` call on the ensemble's
+    ``alpha_p`` at the point: the perfect one with its designed
+    thresholds, the estimated one with its pilot sample count. The third
+    value counts the links left out of the estimated average because
+    their threshold estimate has a singular Fisher matrix.
     """
-    perfect = analysis.AbepBreakdown(
-        *analysis._point_fields(
-            constellation,
-            config.n_active,
-            ensemble.alpha_p[snr_idx],
-            SIGMA2,
-            gamma=ensemble.gamma[snr_idx],
-        )
+    alpha_p = ensemble.alpha_p[snr_idx]
+    perfect = analysis.abep(
+        constellation, config.n_active, alpha_p, SIGMA2, gamma=ensemble.gamma[snr_idx]
     )
-    ((_, estimated),) = analysis.abep(
+    estimated = analysis.abep(
         constellation,
         config.n_active,
-        ensemble.alpha,
-        [config.snr_grid_db[snr_idx]],
+        alpha_p,
+        SIGMA2,
         n_pilot_samples=config.n_pilots * config.n_active,
-        sigma2=SIGMA2,
     )
     n_links = len(ensemble.alpha)
     excluded = int(np.isnan(estimated.abep).sum())

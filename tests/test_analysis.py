@@ -102,6 +102,33 @@ def enumerated_modulation_error_prob(constellation, alpha_p, sigma2, n_active, p
     return total
 
 
+BREAKDOWN_FIELDS = ("p_es", "p_em", "abep", "p1", "p0")
+
+
+def composed_point(constellation, n_active, alpha_p, gamma, n_pilot_samples=None):
+    """(p_es, p_em, abep, p1, p0) of one link, composed from the public
+    kernels: the spatial tails per constellation power level, their level
+    average, the modulation sum, then the rate-weighted mix. All NaN when
+    the pilot threshold's Fisher matrix is singular."""
+    powers = np.round(np.abs(constellation.points) ** 2, 12)
+    levels, counts = np.unique(powers, return_counts=True)
+    weights = counts / counts.sum()
+    if n_pilot_samples is None:
+        tails = [spatial_error_probs_perfect(gamma, alpha_p * lv, 1.0) for lv in levels]
+    else:
+        try:
+            stats = threshold_estimate_stats(constellation.beta * alpha_p, 1.0, n_pilot_samples)
+        except SingularFisher:
+            return (math.nan,) * 5
+        tails = [spatial_error_probs_estimated(stats, alpha_p * lv, 1.0) for lv in levels]
+    p1 = sum(float(wt) * q1 for wt, (q1, _) in zip(weights, tails))
+    p0 = tails[0][1]
+    p_es = 0.5 * (p1 + p0)
+    p_em = modulation_error_prob(constellation, alpha_p, 1.0, n_active, p1, p0)
+    k = constellation.bits_per_symbol
+    return p_es, p_em, (n_active * p_es + k * p_em) / (n_active + k), p1, p0
+
+
 def mc_constellation_bep(constellation, snr, n, seed):
     rng = np.random.default_rng(seed)
     k = constellation.bits_per_symbol
@@ -385,7 +412,7 @@ class TestConstellationBep:
 
 
 class TestBatchedEnsemble:
-    """Array calls hold, element for element, what scalar calls return."""
+    """Array calls hold, element for element, what per-link calls return."""
 
     ALPHAS = np.array([0.05, 0.3, 1.0, 2.5, 8.0, 40.0])
 
@@ -393,28 +420,29 @@ class TestBatchedEnsemble:
     @pytest.mark.parametrize("n_pilot_samples", [None, 4])
     def test_abep_matches_per_link_calls(self, kind, n_pilot_samples):
         c = CONSTELLATIONS[kind]
-        grid = [0.0, 6.0, 14.0]
-        batch = abep(c, 3, self.ALPHAS, grid, "exact", n_pilot_samples)
-        for i, alpha in enumerate(self.ALPHAS):
-            for snr, b in batch:
-                try:
-                    ((_, b_1),) = abep(c, 3, float(alpha), [snr], "exact", n_pilot_samples)
-                except SingularFisher:
-                    assert n_pilot_samples is not None and math.isnan(b.abep[i])
-                    continue
-                for name in ("p_es", "p_em", "abep", "p1", "p0"):
-                    assert np.array_equal(getattr(b, name)[i], getattr(b_1, name)), name
+        for snr in (0.0, 6.0, 14.0):
+            alpha_p = self.ALPHAS * 10.0 ** (snr / 10.0)
+            gamma = np.array([threshold("exact", a, 1.0, c.beta) for a in alpha_p])
+            known = n_pilot_samples is None
+            batch = abep(c, 3, alpha_p, 1.0, gamma if known else None, n_pilot_samples)
+            assert np.isnan(batch.abep).sum() < len(alpha_p)
+            for i in range(len(alpha_p)):
+                link = slice(i, i + 1)
+                b_1 = abep(c, 3, alpha_p[link], 1.0, gamma[link] if known else None, n_pilot_samples)
+                expected = composed_point(c, 3, float(alpha_p[i]), float(gamma[i]), n_pilot_samples)
+                for name, value in zip(BREAKDOWN_FIELDS, expected):
+                    got = getattr(batch, name)[i]
+                    assert np.array_equal(got, getattr(b_1, name)[0], equal_nan=True), name
+                    assert np.array_equal(got, value, equal_nan=True), name
 
     def test_singular_fisher_link_is_nan_in_batch(self):
         # 0.2 received pilot power leaves the Fisher matrix singular.
         c = CONSTELLATIONS["psk"]
-        with pytest.raises(SingularFisher):
-            abep(c, 4, 0.2, [0.0], n_pilot_samples=4)
-        ((_, b),) = abep(c, 4, np.array([0.2, 8.0]), [0.0], n_pilot_samples=4)
-        ((_, b_1),) = abep(c, 4, 8.0, [0.0], n_pilot_samples=4)
-        for name in ("p_es", "p_em", "abep", "p1", "p0"):
+        b = abep(c, 4, np.array([0.2, 8.0]), 1.0, n_pilot_samples=4)
+        b_1 = abep(c, 4, np.array([8.0]), 1.0, n_pilot_samples=4)
+        for name in BREAKDOWN_FIELDS:
             assert math.isnan(getattr(b, name)[0])
-            assert np.array_equal(getattr(b, name)[1], getattr(b_1, name))
+            assert np.array_equal(getattr(b, name)[1], getattr(b_1, name)[0])
 
     def test_spatial_tails_match_per_link_calls(self):
         # Links down the rows, constellation power levels across columns;
@@ -457,26 +485,48 @@ class TestBatchedEnsemble:
 
 
 class TestAbep:
+    @staticmethod
+    def point(c, n_active, alpha, snr_db, n_pilot_samples=None):
+        """One link's breakdown at one SNR point, its threshold designed
+        with the high-SNR approximation unless it is pilot-estimated."""
+        alpha_p = np.array([alpha * 10.0 ** (snr_db / 10.0)])
+        if n_pilot_samples is not None:
+            return abep(c, n_active, alpha_p, 1.0, n_pilot_samples=n_pilot_samples)
+        gamma = np.array([threshold("hsa", alpha_p[0], 1.0, c.beta)])
+        return abep(c, n_active, alpha_p, 1.0, gamma=gamma)
+
     def test_rate_weighted_mix(self):
         c = build_constellation("psk", 16)
-        points = abep(c, 4, alpha=8.0, snr_db_grid=[6.0], threshold_mode="hsa")
-        _, b = points[0]
-        assert b.abep == pytest.approx((4 * b.p_es + 4 * b.p_em) / 8.0, rel=1e-12)
-        assert min(b.p_es, b.p_em) <= b.abep <= max(b.p_es, b.p_em)
+        b = self.point(c, 4, 8.0, 6.0)
+        assert b.abep[0] == pytest.approx((4 * b.p_es[0] + 4 * b.p_em[0]) / 8.0, rel=1e-12)
+        assert min(b.p_es[0], b.p_em[0]) <= b.abep[0] <= max(b.p_es[0], b.p_em[0])
 
     def test_monotone_in_snr(self):
         c = build_constellation("psk", 16)
-        grid = np.arange(0.0, 16.0, 2.0)
-        values = [b.abep for _, b in abep(c, 4, 8.0, grid, "hsa")]
+        values = [self.point(c, 4, 8.0, snr).abep[0] for snr in np.arange(0.0, 16.0, 2.0)]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
     def test_estimated_dominates_perfect(self):
         c = build_constellation("psk", 16)
-        grid = np.arange(0.0, 16.0, 2.0)
-        perfect = abep(c, 4, 8.0, grid, "hsa", None)
-        estimated = abep(c, 4, 8.0, grid, "hsa", 4)
-        for (_, bp), (_, be) in zip(perfect, estimated):
-            assert be.abep >= bp.abep - 1e-9
+        for snr in np.arange(0.0, 16.0, 2.0):
+            perfect = self.point(c, 4, 8.0, snr)
+            estimated = self.point(c, 4, 8.0, snr, n_pilot_samples=4)
+            assert estimated.abep[0] >= perfect.abep[0] - 1e-9
+
+    @pytest.mark.parametrize(
+        "alpha_p,inputs",
+        [
+            (np.array([2.0]), {"gamma": np.array([0.7]), "n_pilot_samples": 4}),
+            (np.array([2.0]), {}),
+            (np.array([[2.0]]), {"gamma": np.array([[0.7]])}),
+            (np.array([2.0, 0.0]), {"gamma": np.array([0.7, 0.7])}),
+            (np.array([2.0, -1.0]), {"n_pilot_samples": 4}),
+        ],
+        ids=["both-inputs", "no-input", "2-d-alpha_p", "zero-alpha_p", "negative-alpha_p"],
+    )
+    def test_rejects_bad_arguments(self, alpha_p, inputs):
+        with pytest.raises(ValueError):
+            abep(CONSTELLATIONS["psk"], 2, alpha_p, 1.0, **inputs)
 
     def test_breakdown_validation(self):
         with pytest.raises(ValueError):
@@ -488,9 +538,9 @@ class TestAbep:
         c = build_constellation("qam", 16)
         alpha_p, sigma2 = 10 ** (12 / 10), 1.0
         gamma = threshold("hsa", alpha_p, sigma2, c.beta)
-        (_, b), = abep(c, 2, 1.0, [12.0], "hsa")
+        b = self.point(c, 2, 1.0, 12.0)
         single, _ = spatial_error_probs_perfect(gamma, alpha_p, sigma2)
-        assert b.p1 != pytest.approx(single, rel=1e-6)
+        assert b.p1[0] != pytest.approx(single, rel=1e-6)
         levels = np.unique(np.round(np.abs(c.points) ** 2, 12))
         expected = np.mean(
             [
@@ -504,4 +554,4 @@ class TestAbep:
                 )
             ]
         )
-        assert b.p1 == pytest.approx(float(expected), rel=1e-9)
+        assert b.p1[0] == pytest.approx(float(expected), rel=1e-9)

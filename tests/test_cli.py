@@ -197,6 +197,41 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestBadConfigValues:
+    """A config value that no constellation or threshold design accepts is
+    refused with exit 2 when the config is read, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["ber", "abep"])
+    @pytest.mark.parametrize(
+        "text,old,new,message",
+        [
+            (SMALL_CONFIG, "threshold_mode = hsa", "threshold_mode = median", "threshold_mode"),
+            (SMALL_CONFIG, "constellation = psk", "constellation = pam", "'pam'"),
+            (SMALL_CONFIG, "order = 4", "order = 3", "got 3"),
+            (SMALL_CONFIG, "psk\norder = 4", "apsk\norder = 16", "ring_ratio"),
+            (SMALL_FD_CONFIG, "constellation = qam", "constellation = pam", "'pam'"),
+            (SMALL_FD_CONFIG, "order = 16", "order = 3", "got 3"),
+            (SMALL_FD_CONFIG, "constellation = qam", "constellation = apsk", "ring_ratio"),
+        ],
+        ids=[
+            "rsm-threshold_mode",
+            "rsm-constellation",
+            "rsm-order",
+            "rsm-apsk-no-ring_ratio",
+            "fd_svd-constellation",
+            "fd_svd-order",
+            "fd_svd-apsk-no-ring_ratio",
+        ],
+    )
+    def test_exits_2(self, command, text, old, new, message, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(text.replace(old, new))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert not out.exists()
+
+
 class TestMissingOutDirectory:
     """An ``--out`` in a directory that does not exist is refused with exit
     2 before any work, instead of a traceback after the whole run."""

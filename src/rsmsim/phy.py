@@ -43,6 +43,7 @@ __all__ = [
     "build_constellation",
     "spatial_bits",
     "transmit",
+    "transmit_table",
     "threshold",
     "detect_spatial",
     "nearest_point",
@@ -67,6 +68,9 @@ _BOUNDARY_MARGIN = 1e-6
 _GRID_REACH = 1e3
 _UNIT_RANGE = (1e-250, 1e250)
 _PSK_RATIO = (1e-5, 1e5)
+
+#: bytes of complex differences and distances per chunk of the full search
+_SEARCH_BYTES = 1 << 18
 
 
 class UnsupportedOrder(ValueError):
@@ -301,6 +305,44 @@ def transmit(
     return np.matmul(weighted, np.swapaxes(matrix, -1, -2), out=out)
 
 
+def transmit_table(
+    matrix: np.ndarray,
+    n_active: int,
+    points: np.ndarray,
+    amplitude: float | np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every distinct row of :func:`transmit`, one per (spatial word, symbol).
+
+    Row ``(w - 1) * len(points) + j`` is the row that :func:`transmit`
+    gives word ``w`` (in [1, 2^n_active)) carrying ``points[j]``, from the
+    same call on these ``(2^n_active - 1) * len(points)`` rows, word-major.
+    ``matrix`` and ``amplitude`` are as for :func:`transmit`, with or
+    without a leading link axis. The table is written into ``out`` when
+    given, a complex array that also holds the table's symbols until the
+    product overwrites them; the weighted rows are carved from ``work``
+    when given (see :class:`~rsmsim.buffers.Scratch`), which then needs
+    as many bytes as the table.
+    """
+    links, order = matrix.shape[:-2], len(points)
+    shape = (*links, ((1 << n_active) - 1) * order)
+    symbols = Scratch(out).take(shape, complex)
+    np.copyto(symbols.reshape(*links, -1, order), points)
+    weighted = Scratch(work).take((*shape, n_active), complex)
+    bits = _table_bits(n_active, order)
+    return transmit(matrix, bits, symbols, amplitude, out=out, work=weighted)
+
+
+@functools.cache
+def _table_bits(n_active: int, order: int) -> np.ndarray:
+    """Read-only spatial bits of the :func:`transmit_table` rows: each
+    nonzero word's row of the word table, ``order`` times in a row."""
+    bits = np.repeat(_word_table(n_active)[1:], order, axis=0)
+    bits.flags.writeable = False
+    return bits
+
+
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """Root of f in [xa, xb] by Brent's method, step for step as scipy's C brentq.
 
@@ -464,7 +506,35 @@ def detect_spatial(
 def _nearest_by_search(
     y: np.ndarray, scale: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    return np.argmin(np.abs(y[..., None] - scale[..., None] * points), axis=-1, out=out)
+    """``argmin(abs(y[..., None] - scale[..., None] * points), axis=-1)``,
+    into ``out`` when given, an int64 array of the broadcast shape.
+
+    The samples are searched in chunks of at most ``_SEARCH_BYTES`` of
+    distances and their differences, so the search allocates no table of
+    the samples' size; each sample's distances are the same numbers, and
+    ties still go to the first point.
+    """
+    chunk = max(1, _SEARCH_BYTES // (24 * len(points)))
+    samples = np.nditer(
+        [y, scale, out],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+        # The scale arrives as complex, the type the product is formed in,
+        # so that no step casts through a buffer of its own.
+        op_dtypes=[complex, complex, np.int64],
+        buffersize=chunk,
+    )
+    size = min(chunk, samples.itersize)
+    diff = np.empty((size, len(points)), complex)
+    dist = np.empty((size, len(points)))
+    with samples:
+        for ys, ss, index in samples:
+            n = len(ys)
+            np.multiply(ss[:, None], points, out=diff[:n])
+            np.subtract(ys[:, None], diff[:n], out=diff[:n])
+            np.argmin(np.abs(diff[:n], out=dist[:n]), axis=-1, out=index)
+        result = samples.operands[2]
+    return result
 
 
 def _nearest_work_bytes(constellation: Constellation) -> int:

@@ -58,6 +58,7 @@ from .phy import (
     spatial_bits,
     threshold,
     transmit,
+    transmit_table,
 )
 from .training import DegenerateSample, estimate_amplitude
 
@@ -139,8 +140,7 @@ class RsmConfig:
             raise ValueError("snr_grid_db must not be empty")
         if self.trials_per_point < 1 or self.channels_per_point < 1:
             raise ValueError("trials_per_point and channels_per_point must be >= 1")
-        if not 1 <= self.n_active <= self.channel.n_rx:
-            raise ValueError("n_active must lie in [1, n_rx]")
+        _check_streams("n_active", self.n_active, self.channel)
         if self.threshold_source not in THRESHOLD_SOURCES:
             raise ValueError(f"threshold_source must be one of {THRESHOLD_SOURCES}")
         if self.selection not in SELECTION_MODES:
@@ -171,12 +171,19 @@ class FdConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+        _check_streams("n_modes", self.n_modes, self.channel)
         if self.trials_per_point < 1 or self.channels_per_point < 1:
             raise ValueError("trials_per_point and channels_per_point must be >= 1")
         build_constellation(self.constellation_kind, self.constellation_order, self.ring_ratio)
         _check_seed(self.seed)
+
+
+def _check_streams(key: str, streams: int, channel: ChannelParams) -> None:
+    # Each stream needs a receive antenna and a transmit degree of freedom:
+    # more than the arrays support can only fail once the channels are drawn.
+    limit = min(channel.n_tx, channel.n_rx)
+    if not 1 <= streams <= limit:
+        raise ValueError(f"{key} must lie in [1, min(n_tx, n_rx)] = [1, {limit}], got {streams}")
 
 
 def _check_seed(seed: int) -> None:
@@ -421,16 +428,25 @@ def _run_block(
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
     threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
 
+    A link's noiseless received rows take at most ``R = (2^n_active - 1)
+    * order`` distinct values. When R is no larger than the words per
+    link, each link's R rows are transmitted once (:func:`transmit_table`)
+    and every word's row is gathered from them; otherwise every word is
+    transmitted. Both give the same rows, bit for bit.
+
     Every array of the block's size comes from ``buffers`` (a new set
     when None), so a block on a thread's reused set allocates none: the
     words, the symbols, the spatial bits, the received rows and one flat
-    scratch array. The symbols' scaled points sit in the received rows
-    until the product overwrites them. The scratch holds the weighted
-    rows, then the noise rows, then the detected flags beside the
+    scratch array. With the table, the scratch holds the table (and the
+    table its symbols) and the received rows its weighted rows until the
+    gather; the gather index overwrites the words. Without it, the
+    symbols' scaled points sit in the received rows until the product
+    overwrites them, and the scratch holds the weighted rows. The scratch
+    then holds the noise rows, then the detected flags beside the
     envelopes, then the combiner's and the slicer's arrays, and last the
     bit errors of each word's symbol pair; it is sized for the larger of
     the noise rows and that tail. The spatial mismatches overwrite the
-    sent bits, and the detected symbols the words.
+    sent bits, and the detected symbols the gather index.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -474,22 +490,30 @@ def _run_block(
             js[i] = rng.integers(0, order, size=trials)
         sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
-        # Bytes per word: the weighted or the noise rows, or the flags and
-        # the combiner's arrays.
+        # Bytes per word: the weighted rows (or the table, which is no
+        # larger) or the noise rows, or the flags and the combiner's arrays.
         per_row = max(16 * n_a, n_a + _combine_work_bytes(n_a, constellation))
         work = buffers.get("work", (len(rngs) * trials * per_row + SCRATCH_SLACK,), np.uint8)
         y = buffers.get("y", cells, complex)
+        effective, amplitude = ensemble.effective[batch][kept], np.sqrt(alpha_p)
+        table_rows = ((1 << n_a) - 1) * order
         # Every index is in range, so clipping changes none; unlike the
         # default mode it writes into ``out`` directly.
-        scaled = np.take(constellation.points, js, out=Scratch(y).take(rows, complex), mode="clip")
-        transmit(
-            ensemble.effective[batch][kept],
-            sent,
-            scaled,
-            np.sqrt(alpha_p),
-            out=y,
-            work=Scratch(work).take(cells, complex),
-        )
+        if table_rows <= trials:
+            table = Scratch(work).take((len(rngs), table_rows, n_a), complex)
+            transmit_table(effective, n_a, constellation.points, amplitude, out=table, work=y)
+            # Word w with symbol j is row (w - 1) * order + j of its link's
+            # table, and link i's table starts at row i * table_rows.
+            words *= order
+            words += js
+            words += (np.arange(len(rngs)) * table_rows - order)[:, None]
+            np.take(table.reshape(-1, n_a), words, axis=0, out=y, mode="clip")
+        else:
+            scaled = Scratch(y).take(rows, complex)
+            np.take(constellation.points, js, out=scaled, mode="clip")
+            transmit(
+                effective, sent, scaled, amplitude, out=y, work=Scratch(work).take(cells, complex)
+            )
         noise = Scratch(work).take((len(rngs), 2, trials, n_a), np.float64)
         add_complex_noise(y, SIGMA2, rngs, rows=noise)
         tail = Scratch(work)

@@ -198,8 +198,9 @@ class TestNegativeSeed:
 
 
 class TestBadConfigValues:
-    """A config value that no constellation or threshold design accepts is
-    refused with exit 2 when the config is read, not with a traceback."""
+    """A config value that no constellation or threshold design accepts, or
+    that asks for more streams than the arrays have, is refused with exit 2
+    when the config is read, not with a traceback or after the channel draw."""
 
     @pytest.mark.parametrize("command", ["ber", "abep"])
     @pytest.mark.parametrize(
@@ -212,6 +213,10 @@ class TestBadConfigValues:
             (SMALL_FD_CONFIG, "constellation = qam", "constellation = pam", "'pam'"),
             (SMALL_FD_CONFIG, "order = 16", "order = 3", "got 3"),
             (SMALL_FD_CONFIG, "constellation = qam", "constellation = apsk", "ring_ratio"),
+            (SMALL_CONFIG, "n_tx = 16", "n_tx = 1", "n_active"),
+            (SMALL_CONFIG, "n_active = 2", "n_active = 5", "n_active"),
+            (SMALL_FD_CONFIG, "n_modes = 2", "n_modes = 10", "n_modes"),
+            (SMALL_FD_CONFIG, "n_tx = 16", "n_tx = 1", "n_modes"),
         ],
         ids=[
             "rsm-threshold_mode",
@@ -221,6 +226,10 @@ class TestBadConfigValues:
             "fd_svd-constellation",
             "fd_svd-order",
             "fd_svd-apsk-no-ring_ratio",
+            "rsm-n_active-above-n_tx",
+            "rsm-n_active-above-n_rx",
+            "fd_svd-n_modes-above-n_rx",
+            "fd_svd-n_modes-above-n_tx",
         ],
     )
     def test_exits_2(self, command, text, old, new, message, tmp_path, capsys):
@@ -513,3 +522,69 @@ assert specfun.marcum_q1(1.0, 2.0) == sp._ufuncs._ncx2_sf(4.0, 2.0, 1.0)
 print("ok")
 """)
         assert lines == ["ok"]
+
+
+class TestBlasThreadCount:
+    """A block gathers its noiseless rows from a table of each link's
+    distinct rows when that is no larger than its words per link, and
+    transmits every word otherwise; either way the rows may not depend on
+    how many rows BLAS multiplies at once or how many threads it splits
+    them over. The benchmark runs at one BLAS thread, the tests at the
+    default."""
+
+    TABLE = """
+system = rsm
+n_tx = 32
+n_rx = 8
+n_clusters = 16
+n_active = 4
+constellation = psk
+order = 16
+threshold_mode = hsa
+threshold_source = estimated
+n_pilots = 4
+snr_db = 6,12
+trials_per_point = 20000
+channels_per_point = 3
+seed = 1
+"""
+    # (2^8 - 1) * 64 table rows against 8000 words: every word is
+    # transmitted, in a product large enough for BLAS to use two threads.
+    DIRECT = """
+system = rsm
+n_tx = 32
+n_rx = 8
+n_clusters = 16
+n_active = 8
+constellation = psk
+order = 64
+threshold_mode = hsa
+snr_db = 10
+trials_per_point = 8000
+channels_per_point = 2
+seed = 1
+"""
+
+    @pytest.mark.parametrize("text", [TABLE, DIRECT], ids=["table", "direct"])
+    def test_csv_bytes_at_one_and_two_blas_threads(self, text, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        written = []
+        for n_threads in ("1", "2"):
+            out = tmp_path / f"blas{n_threads}.csv"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=n_threads,
+                PYTHONPATH=str(Path(rsmsim.__file__).resolve().parents[1]),
+            )
+            argv = ["ber", "--config", str(cfg), "--out", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-m", "rsmsim.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]

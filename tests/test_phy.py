@@ -17,6 +17,7 @@ from rsmsim.phy import (
     NoRoot,
     OutsideDesignDomain,
     _GRID_REACH,
+    _SEARCH_BYTES,
     _antenna_sum,
     _brentq,
     _combine_work_bytes,
@@ -32,6 +33,7 @@ from rsmsim.phy import (
     spatial_bits,
     threshold,
     transmit,
+    transmit_table,
 )
 from rsmsim.specfun import log_bessel_i0
 
@@ -718,6 +720,49 @@ class TestQamSlicerModesMajor:
         assert not got[1, 1].any()  # the zero scale collapses every point to the origin
 
 
+class TestChunkedSearch:
+    """The full search runs over chunks of samples and gives, sample for
+    sample, the one-table argmin it replaced, ties to the first point."""
+
+    @pytest.mark.parametrize(
+        "kind,order,ring",
+        [("apsk", 16, 2.6), ("psk", 2, None), ("qam", 16, None), ("qam", 64, None)],
+    )
+    def test_matches_the_unchunked_argmin(self, kind, order, ring):
+        c = build_constellation(kind, order, ring)
+        chunk = _SEARCH_BYTES // (24 * order)
+        rng = np.random.default_rng(300 + order)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            y = 2.0 * random_rows(rng, n)
+            scale = rng.integers(0, 4, n) * 0.9  # a zero scale ties every point
+            # Exact ties: the origin is as far from every point of a
+            # symmetric ring, and a midpoint from both of its points.
+            y[: n // 3] = 0.0
+            pairs = rng.integers(0, order, (2, n))
+            mid = slice(n // 3, 2 * n // 3)
+            y[mid] = scale[mid] * 0.5 * (c.points[pairs[0, mid]] + c.points[pairs[1, mid]])
+            expected = full_search(y, scale, c)
+            assert_same_bits(_nearest_by_search(y, scale, c.points), expected)
+            out = rng.integers(-(2**62), 2**62, (n, 2))[:, 0]  # a strided view
+            assert _nearest_by_search(y, scale, c.points, out) is out
+            assert_same_bits(out, expected)
+        # At a zero scale every distance is the same, so point 0 wins.
+        erased = scale[: n // 3] == 0
+        assert erased.any() and not expected[: n // 3][erased].any()
+
+    def test_broadcast_scale_and_special_samples(self):
+        # The baseline's layout: one scale per (link, mode) along the trials.
+        c = build_constellation("apsk", 16, 2.6)
+        rng = np.random.default_rng(7)
+        y = 2.0 * random_rows(rng, (3, 2, 1000))
+        y[0, 0, :4] = [np.nan, np.inf, complex(-np.inf, 1.0), 1j * np.nan]
+        scale = rng.uniform(0.3, 3.0, (3, 2, 1))
+        scale[2, 1] = 0.0
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(_nearest_by_search(y, scale, c.points), full_search(y, scale, c))
+            assert_same_bits(nearest_point(y[0, 0, 0], 1.0, c), full_search(y[0, 0, 0], 1.0, c))
+
+
 class TestAddComplexNoise:
     @pytest.mark.parametrize("shape", [(7, 3), (5,), (2, 4, 3), (0, 3)])
     def test_matches_two_draw_form_and_rng_state(self, shape):
@@ -898,6 +943,52 @@ class TestExactRewrites:
         assert got is j_hat
         assert_same_bits(got, expected)
         assert_same_bits(out, flagged)
+
+    @pytest.mark.parametrize("n_active", range(1, 9))
+    @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])
+    def test_gathered_table_rows_match_transmit(self, n_active, kind, order, ring):
+        # The block gathers each word's noiseless row from its link's table;
+        # it must be the row ``transmit`` gives that word, whatever the
+        # number of rows in either product (fewer trials than table rows,
+        # as many, and more). A one-row product takes numpy's vector path
+        # and may differ in the last bit; the block never gathers for one
+        # word per link, since a table has at least two rows and is used
+        # only when no larger than the block's words per link.
+        c = build_constellation(kind, order, ring)
+        rng = np.random.default_rng(400 + n_active)
+        rows = ((1 << n_active) - 1) * order
+        trial_counts = [2, 7, rows - 1, rows, rows + 1, 3 * rows + 11, 2000]
+        for n_links in range(1, 8):
+            trials = trial_counts[n_links - 1]
+            matrix = random_rows(rng, (n_links, n_active, n_active))
+            amplitude = rng.uniform(0.05, 30.0, n_links)
+            words = rng.integers(1, 1 << n_active, (n_links, trials))
+            js = rng.integers(0, order, (n_links, trials))
+            expected = transmit(matrix, spatial_bits(words, n_active), c.points[js], amplitude)
+            table = transmit_table(matrix, n_active, c.points, amplitude)
+            assert table.shape == (n_links, rows, n_active)
+            index = (words - 1) * order + js + rows * np.arange(n_links)[:, None]
+            assert_same_bits(table.reshape(-1, n_active)[index], expected)
+            # Into garbage ``out`` and ``work``, as the block builds it.
+            out = random_rows(rng, table.shape)
+            work = random_rows(rng, table.shape)
+            assert transmit_table(matrix, n_active, c.points, amplitude, out=out, work=work) is out
+            assert_same_bits(out, table)
+        # One link without a link axis.
+        single = transmit_table(matrix[0], n_active, c.points, 1.7)
+        assert_same_bits(single, transmit_table(matrix[:1], n_active, c.points, [1.7])[0])
+
+    def test_gathered_table_rows_match_transmit_at_benchmark_size(self):
+        # 50,000 words on one link, the mc_estimated block: the direct
+        # product is large enough to be split across BLAS threads.
+        c = build_constellation("psk", 16)
+        rng = np.random.default_rng(401)
+        matrix = np.eye(4) + 1e-3 * random_rows(rng, (1, 4, 4))
+        words = rng.integers(1, 16, (1, 50_000))
+        js = rng.integers(0, 16, (1, 50_000))
+        expected = transmit(matrix, spatial_bits(words, 4), c.points[js], [2.5])
+        table = transmit_table(matrix, 4, c.points, [2.5])
+        assert_same_bits(table[0][(words[0] - 1) * 16 + js[0]], expected[0])
 
     @pytest.mark.parametrize("n_active", range(1, 9))
     @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])

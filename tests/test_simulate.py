@@ -667,6 +667,36 @@ class TestBlockBuffers:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_second_apsk_block_allocates_little(self):
+        # 16-APSK is detected by the full search, which now runs over
+        # bounded chunks of samples: a (words, order) distance table took
+        # 7.9 MiB of a second 16,000-word block.
+        import tracemalloc
+
+        from rsmsim.buffers import BlockBuffers
+        from rsmsim.simulate import _build_ensemble, _run_block
+
+        config = small_config(
+            constellation_kind="apsk",
+            ring_ratio=2.6,
+            trials_per_point=16_000,
+            channels_per_point=2,
+            snr_grid_db=(8.0,),
+        )
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        buffers = BlockBuffers()
+        _run_block(config, constellation, ensemble, 0, range(0, 1), buffers)
+        tracemalloc.start()
+        try:
+            counts = _run_block(config, constellation, ensemble, 0, range(1, 2), buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        expected = reference_block(config, constellation, ensemble, 0, 1)
+        assert (counts.spatial_errors[0], counts.modulation_errors[0], counts.failed[0]) == expected
+
     def test_second_fd_batch_allocates_little(self):
         # A batch of the fd_baseline benchmark, 32 links of 1000 words on 2
         # modes of 16-QAM in pieces of 8 links: past the first batch, a
@@ -1122,6 +1152,20 @@ class TestConfigValidation:
     def test_n_active_bounds(self):
         with pytest.raises(ValueError):
             small_config(n_active=9)
+
+    def test_streams_within_both_arrays(self):
+        # More streams than transmit or receive antennas could only fail
+        # after the channel draw; the config is refused when it is read.
+        narrow = ChannelParams(n_tx=2, n_rx=4)
+        for n_active in (0, 3, 4):
+            with pytest.raises(ValueError, match="n_active"):
+                small_config(channel=narrow, n_active=n_active)
+        assert small_config(channel=narrow, n_active=2).n_active == 2
+        wide = ChannelParams(n_tx=16, n_rx=4)
+        for channel, n_modes in ((wide, 0), (wide, 5), (wide, 10), (narrow, 3)):
+            with pytest.raises(ValueError, match="n_modes"):
+                FdConfig(channel=channel, snr_grid_db=(0.0,), n_modes=n_modes)
+        assert FdConfig(channel=wide, snr_grid_db=(0.0,), n_modes=4).n_modes == 4
 
     def test_bad_modes(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ depends on which symbol was sent, so the miss probability is averaged
 over the constellation's power levels; for PSK this collapses to the
 single-amplitude expression.
 
-Every kernel takes arrays over a link ensemble as well as scalars, and
+Every kernel takes arrays over a link ensemble and returns arrays, and
 :func:`abep` evaluates one SNR point of a whole ensemble with one call
 per kernel, for a known or a pilot-estimated threshold.
 """
@@ -48,46 +48,39 @@ __all__ = [
 ]
 
 
-def _scalar_or_array(value) -> float | np.ndarray:
-    """A float for a 0-d result, otherwise the array itself."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 @dataclass(frozen=True)
 class AbepBreakdown:
     """One SNR point's error probabilities: spatial, modulation, and
     their mix.
 
     :func:`abep` fills each field with an array over the links of an
-    ensemble, where NaN marks a link left out; float fields are checked
-    the same way.
+    ensemble, where NaN marks a link left out.
     """
 
-    p_es: float | np.ndarray
-    p_em: float | np.ndarray
-    abep: float | np.ndarray
-    p1: float | np.ndarray
-    p0: float | np.ndarray
+    p_es: np.ndarray
+    p_em: np.ndarray
+    abep: np.ndarray
+    p1: np.ndarray
+    p0: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("p_es", "p_em", "abep", "p1", "p0"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.ndim:
-                value = value[~np.isnan(value)]
+            value = value[~np.isnan(value)]
             if not np.all((0.0 <= value) & (value <= 1.0)):
                 raise ValueError(f"{name} must be a probability, got {getattr(self, name)!r}")
 
 
 def spatial_error_probs_perfect(
-    gamma: float | np.ndarray, alpha_p: float | np.ndarray, sigma2: float
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+    gamma: np.ndarray, alpha_p: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Miss and false-alarm probabilities with a known threshold.
 
     P1 is the Rice CDF of an energized branch (amplitude sqrt(alpha_p))
     at gamma; P0 is the Rayleigh tail of a silent branch above gamma.
-    ``gamma`` and ``alpha_p`` may be arrays: P1 broadcasts over both,
-    while P0 depends on ``gamma`` alone and keeps its shape, so a second
-    power axis on ``alpha_p`` does not repeat the false-alarm tail.
+    P1 broadcasts over the arrays ``gamma`` and ``alpha_p``, while P0
+    depends on ``gamma`` alone and keeps its shape, so a second power
+    axis on ``alpha_p`` does not repeat the false-alarm tail.
     """
     gamma = np.asarray(gamma, dtype=float)
     alpha_p = np.asarray(alpha_p, dtype=float)
@@ -96,12 +89,12 @@ def spatial_error_probs_perfect(
     sigma = math.sqrt(sigma2)
     p1 = 1.0 - marcum_q1(np.sqrt(2.0 * alpha_p) / sigma, math.sqrt(2.0) * gamma / sigma)
     p0 = np.exp(-gamma * gamma / sigma2)
-    return _scalar_or_array(p1), _scalar_or_array(p0)
+    return p1, p0
 
 
 def spatial_error_probs_estimated(
-    stats: tuple, alpha_p: float | np.ndarray, sigma2: float
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+    stats: tuple, alpha_p: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Miss/false-alarm probabilities under a Gaussian threshold estimate.
 
     ``stats`` is the (mean, variance) of the estimated threshold. The
@@ -109,9 +102,9 @@ def spatial_error_probs_estimated(
     non-central t variate (2 degrees of freedom, numerator
     non-centrality mean/std, denominator non-centrality
     2*alpha_p/sigma2); against a Rayleigh envelope the denominator
-    non-centrality vanishes. ``alpha_p`` must be positive. Array
-    arguments broadcast as in :func:`spatial_error_probs_perfect`: P0
-    takes the shape of ``stats``.
+    non-centrality vanishes. ``alpha_p`` must be positive. The arrays
+    broadcast as in :func:`spatial_error_probs_perfect`: P0 takes the
+    shape of ``stats``.
     """
     mean, variance = (np.asarray(v, dtype=float) for v in stats)
     if np.any(variance <= 0):
@@ -122,7 +115,7 @@ def spatial_error_probs_estimated(
     lam = 2.0 * np.asarray(alpha_p, dtype=float) / sigma2
     p1 = 1.0 - doubly_noncentral_t_cdf(ratio, 2.0, delta, lam)
     p0 = noncentral_t_cdf(ratio, 2.0, delta)
-    return _scalar_or_array(p1), _scalar_or_array(p0)
+    return p1, p0
 
 
 def _power_levels(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -150,13 +143,13 @@ def _near_neighbours(constellation: Constellation) -> list[tuple[int, float]]:
     return pairs
 
 
-def constellation_bep(constellation: Constellation, snr: float | np.ndarray) -> float | np.ndarray:
+def constellation_bep(constellation: Constellation, snr: np.ndarray) -> np.ndarray:
     """Gray-coded approximate bit error probability at the given SNR.
 
     PSK and square QAM use the standard closed forms; 16-APSK uses a
     nearest-neighbour union bound over the 4+12 layout. These are
     approximations tied to Gray labeling, good to roughly 10% through
-    the waterfall region. ``snr`` may be an array of any shape.
+    the waterfall region. The result has the shape of the array ``snr``.
     """
     snr = np.asarray(snr, dtype=float)
     if np.any(snr < 0):
@@ -183,7 +176,7 @@ def constellation_bep(constellation: Constellation, snr: float | np.ndarray) -> 
         for d_h, dist in _near_neighbours(constellation):
             total = total + d_h * gaussian_q(dist * np.sqrt(snr / 2.0))
         bep = np.minimum(1.0, total / (m * k))
-    return _scalar_or_array(bep)
+    return bep
 
 
 def _count_classes(n_active: int) -> tuple[np.ndarray, ...]:
@@ -204,12 +197,12 @@ def _count_classes(n_active: int) -> tuple[np.ndarray, ...]:
 
 def modulation_error_prob(
     constellation: Constellation,
-    alpha_p: float | np.ndarray,
+    alpha_p: np.ndarray,
     sigma2: float,
     n_active: int,
-    p1: float | np.ndarray,
-    p0: float | np.ndarray,
-) -> float | np.ndarray:
+    p1: np.ndarray,
+    p0: np.ndarray,
+) -> np.ndarray:
     """Average modulation bit error probability over spatial transitions.
 
     Sent words are uniform over the 2^n_active - 1 legal ones; detected
@@ -222,9 +215,9 @@ def modulation_error_prob(
     A class with no correctly flagged branch leaves the combiner with
     noise only, so its conditional BEP is 1/2.
 
-    ``alpha_p``, ``p1`` and ``p0`` may be arrays over links; they
-    broadcast together and one :func:`constellation_bep` call covers
-    every (link, class) pair.
+    ``alpha_p``, ``p1`` and ``p0`` are arrays over links; they broadcast
+    together and one :func:`constellation_bep` call covers every (link,
+    class) pair.
     """
     alpha_p, p1, p0 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float)[..., None] for v in (alpha_p, p1, p0))
@@ -241,8 +234,7 @@ def modulation_error_prob(
         constellation,
         b11[flagged] ** 2 / (b11[flagged] + b01[flagged]) * (alpha_p / sigma2),
     )
-    total = (multiplicity * bep * prob).sum(axis=-1) / ((1 << n_active) - 1)
-    return _scalar_or_array(total)
+    return (multiplicity * bep * prob).sum(axis=-1) / ((1 << n_active) - 1)
 
 
 def abep(

@@ -6,9 +6,9 @@ inversely proportional to the squared singular values, so every
 activated mode sees the same received SNR. Detection happens in the
 mode domain, which is statistically identical to applying the unitary
 decoder to the antenna-domain signal, so a link keeps only its singular
-values: :func:`svd_link` factors a channel, or a stack of channels, once,
-and :func:`received_power` splits each SNR point's power over the modes
-of a whole ensemble. :func:`fd_ber` simulates a batch of links in
+values: :func:`svd_link` factors a stack of channels once, and
+:func:`received_power` splits each SNR point's power over the modes of a
+whole ensemble. :func:`fd_ber` simulates a batch of links in
 cache-sized pieces, each link on its own stream.
 """
 
@@ -37,14 +37,13 @@ class RankDeficient(ArithmeticError):
 
 
 def svd_link(h: np.ndarray, n_modes: int) -> np.ndarray:
-    """The top ``n_modes`` singular values of ``h``, its mode gains.
+    """The top ``n_modes`` singular values of each channel, its mode gains.
 
-    ``h`` is one ``(n_rx, n_tx)`` channel, giving ``(n_modes,)`` gains, or
-    a ``(links, n_rx, n_tx)`` stack factored by one call, giving
-    ``(links, n_modes)``; each link's gains are bit-identical to factoring
-    it alone. Raises :class:`RankDeficient` when fewer than ``n_modes``
-    singular values exceed ``RANK_TOL`` times the largest, naming the
-    first such channel of a stack.
+    ``h`` is a ``(links, n_rx, n_tx)`` stack factored by one call, giving
+    ``(links, n_modes)`` gains; each link's gains are bit-identical to
+    factoring it alone. Raises :class:`RankDeficient` when fewer than
+    ``n_modes`` singular values of a channel exceed ``RANK_TOL`` times its
+    largest, naming the first such channel.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -55,8 +54,6 @@ def svd_link(h: np.ndarray, n_modes: int) -> np.ndarray:
     usable = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     short = np.flatnonzero(usable < n_modes)
     if short.size:
-        if s.ndim == 1:
-            raise RankDeficient(f"channel supports {usable} modes, {n_modes} requested")
         first = int(short[0])
         raise RankDeficient(
             f"channel {first} supports {usable[first]} modes, {n_modes} requested"

@@ -6,11 +6,10 @@ complex ray gains and a sectorized transmit antenna pattern. Cluster
 mean angles are uniform (over the transmit sector on the departure
 side, over the full circle on the omnidirectional receive side) and ray
 angles are Laplacian around their cluster mean. The array responses and
-pattern gains of all rays of a draw are built by one vectorized call
-each, with the same arithmetic as a per-ray evaluation, so a draw is
-bit-identical to building it ray by ray. A batch of draws, one random
-stream per link, is built the same way along a leading link axis, and
-each link is bit-identical to drawing it alone.
+pattern gains of all rays are built by one vectorized call each, with
+the same arithmetic as a per-ray evaluation, along a leading link axis:
+a batch of draws takes one random stream per link, and each link is
+bit-identical to drawing it ray by ray from its stream alone.
 
 The ray-gain variance is calibrated per parameter set so that the
 average squared Frobenius norm of the channel equals
@@ -87,8 +86,8 @@ class ChannelRealization:
     ``cluster_means`` holds (arrival, departure) mean azimuths per
     cluster in degrees; ``ray_angles`` holds the per-ray (arrival,
     departure) azimuths, cluster-major; ``ray_gains`` the complex gains
-    actually used (calibrated variance ``gain_scale``). A batch of draws
-    carries a leading link axis on every array field.
+    actually used (calibrated variance ``gain_scale``). Every array field
+    carries a leading link axis.
     """
 
     matrix: np.ndarray
@@ -98,8 +97,8 @@ class ChannelRealization:
     gain_scale: float
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim not in (2, 3):
-            raise ValueError("matrix must be (n_rx, n_tx) or (links, n_rx, n_tx)")
+        if self.matrix.ndim != 3:
+            raise ValueError("matrix must be (links, n_rx, n_tx)")
         if self.ray_angles.shape != (*self.ray_gains.shape, 2):
             raise ValueError("ray_angles must be (n_paths, 2) per link")
 
@@ -119,11 +118,10 @@ def array_response(n: int, angle_deg: float | np.ndarray, spacing: float) -> np.
 
 
 def sector_gain(
-    angle_deg: float | np.ndarray, sector_center: float, sector_width: float
-) -> int | np.ndarray:
-    """Unit gain inside the sector, zero outside, with 360-degree wraparound.
-
-    An array of angles gives a boolean array, True where the gain is one.
+    angle_deg: np.ndarray, sector_center: float, sector_width: float
+) -> np.ndarray:
+    """Unit gain inside the sector, zero outside, with 360-degree wraparound:
+    a boolean array of the angles' shape, True where the gain is one.
     """
     angle = np.asarray(angle_deg, dtype=float)
     offset = np.subtract(angle, sector_center, out=np.empty(angle.shape))
@@ -132,8 +130,7 @@ def sector_gain(
     # so only the others (nan and inf included) take the costly remainder.
     np.remainder(offset, 360.0, out=offset, where=~((offset >= 0.0) & (offset < 360.0)))
     offset -= 180.0
-    inside = np.abs(offset, out=offset) <= sector_width / 2.0
-    return int(inside) if inside.ndim == 0 else inside
+    return np.abs(offset, out=offset) <= sector_width / 2.0
 
 
 def _draw_angles(
@@ -209,18 +206,15 @@ def in_sector_fraction(params: ChannelParams) -> float:
 
 
 def draw_channel(
-    params: ChannelParams, rng: np.random.Generator | Sequence[np.random.Generator]
+    params: ChannelParams, rngs: Sequence[np.random.Generator]
 ) -> ChannelRealization:
-    """Draw channel realizations from explicit random streams.
+    """Draw one channel realization per generator, stacked along a leading
+    link axis of every array field.
 
-    One generator gives one realization. A sequence of generators gives
-    one realization per generator, stacked along a leading link axis of
-    every array field; link ``i`` is exactly what ``rng[i]`` alone draws,
-    because one generator is drawn as a batch of one. Each stream draws
-    its angles, then the real and then the imaginary parts of its ray
-    gains.
+    Link ``i`` is exactly what ``rngs[i]`` alone draws in a batch of one.
+    Each stream draws its angles, then the real and then the imaginary
+    parts of its ray gains.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     n_links, n_paths = len(rngs), params.n_paths
     means = np.empty((n_links, params.n_clusters, 2))
     rays = np.empty((n_links, n_paths, 2))
@@ -241,8 +235,6 @@ def draw_channel(
     scale = math.sqrt(params.n_tx * params.n_rx / params.n_paths)
     weights = scale * gains * pattern
     matrix = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ np.conjugate(v_tx, out=v_tx)
-    if isinstance(rng, np.random.Generator):
-        matrix, means, rays, gains = matrix[0], means[0], rays[0], gains[0]
     return ChannelRealization(
         matrix=matrix,
         cluster_means=means,

@@ -6,10 +6,8 @@ transceiver chain in batch form: spatial words to bit matrices,
 transmit rows, per-antenna spatial detection,
 minimum-distance symbol detection, switch-and-combine modulation
 detection, and the complex noise draw shared by every Monte Carlo path.
-Every step of the chain takes (trials, n_active) arrays, one row per
-data word. ``spatial_bits``, ``transmit``, ``detect_spatial`` and
-``combine_and_detect_modulation`` also take a leading link axis,
-(links, trials, n_active), with the per-link inputs (channel matrix,
+Every step of the chain takes (links, trials, n_active) arrays, one row
+per data word of each link, with the per-link inputs (channel matrix,
 amplitude, threshold, alpha_p) given one per link.
 
 Conventions: complex noise samples carry total variance sigma2 (half
@@ -267,29 +265,28 @@ def _word_table(n_active: int) -> np.ndarray:
     return table
 
 
-def _per_link(value: float | np.ndarray, trailing: int) -> np.ndarray:
-    """A scalar as is, or one value per link shaped to broadcast along the
-    leading link axis of arrays with ``trailing`` more axes."""
-    value = np.asarray(value, dtype=float)
-    return value.reshape(value.shape + (1,) * trailing) if value.ndim else value
+def _per_link(value: np.ndarray, trailing: int) -> np.ndarray:
+    """One value per link shaped to broadcast along the leading link axis
+    of arrays with ``trailing`` more axes."""
+    return np.asarray(value, dtype=float).reshape((-1,) + (1,) * trailing)
 
 
 def transmit(
     matrix: np.ndarray,
     spatial: np.ndarray,
     symbols: np.ndarray,
-    amplitude: float | np.ndarray,
+    amplitude: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One row ``amplitude * matrix @ (spatial[t] * symbols[t])`` per word t.
+    """One row ``amplitude[l] * matrix[l] @ (spatial[l, t] * symbols[l, t])``
+    per link l and word t.
 
-    ``spatial`` is (trials, n_active) and ``symbols`` (trials,). With the
-    ZF precoder ``B`` and ``amplitude = sqrt(alpha * P)`` the rows are
-    transmit vectors; with the effective channel ``H_a @ B`` they are the
-    noiseless received samples. For a batch of links every argument has a
-    leading link axis: ``matrix`` is (links, n, n_active) and
-    ``amplitude`` (links,).
+    ``matrix`` is (links, n, n_active), ``spatial`` (links, trials,
+    n_active), ``symbols`` (links, trials) and ``amplitude`` (links,).
+    With the ZF precoder ``B`` and ``amplitude = sqrt(alpha * P)`` the
+    rows are transmit vectors; with the effective channel ``H_a @ B`` they
+    are the noiseless received samples.
 
     The rows are written into ``out`` when given. With ``work``, a complex
     array of ``spatial``'s shape that receives the weighted rows,
@@ -309,26 +306,26 @@ def transmit_table(
     matrix: np.ndarray,
     n_active: int,
     points: np.ndarray,
-    amplitude: float | np.ndarray,
+    amplitude: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Every distinct row of :func:`transmit`, one per (spatial word, symbol).
 
-    Row ``(w - 1) * len(points) + j`` is the row that :func:`transmit`
-    gives word ``w`` (in [1, 2^n_active)) carrying ``points[j]``, from the
-    same call on these ``(2^n_active - 1) * len(points)`` rows, word-major.
-    ``matrix`` and ``amplitude`` are as for :func:`transmit`, with or
-    without a leading link axis. The table is written into ``out`` when
-    given, a complex array that also holds the table's symbols until the
-    product overwrites them; the weighted rows are carved from ``work``
-    when given (see :class:`~rsmsim.buffers.Scratch`), which then needs
-    as many bytes as the table.
+    Row ``(w - 1) * len(points) + j`` of link l is the row that
+    :func:`transmit` gives word ``w`` (in [1, 2^n_active)) carrying
+    ``points[j]`` on link l, from the same call on these ``(2^n_active -
+    1) * len(points)`` rows per link, word-major. ``matrix`` and
+    ``amplitude`` are as for :func:`transmit`. The table is written into
+    ``out`` when given, a complex array that also holds the table's
+    symbols until the product overwrites them; the weighted rows are
+    carved from ``work`` when given (see :class:`~rsmsim.buffers.Scratch`),
+    which then needs as many bytes as the table.
     """
-    links, order = matrix.shape[:-2], len(points)
-    shape = (*links, ((1 << n_active) - 1) * order)
+    n_links, order = len(matrix), len(points)
+    shape = (n_links, ((1 << n_active) - 1) * order)
     symbols = Scratch(out).take(shape, complex)
-    np.copyto(symbols.reshape(*links, -1, order), points)
+    np.copyto(symbols.reshape(n_links, -1, order), points)
     weighted = Scratch(work).take((*shape, n_active), complex)
     bits = _table_bits(n_active, order)
     return transmit(matrix, bits, symbols, amplitude, out=out, work=weighted)
@@ -417,15 +414,17 @@ def check_design_domain(alpha_p: float, sigma2: float, beta: float = 1.0) -> Non
     (so that no product or quotient of the designs leaves the normal
     float range) and the design SNR rho = beta * alpha_p / sigma2 in
     ``DESIGN_RHO_RANGE``. Below that range the exact design loses
-    relative accuracy: log I0(u) ~ u^2/4 is computed as a logarithm near
-    1, with a relative error of about 1e-16 / rho, and the root tolerance
-    of 1e-14 is absolute while the root is u ~ 2 sqrt(rho). At 1e-6 the
-    designed gamma is still good to about 1e-10; at 1e-300 the root
-    search stopped at u ~ 1e-14 and gamma came out near 1e137 instead of
-    sqrt(sigma2). Above the range the exact residual, evaluated from
-    gamma as exp(log I0(u) - rho) - 1, carries a rounding error of about
-    rho * 1e-16 in its exponent (1e-6 at 1e10), and from about 1e18 it
-    overflows.
+    relative accuracy: the root tolerance of 1e-14 is absolute while the
+    root is u ~ 2 sqrt(rho), and at 1e-300 the root search stopped at u ~
+    1e-14 and gamma came out near 1e137 instead of sqrt(sigma2). Inside
+    it, log I0(u) ~ u^2/4 is a logarithm near 1 with a relative error of
+    about 1e-16 / rho wherever :func:`~rsmsim.specfun.log_bessel_i0` does
+    not take its series (u >= 5e-3, rho above about 6e-6): the designed
+    gamma is good to about 3e-11 just above that cutoff, and to about
+    1e-13 below it, down to rho = 1e-6. Above the range the exact
+    residual, evaluated from gamma as exp(log I0(u) - rho) - 1, carries a
+    rounding error of about rho * 1e-16 in its exponent (1e-6 at 1e10),
+    and from about 1e18 it overflows.
     """
     if not (0.0 < alpha_p < math.inf and 0.0 < sigma2 < math.inf):
         raise OutsideDesignDomain(
@@ -492,13 +491,13 @@ def threshold(mode: str, alpha_p: float, sigma2: float, beta: float = 1.0) -> fl
 
 
 def detect_spatial(
-    envelopes: np.ndarray, gamma: float | np.ndarray, out: np.ndarray | None = None
+    envelopes: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-antenna one-bit decision: True where the envelope exceeds gamma.
 
-    A row with no flag is possible and handled by the combiner. For
-    (links, trials, n_active) envelopes ``gamma`` may hold one threshold
-    per link. The flags are written into ``out`` when given.
+    ``envelopes`` is (links, trials, n_active) and ``gamma`` holds one
+    threshold per link. A row with no flag is possible and handled by the
+    combiner. The flags are written into ``out`` when given.
     """
     return np.greater(envelopes, _per_link(gamma, 2), out=out)
 
@@ -726,7 +725,7 @@ def _combine_work_bytes(n_active: int, constellation: Constellation) -> int:
 def combine_and_detect_modulation(
     y: np.ndarray,
     s_hat: np.ndarray,
-    alpha_p: float | np.ndarray,
+    alpha_p: np.ndarray,
     constellation: Constellation,
     overwrite_y: bool = False,
     out: np.ndarray | None = None,
@@ -734,8 +733,8 @@ def combine_and_detect_modulation(
 ) -> np.ndarray:
     """Combine the branches flagged active and detect the symbol, per row.
 
-    ``y`` and the bool flags ``s_hat`` are (trials, n_active), or
-    (links, trials, n_active) with ``alpha_p`` one per link. The
+    ``y`` and the bool flags ``s_hat`` are (links, trials, n_active), and
+    ``alpha_p`` holds one value per link. The
     receiver sums the flagged branch outputs and compares against
     sqrt(alpha_p) times its own count of combined branches (it cannot
     know how many were truly energized). A row with no flag yields the
@@ -804,35 +803,31 @@ def _antenna_sum(
 def add_complex_noise(
     signal: np.ndarray,
     sigma2: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add circular complex Gaussian noise of variance ``sigma2`` to ``signal``.
 
-    ``signal`` is a complex array, changed in place and returned. With
-    one generator, the real parts of the noise come from one
-    ``standard_normal`` draw of ``(2, *signal.shape)`` ahead of the
-    imaginary parts, which is the stream order, and the values, of
-    ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))``.
-    With a sequence of generators, one per leading row of ``signal``, row
-    ``i`` gets exactly the noise that ``rng[i]`` alone would add to it;
-    every row fills its part of one buffer, which is scaled and added once;
-    ``rows``, a float array of shape ``(len(signal), 2, *signal.shape[1:])``,
-    is that buffer when given.
+    ``signal`` is a complex array, changed in place and returned, with one
+    generator per leading row. Row ``i`` takes the real parts of its noise
+    from one ``standard_normal`` draw of ``(2, *signal.shape[1:])`` ahead
+    of the imaginary parts, which is the stream order, and the values, of
+    ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape))`` with ``rng = rngs[i]``, whatever the
+    other rows. Every row fills its part of one buffer, which is scaled
+    and added once; ``rows``, a float array of shape ``(len(signal), 2,
+    *signal.shape[1:])``, is that buffer when given.
     ``signal`` may be a view of another memory layout, such as the
     transpose of a modes-major batch: the noise keeps the stream order of
     ``signal``'s own axes and is added along its memory order.
     """
-    if isinstance(rng, np.random.Generator):
-        noise = rng.standard_normal((2, *signal.shape))
-    else:
-        if len(rng) != len(signal):
-            raise ValueError("add_complex_noise needs one generator per leading row")
-        if rows is None:
-            rows = np.empty((len(signal), 2, *signal.shape[1:]))
-        for row, gen in zip(rows, rng):
-            gen.standard_normal(out=row)
-        noise = rows.swapaxes(0, 1)
+    if len(rngs) != len(signal):
+        raise ValueError("add_complex_noise needs one generator per leading row")
+    if rows is None:
+        rows = np.empty((len(signal), 2, *signal.shape[1:]))
+    for row, gen in zip(rows, rngs):
+        gen.standard_normal(out=row)
+    noise = rows.swapaxes(0, 1)
     noise *= math.sqrt(sigma2 / 2.0)
     # Where two operands' layouts disagree numpy loops over the last axis
     # as given; giving the axes in the signal's memory order keeps that

@@ -17,11 +17,12 @@ returns NaN, the kernels raise ArithmeticError rather than substitute
 an approximation; so does :func:`marcum_q1`.
 
 The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
-NumPy arrays, so a whole link ensemble costs one backend call instead of
-one per link (the doubly non-central t one call per group of windows of
-at most :data:`_TERM_BUDGET` terms, which bounds its memory whatever the
-ensemble size and lam); an array result holds, element for element,
-what a scalar call with that element returns.
+NumPy arrays and return arrays of the broadcast shape, so a whole link
+ensemble costs one backend call instead of one per link (the doubly
+non-central t one call per group of windows of at most
+:data:`_TERM_BUDGET` terms, which bounds its memory whatever the
+ensemble size and lam); each element of a result is what a call on
+that element alone returns.
 
 Saturated non-central t terms. With T = (Z + delta) / sqrt(V / df), V
 central chi-square with df degrees of freedom, and x > 0, the CDF is
@@ -188,10 +189,24 @@ class DomainError(ValueError):
     """Argument lies outside the mathematical domain of a kernel."""
 
 
+#: below this argument :func:`log_bessel_i0` sums the power series of I0
+_I0_SERIES_CUTOFF = 5e-3
+
+
 def log_bessel_i0(x: float) -> float:
-    """Natural log of I0(x), stable for arbitrarily large x."""
+    """Natural log of I0(x), stable for arbitrarily large x.
+
+    ``x + log(i0e(x))`` takes the log of 1 + x^2/4 near 0 and keeps only
+    about 1e-16 / (x^2/4) relative accuracy there, so below
+    ``_I0_SERIES_CUTOFF`` the result is ``log1p`` of the series I0(x) - 1 =
+    t + t^2/4 + t^3/36 + ..., t = x^2/4, whose first omitted term is below
+    5e-19 of the sum there.
+    """
     if not (x >= 0) or math.isinf(x):
         raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
+    if x < _I0_SERIES_CUTOFF:
+        t = 0.25 * x * x
+        return math.log1p(t * (1.0 + t * (0.25 + t / 36.0)))
     return x + math.log(float(_ufuncs.i0e(x)))
 
 
@@ -201,25 +216,19 @@ def _broadcast(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
     return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
-    """A float for scalar arguments, otherwise ``out`` in the broadcast shape."""
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def gaussian_q(x: float | np.ndarray) -> float | np.ndarray:
+def gaussian_q(x: np.ndarray) -> np.ndarray:
     """Standard normal tail probability Q(x) = P(Z > x), elementwise."""
-    q = 0.5 * _ufuncs.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-    return float(q) if q.ndim == 0 else q
+    return 0.5 * _ufuncs.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+def marcum_q1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First-order Marcum Q function Q1(a, b).
 
     Tail probability of a Rice envelope with unit per-component noise
     variance: Q1(a, b) = P(sqrt((a + Z1)^2 + Z2^2) > b). Evaluated
     through the non-central chi-square survival function with two
-    degrees of freedom and non-centrality a^2. Array arguments broadcast
-    and are evaluated in one backend call; scalars give a float.
+    degrees of freedom and non-centrality a^2. The arguments broadcast
+    and are evaluated in one backend call.
     """
     shape, (a_, b_) = _broadcast(a, b)
     if not (np.all(a_ >= 0) and np.all(b_ >= 0)) or np.isinf(a_).any() or np.isinf(b_).any():
@@ -235,7 +244,7 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     if rest.any():
         a_r, b_r = a_[rest], b_[rest]
         q[rest] = _ncx2_tail(b_r * b_r, a_r * a_r)
-    return _shaped(np.clip(q, 0.0, 1.0), shape)
+    return np.clip(q, 0.0, 1.0).reshape(shape)
 
 
 def _ncx2_tail(x: np.ndarray, nc: np.ndarray) -> np.ndarray:
@@ -328,9 +337,7 @@ def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray, delta: np.ndarray) 
         raise DomainError(f"{name} requires finite delta")
 
 
-def noncentral_t_cdf(
-    x: float | np.ndarray, dof: float | np.ndarray, delta: float | np.ndarray
-) -> float | np.ndarray:
+def noncentral_t_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """CDF of the non-central t distribution at finite x > 0.
 
     Distribution of (Z + delta) / sqrt(V / dof) with Z standard normal
@@ -338,8 +345,8 @@ def noncentral_t_cdf(
     whose CDF :func:`_chord_tail_bound` proves to round to 1 are exactly
     1.0 (module docstring); the others go to the exact backend (the ufunc
     behind scipy's ``nct.cdf``), and ArithmeticError is raised where it
-    returns NaN. Array arguments broadcast and are evaluated in one
-    backend call; scalars give a float.
+    returns NaN. The arguments broadcast and are evaluated in one backend
+    call.
     """
     shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
     _check_t_args("noncentral_t_cdf", x_, dof_, delta_)
@@ -347,7 +354,7 @@ def noncentral_t_cdf(
     rest = ~(_chord_tail_bound(x_, dof_, delta_) < _CHORD_TAIL)
     p[rest] = _ufuncs.nctdtr(dof_[rest], delta_[rest], x_[rest])
     _no_nan(p, "non-central t", x=x_, dof=dof_, delta=delta_)
-    return _shaped(np.clip(p, 0.0, 1.0), shape)
+    return np.clip(p, 0.0, 1.0).reshape(shape)
 
 
 #: z0 of the saturation bound: Q(9) = 1.1e-19 (module docstring)
@@ -498,11 +505,8 @@ def _window_groups(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
 
 
 def doubly_noncentral_t_cdf(
-    x: float | np.ndarray,
-    dof: float | np.ndarray,
-    delta: float | np.ndarray,
-    lam: float | np.ndarray,
-) -> float | np.ndarray:
+    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
     """CDF of the doubly non-central t distribution at finite x > 0, lam > 0.
 
     Distribution of (Z + delta) / sqrt(W / dof) where W is non-central
@@ -512,13 +516,13 @@ def doubly_noncentral_t_cdf(
     each mixture term is a rescaled non-central t CDF. Truncation keeps
     all terms until the remaining Poisson mass is below 1e-14.
 
-    Array arguments broadcast. Each window's saturated suffix (module
+    The arguments broadcast. Each window's saturated suffix (module
     docstring) is found for every element at once and is 1.0 without a
     backend call. The windows are then built in consecutive groups of at
     most :data:`_TERM_BUDGET` terms: the open terms of a group go to one
     backend call, and each element is reduced over its own window exactly
-    as a scalar call would, so the working memory is bounded whatever the
-    number of elements and the size of lam. Scalars give a float.
+    as a call on that element alone would, so the working memory is
+    bounded whatever the number of elements and the size of lam.
     """
     shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
     _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
@@ -543,7 +547,7 @@ def doubly_noncentral_t_cdf(
         )
         windows = zip(starts.tolist(), group_sizes.tolist())
         p[group] = [np.dot(weights[a : a + n], terms[a : a + n]) for a, n in windows]
-    return _shaped(np.clip(p, 0.0, 1.0), shape)
+    return np.clip(p, 0.0, 1.0).reshape(shape)
 
 
 def rice_moments(nu: float, sigma2: float) -> tuple[float, float]:

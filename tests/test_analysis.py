@@ -23,6 +23,7 @@ from rsmsim.phy import (
     threshold,
 )
 from rsmsim.training import SingularFisher, threshold_estimate_stats
+from oracles import batch_of_one
 
 CONSTELLATIONS = {
     "psk": build_constellation("psk", 16),
@@ -360,8 +361,8 @@ class TestModulationErrorProb:
             rng.standard_normal((n, n_active)) + 1j * rng.standard_normal((n, n_active))
         )
         y = math.sqrt(alpha_p) * s_bits * c.points[js][:, None] + noise
-        s_hat = detect_spatial(np.abs(y), gamma)
-        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)
+        s_hat = detect_spatial(*map(batch_of_one, (np.abs(y), gamma)))
+        j_hat = combine_and_detect_modulation(batch_of_one(y), s_hat, batch_of_one(alpha_p), c)[0]
         mc = float(np.bitwise_count(c.labels[js] ^ c.labels[j_hat]).sum()) / (n * 4)
         band = 3 * math.sqrt(formula * (1 - formula) / (n * 4))
         assert abs(formula - mc) <= band
@@ -412,7 +413,8 @@ class TestConstellationBep:
 
 
 class TestBatchedEnsemble:
-    """Array calls hold, element for element, what per-link calls return."""
+    """Array calls hold, element for element, what calls on a batch of
+    one link return."""
 
     ALPHAS = np.array([0.05, 0.3, 1.0, 2.5, 8.0, 40.0])
 
@@ -458,12 +460,12 @@ class TestBatchedEnsemble:
         assert p1.shape == q1.shape == branch.shape
         assert p0.shape == q0.shape == gamma.shape
         for i, j in np.ndindex(*branch.shape):
-            g, a = float(gamma[i, 0]), float(branch[i, j])
-            assert np.array_equal((p1[i, j], p0[i, 0]), spatial_error_probs_perfect(g, a, 1.0))
-            assert np.array_equal(
-                (q1[i, j], q0[i, 0]),
-                spatial_error_probs_estimated((g, float(variance[i, 0])), float(powered[i, j]), 1.0),
-            )
+            g, a = batch_of_one(gamma[i, 0]), batch_of_one(branch[i, j])
+            v, powered_a = batch_of_one(variance[i, 0]), batch_of_one(powered[i, j])
+            perfect = spatial_error_probs_perfect(g, a, 1.0)
+            assert np.array_equal((p1[i, j], p0[i, 0]), [p[0] for p in perfect])
+            estimated = spatial_error_probs_estimated((g, v), powered_a, 1.0)
+            assert np.array_equal((q1[i, j], q0[i, 0]), [q[0] for q in estimated])
 
     @pytest.mark.parametrize("kind", sorted(CONSTELLATIONS))
     def test_constellation_bep_matches_per_point_calls(self, kind):
@@ -471,8 +473,8 @@ class TestBatchedEnsemble:
         snr = np.array([[0.0, 0.3, 2.0], [10.0, 40.0, 300.0]])
         batch = constellation_bep(c, snr)
         assert batch.shape == snr.shape
-        assert np.array_equal(batch, [[constellation_bep(c, float(v)) for v in row] for row in snr])
-        assert isinstance(constellation_bep(c, 2.0), float)
+        single = [[constellation_bep(c, batch_of_one(v))[0] for v in row] for row in snr]
+        assert np.array_equal(batch, single)
 
     def test_modulation_error_prob_matches_per_link_calls(self):
         c = CONSTELLATIONS["psk"]
@@ -480,7 +482,10 @@ class TestBatchedEnsemble:
         p1 = np.array([0.0, 0.3, 1.0, 0.02])
         p0 = np.array([0.5, 0.01, 0.0, 0.2])
         batch = modulation_error_prob(c, alpha_p, 1.0, 5, p1, p0)
-        single = [modulation_error_prob(c, a, 1.0, 5, q1, q0) for a, q1, q0 in zip(alpha_p, p1, p0)]
+        single = [
+            modulation_error_prob(c, batch_of_one(a), 1.0, 5, batch_of_one(q1), batch_of_one(q0))[0]
+            for a, q1, q0 in zip(alpha_p, p1, p0)
+        ]
         assert np.array_equal(batch, single)
 
 
@@ -530,7 +535,7 @@ class TestAbep:
 
     def test_breakdown_validation(self):
         with pytest.raises(ValueError):
-            AbepBreakdown(p_es=1.5, p_em=0.0, abep=0.0, p1=0.0, p0=0.0)
+            AbepBreakdown(*map(batch_of_one, (1.5, 0.0, 0.0, 0.0, 0.0)))
 
     def test_qam_uses_level_averaged_miss_probability(self):
         # The 16-QAM miss probability must differ from the single-amplitude

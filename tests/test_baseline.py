@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rsmsim.baseline import RankDeficient, fd_ber, received_power, svd_link
-from rsmsim.phy import add_complex_noise, build_constellation
+from rsmsim.phy import build_constellation
 from rsmsim.simulate import _batch_links
 from rsmsim.specfun import gaussian_q
+from oracles import batch_of_one, fd_ber_oracle
 
 
 def random_channel(n_rx, n_tx, seed):
@@ -23,22 +24,22 @@ class TestSvdLink:
 
     def test_mode_gains_are_the_top_singular_values(self):
         h = random_channel(6, 12, seed=0)
-        assert np.array_equal(svd_link(h, n_modes=4), np.linalg.svd(h)[1][:4])
+        assert np.array_equal(svd_link(batch_of_one(h), n_modes=4)[0], np.linalg.svd(h)[1][:4])
 
     def test_identity_channel_splits_evenly(self):
-        gains = svd_link(np.eye(4), n_modes=2)
+        gains = svd_link(batch_of_one(np.eye(4)), n_modes=2)[0]
         received = received_power(gains, 6.0)
         np.testing.assert_allclose(received / gains**2, [3.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(received, [3.0, 3.0], atol=1e-12)
 
     def test_inverse_square_weighting(self):
-        gains = svd_link(np.diag([2.0, 1.0]).astype(complex), n_modes=2)
+        gains = svd_link(batch_of_one(np.diag([2.0, 1.0]).astype(complex)), n_modes=2)[0]
         received = received_power(gains, 5.0)
         np.testing.assert_allclose(received / gains**2, [1.0, 4.0], atol=1e-12)
         np.testing.assert_allclose(received, [4.0, 4.0], atol=1e-12)
 
     def test_equal_snr_on_random_channel(self):
-        gains = svd_link(random_channel(6, 12, seed=0), n_modes=4)
+        gains = svd_link(batch_of_one(random_channel(6, 12, seed=0)), n_modes=4)[0]
         received = received_power(gains, 3.0)
         assert float(received.max() - received.min()) < 1e-8
         assert float((received / gains**2).sum()) == pytest.approx(3.0, rel=1e-12)
@@ -46,11 +47,11 @@ class TestSvdLink:
     def test_scaling_channel_keeps_profile_flat(self):
         h = random_channel(4, 8, seed=1)
         for c in (0.5, 3.0):
-            received = received_power(svd_link(c * h, n_modes=3), 2.0)
+            received = received_power(svd_link(batch_of_one(c * h), n_modes=3)[0], 2.0)
             assert float(received.max() - received.min()) < 1e-8
 
     def test_rejects_nonpositive_power(self):
-        gains = svd_link(random_channel(4, 8, seed=2), n_modes=2)
+        gains = svd_link(batch_of_one(random_channel(4, 8, seed=2)), n_modes=2)[0]
         for power in (0.0, -1.0):
             with pytest.raises(ValueError):
                 received_power(gains, power)
@@ -58,14 +59,14 @@ class TestSvdLink:
     def test_rank_deficient_raises(self):
         h = np.outer(np.ones(4), np.ones(6)).astype(complex)  # rank one
         with pytest.raises(RankDeficient):
-            svd_link(h, n_modes=2)
+            svd_link(batch_of_one(h), n_modes=2)
 
     def test_stack_matches_per_channel_calls(self):
         stack = np.stack([random_channel(6, 12, seed=s) for s in range(5)])
         gains = svd_link(stack, n_modes=3)
         assert gains.shape == (5, 3)
         for h, row in zip(stack, gains):
-            assert svd_link(h, n_modes=3).tobytes() == row.tobytes()
+            assert svd_link(batch_of_one(h), n_modes=3)[0].tobytes() == row.tobytes()
 
     def test_rank_deficient_stack_names_the_first_short_channel(self):
         stack = np.stack([random_channel(4, 6, seed=s) for s in range(5)])
@@ -111,7 +112,7 @@ class TestThinFactorization:
 
 def link_power(h, power, n_modes):
     """Received power per mode of one channel at total transmit ``power``."""
-    return received_power(svd_link(h, n_modes), power)
+    return received_power(svd_link(batch_of_one(h), n_modes)[0], power)
 
 
 def one_link(received, constellation, sigma2, trials, rng):
@@ -173,17 +174,6 @@ class TestFdBer:
             fd_ber(received, c, 1.0, 9, rngs[:2])
         with pytest.raises(ValueError):
             fd_ber(received, c, 0.0, 9, rngs)
-
-
-def fd_ber_oracle(received, constellation, sigma2, trials, rng):
-    """One link at a time, in the stream order of the batch simulator:
-    symbols, then the real and the imaginary noise; full-search detection."""
-    gains = np.sqrt(received)
-    js = rng.integers(0, constellation.order, size=(trials, received.size))
-    y = add_complex_noise(gains[None, :] * constellation.points[js], sigma2, rng)
-    j_hat = np.argmin(np.abs(y[..., None] - gains[:, None] * constellation.points), axis=-1)
-    labels = constellation.labels
-    return int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum())
 
 
 TRIALS, N_MODES = 1000, 2

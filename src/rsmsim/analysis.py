@@ -1,8 +1,9 @@
 """Closed-form error analysis for the RSM link.
 
 Spatial bit errors come from the Rice/Rayleigh envelope tails around
-the detection threshold (Marcum Q with a perfect threshold, non-central
-and doubly non-central t CDFs when the threshold is pilot-estimated).
+the detection threshold (Marcum Q with a perfect threshold; the closed
+2-dof non-central t and the doubly non-central t CDFs when the
+threshold is pilot-estimated).
 Modulation bit errors are summed over the count classes of a
 transmitted/detected spatial word pair: a pair's product-Bernoulli
 transition probability and its combining SNR depend only on how many
@@ -102,9 +103,9 @@ def spatial_error_probs_estimated(
     non-central t variate (2 degrees of freedom, numerator
     non-centrality mean/std, denominator non-centrality
     2*alpha_p/sigma2); against a Rayleigh envelope the denominator
-    non-centrality vanishes. ``alpha_p`` must be positive. The arrays
-    broadcast as in :func:`spatial_error_probs_perfect`: P0 takes the
-    shape of ``stats``.
+    non-centrality vanishes, and P0 is the non-central t CDF's closed
+    form. ``alpha_p`` must be positive. The arrays broadcast as in
+    :func:`spatial_error_probs_perfect`: P0 takes the shape of ``stats``.
     """
     mean, variance = (np.asarray(v, dtype=float) for v in stats)
     if np.any(variance <= 0):

@@ -116,9 +116,9 @@ def fd_ber(
     cells = (min(step, n_links), n_modes, trials)
     sent = buffers.get("sent", cells, np.int64)
     y = buffers.get("y", cells, complex)
-    # Bytes per symbol: the noise rows, or the detected symbols and the
-    # slicer's arrays.
-    per_symbol = max(16, 8 + _nearest_work_bytes(constellation))
+    # Bytes per symbol: the detected symbols and the slicer's arrays, which
+    # cover the noise rows.
+    per_symbol = 8 + _nearest_work_bytes(constellation)
     work = buffers.get("work", (sent.size * per_symbol + SCRATCH_SLACK,), np.uint8)
     counts = np.empty(n_links, dtype=np.int64)
     for first in range(0, n_links, step):
@@ -150,7 +150,7 @@ def _piece_errors(
     # mode it writes into ``out`` directly.
     constellation.points.take(sent, out=y, mode="clip")
     y *= amplitude
-    noise = Scratch(work).take((n_links, 2, trials, n_modes), np.float64)
+    noise = Scratch(work).take((n_links, trials, n_modes), np.float64)
     add_complex_noise(y.swapaxes(1, 2), sigma2, rngs, rows=noise)
     tail = Scratch(work)
     j_hat = tail.take(sent.shape, np.int64)

@@ -419,12 +419,12 @@ def check_design_domain(alpha_p: float, sigma2: float, beta: float = 1.0) -> Non
     1e-14 and gamma came out near 1e137 instead of sqrt(sigma2). Inside
     it, log I0(u) ~ u^2/4 is a logarithm near 1 with a relative error of
     about 1e-16 / rho wherever :func:`~rsmsim.specfun.log_bessel_i0` does
-    not take its series (u >= 5e-3, rho above about 6e-6): the designed
-    gamma is good to about 3e-11 just above that cutoff, and to about
-    1e-13 below it, down to rho = 1e-6. Above the range the exact
-    residual, evaluated from gamma as exp(log I0(u) - rho) - 1, carries a
-    rounding error of about rho * 1e-16 in its exponent (1e-6 at 1e10),
-    and from about 1e18 it overflows.
+    not take its series (u >= 5e-2, rho above about 6e-4): against
+    mpmath, the designed gamma is good to about 3e-13 just above that
+    cutoff, and to about 1e-12 below it, down to rho = 1e-6. Above the
+    range the exact residual, evaluated from gamma as exp(log I0(u) -
+    rho) - 1, carries a rounding error of about rho * 1e-16 in its
+    exponent (1e-6 at 1e10), and from about 1e18 it overflows.
     """
     if not (0.0 < alpha_p < math.inf and 0.0 < sigma2 < math.inf):
         raise OutsideDesignDomain(
@@ -727,24 +727,22 @@ def combine_and_detect_modulation(
     s_hat: np.ndarray,
     alpha_p: np.ndarray,
     constellation: Constellation,
-    overwrite_y: bool = False,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine the branches flagged active and detect the symbol, per row.
 
     ``y`` and the bool flags ``s_hat`` are (links, trials, n_active), and
-    ``alpha_p`` holds one value per link. The
-    receiver sums the flagged branch outputs and compares against
-    sqrt(alpha_p) times its own count of combined branches (it cannot
-    know how many were truly energized). A row with no flag yields the
-    fixed erasure fallback, symbol index 0. Returns the symbol indices;
-    ``constellation.label_bits`` maps them to bits. With ``overwrite_y``
-    the flagged branch outputs are formed in ``y`` itself, a complex
-    array, which is left holding them. The indices are written into
-    ``out`` when given, an int64 array of the rows' shape; every other
-    array of the rows' shape is carved from ``work`` when given (see
-    :class:`~rsmsim.buffers.Scratch`), which then needs
+    ``alpha_p`` holds one value per link. The receiver sums the flagged
+    branch outputs and compares against sqrt(alpha_p) times its own count
+    of combined branches (it cannot know how many were truly energized).
+    A row with no flag yields the fixed erasure fallback, symbol index 0.
+    Returns the symbol indices; ``constellation.label_bits`` maps them to
+    bits. The flagged branch outputs are formed in ``y`` itself, a
+    complex array, which is left holding them. The indices are written
+    into ``out`` when given, an int64 array of the rows' shape; every
+    other array of the rows' shape is carved from ``work`` when given
+    (see :class:`~rsmsim.buffers.Scratch`), which then needs
     ``_combine_work_bytes`` bytes per row and ``SCRATCH_SLACK`` more.
     """
     flags = np.asarray(s_hat, dtype=bool).view(np.uint8)
@@ -755,7 +753,7 @@ def combine_and_detect_modulation(
     for k in range(1, flags.shape[-1]):
         n_hat += flags[..., k]
     scale = np.multiply(np.sqrt(_per_link(alpha_p, 1)), n_hat, out=scratch.take(rows, np.float64))
-    flagged = np.multiply(y, s_hat, out=y if overwrite_y else None)
+    flagged = np.multiply(y, s_hat, out=y)
     total = _antenna_sum(flagged, out=scratch.take(rows, np.complex128), work=scratch.rest())
     j_hat = nearest_point(total, scale, constellation, out=out, work=scratch.rest())
     # Symbol 0 where nothing was combined: the count becomes a 0/1 factor.
@@ -810,13 +808,12 @@ def add_complex_noise(
 
     ``signal`` is a complex array, changed in place and returned, with one
     generator per leading row. Row ``i`` takes the real parts of its noise
-    from one ``standard_normal`` draw of ``(2, *signal.shape[1:])`` ahead
-    of the imaginary parts, which is the stream order, and the values, of
+    from one ``standard_normal`` draw of ``signal.shape[1:]`` ahead of the
+    imaginary parts, which is the stream order, and the values, of
     ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j *
     rng.standard_normal(shape))`` with ``rng = rngs[i]``, whatever the
-    other rows. Every row fills its part of one buffer, which is scaled
-    and added once; ``rows``, a float array of shape ``(len(signal), 2,
-    *signal.shape[1:])``, is that buffer when given.
+    other rows. Each part is drawn for every row into one float buffer of
+    ``signal``'s shape (``rows`` when given), scaled and added.
     ``signal`` may be a view of another memory layout, such as the
     transpose of a modes-major batch: the noise keeps the stream order of
     ``signal``'s own axes and is added along its memory order.
@@ -824,16 +821,15 @@ def add_complex_noise(
     if len(rngs) != len(signal):
         raise ValueError("add_complex_noise needs one generator per leading row")
     if rows is None:
-        rows = np.empty((len(signal), 2, *signal.shape[1:]))
-    for row, gen in zip(rows, rngs):
-        gen.standard_normal(out=row)
-    noise = rows.swapaxes(0, 1)
-    noise *= math.sqrt(sigma2 / 2.0)
+        rows = np.empty(signal.shape)
     # Where two operands' layouts disagree numpy loops over the last axis
     # as given; giving the axes in the signal's memory order keeps that
     # loop long and contiguous on the side that is written.
     axes = sorted(range(signal.ndim), key=lambda k: -abs(signal.strides[k]))
-    target, noise = signal.transpose(axes), noise.transpose(0, *(k + 1 for k in axes))
-    target.real += noise[0]
-    target.imag += noise[1]
+    target, noise = signal.transpose(axes), rows.transpose(axes)
+    for part in (target.real, target.imag):
+        for i, gen in enumerate(rngs):
+            gen.standard_normal(out=rows[i : i + 1])
+        noise *= math.sqrt(sigma2 / 2.0)
+        part += noise
     return signal

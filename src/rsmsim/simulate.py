@@ -444,9 +444,10 @@ def _run_block(
     overwrites them, and the scratch holds the weighted rows. The scratch
     then holds the noise rows, then the detected flags beside the
     envelopes, then the combiner's and the slicer's arrays, and last the
-    bit errors of each word's symbol pair; it is sized for the larger of
-    the noise rows and that tail. The spatial mismatches overwrite the
-    sent bits, and the detected symbols the gather index.
+    bit errors of each word's symbol pair; it is sized for the largest of
+    the table or the weighted rows, the noise rows and that tail. The
+    spatial mismatches overwrite the sent bits, and the detected symbols
+    the gather index.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -490,16 +491,18 @@ def _run_block(
             js[i] = rng.integers(0, order, size=trials)
         sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
-        # Bytes per word: the weighted rows (or the table, which is no
-        # larger) or the noise rows, or the flags and the combiner's arrays.
-        per_row = max(16 * n_a, n_a + _combine_work_bytes(n_a, constellation))
-        work = buffers.get("work", (len(rngs) * trials * per_row + SCRATCH_SLACK,), np.uint8)
+        table_rows = ((1 << n_a) - 1) * order
+        use_table = table_rows <= trials
+        # Bytes per link: the table or the weighted rows; per word, the noise
+        # rows, or the flags beside the envelopes or the combiner's arrays.
+        per_word = n_a + max(8 * n_a, _combine_work_bytes(n_a, constellation))
+        per_link = max(16 * n_a * (table_rows if use_table else trials), trials * per_word)
+        work = buffers.get("work", (len(rngs) * per_link + SCRATCH_SLACK,), np.uint8)
         y = buffers.get("y", cells, complex)
         effective, amplitude = ensemble.effective[batch][kept], np.sqrt(alpha_p)
-        table_rows = ((1 << n_a) - 1) * order
         # Every index is in range, so clipping changes none; unlike the
         # default mode it writes into ``out`` directly.
-        if table_rows <= trials:
+        if use_table:
             table = Scratch(work).take((len(rngs), table_rows, n_a), complex)
             transmit_table(effective, n_a, constellation.points, amplitude, out=table, work=y)
             # Word w with symbol j is row (w - 1) * order + j of its link's
@@ -514,7 +517,7 @@ def _run_block(
             transmit(
                 effective, sent, scaled, amplitude, out=y, work=Scratch(work).take(cells, complex)
             )
-        noise = Scratch(work).take((len(rngs), 2, trials, n_a), np.float64)
+        noise = Scratch(work).take(cells, np.float64)
         add_complex_noise(y, SIGMA2, rngs, rows=noise)
         tail = Scratch(work)
         s_hat = tail.take(cells, bool)
@@ -524,7 +527,7 @@ def _run_block(
         mismatch = np.not_equal(sent, s_hat, out=sent)
         spatial[kept] = np.count_nonzero(mismatch, axis=(1, 2))
         j_hat = combine_and_detect_modulation(
-            y, s_hat, alpha_p, constellation, overwrite_y=True, out=words, work=after_flags
+            y, s_hat, alpha_p, constellation, out=words, work=after_flags
         )
         js *= order
         js += j_hat

@@ -7,14 +7,15 @@ Rice envelope moments, and the CDFs of the non-central and doubly
 non-central t distributions.
 
 The (doubly) non-central t CDFs are defined here for finite x > 0,
-dof > 0 and, for the doubly non-central one, lam > 0: the domain of the
+dof = 2 and, for the doubly non-central one, lam > 0: the domain of the
 estimated-threshold analysis, which evaluates them at x = sqrt(sigma2) /
 std with lam = 2 alpha_p / sigma2. Other arguments raise
-:class:`DomainError`. The doubly non-central t CDF is evaluated as a
-Poisson mixture of non-central t CDFs (the denominator's non-central
-chi-square expanded over central chi-squares). Where the backend ufunc
-returns NaN, the kernels raise ArithmeticError rather than substitute
-an approximation; so does :func:`marcum_q1`.
+:class:`DomainError`. The doubly non-central t CDF is a Poisson mixture
+of non-central t CDFs with 2 + 2j degrees of freedom (the denominator's
+non-central chi-square expanded over central chi-squares), each from
+the ufunc behind scipy's ``nct.cdf``. Where a backend ufunc returns
+NaN, the kernels raise ArithmeticError rather than substitute an
+approximation.
 
 The Gaussian tail, Marcum Q and (doubly) non-central t kernels take
 NumPy arrays and return arrays of the broadcast shape, so a whole link
@@ -24,7 +25,7 @@ non-central t one call per group of windows of at most
 ensemble size and lam); each element of a result is what a call on
 that element alone returns.
 
-Saturated non-central t terms. With T = (Z + delta) / sqrt(V / df), V
+Saturated window terms. With T = (Z + delta) / sqrt(V / df), V
 central chi-square with df degrees of freedom, and x > 0, the CDF is
 exactly 1.0 in double precision whenever the upper tail P(T > x) is
 below 2^-55, under half the 2^-53 spacing of the doubles just below 1.
@@ -49,11 +50,11 @@ error, and rounding in c, in the chords and in the term's computed x
 moves the bound by a few ulp, far inside the factor of two between 2^-56
 and 2^-55; a bound that overflows is NaN, which proves nothing. A proved
 term is 1.0 without a backend call, which returns 1.0, 1 minus a few ulp
-or NaN there. :func:`noncentral_t_cdf` applies the bound to each element.
+or NaN there.
 
 Saturated window suffixes. Term j of a doubly non-central t window is a
-non-central t CDF with df = dof + 2j at x sqrt(df / dof), that is
-P(Z + delta <= x sqrt(V_j / dof)) with V_j central chi-square with df
+non-central t CDF with df = 2 + 2j at x sqrt(df / 2), that is
+P(Z + delta <= x sqrt(V_j / 2)) with V_j central chi-square with df
 degrees of freedom. V_j increases stochastically with j, so for x > 0 no
 term has a larger upper tail than the one before it: once one term's
 tail is below 2^-55, every later term of its window is exactly 1.0 too.
@@ -190,7 +191,7 @@ class DomainError(ValueError):
 
 
 #: below this argument :func:`log_bessel_i0` sums the power series of I0
-_I0_SERIES_CUTOFF = 5e-3
+_I0_SERIES_CUTOFF = 5e-2
 
 
 def log_bessel_i0(x: float) -> float:
@@ -199,14 +200,14 @@ def log_bessel_i0(x: float) -> float:
     ``x + log(i0e(x))`` takes the log of 1 + x^2/4 near 0 and keeps only
     about 1e-16 / (x^2/4) relative accuracy there, so below
     ``_I0_SERIES_CUTOFF`` the result is ``log1p`` of the series I0(x) - 1 =
-    t + t^2/4 + t^3/36 + ..., t = x^2/4, whose first omitted term is below
-    5e-19 of the sum there.
+    t + t^2/4 + t^3/36 + t^4/576 + ..., t = x^2/4, whose first omitted
+    term is below 1.1e-17 of the sum there.
     """
     if not (x >= 0) or math.isinf(x):
         raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
     if x < _I0_SERIES_CUTOFF:
         t = 0.25 * x * x
-        return math.log1p(t * (1.0 + t * (0.25 + t / 36.0)))
+        return math.log1p(t * (1.0 + t * (0.25 + t * (1.0 / 36.0 + t / 576.0))))
     return x + math.log(float(_ufuncs.i0e(x)))
 
 
@@ -327,34 +328,31 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
 
 
 def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> None:
-    """DomainError unless every x is finite and positive, every dof
-    positive and every delta finite."""
+    """DomainError unless every x is finite and > 0, every dof 2 and every delta finite."""
     if not np.all((x > 0) & (x < np.inf)):
         raise DomainError(f"{name} requires finite x > 0")
-    if not np.all(dof > 0):
-        raise DomainError(f"{name} requires dof > 0")
+    if not np.all(dof == 2.0):
+        raise DomainError(f"{name} requires dof = 2")
     if not np.all(np.isfinite(delta)):
         raise DomainError(f"{name} requires finite delta")
 
 
 def noncentral_t_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """CDF of the non-central t distribution at finite x > 0.
+    """CDF of the 2-dof non-central t distribution at finite x > 0, in closed form.
 
-    Distribution of (Z + delta) / sqrt(V / dof) with Z standard normal
-    and V central chi-square with ``dof`` degrees of freedom. Elements
-    whose CDF :func:`_chord_tail_bound` proves to round to 1 are exactly
-    1.0 (module docstring); the others go to the exact backend (the ufunc
-    behind scipy's ``nct.cdf``), and ArithmeticError is raised where it
-    returns NaN. The arguments broadcast and are evaluated in one backend
-    call.
+    Distribution of (Z + delta) / R, Z standard normal and R = sqrt(V / 2)
+    with V central chi-square with ``dof`` = 2 degrees of freedom, so R
+    has density 2 r exp(-r^2). Integrating P(Z <= x r - delta) by parts
+    and completing the square gives F = Phi(-delta) + (x / r) exp(-(delta
+    / r)^2) Phi(delta x / r), r = hypot(x, sqrt 2): two non-negative
+    terms, which keep the relative accuracy of their factors down to the
+    subnormal range. The arguments broadcast.
     """
     shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
     _check_t_args("noncentral_t_cdf", x_, dof_, delta_)
-    p = np.ones(x_.shape)
-    rest = ~(_chord_tail_bound(x_, dof_, delta_) < _CHORD_TAIL)
-    p[rest] = _ufuncs.nctdtr(dof_[rest], delta_[rest], x_[rest])
-    _no_nan(p, "non-central t", x=x_, dof=dof_, delta=delta_)
-    return np.clip(p, 0.0, 1.0).reshape(shape)
+    r = np.hypot(x_, math.sqrt(2.0))
+    tail = x_ / r * np.exp(-((delta_ / r) ** 2)) * _ufuncs.ndtr(delta_ * x_ / r)
+    return np.clip(_ufuncs.ndtr(-delta_) + tail, 0.0, 1.0).reshape(shape)
 
 
 #: z0 of the saturation bound: Q(9) = 1.1e-19 (module docstring)
@@ -415,25 +413,25 @@ def _chord_tail_bound(x: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.nd
 
 
 def _term_args(
-    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, j: np.ndarray
+    x: np.ndarray, delta: np.ndarray, j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-central t arguments ``(x sqrt(df / dof), df, delta)``,
-    df = dof + 2j, of the mixture term ``j`` of each element's window.
+    """The non-central t arguments ``(x sqrt(df / 2), df, delta)``,
+    df = 2 + 2j, of the mixture term ``j`` of each element's window.
 
     The one place these are formed, so a bisection probe and a term of a
     group hold the same bits.
     """
-    df = dof + 2.0 * j
-    return x * np.sqrt(df / dof), df, delta
+    df = 2.0 + 2.0 * j
+    return x * np.sqrt(df / 2.0), df, delta
 
 
 def _saturated_suffix(
-    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, j_lo: np.ndarray, sizes: np.ndarray
+    x: np.ndarray, delta: np.ndarray, j_lo: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Per window, the offset of a term whose CDF and later ones round to 1.0.
 
     The window of element i holds the terms ``j_lo[i]`` to ``j_lo[i] +
-    sizes[i] - 1`` of its ``(x, dof, delta)`` (:func:`_term_args`). A
+    sizes[i] - 1`` of its ``(x, delta)`` (:func:`_term_args`). A
     bisection, one vectorised round over every window at a time, keeps
     ``hi`` at a term that :func:`_chord_tail_bound` proves saturated (or
     one past the window) and ``lo`` below it; every later term of the
@@ -447,7 +445,7 @@ def _saturated_suffix(
         if not active.size:
             return hi
         mid = (lo[active] + hi[active]) // 2
-        probe = _term_args(x[active], dof[active], delta[active], j_lo[active] + mid)
+        probe = _term_args(x[active], delta[active], j_lo[active] + mid)
         proved = _chord_tail_bound(*probe) < _CHORD_TAIL
         hi[active[proved]] = mid[proved]
         lo[active[~proved]] = mid[~proved]
@@ -509,12 +507,12 @@ def doubly_noncentral_t_cdf(
 ) -> np.ndarray:
     """CDF of the doubly non-central t distribution at finite x > 0, lam > 0.
 
-    Distribution of (Z + delta) / sqrt(W / dof) where W is non-central
-    chi-square with ``dof`` degrees of freedom and non-centrality
+    Distribution of (Z + delta) / sqrt(W / 2) where W is non-central
+    chi-square with ``dof`` = 2 degrees of freedom and non-centrality
     ``lam``. The non-central chi-square is expanded as a Poisson(lam/2)
-    mixture of central chi-squares with dof + 2j degrees of freedom, so
-    each mixture term is a rescaled non-central t CDF. Truncation keeps
-    all terms until the remaining Poisson mass is below 1e-14.
+    mixture of central chi-squares with 2 + 2j degrees of freedom, so
+    each mixture term is a rescaled non-central t CDF. Each window keeps
+    the terms that hold all but 1e-20 of the mass (:func:`_poisson_windows`).
 
     The arguments broadcast. Each window's saturated suffix (module
     docstring) is found for every element at once and is 1.0 without a
@@ -530,7 +528,7 @@ def doubly_noncentral_t_cdf(
         raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
     half = 0.5 * lam_
     j_lo, sizes = _window_bounds(half)
-    suffix = _saturated_suffix(x_, dof_, delta_, j_lo, sizes)
+    suffix = _saturated_suffix(x_, delta_, j_lo, sizes)
     p = np.empty(half.shape)
     for first, end in _window_groups(sizes):
         group = slice(first, end)
@@ -539,7 +537,7 @@ def doubly_noncentral_t_cdf(
         # Terms ahead of their window's saturated suffix.
         n_open = suffix[group]
         open_ = np.arange(j.size) < np.repeat(starts + n_open, group_sizes)
-        repeated = (np.repeat(a[group], n_open) for a in (x_, dof_, delta_))
+        repeated = (np.repeat(a[group], n_open) for a in (x_, delta_))
         x_o, df_o, delta_o = _term_args(*repeated, j[open_])
         terms = np.ones(j.size)
         terms[open_] = _no_nan(

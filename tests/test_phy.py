@@ -924,7 +924,7 @@ class TestExactRewrites:
 
         seeds = [[23, i] for i in range(n_links)]
         expected = add_complex_noise(out.copy(), 0.7, [np.random.default_rng(k) for k in seeds])
-        rows = np.empty((n_links, 2, trials, n_active))
+        rows = np.empty((n_links, trials, n_active))
         add_complex_noise(out, 0.7, [np.random.default_rng(k) for k in seeds], rows=rows)
         assert_same_bits(out, expected)
 
@@ -934,15 +934,14 @@ class TestExactRewrites:
         assert detect_spatial(np.abs(out), gamma, out=flags) is flags
         assert_same_bits(flags, s_hat)
 
-        expected = combine_and_detect_modulation(out, s_hat, amplitude**2, c)
+        # The combiner forms the flagged outputs in its y: give it a copy.
+        expected = combine_and_detect_modulation(out.copy(), s_hat, amplitude**2, c)
         flagged = out * s_hat
         # The indices and the scratch start as garbage.
         j_hat = rng.integers(-(2**62), 2**62, expected.shape)
         size = expected.size * _combine_work_bytes(n_active, c) + SCRATCH_SLACK
         work = rng.integers(0, 256, size).astype(np.uint8)
-        got = combine_and_detect_modulation(
-            out, s_hat, amplitude**2, c, overwrite_y=True, out=j_hat, work=work
-        )
+        got = combine_and_detect_modulation(out, s_hat, amplitude**2, c, out=j_hat, work=work)
         assert got is j_hat
         assert_same_bits(got, expected)
         assert_same_bits(out, flagged)

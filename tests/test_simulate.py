@@ -464,6 +464,35 @@ class TestBatchedBlock:
             assert rows == expected
         assert any(modulation for _, modulation, _ in points[0][0])
 
+    @pytest.mark.parametrize(
+        "n_active,kind,order,trials",
+        [(6, "psk", 2, 500), (7, "psk", 2, 500), (6, "psk", 16, 2000), (6, "apsk", 16, 2000)],
+    )
+    def test_table_path_with_many_antennas_matches_per_channel_oracle(
+        self, n_active, kind, order, trials
+    ):
+        # The table fits in the words, and the scratch must still hold the
+        # detected flags beside the envelopes, 9 bytes per antenna and word,
+        # which is more than the table and than the combiner's arrays here.
+        config = small_config(
+            channel=dataclasses.replace(PARAMS, n_clusters=16),
+            n_active=n_active,
+            constellation_kind=kind,
+            constellation_order=order,
+            ring_ratio=2.0 if kind == "apsk" else None,
+            snr_grid_db=(4.0, 10.0),
+            trials_per_point=trials,
+            channels_per_point=6,
+        )
+        assert ((1 << n_active) - 1) * order <= trials
+        constellation, ensemble, _, points = batched_counts(config)
+        for snr_idx, (rows, _) in enumerate(points):
+            expected = [
+                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(6)
+            ]
+            assert rows == expected
+        assert any(modulation for _, modulation, _ in points[0][0])
+
     def test_degenerate_pilot_fails_only_its_channel(self):
         # At -6 dB only channel 5's one-pilot estimate degenerates; it sits
         # inside the first batch (channels 0-7).

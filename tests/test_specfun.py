@@ -51,11 +51,8 @@ LAMBERT_ORACLE = {
 }
 
 # 1e7-draw Monte Carlo samplers, seed 20260808: (value, 3-sigma half width).
-# The second point was drawn at (-0.5, 3, 0.7) as 0.1272713 and is stated
-# through the reflection F(x; dof, delta) = 1 - F(-x; dof, -delta).
 NCT_MC = {
     (1.0, 2, 1.5): (0.2869139, 4.3e-4),
-    (0.5, 3, -0.7): (0.8727287, 3.2e-4),
 }
 DNCT_MC = {
     (1.2, 2, 2.0, 3.0): (0.4147017, 4.7e-4),
@@ -75,7 +72,7 @@ class TestBesselI0:
     def test_at_zero(self):
         assert log_bessel_i0(0.0) == 0.0
 
-    @pytest.mark.parametrize("x", [1e-8, 1e-4, 2e-3, 4.99e-3])
+    @pytest.mark.parametrize("x", [1e-8, 1e-4, 2e-3, 4.99e-3, 1e-2, 4.99e-2])
     def test_small_argument_series_against_mpmath(self, x):
         # Below specfun._I0_SERIES_CUTOFF, where x + log(i0e(x)) keeps only
         # about 1e-16 / (x^2 / 4) relative accuracy.
@@ -85,6 +82,16 @@ class TestBesselI0:
         with mp.workdps(40):
             expected = float(mp.log(mp.besseli(0, x)))
         assert log_bessel_i0(x) == pytest.approx(expected, rel=2e-16, abs=0.0)
+
+    def test_around_the_series_cutoff_against_mpmath(self):
+        # 5e-3 to 0.1: on either side of the cutoff the relative error stays
+        # within 1e-12 (it was 1.3e-11 just above a cutoff of 5e-3).
+        import mpmath as mp
+
+        for x in np.geomspace(5e-3, 0.1, 200).tolist():
+            with mp.workdps(40):
+                expected = float(mp.log(mp.besseli(0, x)))
+            assert log_bessel_i0(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("x,expected", sorted(I0_ORACLE.items()))
     def test_against_quadrature(self, x, expected):
@@ -185,18 +192,42 @@ class TestLambertWMinus1:
             assert specfun._ufuncs._lambertw(float(x), -1, 1e-8) == special.lambertw(x, k=-1)
 
 
+def nct2_cdf_mp(x, delta):
+    """The 2-dof non-central t CDF's closed form at 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, delta = mp.mpf(x), mp.mpf(delta)
+        r = mp.sqrt(x * x + 2)
+        return float(mp.ncdf(-delta) + x / r * mp.exp(-((delta / r) ** 2)) * mp.ncdf(delta * x / r))
+
+
+def nct2_cdf_quad(x, delta):
+    """P(Z + delta <= x R) by quadrature over the Rayleigh R of density
+    2 r exp(-r^2), split every 0.5 up to r = 30, at 50 digits: the
+    quadrature's error is absolute."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, delta = mp.mpf(x), mp.mpf(delta)
+
+        def integrand(r):
+            return 2 * r * mp.exp(-r * r) * mp.ncdf(x * r - delta)
+
+        return float(mp.quad(integrand, [mp.mpf(k) / 2 for k in range(61)] + [mp.inf]))
+
+
 class TestNoncentralT:
     def test_zero_noncentrality_is_central_t(self):
         for x in (1e-3, 0.3, 0.7, 2.5):
-            for n in (1, 2, 5):
-                assert noncentral_t_cdf(x, n, 0.0) == pytest.approx(
-                    float(stats.t.cdf(x, n)), abs=1e-12
-                )
+            assert noncentral_t_cdf(x, 2, 0.0) == pytest.approx(
+                float(stats.t.cdf(x, 2)), abs=1e-12
+            )
 
     def test_limits(self):
         # Phi(-delta) as x -> 0+ and 1 as x grows, at both ends of x > 0.
-        assert noncentral_t_cdf(1e-300, 3, 1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-12)
-        assert noncentral_t_cdf(1e300, 3, 1.0) == 1.0
+        assert noncentral_t_cdf(1e-300, 2, 1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-12)
+        assert noncentral_t_cdf(1e300, 2, 1.0) == 1.0
 
     @pytest.mark.parametrize("args,mc", sorted(NCT_MC.items()))
     def test_against_monte_carlo(self, args, mc):
@@ -208,14 +239,79 @@ class TestNoncentralT:
         vals = [noncentral_t_cdf(float(x), 2, 1.5) for x in xs]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "x,delta", [(1.0, 1.5), (0.3, -2.0), (5.0, 8.0), (2.0, 20.0), (40.0, 60.0), (0.05, 9.0)]
+    )
+    def test_closed_form_against_quadrature(self, x, delta):
+        # The formula itself, against its defining integral, down to 1e-30.
+        assert noncentral_t_cdf(x, 2, delta) == pytest.approx(
+            nct2_cdf_quad(x, delta), rel=1e-12, abs=0.0
+        )
+
+    def test_config_pairs_against_mpmath(self, config_calls):
+        # Every (x, delta) of P0 that the analytic columns of fig3 and of
+        # the mc_estimated workload evaluate.
+        args = [a for kernels in config_calls.values() for a in kernels["noncentral_t_cdf"]]
+        x, dof, delta = (np.concatenate([a[k].ravel() for a in args]) for k in range(3))
+        assert x.size > 2000 and np.all(dof == 2.0)
+        got = noncentral_t_cdf(x, 2.0, delta)
+        want = np.array([nct2_cdf_mp(u, d) for u, d in zip(x.tolist(), delta.tolist())])
+        assert want.min() < 1e-100
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_synthetic_grid_against_mpmath(self):
+        # delta = s hypot(x, sqrt 2) puts exp(-s^2) in the second term:
+        # s^2 up to 690 reaches 1e-300.
+        x = np.geomspace(1e-3, 1e3, 25)[:, None]
+        s = np.concatenate([np.linspace(-8.0, 0.0, 9), np.sqrt(np.linspace(1.0, 690.0, 31))])
+        delta = (s * np.hypot(x, math.sqrt(2.0))).ravel()
+        x = np.broadcast_to(x, (25, 40)).ravel()
+        want = np.array([nct2_cdf_mp(u, d) for u, d in zip(x.tolist(), delta.tolist())])
+        normal = want >= 1e-300
+        assert want[normal].min() < 1e-298 and np.count_nonzero(normal) > 950
+        got = noncentral_t_cdf(x[normal], 2.0, delta[normal])
+        np.testing.assert_allclose(got, want[normal], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e300])
+    def test_extreme_x_against_mpmath(self, x):
+        delta = np.array([-30.0, -3.0, 0.0, 0.5, 4.0, 20.0, 37.0])
+        want = [nct2_cdf_mp(x, d) for d in delta.tolist()]
+        np.testing.assert_allclose(noncentral_t_cdf(x, 2.0, delta), want, rtol=1e-12, atol=0.0)
+
+    def test_against_the_backend_at_two_dof(self):
+        # The ufunc behind scipy's nct.cdf, which the closed form replaced,
+        # where it returns a number (down to 4e-196 here): the two agree
+        # within 1e-12 relative (1.7e-13 at most).
+        rng = np.random.default_rng(19)
+        x, delta = log_uniform(rng, 1e-3, 1e3, 4000), rng.uniform(-30.0, 30.0, 4000)
+        with np.errstate(invalid="ignore"):
+            want = special.nctdtr(2.0, delta, x)
+        ok = ~np.isnan(want)
+        assert np.count_nonzero(ok) > 3900
+        got = noncentral_t_cdf(x[ok], 2.0, delta[ok])
+        np.testing.assert_allclose(got, want[ok], rtol=1e-12, atol=0.0)
+
+    def test_calls_neither_the_backend_nor_the_screen(self, monkeypatch):
+        def failing(*args):
+            raise AssertionError("the 2-dof closed form calls no window kernel")
+
+        monkeypatch.setattr(specfun._ufuncs, "nctdtr", failing)
+        monkeypatch.setattr(specfun, "_chord_tail_bound", failing)
+        x = np.array([1e-3, 0.3, 2.0, 40.0, 0.5])
+        delta = np.array([0.0, 1.3, 20.0, -9.0, 39.6])
+        p = noncentral_t_cdf(x, 2.0, delta)
+        assert np.all((p > 0.0) & (p <= 1.0))
+
 
 class TestDoublyNoncentralT:
     def test_lambda_zero_reduces_to_noncentral(self):
         # lam = 0 is outside the domain; at lam = 1e-300 the leading window
-        # weight is exactly 1, so the mixture is the single t bit for bit.
+        # weight is exactly 1, so the mixture is its first term bit for bit,
+        # and that term is the 2-dof closed form within 1e-14.
         xs = np.linspace(0.05, 8, 100)
         near = doubly_noncentral_t_cdf(xs, 2, 1.3, 1e-300)
-        assert np.array_equal(near, noncentral_t_cdf(xs, 2, 1.3))
+        assert np.array_equal(near, screened_nct(xs, np.full(xs.size, 2.0), np.full(xs.size, 1.3)))
+        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 2, 1.3), rtol=0.0, atol=1e-14)
 
     def test_small_lambda_is_continuous(self):
         # As lam -> 0+ the mixture tends to the singly non-central t CDF.
@@ -245,7 +341,7 @@ class TestDoublyNoncentralT:
 
 
 class TestDomain:
-    """The t kernels take finite x > 0, dof > 0, finite delta and (doubly)
+    """The t kernels take finite x > 0, dof = 2, finite delta and (doubly)
     lam > 0 only."""
 
     @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -2.0, math.inf, -math.inf, math.nan])
@@ -256,7 +352,9 @@ class TestDomain:
             with pytest.raises(DomainError):
                 doubly_noncentral_t_cdf(*args, 2.0, 1.0, 3.0)
 
-    @pytest.mark.parametrize("dof", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "dof", [0.0, -1.0, math.nan, 1.0, 3.0, np.nextafter(2.0, 3.0), math.inf, [2.0, 3.0]]
+    )
     def test_rejects_dof(self, dof):
         with pytest.raises(DomainError):
             noncentral_t_cdf(1.0, dof, 1.0)
@@ -344,12 +442,11 @@ def fig3_excerpt():
     return dataclasses.replace(config, snr_grid_db=(16.0, 18.0, 20.0), channels_per_point=20)
 
 
-def full_terms(x, dof, delta, j, sizes):
-    """Every window term's ``(x sqrt(df / dof), df, delta)``, df = dof + 2j,
+def full_terms(x, delta, j, sizes):
+    """Every window term's ``(x sqrt(df / 2), df, delta)``, df = 2 + 2j,
     built at full length as the one-pass kernel built them."""
-    dof_r = np.repeat(dof, sizes)
-    df = dof_r + 2.0 * j
-    return np.repeat(x, sizes) * np.sqrt(df / dof_r), df, np.repeat(delta, sizes)
+    df = 2.0 + 2.0 * j
+    return np.repeat(x, sizes) * np.sqrt(df / 2.0), df, np.repeat(delta, sizes)
 
 
 def window_indices(j_lo, sizes):
@@ -361,6 +458,12 @@ def window_indices(j_lo, sizes):
 def chord_proved(x, dof, delta):
     """Where the two-chord bound proves the upper tail below 2^-56."""
     return _chord_tail_bound(x, dof, delta) < 2.0**-56
+
+
+def screened_nct(x, dof, delta):
+    """A window term's CDF as the doubly non-central t kernel forms it:
+    1.0 where the two-chord bound proves it saturated, else the backend's."""
+    return np.where(chord_proved(x, dof, delta), 1.0, special.nctdtr(dof, delta, x))
 
 
 def chernoff_screen(x, dof, delta):
@@ -390,12 +493,12 @@ def window_terms(monkeypatch, config):
 
     calls = []
 
-    def recording(x, dof, delta, j_lo, sizes):
-        hi = _saturated_suffix(x, dof, delta, j_lo, sizes)
+    def recording(x, delta, j_lo, sizes):
+        hi = _saturated_suffix(x, delta, j_lo, sizes)
         starts = np.cumsum(sizes) - sizes
         index = np.arange(sizes.sum())
         first = np.repeat(starts + hi, sizes)
-        terms = full_terms(x, dof, delta, window_indices(j_lo, sizes), sizes)
+        terms = full_terms(x, delta, window_indices(j_lo, sizes), sizes)
         calls.append((*terms, index >= first, index == first))
         return hi
 
@@ -404,53 +507,42 @@ def window_terms(monkeypatch, config):
     return tuple(np.concatenate(v) for v in zip(*calls))
 
 
-def record_p0_terms(monkeypatch):
-    """A list that fills with the (x, dof, delta) of every P0 term, one
-    entry per ``noncentral_t_cdf`` call the analysis makes."""
-    from rsmsim import analysis
-
-    calls, p0_cdf = [], analysis.noncentral_t_cdf
-
-    def recording(x, dof, delta):
-        calls.append([a.ravel() for a in np.broadcast_arrays(x, dof, delta)])
-        return p0_cdf(x, dof, delta)
-
-    monkeypatch.setattr(analysis, "noncentral_t_cdf", recording)
-    return calls
-
-
 class TestSaturationScreen:
     """x > 0 terms whose upper tail is provably below 2^-55 are exactly 1.0."""
 
     def test_fig3_window_terms_equal_backend(self, monkeypatch):
-        # Every t CDF term abep evaluates on a fig3-geometry ensemble at
-        # 16-20 dB: P0's terms, then the window terms, saturated suffixes
-        # included.
-        p0_calls = record_p0_terms(monkeypatch)
-        *window, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
-        p0 = [np.concatenate(v) for v in zip(*p0_calls)]
-        x, dof, delta = (np.concatenate(v) for v in zip(p0, window))
-        # P0 is one term per link and SNR, a window one per Poisson term.
-        assert p0[0].size == 3 * 20 and x.size > 10_000 and np.all(x > 0)
+        # Every window term abep evaluates on a fig3-geometry ensemble at
+        # 16-20 dB, saturated suffixes included.
+        x, dof, delta, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
+        assert x.size > 10_000 and np.all(x > 0)
         want, proved = nct_terms_stats(x, dof, delta), chord_proved(x, dof, delta)
         # scipy returns NaN on a few terms, all of them proved.
         backend_nan = np.isnan(want)
         assert np.all(proved[backend_nan])
-        got = noncentral_t_cdf(x, dof, delta)
+        got = screened_nct(x, dof, delta)
         assert np.array_equal(got[~backend_nan], want[~backend_nan])
         assert np.count_nonzero(proved) > x.size / 2
         # The suffixes are exactly the proved window terms: the bound
         # proves no term ahead of its window's suffix.
-        assert np.array_equal(suffix, proved[p0[0].size :])
+        assert np.array_equal(suffix, proved)
 
     @pytest.mark.parametrize("x,dof,delta", [(10.0, 2.0, -8.6), (4.0, 122.00731, -6.5)])
     def test_proved_tails_are_one(self, x, dof, delta):
         # Terms that ``chernoff_screen`` also answers: the chord bound
-        # proves them, so they are exactly 1.0 without a backend call.
+        # proves them, so a window term there is 1.0 without a backend call.
         args = np.array([x]), np.array([dof]), np.array([delta])
         assert chernoff_screen(*args)[0] and chord_proved(*args)[0]
-        assert noncentral_t_cdf(x, dof, delta) == 1.0
         assert nct_tail_mp(x, dof, delta) < 2.0**-55
+
+    @pytest.mark.parametrize("x,j,delta", [(10.0, 0, -8.6), (4.0 / math.sqrt(61.0), 60, -6.5)])
+    def test_proved_window_term_opens_the_suffix(self, x, j, delta):
+        # A one-term window (df = 2 + 2j) whose term the bound proves: the
+        # kernel's saturated suffix starts at it, so the kernel takes it as
+        # 1.0 without a backend call.
+        x, delta, j_lo, sizes = np.array([x]), np.array([delta]), np.array([j]), np.array([1])
+        assert _saturated_suffix(x, delta, j_lo, sizes).tolist() == [0]
+        term = [float(v[0]) for v in full_terms(x, delta, j_lo, sizes)]
+        assert nct_tail_mp(*term) < 2.0**-55
 
     @pytest.mark.parametrize(
         "x,dof,delta",
@@ -470,12 +562,11 @@ class TestSaturationScreen:
         ],
     )
     def test_answered_tails_below_half_ulp(self, x, dof, delta):
-        # Points of the scipy parity grid where scipy gives less than 1.0
-        # or NaN and the bound answers 1.0.
+        # Points of a random grid where scipy gives less than 1.0 or NaN
+        # and the bound answers 1.0.
         args = np.array([x]), np.array([dof]), np.array([delta])
         assert chord_proved(*args)[0]
         assert not nct_terms_stats(*args)[0] >= 1.0  # below 1, or NaN
-        assert noncentral_t_cdf(x, dof, delta) == 1.0
         assert nct_tail_mp(x, dof, delta) < 2.0**-55
 
     @pytest.mark.parametrize(
@@ -511,9 +602,8 @@ class TestWindowSuffix:
         assert np.all(nctdtr(dof[added], delta[added], x[added]) == 1.0)
 
     def test_backend_sees_only_open_terms(self, monkeypatch):
-        # No proved term reaches the backend: of the windows it sees the
-        # terms ahead of the suffixes, and the rest of its terms are P0's
-        # unproved ones.
+        # No proved term reaches the backend: it sees exactly the window
+        # terms ahead of the suffixes (P0 is the closed form).
         backend, nctdtr = [], specfun._ufuncs.nctdtr
 
         def recording_backend(dof, delta, x):
@@ -521,13 +611,11 @@ class TestWindowSuffix:
             return nctdtr(dof, delta, x)
 
         monkeypatch.setattr(specfun._ufuncs, "nctdtr", recording_backend)
-        p0_terms = record_p0_terms(monkeypatch)
         x, dof, delta, suffix, _ = window_terms(monkeypatch, fig3_excerpt())
         seen = [np.concatenate(v) for v in zip(*backend)]
         assert not np.any(chord_proved(*seen))
-        p0_open = np.count_nonzero(~chord_proved(*(np.concatenate(v) for v in zip(*p0_terms))))
         window_open = np.count_nonzero(~suffix)
-        assert seen[0].size == window_open + p0_open
+        assert seen[0].size == window_open
         assert window_open < 0.5 * x.size
 
     def test_first_suffix_tails_below_half_ulp(self, monkeypatch):
@@ -573,12 +661,11 @@ class TestWindowSuffix:
         rng = np.random.default_rng(16)
         sizes = rng.integers(1, 90, 400)
         n = sizes.size
-        x, dof = log_uniform(rng, 0.5, 200.0, n), log_uniform(rng, 1.0, 4000.0, n)
-        delta = rng.uniform(-12.0, 8.0, n)
+        x, delta = log_uniform(rng, 0.5, 200.0, n), rng.uniform(-12.0, 8.0, n)
         j_lo = rng.integers(0, 2000, n)
         starts = np.cumsum(sizes) - sizes
-        hi = _saturated_suffix(x, dof, delta, j_lo, sizes)
-        terms = full_terms(x, dof, delta, window_indices(j_lo, sizes), sizes)
+        hi = _saturated_suffix(x, delta, j_lo, sizes)
+        terms = full_terms(x, delta, window_indices(j_lo, sizes), sizes)
         proved = chord_proved(*terms)
         for start, size, k in zip(starts, sizes, hi):
             assert 0 <= k <= size
@@ -602,31 +689,43 @@ class TestWindowSuffix:
 
 
 @pytest.fixture(scope="module")
-def ensemble_calls():
-    """The (x, dof, delta, lam) of every doubly_noncentral_t_cdf call that
-    the analytic columns of fig3 and of the mc_estimated workload make."""
+def config_calls():
+    """The broadcast arguments of every t CDF call that the analytic
+    columns of fig3 and of the mc_estimated workload make, per config and
+    kernel name."""
     from rsmsim import analysis
     from rsmsim.cli import load_config
     from rsmsim.simulate import analytic_curves
 
-    calls, real = {}, analysis.doubly_noncentral_t_cdf
+    def recorder(kernel, recorded):
+        def recording(*args):
+            recorded.append(tuple(np.broadcast_arrays(*args)))
+            return kernel(*args)
+
+        return recording
+
+    calls = {}
     for path in ("presets/fig3.cfg", "bench/configs/mc_estimated.cfg"):
-
-        def recording(x, dof, delta, lam, recorded=calls.setdefault(path, [])):
-            recorded.append(tuple(np.broadcast_arrays(x, dof, delta, lam)))
-            return real(x, dof, delta, lam)
-
+        kernels = calls[path] = {}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "doubly_noncentral_t_cdf", recording)
+            for name in ("noncentral_t_cdf", "doubly_noncentral_t_cdf"):
+                recorded = kernels[name] = []
+                patch.setattr(analysis, name, recorder(getattr(analysis, name), recorded))
             analytic_curves(load_config(ROOT / path))
     return calls
+
+
+@pytest.fixture(scope="module")
+def ensemble_calls(config_calls):
+    """The (x, dof, delta, lam) of every doubly_noncentral_t_cdf call, per config."""
+    return {path: kernels["doubly_noncentral_t_cdf"] for path, kernels in config_calls.items()}
 
 
 @pytest.fixture(scope="module")
 def ensemble_references(ensemble_calls):
     """single_pass_dnct of every recorded call, per config."""
     return {
-        path: [single_pass_dnct(*args) for args in recorded]
+        path: [single_pass_dnct(x, delta, lam) for x, _, delta, lam in recorded]
         for path, recorded in ensemble_calls.items()
     }
 
@@ -642,11 +741,11 @@ def random_grid():
     failing = []
     for i in range(n):
         try:
-            single_pass_dnct(x[i], 2.0, delta[i], lam[i])
+            single_pass_dnct(x[i], delta[i], lam[i])
         except ArithmeticError:
             failing.append(i)
     ok = np.setdiff1d(np.arange(n), failing)
-    return x, delta, lam, failing, ok, single_pass_dnct(x[ok], 2.0, delta[ok], lam[ok])
+    return x, delta, lam, failing, ok, single_pass_dnct(x[ok], delta[ok], lam[ok])
 
 
 class TestWindowGroups:
@@ -726,7 +825,7 @@ class TestArrayArguments:
             marcum_q1(a, -b)
 
     def test_noncentral_t_cdf(self):
-        # The last element is saturated.
+        # The last element rounds to 1.
         x = np.array([1e-3, 0.3, 2.0, 1.5, 6.0, 40.0])
         delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, -9.0])
         batch = noncentral_t_cdf(x, 2.0, delta)
@@ -836,13 +935,13 @@ def poisson_window(half):
     return j, weights
 
 
-def dnct_cdf_stats(x, dof, delta, lam):
+def dnct_cdf_stats(x, delta, lam):
     """doubly_noncentral_t_cdf at x > 0, lam > 0, one window at a time."""
     p = []
-    for x_i, dof_i, delta_i, lam_i in zip(x, dof, delta, lam):
+    for x_i, delta_i, lam_i in zip(x, delta, lam):
         j, weights = poisson_window(0.5 * lam_i)
-        df = dof_i + 2.0 * j
-        terms = nct_terms_stats(x_i * np.sqrt(df / dof_i), df, np.full(j.size, delta_i))
+        df = 2.0 + 2.0 * j
+        terms = nct_terms_stats(x_i * np.sqrt(df / 2.0), df, np.full(j.size, delta_i))
         p.append(np.dot(weights, terms))
     return np.clip(p, 0.0, 1.0)
 
@@ -863,14 +962,14 @@ def full_length_suffix(x, dof, delta, starts, sizes):
         lo[active[~proved]] = mid[~proved]
 
 
-def single_pass_dnct(x, dof, delta, lam):
+def single_pass_dnct(x, delta, lam):
     """doubly_noncentral_t_cdf as one pass over every term of every window
     at once, the build that the grouped one replaced; kept as its oracle."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (x, dof, delta, lam)))
-    x, dof, delta, lam = (np.ravel(a) for a in np.broadcast_arrays(x, dof, delta, lam))
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (x, delta, lam)))
+    x, delta, lam = (np.ravel(a) for a in np.broadcast_arrays(x, delta, lam))
     j, weights, sizes = _poisson_windows(0.5 * lam)
     starts = np.cumsum(sizes) - sizes
-    x_r, df, delta_r = full_terms(x, dof, delta, j, sizes)
+    x_r, df, delta_r = full_terms(x, delta, j, sizes)
     suffix = full_length_suffix(x_r, df, delta_r, starts, sizes)
     open_ = np.arange(j.size) < np.repeat(starts + suffix, sizes)
     terms = np.ones(j.size)
@@ -894,11 +993,9 @@ class TestScipyStatsParity:
     earlier ``scipy.stats`` code, kept here only as an oracle.
     """
 
-    # (x, dof, delta) where scipy's nct CDF returns NaN at x > 0; the
-    # saturation bound answers the last two.
-    NCT_NAN = [(0.0905924467944308, 0.26413949567557043, 37.366824186048035),
-               (943.8271126928222, 0.11070807487815387, -43.658109528273705),
-               (47.04540446930666, 32.37238555883154, -44.163732812689055)]
+    # (x, delta) where scipy's nct CDF returns NaN at x > 0 and 2 degrees
+    # of freedom, unproved by the saturation bound.
+    NCT_NAN = (0.502243701857817, 39.59154746859722)
 
     def test_marcum_q1_random_grid(self):
         rng = np.random.default_rng(11)
@@ -932,44 +1029,14 @@ class TestScipyStatsParity:
         with pytest.raises(ArithmeticError):
             marcum_q1(np.array([1.5, 3.0]), 2.0)
 
-    def test_noncentral_t_cdf_positive_x(self):
-        rng = np.random.default_rng(13)
-        n = 4000
-        x = np.concatenate([log_uniform(rng, 1e-3, 1e3, n), [v[0] for v in self.NCT_NAN]])
-        dof = np.concatenate([log_uniform(rng, 0.1, 1e4, n), [v[1] for v in self.NCT_NAN]])
-        delta = np.concatenate([rng.uniform(-50.0, 60.0, n), [v[2] for v in self.NCT_NAN]])
-        with np.errstate(invalid="ignore"):
-            want = np.clip(nct_terms_stats(x, dof, delta), 0.0, 1.0)
-        # Where the saturation bound proves the tail, the CDF is exactly 1;
-        # there scipy gave 1.0, 1 minus a few ulp, or NaN.
-        # TestSaturationScreen checks those tails by mpmath.
-        proved = chord_proved(x, dof, delta)
-        assert np.count_nonzero(np.isnan(want[proved])) == 52
-        assert np.count_nonzero(want[proved] < 1.0) == 40
-        # Elsewhere scipy's NaN is an ArithmeticError: at 13 points with
-        # delta > 36 and at 4 with dof < 1 (3 of them both).
-        failing = np.isnan(want) & ~proved
-        assert np.count_nonzero(failing & (delta > 36)) == 13
-        assert np.count_nonzero(failing & (dof < 1)) == 4
-        assert np.count_nonzero(failing) == 14 and failing[n]
-        for i in np.flatnonzero(failing):
-            with pytest.raises(ArithmeticError):
-                noncentral_t_cdf(x[i], dof[i], delta[i])
-        with pytest.raises(ArithmeticError):
-            noncentral_t_cdf(x, dof, delta)
-        got = noncentral_t_cdf(x[~failing], dof[~failing], delta[~failing])
-        assert np.all(got[proved[~failing]] == 1.0)
-        assert np.array_equal(got[~proved[~failing]], want[~proved & ~failing])
-
     def test_doubly_noncentral_t_cdf_positive_x(self):
         rng = np.random.default_rng(14)
         n = 80
-        x = np.concatenate([log_uniform(rng, 1e-2, 1e2, n), [self.NCT_NAN[0][0]]])
-        dof = np.concatenate([log_uniform(rng, 1.0, 64.0, n), [self.NCT_NAN[0][1]]])
-        delta = np.concatenate([rng.uniform(-5.0, 30.0, n), [self.NCT_NAN[0][2]]])
+        x = np.concatenate([log_uniform(rng, 1e-2, 1e2, n), [self.NCT_NAN[0]]])
+        delta = np.concatenate([rng.uniform(-5.0, 30.0, n), [self.NCT_NAN[1]]])
         lam = np.concatenate([log_uniform(rng, 1e-6, 100.0, n), [1e-3]])
-        got = doubly_noncentral_t_cdf(x[:n], dof[:n], delta[:n], lam[:n])
-        assert np.array_equal(got, dnct_cdf_stats(x[:n], dof[:n], delta[:n], lam[:n]))
+        got = doubly_noncentral_t_cdf(x[:n], 2.0, delta[:n], lam[:n])
+        assert np.array_equal(got, dnct_cdf_stats(x[:n], delta[:n], lam[:n]))
         # The last point's leading window term is a backend NaN.
         with pytest.raises(ArithmeticError):
-            doubly_noncentral_t_cdf(x, dof, delta, lam)
+            doubly_noncentral_t_cdf(x, 2.0, delta, lam)

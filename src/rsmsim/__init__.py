@@ -12,7 +12,7 @@ from .analysis import (
     spatial_error_probs_perfect,
 )
 from .baseline import RankDeficient, fd_ber, received_power, svd_link
-from .channel import ChannelParams, ChannelRealization, array_response, draw_channel, sector_gain
+from .channel import ChannelParams, array_response, draw_channel, sector_gain
 from .mimo import (
     AntennaSelection,
     SingularChannel,
@@ -55,7 +55,6 @@ __all__ = [
     "AbepBreakdown",
     "AntennaSelection",
     "ChannelParams",
-    "ChannelRealization",
     "Constellation",
     "DegenerateSample",
     "ErrorReport",

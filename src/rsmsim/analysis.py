@@ -114,8 +114,8 @@ def spatial_error_probs_estimated(
     delta = mean / std
     ratio = math.sqrt(sigma2) / std
     lam = 2.0 * np.asarray(alpha_p, dtype=float) / sigma2
-    p1 = 1.0 - doubly_noncentral_t_cdf(ratio, 2.0, delta, lam)
-    p0 = noncentral_t_cdf(ratio, 2.0, delta)
+    p1 = 1.0 - doubly_noncentral_t_cdf(ratio, delta, lam)
+    p0 = noncentral_t_cdf(ratio, delta)
     return p1, p0
 
 

@@ -9,7 +9,8 @@ angles are Laplacian around their cluster mean. The array responses and
 pattern gains of all rays are built by one vectorized call each, with
 the same arithmetic as a per-ray evaluation, along a leading link axis:
 a batch of draws takes one random stream per link, and each link is
-bit-identical to drawing it ray by ray from its stream alone.
+bit-identical to drawing it ray by ray from its stream alone. A draw
+returns the channel matrices only; the rays that built them stay inside.
 
 The ray-gain variance is calibrated per parameter set so that the
 average squared Frobenius norm of the channel equals
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
-    "ChannelRealization",
     "array_response",
     "sector_gain",
     "in_sector_fraction",
@@ -65,6 +65,9 @@ class ChannelParams:
         for name in ("n_tx", "n_rx", "n_clusters", "n_rays"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.sector_width_deg <= 360.0:
             raise ValueError("sector_width_deg must lie in (0, 360]")
         if self.antenna_spacing_wavelengths <= 0:
@@ -77,30 +80,6 @@ class ChannelParams:
     @property
     def n_paths(self) -> int:
         return self.n_clusters * self.n_rays
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw plus the geometry that generated it.
-
-    ``cluster_means`` holds (arrival, departure) mean azimuths per
-    cluster in degrees; ``ray_angles`` holds the per-ray (arrival,
-    departure) azimuths, cluster-major; ``ray_gains`` the complex gains
-    actually used (calibrated variance ``gain_scale``). Every array field
-    carries a leading link axis.
-    """
-
-    matrix: np.ndarray
-    cluster_means: np.ndarray
-    ray_angles: np.ndarray
-    ray_gains: np.ndarray
-    gain_scale: float
-
-    def __post_init__(self) -> None:
-        if self.matrix.ndim != 3:
-            raise ValueError("matrix must be (links, n_rx, n_tx)")
-        if self.ray_angles.shape != (*self.ray_gains.shape, 2):
-            raise ValueError("ray_angles must be (n_paths, 2) per link")
 
 
 def array_response(n: int, angle_deg: float | np.ndarray, spacing: float) -> np.ndarray:
@@ -133,10 +112,9 @@ def sector_gain(
     return np.abs(offset, out=offset) <= sector_width / 2.0
 
 
-def _draw_angles(
-    params: ChannelParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster mean and per-ray (arrival, departure) azimuths in degrees."""
+def _draw_angles(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """Per-ray (arrival, departure) azimuths in degrees, cluster-major, as
+    an ``(n_paths, 2)`` array drawn around uniform cluster means."""
     half = params.sector_width_deg / 2.0
     departure_means = rng.uniform(
         params.sector_center_deg - half, params.sector_center_deg + half, params.n_clusters
@@ -152,7 +130,7 @@ def _draw_angles(
     scale = params.angular_spread_deg / math.sqrt(2.0)
     offsets = rng.laplace(0.0, scale, size=(params.n_clusters, params.n_rays, 2))
     rays = means[:, None, :] + offsets
-    return means, rays.reshape(params.n_paths, 2)
+    return rays.reshape(params.n_paths, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,25 +183,21 @@ def in_sector_fraction(params: ChannelParams) -> float:
     return frac
 
 
-def draw_channel(
-    params: ChannelParams, rngs: Sequence[np.random.Generator]
-) -> ChannelRealization:
-    """Draw one channel realization per generator, stacked along a leading
-    link axis of every array field.
+def draw_channel(params: ChannelParams, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The ``(links, n_rx, n_tx)`` stack of one channel matrix per generator.
 
     Link ``i`` is exactly what ``rngs[i]`` alone draws in a batch of one.
-    Each stream draws its angles, then the real and then the imaginary
-    parts of its ray gains.
+    Each stream draws its cluster means and ray angles, then the real and
+    then the imaginary parts of its ray gains, whose variance is
+    ``gain_variance / in_sector_fraction(params)``.
     """
     n_links, n_paths = len(rngs), params.n_paths
-    means = np.empty((n_links, params.n_clusters, 2))
     rays = np.empty((n_links, n_paths, 2))
     normals = np.empty((n_links, 2, n_paths))
     for i, gen in enumerate(rngs):
-        means[i], rays[i] = _draw_angles(params, gen)
+        rays[i] = _draw_angles(params, gen)
         gen.standard_normal(out=normals[i])
-    frac = in_sector_fraction(params)
-    gain_scale = params.gain_variance / frac
+    gain_scale = params.gain_variance / in_sector_fraction(params)
     gains = math.sqrt(gain_scale / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
     center, width = params.sector_center_deg, params.sector_width_deg
     pattern = sector_gain(rays[..., 1], center, width).astype(float)
@@ -234,11 +208,4 @@ def draw_channel(
     v_tx = array_response(params.n_tx, rays[..., 1], spacing)
     scale = math.sqrt(params.n_tx * params.n_rx / params.n_paths)
     weights = scale * gains * pattern
-    matrix = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ np.conjugate(v_tx, out=v_tx)
-    return ChannelRealization(
-        matrix=matrix,
-        cluster_means=means,
-        ray_angles=rays,
-        ray_gains=gains,
-        gain_scale=gain_scale,
-    )
+    return (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ np.conjugate(v_tx, out=v_tx)

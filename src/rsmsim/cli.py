@@ -82,6 +82,8 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("ranges use start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("range bounds and step must be finite")
         if step <= 0 or stop < start:
             raise ValueError("ranges need step > 0 and stop >= start")
         grid = []

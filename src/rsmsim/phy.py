@@ -114,7 +114,7 @@ class Constellation:
 
     def __post_init__(self) -> None:
         mean_power = float(np.mean(np.abs(self.points) ** 2))
-        if abs(mean_power - 1.0) > 1e-12:
+        if not abs(mean_power - 1.0) <= 1e-12:
             raise ValueError(f"average symbol power must be 1, got {mean_power!r}")
         if sorted(self.labels.tolist()) != list(range(self.order)):
             raise ValueError("labels must be a bijection onto 0..order-1")
@@ -215,9 +215,12 @@ def build_constellation(
     """Construct a PSK, square QAM, or 16-APSK constellation.
 
     Orders are limited to powers of two up to 64; APSK additionally
-    requires order 16 and a ring ratio above 1.
+    requires order 16 and a ring ratio above 1. A non-finite ring ratio
+    is refused whatever the kind.
     """
     kind = kind.lower()
+    if ring_ratio is not None and not math.isfinite(ring_ratio):
+        raise UnsupportedOrder(f"ring_ratio must be finite, got {ring_ratio}")
     if order < 2 or order > 64 or order & (order - 1):
         raise UnsupportedOrder(f"order must be a power of 2 in [2, 64], got {order}")
     if kind == "psk":

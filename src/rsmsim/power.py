@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "PowerConfig",
-    "HYBRID_REFERENCE_MW",
     "power_proposed",
     "power_fd",
     "power_ratio",
@@ -29,9 +28,6 @@ ADC = 10.0
 SWITCH = 0.25
 LNA = 1.0
 PHASE_SHIFTER = 1.5
-
-#: published consumption of a comparably sized hybrid receiver, for context (mW)
-HYBRID_REFERENCE_MW = 8000.0
 
 
 @dataclass(frozen=True)

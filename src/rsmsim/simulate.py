@@ -135,12 +135,7 @@ class RsmConfig:
     selection: str = "exhaustive"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must not be empty")
-        if self.trials_per_point < 1 or self.channels_per_point < 1:
-            raise ValueError("trials_per_point and channels_per_point must be >= 1")
-        _check_streams("n_active", self.n_active, self.channel)
+        _check_shared(self, "n_active")
         if self.threshold_source not in THRESHOLD_SOURCES:
             raise ValueError(f"threshold_source must be one of {THRESHOLD_SOURCES}")
         if self.selection not in SELECTION_MODES:
@@ -149,8 +144,6 @@ class RsmConfig:
             raise ValueError("n_pilots must be >= 1")
         if self.threshold_mode.lower() not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
-        build_constellation(self.constellation_kind, self.constellation_order, self.ring_ratio)
-        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -168,28 +161,29 @@ class FdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must not be empty")
-        _check_streams("n_modes", self.n_modes, self.channel)
-        if self.trials_per_point < 1 or self.channels_per_point < 1:
-            raise ValueError("trials_per_point and channels_per_point must be >= 1")
-        build_constellation(self.constellation_kind, self.constellation_order, self.ring_ratio)
-        _check_seed(self.seed)
+        _check_shared(self, "n_modes")
 
 
-def _check_streams(key: str, streams: int, channel: ChannelParams) -> None:
+def _check_shared(config: RsmConfig | FdConfig, key: str) -> None:
+    """Check the rules both configs share, ``key`` naming the stream count,
+    and store the SNR grid as a tuple of floats."""
+    grid = tuple(float(s) for s in config.snr_grid_db)
+    object.__setattr__(config, "snr_grid_db", grid)
+    if not grid:
+        raise ValueError("snr_grid_db must not be empty")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"snr_grid_db must be finite, got {grid}")
+    if config.trials_per_point < 1 or config.channels_per_point < 1:
+        raise ValueError("trials_per_point and channels_per_point must be >= 1")
     # Each stream needs a receive antenna and a transmit degree of freedom:
     # more than the arrays support can only fail once the channels are drawn.
-    limit = min(channel.n_tx, channel.n_rx)
+    streams, limit = getattr(config, key), min(config.channel.n_tx, config.channel.n_rx)
     if not 1 <= streams <= limit:
         raise ValueError(f"{key} must lie in [1, min(n_tx, n_rx)] = [1, {limit}], got {streams}")
-
-
-def _check_seed(seed: int) -> None:
+    build_constellation(config.constellation_kind, config.constellation_order, config.ring_ratio)
     # Every stream is keyed by the seed, and numpy takes non-negative keys only.
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
 
 
 @dataclass(frozen=True)
@@ -365,7 +359,7 @@ def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
     chunk = max(1, _DRAW_BYTES // per_link)
     seeds = _stream_seeds((config.seed, _TAG_CHANNEL), range(n_links))
     for first in range(0, n_links, chunk):
-        yield draw_channel(params, _streams(seeds[first : first + chunk])).matrix
+        yield draw_channel(params, _streams(seeds[first : first + chunk]))
 
 
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:

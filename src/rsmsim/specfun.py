@@ -6,8 +6,9 @@ lower real branch of the Lambert W function, the Gaussian tail function,
 Rice envelope moments, and the CDFs of the non-central and doubly
 non-central t distributions.
 
-The (doubly) non-central t CDFs are defined here for finite x > 0,
-dof = 2 and, for the doubly non-central one, lam > 0: the domain of the
+The (doubly) non-central t CDFs have 2 degrees of freedom, the only
+count the analysis uses, and are defined here for finite x > 0 and, for
+the doubly non-central one, lam > 0: the domain of the
 estimated-threshold analysis, which evaluates them at x = sqrt(sigma2) /
 std with lam = 2 alpha_p / sigma2. Other arguments raise
 :class:`DomainError`. The doubly non-central t CDF is a Poisson mixture
@@ -327,29 +328,27 @@ def lambert_w_minus1_from_log(log_neg_x: float) -> float:
     )
 
 
-def _check_t_args(name: str, x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> None:
-    """DomainError unless every x is finite and > 0, every dof 2 and every delta finite."""
+def _check_t_args(name: str, x: np.ndarray, delta: np.ndarray) -> None:
+    """DomainError unless every x is finite and > 0 and every delta finite."""
     if not np.all((x > 0) & (x < np.inf)):
         raise DomainError(f"{name} requires finite x > 0")
-    if not np.all(dof == 2.0):
-        raise DomainError(f"{name} requires dof = 2")
     if not np.all(np.isfinite(delta)):
         raise DomainError(f"{name} requires finite delta")
 
 
-def noncentral_t_cdf(x: np.ndarray, dof: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def noncentral_t_cdf(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """CDF of the 2-dof non-central t distribution at finite x > 0, in closed form.
 
     Distribution of (Z + delta) / R, Z standard normal and R = sqrt(V / 2)
-    with V central chi-square with ``dof`` = 2 degrees of freedom, so R
+    with V central chi-square with 2 degrees of freedom, so R
     has density 2 r exp(-r^2). Integrating P(Z <= x r - delta) by parts
     and completing the square gives F = Phi(-delta) + (x / r) exp(-(delta
     / r)^2) Phi(delta x / r), r = hypot(x, sqrt 2): two non-negative
     terms, which keep the relative accuracy of their factors down to the
     subnormal range. The arguments broadcast.
     """
-    shape, (x_, dof_, delta_) = _broadcast(x, dof, delta)
-    _check_t_args("noncentral_t_cdf", x_, dof_, delta_)
+    shape, (x_, delta_) = _broadcast(x, delta)
+    _check_t_args("noncentral_t_cdf", x_, delta_)
     r = np.hypot(x_, math.sqrt(2.0))
     tail = x_ / r * np.exp(-((delta_ / r) ** 2)) * _ufuncs.ndtr(delta_ * x_ / r)
     return np.clip(_ufuncs.ndtr(-delta_) + tail, 0.0, 1.0).reshape(shape)
@@ -502,13 +501,11 @@ def _window_groups(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
         first = end
 
 
-def doubly_noncentral_t_cdf(
-    x: np.ndarray, dof: np.ndarray, delta: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
+def doubly_noncentral_t_cdf(x: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """CDF of the doubly non-central t distribution at finite x > 0, lam > 0.
 
     Distribution of (Z + delta) / sqrt(W / 2) where W is non-central
-    chi-square with ``dof`` = 2 degrees of freedom and non-centrality
+    chi-square with 2 degrees of freedom and non-centrality
     ``lam``. The non-central chi-square is expanded as a Poisson(lam/2)
     mixture of central chi-squares with 2 + 2j degrees of freedom, so
     each mixture term is a rescaled non-central t CDF. Each window keeps
@@ -522,8 +519,8 @@ def doubly_noncentral_t_cdf(
     as a call on that element alone would, so the working memory is
     bounded whatever the number of elements and the size of lam.
     """
-    shape, (x_, dof_, delta_, lam_) = _broadcast(x, dof, delta, lam)
-    _check_t_args("doubly_noncentral_t_cdf", x_, dof_, delta_)
+    shape, (x_, delta_, lam_) = _broadcast(x, delta, lam)
+    _check_t_args("doubly_noncentral_t_cdf", x_, delta_)
     if not np.all((lam_ > 0) & (lam_ < np.inf)):
         raise DomainError(f"doubly_noncentral_t_cdf requires finite lam > 0, got {lam!r}")
     half = 0.5 * lam_

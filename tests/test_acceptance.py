@@ -268,7 +268,7 @@ class TestCriterion4SpatialErrorVsMonteCarlo:
         rng = np.random.default_rng(SEED + 4)
         channel = draw_channel(
             ChannelParams(n_tx=32, n_rx=8), batch_of_one(np.random.default_rng(SEED))
-        ).matrix[0]
+        )[0]
         alpha = select_antennas(channel, 4).alpha
         sigma2 = 1.0
         n_draws = 10**7
@@ -520,14 +520,14 @@ class TestCriterion8SpecialFunctionOracles:
         t_draws = (rng.standard_normal(n_mc) + delta) / np.sqrt(rng.chisquare(dof, n_mc) / dof)
         mc = float((t_draws <= x).mean())
         band = 3.0 * math.sqrt(mc * (1 - mc) / n_mc)
-        checks.append(abs(noncentral_t_cdf(x, dof, delta) - mc) <= band)
+        checks.append(abs(noncentral_t_cdf(x, delta) - mc) <= band)
 
         x, dof, delta, lam = 1.2, 2, 2.0, 3.0
         w = (math.sqrt(lam) + rng.standard_normal(n_mc)) ** 2 + rng.chisquare(dof - 1, n_mc)
         t_draws = (rng.standard_normal(n_mc) + delta) / np.sqrt(w / dof)
         mc = float((t_draws <= x).mean())
         band = 3.0 * math.sqrt(mc * (1 - mc) / n_mc)
-        checks.append(abs(doubly_noncentral_t_cdf(x, dof, delta, lam) - mc) <= band)
+        checks.append(abs(doubly_noncentral_t_cdf(x, delta, lam) - mc) <= band)
 
         _report(
             "8",

@@ -223,8 +223,8 @@ class TestSpatialProbsEstimated:
         p1, p0 = spatial_error_probs_estimated(stats, 1e-15, 1.0)
         ratio = 1.0 / math.sqrt(0.09)
         delta = 1.4 / math.sqrt(0.09)
-        assert p1 == pytest.approx(1.0 - noncentral_t_cdf(ratio, 2.0, delta), abs=1e-12)
-        assert p0 == pytest.approx(noncentral_t_cdf(ratio, 2.0, delta), abs=1e-12)
+        assert p1 == pytest.approx(1.0 - noncentral_t_cdf(ratio, delta), abs=1e-12)
+        assert p0 == pytest.approx(noncentral_t_cdf(ratio, delta), abs=1e-12)
         with pytest.raises(DomainError):
             spatial_error_probs_estimated(stats, 0.0, 1.0)
 

@@ -30,13 +30,20 @@ def scalar_sector_gain(angle_deg, center, width):
     return 1 if abs(offset) <= width / 2.0 else 0
 
 
-def per_ray_draw(params, rng):
-    """Reference generator: every response and pattern gain built ray by ray."""
-    _, rays = _draw_angles(params, rng)
+def replay_rays(params, rng):
+    """A link's (n_paths, 2) ray angles and its ray gains, replayed from its
+    stream in the order ``draw_channel`` draws them."""
+    rays = _draw_angles(params, rng)
     gain_scale = params.gain_variance / in_sector_fraction(params)
     gains = math.sqrt(gain_scale / 2.0) * (
         rng.standard_normal(params.n_paths) + 1j * rng.standard_normal(params.n_paths)
     )
+    return rays, gains
+
+
+def per_ray_draw(params, rng):
+    """Reference generator: every response and pattern gain built ray by ray."""
+    rays, gains = replay_rays(params, rng)
     center, width = params.sector_center_deg, params.sector_width_deg
     pattern = []
     for arr, dep in rays:
@@ -217,20 +224,21 @@ class TestDrawChannel:
     def test_matches_the_allocating_expressions(self):
         # The draw conjugates the departure responses in place.
         params = ChannelParams(n_tx=16, n_rx=4, rx_omni=False, angular_spread_deg=20.0)
-        real = draw_channel(params, [np.random.default_rng([7, i]) for i in range(5)])
-        rays = real.ray_angles
+        matrix = draw_channel(params, [np.random.default_rng([7, i]) for i in range(5)])
+        replayed = [replay_rays(params, np.random.default_rng([7, i])) for i in range(5)]
+        rays, gains = (np.stack(parts) for parts in zip(*replayed))
         pattern = sector_gain(rays[..., 1], 0.0, 50.0).astype(float)
         pattern *= sector_gain(rays[..., 0], 0.0, 50.0)
-        weights = math.sqrt(16 * 4 / params.n_paths) * real.ray_gains * pattern
+        weights = math.sqrt(16 * 4 / params.n_paths) * gains * pattern
         v_rx = array_response(4, rays[..., 0], 0.5)
         v_tx = array_response(16, rays[..., 1], 0.5)
         old = (v_rx.swapaxes(-1, -2) * weights[:, None, :]) @ v_tx.conj()
-        assert real.matrix.tobytes() == old.tobytes()
+        assert matrix.tobytes() == old.tobytes()
 
     @GEOMETRIES
     def test_matches_per_ray_reference(self, params):
         for i in range(40):
-            got = draw_channel(params, batch_of_one(np.random.default_rng([5, i]))).matrix[0]
+            got = draw_channel(params, batch_of_one(np.random.default_rng([5, i])))[0]
             want = per_ray_draw(params, np.random.default_rng([5, i]))
             assert np.array_equal(got, want), f"draw {i}"
 
@@ -238,15 +246,10 @@ class TestDrawChannel:
     def test_batch_matches_one_draw_per_link(self, params):
         n_links = 40
         batch = draw_channel(params, [np.random.default_rng([6, i]) for i in range(n_links)])
-        assert batch.matrix.shape == (n_links, params.n_rx, params.n_tx)
-        assert batch.ray_angles.shape == (n_links, params.n_paths, 2)
+        assert batch.shape == (n_links, params.n_rx, params.n_tx)
         for i in range(n_links):
             alone = draw_channel(params, batch_of_one(np.random.default_rng([6, i])))
-            assert batch.matrix[i].tobytes() == alone.matrix[0].tobytes(), f"link {i}"
-            assert batch.ray_angles[i].tobytes() == alone.ray_angles[0].tobytes()
-            assert batch.ray_gains[i].tobytes() == alone.ray_gains[0].tobytes()
-            assert batch.cluster_means[i].tobytes() == alone.cluster_means[0].tobytes()
-            assert batch.gain_scale == alone.gain_scale
+            assert batch[i].tobytes() == alone[0].tobytes(), f"link {i}"
 
     def test_single_ray_closed_form(self):
         # One cluster, one ray, zero spread: H is a scaled rank-one outer
@@ -254,24 +257,23 @@ class TestDrawChannel:
         params = ChannelParams(
             n_tx=8, n_rx=4, n_clusters=1, n_rays=1, angular_spread_deg=0.0
         )
-        real = draw_channel(params, batch_of_one(np.random.default_rng(3)))
-        arr, dep = real.ray_angles[0, 0]
+        h = draw_channel(params, batch_of_one(np.random.default_rng(3)))[0]
+        rays, gains = replay_rays(params, np.random.default_rng(3))
+        arr, dep = rays[0]
         v_r = array_response(4, float(arr), 0.5)
         v_t = array_response(8, float(dep), 0.5)
-        g = real.ray_gains[0, 0]
+        g = gains[0]
         expected = math.sqrt(8 * 4) * g * np.outer(v_r, v_t.conj())
-        np.testing.assert_allclose(real.matrix[0], expected, atol=1e-12)
-        assert np.linalg.matrix_rank(real.matrix[0]) == 1
-        assert np.linalg.norm(real.matrix[0]) ** 2 == pytest.approx(
+        np.testing.assert_allclose(h, expected, atol=1e-12)
+        assert np.linalg.matrix_rank(h) == 1
+        assert np.linalg.norm(h) ** 2 == pytest.approx(
             8 * 4 * abs(g) ** 2, rel=1e-12
         )
 
     def test_reproducible(self):
         a = draw_channel(DEFAULT, batch_of_one(np.random.default_rng(42)))
         b = draw_channel(DEFAULT, batch_of_one(np.random.default_rng(42)))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-        np.testing.assert_array_equal(a.ray_gains, b.ray_gains)
-        np.testing.assert_array_equal(a.ray_angles, b.ray_angles)
+        np.testing.assert_array_equal(a, b)
 
     def test_energy_normalization(self):
         # Sample mean of ||H||_F^2 over many draws within 5% of n_tx*n_rx.
@@ -280,7 +282,7 @@ class TestDrawChannel:
         n_draws = 10_000
         acc = 0.0
         for _ in range(n_draws):
-            h = draw_channel(params, batch_of_one(rng)).matrix[0]
+            h = draw_channel(params, batch_of_one(rng))[0]
             acc += float(np.sum(np.abs(h) ** 2))
         assert acc / n_draws / (16 * 4) == pytest.approx(1.0, abs=0.05)
 
@@ -290,20 +292,20 @@ class TestDrawChannel:
         params = ChannelParams(
             n_tx=4, n_rx=2, n_clusters=2, n_rays=5, angular_spread_deg=40.0
         )
-        real = draw_channel(params, batch_of_one(np.random.default_rng(5)))
-        rays = real.ray_angles[0]
+        h = draw_channel(params, batch_of_one(np.random.default_rng(5)))[0]
+        rays, gains = replay_rays(params, np.random.default_rng(5))
         mask = np.array([sector_gain(float(dep), 0.0, 50.0) for dep in rays[:, 1]])
         v_r = np.stack([array_response(2, float(a), 0.5) for a in rays[:, 0]])
         v_t = np.stack([array_response(4, float(a), 0.5) for a in rays[:, 1]])
-        w = math.sqrt(4 * 2 / 10) * real.ray_gains[0] * mask
+        w = math.sqrt(4 * 2 / 10) * gains * mask
         expected = (v_r.T * w) @ v_t.conj()
-        np.testing.assert_allclose(real.matrix[0], expected, atol=1e-12)
+        np.testing.assert_allclose(h, expected, atol=1e-12)
         assert mask.sum() < 10  # the configuration really drops rays
 
     def test_rank_bounded_by_path_count(self):
         params = ChannelParams(n_tx=12, n_rx=6, n_clusters=1, n_rays=2)
-        real = draw_channel(params, batch_of_one(np.random.default_rng(9)))
-        s = np.linalg.svd(real.matrix[0], compute_uv=False)
+        h = draw_channel(params, batch_of_one(np.random.default_rng(9)))[0]
+        s = np.linalg.svd(h, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) <= 2
 
     def test_calibration_fraction_sane(self):
@@ -323,6 +325,21 @@ class TestChannelParamsValidation:
             ChannelParams(n_tx=4, n_rx=4, sector_width_deg=0.0)
         with pytest.raises(ValueError):
             ChannelParams(n_tx=4, n_rx=4, sector_width_deg=400.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "angular_spread_deg",
+            "sector_center_deg",
+            "sector_width_deg",
+            "antenna_spacing_wavelengths",
+            "gain_variance",
+        ],
+    )
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChannelParams(n_tx=4, n_rx=4, **{name: value})
 
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,61 @@ class TestBadConfigValues:
         assert not out.exists()
 
 
+#: float config key -> the field that a non-finite value of it is refused as
+FLOAT_KEYS = {
+    "snr_db": "snr_grid_db",
+    "gain_variance": "gain_variance",
+    "antenna_spacing": "antenna_spacing_wavelengths",
+    "angular_spread_deg": "angular_spread_deg",
+    "sector_center_deg": "sector_center_deg",
+    "sector_width_deg": "sector_width_deg",
+    "ring_ratio": "ring_ratio",
+}
+
+
+class TestNonFiniteConfigValues:
+    """A float config value of inf, -inf or nan is refused with exit 2 when
+    the config is read. Such values once ran to a garbage CSV with exit 0,
+    or ended in a traceback or in a simulation failure that named another
+    cause."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+    @pytest.mark.parametrize(
+        "text,constellation",
+        [
+            (SMALL_CONFIG, ("constellation = psk\norder = 4", "constellation = apsk\norder = 16")),
+            (SMALL_FD_CONFIG, ("constellation = qam", "constellation = apsk")),
+        ],
+        ids=["rsm", "fd_svd"],
+    )
+    def test_exits_2_naming_the_field(self, text, constellation, key, value, tmp_path, capsys):
+        if key == "snr_db":
+            text = text.replace("snr_db = 4,8", "snr_db = 4,8,X").replace(
+                "snr_db = -4:0:2", "snr_db = -4,X"
+            )
+        else:
+            text += f"{key} = X\n"
+        if key == "ring_ratio":
+            text = text.replace(*constellation)
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(text.replace("X", value))
+        assert main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert FLOAT_KEYS[key] in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:2", "-inf:0:2", "inf:inf:1", "0:4:nan", "0:4:inf"])
+    def test_range_parts_must_be_finite(self, grid, tmp_path, capsys):
+        # An infinite stop once made the grid parser loop without end.
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(SMALL_CONFIG.replace("snr_db = 4,8", f"snr_db = {grid}"))
+        assert main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "key 'snr_db': range bounds and step must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingOutDirectory:
     """An ``--out`` in a directory that does not exist is refused with exit
     2 before any work, instead of a traceback after the whole run."""

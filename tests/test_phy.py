@@ -13,6 +13,7 @@ from rsmsim.phy import (
     DESIGN_RHO_RANGE,
     DESIGN_SCALE_RANGE,
     THRESHOLD_MODES,
+    Constellation,
     IllegalSpatialWord,
     NoRoot,
     OutsideDesignDomain,
@@ -97,10 +98,17 @@ class TestConstellations:
     @pytest.mark.parametrize("kind,order,ring", [
         ("psk", 3, None), ("psk", 128, None), ("qam", 8, None), ("qam", 32, None),
         ("apsk", 32, 2.0), ("apsk", 16, None), ("apsk", 16, 0.5), ("weird", 4, None),
+        ("apsk", 16, math.inf), ("apsk", 16, math.nan), ("psk", 4, math.nan),
     ])
     def test_unsupported(self, kind, order, ring):
         with pytest.raises(UnsupportedOrder):
             build_constellation(kind, order, ring)
+
+    def test_nan_power_fails_the_unit_power_check(self):
+        psk = build_constellation("psk", 4)
+        points = np.where(np.arange(4) == 1, math.nan, psk.points)
+        with pytest.raises(ValueError, match="average symbol power"):
+            Constellation(kind="psk", order=4, points=points, labels=psk.labels)
 
 
 class TestEncodeDecode:

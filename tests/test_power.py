@@ -3,7 +3,6 @@
 import pytest
 
 from rsmsim.power import (
-    HYBRID_REFERENCE_MW,
     PowerConfig,
     power_fd,
     power_proposed,
@@ -61,9 +60,6 @@ class TestRatio:
         a, _ = power_ratio(PowerConfig(p_ref=1.0, n_rx=32))
         b, _ = power_ratio(PowerConfig(p_ref=123.0, n_rx=32))
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_hybrid_reference_constant(self):
-        assert HYBRID_REFERENCE_MW == 8000.0
 
     def test_monotone_decreasing_toward_limit(self):
         ratios = [power_ratio(PowerConfig(p_ref=20.0, n_rx=n))[0] for n in (8, 16, 32, 64)]

@@ -349,9 +349,9 @@ class TestChannelEnsemble:
         real = simulate.draw_channel
 
         def recording(*args, **kwargs):
-            realization = real(*args, **kwargs)
-            drawn.extend(realization.matrix)  # one entry per link
-            return realization
+            matrices = real(*args, **kwargs)
+            drawn.extend(matrices)  # one entry per link
+            return matrices
 
         monkeypatch.setattr(simulate, "draw_channel", recording)
         config = small_config(snr_grid_db=(6.0,), trials_per_point=10, channels_per_point=6)
@@ -1122,6 +1122,13 @@ class TestConfigValidation:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             small_config(snr_grid_db=())
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid(self, value):
+        with pytest.raises(ValueError, match="snr_grid_db must be finite"):
+            small_config(snr_grid_db=(4.0, value))
+        with pytest.raises(ValueError, match="snr_grid_db must be finite"):
+            FdConfig(channel=PARAMS, snr_grid_db=(value,))
 
     def test_n_active_bounds(self):
         with pytest.raises(ValueError):

@@ -52,11 +52,11 @@ LAMBERT_ORACLE = {
 
 # 1e7-draw Monte Carlo samplers, seed 20260808: (value, 3-sigma half width).
 NCT_MC = {
-    (1.0, 2, 1.5): (0.2869139, 4.3e-4),
+    (1.0, 1.5): (0.2869139, 4.3e-4),
 }
 DNCT_MC = {
-    (1.2, 2, 2.0, 3.0): (0.4147017, 4.7e-4),
-    (0.8, 2, 1.0, 8.0): (0.7314441, 4.3e-4),
+    (1.2, 2.0, 3.0): (0.4147017, 4.7e-4),
+    (0.8, 1.0, 8.0): (0.7314441, 4.3e-4),
 }
 
 # Quadrature of a*f(a) and a^2*f(a) against the Rice density
@@ -220,14 +220,14 @@ def nct2_cdf_quad(x, delta):
 class TestNoncentralT:
     def test_zero_noncentrality_is_central_t(self):
         for x in (1e-3, 0.3, 0.7, 2.5):
-            assert noncentral_t_cdf(x, 2, 0.0) == pytest.approx(
+            assert noncentral_t_cdf(x, 0.0) == pytest.approx(
                 float(stats.t.cdf(x, 2)), abs=1e-12
             )
 
     def test_limits(self):
         # Phi(-delta) as x -> 0+ and 1 as x grows, at both ends of x > 0.
-        assert noncentral_t_cdf(1e-300, 2, 1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-12)
-        assert noncentral_t_cdf(1e300, 2, 1.0) == 1.0
+        assert noncentral_t_cdf(1e-300, 1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-12)
+        assert noncentral_t_cdf(1e300, 1.0) == 1.0
 
     @pytest.mark.parametrize("args,mc", sorted(NCT_MC.items()))
     def test_against_monte_carlo(self, args, mc):
@@ -236,7 +236,7 @@ class TestNoncentralT:
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.1, 10, 60)
-        vals = [noncentral_t_cdf(float(x), 2, 1.5) for x in xs]
+        vals = [noncentral_t_cdf(float(x), 1.5) for x in xs]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize(
@@ -244,7 +244,7 @@ class TestNoncentralT:
     )
     def test_closed_form_against_quadrature(self, x, delta):
         # The formula itself, against its defining integral, down to 1e-30.
-        assert noncentral_t_cdf(x, 2, delta) == pytest.approx(
+        assert noncentral_t_cdf(x, delta) == pytest.approx(
             nct2_cdf_quad(x, delta), rel=1e-12, abs=0.0
         )
 
@@ -252,9 +252,9 @@ class TestNoncentralT:
         # Every (x, delta) of P0 that the analytic columns of fig3 and of
         # the mc_estimated workload evaluate.
         args = [a for kernels in config_calls.values() for a in kernels["noncentral_t_cdf"]]
-        x, dof, delta = (np.concatenate([a[k].ravel() for a in args]) for k in range(3))
-        assert x.size > 2000 and np.all(dof == 2.0)
-        got = noncentral_t_cdf(x, 2.0, delta)
+        x, delta = (np.concatenate([a[k].ravel() for a in args]) for k in range(2))
+        assert x.size > 2000
+        got = noncentral_t_cdf(x, delta)
         want = np.array([nct2_cdf_mp(u, d) for u, d in zip(x.tolist(), delta.tolist())])
         assert want.min() < 1e-100
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -269,14 +269,14 @@ class TestNoncentralT:
         want = np.array([nct2_cdf_mp(u, d) for u, d in zip(x.tolist(), delta.tolist())])
         normal = want >= 1e-300
         assert want[normal].min() < 1e-298 and np.count_nonzero(normal) > 950
-        got = noncentral_t_cdf(x[normal], 2.0, delta[normal])
+        got = noncentral_t_cdf(x[normal], delta[normal])
         np.testing.assert_allclose(got, want[normal], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("x", [1e-300, 1e300])
     def test_extreme_x_against_mpmath(self, x):
         delta = np.array([-30.0, -3.0, 0.0, 0.5, 4.0, 20.0, 37.0])
         want = [nct2_cdf_mp(x, d) for d in delta.tolist()]
-        np.testing.assert_allclose(noncentral_t_cdf(x, 2.0, delta), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(noncentral_t_cdf(x, delta), want, rtol=1e-12, atol=0.0)
 
     def test_against_the_backend_at_two_dof(self):
         # The ufunc behind scipy's nct.cdf, which the closed form replaced,
@@ -288,7 +288,7 @@ class TestNoncentralT:
             want = special.nctdtr(2.0, delta, x)
         ok = ~np.isnan(want)
         assert np.count_nonzero(ok) > 3900
-        got = noncentral_t_cdf(x[ok], 2.0, delta[ok])
+        got = noncentral_t_cdf(x[ok], delta[ok])
         np.testing.assert_allclose(got, want[ok], rtol=1e-12, atol=0.0)
 
     def test_calls_neither_the_backend_nor_the_screen(self, monkeypatch):
@@ -299,7 +299,7 @@ class TestNoncentralT:
         monkeypatch.setattr(specfun, "_chord_tail_bound", failing)
         x = np.array([1e-3, 0.3, 2.0, 40.0, 0.5])
         delta = np.array([0.0, 1.3, 20.0, -9.0, 39.6])
-        p = noncentral_t_cdf(x, 2.0, delta)
+        p = noncentral_t_cdf(x, delta)
         assert np.all((p > 0.0) & (p <= 1.0))
 
 
@@ -309,26 +309,26 @@ class TestDoublyNoncentralT:
         # weight is exactly 1, so the mixture is its first term bit for bit,
         # and that term is the 2-dof closed form within 1e-14.
         xs = np.linspace(0.05, 8, 100)
-        near = doubly_noncentral_t_cdf(xs, 2, 1.3, 1e-300)
+        near = doubly_noncentral_t_cdf(xs, 1.3, 1e-300)
         assert np.array_equal(near, screened_nct(xs, np.full(xs.size, 2.0), np.full(xs.size, 1.3)))
-        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 2, 1.3), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 1.3), rtol=0.0, atol=1e-14)
 
     def test_small_lambda_is_continuous(self):
         # As lam -> 0+ the mixture tends to the singly non-central t CDF.
         xs = np.linspace(0.05, 8, 100)
-        near = doubly_noncentral_t_cdf(xs, 2, 1.3, 1e-9)
-        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 2, 1.3), rtol=0.0, atol=1e-7)
+        near = doubly_noncentral_t_cdf(xs, 1.3, 1e-9)
+        np.testing.assert_allclose(near, noncentral_t_cdf(xs, 1.3), rtol=0.0, atol=1e-7)
 
     def test_symmetric_numerator_at_origin(self):
         # P(Z <= x S) tends to 1/2 as x -> 0+ when delta = 0.
-        assert doubly_noncentral_t_cdf(1e-12, 2, 0.0, 5.0) == pytest.approx(0.5, abs=1e-9)
+        assert doubly_noncentral_t_cdf(1e-12, 0.0, 5.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_limits(self):
         # Phi(-delta) as x -> 0+ and 1 as x grows, at both ends of x > 0.
-        assert doubly_noncentral_t_cdf(1e-300, 2, 1.0, 3.0) == pytest.approx(
+        assert doubly_noncentral_t_cdf(1e-300, 1.0, 3.0) == pytest.approx(
             special.ndtr(-1.0), rel=1e-12
         )
-        assert doubly_noncentral_t_cdf(1e300, 2, 1.0, 3.0) == 1.0
+        assert doubly_noncentral_t_cdf(1e300, 1.0, 3.0) == 1.0
 
     @pytest.mark.parametrize("args,mc", sorted(DNCT_MC.items()))
     def test_against_monte_carlo(self, args, mc):
@@ -337,42 +337,33 @@ class TestDoublyNoncentralT:
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(DomainError):
-            doubly_noncentral_t_cdf(1.0, 2, 1.0, -0.5)
+            doubly_noncentral_t_cdf(1.0, 1.0, -0.5)
 
 
 class TestDomain:
-    """The t kernels take finite x > 0, dof = 2, finite delta and (doubly)
-    lam > 0 only."""
+    """The t kernels take finite x > 0, finite delta and (doubly) lam > 0
+    only."""
 
     @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -2.0, math.inf, -math.inf, math.nan])
     def test_rejects_x(self, x):
         for args in ((x,), (np.array([1.0, x]),)):
             with pytest.raises(DomainError):
-                noncentral_t_cdf(*args, 2.0, 1.0)
+                noncentral_t_cdf(*args, 1.0)
             with pytest.raises(DomainError):
-                doubly_noncentral_t_cdf(*args, 2.0, 1.0, 3.0)
-
-    @pytest.mark.parametrize(
-        "dof", [0.0, -1.0, math.nan, 1.0, 3.0, np.nextafter(2.0, 3.0), math.inf, [2.0, 3.0]]
-    )
-    def test_rejects_dof(self, dof):
-        with pytest.raises(DomainError):
-            noncentral_t_cdf(1.0, dof, 1.0)
-        with pytest.raises(DomainError):
-            doubly_noncentral_t_cdf(1.0, dof, 1.0, 3.0)
+                doubly_noncentral_t_cdf(*args, 1.0, 3.0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_rejects_delta(self, delta):
         for args in ((delta,), (np.array([1.0, delta]),)):
             with pytest.raises(DomainError):
-                noncentral_t_cdf(1.0, 2.0, *args)
+                noncentral_t_cdf(1.0, *args)
             with pytest.raises(DomainError):
-                doubly_noncentral_t_cdf(1.0, 2.0, *args, 3.0)
+                doubly_noncentral_t_cdf(1.0, *args, 3.0)
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, math.nan])
     def test_rejects_lam(self, lam):
         with pytest.raises(DomainError):
-            doubly_noncentral_t_cdf(1.0, 2.0, 1.0, lam)
+            doubly_noncentral_t_cdf(1.0, 1.0, lam)
 
 
 def nct_tail_mp(x, dof, delta):
@@ -717,7 +708,7 @@ def config_calls():
 
 @pytest.fixture(scope="module")
 def ensemble_calls(config_calls):
-    """The (x, dof, delta, lam) of every doubly_noncentral_t_cdf call, per config."""
+    """The (x, delta, lam) of every doubly_noncentral_t_cdf call, per config."""
     return {path: kernels["doubly_noncentral_t_cdf"] for path, kernels in config_calls.items()}
 
 
@@ -725,7 +716,7 @@ def ensemble_calls(config_calls):
 def ensemble_references(ensemble_calls):
     """single_pass_dnct of every recorded call, per config."""
     return {
-        path: [single_pass_dnct(x, delta, lam) for x, _, delta, lam in recorded]
+        path: [single_pass_dnct(x, delta, lam) for x, delta, lam in recorded]
         for path, recorded in ensemble_calls.items()
     }
 
@@ -767,8 +758,8 @@ class TestWindowGroups:
     ):
         if budget is not None:
             monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
-        for (x, dof, delta, lam), want in zip(ensemble_calls[path], ensemble_references[path]):
-            assert np.array_equal(doubly_noncentral_t_cdf(x, dof, delta, lam), want)
+        for (x, delta, lam), want in zip(ensemble_calls[path], ensemble_references[path]):
+            assert np.array_equal(doubly_noncentral_t_cdf(x, delta, lam), want)
             if budget == 1000:
                 # Several groups, each of several windows.
                 sizes = specfun._window_bounds(0.5 * lam.ravel())[1]
@@ -782,9 +773,9 @@ class TestWindowGroups:
         # Where a term ahead of a suffix is a backend NaN, both builds raise.
         for i in failing:
             with pytest.raises(ArithmeticError):
-                doubly_noncentral_t_cdf(x[i], 2.0, delta[i], lam[i])
+                doubly_noncentral_t_cdf(x[i], delta[i], lam[i])
         assert len(failing) < 5
-        got = doubly_noncentral_t_cdf(x[ok], 2.0, delta[ok], lam[ok])
+        got = doubly_noncentral_t_cdf(x[ok], delta[ok], lam[ok])
         assert np.array_equal(got, want)
 
     def test_working_memory_is_bounded(self):
@@ -796,7 +787,7 @@ class TestWindowGroups:
         x, delta = np.full(half.size, 0.1), np.linspace(0.0, 4.0, half.size)
         tracemalloc.start()
         try:
-            p = doubly_noncentral_t_cdf(x, 2.0, delta, 2.0 * half)
+            p = doubly_noncentral_t_cdf(x, delta, 2.0 * half)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -828,13 +819,13 @@ class TestArrayArguments:
         # The last element rounds to 1.
         x = np.array([1e-3, 0.3, 2.0, 1.5, 6.0, 40.0])
         delta = np.array([0.0, 1.3, 2.0, -0.5, 4.0, -9.0])
-        batch = noncentral_t_cdf(x, 2.0, delta)
+        batch = noncentral_t_cdf(x, delta)
         assert np.array_equal(
             batch,
-            [noncentral_t_cdf(batch_of_one(u), 2.0, batch_of_one(d))[0] for u, d in zip(x, delta)],
+            [noncentral_t_cdf(batch_of_one(u), batch_of_one(d))[0] for u, d in zip(x, delta)],
         )
         with pytest.raises(DomainError):
-            noncentral_t_cdf(np.array([1.0, math.nan]), 2.0, 0.0)
+            noncentral_t_cdf(np.array([1.0, math.nan]), 0.0)
 
     def test_doubly_noncentral_t_cdf(self, monkeypatch):
         # Windows of different lengths, from one term at lam = 1e-9 up, all
@@ -844,17 +835,17 @@ class TestArrayArguments:
         lam = np.array([1e-9, 3.0, 40.0, 5.0, 900.0])
         for budget in (specfun._TERM_BUDGET, 1):
             monkeypatch.setattr(specfun, "_TERM_BUDGET", budget)
-            batch = doubly_noncentral_t_cdf(x, 2.0, delta, lam)
+            batch = doubly_noncentral_t_cdf(x, delta, lam)
             assert np.array_equal(
                 batch,
                 [
-                    doubly_noncentral_t_cdf(*map(batch_of_one, (u, 2.0, d, v)))[0]
+                    doubly_noncentral_t_cdf(*map(batch_of_one, (u, d, v)))[0]
                     for u, d, v in zip(x, delta, lam)
                 ],
             )
-        assert doubly_noncentral_t_cdf(np.empty((0, 2)), 2.0, 1.0, 3.0).shape == (0, 2)
+        assert doubly_noncentral_t_cdf(np.empty((0, 2)), 1.0, 3.0).shape == (0, 2)
         with pytest.raises(DomainError):
-            doubly_noncentral_t_cdf(x, 2.0, delta, -lam)
+            doubly_noncentral_t_cdf(x, delta, -lam)
 
 
 class TestRiceMoments:
@@ -1035,8 +1026,8 @@ class TestScipyStatsParity:
         x = np.concatenate([log_uniform(rng, 1e-2, 1e2, n), [self.NCT_NAN[0]]])
         delta = np.concatenate([rng.uniform(-5.0, 30.0, n), [self.NCT_NAN[1]]])
         lam = np.concatenate([log_uniform(rng, 1e-6, 100.0, n), [1e-3]])
-        got = doubly_noncentral_t_cdf(x[:n], 2.0, delta[:n], lam[:n])
+        got = doubly_noncentral_t_cdf(x[:n], delta[:n], lam[:n])
         assert np.array_equal(got, dnct_cdf_stats(x[:n], delta[:n], lam[:n]))
         # The last point's leading window term is a backend NaN.
         with pytest.raises(ArithmeticError):
-            doubly_noncentral_t_cdf(x, 2.0, delta, lam)
+            doubly_noncentral_t_cdf(x, delta, lam)

@@ -15,8 +15,10 @@ The configs span both systems, every constellation kind and order, the
 three threshold designs, both threshold sources and both selections,
 1 to 16 clusters and every ``n_active`` from 1 to min(n_tx, n_rx), with
 at most 40 words and 20 channels per SNR point; one in eight asks for
-one stream more than min(n_tx, n_rx), a configuration error. The tally
-of exit causes is printed on a ``[SWEEP]`` line.
+one stream more than min(n_tx, n_rx), a configuration error. A second
+seeded draw of such configs sets one float key of each to inf, -inf or
+nan, which must exit 2 naming its field. The tally of exit causes of
+both sets is printed on a ``[SWEEP]`` line.
 """
 
 import collections
@@ -29,9 +31,14 @@ import re
 import pytest
 
 from rsmsim.cli import main
+from test_cli import FLOAT_KEYS
 
 SEED = 20261019
 N_CONFIGS = 40
+NONFINITE_SEED = SEED + 1
+NONFINITE = ("inf", "-inf", "nan")
+#: one config per (float key, non-finite value)
+N_NONFINITE = len(NONFINITE) * len(FLOAT_KEYS)
 
 CONSTELLATIONS = [
     *(("psk", order) for order in (2, 4, 8, 16, 32, 64)),
@@ -52,44 +59,63 @@ CAUSE_PREFIXES = {
 }
 
 
+def draw_config(rng, i, overstep):
+    """The lines of config ``i`` drawn from ``rng``; ``overstep`` asks for
+    one stream more than the arrays carry."""
+    kind, order = CONSTELLATIONS[i % len(CONSTELLATIONS)]
+    n_tx, n_rx = rng.randint(1, 32), rng.randint(1, 8)
+    limit = min(n_tx, n_rx)
+    streams = limit + 1 if overstep else rng.randint(1, limit)
+    snrs = sorted(rng.sample(range(-10, 41, 2), rng.randint(1, 3)))
+    lines = [
+        f"n_tx = {n_tx}",
+        f"n_rx = {n_rx}",
+        f"n_clusters = {rng.randint(1, 16)}",
+        f"n_rays = {rng.randint(1, 10)}",
+        f"angular_spread_deg = {rng.uniform(0.0, 20.0):.3f}",
+        f"constellation = {kind}",
+        f"order = {order}",
+        f"snr_db = {','.join(map(str, snrs))}",
+        f"trials_per_point = {rng.randint(1, 40)}",
+        f"channels_per_point = {rng.randint(1, 20)}",
+        f"seed = {rng.randrange(10**6)}",
+    ]
+    if kind == "apsk":
+        lines.append(f"ring_ratio = {rng.uniform(1.5, 3.5):.3f}")
+    if i % 3 == 2:
+        lines += ["system = fd_svd", f"n_modes = {streams}"]
+    else:
+        mode, source, selection = RSM_MODES[(i - (i + 1) // 3) % len(RSM_MODES)]
+        lines += [
+            "system = rsm",
+            f"n_active = {streams}",
+            f"threshold_mode = {mode}",
+            f"threshold_source = {source}",
+            f"n_pilots = {rng.randint(1, 8)}",
+            f"selection = {selection}",
+        ]
+    return lines
+
+
 def sweep_configs():
     """The config texts of the sweep, in order."""
     rng = random.Random(SEED)
     for i in range(N_CONFIGS):
-        kind, order = CONSTELLATIONS[i % len(CONSTELLATIONS)]
-        n_tx, n_rx = rng.randint(1, 32), rng.randint(1, 8)
-        limit = min(n_tx, n_rx)
         # One config in eight asks for one stream more than the arrays carry.
-        streams = limit + 1 if i % 8 == 7 else rng.randint(1, limit)
-        snrs = sorted(rng.sample(range(-10, 41, 2), rng.randint(1, 3)))
-        lines = [
-            f"n_tx = {n_tx}",
-            f"n_rx = {n_rx}",
-            f"n_clusters = {rng.randint(1, 16)}",
-            f"n_rays = {rng.randint(1, 10)}",
-            f"angular_spread_deg = {rng.uniform(0.0, 20.0):.3f}",
-            f"constellation = {kind}",
-            f"order = {order}",
-            f"snr_db = {','.join(map(str, snrs))}",
-            f"trials_per_point = {rng.randint(1, 40)}",
-            f"channels_per_point = {rng.randint(1, 20)}",
-            f"seed = {rng.randrange(10**6)}",
-        ]
-        if kind == "apsk":
-            lines.append(f"ring_ratio = {rng.uniform(1.5, 3.5):.3f}")
-        if i % 3 == 2:
-            lines += ["system = fd_svd", f"n_modes = {streams}"]
-        else:
-            mode, source, selection = RSM_MODES[(i - (i + 1) // 3) % len(RSM_MODES)]
-            lines += [
-                "system = rsm",
-                f"n_active = {streams}",
-                f"threshold_mode = {mode}",
-                f"threshold_source = {source}",
-                f"n_pilots = {rng.randint(1, 8)}",
-                f"selection = {selection}",
-            ]
-        yield "\n".join(lines) + "\n"
+        yield "\n".join(draw_config(rng, i, overstep=i % 8 == 7)) + "\n"
+
+
+def nonfinite_configs():
+    """(config text, field) of configs drawn as the sweep's are, none of
+    them overstepping, each with one float key set to inf, -inf or nan,
+    one config per key and value; ``field`` is the field that the config
+    error must name."""
+    rng = random.Random(NONFINITE_SEED)
+    keys = sorted(FLOAT_KEYS)
+    for i in range(N_NONFINITE):
+        key, value = keys[i % len(keys)], NONFINITE[i // len(keys)]
+        lines = [line for line in draw_config(rng, i, overstep=False) if line.split(" = ")[0] != key]
+        yield "\n".join([*lines, f"{key} = {value}"]) + "\n", FLOAT_KEYS[key]
 
 
 def cause(code, first_line):
@@ -100,7 +126,8 @@ def cause(code, first_line):
     return f"{code} " + re.sub(r"(?<![\w.])[-+]?\d[\d.e+-]*", "#", message)[:100]
 
 
-Run = collections.namedtuple("Run", "text code stderr ber_1 ber_2 abep")
+#: ``field`` is the field a non-finite config must name, None for the others
+Run = collections.namedtuple("Run", "text field code stderr ber_1 ber_2 abep")
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +138,8 @@ def sweep(tmp_path_factory):
     """
     runs = []
     base = tmp_path_factory.mktemp("sweep")
-    for i, text in enumerate(sweep_configs()):
+    configs = [*((text, None) for text in sweep_configs()), *nonfinite_configs()]
+    for i, (text, field) in enumerate(configs):
         config = base / f"c{i}.cfg"
         config.write_text(text)
 
@@ -132,7 +160,7 @@ def sweep(tmp_path_factory):
             ber_2 = (base / f"c{i}.t2.csv").read_bytes()
             assert call("abep", out=f"c{i}.abep.csv")[0] == 0, text
             abep = (base / f"c{i}.abep.csv").read_text()
-        runs.append(Run(text, code, stderr, ber_1, ber_2, abep))
+        runs.append(Run(text, field, code, stderr, ber_1, ber_2, abep))
     tally = collections.Counter(
         cause(r.code, r.stderr.splitlines()[0] if r.stderr else "") for r in runs
     )
@@ -161,6 +189,17 @@ def test_configs_cover_the_space():
         assert {s for s, limit in streams if s == 1}, key
     for f in fields:
         assert int(f["trials_per_point"]) <= 40 and int(f["channels_per_point"]) <= 20
+    nonfinite = [dict(line.split(" = ") for line in t.splitlines()) for t, _ in nonfinite_configs()]
+    pairs = {(key, f[key]) for f in nonfinite for key in FLOAT_KEYS if f.get(key) in NONFINITE}
+    assert len(pairs) == len(nonfinite) == N_NONFINITE
+    assert {f["system"] for f in nonfinite} == {"rsm", "fd_svd"}
+
+
+def test_nonfinite_values_exit_2_naming_the_field(sweep):
+    nonfinite = [run for run in sweep if run.field]
+    assert len(nonfinite) == N_NONFINITE
+    for run in nonfinite:
+        assert run.code == 2 and run.field in run.stderr, run
 
 
 def test_exit_codes(sweep):

@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .channel import ChannelParams
-from .mimo import SingularChannel, TooManySubsets
+from .mimo import SingularChannel
 from .phy import (
     NoRoot,
     OutsideDesignDomain,
@@ -196,12 +196,20 @@ def _with_seed(config: RsmConfig | FdConfig, seed: int | None):
         raise ConfigError(f"--seed: {err}") from err
 
 
-def _check_out(out: str) -> Path:
-    """The ``--out`` path, once its directory is known to exist, so that a
-    run never ends, after all its work, unable to write its result."""
+def _manifest_path(out_path: Path) -> Path:
+    return out_path.with_suffix(out_path.suffix + ".manifest.json")
+
+
+def _check_out(out: str, *, manifest: bool) -> Path:
+    """The ``--out`` path, once its directory is known to exist and neither
+    it nor, with ``manifest``, its manifest sidecar is a directory, so that
+    a run never ends, after all its work, unable to write its result."""
     path = Path(out)
     if not path.parent.is_dir():
         raise ConfigError(f"--out: directory {str(path.parent)!r} does not exist")
+    for target in (path, _manifest_path(path)) if manifest else (path,):
+        if target.is_dir():
+            raise ConfigError(f"--out: {str(target)!r} is a directory")
     return path
 
 
@@ -216,7 +224,7 @@ def _write_manifest(out_path: Path, config, extra: dict) -> None:
         "config": snapshot,
         **extra,
     }
-    out_path.with_suffix(out_path.suffix + ".manifest.json").write_text(
+    _manifest_path(out_path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
@@ -224,7 +232,7 @@ def _write_manifest(out_path: Path, config, extra: dict) -> None:
 def cmd_ber(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    out = _check_out(args.out)
+    out = _check_out(args.out, manifest=True)
     config = _with_seed(load_config(args.config), args.seed)
     if isinstance(config, RsmConfig):
         report = run(config, n_threads=args.threads)
@@ -253,7 +261,7 @@ def cmd_ber(args: argparse.Namespace) -> int:
 
 
 def cmd_abep(args: argparse.Namespace) -> int:
-    out = _check_out(args.out)
+    out = _check_out(args.out, manifest=True)
     config = _with_seed(load_config(args.config), args.seed)
     if isinstance(config, RsmConfig):
         rows = analytic_curves(config)
@@ -270,7 +278,7 @@ def cmd_abep(args: argparse.Namespace) -> int:
 def cmd_power(args: argparse.Namespace) -> int:
     from .power import PowerConfig, power_fd, power_proposed, power_ratio
 
-    out = _check_out(args.out) if args.out else None
+    out = _check_out(args.out, manifest=False) if args.out else None
     try:
         configs = [PowerConfig(args.p_ref, int(v)) for v in args.n_rx.split(",") if v.strip()]
         if not configs:
@@ -342,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Only a level name resolves to a number; any other value means WARNING.
+    level = logging.getLevelName(os.environ.get("RSM_SIM_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, os.environ.get("RSM_SIM_LOG", "WARNING").upper(), logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
@@ -355,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutsideDesignDomain as err:
         print(f"error: threshold design: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PointAborted, SingularChannel, TooManySubsets, ArithmeticError) as err:
+    except (PointAborted, SingularChannel, ArithmeticError) as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -23,6 +23,7 @@ __all__ = [
     "TooManySubsets",
     "AntennaSelection",
     "zf_precoder",
+    "check_subset_count",
     "select_antennas",
     "selection_for_indices",
 ]
@@ -115,6 +116,18 @@ def selection_for_indices(h: np.ndarray, indices: Iterable[int]) -> AntennaSelec
     return _best_subset(np.asarray(h), np.array([sorted(int(i) for i in indices)]))
 
 
+def check_subset_count(n_rx: int, n_active: int) -> None:
+    """Raise :class:`TooManySubsets` when exhaustive selection of
+    ``n_active`` of ``n_rx`` antennas would enumerate more than
+    :data:`MAX_SUBSETS` subsets."""
+    n_subsets = math.comb(n_rx, n_active)
+    if n_subsets > MAX_SUBSETS:
+        raise TooManySubsets(
+            f"n_active = {n_active} of n_rx = {n_rx} under selection = exhaustive: "
+            f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
+        )
+
+
 def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
     """Pick the antenna subset maximizing the received power factor.
 
@@ -127,9 +140,5 @@ def select_antennas(h: np.ndarray, n_active: int) -> AntennaSelection:
     n_rx = h.shape[0]
     if n_active > n_rx:
         raise ValueError(f"n_active={n_active} exceeds n_rx={n_rx}")
-    n_subsets = math.comb(n_rx, n_active)
-    if n_subsets > MAX_SUBSETS:
-        raise TooManySubsets(
-            f"C({n_rx},{n_active}) = {n_subsets} subsets exceeds cap {MAX_SUBSETS}"
-        )
+    check_subset_count(n_rx, n_active)
     return _best_subset(h, np.array(list(itertools.combinations(range(n_rx), n_active))))

@@ -12,7 +12,10 @@ channels of a key at once (:func:`_stream_seeds`). Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
 its own stream. The analytic columns of each SNR point run as one more
-task on the same workers.
+task on the same workers. One driver (:func:`_sweep_and_reduce`) runs
+and reduces every sweep: :func:`analytic_curves` and
+:func:`analytic_curves_fd` are the sweeps of :func:`run` and
+:func:`run_fd` with no Monte Carlo task.
 Each run logs one line per SNR point, in grid order, and where its time
 went, its peak RSS and its minor page faults on the ``.timing`` child
 logger; at DEBUG it also logs the seconds of every Monte Carlo task.
@@ -46,7 +49,7 @@ from . import analysis
 from .baseline import fd_ber, received_power, svd_link
 from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .channel import ChannelParams, draw_channel
-from .mimo import select_antennas, selection_for_indices, zf_precoder
+from .mimo import check_subset_count, select_antennas, selection_for_indices, zf_precoder
 from .phy import (
     THRESHOLD_MODES,
     Constellation,
@@ -140,6 +143,8 @@ class RsmConfig:
             raise ValueError(f"threshold_source must be one of {THRESHOLD_SOURCES}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}")
+        if self.selection == "exhaustive":
+            check_subset_count(self.channel.n_rx, self.n_active)
         if self.n_pilots < 1:
             raise ValueError("n_pilots must be >= 1")
         if self.threshold_mode.lower() not in THRESHOLD_MODES:
@@ -565,31 +570,6 @@ def _analytic_columns(
     return float(np.mean(perfect.abep)), mean, excluded
 
 
-def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
-    """(snr_db, perfect ABEP, estimated ABEP) rows without any sampling.
-
-    Uses the same channel ensemble and averaging as :func:`run`, so the
-    analytic columns agree with a full simulation under the same seed.
-    """
-    constellation = build_constellation(
-        config.constellation_kind, config.constellation_order, config.ring_ratio
-    )
-    ensemble = _build_ensemble(config, constellation)
-    rows = []
-    for snr_idx, snr_db in enumerate(config.snr_grid_db):
-        perfect, estimated, excluded = _analytic_columns(config, constellation, ensemble, snr_idx)
-        rows.append((snr_db, perfect, estimated))
-        log.info(
-            "snr=%g dB analytic %.3e, estimated %.3e (%d of %d links excluded: singular Fisher)",
-            snr_db,
-            perfect,
-            estimated,
-            excluded,
-            len(ensemble.alpha),
-        )
-    return rows
-
-
 def _fd_mode_gains(config: FdConfig) -> np.ndarray:
     """Draw the channel ensemble and factor each channel once, one stacked
     ``svd_link`` call per drawn chunk.
@@ -607,61 +587,10 @@ def _fd_analytic(constellation: Constellation, received: np.ndarray) -> float:
     return float(np.mean(analysis.constellation_bep(constellation, received[:, 0] / SIGMA2)))
 
 
-def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
-    """Analytic rows for the fully digital baseline (estimated column NaN)."""
-    constellation = build_constellation(
-        config.constellation_kind, config.constellation_order, config.ring_ratio
-    )
-    gains = _fd_mode_gains(config)
-    rows = []
-    for snr_db in config.snr_grid_db:
-        received = received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2)
-        rows.append((snr_db, _fd_analytic(constellation, received), math.nan))
-    return rows
-
-
 def _timed(fn: Callable, *args) -> tuple[object, float]:
     start = time.perf_counter()
     value = fn(*args)
     return value, time.perf_counter() - start
-
-
-def _sweep(
-    n_threads: int,
-    n_snr: int,
-    n_blocks: int,
-    block: Callable[[int, int], object],
-    analytic: Callable[[int], object],
-) -> Iterator[tuple[list[tuple[object, float]], tuple[object, float]]]:
-    """Run ``block(snr_idx, block_idx)`` for every block and
-    ``analytic(snr_idx)`` for every SNR point.
-
-    Yields, for each SNR point in grid order, its block ``(result,
-    seconds)`` pairs in block order and its analytic ``(result,
-    seconds)``; blocks are collected before the analytic result, so the
-    first failure in grid order raises at any thread count. With
-    ``n_threads > 1`` every task goes to one pool up front, each point's
-    analytic task ahead of its blocks, and tasks still pending when the
-    caller stops early are cancelled; otherwise each task runs in the
-    calling thread when its result is collected.
-    """
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-
-    def task(fn: Callable, *args) -> Callable[[], tuple[object, float]]:
-        if pool is None:
-            return functools.partial(_timed, fn, *args)
-        return pool.submit(_timed, fn, *args).result
-
-    try:
-        rows = [
-            (task(analytic, s), [task(block, s, b) for b in range(n_blocks)])
-            for s in range(n_snr)
-        ]
-        for analytic_result, block_results in rows:
-            yield [result() for result in block_results], analytic_result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 def _ci95(ber: float, bits: int) -> float:
@@ -680,12 +609,21 @@ def _sweep_and_reduce(
     config: RsmConfig | FdConfig,
     n_threads: int,
     started: tuple[float, int],
-    n_blocks: int,
-    block: Callable[[int, int], object],
+    batches: list[range],
+    block: Callable[[int, range], object],
     analytic: Callable[[int], object],
     point: Callable[[float, list, object], tuple[SnrPoint, str]],
 ) -> ErrorReport:
-    """Sweep the SNR grid on :func:`_sweep` and reduce it point by point.
+    """Run ``block(snr_idx, links)`` for every SNR point and batch of
+    ``batches`` and ``analytic(snr_idx)`` for every SNR point, and reduce
+    the grid point by point.
+
+    With ``n_threads > 1`` every task goes to one pool up front, each
+    point's analytic task ahead of its blocks, and the tasks still pending
+    when the sweep ends or fails are cancelled; otherwise each task runs
+    in the calling thread when its result is collected. A point's blocks
+    are collected before its analytic result, so the first failure in
+    grid order raises at any thread count.
 
     ``point(snr_db, block results, analytic result)`` returns the
     point's :class:`SnrPoint` and its log message, which is logged with
@@ -701,11 +639,23 @@ def _sweep_and_reduce(
     start, start_faults = started
     link_s = time.perf_counter() - start
     grid = config.snr_grid_db
+    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
+
+    def task(fn: Callable, *args) -> Callable[[], tuple[object, float]]:
+        if pool is None:
+            return functools.partial(_timed, fn, *args)
+        return pool.submit(_timed, fn, *args).result
+
     points = []
     blocks_s = analytic_s = 0.0
-    sweep = _sweep(n_threads, len(grid), n_blocks, block, analytic)
     try:
-        for done, (snr_db, (blocks, (result, seconds))) in enumerate(zip(grid, sweep), 1):
+        tasks = [
+            (task(analytic, s), [task(block, s, links) for links in batches])
+            for s in range(len(grid))
+        ]
+        for done, (snr_db, (analytic_task, block_tasks)) in enumerate(zip(grid, tasks), 1):
+            blocks = [result() for result in block_tasks]
+            result, seconds = analytic_task()
             for block_idx, (_, block_s) in enumerate(blocks):
                 log.debug("snr=%g dB block %d: %.3f s", snr_db, block_idx, block_s)
             blocks_s += sum(block_s for _, block_s in blocks)
@@ -716,8 +666,8 @@ def _sweep_and_reduce(
             left = (elapsed - link_s) * (len(grid) - done) / done
             log.info("%s, %.3f s elapsed, about %.3f s left", message, elapsed, left)
     finally:
-        # Cancel pending tasks now rather than when a raised error is freed.
-        sweep.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     sweep_s = time.perf_counter() - start - link_s
     usage = resource.getrusage(resource.RUSAGE_SELF)
     timing_log.info(
@@ -736,6 +686,17 @@ def _sweep_and_reduce(
     return ErrorReport(points=tuple(points), seed=config.seed)
 
 
+def _batches(config: RsmConfig | FdConfig, symbols_per_word: int) -> list[range]:
+    """The link batches of one SNR point's Monte Carlo tasks, in order."""
+    n_links = config.channels_per_point
+    step = _batch_links(config.trials_per_point, symbols_per_word)
+    return [range(first, min(first + step, n_links)) for first in range(0, n_links, step)]
+
+
+def _analytic_rows(report: ErrorReport) -> list[tuple[float, float, float]]:
+    return [(p.snr_db, p.abep_analytic, p.abep_analytic_estimated) for p in report.points]
+
+
 def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     """Execute the full RSM experiment described by ``config``.
 
@@ -745,19 +706,30 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     channel ``ch`` at SNR index ``s`` draws from its own
     ``(seed, tag, s, ch)`` streams whatever the batching.
     """
+    return _run_rsm("run", config, n_threads, _batches(config, config.n_active))
+
+
+def analytic_curves(config: RsmConfig) -> list[tuple[float, float, float]]:
+    """(snr_db, perfect ABEP, estimated ABEP) rows without any sampling:
+    the sweep of :func:`run` with no Monte Carlo tasks, so the analytic
+    columns agree with a full simulation under the same seed."""
+    return _analytic_rows(_run_rsm("analytic_curves", config, 1, []))
+
+
+def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range]) -> ErrorReport:
+    """The RSM sweep, logged as ``name``, with Monte Carlo tasks on the
+    link ``batches`` of each SNR point (none for the analytic columns
+    alone)."""
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     started = _start()
     ensemble = _build_ensemble(config, constellation)
     n_links = len(ensemble.alpha)
-    per_batch = _batch_links(config.trials_per_point, config.n_active)
     k = constellation.bits_per_symbol
     buffers = BlockBuffers()
 
-    def block(snr_idx: int, batch_idx: int) -> _BlockCounts:
-        first = batch_idx * per_batch
-        links = range(first, min(first + per_batch, n_links))
+    def block(snr_idx: int, links: range) -> _BlockCounts:
         return _run_block(config, constellation, ensemble, snr_idx, links, buffers)
 
     def analytic(snr_idx: int) -> tuple[float, float, int]:
@@ -797,8 +769,7 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
             message,
         )
 
-    n_batches = -(-n_links // per_batch)
-    return _sweep_and_reduce("run", config, n_threads, started, n_batches, block, analytic, point)
+    return _sweep_and_reduce(name, config, n_threads, started, batches, block, analytic, point)
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
@@ -808,6 +779,19 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     channel ``ch`` at SNR index ``s`` draws from its own
     ``(seed, _TAG_FD, s, ch)`` stream whatever the batching.
     """
+    return _run_fd("run_fd", config, n_threads, _batches(config, config.n_modes))
+
+
+def analytic_curves_fd(config: FdConfig) -> list[tuple[float, float, float]]:
+    """Analytic rows for the fully digital baseline (estimated column NaN):
+    the sweep of :func:`run_fd` with no Monte Carlo tasks."""
+    return _analytic_rows(_run_fd("analytic_curves_fd", config, 1, []))
+
+
+def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -> ErrorReport:
+    """The baseline sweep, logged as ``name``, with Monte Carlo tasks on
+    the link ``batches`` of each SNR point (none for the analytic column
+    alone)."""
     constellation = build_constellation(
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
@@ -817,26 +801,24 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
     received = [
         received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2) for snr_db in config.snr_grid_db
     ]
-    n_links = len(gains)
     fd_seeds = [
-        _stream_seeds((config.seed, _TAG_FD, s), range(n_links)) for s in range(len(received))
+        _stream_seeds((config.seed, _TAG_FD, s), range(len(gains))) for s in range(len(received))
     ]
-    per_batch = _batch_links(trials, config.n_modes)
-    bits = trials * config.n_modes * constellation.bits_per_symbol * n_links
+    bits_per_link = trials * config.n_modes * constellation.bits_per_symbol
     buffers = BlockBuffers()
 
-    def block(snr_idx: int, batch_idx: int) -> np.ndarray:
-        first = batch_idx * per_batch
-        last = min(first + per_batch, n_links)
-        rngs = _streams(fd_seeds[snr_idx][first:last])
-        batch = received[snr_idx][first:last]
-        return fd_ber(batch, constellation, SIGMA2, (last - first) * trials, rngs, buffers)
+    def block(snr_idx: int, links: range) -> np.ndarray:
+        batch = slice(links.start, links.stop)
+        rngs = _streams(fd_seeds[snr_idx][batch])
+        words = len(links) * trials
+        return fd_ber(received[snr_idx][batch], constellation, SIGMA2, words, rngs, buffers)
 
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx])
 
     def point(snr_db: float, blocks: list[np.ndarray], abep: float) -> tuple[SnrPoint, str]:
-        ber = sum(int(counts.sum()) for counts in blocks) / bits
+        bits = sum(counts.size for counts in blocks) * bits_per_link
+        ber = sum(int(counts.sum()) for counts in blocks) / bits if bits else math.nan
         return (
             SnrPoint(
                 snr_db=snr_db,
@@ -851,7 +833,4 @@ def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
             f"snr={snr_db:g} dB ber={ber:.3e} (analytic {abep:.3e})",
         )
 
-    n_batches = -(-n_links // per_batch)
-    return _sweep_and_reduce(
-        "run_fd", config, n_threads, started, n_batches, block, analytic, point
-    )
+    return _sweep_and_reduce(name, config, n_threads, started, batches, block, analytic, point)

@@ -198,9 +198,10 @@ class TestNegativeSeed:
 
 
 class TestBadConfigValues:
-    """A config value that no constellation or threshold design accepts, or
-    that asks for more streams than the arrays have, is refused with exit 2
-    when the config is read, not with a traceback or after the channel draw."""
+    """A config value that no constellation or threshold design accepts, that
+    asks for more streams than the arrays have, or more antenna subsets than
+    exhaustive selection scores, is refused with exit 2 when the config is
+    read, not with a traceback or after the channel draw."""
 
     @pytest.mark.parametrize("command", ["ber", "abep"])
     @pytest.mark.parametrize(
@@ -217,6 +218,12 @@ class TestBadConfigValues:
             (SMALL_CONFIG, "n_active = 2", "n_active = 5", "n_active"),
             (SMALL_FD_CONFIG, "n_modes = 2", "n_modes = 10", "n_modes"),
             (SMALL_FD_CONFIG, "n_tx = 16", "n_tx = 1", "n_modes"),
+            (
+                SMALL_CONFIG,
+                "n_tx = 16\nn_rx = 4\nn_active = 2",
+                "n_tx = 64\nn_rx = 64\nn_active = 8",
+                "n_active = 8 of n_rx = 64 under selection = exhaustive",
+            ),
         ],
         ids=[
             "rsm-threshold_mode",
@@ -230,6 +237,7 @@ class TestBadConfigValues:
             "rsm-n_active-above-n_rx",
             "fd_svd-n_modes-above-n_rx",
             "fd_svd-n_modes-above-n_tx",
+            "rsm-exhaustive-subsets-above-cap",
         ],
     )
     def test_exits_2(self, command, text, old, new, message, tmp_path, capsys):
@@ -296,9 +304,17 @@ class TestNonFiniteConfigValues:
         assert not out.exists()
 
 
+OUT_COMMANDS = [
+    ["ber", "--config", "exp.cfg", "--threads", "2"],
+    ["abep", "--config", "exp.cfg"],
+    ["power", "--n-rx", "16", "--p-ref", "20"],
+]
+
+
 class TestMissingOutDirectory:
-    """An ``--out`` in a directory that does not exist is refused with exit
-    2 before any work, instead of a traceback after the whole run."""
+    """An ``--out`` in a directory that does not exist, or one that names a
+    directory, is refused with exit 2 before any work, instead of a
+    traceback after the whole run."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -312,15 +328,7 @@ class TestMissingOutDirectory:
             monkeypatch.setattr(cli, name, unreachable)
         monkeypatch.setattr(power, "power_ratio", unreachable)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ber", "--config", "exp.cfg", "--threads", "2"],
-            ["abep", "--config", "exp.cfg"],
-            ["power", "--n-rx", "16", "--p-ref", "20"],
-        ],
-        ids=["ber", "abep", "power"],
-    )
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=["ber", "abep", "power"])
     def test_exits_2_naming_out(self, argv, tmp_path, capsys):
         out = tmp_path / "missing" / "result.csv"
         assert main([*argv, "--out", str(out)]) == 2
@@ -328,11 +336,52 @@ class TestMissingOutDirectory:
         assert "--out" in err and str(out.parent) in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "argv,directory",
+        [
+            *((argv, "result.csv") for argv in OUT_COMMANDS),
+            # ber and abep also write a manifest sidecar beside the CSV.
+            *((argv, "result.csv.manifest.json") for argv in OUT_COMMANDS[:2]),
+        ],
+        ids=["ber", "abep", "power", "ber-manifest", "abep-manifest"],
+    )
+    def test_exits_2_when_out_is_a_directory(self, argv, directory, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        (tmp_path / directory).mkdir()
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: --out: {str(tmp_path / directory)!r} is a directory"]
+
     def test_a_file_is_not_a_directory(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "result.csv"
         assert main(["abep", "--config", "exp.cfg", "--out", str(out)]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestLogLevel:
+    """``RSM_SIM_LOG`` sets the log level by name; a value that names no
+    level, even one that names another attribute of ``logging``, means
+    WARNING instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "value,level",
+        [
+            ("info", "INFO"),
+            ("Debug", "DEBUG"),
+            ("basic_format", "WARNING"),
+            ("_styles", "WARNING"),
+            ("verbose", "WARNING"),
+        ],
+    )
+    def test_level(self, value, level, monkeypatch):
+        import logging
+
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        monkeypatch.setenv("RSM_SIM_LOG", value)
+        assert main(["power", "--n-rx", "8", "--p-ref", "20"]) == 0
+        assert levels == [getattr(logging, level)]
 
 
 class TestCmdPower:

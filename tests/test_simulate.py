@@ -176,6 +176,26 @@ class TestAnalyticOnlyPath:
         assert len(rows) == 20
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("system", ["rsm", "fd_svd"])
+    def test_rows_are_the_analytic_columns_of_run(self, system, n_threads):
+        from rsmsim.simulate import analytic_curves, analytic_curves_fd
+
+        if system == "rsm":
+            # Some links at -10 dB are left out of the estimated column.
+            config = small_config(snr_grid_db=(-10.0, 4.0, 10.0), trials_per_point=10)
+            rows, report = analytic_curves(config), run(config, n_threads=n_threads)
+        else:
+            config = FdConfig(
+                channel=PARAMS, snr_grid_db=(-4.0, 4.0), trials_per_point=50, channels_per_point=9
+            )
+            rows, report = analytic_curves_fd(config), run_fd(config, n_threads=n_threads)
+        columns = [(p.snr_db, p.abep_analytic, p.abep_analytic_estimated) for p in report.points]
+        # float.hex compares bit for bit, and a NaN equal to a NaN.
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in columns
+        ]
+
 
 def build_constellation_of(config):
     return build_constellation(
@@ -704,7 +724,8 @@ class TestBlockBuffers:
 
 
 TIMING_LINE = re.compile(
-    r"(run|run_fd): (\d+) thread\(s\); link build ([\d.]+) s, sweep ([\d.]+) s "
+    r"(run|run_fd|analytic_curves|analytic_curves_fd): (\d+) thread\(s\); "
+    r"link build ([\d.]+) s, sweep ([\d.]+) s "
     r"\(summed over tasks: blocks ([\d.]+) s, analytic columns ([\d.]+) s\); "
     r"peak RSS ([\d.]+) MB, (\d+) minor page faults"
 )
@@ -739,6 +760,22 @@ class TestTimingLog:
         assert len(lines) == 1
         match = TIMING_LINE.fullmatch(lines[0])
         assert match and match[1] == "run_fd" and match[2] == "1"
+
+    @pytest.mark.parametrize("system", ["analytic_curves", "analytic_curves_fd"])
+    def test_analytic_curves_log_one_line_without_blocks(self, caplog, system):
+        from rsmsim import simulate
+
+        if system == "analytic_curves":
+            config = small_config()
+        else:
+            config = FdConfig(
+                channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=50, channels_per_point=5
+            )
+        lines = self.timing_lines(caplog, getattr(simulate, system), config)
+        assert len(lines) == 1
+        match = TIMING_LINE.fullmatch(lines[0])
+        assert match and match[1] == system and match[2] == "1"
+        assert match[5] == "0.000"
 
 
 BLOCK_LINE = re.compile(r"snr=(\S+) dB block (\d+): ([\d.]+) s")
@@ -864,6 +901,39 @@ class TestRsmProgressLog:
         assert float(matches[0][10]) > 0.0 and float(matches[-1][10]) == 0.0
 
 
+class TestAnalyticProgressLog:
+    """``abep`` runs the sweep of ``ber`` with no Monte Carlo task, and logs
+    its points as ``ber`` does: in grid order, with the seconds elapsed and
+    an estimate of those left."""
+
+    @pytest.mark.parametrize("system", ["analytic_curves", "analytic_curves_fd"])
+    def test_one_line_per_point_in_grid_order(self, caplog, system):
+        from rsmsim import simulate
+
+        grid = (-4.0, 0.0, 4.0, 8.0)
+        if system == "analytic_curves":
+            config, pattern = small_config(snr_grid_db=grid), RSM_POINT_LINE
+        else:
+            config = FdConfig(
+                channel=PARAMS, snr_grid_db=grid, trials_per_point=50, channels_per_point=5
+            )
+            pattern = FD_POINT_LINE
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            rows = getattr(simulate, system)(config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rsmsim.simulate"]
+        matches = [pattern.fullmatch(line) for line in lines]
+        assert all(matches) and len(matches) == len(grid)
+        fields = [m.groups() for m in matches]
+        assert [float(f[0]) for f in fields] == list(grid)
+        # No word is simulated, so the BER column reads nan.
+        assert {f[1] for f in fields} == {"nan"}
+        analytic = 2 if system == "analytic_curves_fd" else 4
+        assert [f[analytic] for f in fields] == [f"{row[1]:.3e}" for row in rows]
+        elapsed = [float(f[-2]) for f in fields]
+        assert elapsed == sorted(elapsed) and elapsed[0] > 0
+        assert float(fields[-1][-1]) == 0.0
+
+
 class TestSweepContract:
     """The span tracer of the benchmark follows only the calling thread, so
     at one thread every task must run there, in grid order."""
@@ -887,8 +957,11 @@ class TestSweepContract:
             channel=PARAMS, snr_grid_db=(0.0, 4.0), trials_per_point=50, channels_per_point=5
         )
         run_fd(fd_config)
-        # 2 points x (1 batch of 20 links + 1 analytic), twice
-        assert len(threads) == 8
+        simulate.analytic_curves(small_config())
+        simulate.analytic_curves_fd(fd_config)
+        # 2 points x (1 batch of 20 links + 1 analytic), twice; then 2
+        # analytic tasks, twice
+        assert len(threads) == 12
         assert set(threads) == {threading.get_ident()}
 
     def abort_config(self):

@@ -26,9 +26,10 @@ __all__ = ["RankDeficient", "svd_link", "received_power", "fd_ber"]
 #: singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-10
 
-#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays, 66
-#: bytes per symbol for square QAM (the sent index, the received sample
-#: and the scratch of :func:`_piece_errors`), then stay within a core's cache
+#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays, 67
+#: bytes per symbol for square QAM (8 for the sent index, 16 for the
+#: received sample and 8 + 35 for the scratch of :func:`_piece_errors`),
+#: then stay within a core's cache
 _PIECE_SYMBOLS = 1 << 14
 
 

@@ -2,13 +2,14 @@
 
 Covers constellation construction with Gray bit labeling, the three
 amplitude threshold designs (exact, moderate-SNR, high-SNR), and the
-transceiver chain in batch form: spatial words to bit matrices,
-transmit rows, per-antenna spatial detection,
+transceiver chain in batch form: spatial words to bit matrices, the
+noiseless received rows that zero forcing leaves (the effective channel
+is the identity), per-antenna spatial detection,
 minimum-distance symbol detection, switch-and-combine modulation
 detection, and the complex noise draw shared by every Monte Carlo path.
 Every step of the chain takes (links, trials, n_active) arrays, one row
-per data word of each link, with the per-link inputs (channel matrix,
-amplitude, threshold, alpha_p) given one per link.
+per data word of each link, with the per-link inputs (amplitude,
+threshold, alpha_p) given one per link.
 
 Conventions: complex noise samples carry total variance sigma2 (half
 per real component); a spatial word is a bool row over the active
@@ -41,7 +42,6 @@ __all__ = [
     "build_constellation",
     "spatial_bits",
     "transmit",
-    "transmit_table",
     "threshold",
     "detect_spatial",
     "nearest_point",
@@ -275,72 +275,24 @@ def _per_link(value: np.ndarray, trailing: int) -> np.ndarray:
 
 
 def transmit(
-    matrix: np.ndarray,
     spatial: np.ndarray,
     symbols: np.ndarray,
     amplitude: np.ndarray,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One row ``amplitude[l] * matrix[l] @ (spatial[l, t] * symbols[l, t])``
-    per link l and word t.
+    """One noiseless received row ``amplitude[l] * (symbols[l, t] *
+    spatial[l, t])`` per link l and word t.
 
-    ``matrix`` is (links, n, n_active), ``spatial`` (links, trials,
-    n_active), ``symbols`` (links, trials) and ``amplitude`` (links,).
-    With the ZF precoder ``B`` and ``amplitude = sqrt(alpha * P)`` the
-    rows are transmit vectors; with the effective channel ``H_a @ B`` they
-    are the noiseless received samples.
-
-    The rows are written into ``out`` when given. With ``work``, a complex
-    array of ``spatial``'s shape that receives the weighted rows,
-    ``symbols`` must be a complex array of its own: it is scaled in place.
-    The rows are the same either way.
+    ``spatial`` is (links, trials, n_active), ``symbols`` (links, trials)
+    and ``amplitude`` (links,). With ``amplitude = sqrt(alpha * P)``, ZF
+    on the selected rows ``H_a`` makes the effective channel ``H_a @ B``
+    the identity: each active antenna sees the scaled symbol where its
+    spatial bit is 1 and nothing where it is 0. The rows are formed in
+    ``out`` when given.
     """
-    amplitude = _per_link(amplitude, 1)
-    if work is None:
-        weighted = (amplitude * symbols)[..., None] * spatial
-    else:
-        np.multiply(amplitude, symbols, out=symbols)
-        weighted = np.multiply(symbols[..., None], spatial, out=work)
-    return np.matmul(weighted, np.swapaxes(matrix, -1, -2), out=out)
-
-
-def transmit_table(
-    matrix: np.ndarray,
-    n_active: int,
-    points: np.ndarray,
-    amplitude: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Every distinct row of :func:`transmit`, one per (spatial word, symbol).
-
-    Row ``(w - 1) * len(points) + j`` of link l is the row that
-    :func:`transmit` gives word ``w`` (in [1, 2^n_active)) carrying
-    ``points[j]`` on link l, from the same call on these ``(2^n_active -
-    1) * len(points)`` rows per link, word-major. ``matrix`` and
-    ``amplitude`` are as for :func:`transmit`. The table is written into
-    ``out`` when given, a complex array that also holds the table's
-    symbols until the product overwrites them; the weighted rows are
-    carved from ``work`` when given (see :class:`~rsmsim.buffers.Scratch`),
-    which then needs as many bytes as the table.
-    """
-    n_links, order = len(matrix), len(points)
-    shape = (n_links, ((1 << n_active) - 1) * order)
-    symbols = Scratch(out).take(shape, complex)
-    np.copyto(symbols.reshape(n_links, -1, order), points)
-    weighted = Scratch(work).take((*shape, n_active), complex)
-    bits = _table_bits(n_active, order)
-    return transmit(matrix, bits, symbols, amplitude, out=out, work=weighted)
-
-
-@functools.cache
-def _table_bits(n_active: int, order: int) -> np.ndarray:
-    """Read-only spatial bits of the :func:`transmit_table` rows: each
-    nonzero word's row of the word table, ``order`` times in a row."""
-    bits = np.repeat(_word_table(n_active)[1:], order, axis=0)
-    bits.flags.writeable = False
-    return bits
+    rows = np.multiply(symbols[..., None], spatial, out=out)
+    rows *= _per_link(amplitude, 2)
+    return rows
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

@@ -7,8 +7,9 @@ channel. Every random quantity is drawn from a stream keyed by
 ``np.random.default_rng([seed, tag, snr, channel])``, so results are
 bit-identical regardless of how channels are batched and scheduled
 across worker threads; error counts are integers and are reduced in
-index order. The seeds of those streams are hashed up front, for all
-channels of a key at once (:func:`_stream_seeds`). Both systems run
+index order. Each Monte Carlo task hashes the seeds of its own
+channels' streams, for all of them at once (:func:`_stream_seeds`), so
+a sweep with no Monte Carlo task hashes none. Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
 its own stream. The analytic columns of each SNR point run as one more
@@ -28,7 +29,10 @@ points, which pairs the analytic and simulated curves (and different
 runs under the same seed) on common randomness. The RSM ensemble build
 also designs the detection threshold of every (SNR point, channel)
 once; the design feeds both the Monte Carlo blocks and the perfect
-analytic column.
+analytic column. ZF on each link's selected antennas makes its
+effective channel the identity, which both the threshold detector and
+the closed-form ABEP assume: the blocks send through that identity, and
+the build computes each link's precoder only to check that ZF is sound.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from .phy import (
     spatial_bits,
     threshold,
     transmit,
-    transmit_table,
 )
 from .training import DegenerateSample, estimate_amplitude
 
@@ -239,16 +242,13 @@ def _batch_links(words: int, symbols_per_word: int) -> int:
 class _Ensemble:
     """Per-channel state of an RSM run, shared by every SNR point.
 
-    Channel ``ch`` is entry ``ch`` of ``alpha`` and ``effective`` and
-    column ``ch`` of the ``(n_snr, n_links)`` arrays.
+    Channel ``ch`` is entry ``ch`` of ``alpha`` and column ``ch`` of the
+    ``(n_snr, n_links)`` arrays.
     """
 
     alpha: np.ndarray  # ZF power factor
-    effective: np.ndarray  # (n_links, n_active, n_active) H_a @ B, identity up to ZF numerics
     alpha_p: np.ndarray  # alpha times the transmit power of each SNR point
     gamma: np.ndarray  # the ``threshold_mode`` design at each alpha_p
-    data_seeds: np.ndarray  # (n_snr, n_links, 4) seeds of the (seed, _TAG_DATA, snr, ch) streams
-    pilot_seeds: np.ndarray  # the same for the (seed, _TAG_PILOT, snr, ch) streams
 
 
 # SeedSequence's hash (numpy.random.bit_generator): a pool of four 32-bit
@@ -368,35 +368,30 @@ def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
 
 
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
-    """Draw the channel ensemble, precode each channel, and design the
-    ``threshold_mode`` threshold of every (SNR point, channel) once."""
-    alphas, effective = [], []
+    """Draw the channel ensemble, select and precode each channel, and
+    design the ``threshold_mode`` threshold of every (SNR point, channel)
+    once.
+
+    The blocks send through the identity that ZF makes of the effective
+    channel ``H_a @ B``; precoding each link checks that ZF is sound on
+    it (:class:`~rsmsim.mimo.SingularChannel` otherwise), and the
+    precoder itself is not kept.
+    """
+    alphas = []
     for h in itertools.chain.from_iterable(_draw_channels(config)):
         if config.selection == "exhaustive":
             sel = select_antennas(h, config.n_active)
         else:
             sel = selection_for_indices(h, range(config.n_active))
+        zf_precoder(sel)
         alphas.append(sel.alpha)
-        effective.append(sel.h_active @ zf_precoder(sel))
     alpha = np.array(alphas)
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
     gamma = np.array(
         [[threshold(mode, a, SIGMA2, beta) for a in row] for row in alpha_p.tolist()]
     )
-    links = range(len(alpha))
-    return _Ensemble(
-        alpha=alpha,
-        effective=np.array(effective),
-        alpha_p=alpha_p,
-        gamma=gamma,
-        data_seeds=np.array(
-            [_stream_seeds((config.seed, _TAG_DATA, s), links) for s in range(len(alpha_p))]
-        ),
-        pilot_seeds=np.array(
-            [_stream_seeds((config.seed, _TAG_PILOT, s), links) for s in range(len(alpha_p))]
-        ),
-    )
+    return _Ensemble(alpha=alpha, alpha_p=alpha_p, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -425,28 +420,22 @@ def _run_block(
 
     Channel ``ch`` draws its words and noise from its own
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
-    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``.
-
-    A link's noiseless received rows take at most ``R = (2^n_active - 1)
-    * order`` distinct values. When R is no larger than the words per
-    link, each link's R rows are transmitted once (:func:`transmit_table`)
-    and every word's row is gathered from them; otherwise every word is
-    transmitted. Both give the same rows, bit for bit.
+    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``; the
+    block hashes the seeds of its own links' streams. Pilots and data
+    words alike go through :func:`transmit`: ZF makes each link's
+    effective channel the identity, so a word's noiseless received row is
+    its amplitude-scaled symbol on the antennas its spatial word turns on.
 
     Every array of the block's size comes from ``buffers`` (a new set
     when None), so a block on a thread's reused set allocates none: the
     words, the symbols, the spatial bits, the received rows and one flat
-    scratch array. With the table, the scratch holds the table (and the
-    table its symbols) and the received rows its weighted rows until the
-    gather; the gather index overwrites the words. Without it, the
-    symbols' scaled points sit in the received rows until the product
-    overwrites them, and the scratch holds the weighted rows. The scratch
-    then holds the noise rows, then the detected flags beside the
+    scratch array. The scratch holds the symbols' points until the rows
+    are formed, then the noise rows, then the detected flags beside the
     envelopes, then the combiner's and the slicer's arrays, and last the
-    bit errors of each word's symbol pair; it is sized for the largest of
-    the table or the weighted rows, the noise rows and that tail. The
-    spatial mismatches overwrite the sent bits, and the detected symbols
-    the gather index.
+    bit errors of each word's symbol pair; it is sized for that tail,
+    which is larger than the points and the noise rows. The spatial
+    mismatches overwrite the sent bits, and the detected symbols the
+    words.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -461,12 +450,11 @@ def _run_block(
         n_p = config.n_pilots
         x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
         pilots = transmit(
-            ensemble.effective[batch],
             np.ones((n_links, n_p, n_a), dtype=bool),
             np.full((n_links, n_p), x_pilot),
             np.sqrt(alpha_p),
         )
-        pilot_rngs = _streams(ensemble.pilot_seeds[snr_idx, batch])
+        pilot_rngs = _streams(_stream_seeds((config.seed, _TAG_PILOT, snr_idx), links))
         amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
         gamma = np.zeros(n_links)
         for i, amps in enumerate(amplitudes):
@@ -478,7 +466,7 @@ def _run_block(
     spatial = np.zeros(n_links, dtype=np.int64)
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
-        rngs = _streams(ensemble.data_seeds[snr_idx, batch][kept])
+        rngs = _streams(_stream_seeds((config.seed, _TAG_DATA, snr_idx), links)[kept])
         buffers = BlockBuffers() if buffers is None else buffers
         rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
         words = buffers.get("words", rows, np.int64)
@@ -490,32 +478,16 @@ def _run_block(
             js[i] = rng.integers(0, order, size=trials)
         sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
-        table_rows = ((1 << n_a) - 1) * order
-        use_table = table_rows <= trials
-        # Bytes per link: the table or the weighted rows; per word, the noise
-        # rows, or the flags beside the envelopes or the combiner's arrays.
+        # Bytes per word: the flags beside the envelopes or the combiner's
+        # arrays, at least 26, which cover the points (16) and the noise rows.
         per_word = n_a + max(8 * n_a, _combine_work_bytes(n_a, constellation))
-        per_link = max(16 * n_a * (table_rows if use_table else trials), trials * per_word)
-        work = buffers.get("work", (len(rngs) * per_link + SCRATCH_SLACK,), np.uint8)
+        work = buffers.get("work", (len(rngs) * trials * per_word + SCRATCH_SLACK,), np.uint8)
         y = buffers.get("y", cells, complex)
-        effective, amplitude = ensemble.effective[batch][kept], np.sqrt(alpha_p)
+        points = Scratch(work).take(rows, complex)
         # Every index is in range, so clipping changes none; unlike the
         # default mode it writes into ``out`` directly.
-        if use_table:
-            table = Scratch(work).take((len(rngs), table_rows, n_a), complex)
-            transmit_table(effective, n_a, constellation.points, amplitude, out=table, work=y)
-            # Word w with symbol j is row (w - 1) * order + j of its link's
-            # table, and link i's table starts at row i * table_rows.
-            words *= order
-            words += js
-            words += (np.arange(len(rngs)) * table_rows - order)[:, None]
-            np.take(table.reshape(-1, n_a), words, axis=0, out=y, mode="clip")
-        else:
-            scaled = Scratch(y).take(rows, complex)
-            np.take(constellation.points, js, out=scaled, mode="clip")
-            transmit(
-                effective, sent, scaled, amplitude, out=y, work=Scratch(work).take(cells, complex)
-            )
+        np.take(constellation.points, js, out=points, mode="clip")
+        transmit(sent, points, np.sqrt(alpha_p), out=y)
         noise = Scratch(work).take(cells, np.float64)
         add_complex_noise(y, SIGMA2, rngs, rows=noise)
         tail = Scratch(work)
@@ -801,15 +773,12 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
     received = [
         received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2) for snr_db in config.snr_grid_db
     ]
-    fd_seeds = [
-        _stream_seeds((config.seed, _TAG_FD, s), range(len(gains))) for s in range(len(received))
-    ]
     bits_per_link = trials * config.n_modes * constellation.bits_per_symbol
     buffers = BlockBuffers()
 
     def block(snr_idx: int, links: range) -> np.ndarray:
         batch = slice(links.start, links.stop)
-        rngs = _streams(fd_seeds[snr_idx][batch])
+        rngs = _streams(_stream_seeds((config.seed, _TAG_FD, snr_idx), links))
         words = len(links) * trials
         return fd_ber(received[snr_idx][batch], constellation, SIGMA2, words, rngs, buffers)
 

@@ -8,18 +8,20 @@ of ``baseline.fd_ber`` and :func:`joint_ml_detect` of the per-antenna
 threshold detector.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
 from scipy import special
 
+from rsmsim.mimo import select_antennas, selection_for_indices, zf_precoder
 from rsmsim.phy import (
     add_complex_noise,
     combine_and_detect_modulation,
     detect_spatial,
     spatial_bits,
     threshold,
-    transmit,
 )
 
 
@@ -35,22 +37,46 @@ def batch_of_one(value):
     return np.asarray(value)[None]
 
 
-def reference_block(config, constellation, ensemble, snr_idx, ch):
+@functools.lru_cache(maxsize=8)
+def zf_links(config):
+    """(alpha, H_a, B) of every link of an RSM config: its selection's
+    power factor, its selected channel rows and their ZF precoder, from
+    the channels the run draws and the config's selection rule."""
+    from rsmsim import simulate
+
+    links = []
+    for h in itertools.chain.from_iterable(simulate._draw_channels(config)):
+        if config.selection == "exhaustive":
+            sel = select_antennas(h, config.n_active)
+        else:
+            sel = selection_for_indices(h, range(config.n_active))
+        links.append((sel.alpha, sel.h_active, zf_precoder(sel)))
+    return links
+
+
+def reference_block(config, constellation, snr_idx, ch):
     """(spatial errors, modulation errors, failed words) of one channel.
 
     The per-channel block that the batched ``_run_block`` replaced, kept
     as its oracle: it designs or estimates its own threshold and runs the
-    phy chain on a batch of one channel, with one generator per stream,
-    and it always transmits every word.
+    phy chain on a batch of one channel, with one generator per stream.
+    Where the block sends through the identity that ZF makes, the oracle
+    sends every row through the physical chain, the precoder ``B`` and
+    then the selected channel rows ``H_a``.
     """
     from rsmsim import simulate
     from rsmsim.training import DegenerateSample, estimate_amplitude
 
     sigma2 = simulate.SIGMA2
     power = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0) * sigma2
-    alpha_p = float(ensemble.alpha[ch]) * power
+    alpha, h_active, precoder = zf_links(config)[ch]
+    alpha_p = alpha * power
     trials, n_a = config.trials_per_point, config.n_active
-    matrix, amplitude = batch_of_one(ensemble.effective[ch]), batch_of_one(math.sqrt(alpha_p))
+    amplitude = math.sqrt(alpha_p)
+
+    def received(spatial, symbols):
+        return batch_of_one(amplitude * (spatial * symbols[:, None]) @ (h_active @ precoder).T)
+
     if config.threshold_source == "perfect":
         gamma = threshold(config.threshold_mode, alpha_p, sigma2, constellation.beta)
     else:
@@ -58,12 +84,7 @@ def reference_block(config, constellation, ensemble, snr_idx, ch):
         rng = np.random.default_rng([config.seed, simulate._TAG_PILOT, snr_idx, ch])
         n_p = config.n_pilots
         x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
-        pilots = transmit(
-            matrix,
-            batch_of_one(np.ones((n_p, n_a), dtype=bool)),
-            batch_of_one(np.full(n_p, x_pilot)),
-            amplitude,
-        )
+        pilots = received(np.ones((n_p, n_a), dtype=bool), np.full(n_p, x_pilot))
         amps = np.abs(add_complex_noise(pilots, sigma2, batch_of_one(rng))).ravel()
         try:
             gamma = 0.5 * estimate_amplitude(amps)
@@ -72,8 +93,7 @@ def reference_block(config, constellation, ensemble, snr_idx, ch):
     rng = np.random.default_rng([config.seed, simulate._TAG_DATA, snr_idx, ch])
     sent = spatial_bits(rng.integers(1, 1 << n_a, size=trials), n_a)
     js = rng.integers(0, constellation.order, size=trials)
-    clean = transmit(matrix, batch_of_one(sent), batch_of_one(constellation.points[js]), amplitude)
-    y = add_complex_noise(clean, sigma2, batch_of_one(rng))
+    y = add_complex_noise(received(sent, constellation.points[js]), sigma2, batch_of_one(rng))
     s_hat = detect_spatial(np.abs(y), batch_of_one(gamma))
     j_hat = combine_and_detect_modulation(y, s_hat, batch_of_one(alpha_p), constellation)[0]
     labels = constellation.labels

@@ -629,12 +629,13 @@ print("ok")
 
 
 class TestBlasThreadCount:
-    """A block gathers its noiseless rows from a table of each link's
-    distinct rows when that is no larger than its words per link, and
-    transmits every word otherwise; either way the rows may not depend on
-    how many rows BLAS multiplies at once or how many threads it splits
-    them over. The benchmark runs at one BLAS thread, the tests at the
-    default."""
+    """A block forms its noiseless rows without BLAS, but the channel
+    draw, the antenna selection and the ZF precoder still call it; a
+    run's CSV may not depend on how many threads BLAS splits that work
+    over. The benchmark runs at one BLAS thread,
+    the tests at the default. One config has the shape of the
+    ``mc_estimated`` benchmark, the other eight active antennas, the
+    widest rows a block forms."""
 
     TABLE = """
 system = rsm
@@ -652,8 +653,6 @@ trials_per_point = 20000
 channels_per_point = 3
 seed = 1
 """
-    # (2^8 - 1) * 64 table rows against 8000 words: every word is
-    # transmitted, in a product large enough for BLAS to use two threads.
     DIRECT = """
 system = rsm
 n_tx = 32

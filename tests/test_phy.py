@@ -34,7 +34,6 @@ from rsmsim.phy import (
     spatial_bits,
     threshold,
     transmit,
-    transmit_table,
 )
 from rsmsim.specfun import log_bessel_i0
 from oracles import batch_of_one, joint_ml_detect
@@ -148,7 +147,7 @@ class TestTransmit:
         b = zf_precoder(sel)
         x = 0.6 - 0.8j
         s = np.array([[False, True, False]])
-        out = transmit(*map(batch_of_one, (b, s, [x], math.sqrt(sel.alpha * 4.0))))[0]
+        out = math.sqrt(sel.alpha * 4.0) * (s * x) @ b.T
         expected = math.sqrt(sel.alpha * 4.0) * x * b[:, 1]
         np.testing.assert_allclose(out, expected[None, :], atol=1e-12)
 
@@ -159,11 +158,14 @@ class TestTransmit:
         s = spatial_bits(np.arange(1, 16), 4)
         x = np.exp(1j * np.linspace(0.3, 2.0, 15))
         amplitude = math.sqrt(sel.alpha * 9.0)
-        y = transmit(*map(batch_of_one, (b, s, x, amplitude)))[0] @ h.T
+        y = (amplitude * (s * x[:, None]) @ b.T) @ h.T
         np.testing.assert_allclose(y, amplitude * s * x[:, None], atol=1e-8)
         # The effective channel H B gives the received rows in one step.
-        received = transmit(*map(batch_of_one, (h @ b, s, x, amplitude)))[0]
+        received = amplitude * (s * x[:, None]) @ (h @ b).T
         np.testing.assert_allclose(received, y, atol=1e-12)
+        # transmit forms them through the identity that ZF makes of H B.
+        rows = transmit(*map(batch_of_one, (s, x, amplitude)))[0]
+        np.testing.assert_allclose(rows, y, atol=1e-8)
 
     def test_average_transmit_power(self):
         # E||x_tx||^2 over random words equals alpha*P*E||B s||^2*E|x|^2.
@@ -175,7 +177,7 @@ class TestTransmit:
         power = 2.0
         s = spatial_bits(rng.integers(1, 8, 2000), 3)
         x = c.points[rng.integers(0, 8, 2000)]
-        tx = transmit(*map(batch_of_one, (b, s, x, math.sqrt(sel.alpha * power))))[0]
+        tx = math.sqrt(sel.alpha * power) * (s * x[:, None]) @ b.T
         total = float(np.sum(np.abs(tx) ** 2))
         per_word = np.sum(np.abs(s @ b.T) ** 2, axis=1) * np.abs(x) ** 2
         assert total == pytest.approx(sel.alpha * power * float(per_word.sum()), rel=1e-9)
@@ -898,14 +900,13 @@ class TestExactRewrites:
         rng = np.random.default_rng(21)
         c = build_constellation("qam", 16)
         n_links, trials, n_active = 3, 500, 4
-        matrix = random_rows(rng, (n_links, n_active, n_active))
         spatial = spatial_bits(rng.integers(1, 1 << n_active, (n_links, trials)), n_active)
         symbols = c.points[rng.integers(0, 16, (n_links, trials))]
         amplitude = rng.uniform(0.5, 3.0, n_links)
-        old = amplitude[:, None, None] * (spatial * symbols[..., None]) @ np.swapaxes(matrix, 1, 2)
-        assert_same_bits(transmit(matrix, spatial, symbols, amplitude), old)
-        old = 1.7 * (spatial[0] * symbols[0][:, None]) @ matrix[0].T
-        one = map(batch_of_one, (matrix[0], spatial[0], symbols[0], 1.7))
+        old = amplitude[:, None, None] * (spatial * symbols[..., None])
+        assert_same_bits(transmit(spatial, symbols, amplitude), old)
+        old = 1.7 * (spatial[0] * symbols[0][:, None])
+        one = map(batch_of_one, (spatial[0], symbols[0], 1.7))
         assert_same_bits(transmit(*one)[0], old)
 
     def test_buffer_forms_give_the_same_bytes(self):
@@ -919,16 +920,14 @@ class TestExactRewrites:
         assert spatial_bits(words, n_active, out=sent) is sent
         assert_same_bits(sent, spatial_bits(words, n_active))
 
-        matrix = random_rows(rng, (n_links, n_active, n_active))
         js = rng.integers(0, 16, (n_links, trials))
         amplitude = rng.uniform(0.5, 3.0, n_links)
-        expected = transmit(matrix, sent, c.points[js], amplitude)
-        out = np.empty_like(expected)
-        work = np.empty((n_links, trials, n_active), dtype=complex)
+        expected = transmit(sent, c.points[js], amplitude)
+        out = random_rows(rng, expected.shape)
         symbols = c.points[js]
-        assert transmit(matrix, sent, symbols, amplitude, out=out, work=work) is out
+        assert transmit(sent, symbols, amplitude, out=out) is out
         assert_same_bits(out, expected)
-        assert_same_bits(symbols, amplitude[:, None] * c.points[js])  # scaled in place
+        assert_same_bits(symbols, c.points[js])  # left as given
 
         seeds = [[23, i] for i in range(n_links)]
         expected = add_complex_noise(out.copy(), 0.7, [np.random.default_rng(k) for k in seeds])
@@ -953,49 +952,6 @@ class TestExactRewrites:
         assert got is j_hat
         assert_same_bits(got, expected)
         assert_same_bits(out, flagged)
-
-    @pytest.mark.parametrize("n_active", range(1, 9))
-    @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])
-    def test_gathered_table_rows_match_transmit(self, n_active, kind, order, ring):
-        # The block gathers each word's noiseless row from its link's table;
-        # it must be the row ``transmit`` gives that word, whatever the
-        # number of rows in either product (fewer trials than table rows,
-        # as many, and more). A one-row product takes numpy's vector path
-        # and may differ in the last bit; the block never gathers for one
-        # word per link, since a table has at least two rows and is used
-        # only when no larger than the block's words per link.
-        c = build_constellation(kind, order, ring)
-        rng = np.random.default_rng(400 + n_active)
-        rows = ((1 << n_active) - 1) * order
-        trial_counts = [2, 7, rows - 1, rows, rows + 1, 3 * rows + 11, 2000]
-        for n_links in range(1, 8):
-            trials = trial_counts[n_links - 1]
-            matrix = random_rows(rng, (n_links, n_active, n_active))
-            amplitude = rng.uniform(0.05, 30.0, n_links)
-            words = rng.integers(1, 1 << n_active, (n_links, trials))
-            js = rng.integers(0, order, (n_links, trials))
-            expected = transmit(matrix, spatial_bits(words, n_active), c.points[js], amplitude)
-            table = transmit_table(matrix, n_active, c.points, amplitude)
-            assert table.shape == (n_links, rows, n_active)
-            index = (words - 1) * order + js + rows * np.arange(n_links)[:, None]
-            assert_same_bits(table.reshape(-1, n_active)[index], expected)
-            # Into garbage ``out`` and ``work``, as the block builds it.
-            out = random_rows(rng, table.shape)
-            work = random_rows(rng, table.shape)
-            assert transmit_table(matrix, n_active, c.points, amplitude, out=out, work=work) is out
-            assert_same_bits(out, table)
-
-    def test_gathered_table_rows_match_transmit_at_benchmark_size(self):
-        # 50,000 words on one link, the mc_estimated block: the direct
-        # product is large enough to be split across BLAS threads.
-        c = build_constellation("psk", 16)
-        rng = np.random.default_rng(401)
-        matrix = np.eye(4) + 1e-3 * random_rows(rng, (1, 4, 4))
-        words = rng.integers(1, 16, (1, 50_000))
-        js = rng.integers(0, 16, (1, 50_000))
-        expected = transmit(matrix, spatial_bits(words, 4), c.points[js], [2.5])
-        table = transmit_table(matrix, 4, c.points, [2.5])
-        assert_same_bits(table[0][(words[0] - 1) * 16 + js[0]], expected[0])
 
     @pytest.mark.parametrize("n_active", range(1, 9))
     @pytest.mark.parametrize("kind,order,ring", [("psk", 16, None), ("qam", 16, None), ("apsk", 16, 2.0)])
@@ -1083,8 +1039,8 @@ class TestNoiselessEndToEnd:
         gamma = threshold("exact", alpha_p, 1.0, c.beta)
         words, js = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(4)))
         spatial = spatial_bits(words, 3)
-        rows = transmit(*map(batch_of_one, (b, spatial, c.points[js], math.sqrt(alpha_p))))
-        y = rows @ sel.h_active.T
+        rows = math.sqrt(alpha_p) * (spatial * c.points[js][:, None]) @ b.T
+        y = batch_of_one(rows @ sel.h_active.T)
         s_hat = detect_spatial(np.abs(y), batch_of_one(gamma))
         np.testing.assert_array_equal(s_hat[0], spatial)
         j_hat = combine_and_detect_modulation(y, s_hat, batch_of_one(alpha_p), c)[0]

@@ -357,7 +357,7 @@ def batched_counts(config):
             )
             words += counts.words
         points.append((rows, words))
-    return constellation, ensemble, per_batch, points
+    return constellation, per_batch, points
 
 
 class TestChannelEnsemble:
@@ -438,6 +438,28 @@ class TestStreamKeys:
             _seed_type()(_stream_seeds((1, 4), [0])[0]).generate_state(8, np.uint32)
 
 
+class TestZeroForcingIdentity:
+    """The blocks send through the identity that ZF makes of each link's
+    effective channel ``H_a @ B``; on the preset ensembles it is the
+    identity to far below the noise (at most 1.2e-12 measured)."""
+
+    @pytest.mark.parametrize(
+        "config_path",
+        ["presets/fig3.cfg", "presets/fig2_noselection.cfg", "bench/configs/mc_estimated.cfg"],
+        ids=["fig3", "fig2_noselection", "mc_estimated"],
+    )
+    def test_effective_channel_is_the_identity(self, config_path):
+        from rsmsim.cli import load_config
+        from oracles import zf_links
+
+        config = load_config(Path(__file__).resolve().parent.parent / config_path)
+        links = zf_links(config)
+        assert len(links) == config.channels_per_point
+        eye = np.eye(config.n_active)
+        worst = max(float(np.abs(h_active @ b - eye).max()) for _, h_active, b in links)
+        assert worst < 1e-10
+
+
 class TestBatchedBlock:
     """A batch of channels counts, channel for channel, what the per-channel
     block counted."""
@@ -448,11 +470,11 @@ class TestBatchedBlock:
     @pytest.mark.parametrize("mode", ["exact", "hsa"])
     def test_perfect_threshold_matches_per_channel_oracle(self, mode):
         config = small_config(threshold_mode=mode, snr_grid_db=(4.0, 10.0), **self.SIZES)
-        constellation, ensemble, per_batch, points = batched_counts(config)
+        constellation, per_batch, points = batched_counts(config)
         assert 1 < per_batch < 20 and 20 % per_batch
         for snr_idx, (rows, words) in enumerate(points):
             expected = [
-                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+                reference_block(config, constellation, snr_idx, ch) for ch in range(20)
             ]
             assert rows == expected
             assert words == 20 * 2000
@@ -475,11 +497,11 @@ class TestBatchedBlock:
             trials_per_point=_BATCH_SYMBOLS // (6 * n_active),
             channels_per_point=20,
         )
-        constellation, ensemble, per_batch, points = batched_counts(config)
+        constellation, per_batch, points = batched_counts(config)
         assert per_batch == 6
         for snr_idx, (rows, _) in enumerate(points):
             expected = [
-                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+                reference_block(config, constellation, snr_idx, ch) for ch in range(20)
             ]
             assert rows == expected
         assert any(modulation for _, modulation, _ in points[0][0])
@@ -491,9 +513,10 @@ class TestBatchedBlock:
     def test_table_path_with_many_antennas_matches_per_channel_oracle(
         self, n_active, kind, order, trials
     ):
-        # The table fits in the words, and the scratch must still hold the
-        # detected flags beside the envelopes, 9 bytes per antenna and word,
-        # which is more than the table and than the combiner's arrays here.
+        # More words per link than the (2^n_active - 1) * order distinct
+        # rows; the scratch must hold the detected flags beside the
+        # envelopes, 9 bytes per antenna and word, which is more than the
+        # combiner's arrays here.
         config = small_config(
             channel=dataclasses.replace(PARAMS, n_clusters=16),
             n_active=n_active,
@@ -505,10 +528,10 @@ class TestBatchedBlock:
             channels_per_point=6,
         )
         assert ((1 << n_active) - 1) * order <= trials
-        constellation, ensemble, _, points = batched_counts(config)
+        constellation, _, points = batched_counts(config)
         for snr_idx, (rows, _) in enumerate(points):
             expected = [
-                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(6)
+                reference_block(config, constellation, snr_idx, ch) for ch in range(6)
             ]
             assert rows == expected
         assert any(modulation for _, modulation, _ in points[0][0])
@@ -517,11 +540,11 @@ class TestBatchedBlock:
         # At -6 dB only channel 5's one-pilot estimate degenerates; it sits
         # inside the first batch (channels 0-7).
         config = small_config(threshold_source="estimated", snr_grid_db=(-6.0, 6.0), **self.SIZES)
-        constellation, ensemble, per_batch, points = batched_counts(config)
+        constellation, per_batch, points = batched_counts(config)
         assert per_batch == 8
         for snr_idx, (rows, words) in enumerate(points):
             expected = [
-                reference_block(config, constellation, ensemble, snr_idx, ch) for ch in range(20)
+                reference_block(config, constellation, snr_idx, ch) for ch in range(20)
             ]
             assert rows == expected
             failed = [ch for ch, (_, _, lost) in enumerate(rows) if lost]
@@ -536,9 +559,9 @@ class TestBlockBuffers:
     """Blocks that reuse one set of worker arrays count, channel for
     channel, what the per-channel oracle counts."""
 
-    def oracle_rows(self, config, constellation, ensemble, snr_idx, links):
+    def oracle_rows(self, config, constellation, snr_idx, links):
         return [
-            reference_block(config, constellation, ensemble, snr_idx, ch) for ch in links
+            reference_block(config, constellation, snr_idx, ch) for ch in links
         ]
 
     def block_rows(self, config, constellation, ensemble, snr_idx, links, buffers):
@@ -569,7 +592,7 @@ class TestBlockBuffers:
         batches = [(1, range(0, 8)), (0, range(8, 11)), (0, range(3, 8)), (1, range(12, 20))]
         for snr_idx, links in batches * 2:
             got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
-            assert got == self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+            assert got == self.oracle_rows(config, constellation, snr_idx, links)
         failed = self.block_rows(config, constellation, ensemble, 0, range(3, 8), buffers)
         assert [lost for _, _, lost in failed] == [0, 0, 300, 0, 0]
         assert len(buffers.arrays["y"]) == 8  # the 8-link batch's arrays, reused
@@ -610,15 +633,15 @@ class TestBlockBuffers:
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == len(jobs)
         for snr_idx, links in jobs:
-            expected = self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+            expected = self.oracle_rows(config, constellation, snr_idx, links)
             assert results[snr_idx, links.start] == [expected] * 3
 
     @pytest.mark.parametrize("n_active,kind", [(1, "psk"), (8, "psk"), (1, "qam")])
     def test_other_antenna_counts_on_reused_arrays(self, n_active, kind):
-        # The block's scratch is sized for the larger of the noise rows (16
-        # bytes per antenna) and the combiner's tail: with one antenna the
-        # tail is the larger, with eight the noise rows. Each shape runs
-        # twice on one set, the second time on arrays the first left.
+        # The block's scratch is sized per word for its detection tail: 44
+        # bytes at one antenna of 16-PSK, 61 of 16-QAM, 97 at eight. Each
+        # shape runs twice on one set, the second time on arrays the first
+        # left.
         from rsmsim.buffers import BlockBuffers
         from rsmsim.simulate import _build_ensemble
 
@@ -634,12 +657,12 @@ class TestBlockBuffers:
         buffers = BlockBuffers()
         for snr_idx, links in [(0, range(0, 6)), (1, range(6, 12)), (1, range(12, 15))]:
             got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
-            assert got == self.oracle_rows(config, constellation, ensemble, snr_idx, links)
+            assert got == self.oracle_rows(config, constellation, snr_idx, links)
         assert len(buffers.arrays["y"]) == 6
 
     def test_second_block_allocates_little(self):
         # A 50,000-trial link, as in the mc_estimated benchmark: the first
-        # block allocates the worker's arrays (about 7.4 MB), a second one
+        # block allocates the worker's arrays (about 6.6 MB), a second one
         # only its two integer draws (0.4 MB) and arrays of its link count.
         # Allocating every array afresh took 9.6 MB; reusing only the
         # block's named arrays left 3.3 MB of temporaries.
@@ -688,7 +711,7 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        expected = reference_block(config, constellation, ensemble, 0, 1)
+        expected = reference_block(config, constellation, 0, 1)
         assert (counts.spatial_errors[0], counts.modulation_errors[0], counts.failed[0]) == expected
 
     def test_second_fd_batch_allocates_little(self):

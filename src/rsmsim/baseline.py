@@ -80,7 +80,7 @@ def fd_ber(
     sigma2: float,
     words: int,
     rngs: Sequence[np.random.Generator],
-    buffers: BlockBuffers | None = None,
+    buffers: BlockBuffers,
 ) -> np.ndarray:
     """Monte Carlo bit errors of the baseline for a batch of links.
 
@@ -99,12 +99,12 @@ def fd_ber(
     the slicer's scale of each (link, mode) broadcast along a contiguous
     trial axis, and only the symbol copy and the noise add follow the
     streams' trial-major order. Every piece works in the same arrays from
-    ``buffers`` (a new set when None): the sent symbols, the received
-    samples and one flat scratch array, which holds the noise rows, then
-    the detected symbols and the slicer's arrays, then each symbol's bit
-    errors. On a set that an earlier batch of the thread's already sized,
-    a batch allocates no array of its pieces' size; only the full search
-    of a constellation that is not sliced allocates its own.
+    ``buffers``: the sent symbols, the received samples and one flat
+    scratch array, which holds the noise rows, then the detected symbols
+    and the slicer's arrays, then each symbol's bit errors. On a set that
+    an earlier batch of the thread's already sized, a batch allocates no
+    array of its pieces' size; only the full search of a constellation
+    that is not sliced allocates its own.
     """
     n_links, n_modes = received.shape
     if sigma2 <= 0 or n_links < 1 or words < n_links or words % n_links:
@@ -113,7 +113,6 @@ def fd_ber(
         raise ValueError("fd_ber needs one generator per link")
     trials = words // n_links
     step = max(1, _PIECE_SYMBOLS // (trials * n_modes))
-    buffers = BlockBuffers() if buffers is None else buffers
     cells = (min(step, n_links), n_modes, trials)
     sent = buffers.get("sent", cells, np.int64)
     y = buffers.get("y", cells, complex)

@@ -6,7 +6,9 @@ The per-link power normalization factor ``alpha`` equals
 1 / trace((H_a H_a^H)^-1); antenna selection maximizes it over all
 subsets of the requested size, and a caller-chosen subset is scored as
 a search over that one subset. The precoder is built from a selection
-and reuses its Gram matrix.
+and reuses its Gram matrix. ZF is sound on a subset, and ``H_a B`` as
+near the identity as the detector, the ABEP and the block assume, when
+its Gram matrix's reciprocal condition is at least :data:`RCOND_MIN`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 #: reciprocal-condition floor below which the active channel is treated as singular
-RCOND_MIN = 1e-12
+RCOND_MIN = 1e-8
 
 #: cap on the number of subsets :func:`select_antennas` enumerates
 MAX_SUBSETS = 10**6
@@ -60,8 +62,10 @@ def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Returns the row Gram matrices, their reciprocal conditions (0 where
     the Gram matrix has no positive eigenvalue) and ``alpha = 1 /
-    sum(1 / eig)``; alpha is 0 wherever the smallest eigenvalue is not
-    positive or the reciprocal condition is below ``RCOND_MIN``.
+    sum(1 / eig)``; alpha is 0 wherever the reciprocal condition is below
+    ``RCOND_MIN``, the one ZF soundness rule: ``H_a B - I = G inv(G) - I``
+    for the Gram matrix G, which a computed inverse leaves within about
+    ``3 eps / rcond`` (measured), so under 7e-8 at the floor.
     """
     gram = rows @ np.swapaxes(rows.conj(), -1, -2)
     eigs = np.linalg.eigvalsh(gram)
@@ -69,25 +73,15 @@ def _power_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     with np.errstate(divide="ignore", invalid="ignore"):
         rcond = np.where(high > 0.0, np.maximum(low / high, 0.0), 0.0)
         alpha = 1.0 / np.sum(1.0 / eigs, axis=-1)
-    return gram, rcond, np.where((low > 0.0) & (rcond >= RCOND_MIN), alpha, 0.0)
+    return gram, rcond, np.where(rcond >= RCOND_MIN, alpha, 0.0)
 
 
 def zf_precoder(selection: AntennaSelection) -> np.ndarray:
     """The zero-forcing precoder B = H_a^H (H_a H_a^H)^-1 of a selection,
-    from its Gram matrix; its power factor is ``selection.alpha``.
-
-    Raises :class:`SingularChannel` where the selection's alpha and
-    ``1 / tr(B^H B)`` disagree.
-    """
-    b = selection.h_active.conj().T @ np.linalg.inv(selection.gram)
-    # Both alpha expressions coincide for a zero-forcing precoder; a large
-    # gap flags numerical trouble upstream of the rcond guard.
-    alpha_from_b = 1.0 / float(np.real(np.trace(b.conj().T @ b)))
-    if not math.isclose(selection.alpha, alpha_from_b, rel_tol=1e-6):
-        raise SingularChannel(
-            f"inconsistent power factor: {selection.alpha:.6e} vs {alpha_from_b:.6e}"
-        )
-    return b
+    from its Gram matrix; its power factor ``1 / tr(B^H B)`` is
+    ``selection.alpha``, and the selection's rcond floor bounds ``|H_a B -
+    I|`` (:func:`_power_factor`)."""
+    return selection.h_active.conj().T @ np.linalg.inv(selection.gram)
 
 
 def _best_subset(h: np.ndarray, subsets: np.ndarray) -> AntennaSelection:

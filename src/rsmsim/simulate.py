@@ -31,8 +31,8 @@ also designs the detection threshold of every (SNR point, channel)
 once; the design feeds both the Monte Carlo blocks and the perfect
 analytic column. ZF on each link's selected antennas makes its
 effective channel the identity, which both the threshold detector and
-the closed-form ABEP assume: the blocks send through that identity, and
-the build computes each link's precoder only to check that ZF is sound.
+the closed-form ABEP assume: the selection's rcond floor bounds the
+identity's error, and the blocks send through it, so no precoder is formed.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from . import analysis
 from .baseline import fd_ber, received_power, svd_link
 from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .channel import ChannelParams, draw_channel
-from .mimo import check_subset_count, select_antennas, selection_for_indices, zf_precoder
+from .mimo import check_subset_count, select_antennas, selection_for_indices
+from .mimo import zf_precoder  # noqa: F401 - bench/spans.py wraps rsmsim.simulate.zf_precoder
 from .phy import (
     THRESHOLD_MODES,
     Constellation,
@@ -368,14 +369,14 @@ def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
 
 
 def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
-    """Draw the channel ensemble, select and precode each channel, and
-    design the ``threshold_mode`` threshold of every (SNR point, channel)
-    once.
+    """Draw the channel ensemble, keep each channel's selected power
+    factor ``alpha``, and design the ``threshold_mode`` threshold of every
+    (SNR point, channel) once.
 
-    The blocks send through the identity that ZF makes of the effective
-    channel ``H_a @ B``; precoding each link checks that ZF is sound on
-    it (:class:`~rsmsim.mimo.SingularChannel` otherwise), and the
-    precoder itself is not kept.
+    The selection's rcond floor is the one ZF soundness rule
+    (:class:`~rsmsim.mimo.SingularChannel` otherwise); the blocks send
+    through the identity that ZF makes of ``H_a @ B``, so no precoder is
+    formed.
     """
     alphas = []
     for h in itertools.chain.from_iterable(_draw_channels(config)):
@@ -383,7 +384,6 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
             sel = select_antennas(h, config.n_active)
         else:
             sel = selection_for_indices(h, range(config.n_active))
-        zf_precoder(sel)
         alphas.append(sel.alpha)
     alpha = np.array(alphas)
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
@@ -414,7 +414,7 @@ def _run_block(
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
-    buffers: BlockBuffers | None = None,
+    buffers: BlockBuffers,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
@@ -426,16 +426,15 @@ def _run_block(
     effective channel the identity, so a word's noiseless received row is
     its amplitude-scaled symbol on the antennas its spatial word turns on.
 
-    Every array of the block's size comes from ``buffers`` (a new set
-    when None), so a block on a thread's reused set allocates none: the
-    words, the symbols, the spatial bits, the received rows and one flat
-    scratch array. The scratch holds the symbols' points until the rows
-    are formed, then the noise rows, then the detected flags beside the
-    envelopes, then the combiner's and the slicer's arrays, and last the
-    bit errors of each word's symbol pair; it is sized for that tail,
-    which is larger than the points and the noise rows. The spatial
-    mismatches overwrite the sent bits, and the detected symbols the
-    words.
+    Every array of the block's size comes from ``buffers``, so a block on
+    a thread's reused set allocates none: the words, the symbols, the
+    spatial bits, the received rows and one flat scratch array. The
+    scratch holds the symbols' points until the rows are formed, then the
+    noise rows, then the detected flags beside the envelopes, then the
+    combiner's and the slicer's arrays, and last the bit errors of each
+    word's symbol pair; it is sized for that tail, which is larger than
+    the points and the noise rows. The spatial mismatches overwrite the
+    sent bits, and the detected symbols the words.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -467,7 +466,6 @@ def _run_block(
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
         rngs = _streams(_stream_seeds((config.seed, _TAG_DATA, snr_idx), links)[kept])
-        buffers = BlockBuffers() if buffers is None else buffers
         rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
         words = buffers.get("words", rows, np.int64)
         js = buffers.get("symbols", rows, np.int64)

@@ -37,6 +37,12 @@ def batch_of_one(value):
     return np.asarray(value)[None]
 
 
+def random_channel(n_rx, n_tx, seed):
+    """An ``(n_rx, n_tx)`` channel of unit-variance complex Gaussian entries."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2)
+
+
 @functools.lru_cache(maxsize=8)
 def zf_links(config):
     """(alpha, H_a, B) of every link of an RSM config: its selection's

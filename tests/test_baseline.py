@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from rsmsim.baseline import RankDeficient, fd_ber, received_power, svd_link
+from rsmsim.buffers import BlockBuffers
 from rsmsim.phy import build_constellation
 from rsmsim.simulate import _batch_links
 from rsmsim.specfun import gaussian_q
-from oracles import batch_of_one, fd_ber_oracle
-
-
-def random_channel(n_rx, n_tx, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2)
+from oracles import batch_of_one, fd_ber_oracle, random_channel
 
 
 class TestSvdLink:
@@ -117,7 +113,7 @@ def link_power(h, power, n_modes):
 
 def one_link(received, constellation, sigma2, trials, rng):
     """Error count of a single link through the batch simulator."""
-    counts = fd_ber(received[None], constellation, sigma2, trials, [rng])
+    counts = fd_ber(received[None], constellation, sigma2, trials, [rng], BlockBuffers())
     assert counts.shape == (1,)
     return int(counts[0])
 
@@ -169,11 +165,11 @@ class TestFdBer:
         rngs = [np.random.default_rng(i) for i in range(3)]
         for words in (0, 2, 10):
             with pytest.raises(ValueError):
-                fd_ber(received, c, 1.0, words, rngs)
+                fd_ber(received, c, 1.0, words, rngs, BlockBuffers())
         with pytest.raises(ValueError):
-            fd_ber(received, c, 1.0, 9, rngs[:2])
+            fd_ber(received, c, 1.0, 9, rngs[:2], BlockBuffers())
         with pytest.raises(ValueError):
-            fd_ber(received, c, 0.0, 9, rngs)
+            fd_ber(received, c, 0.0, 9, rngs, BlockBuffers())
 
 
 TRIALS, N_MODES = 1000, 2
@@ -195,9 +191,8 @@ class TestFdBerBatch:
         gains = np.sort(setup.uniform(0.2, 3.0, (n_links, N_MODES)), axis=1)[:, ::-1]
         received = received_power(gains, float(setup.uniform(1.0, 30.0)))
         seeds = setup.integers(0, 2**32, n_links)
-        counts = fd_ber(
-            received, c, sigma2, n_links * TRIALS, [np.random.default_rng(s) for s in seeds]
-        )
+        rngs = [np.random.default_rng(s) for s in seeds]
+        counts = fd_ber(received, c, sigma2, n_links * TRIALS, rngs, BlockBuffers())
         expected = [
             fd_ber_oracle(received[i], c, sigma2, TRIALS, np.random.default_rng(s))
             for i, s in enumerate(seeds)
@@ -228,9 +223,8 @@ class TestFdBerModeCounts:
         received = received_power(gains, float(setup.uniform(1.0, 30.0)))
         seeds = setup.integers(0, 2**32, n_links)
         sigma2 = float(received.max())  # at most 0 dB per mode: every link errs
-        counts = fd_ber(
-            received, c, sigma2, n_links * TRIALS, [np.random.default_rng(s) for s in seeds]
-        )
+        rngs = [np.random.default_rng(s) for s in seeds]
+        counts = fd_ber(received, c, sigma2, n_links * TRIALS, rngs, BlockBuffers())
         expected = [
             fd_ber_oracle(received[i], c, sigma2, TRIALS, np.random.default_rng(s))
             for i, s in enumerate(seeds)

@@ -1,6 +1,7 @@
 """Tests for zero-forcing precoding and antenna selection."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,7 @@ from rsmsim.mimo import (
     selection_for_indices,
     zf_precoder,
 )
-
-
-def random_channel(n_rx, n_tx, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2)
+from oracles import random_channel
 
 
 def alpha_by_explicit_inverse(h_active):
@@ -174,9 +171,10 @@ class TestRcondRule:
     def test_just_below_the_floor_is_singular_everywhere(self):
         rcond = 0.999 * mimo.RCOND_MIN
         h = self.channel(rcond)
-        with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
+        message = re.escape(f"rcond={rcond:.3e}")
+        with pytest.raises(SingularChannel, match=message):
             full_selection(h[:2])
-        with pytest.raises(SingularChannel, match=r"rcond=9\.990e-13"):
+        with pytest.raises(SingularChannel, match=message):
             selection_for_indices(h, (0, 1))
         # Skipped although its power factor beats the pair it settles on.
         assert select_antennas(h, 2).active_indices == (1, 2)
@@ -190,3 +188,23 @@ class TestRcondRule:
         sel = select_antennas(h, 2)
         assert sel.active_indices == (0, 1)
         assert sel.alpha == pytest.approx(alpha, rel=1e-9)
+
+    #: rcond of each Gram matrix the bound test builds, from 1e-1 to just above the floor
+    RCONDS = (*10.0 ** -np.arange(1, 8), 1.001 * mimo.RCOND_MIN)
+
+    @pytest.mark.parametrize("n_active", range(2, 9))
+    def test_the_floor_bounds_the_identity_error(self, n_active):
+        # H_a = U diag(s) V^H with the rows' Gram matrix at a chosen rcond;
+        # ZF leaves |H_a B - I| within 8 eps / rcond at every rcond the floor
+        # accepts.
+        rng = np.random.default_rng(500 + n_active)
+        eps = np.finfo(float).eps
+        for rcond in self.RCONDS:
+            s = np.sqrt(rcond) ** np.linspace(0.0, 1.0, n_active)
+            for _ in range(20):
+                u = np.linalg.qr(random_channel(n_active, n_active, rng.integers(2**32)))[0]
+                v = np.linalg.qr(random_channel(32, n_active, rng.integers(2**32)))[0]
+                h = (u * s) @ v.conj().T
+                sel = full_selection(h)
+                error = float(np.abs(h @ zf_precoder(sel) - np.eye(n_active)).max())
+                assert error <= 8 * eps / rcond, (rcond, error)

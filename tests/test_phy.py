@@ -36,12 +36,7 @@ from rsmsim.phy import (
     transmit,
 )
 from rsmsim.specfun import log_bessel_i0
-from oracles import batch_of_one, joint_ml_detect
-
-
-def random_channel(n_rx, n_tx, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2)
+from oracles import batch_of_one, joint_ml_detect, random_channel
 
 
 class TestConstellations:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rsmsim.buffers import BlockBuffers
 from rsmsim.channel import ChannelParams
 from rsmsim.phy import build_constellation
 from rsmsim.simulate import (
@@ -344,12 +345,13 @@ def batched_counts(config):
     ensemble = simulate._build_ensemble(config, constellation)
     n_links = config.channels_per_point
     per_batch = simulate._batch_links(config.trials_per_point, config.n_active)
+    buffers = BlockBuffers()
     points = []
     for snr_idx in range(len(config.snr_grid_db)):
         rows, words = [], 0
         for first in range(0, n_links, per_batch):
             links = range(first, min(first + per_batch, n_links))
-            counts = simulate._run_block(config, constellation, ensemble, snr_idx, links)
+            counts = simulate._run_block(config, constellation, ensemble, snr_idx, links, buffers)
             rows += zip(
                 counts.spatial_errors.tolist(),
                 counts.modulation_errors.tolist(),
@@ -441,7 +443,9 @@ class TestStreamKeys:
 class TestZeroForcingIdentity:
     """The blocks send through the identity that ZF makes of each link's
     effective channel ``H_a @ B``; on the preset ensembles it is the
-    identity to far below the noise (at most 1.2e-12 measured)."""
+    identity to far below the noise (at most 1.2e-12 measured). The
+    selection's rcond floor is the only check that ZF is sound, and a run
+    forms no precoder."""
 
     @pytest.mark.parametrize(
         "config_path",
@@ -458,6 +462,51 @@ class TestZeroForcingIdentity:
         eye = np.eye(config.n_active)
         worst = max(float(np.abs(h_active @ b - eye).max()) for _, h_active, b in links)
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("selection", ["exhaustive", "all_antennas"])
+    def test_a_run_forms_no_precoder(self, selection, monkeypatch):
+        from rsmsim import mimo, simulate
+
+        config = small_config(selection=selection)
+        expected = run(config)
+
+        def refuse(selection):
+            raise AssertionError("a run formed a ZF precoder")
+
+        monkeypatch.setattr(simulate, "zf_precoder", refuse)
+        monkeypatch.setattr(mimo, "zf_precoder", refuse)
+        assert run(config) == expected
+
+    SEED_42 = RsmConfig(
+        channel=ChannelParams(n_tx=32, n_rx=8),
+        n_active=8,
+        snr_grid_db=(4, 10),
+        trials_per_point=100,
+        channels_per_point=20,
+        seed=42,
+    )
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_a_link_below_the_rcond_floor_is_singular(self, n_threads):
+        # Link 1's only subset, all 8 antennas, has rcond 1.847e-12: the floor
+        # rejects it, where ZF would leave |H_a B - I| at 9.9e-6.
+        from rsmsim.mimo import SingularChannel
+
+        with pytest.raises(SingularChannel, match=r"numerically singular.*rcond=1\.847e-12"):
+            run(self.SEED_42, n_threads=n_threads)
+
+    def test_the_command_line_exits_3_below_the_rcond_floor(self, tmp_path, capsys):
+        from rsmsim.cli import load_config, main
+
+        config = tmp_path / "seed42.cfg"
+        config.write_text(
+            "n_tx = 32\nn_rx = 8\nn_active = 8\nsnr_db = 4,10\n"
+            "trials_per_point = 100\nchannels_per_point = 20\nseed = 42\n"
+        )
+        assert load_config(config) == self.SEED_42
+        assert main(["ber", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerically singular" in err and "rcond=1.847e-12" in err
 
 
 class TestBatchedBlock:

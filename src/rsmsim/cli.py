@@ -9,7 +9,10 @@ the worker count.
 
 Exit codes: 0 success (possibly with warnings), 2 configuration error
 naming the offending key, or a threshold design asked for outside the
-domain ``phy.check_design_domain`` accepts, 3 runtime simulation failure.
+domain ``phy.check_design_domain`` accepts (by ``threshold``, or by an
+SNR point at which every link's design is outside it), 3 runtime
+simulation failure (among them one link's design outside the domain at
+a point where other links' designs are inside).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .phy import (
 )
 from .simulate import (
     FdConfig,
+    LinkOutsideDesignDomain,
     PointAborted,
     RsmConfig,
     analytic_curves,
@@ -365,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutsideDesignDomain as err:
         print(f"error: threshold design: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PointAborted, SingularChannel, ArithmeticError) as err:
+    except (PointAborted, LinkOutsideDesignDomain, SingularChannel, ArithmeticError) as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -5,8 +5,10 @@ amplitude threshold designs (exact, moderate-SNR, high-SNR), and the
 transceiver chain in batch form: spatial words to bit matrices, the
 noiseless received rows that zero forcing leaves (the effective channel
 is the identity), per-antenna spatial detection,
-minimum-distance symbol detection, switch-and-combine modulation
-detection, and the complex noise draw shared by every Monte Carlo path.
+minimum-distance symbol detection (its square-QAM decision step is
+shared with the baseline's Monte Carlo), switch-and-combine modulation
+detection, and the complex noise draw of every Monte Carlo path that
+forms its received samples.
 Every step of the chain takes (links, trials, n_active) arrays, one row
 per data word of each link, with the per-link inputs (amplitude,
 threshold, alpha_p) given one per link.
@@ -515,51 +517,71 @@ def _within(
     exact &= np.less_equal(values, high, out=flag)
 
 
-def _slice_qam(
-    y: np.ndarray, scale: np.ndarray, step: float, side: int, index: np.ndarray, scratch: Scratch
+def _decide_qam(
+    t: np.ndarray, scale: np.ndarray, side: int, index: np.ndarray, scratch: Scratch
 ) -> np.ndarray:
-    """Nearest level per axis into ``index``, and where that decision is
-    provably exact.
+    """The square-QAM decision: nearest level per axis of the coordinates
+    ``t``, joined into ``index``, and where that decision is provably
+    exact.
 
-    Works on the interleaved (real, imag) float view of ``y``, scaled by
-    the reciprocal of one level spacing to ``t`` spacings from level 0;
-    the level is ``rint(t)`` clipped to the grid. Each ``scale`` element
-    gives one reciprocal, which broadcasts along the view. A sample is
-    flagged exact when both its coordinates lie at least
-    ``_BOUNDARY_MARGIN`` spacings from a decision boundary (``|t -
-    rint(t)| <= 1/2 - _BOUNDARY_MARGIN``) and within ``_GRID_REACH``
-    spacings of the grid's outer edge, half a spacing beyond its outer
-    levels: ``t`` is first clipped onto ``[-1/2 - _GRID_REACH, side - 1/2
-    + _GRID_REACH]``, whose ends are half-integers and so fail the margin
-    check. Its sliced point is then the exact argmin (see
-    :func:`nearest_point`). Every other sample, nan and inf included, and
-    every sample whose ``|scale|`` is outside ``_UNIT_RANGE``, is flagged
-    for the full search; its index is left undefined. The arrays come
-    from ``scratch``, and each one of ``scale``'s shape takes the front of
-    one whose values are spent.
+    ``t`` is a float array of shape ``(2, *index.shape)``, the real and
+    then the imaginary coordinate of each sample in level spacings from
+    level 0, so that level ``k`` sits at ``k``; its values are spent.
+    ``scale`` is the scale each sample was sliced at, broadcasting against
+    ``index``. The level is ``rint(t)`` clipped to the grid, and point
+    ``col * side + row`` joins the two axes' levels. A sample is flagged
+    exact when both its coordinates lie at least ``_BOUNDARY_MARGIN``
+    spacings from a decision boundary (``|t - rint(t)| <= 1/2 -
+    _BOUNDARY_MARGIN``) and within ``_GRID_REACH`` spacings of the grid's
+    outer edge, half a spacing beyond its outer levels: ``t`` is first
+    clipped onto ``[-1/2 - _GRID_REACH, side - 1/2 + _GRID_REACH]``, whose
+    ends are half-integers and so fail the margin check. Its decision is
+    then the exact argmin, given coordinates as close as
+    :func:`nearest_point` proves. Every other sample, nan and inf
+    included, and every sample whose ``|scale|`` is outside
+    ``_UNIT_RANGE``, is flagged for the full search; its index is left
+    undefined. The arrays come from ``scratch``, and each one of
+    ``scale``'s shape takes the front of one whose values are spent.
     """
     edge = _GRID_REACH + 0.5
-    level = scratch.take((*index.shape, 2), np.float64)
-    t = scratch.take((*index.shape, 2), np.float64)
-    inside = scratch.take((*index.shape, 2), bool)
+    level = scratch.take(t.shape, np.float64)
+    inside = scratch.take(t.shape, bool)
     exact = scratch.take(index.shape, bool)
     with np.errstate(all="ignore"):
-        recip = _front(level, scale.shape)
-        np.divide(1.0, np.multiply(scale, step, out=recip), out=recip)
-        np.multiply(y[..., None].view(np.float64), recip[..., None], out=t)
-        t += 0.5 * (side - 1)
         np.clip(t, -edge, side - 1.0 + edge, out=t)
         np.rint(t, out=level)
         t -= level
         np.less_equal(np.abs(t, out=t), 0.5 - _BOUNDARY_MARGIN, out=inside)
-        np.logical_and(inside[..., 0], inside[..., 1], out=exact)
+        np.logical_and(inside[0], inside[1], out=exact)
         np.clip(level, 0.0, side - 1.0, out=level)
-        flat = np.multiply(level[..., 0], side, out=_front(t, index.shape))
-        flat += level[..., 1]
+        flat = np.multiply(level[0], side, out=t[0, ...])
+        flat += level[1]
         np.copyto(index, flat, casting="unsafe")
         magnitude = np.abs(scale, out=_front(t, scale.shape))
         _within(magnitude, *_UNIT_RANGE, exact, _front(inside, scale.shape))
     return exact
+
+
+def _slice_qam(
+    y: np.ndarray, scale: np.ndarray, step: float, side: int, index: np.ndarray, scratch: Scratch
+) -> np.ndarray:
+    """Nearest level per axis into ``index``, and where that decision is
+    provably exact (:func:`_decide_qam`).
+
+    The coordinates are the real and the imaginary part of ``y``, each
+    scaled by the reciprocal of one level spacing and shifted to level 0,
+    ``t = y * (1 / (scale * step)) + (side - 1) / 2``. Each ``scale``
+    element gives one reciprocal; it takes the front of the bytes that
+    the decision's arrays take next.
+    """
+    t = scratch.take((2, *index.shape), np.float64)
+    with np.errstate(all="ignore"):
+        recip = Scratch(scratch.rest()).take(scale.shape, np.float64)
+        np.divide(1.0, np.multiply(scale, step, out=recip), out=recip)
+        np.multiply(y.real, recip, out=t[0, ...])
+        np.multiply(y.imag, recip, out=t[1, ...])
+        t += 0.5 * (side - 1)
+    return _decide_qam(t, scale, side, index, scratch)
 
 
 def _slice_psk(
@@ -633,6 +655,22 @@ def nearest_point(
     distance gap above 5e-10 spacings, while rounding moves each
     computed distance of the search by under 1e-11 spacings; its sliced
     point is therefore the argmin.
+
+    The baseline's Monte Carlo (:func:`~rsmsim.baseline.fd_ber`) takes the
+    same decision step (:func:`_decide_qam`) on coordinates it forms
+    without ``y``: the sent point's level plus its noise ``n`` times ``g =
+    sqrt(sigma2 / 2) / (scale * step)``, ``t = level + n * g``. Its sample
+    is ``y = fl(fl(p * scale) + fl(n * sqrt(sigma2 / 2)))`` per axis, and
+    the grid check puts each point ``p`` within 1e-12 spacings of its
+    level, so ``y / (scale * step) + (side - 1) / 2 = level + u + d`` with
+    ``u = n sqrt(sigma2 / 2) / (scale * step)`` exactly and |d| under 1e-12
+    + 2 eps (|p / step| + |u|), |p / step| <= 3.5. The three roundings of
+    ``g`` and its product with ``n`` add 4 eps |u|, and the sum eps |t| / 2.
+    A coordinate the step flags exact has |t| below 1.1e3, so |u| is below
+    1.11e3, and ``t`` is within 1e-12 + 6 eps 1.11e3 + eps 1.1e3 / 2 + 7 eps,
+    under 3e-12 spacings, of the sample's own coordinate: within the 5e-12
+    above, so its decision is the argmin too. Where ``n * g`` underflows,
+    the error is absolute and under 1e-300 spacings.
 
     PSK takes point ``rint(angle(y) * order / 2pi) mod order``. With r =
     ``|y|``, s = ``scale`` and the sample at least ``_BOUNDARY_MARGIN``

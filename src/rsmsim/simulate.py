@@ -7,9 +7,11 @@ channel. Every random quantity is drawn from a stream keyed by
 ``np.random.default_rng([seed, tag, snr, channel])``, so results are
 bit-identical regardless of how channels are batched and scheduled
 across worker threads; error counts are integers and are reduced in
-index order. Each Monte Carlo task hashes the seeds of its own
-channels' streams, for all of them at once (:func:`_stream_seeds`), so
-a sweep with no Monte Carlo task hashes none. Both systems run
+index order. The seeds of an SNR point's streams are hashed for all of
+its channels at once, one :func:`_stream_seeds` call per purpose tag,
+by the first of the point's Monte Carlo tasks to run, and each task
+builds the generators of its own channels from its slice of them; so a
+sweep with no Monte Carlo task hashes none. Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
 its own stream. The analytic columns of each SNR point run as one more
@@ -42,6 +44,7 @@ import itertools
 import logging
 import math
 import resource
+import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -56,8 +59,10 @@ from .channel import ChannelParams, draw_channel
 from .mimo import check_subset_count, select_antennas, selection_for_indices
 from .mimo import zf_precoder  # noqa: F401 - bench/spans.py wraps rsmsim.simulate.zf_precoder
 from .phy import (
+    DESIGN_RHO_RANGE,
     THRESHOLD_MODES,
     Constellation,
+    OutsideDesignDomain,
     _combine_work_bytes,
     add_complex_noise,
     build_constellation,
@@ -71,6 +76,7 @@ from .training import DegenerateSample, estimate_amplitude
 
 __all__ = [
     "PointAborted",
+    "LinkOutsideDesignDomain",
     "RsmConfig",
     "FdConfig",
     "SnrPoint",
@@ -121,6 +127,13 @@ class PointAborted(RuntimeError):
         )
         self.snr_db = snr_db
         self.failed_fraction = failed_fraction
+
+
+class LinkOutsideDesignDomain(RuntimeError):
+    """A drawn link's threshold design falls outside the domain that
+    :func:`~rsmsim.phy.threshold` supports, at an SNR point where other
+    links' designs do not: a failure of the channel draw, not of the
+    config."""
 
 
 @dataclass(frozen=True)
@@ -373,6 +386,13 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
     factor ``alpha``, and design the ``threshold_mode`` threshold of every
     (SNR point, channel) once.
 
+    At the first SNR point, in grid order, where a link's design falls
+    outside the design domain, the build raises: the
+    :class:`~rsmsim.phy.OutsideDesignDomain` of the point's first link
+    when every link of the point is outside, since the grid asks for it,
+    and :class:`LinkOutsideDesignDomain`, naming the point, the first such
+    link and its design SNR, when only some are.
+
     The selection's rcond floor is the one ZF soundness rule
     (:class:`~rsmsim.mimo.SingularChannel` otherwise); the blocks send
     through the identity that ZF makes of ``H_a @ B``, so no precoder is
@@ -388,9 +408,25 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
     alpha = np.array(alphas)
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
-    gamma = np.array(
-        [[threshold(mode, a, SIGMA2, beta) for a in row] for row in alpha_p.tolist()]
-    )
+    gamma = np.empty_like(alpha_p)
+    for snr_db, row, designs in zip(config.snr_grid_db, alpha_p.tolist(), gamma):
+        outside = []
+        for ch, a in enumerate(row):
+            try:
+                designs[ch] = threshold(mode, a, SIGMA2, beta)
+            except OutsideDesignDomain as err:
+                outside.append((ch, err))
+        if len(outside) == len(row):
+            raise outside[0][1]
+        if outside:
+            ch = outside[0][0]
+            low, high = DESIGN_RHO_RANGE
+            raise LinkOutsideDesignDomain(
+                f"threshold design of link {ch} at SNR point {snr_db:g} dB: design SNR "
+                f"beta * alpha_p / sigma2 = {beta * row[ch] / SIGMA2:.3e} is outside the "
+                f"supported range [{low:g}, {high:g}], while the designs of "
+                f"{len(row) - len(outside)} of the point's {len(row)} links are inside it"
+            )
     return _Ensemble(alpha=alpha, alpha_p=alpha_p, gamma=gamma)
 
 
@@ -408,20 +444,31 @@ class _BlockCounts:
     words: int
 
 
+def _point_seeds(config: RsmConfig, snr_idx: int) -> dict[int, np.ndarray]:
+    """The stream seeds of every channel at one SNR point, by purpose tag:
+    the data streams and, with a pilot-estimated threshold, the pilot
+    streams, one :func:`_stream_seeds` call each."""
+    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
+    links = range(config.channels_per_point)
+    return {tag: _stream_seeds((config.seed, tag, snr_idx), links) for tag in tags}
+
+
 def _run_block(
     config: RsmConfig,
     constellation: Constellation,
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
+    seeds: dict[int, np.ndarray],
     buffers: BlockBuffers,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
     Channel ``ch`` draws its words and noise from its own
     ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
-    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``; the
-    block hashes the seeds of its own links' streams. Pilots and data
+    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``;
+    ``seeds`` holds the point's stream seeds (:func:`_point_seeds`), of
+    which the block takes its own channels' rows. Pilots and data
     words alike go through :func:`transmit`: ZF makes each link's
     effective channel the identity, so a word's noiseless received row is
     its amplitude-scaled symbol on the antennas its spatial word turns on.
@@ -453,7 +500,7 @@ def _run_block(
             np.full((n_links, n_p), x_pilot),
             np.sqrt(alpha_p),
         )
-        pilot_rngs = _streams(_stream_seeds((config.seed, _TAG_PILOT, snr_idx), links))
+        pilot_rngs = _streams(seeds[_TAG_PILOT][batch])
         amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
         gamma = np.zeros(n_links)
         for i, amps in enumerate(amplitudes):
@@ -465,7 +512,7 @@ def _run_block(
     spatial = np.zeros(n_links, dtype=np.int64)
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
-        rngs = _streams(_stream_seeds((config.seed, _TAG_DATA, snr_idx), links)[kept])
+        rngs = _streams(seeds[_TAG_DATA][batch][kept])
         rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
         words = buffers.get("words", rows, np.int64)
         js = buffers.get("symbols", rows, np.int64)
@@ -580,20 +627,26 @@ def _sweep_and_reduce(
     n_threads: int,
     started: tuple[float, int],
     batches: list[range],
-    block: Callable[[int, range], object],
+    block: Callable[[int], Callable[[range], object]],
     analytic: Callable[[int], object],
     point: Callable[[float, list, object], tuple[SnrPoint, str]],
 ) -> ErrorReport:
-    """Run ``block(snr_idx, links)`` for every SNR point and batch of
+    """Run ``block(snr_idx)(links)`` for every SNR point and batch of
     ``batches`` and ``analytic(snr_idx)`` for every SNR point, and reduce
-    the grid point by point.
+    the grid point by point. ``block(snr_idx)``, which hashes the point's
+    stream seeds, is called once per point, by the first of the point's
+    Monte Carlo tasks to run and in its thread, so a sweep with no batches
+    never calls it. Hashing in the workers rather than in the submitting
+    thread kept ``mc_estimated``'s peak RSS at the parent's level (the
+    CHANGES.md entry "Baseline Monte Carlo down to its draws").
 
     With ``n_threads > 1`` every task goes to one pool up front, each
     point's analytic task ahead of its blocks, and the tasks still pending
-    when the sweep ends or fails are cancelled; otherwise each task runs
-    in the calling thread when its result is collected. A point's blocks
-    are collected before its analytic result, so the first failure in
-    grid order raises at any thread count.
+    when the sweep ends or fails are cancelled; otherwise a point's tasks
+    are made when the point is reached, so that no point's seeds outlive
+    it, and each runs in the calling thread when its result is collected.
+    A point's blocks are collected before its analytic result, so the
+    first failure in grid order raises at any thread count.
 
     ``point(snr_db, block results, analytic result)`` returns the
     point's :class:`SnrPoint` and its log message, which is logged with
@@ -616,13 +669,23 @@ def _sweep_and_reduce(
             return functools.partial(_timed, fn, *args)
         return pool.submit(_timed, fn, *args).result
 
+    def point_tasks(snr_idx: int) -> tuple[Callable, list[Callable]]:
+        lock, made = threading.Lock(), []
+
+        def run_batch(links: range) -> object:
+            with lock:
+                if not made:
+                    made.append(block(snr_idx))
+            return made[0](links)
+
+        return task(analytic, snr_idx), [task(run_batch, links) for links in batches]
+
     points = []
     blocks_s = analytic_s = 0.0
     try:
-        tasks = [
-            (task(analytic, s), [task(block, s, links) for links in batches])
-            for s in range(len(grid))
-        ]
+        tasks = map(point_tasks, range(len(grid)))
+        if pool is not None:
+            tasks = list(tasks)
         for done, (snr_db, (analytic_task, block_tasks)) in enumerate(zip(grid, tasks), 1):
             blocks = [result() for result in block_tasks]
             result, seconds = analytic_task()
@@ -699,8 +762,11 @@ def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range])
     k = constellation.bits_per_symbol
     buffers = BlockBuffers()
 
-    def block(snr_idx: int, links: range) -> _BlockCounts:
-        return _run_block(config, constellation, ensemble, snr_idx, links, buffers)
+    def block(snr_idx: int) -> Callable[[range], _BlockCounts]:
+        seeds = _point_seeds(config, snr_idx)
+        return lambda links: _run_block(
+            config, constellation, ensemble, snr_idx, links, seeds, buffers
+        )
 
     def analytic(snr_idx: int) -> tuple[float, float, int]:
         return _analytic_columns(config, constellation, ensemble, snr_idx)
@@ -774,11 +840,16 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
     bits_per_link = trials * config.n_modes * constellation.bits_per_symbol
     buffers = BlockBuffers()
 
-    def block(snr_idx: int, links: range) -> np.ndarray:
-        batch = slice(links.start, links.stop)
-        rngs = _streams(_stream_seeds((config.seed, _TAG_FD, snr_idx), links))
-        words = len(links) * trials
-        return fd_ber(received[snr_idx][batch], constellation, SIGMA2, words, rngs, buffers)
+    def block(snr_idx: int) -> Callable[[range], np.ndarray]:
+        seeds = _stream_seeds((config.seed, _TAG_FD, snr_idx), range(config.channels_per_point))
+
+        def batch(links: range) -> np.ndarray:
+            rows = slice(links.start, links.stop)
+            rngs = _streams(seeds[rows])
+            words = len(links) * trials
+            return fd_ber(received[snr_idx][rows], constellation, SIGMA2, words, rngs, buffers)
+
+        return batch
 
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx])

@@ -212,9 +212,11 @@ class TestFdBerModeCounts:
     several pieces with a short last one."""
 
     @pytest.mark.parametrize(
-        "kind,order,ring", [("qam", 16, None), ("psk", 8, None), ("apsk", 16, 2.6)]
+        "kind,order,ring",
+        [("qam", 4, None), ("qam", 16, None), ("qam", 64, None), ("psk", 8, None),
+         ("apsk", 16, 2.6)],
     )
-    @pytest.mark.parametrize("n_modes", [1, 3])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_links", [1, 7, 17])
     def test_matches_the_per_link_oracle(self, kind, order, ring, n_modes, n_links):
         c = build_constellation(kind, order, ring)
@@ -231,6 +233,84 @@ class TestFdBerModeCounts:
         ]
         assert np.array_equal(counts, expected)
         assert counts.all()
+
+
+class TestSlicedQam:
+    """Square QAM is decided from the sent levels and the scaled noise; only
+    the samples the decision cannot prove exact are formed and searched."""
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("sigma2", [1e-20, 1e-3, 1.0, 1e3, 1e6, 1e8])
+    def test_every_noise_level_matches_the_oracle(self, monkeypatch, order, n_modes, sigma2):
+        # From no errors at all to coordinates far beyond the decision's
+        # reach, which go to the full search.
+        import rsmsim.baseline as baseline
+
+        searched = []
+        formed = baseline._received_samples
+
+        def counting(*args):
+            samples = formed(*args)
+            searched.append(samples.size)
+            return samples
+
+        monkeypatch.setattr(baseline, "_received_samples", counting)
+        c = build_constellation("qam", order)
+        received, seeds = batch_setup(7, n_modes, [order, n_modes])
+        rngs = [np.random.default_rng(s) for s in seeds]
+        counts = fd_ber(received, c, sigma2, 7 * TRIALS, rngs, BlockBuffers())
+        assert counts.tolist() == oracle_counts(received, c, sigma2, TRIALS, seeds)
+        if sigma2 == 1e-20:
+            assert not counts.any()
+        if sigma2 == 1e8:
+            # Most coordinates lie beyond the reach: the search decides them.
+            assert sum(searched) > 7 * TRIALS * n_modes // 2
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("sigma2", [1.0, np.inf])
+    def test_samples_the_decision_cannot_slice(self, order, sigma2):
+        # A mode received at zero power has a scale outside the unit range,
+        # and infinite noise leaves no finite coordinate: the search decides
+        # every such sample, and the decision's own index would differ.
+        c = build_constellation("qam", order)
+        received, seeds = batch_setup(5, 2, [order, 5])
+        received[1:3, 1] = 0.0
+        rngs = [np.random.default_rng(s) for s in seeds]
+        with np.errstate(invalid="ignore"):
+            counts = fd_ber(received, c, sigma2, 5 * TRIALS, rngs, BlockBuffers())
+            expected = oracle_counts(received, c, sigma2, TRIALS, seeds)
+        assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("sigma2", [1e-20, 1.0, 1e8])
+    def test_formed_samples_are_the_bits_of_the_formed_piece(self, order, sigma2):
+        # The fallback's samples against the piece formed whole: the symbol
+        # copy, the amplitude product and the complex noise draw.
+        from rsmsim.baseline import _received_samples
+        from rsmsim.phy import add_complex_noise
+
+        c = build_constellation("qam", order)
+        n_links, n_modes, trials = 3, 2, 500
+        setup = np.random.default_rng([order, 7])
+        sent = setup.integers(0, order, (n_links, n_modes, trials))
+        amplitude = setup.uniform(0.05, 40.0, (n_links, n_modes, 1))
+        seeds = setup.integers(0, 2**32, n_links)
+        y = c.points.take(sent)
+        y *= amplitude
+        add_complex_noise(y.swapaxes(1, 2), sigma2, [np.random.default_rng(s) for s in seeds])
+        # The same streams again, each noise part kept as drawn.
+        noise = np.empty((n_links, 2, trials, n_modes))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for part in range(2):
+            for rows, rng in zip(noise[:, part], rngs):
+                rng.standard_normal(out=rows)
+        everywhere = np.nonzero(np.ones(sent.shape, dtype=bool))
+        samples = _received_samples(c, sent, amplitude, noise, sigma2, everywhere)
+        assert samples.view(np.float64).tobytes() == y[everywhere].view(np.float64).tobytes()
+        some = np.nonzero(setup.random(sent.shape) < 0.01)
+        samples = _received_samples(c, sent, amplitude, noise, sigma2, some)
+        assert samples.view(np.float64).tobytes() == y[some].view(np.float64).tobytes()
 
 
 def oracle_counts(received, constellation, sigma2, trials, seeds):

@@ -131,6 +131,42 @@ class TestCmdBer:
         assert "outside the supported range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ber", "abep"])
+    def test_one_link_outside_design_domain_exits_3(self, tmp_path, capsys, command):
+        # At 0 dB this draw leaves link 6 of 7 a design SNR below the 1e-6
+        # floor: a failure of the channel draw, not of the config. The
+        # same config at seed 1 runs.
+        text = """
+        system = rsm
+        n_tx = 18
+        n_rx = 8
+        n_active = 4
+        constellation = psk
+        order = 8
+        rx_omni = false
+        n_clusters = 4
+        n_rays = 8
+        snr_db = 0,10
+        trials_per_point = 700
+        channels_per_point = 7
+        threshold_mode = hsa
+        threshold_source = perfect
+        n_pilots = 2
+        selection = all_antennas
+        seed = 400079
+        """
+        path = tmp_path / "weak_link.cfg"
+        path.write_text(text)
+        out = tmp_path / "result.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "simulation failed: threshold design of link 6 at SNR point 0 dB: design SNR "
+            "beta * alpha_p / sigma2 = 9.664e-07 is outside the supported range [1e-06, 1e+10], "
+            "while the designs of 6 of the point's 7 links are inside it\n"
+        )
+        assert not out.exists()
+        assert main([command, "--config", str(path), "--out", str(out), "--seed", "1"]) == 0
+
     def test_threads_do_not_change_bytes(self, config_file, tmp_path):
         out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["ber", "--config", str(config_file), "--out", str(out1), "--threads", "1"]) == 0

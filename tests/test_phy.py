@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from rsmsim.buffers import SCRATCH_SLACK
+from rsmsim.buffers import SCRATCH_SLACK, Scratch
 from rsmsim.mimo import select_antennas, selection_for_indices, zf_precoder
 from rsmsim.phy import (
     DESIGN_RHO_RANGE,
@@ -17,11 +17,13 @@ from rsmsim.phy import (
     IllegalSpatialWord,
     NoRoot,
     OutsideDesignDomain,
+    _BOUNDARY_MARGIN,
     _GRID_REACH,
     _SEARCH_BYTES,
     _antenna_sum,
     _brentq,
     _combine_work_bytes,
+    _decide_qam,
     _nearest_by_search,
     _nearest_work_bytes,
     add_complex_noise,
@@ -679,6 +681,56 @@ class TestQamScaleRange:
         odd = rng.choice([0.0, -1.0, 1e-320, 1e-251, 1e251, 1e305, np.inf, np.nan, 2.0], unit.size)
         with np.errstate(invalid="ignore", over="ignore"):
             np.testing.assert_array_equal(nearest_point(unit, odd, c), full_search(unit, odd, c))
+
+
+class TestQamDecision:
+    """The square-QAM decision step that ``nearest_point`` and the
+    baseline's Monte Carlo share, on coordinates given in level spacings."""
+
+    @staticmethod
+    def crafted_coordinates(side):
+        """Every half-integer from the lower outer edge to the upper one
+        (the decision boundaries and the grid's two edges), each at offsets
+        of up to two margins either side; the levels; and both ends of the
+        reach, ``_GRID_REACH`` beyond each edge, from inside and outside."""
+        halves = np.arange(-1, side) + 0.5
+        offsets = _BOUNDARY_MARGIN * np.array([0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0])
+        offsets = np.concatenate([offsets, -offsets[1:]])
+        low, high = -0.5 - _GRID_REACH, side - 0.5 + _GRID_REACH
+        ends = np.array([low, high])[:, None] + np.array([-10.0, -0.25, 0.25, 10.0])
+        return np.concatenate(
+            [(halves[:, None] + offsets).ravel(), np.arange(side), ends.ravel(), [1e300]]
+        )
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_flagged_decisions_are_the_argmin(self, order):
+        c = build_constellation("qam", order)
+        side = math.isqrt(order)
+        coords = self.crafted_coordinates(side)
+        t = np.array(np.meshgrid(coords, coords)).reshape(2, -1)
+        t = np.concatenate([t, [[np.nan, 1.0, np.inf], [1.0, -np.inf, np.nan]]], axis=1)
+        scale = 0.8
+        index = np.empty(t.shape[1], dtype=np.int64)
+        exact = _decide_qam(t.copy(), np.array(scale), side, index, Scratch())
+        # A sample is flagged exact just when both its coordinates are at
+        # least the margin from every half-integer and within the reach.
+        with np.errstate(invalid="ignore"):
+            inside = (np.abs(t - np.rint(t)) <= 0.5 - _BOUNDARY_MARGIN).all(axis=0)
+            reached = ((t > -0.5 - _GRID_REACH) & (t < side - 0.5 + _GRID_REACH)).all(axis=0)
+        np.testing.assert_array_equal(exact, inside & reached)
+        assert exact.sum() > t.shape[1] // 4 and (~exact).sum() > t.shape[1] // 4
+        step = float(np.diff(np.unique(c.points.real))[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = scale * step * ((t[0] - 0.5 * (side - 1)) + 1j * (t[1] - 0.5 * (side - 1)))
+        argmin = _nearest_by_search(y[exact], np.array(scale), c.points)
+        np.testing.assert_array_equal(index[exact], argmin)
+
+    def test_scales_outside_the_unit_range_are_never_exact(self):
+        coords = self.crafted_coordinates(4)
+        t = np.array(np.meshgrid(coords, coords)).reshape(2, -1)
+        for scale in (0.0, 1e-300, 1e300, np.nan):
+            index = np.empty(t.shape[1], dtype=np.int64)
+            assert not _decide_qam(t.copy(), np.array(scale), 4, index, Scratch()).any()
 
 
 class TestQamSlicerModesMajor:

@@ -349,9 +349,12 @@ def batched_counts(config):
     points = []
     for snr_idx in range(len(config.snr_grid_db)):
         rows, words = [], 0
+        seeds = simulate._point_seeds(config, snr_idx)
         for first in range(0, n_links, per_batch):
             links = range(first, min(first + per_batch, n_links))
-            counts = simulate._run_block(config, constellation, ensemble, snr_idx, links, buffers)
+            counts = simulate._run_block(
+                config, constellation, ensemble, snr_idx, links, seeds, buffers
+            )
             rows += zip(
                 counts.spatial_errors.tolist(),
                 counts.modulation_errors.tolist(),
@@ -438,6 +441,65 @@ class TestStreamKeys:
             _stream_seeds((-1, 4), range(2))
         with pytest.raises(ValueError):
             _seed_type()(_stream_seeds((1, 4), [0])[0]).generate_state(8, np.uint32)
+
+
+class TestSeedHashCount:
+    """Each SNR point's stream seeds are hashed in one ``_stream_seeds`` call
+    per purpose tag, for all of its channels, whatever the batches and the
+    thread count; a sweep with no Monte Carlo task hashes none."""
+
+    @staticmethod
+    def monte_carlo_keys(monkeypatch):
+        """The (tag, snr index) of every ``_stream_seeds`` call but the
+        channel draw's, as the run makes them."""
+        import rsmsim.simulate as simulate
+
+        keys = []
+        real = simulate._stream_seeds
+
+        def counting(key, links):
+            if key[1] != simulate._TAG_CHANNEL:
+                keys.append(key[1:])
+            return real(key, links)
+
+        monkeypatch.setattr(simulate, "_stream_seeds", counting)
+        return keys
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_run_fd_hashes_once_per_point(self, monkeypatch, n_threads):
+        from rsmsim.simulate import _TAG_FD, _batch_links
+
+        keys = self.monte_carlo_keys(monkeypatch)
+        config = FdConfig(
+            channel=PARAMS,
+            snr_grid_db=tuple(range(-8, 9, 2)),
+            trials_per_point=1000,
+            channels_per_point=40,
+        )
+        assert _batch_links(1000, config.n_modes) < 40  # two batches per point
+        run_fd(config, n_threads=n_threads)
+        assert len(keys) == 9
+        assert sorted(keys) == [(_TAG_FD, s) for s in range(9)]
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("source", ["perfect", "estimated"])
+    def test_run_hashes_once_per_point_and_tag(self, monkeypatch, n_threads, source):
+        from rsmsim.simulate import _TAG_DATA, _TAG_PILOT, _batch_links
+
+        keys = self.monte_carlo_keys(monkeypatch)
+        config = small_config(threshold_source=source, trials_per_point=2000)
+        assert _batch_links(2000, config.n_active) < 20  # three batches per point
+        run(config, n_threads=n_threads)
+        tags = (_TAG_DATA, _TAG_PILOT) if source == "estimated" else (_TAG_DATA,)
+        assert sorted(keys) == sorted((tag, s) for tag in tags for s in range(2))
+
+    def test_abep_hashes_none(self, monkeypatch):
+        from rsmsim.simulate import analytic_curves, analytic_curves_fd
+
+        keys = self.monte_carlo_keys(monkeypatch)
+        analytic_curves(small_config(threshold_source="estimated"))
+        analytic_curves_fd(FdConfig(channel=PARAMS, snr_grid_db=(0.0, 4.0), channels_per_point=5))
+        assert keys == []
 
 
 class TestZeroForcingIdentity:
@@ -614,9 +676,10 @@ class TestBlockBuffers:
         ]
 
     def block_rows(self, config, constellation, ensemble, snr_idx, links, buffers):
-        from rsmsim.simulate import _run_block
+        from rsmsim.simulate import _point_seeds, _run_block
 
-        counts = _run_block(config, constellation, ensemble, snr_idx, links, buffers)
+        seeds = _point_seeds(config, snr_idx)
+        counts = _run_block(config, constellation, ensemble, snr_idx, links, seeds, buffers)
         return list(
             zip(
                 counts.spatial_errors.tolist(),
@@ -718,16 +781,17 @@ class TestBlockBuffers:
         import tracemalloc
 
         from rsmsim.buffers import BlockBuffers
-        from rsmsim.simulate import _build_ensemble, _run_block
+        from rsmsim.simulate import _build_ensemble, _point_seeds, _run_block
 
         config = small_config(trials_per_point=50_000, channels_per_point=2, snr_grid_db=(8.0,))
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
         buffers = BlockBuffers()
-        _run_block(config, constellation, ensemble, 0, range(0, 1), buffers)
+        seeds = _point_seeds(config, 0)
+        _run_block(config, constellation, ensemble, 0, range(0, 1), seeds, buffers)
         tracemalloc.start()
         try:
-            _run_block(config, constellation, ensemble, 0, range(1, 2), buffers)
+            _run_block(config, constellation, ensemble, 0, range(1, 2), seeds, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -740,7 +804,7 @@ class TestBlockBuffers:
         import tracemalloc
 
         from rsmsim.buffers import BlockBuffers
-        from rsmsim.simulate import _build_ensemble, _run_block
+        from rsmsim.simulate import _build_ensemble, _point_seeds, _run_block
 
         config = small_config(
             constellation_kind="apsk",
@@ -752,10 +816,11 @@ class TestBlockBuffers:
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
         buffers = BlockBuffers()
-        _run_block(config, constellation, ensemble, 0, range(0, 1), buffers)
+        seeds = _point_seeds(config, 0)
+        _run_block(config, constellation, ensemble, 0, range(0, 1), seeds, buffers)
         tracemalloc.start()
         try:
-            counts = _run_block(config, constellation, ensemble, 0, range(1, 2), buffers)
+            counts = _run_block(config, constellation, ensemble, 0, range(1, 2), seeds, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

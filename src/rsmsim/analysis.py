@@ -217,25 +217,29 @@ def modulation_error_prob(
     noise only, so its conditional BEP is 1/2.
 
     ``alpha_p``, ``p1`` and ``p0`` are arrays over links; they broadcast
-    together and one :func:`constellation_bep` call covers every (link,
-    class) pair.
+    together. The links run in groups of at most 2^14 (link, class)
+    pairs, one :func:`constellation_bep` call per group, so the working
+    arrays do not grow with the ensemble; each link's classes are summed
+    alone, so the grouping changes no bit.
     """
-    alpha_p, p1, p0 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float)[..., None] for v in (alpha_p, p1, p0))
-    )
+    alpha_p, p1, p0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha_p, p1, p0)))
     if not (np.all((0.0 <= p1) & (p1 <= 1.0)) and np.all((0.0 <= p0) & (p0 <= 1.0))):
         raise ValueError("p1 and p0 must be probabilities")
     w, b11, b01, multiplicity = _count_classes(n_active)
     b10 = w - b11
     b00 = n_active - w - b01
-    prob = p1**b10 * (1.0 - p1) ** b11 * p0**b01 * (1.0 - p0) ** b00
     flagged = b11 > 0
-    bep = np.full(prob.shape, 0.5)
-    bep[..., flagged] = constellation_bep(
-        constellation,
-        b11[flagged] ** 2 / (b11[flagged] + b01[flagged]) * (alpha_p / sigma2),
-    )
-    return (multiplicity * bep * prob).sum(axis=-1) / ((1 << n_active) - 1)
+    combining = b11[flagged] ** 2 / (b11[flagged] + b01[flagged])
+    columns = [v.reshape(-1, 1) for v in (alpha_p, p1, p0)]
+    total = np.empty(alpha_p.size)
+    step = max(1, (1 << 14) // w.size)
+    for first in range(0, total.size, step):
+        a, q1, q0 = (column[first : first + step] for column in columns)
+        prob = q1**b10 * (1.0 - q1) ** b11 * q0**b01 * (1.0 - q0) ** b00
+        bep = np.full(prob.shape, 0.5)
+        bep[:, flagged] = constellation_bep(constellation, combining * (a / sigma2))
+        total[first : first + step] = (multiplicity * bep * prob).sum(axis=-1)
+    return total.reshape(alpha_p.shape) / ((1 << n_active) - 1)
 
 
 def abep(

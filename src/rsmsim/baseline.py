@@ -9,11 +9,14 @@ decoder to the antenna-domain signal, so a link keeps only its singular
 values: :func:`svd_link` factors a stack of channels once, and
 :func:`received_power` splits each SNR point's power over the modes of a
 whole ensemble. :func:`fd_ber` simulates a batch of links in
-cache-sized pieces, each link on its own stream. Square QAM, the
-baseline's constellation, is decided from each sample's sent levels and
-its scaled noise, so that a piece costs little beyond its random draws;
-only the samples that decision cannot prove exact are formed and
-searched.
+cache-sized pieces, each link on its own stream: a link draws its
+symbols, and then both parts of its noise in one call, whatever the
+constellation. Square QAM, the baseline's constellation, is decided from
+each sample's sent levels and its scaled noise, so that a piece costs
+little beyond its random draws; only the samples that decision cannot
+prove exact are formed and searched. Every other constellation forms
+its samples from the same draw and detects them by
+:func:`~rsmsim.phy.nearest_point`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import numpy as np
 from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .phy import (
     Constellation,
+    _bit_errors,
     _decide_qam,
     _nearest_by_search,
     _nearest_work_bytes,
-    add_complex_noise,
     nearest_point,
 )
 
@@ -39,11 +42,14 @@ __all__ = ["RankDeficient", "svd_link", "received_power", "fd_ber"]
 #: singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-10
 
-#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays, 67
-#: bytes per symbol for square QAM (8 for the sent index, 16 for the level
-#: coordinates and, in the scratch of :func:`_sliced_errors`, 16 for both
-#: noise parts, 8 for the detected symbols and 19 for the decision's
-#: arrays), then stay within a core's cache
+#: symbols per piece of an :func:`fd_ber` batch; a piece's arrays then
+#: stay within a core's cache. Per symbol: 8 bytes for the sent index, 16
+#: for the received sample (for square QAM, its level coordinates) and, in
+#: the scratch of :func:`_piece_counts`, 16 for both noise parts, 40 in
+#: all for the full search. Square QAM keeps the noise beside 8 for the
+#: detected symbols and 19 for the decision's arrays, 67 in all; PSK's
+#: detected symbols and slicer's arrays (8 + 18) take the spent noise's
+#: place, 50 in all.
 _PIECE_SYMBOLS = 1 << 14
 
 
@@ -103,26 +109,28 @@ def fd_ber(
     per link. Each word sends one symbol per active mode; minimum-distance
     detection runs per mode at that mode's (equalized) received SNR.
     Link ``i`` draws its ``(trials, n_modes)`` symbols and then its noise
-    from ``rngs[i]``, in the stream order of :func:`add_complex_noise`, so
-    its count does not depend on the rest of the batch. Returns the
-    ``(n_links,)`` error counts, each over ``words // n_links * n_modes *
-    bits_per_symbol`` bits.
+    from ``rngs[i]``, in the stream order of
+    :func:`~rsmsim.phy.add_complex_noise`, so its count does not depend on
+    the rest of the batch. Returns the ``(n_links,)`` error counts, each
+    over ``words // n_links * n_modes * bits_per_symbol`` bits.
 
     The batch runs in pieces of whole links of about ``_PIECE_SYMBOLS``
     symbols, so that each piece's arrays stay in a core's cache. A piece
     is held modes-major, ``(links, n_modes, trials)``: the amplitude and
     the slicer's scale of each (link, mode) broadcast along a contiguous
-    trial axis, and only the noise follows the streams' trial-major order.
-    Square QAM is decided from each sample's sent levels and its scaled
-    noise, without forming the received sample (:func:`_sliced_errors`);
-    every other constellation forms it and goes through
-    :func:`nearest_point` (:func:`_piece_errors`). Every piece works in the
-    same arrays from ``buffers``: the sent symbols, the received samples
-    (for square QAM, their level coordinates) and one flat scratch array.
-    On a set that an earlier batch of the thread's already sized, a batch
-    allocates no array of its pieces' size; only the full search of a
-    constellation that is not sliced, and the samples a square-QAM
-    decision leaves to the search, take arrays of their own.
+    trial axis, and only the symbols and the noise follow the streams'
+    trial-major order. In each piece (:func:`_piece_counts`) a link draws
+    its real and then its imaginary noise parts in one call. Square QAM
+    is decided from each sample's sent levels and its scaled noise,
+    without forming the received sample; every other constellation forms
+    its samples from the same draw and goes through :func:`nearest_point`.
+    Every piece works in the same arrays from ``buffers``: the sent
+    symbols, the received samples (for square QAM, their level
+    coordinates) and one flat scratch array. On a set that an earlier
+    batch of the thread's already sized, a batch allocates no array of
+    its pieces' size; only the full search of a constellation that is not
+    sliced, and the samples a square-QAM decision leaves to the search,
+    take arrays of their own.
     """
     n_links, n_modes = received.shape
     if sigma2 <= 0 or n_links < 1 or words < n_links or words % n_links:
@@ -134,43 +142,22 @@ def fd_ber(
     cells = (min(step, n_links), n_modes, trials)
     sent = buffers.get("sent", cells, np.int64)
     y = buffers.get("y", cells, complex)
-    # Bytes per symbol: the detected symbols and the slicer's arrays, which
-    # cover the noise rows. Square QAM keeps both noise parts instead of
-    # the slicer's coordinates, which it forms in ``y``.
-    per_symbol = 8 + _nearest_work_bytes(constellation)
+    # Bytes per symbol: both noise parts, or the detected symbols and the
+    # slicer's arrays. Square QAM keeps the noise beside its detected
+    # symbols and its decision's arrays, as many bytes as the slicer's
+    # coordinates, which it forms in ``y``, would take beside them.
+    per_symbol = max(16, 8 + _nearest_work_bytes(constellation))
     work = buffers.get("work", (sent.size * per_symbol + SCRATCH_SLACK,), np.uint8)
-    piece_errors = _piece_errors if constellation._qam_step is None else _sliced_errors
     counts = np.empty(n_links, dtype=np.int64)
     for first in range(0, n_links, step):
         piece, links = slice(first, first + step), min(step, n_links - first)
-        counts[piece] = piece_errors(
+        counts[piece] = _piece_counts(
             received[piece], constellation, sigma2, rngs[piece], sent[:links], y[:links], work
         )
     return counts
 
 
-def _draw_symbols(sent: np.ndarray, rngs: Sequence[np.random.Generator], order: int) -> None:
-    """Each link's ``(trials, n_modes)`` symbol draw into its modes-major
-    row of ``sent``."""
-    n_modes, trials = sent.shape[1:]
-    for row, rng in zip(sent, rngs):
-        row.T[...] = rng.integers(0, order, size=(trials, n_modes))
-
-
-def _bit_errors(
-    constellation: Constellation, sent: np.ndarray, j_hat: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Each link's bit errors between the sent and the detected symbols;
-    ``sent`` is spent and the per-symbol counts take the front of ``work``."""
-    sent *= constellation.order
-    sent += j_hat
-    errors = Scratch(work).take(sent.shape, np.uint8)
-    return constellation.pair_errors.take(sent, out=errors, mode="clip").sum(
-        axis=(1, 2), dtype=np.int64
-    )
-
-
-def _piece_errors(
+def _piece_counts(
     received: np.ndarray,
     constellation: Constellation,
     sigma2: float,
@@ -181,55 +168,43 @@ def _piece_errors(
 ) -> np.ndarray:
     """The error counts of one piece of an :func:`fd_ber` batch, in the
     ``(links, n_modes, trials)`` arrays ``sent`` (int64) and ``y``
-    (complex) and the flat scratch ``work``: the received samples are
-    formed, as the symbol copy, the amplitude product and
-    :func:`add_complex_noise`, and detected by :func:`nearest_point`."""
-    n_links, n_modes, trials = sent.shape
-    _draw_symbols(sent, rngs, constellation.order)
-    amplitude = np.sqrt(received)[..., None]
-    # Every index is in range, so clipping changes none; unlike the default
-    # mode it writes into ``out`` directly.
-    constellation.points.take(sent, out=y, mode="clip")
-    y *= amplitude
-    noise = Scratch(work).take((n_links, trials, n_modes), np.float64)
-    add_complex_noise(y.swapaxes(1, 2), sigma2, rngs, rows=noise)
-    tail = Scratch(work)
-    j_hat = tail.take(sent.shape, np.int64)
-    nearest_point(y, amplitude, constellation, out=j_hat, work=tail.rest())
-    return _bit_errors(constellation, sent, j_hat, work)
+    (complex) and the flat scratch ``work``.
 
-
-def _sliced_errors(
-    received: np.ndarray,
-    constellation: Constellation,
-    sigma2: float,
-    rngs: Sequence[np.random.Generator],
-    sent: np.ndarray,
-    y: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """The error counts of one square-QAM piece, in the arrays of
-    :func:`_piece_errors`, without forming the received samples.
-
-    Each axis's coordinate in level spacings is the sent level plus the
-    noise scaled by ``sqrt(sigma2 / 2) / (amplitude * step)``; it is formed
-    in the float view of ``y`` and decided by :func:`~rsmsim.phy._decide_qam`,
-    the decision step of :func:`nearest_point`, whose docstring proves
-    these coordinates close enough. Both noise parts are kept, so that
-    only the samples the decision cannot prove exact are formed, bit for
-    bit as :func:`_piece_errors` forms them (:func:`_received_samples`),
-    and searched.
+    Every constellation but square QAM forms the received samples, the
+    point times the amplitude plus each noise part times ``sqrt(sigma2 /
+    2)`` (the arithmetic of :func:`_received_samples`), and detects them
+    by :func:`nearest_point`. Square QAM's coordinate on each axis, in
+    level spacings, is the sent level plus the noise scaled by
+    ``sqrt(sigma2 / 2) / (amplitude * step)``; it is formed in the float
+    view of ``y`` and decided by :func:`~rsmsim.phy._decide_qam`, the
+    decision step of :func:`nearest_point`, whose docstring proves these
+    coordinates close enough. Both noise parts are kept, so that only the
+    samples the decision cannot prove exact are formed
+    (:func:`_received_samples`) and searched.
     """
     n_links, n_modes, trials = sent.shape
-    side = math.isqrt(constellation.order)
-    _draw_symbols(sent, rngs, constellation.order)
     scratch = Scratch(work)
-    # A link's real noise parts, then its imaginary ones, in one draw: the
-    # stream order of the two draws of ``add_complex_noise``.
+    # A link's symbols, then its real noise parts and its imaginary ones in
+    # one draw: the stream order of the two draws of ``add_complex_noise``.
     noise = scratch.take((n_links, 2, trials, n_modes), np.float64)
-    for rows, rng in zip(noise, rngs):
+    for row, rows, rng in zip(sent, noise, rngs):
+        row.T[...] = rng.integers(0, constellation.order, size=(trials, n_modes))
         rng.standard_normal(out=rows)
     amplitude = np.sqrt(received)[..., None]
+    if constellation._qam_step is None:
+        # Every index is in range, so clipping changes none; unlike the
+        # default mode it writes into ``out`` directly.
+        constellation.points.take(sent, out=y, mode="clip")
+        y *= amplitude
+        noise *= math.sqrt(sigma2 / 2.0)
+        for part, drawn in zip((y.real, y.imag), noise.swapaxes(0, 1)):
+            part += drawn.transpose(0, 2, 1)
+        # The noise is spent: the detection takes its bytes.
+        tail = Scratch(work)
+        j_hat = tail.take(sent.shape, np.int64)
+        nearest_point(y, amplitude, constellation, out=j_hat, work=tail.rest())
+        return _bit_errors(constellation, sent, j_hat, work)
+    side = math.isqrt(constellation.order)
     j_hat = scratch.take(sent.shape, np.int64)
     # The float view of ``y`` holds the real coordinates, then the imaginary.
     t = y.reshape(-1).view(np.float64).reshape(2, *sent.shape)
@@ -267,8 +242,9 @@ def _received_samples(
     at: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """The received samples at the (link, mode, trial) indices ``at`` of a
-    piece, bit for bit as :func:`_piece_errors` forms them: the point times
-    the amplitude, plus each noise part times ``sqrt(sigma2 / 2)``.
+    piece, bit for bit as :func:`_piece_counts` forms a whole piece's: the
+    point times the amplitude, plus each noise part times ``sqrt(sigma2 /
+    2)``.
 
     ``sent`` holds the piece's symbols, ``amplitude`` its ``(links,
     n_modes, 1)`` amplitudes and ``noise`` its ``(links, 2, trials,

@@ -7,8 +7,8 @@ noiseless received rows that zero forcing leaves (the effective channel
 is the identity), per-antenna spatial detection,
 minimum-distance symbol detection (its square-QAM decision step is
 shared with the baseline's Monte Carlo), switch-and-combine modulation
-detection, and the complex noise draw of every Monte Carlo path that
-forms its received samples.
+detection, the complex noise draw of the RSM block's rows, and the
+bit-error count of both systems' blocks.
 Every step of the chain takes (links, trials, n_active) arrays, one row
 per data word of each link, with the per-link inputs (amplitude,
 threshold, alpha_p) given one per link.
@@ -754,6 +754,25 @@ def combine_and_detect_modulation(
     return j_hat
 
 
+def _bit_errors(
+    constellation: Constellation, sent: np.ndarray, detected: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Each link's bit errors between the ``sent`` and the ``detected``
+    symbol indices, int64 arrays of one shape with the links on the
+    leading axis: one lookup in ``constellation.pair_errors`` at ``sent *
+    order + detected``, summed over every other axis. ``sent`` is spent,
+    and the per-symbol counts take the front of the flat scratch
+    ``work``, which may hold ``detected``: it is read before they are
+    written."""
+    sent *= constellation.order
+    sent += detected
+    errors = Scratch(work).take(sent.shape, np.uint8)
+    # Every index is in range, so clipping changes none; unlike the default
+    # mode it writes into ``out`` directly.
+    constellation.pair_errors.take(sent, out=errors, mode="clip")
+    return errors.sum(axis=tuple(range(1, sent.ndim)), dtype=np.int64)
+
+
 def _antenna_sum(
     z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -807,22 +826,14 @@ def add_complex_noise(
     rng.standard_normal(shape))`` with ``rng = rngs[i]``, whatever the
     other rows. Each part is drawn for every row into one float buffer of
     ``signal``'s shape (``rows`` when given), scaled and added.
-    ``signal`` may be a view of another memory layout, such as the
-    transpose of a modes-major batch: the noise keeps the stream order of
-    ``signal``'s own axes and is added along its memory order.
     """
     if len(rngs) != len(signal):
         raise ValueError("add_complex_noise needs one generator per leading row")
     if rows is None:
         rows = np.empty(signal.shape)
-    # Where two operands' layouts disagree numpy loops over the last axis
-    # as given; giving the axes in the signal's memory order keeps that
-    # loop long and contiguous on the side that is written.
-    axes = sorted(range(signal.ndim), key=lambda k: -abs(signal.strides[k]))
-    target, noise = signal.transpose(axes), rows.transpose(axes)
-    for part in (target.real, target.imag):
+    for part in (signal.real, signal.imag):
         for i, gen in enumerate(rngs):
             gen.standard_normal(out=rows[i : i + 1])
-        noise *= math.sqrt(sigma2 / 2.0)
-        part += noise
+        rows *= math.sqrt(sigma2 / 2.0)
+        part += rows
     return signal

@@ -63,6 +63,7 @@ from .phy import (
     THRESHOLD_MODES,
     Constellation,
     OutsideDesignDomain,
+    _bit_errors,
     _combine_work_bytes,
     add_complex_noise,
     build_constellation,
@@ -517,10 +518,9 @@ def _run_block(
         words = buffers.get("words", rows, np.int64)
         js = buffers.get("symbols", rows, np.int64)
         # Each stream draws its spatial words, then its symbols, then its noise.
-        order = constellation.order
         for i, rng in enumerate(rngs):
             words[i] = rng.integers(1, 1 << n_a, size=trials)
-            js[i] = rng.integers(0, order, size=trials)
+            js[i] = rng.integers(0, constellation.order, size=trials)
         sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
         alpha_p = alpha_p[kept]
         # Bytes per word: the flags beside the envelopes or the combiner's
@@ -545,11 +545,7 @@ def _run_block(
         j_hat = combine_and_detect_modulation(
             y, s_hat, alpha_p, constellation, out=words, work=after_flags
         )
-        js *= order
-        js += j_hat
-        pairs = Scratch(work).take(rows, np.uint8)
-        errors = constellation.pair_errors.take(js, out=pairs, mode="clip")
-        modulation[kept] = errors.sum(axis=1, dtype=np.int64)
+        modulation[kept] = _bit_errors(constellation, js, j_hat, work)
     return _BlockCounts(
         spatial_errors=spatial,
         modulation_errors=modulation,

@@ -488,6 +488,35 @@ class TestBatchedEnsemble:
         ]
         assert np.array_equal(batch, single)
 
+    def test_modulation_error_prob_memory_does_not_grow_with_the_links(self):
+        # Past the first groups a link may add at most 64 bytes to the peak;
+        # (link, class) arrays of the whole ensemble add about 1.1 KB.
+        import tracemalloc
+
+        c = CONSTELLATIONS["psk"]
+        setup = np.random.default_rng(11)
+        alpha_p = setup.uniform(0.1, 100.0, 4000)
+        p1, p0 = setup.uniform(0.0, 0.5, (2, 4000))
+        peaks, values = [], []
+        for n_links in (1000, 4000):
+            tracemalloc.start()
+            try:
+                links = slice(n_links)
+                value = modulation_error_prob(c, alpha_p[links], 1.0, 4, p1[links], p0[links])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            values.append(value)
+        assert peaks[1] - peaks[0] <= 3000 * 64
+        assert np.array_equal(values[1][:1000], values[0])
+        # Links on both sides of a group boundary, against each link alone.
+        picked = [0, 545, 546, 1999, 3999]
+        single = [
+            modulation_error_prob(c, alpha_p[i : i + 1], 1.0, 4, p1[i : i + 1], p0[i : i + 1])[0]
+            for i in picked
+        ]
+        assert np.array_equal(values[1][picked], single)
+
 
 class TestAbep:
     @staticmethod

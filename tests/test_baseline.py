@@ -235,6 +235,42 @@ class TestFdBerModeCounts:
         assert counts.all()
 
 
+class CountingGenerator:
+    """A generator that counts its ``integers`` and ``standard_normal`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {"integers": 0, "standard_normal": 0}
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls["standard_normal"] += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class TestFdBerDraws:
+    """Whatever the constellation, a link draws its symbols in one call and
+    both parts of its noise in one more."""
+
+    @pytest.mark.parametrize(
+        "kind,order,ring",
+        [("psk", 2, None), ("psk", 16, None), ("apsk", 16, 2.6), ("qam", 4, None),
+         ("qam", 64, None)],
+    )
+    @pytest.mark.parametrize("n_links", [1, 17])
+    def test_one_symbol_and_one_noise_draw_per_link(self, kind, order, ring, n_links):
+        c = build_constellation(kind, order, ring)
+        received, seeds = batch_setup(n_links, N_MODES, [order, n_links, 5])
+        sigma2 = float(received.max())
+        rngs = [CountingGenerator(s) for s in seeds]
+        counts = fd_ber(received, c, sigma2, n_links * TRIALS, rngs, BlockBuffers())
+        assert [rng.calls for rng in rngs] == [{"integers": 1, "standard_normal": 1}] * n_links
+        assert counts.tolist() == oracle_counts(received, c, sigma2, TRIALS, seeds)
+
+
 class TestSlicedQam:
     """Square QAM is decided from the sent levels and the scaled noise; only
     the samples the decision cannot prove exact are formed and searched."""

@@ -844,7 +844,8 @@ class TestAddComplexNoise:
         assert out is batch and not np.array_equal(signal, np.ones((4, 2)))
 
     def test_transposed_view_gets_the_noise_of_its_own_axes(self):
-        # The baseline passes the trial-major view of a modes-major batch.
+        # A view of another memory layout, the trial-major view of a
+        # modes-major batch: its noise follows the view's own axes.
         sigma2 = 0.37
         batch = np.random.default_rng(3).standard_normal((3, 2, 40)) + 0.5j
         view = batch.swapaxes(1, 2)

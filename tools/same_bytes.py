@@ -4,10 +4,12 @@
 
 Exports ``<rev>`` and the working tree (tracked files and untracked ones
 that ``.gitignore`` does not exclude) with ``git archive`` into a
-temporary directory. On each tree it runs the 30 checked commands, each
-at ``--seed 1``: ``rsmsim ber`` at ``--threads 1`` and ``--threads 2``
-and ``rsmsim abep``, for every preset under ``presets/`` and every
-config under ``bench/configs/``. The two trees run side by side, one
+temporary directory. On each tree it runs three commands per config,
+each at ``--seed 1``: ``rsmsim ber`` at ``--threads 1`` and ``--threads
+2`` and ``rsmsim abep``. The configs are every preset under ``presets/``
+and every config under ``bench/configs/`` (the 30 checked runs), and
+then the small configs of :data:`SMALL`, written into both trees, which
+reach the paths no preset reaches. The two trees run side by side, one
 command of each at a time. Each command's CSV is compared byte for
 byte, with its exit code and its stderr; one line per command gives the
 three results, and the last line sums them up. Exits 1 on any
@@ -31,6 +33,50 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = "1"
 COMMANDS = (("ber", "1"), ("ber", "2"), ("abep", None))
+
+
+def small_configs() -> dict[str, str]:
+    """Small fixed configs, by file name: the baseline with 2-, 8- and
+    16-PSK, 16-APSK and 4- and 64-QAM at 1 to 3 modes, and RSM with BPSK,
+    64-QAM and 16-APSK at 1 to 8 active antennas, with both receive
+    patterns, both selections and every threshold design and source.
+    Each writes a CSV at ``--seed 1``."""
+    common = [
+        "n_tx = 32", "n_rx = 10", "n_clusters = 12", "angular_spread_deg = 10",
+        "channels_per_point = 12",
+    ]
+    kinds = {"psk": ["constellation = psk"], "qam": ["constellation = qam"]}
+    kinds["apsk"] = ["constellation = apsk", "ring_ratio = 2.6"]
+    configs = {}
+    for kind, order in [("psk", 2), ("psk", 8), ("psk", 16), ("apsk", 16), ("qam", 4), ("qam", 64)]:
+        for n_modes in (1, 2, 3):
+            configs[f"fd_{kind}{order}_modes{n_modes}"] = [
+                "system = fd_svd", f"n_modes = {n_modes}", *kinds[kind], f"order = {order}",
+                "snr_db = -30,-20,-10,0", "trials_per_point = 2000",
+            ]
+    rsm = [
+        (1, "psk", 2, "exact", "perfect", "exhaustive", "true"),
+        (2, "qam", 64, "msa", "estimated", "all_antennas", "false"),
+        (3, "apsk", 16, "hsa", "perfect", "exhaustive", "false"),
+        (4, "psk", 2, "exact", "estimated", "all_antennas", "true"),
+        (5, "qam", 64, "msa", "perfect", "exhaustive", "false"),
+        (6, "apsk", 16, "hsa", "estimated", "all_antennas", "true"),
+        (7, "psk", 2, "msa", "estimated", "exhaustive", "false"),
+        (8, "qam", 64, "exact", "perfect", "exhaustive", "false"),
+    ]
+    for n_active, kind, order, mode, source, selection, omni in rsm:
+        configs[f"rsm_{kind}{order}_active{n_active}"] = [
+            "system = rsm", f"n_active = {n_active}", *kinds[kind], f"order = {order}",
+            f"threshold_mode = {mode}", f"threshold_source = {source}", "n_pilots = 8",
+            f"selection = {selection}", f"rx_omni = {omni}",
+            # Below 10 dB degenerate pilot estimates abort these runs (exit 3).
+            f"snr_db = {'10,20' if source == 'estimated' else '-10,0,10'}",
+            "trials_per_point = 300",
+        ]
+    return {
+        f"same_bytes_configs/{name}.cfg": "\n".join([*lines, *common]) + "\n"
+        for name, lines in configs.items()
+    }
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -89,16 +135,23 @@ def main() -> int:
         base, head = scratch / "rev", scratch / "tree"
         export(args.rev, base)
         export(working_tree(scratch), head)
-        runs = [(config, *command) for config in configs(head) for command in COMMANDS]
         if configs(base) != configs(head):
             print("the two trees hold different config files")
             return 1
-        differ = 0
+        small = small_configs()
+        for tree in (base, head):
+            (tree / "same_bytes_configs").mkdir()
+            for name, text in small.items():
+                (tree / name).write_text(text)
+        runs = [
+            (config, *command) for config in [*configs(head), *small] for command in COMMANDS
+        ]
+        differ = {True: 0, False: 0}
         with ThreadPoolExecutor(max_workers=2) as pool:
             for config, command, threads in runs:
                 old, new = pool.map(lambda tree: run(tree, config, command, threads), (base, head))
                 same = [old[2] == new[2], old[0] == new[0], old[1] == new[1]]
-                differ += not all(same)
+                differ[config in small] += not all(same)
                 label = f"{command} {config}" + ("" if threads is None else f" --threads {threads}")
                 print(
                     f"{'same' if all(same) else 'DIFF'}: {label}: csv "
@@ -106,11 +159,14 @@ def main() -> int:
                     f"stderr {'identical' if same[2] else 'differs'}"
                 )
     seconds = time.perf_counter() - start
+    n_small = len(small) * len(COMMANDS)
+    n_checked = len(runs) - n_small
     print(
-        f"same_bytes: {len(runs) - differ} of {len(runs)} runs identical to {args.rev} "
+        f"same_bytes: {n_checked - differ[False]} of {n_checked} checked runs and "
+        f"{n_small - differ[True]} of {n_small} small-config runs identical to {args.rev} "
         f"(CSV bytes, exit code, stderr) in {seconds:.1f} s"
     )
-    return 1 if differ else 0
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":

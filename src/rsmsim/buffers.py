@@ -25,11 +25,11 @@ SCRATCH_SLACK = 128
 class BlockBuffers(threading.local):
     """The full-size arrays of the Monte Carlo blocks, one set per thread.
 
-    A run makes one set for its call and hands it to every block, RSM
-    (``simulate._run_block``) or fully digital (``baseline.fd_ber``); each
-    worker thread keeps its own arrays and reuses them on every block, so
-    a block past the thread's first allocates no array of its size unless
-    its shape grows.
+    Each sweep (``simulate._sweep_and_reduce``) makes one set and hands it
+    to every block, RSM (``simulate._run_block``) or fully digital
+    (``baseline.fd_ber``); each worker thread keeps its own arrays and
+    reuses them on every block, so a block past the thread's first
+    allocates no array of its size unless its shape grows.
     """
 
     def __init__(self) -> None:

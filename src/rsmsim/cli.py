@@ -3,9 +3,11 @@
 Experiments are described by flat ``key = value`` config files (see the
 README for the key reference). Every result file gets a JSON manifest
 sidecar recording the config snapshot, tool version, numpy and scipy
-versions, timestamp, and seed, plus the thread count for ``ber``. CSV
-output is locale-independent and byte-stable for a given seed, whatever
-the worker count.
+versions, timestamp, and seed; for ``ber`` also the thread count and a
+``points`` list that gives, per SNR point, the links left out of the
+estimated ABEP (null for the baseline) and the words lost to degenerate
+pilot estimates. CSV output is locale-independent and byte-stable for a
+given seed, whatever the worker count.
 
 Exit codes: 0 success (possibly with warnings), 2 configuration error
 naming the offending key, or a threshold design asked for outside the
@@ -258,9 +260,12 @@ def cmd_ber(args: argparse.Namespace) -> int:
             )
         )
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out, config, {"output": str(out), "command": "ber", "threads": args.threads}
-    )
+    points = [
+        {"snr_db": p.snr_db, "excluded_links": p.excluded_links, "failed_words": p.failed_words}
+        for p in report.points
+    ]
+    extra = {"output": str(out), "command": "ber", "threads": args.threads, "points": points}
+    _write_manifest(out, config, extra)
     return 0
 
 

@@ -103,6 +103,8 @@ class Constellation:
     ``pair_errors[k * order + j]`` is the number of bits in error when
     ``points[k]`` is sent and ``points[j]`` detected, a read-only uint8
     table that both Monte Carlo systems count their symbol errors with.
+    ``label_bits[k]`` holds the bits of ``labels[k]`` as 0/1, MSB first.
+    ``beta``, ``label_bits`` and ``pair_errors`` are set at construction.
     """
 
     kind: str
@@ -113,6 +115,8 @@ class Constellation:
     _qam_step: float | None = field(init=False, repr=False, compare=False, default=None)
     _psk_layout: bool = field(init=False, repr=False, compare=False, default=False)
     pair_errors: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    beta: float = field(init=False, repr=False, compare=False, default=None)
+    label_bits: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         mean_power = float(np.mean(np.abs(self.points) ** 2))
@@ -132,22 +136,15 @@ class Constellation:
         pair_errors = pair_errors.ravel()
         pair_errors.flags.writeable = False
         object.__setattr__(self, "pair_errors", pair_errors)
+        powers = np.abs(self.points) ** 2
+        object.__setattr__(self, "beta", float(powers.min() / powers.mean()))
+        label_bits = (self.labels[:, None] >> np.arange(self.bits_per_symbol - 1, -1, -1)) & 1
+        label_bits.flags.writeable = False
+        object.__setattr__(self, "label_bits", label_bits)
 
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    @property
-    def beta(self) -> float:
-        powers = np.abs(self.points) ** 2
-        return float(powers.min() / powers.mean())
-
-    @property
-    def label_bits(self) -> np.ndarray:
-        """(order, bits_per_symbol) 0/1 array, MSB first."""
-        k = self.bits_per_symbol
-        shifts = np.arange(k - 1, -1, -1)
-        return (self.labels[:, None] >> shifts) & 1
 
 
 def _square_grid_step(kind: str, points: np.ndarray) -> float | None:

@@ -7,11 +7,12 @@ channel. Every random quantity is drawn from a stream keyed by
 ``np.random.default_rng([seed, tag, snr, channel])``, so results are
 bit-identical regardless of how channels are batched and scheduled
 across worker threads; error counts are integers and are reduced in
-index order. The seeds of an SNR point's streams are hashed for all of
-its channels at once, one :func:`_stream_seeds` call per purpose tag,
-by the first of the point's Monte Carlo tasks to run, and each task
-builds the generators of its own channels from its slice of them; so a
-sweep with no Monte Carlo task hashes none. Both systems run
+index order. Each system names the purpose tags its blocks draw from,
+and :func:`_sweep_and_reduce` makes their streams: the first of an SNR
+point's Monte Carlo tasks to run hashes the seeds of all of the point's
+channels, one :func:`_stream_seeds` call per tag, and each task builds
+the generators of its own channels from its slice of them; so a sweep
+with no Monte Carlo task hashes none. Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
 its own stream. The analytic columns of each SNR point run as one more
@@ -22,9 +23,9 @@ and reduces every sweep: :func:`analytic_curves` and
 Each run logs one line per SNR point, in grid order, and where its time
 went, its peak RSS and its minor page faults on the ``.timing`` child
 logger; at DEBUG it also logs the seconds of every Monte Carlo task.
-Each worker thread of a run reuses one set of block arrays
-(:class:`~rsmsim.buffers.BlockBuffers`), so that past its first block a
-thread allocates no array of a block's size.
+Each worker thread of a sweep reuses one set of block arrays from the
+sweep's :class:`~rsmsim.buffers.BlockBuffers`, so that past its first
+block a thread allocates no array of a block's size.
 
 The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
@@ -221,6 +222,10 @@ class SnrPoint:
     abep_analytic_estimated: float
     ci_halfwidth_95: float
     bits_counted: int
+    #: links left out of ``abep_analytic_estimated`` (None for the baseline)
+    excluded_links: int | None = None
+    #: words left unsimulated because their link's pilot estimate degenerated
+    failed_words: int = 0
 
 
 @dataclass(frozen=True)
@@ -445,31 +450,21 @@ class _BlockCounts:
     words: int
 
 
-def _point_seeds(config: RsmConfig, snr_idx: int) -> dict[int, np.ndarray]:
-    """The stream seeds of every channel at one SNR point, by purpose tag:
-    the data streams and, with a pilot-estimated threshold, the pilot
-    streams, one :func:`_stream_seeds` call each."""
-    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
-    links = range(config.channels_per_point)
-    return {tag: _stream_seeds((config.seed, tag, snr_idx), links) for tag in tags}
-
-
 def _run_block(
     config: RsmConfig,
     constellation: Constellation,
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
-    seeds: dict[int, np.ndarray],
+    streams: dict[int, list[np.random.Generator]],
     buffers: BlockBuffers,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
-    Channel ``ch`` draws its words and noise from its own
-    ``(seed, _TAG_DATA, snr_idx, ch)`` stream and, with a pilot-estimated
-    threshold, its pilots from ``(seed, _TAG_PILOT, snr_idx, ch)``;
-    ``seeds`` holds the point's stream seeds (:func:`_point_seeds`), of
-    which the block takes its own channels' rows. Pilots and data
+    ``streams[tag][i]`` is the ``(seed, tag, snr_idx, links[i])`` stream:
+    channel ``links[i]`` draws its words and noise from its
+    ``_TAG_DATA`` stream and, with a pilot-estimated threshold, its
+    pilots from its ``_TAG_PILOT`` one. Pilots and data
     words alike go through :func:`transmit`: ZF makes each link's
     effective channel the identity, so a word's noiseless received row is
     its amplitude-scaled symbol on the antennas its spatial word turns on.
@@ -501,8 +496,7 @@ def _run_block(
             np.full((n_links, n_p), x_pilot),
             np.sqrt(alpha_p),
         )
-        pilot_rngs = _streams(seeds[_TAG_PILOT][batch])
-        amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, pilot_rngs))
+        amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, streams[_TAG_PILOT]))
         gamma = np.zeros(n_links)
         for i, amps in enumerate(amplitudes):
             try:
@@ -513,7 +507,7 @@ def _run_block(
     spatial = np.zeros(n_links, dtype=np.int64)
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
-        rngs = _streams(seeds[_TAG_DATA][batch][kept])
+        rngs = list(itertools.compress(streams[_TAG_DATA], kept))
         rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
         words = buffers.get("words", rows, np.int64)
         js = buffers.get("symbols", rows, np.int64)
@@ -623,17 +617,21 @@ def _sweep_and_reduce(
     n_threads: int,
     started: tuple[float, int],
     batches: list[range],
-    block: Callable[[int], Callable[[range], object]],
+    tags: tuple[int, ...],
+    block: Callable[[int, range, dict, BlockBuffers], object],
     analytic: Callable[[int], object],
     point: Callable[[float, list, object], tuple[SnrPoint, str]],
 ) -> ErrorReport:
-    """Run ``block(snr_idx)(links)`` for every SNR point and batch of
-    ``batches`` and ``analytic(snr_idx)`` for every SNR point, and reduce
-    the grid point by point. ``block(snr_idx)``, which hashes the point's
-    stream seeds, is called once per point, by the first of the point's
-    Monte Carlo tasks to run and in its thread, so a sweep with no batches
-    never calls it. Hashing in the workers rather than in the submitting
-    thread kept ``mc_estimated``'s peak RSS at the parent's level (the
+    """Run ``block(snr_idx, links, streams, buffers)`` for every SNR point
+    and batch of ``batches`` and ``analytic(snr_idx)`` for every SNR
+    point, and reduce the grid point by point. ``streams[tag]`` holds the
+    generators of the batch's ``(seed, tag, snr_idx, ch)`` streams for
+    every tag of ``tags``, and ``buffers`` is the sweep's one
+    :class:`~rsmsim.buffers.BlockBuffers`. The first of a point's Monte
+    Carlo tasks to run hashes the seeds of all the point's channels, one
+    :func:`_stream_seeds` call per tag, in its thread, so a sweep with no
+    batches hashes none. Hashing in the workers rather than in the
+    submitting thread kept ``mc_estimated``'s peak RSS down (the
     CHANGES.md entry "Baseline Monte Carlo down to its draws").
 
     With ``n_threads > 1`` every task goes to one pool up front, each
@@ -658,6 +656,8 @@ def _sweep_and_reduce(
     start, start_faults = started
     link_s = time.perf_counter() - start
     grid = config.snr_grid_db
+    channels = range(config.channels_per_point)
+    buffers = BlockBuffers()
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
 
     def task(fn: Callable, *args) -> Callable[[], tuple[object, float]]:
@@ -666,13 +666,15 @@ def _sweep_and_reduce(
         return pool.submit(_timed, fn, *args).result
 
     def point_tasks(snr_idx: int) -> tuple[Callable, list[Callable]]:
-        lock, made = threading.Lock(), []
+        lock, seeds = threading.Lock(), {}
 
         def run_batch(links: range) -> object:
             with lock:
-                if not made:
-                    made.append(block(snr_idx))
-            return made[0](links)
+                if not seeds:
+                    for tag in tags:
+                        seeds[tag] = _stream_seeds((config.seed, tag, snr_idx), channels)
+            streams = {tag: _streams(seeds[tag][links.start : links.stop]) for tag in tags}
+            return block(snr_idx, links, streams, buffers)
 
         return task(analytic, snr_idx), [task(run_batch, links) for links in batches]
 
@@ -756,16 +758,9 @@ def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range])
     ensemble = _build_ensemble(config, constellation)
     n_links = len(ensemble.alpha)
     k = constellation.bits_per_symbol
-    buffers = BlockBuffers()
-
-    def block(snr_idx: int) -> Callable[[range], _BlockCounts]:
-        seeds = _point_seeds(config, snr_idx)
-        return lambda links: _run_block(
-            config, constellation, ensemble, snr_idx, links, seeds, buffers
-        )
-
-    def analytic(snr_idx: int) -> tuple[float, float, int]:
-        return _analytic_columns(config, constellation, ensemble, snr_idx)
+    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
+    block = functools.partial(_run_block, config, constellation, ensemble)
+    analytic = functools.partial(_analytic_columns, config, constellation, ensemble)
 
     def point(
         snr_db: float, blocks: list[_BlockCounts], columns: tuple[float, float, int]
@@ -797,11 +792,15 @@ def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range])
                 abep_analytic_estimated=abep_estimated,
                 ci_halfwidth_95=_ci95(ber_total, bits),
                 bits_counted=bits,
+                excluded_links=excluded,
+                failed_words=failed,
             ),
             message,
         )
 
-    return _sweep_and_reduce(name, config, n_threads, started, batches, block, analytic, point)
+    return _sweep_and_reduce(
+        name, config, n_threads, started, batches, tags, block, analytic, point
+    )
 
 
 def run_fd(config: FdConfig, n_threads: int = 1) -> ErrorReport:
@@ -834,18 +833,11 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
         received_power(gains, 10.0 ** (snr_db / 10.0) * SIGMA2) for snr_db in config.snr_grid_db
     ]
     bits_per_link = trials * config.n_modes * constellation.bits_per_symbol
-    buffers = BlockBuffers()
 
-    def block(snr_idx: int) -> Callable[[range], np.ndarray]:
-        seeds = _stream_seeds((config.seed, _TAG_FD, snr_idx), range(config.channels_per_point))
-
-        def batch(links: range) -> np.ndarray:
-            rows = slice(links.start, links.stop)
-            rngs = _streams(seeds[rows])
-            words = len(links) * trials
-            return fd_ber(received[snr_idx][rows], constellation, SIGMA2, words, rngs, buffers)
-
-        return batch
+    def block(snr_idx: int, links: range, streams: dict, buffers: BlockBuffers) -> np.ndarray:
+        words, rngs = len(links) * trials, streams[_TAG_FD]
+        received_links = received[snr_idx][links.start : links.stop]
+        return fd_ber(received_links, constellation, SIGMA2, words, rngs, buffers)
 
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx])
@@ -867,4 +859,6 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
             f"snr={snr_db:g} dB ber={ber:.3e} (analytic {abep:.3e})",
         )
 
-    return _sweep_and_reduce(name, config, n_threads, started, batches, block, analytic, point)
+    return _sweep_and_reduce(
+        name, config, n_threads, started, batches, (_TAG_FD,), block, analytic, point
+    )

@@ -1,7 +1,9 @@
 """Tests for the command-line surface."""
 
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +108,33 @@ class TestCmdBer:
         assert manifest["output"] == str(out)
         assert manifest["threads"] == 1
         assert manifest["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+
+    def test_manifest_counts_each_points_exclusions_and_failures(self, tmp_path, caplog):
+        # fig3 at seed 1 leaves 3, 1, 1 and 1 links out of the estimated
+        # ABEP (singular Fisher), then none; its perfect threshold loses no word.
+        preset = Path(__file__).resolve().parents[1] / "presets" / "fig3.cfg"
+        out = tmp_path / "fig3.csv"
+        with caplog.at_level(logging.INFO, logger="rsmsim.simulate"):
+            assert main(["ber", "--config", str(preset), "--out", str(out), "--seed", "1"]) == 0
+        points = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())["points"]
+        logged = [
+            int(re.search(r"with (\d+) of 200 links excluded", r.getMessage()).group(1))
+            for r in caplog.records
+            if r.name == "rsmsim.simulate"
+        ]
+        assert [p["excluded_links"] for p in points] == logged == [3, 1, 1, 1] + [0] * 7
+        assert [p["snr_db"] for p in points] == [float(s) for s in range(0, 21, 2)]
+        assert [p["failed_words"] for p in points] == [0] * 11
+
+    def test_fd_manifest_has_no_excluded_count(self, tmp_path):
+        config = tmp_path / "fd.cfg"
+        config.write_text(SMALL_FD_CONFIG)
+        out = tmp_path / "fd.csv"
+        assert main(["ber", "--config", str(config), "--out", str(out)]) == 0
+        points = json.loads((tmp_path / "fd.csv.manifest.json").read_text())["points"]
+        assert points == [
+            {"snr_db": s, "excluded_links": None, "failed_words": 0} for s in (-4.0, -2.0, 0.0)
+        ]
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

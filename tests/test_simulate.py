@@ -46,6 +46,15 @@ def small_config(**overrides):
     return RsmConfig(**base)
 
 
+def block_streams(config, snr_idx, links):
+    """The streams ``_sweep_and_reduce`` hands ``_run_block`` for ``links``:
+    one generator list per purpose tag of the config's blocks."""
+    from rsmsim.simulate import _TAG_DATA, _TAG_PILOT, _stream_seeds, _streams
+
+    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
+    return {tag: _streams(_stream_seeds((config.seed, tag, snr_idx), links)) for tag in tags}
+
+
 class TestDeterminism:
     def test_identical_reports_for_identical_config(self):
         a = run(small_config())
@@ -349,11 +358,11 @@ def batched_counts(config):
     points = []
     for snr_idx in range(len(config.snr_grid_db)):
         rows, words = [], 0
-        seeds = simulate._point_seeds(config, snr_idx)
         for first in range(0, n_links, per_batch):
             links = range(first, min(first + per_batch, n_links))
+            streams = block_streams(config, snr_idx, links)
             counts = simulate._run_block(
-                config, constellation, ensemble, snr_idx, links, seeds, buffers
+                config, constellation, ensemble, snr_idx, links, streams, buffers
             )
             rows += zip(
                 counts.spatial_errors.tolist(),
@@ -363,6 +372,24 @@ def batched_counts(config):
             words += counts.words
         points.append((rows, words))
     return constellation, per_batch, points
+
+
+class TestPointCounts:
+    def test_each_point_keeps_its_failed_words_and_excluded_links(self):
+        # At 2 dB one of 200 one-pilot estimates degenerates, 20 of 4000
+        # words and within the error budget; at 6 dB none does.
+        config = small_config(
+            threshold_source="estimated",
+            snr_grid_db=(2.0, 6.0),
+            trials_per_point=20,
+            channels_per_point=200,
+        )
+        points = run(config).points
+        assert [p.failed_words for p in points] == [20, 0]
+        assert [p.bits_counted for p in points] == [(4000 - 20) * 8, 4000 * 8]
+        assert [p.excluded_links for p in points] == [2, 0]
+        fd = run_fd(FdConfig(channel=PARAMS, snr_grid_db=(0.0,), channels_per_point=5))
+        assert (fd.points[0].excluded_links, fd.points[0].failed_words) == (None, 0)
 
 
 class TestChannelEnsemble:
@@ -676,10 +703,10 @@ class TestBlockBuffers:
         ]
 
     def block_rows(self, config, constellation, ensemble, snr_idx, links, buffers):
-        from rsmsim.simulate import _point_seeds, _run_block
+        from rsmsim.simulate import _run_block
 
-        seeds = _point_seeds(config, snr_idx)
-        counts = _run_block(config, constellation, ensemble, snr_idx, links, seeds, buffers)
+        streams = block_streams(config, snr_idx, links)
+        counts = _run_block(config, constellation, ensemble, snr_idx, links, streams, buffers)
         return list(
             zip(
                 counts.spatial_errors.tolist(),
@@ -781,17 +808,17 @@ class TestBlockBuffers:
         import tracemalloc
 
         from rsmsim.buffers import BlockBuffers
-        from rsmsim.simulate import _build_ensemble, _point_seeds, _run_block
+        from rsmsim.simulate import _build_ensemble, _run_block
 
         config = small_config(trials_per_point=50_000, channels_per_point=2, snr_grid_db=(8.0,))
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
         buffers = BlockBuffers()
-        seeds = _point_seeds(config, 0)
-        _run_block(config, constellation, ensemble, 0, range(0, 1), seeds, buffers)
+        first, second = (block_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
+        _run_block(config, constellation, ensemble, 0, range(0, 1), first, buffers)
         tracemalloc.start()
         try:
-            _run_block(config, constellation, ensemble, 0, range(1, 2), seeds, buffers)
+            _run_block(config, constellation, ensemble, 0, range(1, 2), second, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -804,7 +831,7 @@ class TestBlockBuffers:
         import tracemalloc
 
         from rsmsim.buffers import BlockBuffers
-        from rsmsim.simulate import _build_ensemble, _point_seeds, _run_block
+        from rsmsim.simulate import _build_ensemble, _run_block
 
         config = small_config(
             constellation_kind="apsk",
@@ -816,11 +843,11 @@ class TestBlockBuffers:
         constellation = build_constellation_of(config)
         ensemble = _build_ensemble(config, constellation)
         buffers = BlockBuffers()
-        seeds = _point_seeds(config, 0)
-        _run_block(config, constellation, ensemble, 0, range(0, 1), seeds, buffers)
+        first, second = (block_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
+        _run_block(config, constellation, ensemble, 0, range(0, 1), first, buffers)
         tracemalloc.start()
         try:
-            counts = _run_block(config, constellation, ensemble, 0, range(1, 2), seeds, buffers)
+            counts = _run_block(config, constellation, ensemble, 0, range(1, 2), second, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

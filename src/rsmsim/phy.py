@@ -7,7 +7,7 @@ noiseless received rows that zero forcing leaves (the effective channel
 is the identity), per-antenna spatial detection,
 minimum-distance symbol detection (its square-QAM decision step is
 shared with the baseline's Monte Carlo), switch-and-combine modulation
-detection, the complex noise draw of the RSM block's rows, and the
+detection, the complex noise draw of the RSM block's pilot rows, and the
 bit-error count of both systems' blocks.
 Every step of the chain takes (links, trials, n_active) arrays, one row
 per data word of each link, with the per-link inputs (amplitude,
@@ -808,10 +808,7 @@ def _antenna_sum(
 
 
 def add_complex_noise(
-    signal: np.ndarray,
-    sigma2: float,
-    rngs: Sequence[np.random.Generator],
-    rows: np.ndarray | None = None,
+    signal: np.ndarray, sigma2: float, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Add circular complex Gaussian noise of variance ``sigma2`` to ``signal``.
 
@@ -822,12 +819,11 @@ def add_complex_noise(
     ``sqrt(sigma2 / 2) * (rng.standard_normal(shape) + 1j *
     rng.standard_normal(shape))`` with ``rng = rngs[i]``, whatever the
     other rows. Each part is drawn for every row into one float buffer of
-    ``signal``'s shape (``rows`` when given), scaled and added.
+    ``signal``'s shape, scaled and added.
     """
     if len(rngs) != len(signal):
         raise ValueError("add_complex_noise needs one generator per leading row")
-    if rows is None:
-        rows = np.empty(signal.shape)
+    rows = np.empty(signal.shape)
     for part in (signal.real, signal.imag):
         for i, gen in enumerate(rngs):
             gen.standard_normal(out=rows[i : i + 1])

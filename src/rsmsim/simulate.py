@@ -15,11 +15,13 @@ the generators of its own channels from its slice of them; so a sweep
 with no Monte Carlo task hashes none. Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
-its own stream. The analytic columns of each SNR point run as one more
-task on the same workers. One driver (:func:`_sweep_and_reduce`) runs
-and reduces every sweep: :func:`analytic_curves` and
-:func:`analytic_curves_fd` are the sweeps of :func:`run` and
-:func:`run_fd` with no Monte Carlo task.
+its own stream; a task of one channel longer than that runs in pieces
+of the same budget, so that of its working memory only the channel's
+words, symbols and real noise parts grow with its length. The analytic
+columns of each SNR point run as one more task on the same workers.
+One driver (:func:`_sweep_and_reduce`) runs and reduces every sweep:
+:func:`analytic_curves` and :func:`analytic_curves_fd` are the sweeps
+of :func:`run` and :func:`run_fd` with no Monte Carlo task.
 Each run logs one line per SNR point, in grid order, and where its time
 went, its peak RSS and its minor page faults on the ``.timing`` child
 logger; at DEBUG it also logs the seconds of every Monte Carlo task.
@@ -108,7 +110,8 @@ ERROR_BUDGET = 0.01
 SIGMA2 = 1.0
 
 #: symbols (words x symbols per word) per Monte Carlo task: each task
-#: takes as many whole channels as fit, and at least one
+#: takes as many whole channels as fit, and at least one; an RSM task of
+#: one longer channel runs in pieces of at most this many
 _BATCH_SYMBOLS = 1 << 16
 
 #: bytes of ray responses per ``draw_channel`` call of the ensemble draw
@@ -469,15 +472,30 @@ def _run_block(
     effective channel the identity, so a word's noiseless received row is
     its amplitude-scaled symbol on the antennas its spatial word turns on.
 
-    Every array of the block's size comes from ``buffers``, so a block on
-    a thread's reused set allocates none: the words, the symbols, the
-    spatial bits, the received rows and one flat scratch array. The
-    scratch holds the symbols' points until the rows are formed, then the
-    noise rows, then the detected flags beside the envelopes, then the
-    combiner's and the slicer's arrays, and last the bit errors of each
-    word's symbol pair; it is sized for that tail, which is larger than
-    the points and the noise rows. The spatial mismatches overwrite the
-    sent bits, and the detected symbols the words.
+    The words run in pieces of at most ``_BATCH_SYMBOLS`` antenna-words:
+    a batch of several links fits in one piece, and one link longer than
+    that runs in the fewest such pieces, in order, all of one width but
+    the last, which is shorter by less than one word per piece. Each
+    stream draws its spatial words, its symbols and the real parts of its
+    noise for the whole link, and then the imaginary parts piece by piece,
+    which are the values and the order of one draw of them; each link's
+    counts are summed over its pieces. Only the words and the symbols,
+    each in the narrowest unsigned dtype, and the real noise parts are
+    held at the link's length; every other array has a piece's size.
+
+    Every array comes from ``buffers``, so a block on a thread's reused
+    set allocates none of its size: the words, the symbols, the spatial
+    bits, the received rows and one flat work array. A piece first holds
+    int64 copies of its words and symbols in the bytes of its rows, which
+    are formed after them. The work array holds a front of bytes per
+    piece word and then the real noise parts; the front holds the
+    symbols' points until the rows are formed, and the imaginary noise
+    parts of a piece are drawn into the bytes of its real ones once those
+    are added. The detection tail then takes the front and the noise
+    bytes of the first piece: the detected symbols, the detected flags
+    beside the envelopes, then the combiner's and the slicer's arrays, and
+    last the bit errors of each word's symbol pair. The spatial
+    mismatches overwrite the sent bits.
     """
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
@@ -508,38 +526,92 @@ def _run_block(
     modulation = np.zeros(n_links, dtype=np.int64)
     if kept.any():
         rngs = list(itertools.compress(streams[_TAG_DATA], kept))
-        rows, cells = (len(rngs), trials), (len(rngs), trials, n_a)
-        words = buffers.get("words", rows, np.int64)
-        js = buffers.get("symbols", rows, np.int64)
-        # Each stream draws its spatial words, then its symbols, then its noise.
+        n = len(rngs)
+        gamma, alpha_p = gamma[kept], alpha_p[kept]
+        # A batch of several links fits in one piece; one link longer than the
+        # budget runs in the fewest pieces of at most ``_BATCH_SYMBOLS // n_a``
+        # words, all of one width but the last, which is shorter by less than
+        # one word per piece.
+        n_pieces = -(-trials // max(1, _BATCH_SYMBOLS // (n * n_a)))
+        if n > 1 and n_pieces > 1:
+            # The detection tail reuses spent noise bytes only where they lie
+            # in one run, as they do for one link or one piece.
+            raise ValueError(f"a batch of {n} links must fit in one piece of the batch budget")
+        width = -(-trials // n_pieces)
+        sent = buffers.get("sent", (n, width, n_a), bool)
+        y = buffers.get("y", (n, width, n_a), complex)
+        # Bytes per piece word at the front of the work array: the symbols'
+        # points, or what the detection tail (the detected symbols, the flags,
+        # and the envelopes or the combiner's arrays) needs beyond the first
+        # piece's noise bytes.
+        tail = 8 + n_a + max(8 * n_a, _combine_work_bytes(n_a, constellation))
+        front = -(-(n * width * max(16, tail - 8 * n_a) + SCRATCH_SLACK) // 8) * 8
+        work = buffers.get("work", (front + n * trials * n_a * 8,), np.uint8)
+        real = work[front:].view(np.float64).reshape(n, trials, n_a)
+        words = buffers.get("words", (n, trials), np.min_scalar_type((1 << n_a) - 1))
+        js = buffers.get("symbols", (n, trials), np.min_scalar_type(constellation.order - 1))
+        # Each stream draws its spatial words, its symbols and the real parts
+        # of its noise here, and their imaginary parts piece by piece. The
+        # words and the symbols come a piece at a time too, so that no int64
+        # draw has the link's length; they are the values of one draw.
         for i, rng in enumerate(rngs):
-            words[i] = rng.integers(1, 1 << n_a, size=trials)
-            js[i] = rng.integers(0, constellation.order, size=trials)
-        sent = spatial_bits(words, n_a, out=buffers.get("sent", cells, bool))
-        alpha_p = alpha_p[kept]
-        # Bytes per word: the flags beside the envelopes or the combiner's
-        # arrays, at least 26, which cover the points (16) and the noise rows.
-        per_word = n_a + max(8 * n_a, _combine_work_bytes(n_a, constellation))
-        work = buffers.get("work", (len(rngs) * trials * per_word + SCRATCH_SLACK,), np.uint8)
-        y = buffers.get("y", cells, complex)
-        points = Scratch(work).take(rows, complex)
-        # Every index is in range, so clipping changes none; unlike the
-        # default mode it writes into ``out`` directly.
-        np.take(constellation.points, js, out=points, mode="clip")
-        transmit(sent, points, np.sqrt(alpha_p), out=y)
-        noise = Scratch(work).take(cells, np.float64)
-        add_complex_noise(y, SIGMA2, rngs, rows=noise)
-        tail = Scratch(work)
-        s_hat = tail.take(cells, bool)
-        after_flags = tail.rest()
-        envelopes = tail.take(cells, np.float64)
-        detect_spatial(np.abs(y, out=envelopes), gamma[kept], out=s_hat)
-        mismatch = np.not_equal(sent, s_hat, out=sent)
-        spatial[kept] = np.count_nonzero(mismatch, axis=(1, 2))
-        j_hat = combine_and_detect_modulation(
-            y, s_hat, alpha_p, constellation, out=words, work=after_flags
-        )
-        modulation[kept] = _bit_errors(constellation, js, j_hat, work)
+            for values, low, high in ((words[i], 1, 1 << n_a), (js[i], 0, constellation.order)):
+                for first in range(0, trials, width):
+                    piece = values[first : first + width]
+                    piece[...] = rng.integers(low, high, size=piece.size)
+            rng.standard_normal(out=real[i])
+        real *= math.sqrt(SIGMA2 / 2.0)
+        amplitude = np.sqrt(alpha_p)
+
+        def piece_arrays(size: int) -> tuple[np.ndarray, ...]:
+            """The arrays of a piece of ``size`` words. The words and the
+            symbols are indexed through an int64 copy in the bytes of the
+            rows, which are formed after them and spent before the sent
+            symbols are copied there again for the bit errors. The
+            detection tail takes the front and the noise bytes of the first
+            piece, which every piece has added to its rows before its tail."""
+            rows, cells = (n, size), (n, size, n_a)
+            y_piece = y[:, :size]
+            index = Scratch(y_piece).take(rows, np.int64)
+            points = Scratch(work).take(rows, complex)
+            spent = Scratch(work[: front + real[:, :size].nbytes])
+            detected = spent.take(rows, np.int64)
+            flags = spent.rest()
+            s_hat = spent.take(cells, bool)
+            combiner = spent.rest()
+            envelopes = spent.take(cells, np.float64)
+            return (
+                y_piece, sent[:, :size], index, points, detected, flags, s_hat, combiner, envelopes
+            )
+
+        link_spatial, link_modulation = np.zeros((2, n), dtype=np.int64)
+        for first in range(0, trials, width):
+            stop = min(first + width, trials)
+            if first == 0 or stop - first < width:
+                arrays = piece_arrays(stop - first)
+            y_piece, bits, index, points, detected, flags, s_hat, combiner, envelopes = arrays
+            np.copyto(index, words[:, first:stop])
+            spatial_bits(index, n_a, out=bits)
+            np.copyto(index, js[:, first:stop])
+            # Every index is in range, so clipping changes none; unlike the
+            # default mode it writes into ``out`` directly.
+            np.take(constellation.points, index, out=points, mode="clip")
+            transmit(bits, points, amplitude, out=y_piece)
+            noise = real[:, first:stop]
+            y_piece.real += noise
+            for part, rng in zip(noise, rngs):
+                rng.standard_normal(out=part)
+            noise *= math.sqrt(SIGMA2 / 2.0)
+            y_piece.imag += noise
+            detect_spatial(np.abs(y_piece, out=envelopes), gamma, out=s_hat)
+            mismatch = np.not_equal(bits, s_hat, out=bits)
+            link_spatial += np.count_nonzero(mismatch, axis=(1, 2))
+            j_hat = combine_and_detect_modulation(
+                y_piece, s_hat, alpha_p, constellation, out=detected, work=combiner
+            )
+            np.copyto(index, js[:, first:stop])
+            link_modulation += _bit_errors(constellation, index, j_hat, flags)
+        spatial[kept], modulation[kept] = link_spatial, link_modulation
     return _BlockCounts(
         spatial_errors=spatial,
         modulation_errors=modulation,

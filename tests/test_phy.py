@@ -976,12 +976,8 @@ class TestExactRewrites:
         assert transmit(sent, symbols, amplitude, out=out) is out
         assert_same_bits(out, expected)
         assert_same_bits(symbols, c.points[js])  # left as given
-
-        seeds = [[23, i] for i in range(n_links)]
-        expected = add_complex_noise(out.copy(), 0.7, [np.random.default_rng(k) for k in seeds])
-        rows = np.empty((n_links, trials, n_active))
-        add_complex_noise(out, 0.7, [np.random.default_rng(k) for k in seeds], rows=rows)
-        assert_same_bits(out, expected)
+        rngs = [np.random.default_rng([23, i]) for i in range(n_links)]
+        add_complex_noise(out, 0.7, rngs)
 
         gamma = rng.uniform(0.5, 2.0, n_links)
         s_hat = detect_spatial(np.abs(out), gamma)

@@ -801,8 +801,9 @@ class TestBlockBuffers:
 
     def test_second_block_allocates_little(self):
         # A 50,000-trial link, as in the mc_estimated benchmark: the first
-        # block allocates the worker's arrays (about 6.6 MB), a second one
-        # only its two integer draws (0.4 MB) and arrays of its link count.
+        # block allocates the worker's arrays (about 2.8 MB, in four pieces
+        # of 12,500 words), a second one only its integer draws, a piece at
+        # a time (0.1 MB), and arrays of its link count.
         # Allocating every array afresh took 9.6 MB; reusing only the
         # block's named arrays left 3.3 MB of temporaries.
         import tracemalloc
@@ -885,6 +886,178 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**10
+
+
+class TestLongLinkPieces:
+    """A one-link block longer than the batch budget runs in pieces; each
+    link counts what the per-channel oracle counts, at 1 and 2 threads."""
+
+    def recorded_rows(self, monkeypatch, config, n_threads):
+        """Each simulated (snr_idx, channel)'s (spatial, modulation, failed)
+        counts, and the report of the run (or the point it aborted)."""
+        import rsmsim.simulate as simulate
+
+        rows = {}
+        real = simulate._run_block
+
+        def recording(config, constellation, ensemble, snr_idx, links, *rest):
+            counts = real(config, constellation, ensemble, snr_idx, links, *rest)
+            for i, ch in enumerate(links):
+                rows[snr_idx, ch] = (
+                    int(counts.spatial_errors[i]),
+                    int(counts.modulation_errors[i]),
+                    int(counts.failed[i]),
+                )
+            return counts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_run_block", recording)
+            try:
+                report = run(config, n_threads=n_threads)
+            except PointAborted as aborted:
+                report = aborted.snr_db
+        return rows, report
+
+    def assert_pieces_match_oracle(self, monkeypatch, config):
+        """The run's report (or the SNR point it aborted) and its counts at
+        one thread, after checking them against the oracle and the run at
+        two threads (which may also run blocks of the points after an
+        aborted one)."""
+        from rsmsim.simulate import _BATCH_SYMBOLS, _batch_links
+
+        trials, n_active = config.trials_per_point, config.n_active
+        pieces = -(-trials // (_BATCH_SYMBOLS // n_active))
+        # One link per block, in more than one piece, the last one shorter.
+        assert _batch_links(trials, n_active) == 1
+        assert pieces > 1 and trials % pieces
+        constellation = build_constellation_of(config)
+        (rows, report), (threaded_rows, threaded) = (
+            self.recorded_rows(monkeypatch, config, n_threads) for n_threads in (1, 2)
+        )
+        assert report == threaded
+        assert rows.items() <= threaded_rows.items()
+        for key, counts in threaded_rows.items():
+            assert counts == reference_block(config, constellation, *key)
+        return report, rows
+
+    @pytest.mark.parametrize(
+        "n_active,kind,order,source,trials",
+        [
+            (1, "psk", 16, "perfect", 70_001),
+            (4, "qam", 64, "estimated", 40_001),
+            (8, "apsk", 16, "perfect", 20_000),
+            (4, "psk", 16, "perfect", 16_385),
+            (8, "qam", 16, "estimated", 8_193),
+        ],
+    )
+    def test_pieces_match_per_channel_oracle(
+        self, monkeypatch, n_active, kind, order, source, trials
+    ):
+        config = small_config(
+            channel=dataclasses.replace(PARAMS, n_clusters=16),
+            n_active=n_active,
+            constellation_kind=kind,
+            constellation_order=order,
+            ring_ratio=2.6 if kind == "apsk" else None,
+            threshold_source=source,
+            n_pilots=8,
+            snr_grid_db=(4.0, 10.0) if source == "perfect" else (10.0, 16.0),
+            trials_per_point=trials,
+            channels_per_point=3,
+        )
+        report, rows = self.assert_pieces_match_oracle(monkeypatch, config)
+        assert sorted(rows) == [(s, ch) for s in (0, 1) for ch in range(3)]
+        assert all(rows[0, ch][1] for ch in range(3))
+        bits = 3 * trials * (n_active + order.bit_length() - 1)
+        assert [p.bits_counted for p in report.points] == [bits, bits]
+
+    def test_degenerate_pilot_estimate_fails_its_whole_link(self, monkeypatch):
+        # At -6 dB channel 5's one-pilot estimate degenerates: its block
+        # simulates nothing and counts every word as failed, which aborts
+        # the point; the other five links ran in pieces.
+        config = small_config(
+            threshold_source="estimated",
+            snr_grid_db=(-6.0, 6.0),
+            trials_per_point=20_001,
+            channels_per_point=6,
+        )
+        aborted_at, rows = self.assert_pieces_match_oracle(monkeypatch, config)
+        assert aborted_at == -6.0
+        first_point = {ch: counts for (snr_idx, ch), counts in rows.items() if snr_idx == 0}
+        assert sorted(first_point) == list(range(6))
+        assert first_point[5] == (0, 0, 20_001)
+        assert all(first_point[ch][0] and not first_point[ch][2] for ch in range(5))
+
+    def test_piece_draws_are_the_values_of_one_draw(self):
+        # A long link draws its words and its symbols a piece at a time, and
+        # its imaginary noise parts after the real ones, piece by piece; the
+        # stream gives the values of one draw of each, in its order.
+        trials, width, n_active = 10_001, 4_001, 4
+        whole, pieces = np.random.default_rng(5), np.random.default_rng(5)
+        expected = [
+            whole.integers(1, 1 << n_active, size=trials),
+            whole.integers(0, 64, size=trials),
+            whole.standard_normal((trials, n_active)),
+            whole.standard_normal((trials, n_active)),
+        ]
+        words, js = np.empty(trials, np.uint8), np.empty(trials, np.uint8)
+        for values, low, high in ((words, 1, 1 << n_active), (js, 0, 64)):
+            for first in range(0, trials, width):
+                piece = values[first : first + width]
+                piece[...] = pieces.integers(low, high, size=piece.size)
+        real = pieces.standard_normal((trials, n_active))
+        imag = np.empty((trials, n_active))
+        for first in range(0, trials, width):
+            pieces.standard_normal(out=imag[first : first + width])
+        for got, want in zip((words, js, real, imag), expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_several_links_longer_than_one_piece_are_refused(self):
+        # The sweep's batches never are; a direct call gets an error rather
+        # than a tail that overwrites noise parts not yet added.
+        from rsmsim.simulate import _BATCH_SYMBOLS, _build_ensemble, _run_block
+
+        config = small_config(trials_per_point=_BATCH_SYMBOLS // 8 + 1, channels_per_point=2)
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation)
+        streams = block_streams(config, 0, range(2))
+        with pytest.raises(ValueError, match="must fit in one piece"):
+            _run_block(config, constellation, ensemble, 0, range(2), streams, BlockBuffers())
+
+    def test_memory_grows_only_by_the_links_words_symbols_and_real_noise(self):
+        # The words, the symbols and the real noise parts of a link are the
+        # only arrays at its length: a block of 4T words may peak at most
+        # (8 n_active + 16) bytes per added word above a block of T words,
+        # plus a slack fixed before measuring. Both lengths split into
+        # pieces of the same width, so their piece arrays are the same size.
+        # Holding every array at the link's length grew about 131 bytes per
+        # word at 4 active antennas.
+        import tracemalloc
+
+        from rsmsim.simulate import _BATCH_SYMBOLS, _build_ensemble, _run_block
+
+        n_active, slack = 4, 64 * 2**10
+        width = _BATCH_SYMBOLS // n_active
+        peaks = {}
+        for trials in (2 * width, 8 * width):
+            config = small_config(
+                n_active=n_active,
+                trials_per_point=trials,
+                channels_per_point=1,
+                snr_grid_db=(8.0,),
+            )
+            constellation = build_constellation_of(config)
+            ensemble = _build_ensemble(config, constellation)
+            streams = block_streams(config, 0, range(1))
+            buffers = BlockBuffers()
+            tracemalloc.start()
+            try:
+                _run_block(config, constellation, ensemble, 0, range(1), streams, buffers)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        added = 6 * width
+        assert peaks[8 * width] - peaks[2 * width] <= (8 * n_active + 16) * added + slack
 
 
 TIMING_LINE = re.compile(

@@ -37,14 +37,12 @@ COMMANDS = (("ber", "1"), ("ber", "2"), ("abep", None))
 
 def small_configs() -> dict[str, str]:
     """Small fixed configs, by file name: the baseline with 2-, 8- and
-    16-PSK, 16-APSK and 4- and 64-QAM at 1 to 3 modes, and RSM with BPSK,
+    16-PSK, 16-APSK and 4- and 64-QAM at 1 to 3 modes, RSM with BPSK,
     64-QAM and 16-APSK at 1 to 8 active antennas, with both receive
-    patterns, both selections and every threshold design and source.
-    Each writes a CSV at ``--seed 1``."""
-    common = [
-        "n_tx = 32", "n_rx = 10", "n_clusters = 12", "angular_spread_deg = 10",
-        "channels_per_point = 12",
-    ]
+    patterns, both selections and every threshold design and source, and
+    RSM with 16-PSK and 64-QAM on 1 or 2 links longer than one batch
+    budget, which run in pieces. Each writes a CSV at ``--seed 1``."""
+    common = ["n_tx = 32", "n_rx = 10", "n_clusters = 12", "angular_spread_deg = 10"]
     kinds = {"psk": ["constellation = psk"], "qam": ["constellation = qam"]}
     kinds["apsk"] = ["constellation = apsk", "ring_ratio = 2.6"]
     configs = {}
@@ -52,7 +50,7 @@ def small_configs() -> dict[str, str]:
         for n_modes in (1, 2, 3):
             configs[f"fd_{kind}{order}_modes{n_modes}"] = [
                 "system = fd_svd", f"n_modes = {n_modes}", *kinds[kind], f"order = {order}",
-                "snr_db = -30,-20,-10,0", "trials_per_point = 2000",
+                "snr_db = -30,-20,-10,0", "trials_per_point = 2000", "channels_per_point = 12",
             ]
     rsm = [
         (1, "psk", 2, "exact", "perfect", "exhaustive", "true"),
@@ -71,7 +69,20 @@ def small_configs() -> dict[str, str]:
             f"selection = {selection}", f"rx_omni = {omni}",
             # Below 10 dB degenerate pilot estimates abort these runs (exit 3).
             f"snr_db = {'10,20' if source == 'estimated' else '-10,0,10'}",
-            "trials_per_point = 300",
+            "trials_per_point = 300", "channels_per_point = 12",
+        ]
+    # Words per link above the batch budget of _BATCH_SYMBOLS = 65,536
+    # antenna-words, and not a multiple of the pieces: 2 and 3 pieces.
+    long_links = [
+        (4, "psk", 16, "hsa", "perfect", 16_385, 2),
+        (2, "qam", 64, "msa", "estimated", 65_537, 1),
+    ]
+    for n_active, kind, order, mode, source, trials, links in long_links:
+        configs[f"rsm_{kind}{order}_long_{source}"] = [
+            "system = rsm", f"n_active = {n_active}", *kinds[kind], f"order = {order}",
+            f"threshold_mode = {mode}", f"threshold_source = {source}", "n_pilots = 8",
+            f"snr_db = {'10' if source == 'estimated' else '0'}",
+            f"trials_per_point = {trials}", f"channels_per_point = {links}",
         ]
     return {
         f"same_bytes_configs/{name}.cfg": "\n".join([*lines, *common]) + "\n"

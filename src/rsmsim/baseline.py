@@ -11,12 +11,13 @@ values: :func:`svd_link` factors a stack of channels once, and
 whole ensemble. :func:`fd_ber` simulates a batch of links in
 cache-sized pieces, each link on its own stream: a link draws its
 symbols, and then both parts of its noise in one call, whatever the
-constellation. Square QAM, the baseline's constellation, is decided from
-each sample's sent levels and its scaled noise, so that a piece costs
-little beyond its random draws; only the samples that decision cannot
-prove exact are formed and searched. Every other constellation forms
-its samples from the same draw and detects them by
-:func:`~rsmsim.phy.nearest_point`.
+constellation. Every formed sample is detected by
+:func:`~rsmsim.phy.nearest_point`. Square QAM, the baseline's
+constellation, first tries a shortcut: each sample is decided from its
+sent levels and its scaled noise, so that a piece costs little beyond
+its random draws. The shortcut settles a whole piece or none of it; a
+piece it does not settle forms its samples from the same draw, as every
+piece of every other constellation does.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .phy import (
     Constellation,
     _bit_errors,
     _decide_qam,
-    _nearest_by_search,
     _nearest_work_bytes,
     nearest_point,
 )
@@ -47,9 +47,10 @@ RANK_TOL = 1e-10
 #: for the received sample (for square QAM, its level coordinates) and, in
 #: the scratch of :func:`_piece_counts`, 16 for both noise parts, 40 in
 #: all for the full search. Square QAM keeps the noise beside 8 for the
-#: detected symbols and 19 for the decision's arrays, 67 in all; PSK's
-#: detected symbols and slicer's arrays (8 + 18) take the spent noise's
-#: place, 50 in all.
+#: detected symbols and 19 for the decision's arrays, 67 in all; once a
+#: piece's samples are formed, the detected symbols and the slicer's
+#: arrays take the spent noise's place, 8 + 35 for square QAM and 8 + 18
+#: for PSK (50 in all).
 _PIECE_SYMBOLS = 1 << 14
 
 
@@ -121,16 +122,16 @@ def fd_ber(
     trial axis, and only the symbols and the noise follow the streams'
     trial-major order. In each piece (:func:`_piece_counts`) a link draws
     its real and then its imaginary noise parts in one call. Square QAM
-    is decided from each sample's sent levels and its scaled noise,
-    without forming the received sample; every other constellation forms
-    its samples from the same draw and goes through :func:`nearest_point`.
-    Every piece works in the same arrays from ``buffers``: the sent
-    symbols, the received samples (for square QAM, their level
-    coordinates) and one flat scratch array. On a set that an earlier
-    batch of the thread's already sized, a batch allocates no array of
-    its pieces' size; only the full search of a constellation that is not
-    sliced, and the samples a square-QAM decision leaves to the search,
-    take arrays of their own.
+    first decides each sample from its sent levels and its scaled noise,
+    without forming it; that decision settles the whole piece or none of
+    it. Every other piece forms its samples from the same draw, and every
+    formed sample goes through :func:`nearest_point`. Every piece works
+    in the same arrays from ``buffers``: the sent symbols, the received
+    samples (for square QAM, first their level coordinates) and one flat
+    scratch array. On a set that an earlier batch of the thread's already
+    sized, a batch allocates no array of its pieces' size; only the full
+    search, of a constellation that is not sliced or of the samples a
+    slicer cannot prove, takes arrays of its own.
     """
     n_links, n_modes = received.shape
     if sigma2 <= 0 or n_links < 1 or words < n_links or words % n_links:
@@ -170,17 +171,18 @@ def _piece_counts(
     ``(links, n_modes, trials)`` arrays ``sent`` (int64) and ``y``
     (complex) and the flat scratch ``work``.
 
-    Every constellation but square QAM forms the received samples, the
-    point times the amplitude plus each noise part times ``sqrt(sigma2 /
-    2)`` (the arithmetic of :func:`_received_samples`), and detects them
-    by :func:`nearest_point`. Square QAM's coordinate on each axis, in
-    level spacings, is the sent level plus the noise scaled by
-    ``sqrt(sigma2 / 2) / (amplitude * step)``; it is formed in the float
-    view of ``y`` and decided by :func:`~rsmsim.phy._decide_qam`, the
-    decision step of :func:`nearest_point`, whose docstring proves these
-    coordinates close enough. Both noise parts are kept, so that only the
-    samples the decision cannot prove exact are formed
-    (:func:`_received_samples`) and searched.
+    The received samples, the point times the amplitude plus each noise
+    part times ``sqrt(sigma2 / 2)``, are formed in ``y`` and detected by
+    :func:`nearest_point`. Square QAM first tries a shortcut that settles
+    the whole piece or none of it: each axis's coordinate, in level
+    spacings, is the sent level plus the noise scaled by ``sqrt(sigma2 /
+    2) / (amplitude * step)``; it is formed in the float view of ``y``
+    and decided by :func:`~rsmsim.phy._decide_qam`, the decision step of
+    :func:`nearest_point`, whose docstring proves these coordinates close
+    enough. When that step proves every sample of the piece, the piece is
+    counted from its decisions; otherwise the piece's samples are formed
+    over the spent coordinates and take the path of every other
+    constellation.
     """
     n_links, n_modes, trials = sent.shape
     scratch = Scratch(work)
@@ -191,36 +193,31 @@ def _piece_counts(
         row.T[...] = rng.integers(0, constellation.order, size=(trials, n_modes))
         rng.standard_normal(out=rows)
     amplitude = np.sqrt(received)[..., None]
-    if constellation._qam_step is None:
-        # Every index is in range, so clipping changes none; unlike the
-        # default mode it writes into ``out`` directly.
-        constellation.points.take(sent, out=y, mode="clip")
-        y *= amplitude
-        noise *= math.sqrt(sigma2 / 2.0)
-        for part, drawn in zip((y.real, y.imag), noise.swapaxes(0, 1)):
-            part += drawn.transpose(0, 2, 1)
-        # The noise is spent: the detection takes its bytes.
-        tail = Scratch(work)
-        j_hat = tail.take(sent.shape, np.int64)
-        nearest_point(y, amplitude, constellation, out=j_hat, work=tail.rest())
-        return _bit_errors(constellation, sent, j_hat, work)
-    side = math.isqrt(constellation.order)
-    j_hat = scratch.take(sent.shape, np.int64)
-    # The float view of ``y`` holds the real coordinates, then the imaginary.
-    t = y.reshape(-1).view(np.float64).reshape(2, *sent.shape)
-    with np.errstate(all="ignore"):
-        gain = math.sqrt(sigma2 / 2.0) / (amplitude * constellation._qam_step)
-        # The scaled noise takes the front of the bytes the decision takes next.
-        scaled = Scratch(scratch.rest()).take(sent.shape, np.float64)
-        for levels, part, axis in zip(_axis_levels(side), noise.swapaxes(0, 1), t):
-            levels.take(sent, out=axis, mode="clip")
-            axis += np.multiply(part.transpose(0, 2, 1), gain, out=scaled)
-    exact = _decide_qam(t, amplitude, side, j_hat, scratch)
-    search = np.logical_not(exact, out=exact)
-    if search.any():
-        at = np.nonzero(search)
-        samples = _received_samples(constellation, sent, amplitude, noise, sigma2, at)
-        j_hat[at] = _nearest_by_search(samples, amplitude[at[0], at[1], 0], constellation.points)
+    if constellation._qam_step is not None:
+        side = math.isqrt(constellation.order)
+        j_hat = scratch.take(sent.shape, np.int64)
+        # The float view of ``y`` holds the real coordinates, then the imaginary.
+        t = y.reshape(-1).view(np.float64).reshape(2, *sent.shape)
+        with np.errstate(all="ignore"):
+            gain = math.sqrt(sigma2 / 2.0) / (amplitude * constellation._qam_step)
+            # The scaled noise takes the front of the bytes the decision takes next.
+            scaled = Scratch(scratch.rest()).take(sent.shape, np.float64)
+            for levels, part, axis in zip(_axis_levels(side), noise.swapaxes(0, 1), t):
+                levels.take(sent, out=axis, mode="clip")
+                axis += np.multiply(part.transpose(0, 2, 1), gain, out=scaled)
+        if _decide_qam(t, amplitude, side, j_hat, scratch).all():
+            return _bit_errors(constellation, sent, j_hat, work)
+    # Every index is in range, so clipping changes none; unlike the default
+    # mode it writes into ``out`` directly.
+    constellation.points.take(sent, out=y, mode="clip")
+    y *= amplitude
+    noise *= math.sqrt(sigma2 / 2.0)
+    for part, drawn in zip((y.real, y.imag), noise.swapaxes(0, 1)):
+        part += drawn.transpose(0, 2, 1)
+    # The noise is spent: the detection takes its bytes.
+    tail = Scratch(work)
+    j_hat = tail.take(sent.shape, np.int64)
+    nearest_point(y, amplitude, constellation, out=j_hat, work=tail.rest())
     return _bit_errors(constellation, sent, j_hat, work)
 
 
@@ -231,29 +228,3 @@ def _axis_levels(side: int) -> np.ndarray:
     levels = np.array(np.divmod(np.arange(side * side), side), dtype=np.float64)
     levels.flags.writeable = False
     return levels
-
-
-def _received_samples(
-    constellation: Constellation,
-    sent: np.ndarray,
-    amplitude: np.ndarray,
-    noise: np.ndarray,
-    sigma2: float,
-    at: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """The received samples at the (link, mode, trial) indices ``at`` of a
-    piece, bit for bit as :func:`_piece_counts` forms a whole piece's: the
-    point times the amplitude, plus each noise part times ``sqrt(sigma2 /
-    2)``.
-
-    ``sent`` holds the piece's symbols, ``amplitude`` its ``(links,
-    n_modes, 1)`` amplitudes and ``noise`` its ``(links, 2, trials,
-    n_modes)`` real and imaginary draws.
-    """
-    link, mode, trial = at
-    samples = constellation.points.take(sent[at])
-    samples *= amplitude[link, mode, 0]
-    scale = math.sqrt(sigma2 / 2.0)
-    samples.real += noise[link, 0, trial, mode] * scale
-    samples.imag += noise[link, 1, trial, mode] * scale
-    return samples

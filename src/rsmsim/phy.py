@@ -654,9 +654,12 @@ def nearest_point(
     point is therefore the argmin.
 
     The baseline's Monte Carlo (:func:`~rsmsim.baseline.fd_ber`) takes the
-    same decision step (:func:`_decide_qam`) on coordinates it forms
-    without ``y``: the sent point's level plus its noise ``n`` times ``g =
-    sqrt(sigma2 / 2) / (scale * step)``, ``t = level + n * g``. Its sample
+    same decision step (:func:`_decide_qam`) as a shortcut for a whole
+    piece of samples, on coordinates it forms without ``y``: the sent
+    point's level plus its noise ``n`` times ``g = sqrt(sigma2 / 2) /
+    (scale * step)``, ``t = level + n * g``. It keeps those decisions only
+    when the step flags every sample of the piece exact; otherwise it
+    forms the piece's samples and detects them all here. Its sample
     is ``y = fl(fl(p * scale) + fl(n * sqrt(sigma2 / 2)))`` per axis, and
     the grid check puts each point ``p`` within 1e-12 spacings of its
     level, so ``y / (scale * step) + (side - 1) / 2 = level + u + d`` with

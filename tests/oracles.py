@@ -5,7 +5,8 @@ Every transceiver, channel and analysis step takes a leading link axis;
 The oracles are the slow, one-link-at-a-time forms of the batched code:
 :func:`reference_block` of ``simulate._run_block``, :func:`fd_ber_oracle`
 of ``baseline.fd_ber`` and :func:`joint_ml_detect` of the per-antenna
-threshold detector.
+threshold detector. :func:`gray_square_qam_bep` is the exact bit error
+probability that ``fd_ber`` estimates for square QAM.
 """
 
 import functools
@@ -120,6 +121,32 @@ def fd_ber_oracle(received, constellation, sigma2, trials, rng):
     j_hat = np.argmin(np.abs(y[..., None] - gains[:, None] * constellation.points), axis=-1)
     labels = constellation.labels
     return int(np.bitwise_count(labels[js] ^ labels[j_hat]).sum())
+
+
+def gray_square_qam_bep(order, snr):
+    """Exact bit error probability of Gray square ``order``-QAM at symbol
+    SNR ``snr``, the unit average symbol power over the complex noise
+    variance.
+
+    Square QAM is Gray ``sqrt(order)``-PAM on each axis, so the bit error
+    probability is one axis's. The closed form of Cho and Yoon (IEEE
+    Trans. Commun., 2002): bit ``k`` of an axis of ``side`` levels is in
+    error with probability ``1/side * sum_i (-1)^floor(i 2^(k-1) / side)
+    (2^(k-1) - floor(i 2^(k-1) / side + 1/2)) erfc((2i + 1) x)`` over
+    ``i < (1 - 2^-k) side``, where ``x = sqrt(3 snr / (2 (order - 1)))``
+    is half the level spacing over the noise's per-axis standard
+    deviation times sqrt(2); the axis's bits are averaged.
+    """
+    side = math.isqrt(order)
+    bits = side.bit_length() - 1
+    x = math.sqrt(1.5 * snr / (order - 1))
+    total = 0.0
+    for k in range(1, bits + 1):
+        half = 1 << (k - 1)
+        for i in range(side - (side >> k)):
+            weight = (-1) ** (i * half // side) * (half - (2 * i * half + side) // (2 * side))
+            total += weight * special.erfc((2 * i + 1) * x)
+    return total / (side * bits)
 
 
 def joint_ml_detect(envelopes, alpha_p, sigma2):

@@ -23,7 +23,7 @@ from rsmsim.phy import (
     threshold,
 )
 from rsmsim.training import SingularFisher, threshold_estimate_stats
-from oracles import batch_of_one
+from oracles import batch_of_one, gray_square_qam_bep
 
 CONSTELLATIONS = {
     "psk": build_constellation("psk", 16),
@@ -385,11 +385,11 @@ class TestConstellationBep:
         c = build_constellation(kind, order, ring)
         assert 0.25 <= constellation_bep(c, 0.0) <= 0.6
 
-    def test_qam16_within_ten_percent_of_monte_carlo(self):
+    def test_qam16_within_ten_percent_of_exact(self):
         c = build_constellation("qam", 16)
         snr = 10 ** (15 / 10)
-        mc = mc_constellation_bep(c, snr, n=10**7, seed=2)
-        assert constellation_bep(c, snr) == pytest.approx(mc, rel=0.10)
+        exact = gray_square_qam_bep(16, snr)
+        assert constellation_bep(c, snr) == pytest.approx(exact, rel=0.10)
 
     def test_psk16_within_ten_percent_of_monte_carlo(self):
         c = build_constellation("psk", 16)

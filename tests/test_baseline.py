@@ -10,7 +10,7 @@ from rsmsim.buffers import BlockBuffers
 from rsmsim.phy import build_constellation
 from rsmsim.simulate import _batch_links
 from rsmsim.specfun import gaussian_q
-from oracles import batch_of_one, fd_ber_oracle, random_channel
+from oracles import batch_of_one, fd_ber_oracle, gray_square_qam_bep, random_channel
 
 
 class TestSvdLink:
@@ -172,6 +172,27 @@ class TestFdBer:
             fd_ber(received, c, 0.0, 9, rngs, BlockBuffers())
 
 
+class TestExactQamBep:
+    """``fd_ber`` estimates the exact Gray square-QAM bit error probability
+    on single-mode unit-gain links, where the symbol SNR is the received
+    power over the noise variance. At the lower SNR of 16- and 64-QAM the
+    nearest-neighbour form of ``constellation_bep`` lies over 100 standard
+    errors away."""
+
+    @pytest.mark.parametrize(
+        "order,snr_db", [(4, 0), (4, 8), (16, 2), (16, 12), (64, 8), (64, 18)]
+    )
+    def test_mean_link_ber_within_five_standard_errors(self, order, snr_db):
+        c = build_constellation("qam", order)
+        n_links, trials = 50, 20_000
+        snr = 10 ** (snr_db / 10)
+        rngs = [np.random.default_rng([order, snr_db, i]) for i in range(n_links)]
+        counts = fd_ber(np.full((n_links, 1), snr), c, 1.0, n_links * trials, rngs, BlockBuffers())
+        ber = counts / (trials * c.bits_per_symbol)
+        standard_error = ber.std(ddof=1) / math.sqrt(n_links)
+        assert abs(ber.mean() - gray_square_qam_bep(order, snr)) <= 5 * standard_error
+
+
 TRIALS, N_MODES = 1000, 2
 #: channels in one fully digital Monte Carlo task at TRIALS x N_MODES
 BATCH = _batch_links(TRIALS, N_MODES)
@@ -272,8 +293,10 @@ class TestFdBerDraws:
 
 
 class TestSlicedQam:
-    """Square QAM is decided from the sent levels and the scaled noise; only
-    the samples the decision cannot prove exact are formed and searched."""
+    """Square QAM is decided from the sent levels and the scaled noise, a
+    shortcut that settles a whole piece or none of it; a piece it does not
+    settle is formed and detected by ``nearest_point``, as every other
+    constellation's is."""
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -283,15 +306,14 @@ class TestSlicedQam:
         # reach, which go to the full search.
         import rsmsim.baseline as baseline
 
-        searched = []
-        formed = baseline._received_samples
+        detected = []
+        detect = baseline.nearest_point
 
-        def counting(*args):
-            samples = formed(*args)
-            searched.append(samples.size)
-            return samples
+        def counting(y, scale, constellation, out=None, work=None):
+            detected.append(y.size)
+            return detect(y, scale, constellation, out=out, work=work)
 
-        monkeypatch.setattr(baseline, "_received_samples", counting)
+        monkeypatch.setattr(baseline, "nearest_point", counting)
         c = build_constellation("qam", order)
         received, seeds = batch_setup(7, n_modes, [order, n_modes])
         rngs = [np.random.default_rng(s) for s in seeds]
@@ -300,8 +322,38 @@ class TestSlicedQam:
         if sigma2 == 1e-20:
             assert not counts.any()
         if sigma2 == 1e8:
-            # Most coordinates lie beyond the reach: the search decides them.
-            assert sum(searched) > 7 * TRIALS * n_modes // 2
+            # Most coordinates lie beyond the decision's reach: the pieces
+            # are formed and detected.
+            assert sum(detected) > 7 * TRIALS * n_modes // 2
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_pieces_the_decision_settles_in_part(self, monkeypatch, order):
+        # At this noise some coordinates of every piece lie beyond the
+        # decision's reach and the rest within it, and the first link of
+        # each piece receives its second mode at zero power, where the
+        # decision's own index would differ: each piece is formed and
+        # detected whole, its proven samples included.
+        import rsmsim.baseline as baseline
+
+        kinds = []
+        decide = baseline._decide_qam
+
+        def recording(*args):
+            exact = decide(*args)
+            kinds.append((bool(exact.any()), bool(not exact.all())))
+            return exact
+
+        monkeypatch.setattr(baseline, "_decide_qam", recording)
+        c = build_constellation("qam", order)
+        received, seeds = batch_setup(17, N_MODES, [order, 17, 3])
+        sigma2 = 1e7 * float(received.mean())
+        received[::8, 1] = 0.0  # pieces of 8, 8 and 1 links
+        rngs = [np.random.default_rng(s) for s in seeds]
+        with np.errstate(invalid="ignore"):
+            counts = fd_ber(received, c, sigma2, 17 * TRIALS, rngs, BlockBuffers())
+            expected = oracle_counts(received, c, sigma2, TRIALS, seeds)
+        assert kinds == [(True, True)] * 3
+        assert counts.tolist() == expected
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     @pytest.mark.parametrize("sigma2", [1.0, np.inf])
@@ -320,33 +372,50 @@ class TestSlicedQam:
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     @pytest.mark.parametrize("sigma2", [1e-20, 1.0, 1e8])
-    def test_formed_samples_are_the_bits_of_the_formed_piece(self, order, sigma2):
-        # The fallback's samples against the piece formed whole: the symbol
-        # copy, the amplitude product and the complex noise draw.
-        from rsmsim.baseline import _received_samples
-        from rsmsim.phy import add_complex_noise
+    def test_formed_samples_are_the_bits_of_the_formed_piece(self, monkeypatch, order, sigma2):
+        # Without noise the decision settles the piece, which is never
+        # formed; in pure noise it settles none of it, and the whole piece
+        # is formed and detected.
+        captured, formed = detected_and_formed_pieces(
+            monkeypatch, build_constellation("qam", order), sigma2
+        )
+        assert all(got.tobytes() == formed.tobytes() for got in captured)
+        if sigma2 == 1e-20:
+            assert not captured
+        if sigma2 == 1e8:
+            assert len(captured) == 1
 
-        c = build_constellation("qam", order)
-        n_links, n_modes, trials = 3, 2, 500
-        setup = np.random.default_rng([order, 7])
-        sent = setup.integers(0, order, (n_links, n_modes, trials))
-        amplitude = setup.uniform(0.05, 40.0, (n_links, n_modes, 1))
-        seeds = setup.integers(0, 2**32, n_links)
-        y = c.points.take(sent)
-        y *= amplitude
-        add_complex_noise(y.swapaxes(1, 2), sigma2, [np.random.default_rng(s) for s in seeds])
-        # The same streams again, each noise part kept as drawn.
-        noise = np.empty((n_links, 2, trials, n_modes))
-        rngs = [np.random.default_rng(s) for s in seeds]
-        for part in range(2):
-            for rows, rng in zip(noise[:, part], rngs):
-                rng.standard_normal(out=rows)
-        everywhere = np.nonzero(np.ones(sent.shape, dtype=bool))
-        samples = _received_samples(c, sent, amplitude, noise, sigma2, everywhere)
-        assert samples.view(np.float64).tobytes() == y[everywhere].view(np.float64).tobytes()
-        some = np.nonzero(setup.random(sent.shape) < 0.01)
-        samples = _received_samples(c, sent, amplitude, noise, sigma2, some)
-        assert samples.view(np.float64).tobytes() == y[some].view(np.float64).tobytes()
+    def test_formed_psk_samples_are_the_bits_of_the_formed_piece(self, monkeypatch):
+        captured, formed = detected_and_formed_pieces(
+            monkeypatch, build_constellation("psk", 16), 1e8
+        )
+        assert len(captured) == 1
+        assert captured[0].tobytes() == formed.tobytes()
+
+
+def detected_and_formed_pieces(monkeypatch, constellation, sigma2):
+    """The samples ``fd_ber`` hands to ``nearest_point`` for a piece of 3
+    links, modes-major, and that piece formed by the symbol copy, the
+    amplitude product and the complex noise draw, trial-major."""
+    import rsmsim.baseline as baseline
+    from rsmsim.phy import add_complex_noise
+
+    captured = []
+    detect = baseline.nearest_point
+
+    def capturing(y, scale, constellation, out=None, work=None):
+        captured.append(y.swapaxes(1, 2).copy())
+        return detect(y, scale, constellation, out=out, work=work)
+
+    monkeypatch.setattr(baseline, "nearest_point", capturing)
+    received, seeds = batch_setup(3, N_MODES, [constellation.order, 7])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    fd_ber(received, constellation, sigma2, 3 * TRIALS, rngs, BlockBuffers())
+    rngs = [np.random.default_rng(s) for s in seeds]
+    sent = [rng.integers(0, constellation.order, size=(TRIALS, N_MODES)) for rng in rngs]
+    formed = constellation.points.take(np.array(sent))
+    formed *= np.sqrt(received)[:, None, :]
+    return captured, add_complex_noise(formed, sigma2, rngs)
 
 
 def oracle_counts(received, constellation, sigma2, trials, seeds):

@@ -37,7 +37,9 @@ COMMANDS = (("ber", "1"), ("ber", "2"), ("abep", None))
 
 def small_configs() -> dict[str, str]:
     """Small fixed configs, by file name: the baseline with 2-, 8- and
-    16-PSK, 16-APSK and 4- and 64-QAM at 1 to 3 modes, RSM with BPSK,
+    16-PSK, 16-APSK and 4- and 64-QAM at 1 to 3 modes, the baseline with
+    16-QAM at SNRs so low that the square-QAM level decision leaves its
+    pieces to be formed and detected, RSM with BPSK,
     64-QAM and 16-APSK at 1 to 8 active antennas, with both receive
     patterns, both selections and every threshold design and source, and
     RSM with 16-PSK and 64-QAM on 1 or 2 links longer than one batch
@@ -52,6 +54,11 @@ def small_configs() -> dict[str, str]:
                 "system = fd_svd", f"n_modes = {n_modes}", *kinds[kind], f"order = {order}",
                 "snr_db = -30,-20,-10,0", "trials_per_point = 2000", "channels_per_point = 12",
             ]
+    # The decision leaves most, about half and none of the samples undecided.
+    configs["fd_qam16_modes2_formed"] = [
+        "system = fd_svd", "n_modes = 2", *kinds["qam"], "order = 16",
+        "snr_db = -90,-75,-60", "trials_per_point = 2000", "channels_per_point = 12",
+    ]
     rsm = [
         (1, "psk", 2, "exact", "perfect", "exhaustive", "true"),
         (2, "qam", 64, "msa", "estimated", "all_antennas", "false"),

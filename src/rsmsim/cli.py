@@ -58,6 +58,8 @@ __all__ = ["main", "ConfigError", "parse_config_text", "load_config"]
 
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+#: most points an ``snr_db`` range may give
+MAX_RANGE_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -92,9 +94,10 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
             raise ValueError("range bounds and step must be finite")
         if step <= 0 or stop < start:
             raise ValueError("ranges need step > 0 and stop >= start")
-        grid = []
-        value = start
+        grid, value = [], start
         while value <= stop + 1e-9:
+            if len(grid) == MAX_RANGE_POINTS or value + step == value:
+                raise ValueError(f"a range gives at most {MAX_RANGE_POINTS} points, each one step up")
             grid.append(round(value, 9))
             value += step
         return tuple(grid)

@@ -7,12 +7,12 @@ channel. Every random quantity is drawn from a stream keyed by
 ``np.random.default_rng([seed, tag, snr, channel])``, so results are
 bit-identical regardless of how channels are batched and scheduled
 across worker threads; error counts are integers and are reduced in
-index order. Each system names the purpose tags its blocks draw from,
+index order. Each system names the purpose tag its blocks draw from,
 and :func:`_sweep_and_reduce` makes their streams: the first of an SNR
 point's Monte Carlo tasks to run hashes the seeds of all of the point's
-channels, one :func:`_stream_seeds` call per tag, and each task builds
-the generators of its own channels from its slice of them; so a sweep
-with no Monte Carlo task hashes none. Both systems run
+channels in one :func:`_stream_seeds` call, and each task builds the
+generators of its own channels from its slice of them; so a sweep with
+no Monte Carlo task hashes none. Both systems run
 their channels in batches, one Monte Carlo task per (SNR point, batch
 of whole channels) of about 64k symbols, with every channel still on
 its own stream; a task of one channel longer than that runs in pieces
@@ -33,8 +33,9 @@ The channel ensemble is drawn once per run and shared by all SNR
 points, which pairs the analytic and simulated curves (and different
 runs under the same seed) on common randomness. The RSM ensemble build
 also designs the detection threshold of every (SNR point, channel)
-once; the design feeds both the Monte Carlo blocks and the perfect
-analytic column. ZF on each link's selected antennas makes its
+once; the design feeds the perfect analytic column and, unless a run
+estimates them from its pilots, the Monte Carlo blocks' thresholds. ZF
+on each link's selected antennas makes its
 effective channel the identity, which both the threshold detector and
 the closed-form ABEP assume: the selection's rcond floor bounds the
 identity's error, and the blocks send through it, so no precoder is formed.
@@ -42,6 +43,7 @@ identity's error, and the blocks send through it, so no precoder is formed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import logging
@@ -95,6 +97,8 @@ timing_log = logging.getLogger(f"{__name__}.timing")
 
 SELECTION_MODES = ("exhaustive", "all_antennas")
 THRESHOLD_SOURCES = ("perfect", "estimated")
+#: most active antennas: words stay uint16 and their table builds in under 16 MiB
+MAX_ACTIVE = 16
 
 # Purpose tags for random-stream keying.
 _TAG_CHANNEL = 1
@@ -161,6 +165,8 @@ class RsmConfig:
 
     def __post_init__(self) -> None:
         _check_shared(self, "n_active")
+        if self.n_active > MAX_ACTIVE:
+            raise ValueError(f"n_active must be at most {MAX_ACTIVE}, got {self.n_active}")
         if self.threshold_source not in THRESHOLD_SOURCES:
             raise ValueError(f"threshold_source must be one of {THRESHOLD_SOURCES}")
         if self.selection not in SELECTION_MODES:
@@ -272,6 +278,7 @@ class _Ensemble:
     alpha: np.ndarray  # ZF power factor
     alpha_p: np.ndarray  # alpha times the transmit power of each SNR point
     gamma: np.ndarray  # the ``threshold_mode`` design at each alpha_p
+    detect: np.ndarray  # the blocks' threshold: ``gamma`` or the pilot estimate
 
 
 # SeedSequence's hash (numpy.random.bit_generator): a pool of four 32-bit
@@ -390,10 +397,13 @@ def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:
         yield draw_channel(params, _streams(seeds[first : first + chunk]))
 
 
-def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensemble:
+def _build_ensemble(config: RsmConfig, constellation: Constellation, simulated: bool) -> _Ensemble:
     """Draw the channel ensemble, keep each channel's selected power
     factor ``alpha``, and design the ``threshold_mode`` threshold of every
-    (SNR point, channel) once.
+    (SNR point, channel) once. A ``simulated`` run with a pilot-estimated
+    threshold also estimates the blocks' one, from each (SNR point,
+    channel)'s ``(seed, _TAG_PILOT, snr_idx, ch)`` pilots: NaN where that
+    degenerates.
 
     At the first SNR point, in grid order, where a link's design falls
     outside the design domain, the build raises: the
@@ -418,11 +428,17 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
     alpha_p = np.array([alpha * (10.0 ** (snr / 10.0) * SIGMA2) for snr in config.snr_grid_db])
     mode, beta = config.threshold_mode, constellation.beta
     gamma = np.empty_like(alpha_p)
-    for snr_db, row, designs in zip(config.snr_grid_db, alpha_p.tolist(), gamma):
+    pilots = simulated and config.threshold_source == "estimated"
+    detect = np.full_like(alpha_p, math.nan) if pilots else gamma
+    # Pilots energize every active antenna and carry the minimum-amplitude
+    # point, so the estimated threshold matches the beta-scaled design.
+    shape = (len(alpha), config.n_pilots, config.n_active)
+    x_pilot = constellation.points[np.argmin(np.abs(constellation.points))]
+    for snr_idx, (snr_db, row) in enumerate(zip(config.snr_grid_db, alpha_p.tolist())):
         outside = []
         for ch, a in enumerate(row):
             try:
-                designs[ch] = threshold(mode, a, SIGMA2, beta)
+                gamma[snr_idx, ch] = threshold(mode, a, SIGMA2, beta)
             except OutsideDesignDomain as err:
                 outside.append((ch, err))
         if len(outside) == len(row):
@@ -436,7 +452,13 @@ def _build_ensemble(config: RsmConfig, constellation: Constellation) -> _Ensembl
                 f"supported range [{low:g}, {high:g}], while the designs of "
                 f"{len(row) - len(outside)} of the point's {len(row)} links are inside it"
             )
-    return _Ensemble(alpha=alpha, alpha_p=alpha_p, gamma=gamma)
+        if pilots:
+            rngs = _streams(_stream_seeds((config.seed, _TAG_PILOT, snr_idx), range(len(row))))
+            sent = transmit(np.ones(shape, dtype=bool), np.full(shape[:2], x_pilot), np.sqrt(row))
+            for ch, amps in enumerate(np.abs(add_complex_noise(sent, SIGMA2, rngs))):
+                with contextlib.suppress(DegenerateSample):
+                    detect[snr_idx, ch] = 0.5 * estimate_amplitude(amps.ravel())
+    return _Ensemble(alpha=alpha, alpha_p=alpha_p, gamma=gamma, detect=detect)
 
 
 @dataclass(frozen=True)
@@ -459,16 +481,15 @@ def _run_block(
     ensemble: _Ensemble,
     snr_idx: int,
     links: range,
-    streams: dict[int, list[np.random.Generator]],
+    rngs: list[np.random.Generator],
     buffers: BlockBuffers,
 ) -> _BlockCounts:
     """Simulate one (SNR point, batch of channels) block of data words.
 
-    ``streams[tag][i]`` is the ``(seed, tag, snr_idx, links[i])`` stream:
-    channel ``links[i]`` draws its words and noise from its
-    ``_TAG_DATA`` stream and, with a pilot-estimated threshold, its
-    pilots from its ``_TAG_PILOT`` one. Pilots and data
-    words alike go through :func:`transmit`: ZF makes each link's
+    Channel ``links[i]`` draws its words and noise from ``rngs[i]``, its
+    ``(seed, _TAG_DATA, snr_idx, links[i])`` stream; one whose
+    ``ensemble.detect`` threshold is NaN simulates none, and they count
+    as failed. The words go through :func:`transmit`: ZF makes each link's
     effective channel the identity, so a word's noiseless received row is
     its amplitude-scaled symbol on the antennas its spatial word turns on.
 
@@ -500,34 +521,13 @@ def _run_block(
     trials = config.trials_per_point
     n_a, n_links = config.n_active, len(links)
     batch = slice(links.start, links.stop)
-    alpha_p = ensemble.alpha_p[snr_idx, batch]
-    failed = np.zeros(n_links, dtype=bool)
-    if config.threshold_source == "perfect":
-        gamma = ensemble.gamma[snr_idx, batch]
-    else:
-        # Pilots energize every active antenna and carry the minimum-amplitude
-        # point, so the estimated threshold matches the beta-scaled design.
-        n_p = config.n_pilots
-        x_pilot = constellation.points[int(np.argmin(np.abs(constellation.points)))]
-        pilots = transmit(
-            np.ones((n_links, n_p, n_a), dtype=bool),
-            np.full((n_links, n_p), x_pilot),
-            np.sqrt(alpha_p),
-        )
-        amplitudes = np.abs(add_complex_noise(pilots, SIGMA2, streams[_TAG_PILOT]))
-        gamma = np.zeros(n_links)
-        for i, amps in enumerate(amplitudes):
-            try:
-                gamma[i] = 0.5 * estimate_amplitude(amps.ravel())
-            except DegenerateSample:
-                failed[i] = True
-    kept = ~failed
-    spatial = np.zeros(n_links, dtype=np.int64)
-    modulation = np.zeros(n_links, dtype=np.int64)
+    gamma = ensemble.detect[snr_idx, batch]
+    kept = ~np.isnan(gamma)
+    spatial, modulation = np.zeros((2, n_links), dtype=np.int64)
     if kept.any():
-        rngs = list(itertools.compress(streams[_TAG_DATA], kept))
+        rngs = list(itertools.compress(rngs, kept))
         n = len(rngs)
-        gamma, alpha_p = gamma[kept], alpha_p[kept]
+        gamma, alpha_p = gamma[kept], ensemble.alpha_p[snr_idx, batch][kept]
         # A batch of several links fits in one piece; one link longer than the
         # budget runs in the fewest pieces of at most ``_BATCH_SYMBOLS // n_a``
         # words, all of one width but the last, which is shorter by less than
@@ -584,7 +584,6 @@ def _run_block(
                 y_piece, sent[:, :size], index, points, detected, flags, s_hat, combiner, envelopes
             )
 
-        link_spatial, link_modulation = np.zeros((2, n), dtype=np.int64)
         for first in range(0, trials, width):
             stop = min(first + width, trials)
             if first == 0 or stop - first < width:
@@ -605,17 +604,16 @@ def _run_block(
             y_piece.imag += noise
             detect_spatial(np.abs(y_piece, out=envelopes), gamma, out=s_hat)
             mismatch = np.not_equal(bits, s_hat, out=bits)
-            link_spatial += np.count_nonzero(mismatch, axis=(1, 2))
+            spatial[kept] += np.count_nonzero(mismatch, axis=(1, 2))
             j_hat = combine_and_detect_modulation(
                 y_piece, s_hat, alpha_p, constellation, out=detected, work=combiner
             )
             np.copyto(index, js[:, first:stop])
-            link_modulation += _bit_errors(constellation, index, j_hat, flags)
-        spatial[kept], modulation[kept] = link_spatial, link_modulation
+            modulation[kept] += _bit_errors(constellation, index, j_hat, flags)
     return _BlockCounts(
         spatial_errors=spatial,
         modulation_errors=modulation,
-        failed=np.where(failed, trials, 0),
+        failed=np.where(kept, 0, trials),
         words=trials * int(kept.sum()),
     )
 
@@ -689,22 +687,22 @@ def _sweep_and_reduce(
     n_threads: int,
     started: tuple[float, int],
     batches: list[range],
-    tags: tuple[int, ...],
-    block: Callable[[int, range, dict, BlockBuffers], object],
+    tag: int,
+    block: Callable[[int, range, list, BlockBuffers], object],
     analytic: Callable[[int], object],
     point: Callable[[float, list, object], tuple[SnrPoint, str]],
 ) -> ErrorReport:
-    """Run ``block(snr_idx, links, streams, buffers)`` for every SNR point
+    """Run ``block(snr_idx, links, rngs, buffers)`` for every SNR point
     and batch of ``batches`` and ``analytic(snr_idx)`` for every SNR
-    point, and reduce the grid point by point. ``streams[tag]`` holds the
-    generators of the batch's ``(seed, tag, snr_idx, ch)`` streams for
-    every tag of ``tags``, and ``buffers`` is the sweep's one
-    :class:`~rsmsim.buffers.BlockBuffers`. The first of a point's Monte
-    Carlo tasks to run hashes the seeds of all the point's channels, one
-    :func:`_stream_seeds` call per tag, in its thread, so a sweep with no
-    batches hashes none. Hashing in the workers rather than in the
-    submitting thread kept ``mc_estimated``'s peak RSS down (the
-    CHANGES.md entry "Baseline Monte Carlo down to its draws").
+    point, and reduce the grid point by point. ``rngs`` holds the
+    generators of the batch's ``(seed, tag, snr_idx, ch)`` streams, and
+    ``buffers`` is the sweep's one :class:`~rsmsim.buffers.BlockBuffers`.
+    The first of a point's Monte Carlo tasks to run hashes the seeds of
+    all the point's channels, one :func:`_stream_seeds` call, in its
+    thread, so a sweep with no batches hashes none. Hashing in the
+    workers rather than in the submitting thread kept ``mc_estimated``'s
+    peak RSS down (the CHANGES.md entry "Baseline Monte Carlo down to its
+    draws").
 
     With ``n_threads > 1`` every task goes to one pool up front, each
     point's analytic task ahead of its blocks, and the tasks still pending
@@ -738,15 +736,14 @@ def _sweep_and_reduce(
         return pool.submit(_timed, fn, *args).result
 
     def point_tasks(snr_idx: int) -> tuple[Callable, list[Callable]]:
-        lock, seeds = threading.Lock(), {}
+        lock, seeds = threading.Lock(), None
 
         def run_batch(links: range) -> object:
+            nonlocal seeds
             with lock:
-                if not seeds:
-                    for tag in tags:
-                        seeds[tag] = _stream_seeds((config.seed, tag, snr_idx), channels)
-            streams = {tag: _streams(seeds[tag][links.start : links.stop]) for tag in tags}
-            return block(snr_idx, links, streams, buffers)
+                if seeds is None:
+                    seeds = _stream_seeds((config.seed, tag, snr_idx), channels)
+            return block(snr_idx, links, _streams(seeds[links.start : links.stop]), buffers)
 
         return task(analytic, snr_idx), [task(run_batch, links) for links in batches]
 
@@ -806,8 +803,8 @@ def run(config: RsmConfig, n_threads: int = 1) -> ErrorReport:
     ``n_threads > 1`` runs the Monte Carlo blocks and the analytic
     columns of every SNR point on one pool of that many threads. Each
     Monte Carlo task runs :func:`_run_block` on one batch of channels;
-    channel ``ch`` at SNR index ``s`` draws from its own
-    ``(seed, tag, s, ch)`` streams whatever the batching.
+    channel ``ch`` at SNR index ``s`` draws its data words from its own
+    ``(seed, _TAG_DATA, s, ch)`` stream whatever the batching.
     """
     return _run_rsm("run", config, n_threads, _batches(config, config.n_active))
 
@@ -827,10 +824,9 @@ def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range])
         config.constellation_kind, config.constellation_order, config.ring_ratio
     )
     started = _start()
-    ensemble = _build_ensemble(config, constellation)
+    ensemble = _build_ensemble(config, constellation, bool(batches))
     n_links = len(ensemble.alpha)
     k = constellation.bits_per_symbol
-    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
     block = functools.partial(_run_block, config, constellation, ensemble)
     analytic = functools.partial(_analytic_columns, config, constellation, ensemble)
 
@@ -871,7 +867,7 @@ def _run_rsm(name: str, config: RsmConfig, n_threads: int, batches: list[range])
         )
 
     return _sweep_and_reduce(
-        name, config, n_threads, started, batches, tags, block, analytic, point
+        name, config, n_threads, started, batches, _TAG_DATA, block, analytic, point
     )
 
 
@@ -906,10 +902,9 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
     ]
     bits_per_link = trials * config.n_modes * constellation.bits_per_symbol
 
-    def block(snr_idx: int, links: range, streams: dict, buffers: BlockBuffers) -> np.ndarray:
-        words, rngs = len(links) * trials, streams[_TAG_FD]
+    def block(snr_idx: int, links: range, rngs: list, buffers: BlockBuffers) -> np.ndarray:
         received_links = received[snr_idx][links.start : links.stop]
-        return fd_ber(received_links, constellation, SIGMA2, words, rngs, buffers)
+        return fd_ber(received_links, constellation, SIGMA2, len(links) * trials, rngs, buffers)
 
     def analytic(snr_idx: int) -> float:
         return _fd_analytic(constellation, received[snr_idx])
@@ -932,5 +927,5 @@ def _run_fd(name: str, config: FdConfig, n_threads: int, batches: list[range]) -
         )
 
     return _sweep_and_reduce(
-        name, config, n_threads, started, batches, (_TAG_FD,), block, analytic, point
+        name, config, n_threads, started, batches, _TAG_FD, block, analytic, point
     )

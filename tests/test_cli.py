@@ -62,6 +62,27 @@ class TestConfigParsing:
         assert config.n_active == 2
         assert config.snr_grid_db == (4.0, 8.0)
 
+    @pytest.mark.parametrize("grid", ["1e17:2e17:1", "0:1e9:1", "0:10000:1"])
+    def test_range_must_end_within_the_point_limit(self, grid, tmp_path, capsys):
+        # 1e17 + 1 == 1e17, so the first range never advances; the second
+        # asks for about 10^9 points. Both once appended until memory ran out.
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(SMALL_CONFIG.replace("snr_db = 4,8", f"snr_db = {grid}"))
+        assert main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'snr_db': a range gives at most 10000 points, each one step up" in err
+        assert not out.exists()
+
+    def test_range_of_the_point_limit_parses(self):
+        config = parse_config_text(SMALL_CONFIG.replace("snr_db = 4,8", "snr_db = 0:9999:1"))
+        assert config.snr_grid_db == tuple(float(s) for s in range(10_000))
+
+    def test_sixteen_active_antennas_parse(self):
+        # 16 is the most active antennas a config may ask for (17 exits 2).
+        old, new = "n_tx = 16\nn_rx = 4\nn_active = 2", "n_tx = 32\nn_rx = 16\nn_active = 16"
+        config = parse_config_text(SMALL_CONFIG.replace(old, new))
+        assert config.n_active == 16
+
     def test_fd_config(self):
         config = parse_config_text(SMALL_FD_CONFIG)
         assert isinstance(config, FdConfig)
@@ -289,6 +310,12 @@ class TestBadConfigValues:
                 "n_tx = 64\nn_rx = 64\nn_active = 8",
                 "n_active = 8 of n_rx = 64 under selection = exhaustive",
             ),
+            (
+                SMALL_CONFIG,
+                "n_tx = 16\nn_rx = 4\nn_active = 2",
+                "n_tx = 32\nn_rx = 17\nn_active = 17",
+                "n_active must be at most 16, got 17",
+            ),
         ],
         ids=[
             "rsm-threshold_mode",
@@ -303,6 +330,7 @@ class TestBadConfigValues:
             "fd_svd-n_modes-above-n_rx",
             "fd_svd-n_modes-above-n_tx",
             "rsm-exhaustive-subsets-above-cap",
+            "rsm-n_active-above-16",
         ],
     )
     def test_exits_2(self, command, text, old, new, message, tmp_path, capsys):

@@ -46,13 +46,12 @@ def small_config(**overrides):
     return RsmConfig(**base)
 
 
-def block_streams(config, snr_idx, links):
-    """The streams ``_sweep_and_reduce`` hands ``_run_block`` for ``links``:
-    one generator list per purpose tag of the config's blocks."""
-    from rsmsim.simulate import _TAG_DATA, _TAG_PILOT, _stream_seeds, _streams
+def data_streams(config, snr_idx, links):
+    """The generators ``_sweep_and_reduce`` hands ``_run_block`` for
+    ``links``: their ``(seed, _TAG_DATA, snr_idx, ch)`` streams."""
+    from rsmsim.simulate import _TAG_DATA, _stream_seeds, _streams
 
-    tags = (_TAG_PILOT, _TAG_DATA) if config.threshold_source == "estimated" else (_TAG_DATA,)
-    return {tag: _streams(_stream_seeds((config.seed, tag, snr_idx), links)) for tag in tags}
+    return _streams(_stream_seeds((config.seed, _TAG_DATA, snr_idx), links))
 
 
 class TestDeterminism:
@@ -218,7 +217,7 @@ def excluded_links(config):
     from rsmsim.simulate import _build_ensemble
     from rsmsim.training import SingularFisher, threshold_estimate_stats
 
-    ensemble = _build_ensemble(config, build_constellation_of(config))
+    ensemble = _build_ensemble(config, build_constellation_of(config), simulated=False)
     counts = []
     for snr_db in config.snr_grid_db:
         singular = 0
@@ -351,7 +350,7 @@ def batched_counts(config):
     from rsmsim import simulate
 
     constellation = build_constellation_of(config)
-    ensemble = simulate._build_ensemble(config, constellation)
+    ensemble = simulate._build_ensemble(config, constellation, simulated=True)
     n_links = config.channels_per_point
     per_batch = simulate._batch_links(config.trials_per_point, config.n_active)
     buffers = BlockBuffers()
@@ -360,9 +359,9 @@ def batched_counts(config):
         rows, words = [], 0
         for first in range(0, n_links, per_batch):
             links = range(first, min(first + per_batch, n_links))
-            streams = block_streams(config, snr_idx, links)
+            rngs = data_streams(config, snr_idx, links)
             counts = simulate._run_block(
-                config, constellation, ensemble, snr_idx, links, streams, buffers
+                config, constellation, ensemble, snr_idx, links, rngs, buffers
             )
             rows += zip(
                 counts.spatial_errors.tolist(),
@@ -692,6 +691,31 @@ class TestBatchedBlock:
         # Its neighbours in the batch still ran and made errors.
         assert all(spatial for spatial, _, _ in points[0][0][:5] + points[0][0][6:8])
 
+    def test_nan_threshold_fails_only_its_channel(self):
+        # The block reads its thresholds from the ensemble: a NaN there, as
+        # a degenerate pilot estimate leaves, fails that channel's words.
+        from rsmsim.simulate import _build_ensemble, _run_block
+
+        config = small_config(snr_grid_db=(4.0,), **self.SIZES)
+        constellation = build_constellation_of(config)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
+        detect = ensemble.detect.copy()
+        detect[0, 3] = math.nan
+        ensemble = dataclasses.replace(ensemble, detect=detect)
+        links = range(8)
+        rngs = data_streams(config, 0, links)
+        counts = _run_block(config, constellation, ensemble, 0, links, rngs, BlockBuffers())
+        rows = list(
+            zip(
+                counts.spatial_errors.tolist(),
+                counts.modulation_errors.tolist(),
+                counts.failed.tolist(),
+            )
+        )
+        expected = [reference_block(config, constellation, 0, ch) for ch in links]
+        assert rows == expected[:3] + [(0, 0, 2000)] + expected[4:]
+        assert counts.words == 7 * 2000
+
 
 class TestBlockBuffers:
     """Blocks that reuse one set of worker arrays count, channel for
@@ -705,8 +729,8 @@ class TestBlockBuffers:
     def block_rows(self, config, constellation, ensemble, snr_idx, links, buffers):
         from rsmsim.simulate import _run_block
 
-        streams = block_streams(config, snr_idx, links)
-        counts = _run_block(config, constellation, ensemble, snr_idx, links, streams, buffers)
+        rngs = data_streams(config, snr_idx, links)
+        counts = _run_block(config, constellation, ensemble, snr_idx, links, rngs, buffers)
         return list(
             zip(
                 counts.spatial_errors.tolist(),
@@ -726,7 +750,7 @@ class TestBlockBuffers:
             threshold_source="estimated", snr_grid_db=(-6.0, 6.0), trials_per_point=300
         )
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
         buffers = BlockBuffers()
         batches = [(1, range(0, 8)), (0, range(8, 11)), (0, range(3, 8)), (1, range(12, 20))]
         for snr_idx, links in batches * 2:
@@ -746,7 +770,7 @@ class TestBlockBuffers:
 
         config = small_config(snr_grid_db=(4.0, 10.0), trials_per_point=500)
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
         buffers = BlockBuffers()
         jobs = [(s, range(first, first + 5)) for s in (0, 1) for first in (0, 5, 10, 15)]
         results = {}
@@ -792,7 +816,7 @@ class TestBlockBuffers:
             trials_per_point=400,
         )
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
         buffers = BlockBuffers()
         for snr_idx, links in [(0, range(0, 6)), (1, range(6, 12)), (1, range(12, 15))]:
             got = self.block_rows(config, constellation, ensemble, snr_idx, links, buffers)
@@ -813,9 +837,9 @@ class TestBlockBuffers:
 
         config = small_config(trials_per_point=50_000, channels_per_point=2, snr_grid_db=(8.0,))
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
         buffers = BlockBuffers()
-        first, second = (block_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
+        first, second = (data_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
         _run_block(config, constellation, ensemble, 0, range(0, 1), first, buffers)
         tracemalloc.start()
         try:
@@ -842,9 +866,9 @@ class TestBlockBuffers:
             snr_grid_db=(8.0,),
         )
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
+        ensemble = _build_ensemble(config, constellation, simulated=True)
         buffers = BlockBuffers()
-        first, second = (block_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
+        first, second = (data_streams(config, 0, range(ch, ch + 1)) for ch in (0, 1))
         _run_block(config, constellation, ensemble, 0, range(0, 1), first, buffers)
         tracemalloc.start()
         try:
@@ -1019,10 +1043,10 @@ class TestLongLinkPieces:
 
         config = small_config(trials_per_point=_BATCH_SYMBOLS // 8 + 1, channels_per_point=2)
         constellation = build_constellation_of(config)
-        ensemble = _build_ensemble(config, constellation)
-        streams = block_streams(config, 0, range(2))
+        ensemble = _build_ensemble(config, constellation, simulated=True)
+        rngs = data_streams(config, 0, range(2))
         with pytest.raises(ValueError, match="must fit in one piece"):
-            _run_block(config, constellation, ensemble, 0, range(2), streams, BlockBuffers())
+            _run_block(config, constellation, ensemble, 0, range(2), rngs, BlockBuffers())
 
     def test_memory_grows_only_by_the_links_words_symbols_and_real_noise(self):
         # The words, the symbols and the real noise parts of a link are the
@@ -1047,12 +1071,12 @@ class TestLongLinkPieces:
                 snr_grid_db=(8.0,),
             )
             constellation = build_constellation_of(config)
-            ensemble = _build_ensemble(config, constellation)
-            streams = block_streams(config, 0, range(1))
+            ensemble = _build_ensemble(config, constellation, simulated=True)
+            rngs = data_streams(config, 0, range(1))
             buffers = BlockBuffers()
             tracemalloc.start()
             try:
-                _run_block(config, constellation, ensemble, 0, range(1), streams, buffers)
+                _run_block(config, constellation, ensemble, 0, range(1), rngs, buffers)
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1382,6 +1406,31 @@ class TestEstimatedThreshold:
         )
         for a, b in zip(perfect.points, estimated.points):
             assert b.ber_total <= 1.6 * max(a.ber_total, 1e-6)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_pilots_are_estimated_once_before_any_block(self, monkeypatch, n_threads):
+        # The ensemble build runs the pilot phase of every (SNR point, link)
+        # once; the blocks, three per point here, only read its thresholds.
+        import rsmsim.simulate as simulate
+
+        events = []
+
+        def recording(name, fn):
+            def wrapper(*args):
+                events.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("estimate_amplitude", "_run_block"):
+            monkeypatch.setattr(simulate, name, recording(name, getattr(simulate, name)))
+        config = small_config(threshold_source="estimated", trials_per_point=2000)
+        assert simulate._batch_links(2000, config.n_active) < 20
+        run(config, n_threads=n_threads)
+        assert events == ["estimate_amplitude"] * (2 * 20) + ["_run_block"] * (2 * 3)
+        events.clear()
+        simulate.analytic_curves(config)
+        assert events == []
 
     def test_abort_when_pilots_degenerate(self):
         with pytest.raises(PointAborted):

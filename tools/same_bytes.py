@@ -41,9 +41,11 @@ def small_configs() -> dict[str, str]:
     16-QAM at SNRs so low that the square-QAM level decision leaves its
     pieces to be formed and detected, RSM with BPSK,
     64-QAM and 16-APSK at 1 to 8 active antennas, with both receive
-    patterns, both selections and every threshold design and source, and
-    RSM with 16-PSK and 64-QAM on 1 or 2 links longer than one batch
-    budget, which run in pieces. Each writes a CSV at ``--seed 1``."""
+    patterns, both selections and every threshold design and source, RSM
+    with 16-PSK and 64-QAM on 1 or 2 links longer than one batch budget,
+    which run in pieces, and RSM with 16-PSK where one link's pilot
+    estimate degenerates within the error budget. Each writes a CSV at
+    ``--seed 1``."""
     common = ["n_tx = 32", "n_rx = 10", "n_clusters = 12", "angular_spread_deg = 10"]
     kinds = {"psk": ["constellation = psk"], "qam": ["constellation = qam"]}
     kinds["apsk"] = ["constellation = apsk", "ring_ratio = 2.6"]
@@ -91,6 +93,13 @@ def small_configs() -> dict[str, str]:
             f"snr_db = {'10' if source == 'estimated' else '0'}",
             f"trials_per_point = {trials}", f"channels_per_point = {links}",
         ]
+    # One of 200 one-pilot estimates degenerates at -1 dB: its 20 words
+    # fail, within the 1% budget, and the run goes on (exit 0).
+    configs["rsm_psk16_degenerate_pilot"] = [
+        "system = rsm", "n_active = 4", *kinds["psk"], "order = 16", "threshold_mode = hsa",
+        "threshold_source = estimated", "n_pilots = 1", "snr_db = -1,0,1",
+        "trials_per_point = 20", "channels_per_point = 200",
+    ]
     return {
         f"same_bytes_configs/{name}.cfg": "\n".join([*lines, *common]) + "\n"
         for name, lines in configs.items()

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._loader import numpy_random
+
 __all__ = [
     "ChannelParams",
     "array_response",
@@ -133,6 +135,16 @@ def _draw_angles(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     return rays.reshape(params.n_paths, 2)
 
 
+def _calibration_stream(params: ChannelParams) -> np.random.Generator:
+    """The stream of the calibration pre-pass, the one
+    ``np.random.default_rng([_CALIBRATION_SEED, n_clusters, n_rays])``
+    builds, without the ``numpy.random`` package that ``default_rng``
+    loads."""
+    random = numpy_random()
+    key = [_CALIBRATION_SEED, params.n_clusters, params.n_rays]
+    return random.Generator(random.PCG64(random.SeedSequence(key)))
+
+
 @functools.lru_cache(maxsize=None)
 def in_sector_fraction(params: ChannelParams) -> float:
     """Expected fraction of rays with nonzero pattern gain.
@@ -149,7 +161,7 @@ def in_sector_fraction(params: ChannelParams) -> float:
     ray, until the arrival side has been drawn. The count divided by the
     number of rays is the mean of the whole mask, exactly.
     """
-    rng = np.random.default_rng([_CALIBRATION_SEED, params.n_clusters, params.n_rays])
+    rng = _calibration_stream(params)
     half = params.sector_width_deg / 2.0
     scale = params.angular_spread_deg / math.sqrt(2.0)
     shape = (_CALIBRATION_DRAWS, params.n_clusters, params.n_rays)

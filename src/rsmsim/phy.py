@@ -7,8 +7,9 @@ noiseless received rows that zero forcing leaves (the effective channel
 is the identity), per-antenna spatial detection,
 minimum-distance symbol detection (its square-QAM decision step is
 shared with the baseline's Monte Carlo), switch-and-combine modulation
-detection, the complex noise draw of the RSM block's pilot rows, and the
-bit-error count of both systems' blocks.
+detection, the complex noise draw of the pilot rows that the RSM
+ensemble build (``simulate._build_ensemble``) sends, and the bit-error
+count of both systems' blocks.
 Every step of the chain takes (links, trials, n_active) arrays, one row
 per data word of each link, with the per-link inputs (amplitude,
 threshold, alpha_p) given one per link.

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
+from ._loader import numpy_random
 from .baseline import fd_ber, received_power, svd_link
 from .buffers import SCRATCH_SLACK, BlockBuffers, Scratch
 from .channel import ChannelParams, draw_channel
@@ -358,11 +359,15 @@ def _stream_seeds(key: tuple[int, ...], links: Iterable[int]) -> np.ndarray:
 def _seed_type() -> type:
     """The stand-in for ``SeedSequence`` that hands PCG64 one precomputed
     :func:`_stream_seeds` row. Defined on first use, so that importing the
-    package does not import ``numpy.random`` (about 20 ms), which only the
-    sampling paths need."""
-    from numpy.random.bit_generator import ISeedSequence
+    package loads nothing of ``numpy.random``, which only the sampling
+    paths need. They load only its ``bit_generator``, ``_pcg64`` and
+    ``_generator`` modules (:func:`rsmsim._loader.numpy_random`: about
+    10 ms and 4.9 MB of RSS to load), not the package, whose ``__init__``
+    also loads ``mtrand``, ``MT19937``, ``Philox``, ``SFC64`` and
+    ``_pickle`` (about 14 ms and 6.4 MB; a run's peak RSS is 0.8 MB lower
+    without them)."""
 
-    class Seed(ISeedSequence):
+    class Seed(numpy_random().ISeedSequence):
         def __init__(self, state: np.ndarray):
             self.state = state
 
@@ -371,14 +376,23 @@ def _seed_type() -> type:
                 raise ValueError("a stream seed holds the four 64-bit words of a PCG64 state")
             return self.state
 
+        def __reduce__(self):
+            return _seed, (self.state,)
+
     return Seed
+
+
+def _seed(state: np.ndarray):
+    """A :func:`_seed_type` seed, by a name that pickle finds, so that a
+    run's generators pickle as numpy's do."""
+    return _seed_type()(state)
 
 
 def _streams(seeds: np.ndarray) -> list[np.random.Generator]:
     """The generators of :func:`_stream_seeds` rows; every random stream of
     a run is built here."""
-    seed = _seed_type()
-    return [np.random.Generator(np.random.PCG64(seed(row))) for row in seeds]
+    seed, random = _seed_type(), numpy_random()
+    return [random.Generator(random.PCG64(seed(row))) for row in seeds]
 
 
 def _draw_channels(config: RsmConfig | FdConfig) -> Iterator[np.ndarray]:

@@ -66,16 +66,12 @@ terms ahead of it go to the backend.
 
 from __future__ import annotations
 
-import _imp
-import importlib.machinery
 import math
-import os
-import sys
-import types
 from collections.abc import Iterator
 
 import numpy as np
-import scipy
+
+from ._loader import load
 
 __all__ = [
     "DomainError",
@@ -97,94 +93,9 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 
 
-class _BindSubmodules:
-    """Meta path finder for the real ``scipy.special`` package.
-
-    The extension modules that ``scipy.special._ufuncs`` imports while the
-    stand-in package of :func:`_load_ufuncs` is in place are bound as
-    attributes of the stand-in, not of the package built later, and are
-    not loaded again (``_ufuncs_cxx`` is imported by ``_ufuncs`` alone,
-    so dropping them from ``sys.modules`` would not bind it either). This
-    finder hands the package's own spec to the import system and, once
-    the package has executed, binds those modules on it, as a plain
-    import of the package would have; it leaves ``sys.meta_path`` when
-    the package executes, not when a spec is only looked up.
-    """
-
-    def __init__(self, submodules: dict[str, types.ModuleType]):
-        self.submodules = submodules
-
-    def find_spec(self, name, path=None, target=None):
-        if name != "scipy.special":
-            return None
-        spec = importlib.machinery.PathFinder.find_spec(name, path)
-        if spec is not None and spec.loader is not None:
-            exec_module = spec.loader.exec_module
-
-            def exec_and_bind(module: types.ModuleType) -> None:
-                # A new list: an import iterating the old one is undisturbed.
-                sys.meta_path = [f for f in sys.meta_path if f is not self]
-                exec_module(module)
-                for attr, submodule in self.submodules.items():
-                    vars(module).setdefault(attr, submodule)
-
-            spec.loader.exec_module = exec_and_bind
-        return spec
-
-
-def _load_ufuncs() -> types.ModuleType:
-    """scipy's compiled ``scipy.special._ufuncs``, without the package.
-
-    Every kernel here calls these ufuncs, the very objects the public
-    ``scipy.special`` names are. The package ``__init__`` also loads
-    scipy's array-API layer (``_support_alternative_backends``, which
-    pulls in ``numpy.f2py`` and ``numpy.testing``), about 0.25 s of
-    start-up that nothing here uses. So, under the global import lock, a
-    bare ``scipy.special`` stub whose ``__path__`` is scipy's ``special``
-    directory stands in for the package while the extension loads, and
-    is removed again; the extension modules stay in ``sys.modules``, so a
-    later ``import scipy.special`` builds the real package around the
-    same objects, and :class:`_BindSubmodules` binds on it the ones
-    ``_ufuncs`` imported itself (such as ``_gufuncs``). An already
-    imported package is used as it is, and if the stub import fails (a
-    different scipy layout) the plain import gives the same objects,
-    only slower.
-    """
-    if "scipy.special" not in sys.modules:
-        _imp.acquire_lock()
-        try:
-            stub = types.ModuleType("scipy.special")
-            stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-            stub.__package__ = "scipy.special"
-            sys.modules["scipy.special"] = stub
-            try:
-                from scipy.special import _ufuncs
-
-                submodules = {
-                    attr: value
-                    for attr, value in vars(stub).items()
-                    if isinstance(value, types.ModuleType)
-                    and sys.modules.get(f"scipy.special.{attr}") is value
-                }
-                sys.meta_path = [_BindSubmodules(submodules), *sys.meta_path]
-                return _ufuncs
-            except (ImportError, AttributeError):
-                pass
-            finally:
-                if sys.modules.get("scipy.special") is stub:
-                    del sys.modules["scipy.special"]
-                # Read the instance dict: scipy's lazy module __getattr__
-                # would import the real package.
-                if vars(scipy).get("special") is stub:
-                    del vars(scipy)["special"]
-        finally:
-            _imp.release_lock()
-    from scipy.special import _ufuncs
-
-    return _ufuncs
-
-
-_ufuncs = _load_ufuncs()
+# Every kernel here calls these ufuncs, the very objects the public
+# ``scipy.special`` names are, loaded without the package ``__init__``.
+(_ufuncs,) = load("scipy.special", "_ufuncs")
 
 
 class DomainError(ValueError):

@@ -98,6 +98,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config_text(SMALL_CONFIG + "\nfrobnicate = 1\n")
 
+    def test_readme_key_table_has_every_key(self):
+        from rsmsim import cli
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            key
+            for row in table.splitlines()
+            if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        tables = (cli._CHANNEL_KEYS, cli._COMMON_KEYS, cli._RSM_KEYS, cli._FD_KEYS)
+        keys = {"system"}.union(*tables)
+        assert sorted(keys - documented) == []
+
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="order"):
             parse_config_text(SMALL_CONFIG.replace("order = 4", "order = four"))
@@ -572,8 +587,9 @@ class TestPresets:
 
 
 # Runs in a fresh interpreter: imports the package, then every CLI command,
-# and prints the modules of each unwanted group that got loaded, and
-# whether a scipy.special package is left in sys.modules or on scipy.
+# and prints the numpy.random modules loaded, the modules of each unwanted
+# group that got loaded, and whether a scipy.special package is left in
+# sys.modules or on scipy.
 _FOOTPRINT_SCRIPT = """
 import sys
 import rsmsim
@@ -585,6 +601,7 @@ for name in ("exact_perfect", "hsa_estimated", "fd"):
 assert cli.main(["abep", "--config", f"{root}/hsa_estimated.cfg", "--out", f"{root}/abep.csv"]) == 0
 assert cli.main(["threshold", "--alpha-p", "10"]) == 0
 assert cli.main(["power", "--n-rx", "4,8", "--p-ref", "1", "--out", f"{root}/power.csv"]) == 0
+print("numpy.random:", *sorted(m for m in sys.modules if m.startswith("numpy.random")))
 import scipy
 print("package:", "scipy.special" in sys.modules, "special" in vars(scipy))
 array_api = ("scipy.special._support_alternative_backends", "numpy.f2py", "numpy.testing")
@@ -670,7 +687,7 @@ if sys.argv[1] == "find_spec":
 import scipy.special as sp
 for name in ("_gufuncs", "_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2", "_ufuncs"):
     assert getattr(sp, name) is sys.modules["scipy.special." + name], name
-assert not any(type(f).__module__ == "rsmsim.specfun" for f in sys.meta_path)
+assert not any(type(f).__module__ == "rsmsim._loader" for f in sys.meta_path)
 print(*sorted(vars(sp)))
 """
         plain = run_python(script, "plain")
@@ -716,6 +733,127 @@ sp = sys.modules["scipy.special"]
 assert "scipy.special._support_alternative_backends" in sys.modules
 assert specfun._ufuncs is sp._ufuncs and sp.i0e is specfun._ufuncs.i0e
 assert specfun.marcum_q1(1.0, 2.0) == sp._ufuncs._ncx2_sf(4.0, 2.0, 1.0)
+print("ok")
+""")
+        assert lines == ["ok"]
+
+
+# The numpy.random modules a run draws with, and those only the package
+# __init__ loads (the legacy RandomState, the other bit generators, pickling).
+_GENERATOR_MODULES = (
+    "numpy.random.bit_generator",
+    "numpy.random._pcg64",
+    "numpy.random._generator",
+)
+_PACKAGE_ONLY_MODULES = (
+    "numpy.random",
+    "numpy.random.mtrand",
+    "numpy.random._mt19937",
+    "numpy.random._philox",
+    "numpy.random._sfc64",
+    "numpy.random._pickle",
+)
+
+# Builds generators the two ways a run does, a stream of _streams and the
+# calibration's, before any numpy.random import of the script's own.
+_DRAW_SCRIPT = """
+import pickle
+import sys
+from rsmsim import channel, simulate
+streams = simulate._streams(simulate._stream_seeds((1, 2), range(3)))
+params = channel.ChannelParams(n_tx=8, n_rx=4)
+calibration = channel._calibration_stream(params)
+"""
+
+
+class TestNumpyRandomFootprint:
+    """Runs draw from ``numpy.random``'s generator modules, loaded without
+    the package ``__init__`` through ``rsmsim._loader``, in fresh
+    interpreters."""
+
+    def test_cli_loads_only_the_generator_modules(self, footprint):
+        # The package __init__ costs about 0.8 MB of peak RSS that no run uses.
+        loaded = footprint[-4].split()
+        assert loaded[0] == "numpy.random:"
+        assert set(_GENERATOR_MODULES) <= set(loaded[1:])
+        assert not set(_PACKAGE_ONLY_MODULES) & set(loaded[1:])
+
+    def test_later_numpy_random_import_shares_the_generators(self):
+        lines = run_python(_DRAW_SCRIPT + f"""
+assert not set({_PACKAGE_ONLY_MODULES!r}) & set(sys.modules)
+import numpy as np
+import numpy.random
+for name in {_GENERATOR_MODULES!r}:
+    assert getattr(np.random, name.rpartition(".")[2]) is sys.modules[name], name
+assert not any(getattr(f, "package", None) == "numpy.random" for f in sys.meta_path)
+for rng in streams:
+    assert type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
+copy = pickle.loads(pickle.dumps(streams[1]))
+assert (copy.integers(0, 2**63, 4) == streams[1].integers(0, 2**63, 4)).all()
+assert (copy.standard_normal(5) == streams[1].standard_normal(5)).all()
+want = np.random.default_rng([channel._CALIBRATION_SEED, params.n_clusters, params.n_rays])
+assert (calibration.random(6) == want.random(6)).all()
+print("ok")
+""")
+        assert lines == ["ok"]
+
+    def test_later_numpy_random_import_has_every_name(self):
+        script = """
+import sys
+if sys.argv[1] == "rsmsim":
+    from rsmsim import simulate
+    simulate._streams(simulate._stream_seeds((1, 2), range(1)))
+    assert "numpy.random" not in sys.modules
+import numpy.random as npr
+for name in ("_common", "_bounded_integers", "_pcg64", "bit_generator", "_generator"):
+    assert getattr(npr, name) is sys.modules["numpy.random." + name], name
+print(*sorted(vars(npr)))
+"""
+        plain = run_python(script, "plain")
+        assert len(plain) == 1 and len(plain[0].split()) > 50
+        assert run_python(script, "rsmsim") == plain
+
+    def test_earlier_numpy_random_import_is_used_as_it_is(self):
+        lines = run_python("""
+import sys
+import numpy.random as npr
+""" + _DRAW_SCRIPT + """
+assert sys.modules["numpy.random"] is npr
+assert type(streams[0]) is npr.Generator and type(calibration) is npr.Generator
+assert not any(getattr(f, "package", None) == "numpy.random" for f in sys.meta_path)
+print("ok")
+""")
+        assert lines == ["ok"]
+
+    def test_failed_stub_import_falls_back_to_the_package(self):
+        # A finder that fails the first import of the generator module, as a
+        # numpy with another layout would: the loader then imports the package.
+        lines = run_python("""
+import importlib.abc
+import sys
+
+class FailOnce(importlib.abc.MetaPathFinder):
+    hits = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random._generator" and not self.hits:
+            self.hits += 1
+            raise ImportError("no generator here")
+        return None
+
+finder = FailOnce()
+sys.meta_path.insert(0, finder)
+""" + _DRAW_SCRIPT + """
+import numpy as np
+assert finder.hits == 1
+assert "numpy.random.mtrand" in sys.modules
+assert type(streams[0]) is np.random.Generator and type(calibration) is np.random.Generator
+for name in ("_pcg64", "bit_generator", "_generator"):
+    assert getattr(np.random, name) is sys.modules["numpy.random." + name], name
+want = np.random.default_rng([channel._CALIBRATION_SEED, params.n_clusters, params.n_rays])
+assert (calibration.random(6) == want.random(6)).all()
+want = np.random.default_rng([1, 2, 0])
+assert (streams[0].standard_normal(4) == want.standard_normal(4)).all()
 print("ok")
 """)
         assert lines == ["ok"]

@@ -11,16 +11,19 @@ and every config under ``bench/configs/`` (the 30 checked runs), and
 then the small configs of :data:`SMALL`, written into both trees, which
 reach the paths no preset reaches. The two trees run side by side, one
 command of each at a time. Each command's CSV is compared byte for
-byte, with its exit code and its stderr; one line per command gives the
-three results, and the last line sums them up. Exits 1 on any
-difference, 0 otherwise. The git index and the working tree are left
-as they are; staging the working tree into a temporary index only adds
-objects to the repository's object store.
+byte, with its exit code, its stderr and its manifest sidecar less the
+``timestamp`` and ``output`` fields (no sidecar on either side for a
+failed run); one line per command gives the four results, and the last
+line sums them up. Exits 1 on any difference, 0 otherwise. The git
+index and the working tree are left as they are; staging the working
+tree into a temporary index only adds objects to the repository's
+object store.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -139,8 +142,12 @@ def configs(tree: Path) -> list[str]:
     )
 
 
-def run(tree: Path, config: str, command: str, threads: str | None) -> tuple[int, bytes, bytes]:
-    """(exit code, stderr, CSV bytes) of one command run in ``tree``."""
+def run(
+    tree: Path, config: str, command: str, threads: str | None
+) -> tuple[int, bytes, bytes, dict | None]:
+    """(exit code, stderr, CSV bytes, manifest) of one command run in
+    ``tree``; the manifest without the fields that differ between any two
+    runs, the time and the output path, and None where there is none."""
     name = Path(config).stem + ("" if threads is None else f"_t{threads}")
     out = tree / "same_bytes_out" / f"{command}_{name}.csv"
     out.parent.mkdir(exist_ok=True)
@@ -149,7 +156,12 @@ def run(tree: Path, config: str, command: str, threads: str | None) -> tuple[int
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("RSM_SIM_LOG", None)
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
-    return done.returncode, done.stderr, out.read_bytes() if out.exists() else b""
+    sidecar = out.with_suffix(out.suffix + ".manifest.json")
+    manifest = None
+    if sidecar.exists():
+        manifest = json.loads(sidecar.read_text())
+        del manifest["timestamp"], manifest["output"]
+    return done.returncode, done.stderr, out.read_bytes() if out.exists() else b"", manifest
 
 
 def main() -> int:
@@ -177,13 +189,14 @@ def main() -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             for config, command, threads in runs:
                 old, new = pool.map(lambda tree: run(tree, config, command, threads), (base, head))
-                same = [old[2] == new[2], old[0] == new[0], old[1] == new[1]]
+                same = [old[2] == new[2], old[0] == new[0], old[1] == new[1], old[3] == new[3]]
                 differ[config in small] += not all(same)
                 label = f"{command} {config}" + ("" if threads is None else f" --threads {threads}")
                 print(
                     f"{'same' if all(same) else 'DIFF'}: {label}: csv "
                     f"{'identical' if same[0] else 'differs'}, exit {old[0]} -> {new[0]}, "
-                    f"stderr {'identical' if same[2] else 'differs'}"
+                    f"stderr {'identical' if same[2] else 'differs'}, "
+                    f"manifest {'identical' if same[3] else 'differs'}"
                 )
     seconds = time.perf_counter() - start
     n_small = len(small) * len(COMMANDS)
@@ -191,7 +204,7 @@ def main() -> int:
     print(
         f"same_bytes: {n_checked - differ[False]} of {n_checked} checked runs and "
         f"{n_small - differ[True]} of {n_small} small-config runs identical to {args.rev} "
-        f"(CSV bytes, exit code, stderr) in {seconds:.1f} s"
+        f"(CSV bytes, exit code, stderr, manifest) in {seconds:.1f} s"
     )
     return 1 if any(differ.values()) else 0
 
